@@ -1,16 +1,12 @@
 // Command benchcmp compares a freshly generated gridbench record against
-// a committed baseline (BENCH_5.json for the classic event loop,
-// BENCH_8.json for the window-barrier scheduler) without touching it, so
-// CI can verify the benchmark still reproduces instead of silently
+// a committed baseline (BENCH_5.json, BENCH_10.json) without touching it,
+// so CI can verify the benchmark still reproduces instead of silently
 // overwriting the audited record.
 //
 // Usage:
 //
 //	gridbench -experiment fig4a -scale quick -parallel 4 -json "$tmp" -q
 //	benchcmp -baseline BENCH_5.json -fresh "$tmp"
-//
-//	gridbench -experiment fig4a -scale quick -lps 4 -json "$tmp" -q
-//	benchcmp -baseline BENCH_8.json -fresh "$tmp"
 //
 // Three properties are checked, in decreasing order of strictness:
 //
@@ -26,8 +22,7 @@
 //     records carry gomaxprocs (gridbench stamps it) and the fresh
 //     machine has fewer cores than the baseline's, the floor is scaled
 //     by the core ratio: a parallel record produced on 8 cores cannot
-//     be reproduced at full speed on 1 (BENCH_8's 0.27x on a
-//     single-core box is expected, not a regression);
+//     be reproduced at full speed on 1;
 //   - memory: when both records carry gridscale memory samples, each
 //     fresh bytes_per_proc is held to a ceiling over the baseline's
 //     sample at the same N: fresh <= baseline*(1+mem-tolerance),
@@ -56,7 +51,6 @@ type record struct {
 	Events       int64             `json:"events"`
 	Workers      int               `json:"workers"`
 	GoMaxProcs   int               `json:"gomaxprocs"`
-	LPs          int               `json:"lps"`
 	EventsPerSec float64           `json:"events_per_sec"`
 	Identical    bool              `json:"identical"`
 	Memory       []memSample       `json:"memory"`
@@ -125,12 +119,6 @@ func run(args []string) int {
 	if base.Cells != fresh.Cells || base.Runs != fresh.Runs {
 		fail("coverage mismatch: baseline %d cells/%d runs vs fresh %d cells/%d runs", base.Cells, base.Runs, fresh.Cells, fresh.Runs)
 	}
-	// Any lps >= 1 replays the same windowed schedule, so records differing
-	// only in LP worker count are comparable; the classic event loop
-	// (lps = 0) draws differently-sharded random streams and is not.
-	if (base.LPs >= 1) != (fresh.LPs >= 1) {
-		fail("scheduler mismatch: baseline lps=%d vs fresh lps=%d — the window scheduler and the classic event loop draw different random streams", base.LPs, fresh.LPs)
-	}
 	if base.Events != fresh.Events {
 		fail("determinism violation: baseline processed %d events, fresh %d — same configuration must replay the same schedule", base.Events, fresh.Events)
 	}
@@ -149,7 +137,7 @@ func run(args []string) int {
 	// regression.
 	coreRatio := 1.0
 	if base.GoMaxProcs > 0 && fresh.GoMaxProcs > 0 &&
-		fresh.GoMaxProcs < base.GoMaxProcs && (base.Workers > 1 || base.LPs > 1) {
+		fresh.GoMaxProcs < base.GoMaxProcs && base.Workers > 1 {
 		coreRatio = float64(fresh.GoMaxProcs) / float64(base.GoMaxProcs)
 		fmt.Fprintf(os.Stderr, "benchcmp: note: fresh machine has %d of the baseline's %d cores; throughput floor scaled by %.2fx\n",
 			fresh.GoMaxProcs, base.GoMaxProcs, coreRatio)

@@ -22,12 +22,7 @@
 //	gridbench -experiment fig4a -scale quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // With -parallel N the harness fans repetitions out over N goroutines;
-// results are byte-identical to a serial run. With -lps N each eligible
-// simulation runs on the conservative parallel scheduler — one logical
-// process per cluster, lookahead windows, N worker goroutines — and the
-// figures are byte-identical to -lps 1 (the serial windowed reference;
-// they intentionally differ from -lps 0, the classic event loop, whose
-// random streams are not sharded per cluster). With -json the command
+// results are byte-identical to a serial run. With -json the command
 // also runs the matching serial reference pass, verifies the parallel
 // output matches, and writes a machine-readable benchmark record (wall
 // times, events/sec, speedup) to the given path.
@@ -62,10 +57,6 @@ type benchRecord struct {
 	// the core budgets are (benchcmp scales its expectations by these).
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"numcpu"`
-	// LPs is the -lps value: worker goroutines of the window-barrier
-	// scheduler inside each eligible simulation (0 = classic serial
-	// event loop).
-	LPs int `json:"lps,omitempty"`
 	// Cells and Runs count experiment cells and seeded simulations.
 	Cells int `json:"cells"`
 	Runs  int `json:"runs"`
@@ -96,7 +87,6 @@ func main() {
 	experiment := flag.String("experiment", "all", "figure to regenerate, or 'all' (one of: all "+strings.Join(gridmutex.Figures(), " ")+")")
 	scaleName := flag.String("scale", "paper", "experiment scale: 'paper' (9 Grid5000 clusters, N=180, 100 CS, 10 reps) or 'quick'")
 	parallel := flag.Int("parallel", 1, "worker goroutines for repetitions (0 = GOMAXPROCS); results are identical for every value")
-	lps := flag.Int("lps", 0, "worker goroutines for the window-barrier scheduler inside each eligible simulation (0 = classic serial event loop); results are identical for every value >= 1")
 	jsonPath := flag.String("json", "", "write a machine-readable benchmark record to this path (runs a serial reference pass for comparison when -parallel > 1)")
 	quiet := flag.Bool("q", false, "suppress per-cell progress output")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -133,8 +123,8 @@ func main() {
 		progress = nil
 	}
 
-	run := func(workers, lpWorkers int, prog func(string)) (map[string]string, gridmutex.RunInfo, time.Duration, error) {
-		opt := gridmutex.RunOptions{Workers: workers, LPs: lpWorkers}
+	run := func(workers int, prog func(string)) (map[string]string, gridmutex.RunInfo, time.Duration, error) {
+		opt := gridmutex.RunOptions{Workers: workers}
 		start := time.Now()
 		var figs map[string]string
 		var info gridmutex.RunInfo
@@ -161,7 +151,7 @@ func main() {
 		}
 	}
 
-	figs, info, wall, err := run(*parallel, *lps, progress)
+	figs, info, wall, err := run(*parallel, progress)
 
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
@@ -197,7 +187,6 @@ func main() {
 			Workers:    workers,
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 			NumCPU:     runtime.NumCPU(),
-			LPs:        *lps,
 			Cells:      info.Cells,
 			Runs:       info.Runs,
 			Events:     info.Events,
@@ -209,16 +198,11 @@ func main() {
 		if wall > 0 {
 			rec.EventsPerSec = float64(info.Events) / wall.Seconds()
 		}
-		if workers > 1 || *lps > 1 {
-			// Serial reference pass: same experiment, one repetition worker
-			// and (when the window scheduler is on) one LP worker. The
-			// figures must match byte for byte — that is the whole
-			// deterministic-merge contract, on both axes of parallelism.
-			refLPs := *lps
-			if refLPs > 1 {
-				refLPs = 1
-			}
-			serialFigs, _, serialWall, err := run(1, refLPs, nil)
+		if workers > 1 {
+			// Serial reference pass: same experiment, one repetition
+			// worker. The figures must match byte for byte — that is the
+			// whole deterministic-merge contract.
+			serialFigs, _, serialWall, err := run(1, nil)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "gridbench: serial reference pass:", err)
 				os.Exit(1)

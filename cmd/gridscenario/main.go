@@ -33,10 +33,9 @@ func run(args []string, stdout *os.File) int {
 	fs := flag.NewFlagSet("gridscenario", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit verdicts as a JSON array")
 	workers := fs.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS, 1 = serial)")
-	lps := fs.Int("lps", 0, "worker goroutines for the window-barrier scheduler inside each eligible scenario (0 = classic serial event loop); verdicts are identical for every value >= 1")
 	verbose := fs.Bool("v", false, "print every check, not only failures")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gridscenario [-json] [-workers N] [-lps N] [-v] <file-or-dir>...")
+		fmt.Fprintln(os.Stderr, "usage: gridscenario [-json] [-workers N] [-v] <file-or-dir>...")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -71,7 +70,7 @@ func run(args []string, stdout *os.File) int {
 		}
 	}
 
-	results, err := scenario.RunAll(scenarios, *workers, scenario.Options{LPs: *lps})
+	results, err := scenario.RunAll(scenarios, *workers, scenario.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridscenario: %v\n", err)
 		return 2

@@ -16,9 +16,8 @@ import (
 	"time"
 
 	"gridmutex/internal/core"
-	"gridmutex/internal/des"
 	"gridmutex/internal/harness"
-	"gridmutex/internal/simnet"
+	"gridmutex/internal/run"
 	"gridmutex/internal/topology"
 	"gridmutex/internal/trace"
 	"gridmutex/internal/workload"
@@ -135,34 +134,31 @@ func main() {
 // dumpTrace runs a small traced deployment and prints its last n protocol
 // events — a quick way to watch the composition work.
 func dumpTrace(intra, inter string, rho float64, seed int64, n int) error {
-	sim := des.New()
-	grid := topology.Uniform(2, 3, time.Millisecond, 15*time.Millisecond)
-	tr := trace.New(sim.Now, n)
-	net := simnet.New(sim, grid, simnet.Options{Seed: seed, Trace: tr})
-	runner, err := workload.NewRunner(sim, workload.Params{
-		Alpha: 5 * time.Millisecond, Rho: rho / 10, Dist: workload.Exponential,
-		CSPerProcess: 3, Seed: seed,
-	}, nil)
+	r, err := run.Build(run.Spec{
+		Grid: topology.Uniform(2, 3, time.Millisecond, 15*time.Millisecond),
+		Seed: seed, TraceCapacity: n,
+		Workload: workload.Params{
+			Alpha: 5 * time.Millisecond, Rho: rho / 10, Dist: workload.Exponential,
+			CSPerProcess: 3,
+		},
+		System:     run.System{Intra: intra, Inter: inter},
+		EventLimit: 1_000_000,
+	})
 	if err != nil {
 		return err
 	}
-	d, err := core.BuildComposed(net, grid, core.Spec{Intra: intra, Inter: inter}, runner.Callbacks)
-	if err != nil {
-		return err
-	}
-	for _, c := range d.Coordinators {
+	for _, c := range r.Core.Coordinators {
 		c := c
 		c.SetObserver(func(from, to core.CoordinatorState) {
-			tr.Record(trace.CoordState, c.ID(), -1, from.String()+"->"+to.String())
+			r.Tracer.Record(trace.CoordState, c.ID(), -1, from.String()+"->"+to.String())
 		})
 	}
-	runner.Bind(d.Apps)
-	runner.Start()
-	if err := sim.RunCapped(1_000_000); err != nil {
-		return err
+	out := r.Drive()
+	if out.Stall != nil && out.Stall.Err != nil {
+		return out.Stall.Err
 	}
 	fmt.Fprintf(os.Stderr, "--- trace of a 2x2 %s-%s run (last %d events) ---\n", intra, inter, n)
-	fmt.Fprint(os.Stderr, tr.Dump())
+	fmt.Fprint(os.Stderr, out.Trace)
 	fmt.Fprintln(os.Stderr, "---")
 	return nil
 }

@@ -34,13 +34,6 @@ type RunOptions struct {
 	// goroutines (0 or 1 = serial on the calling goroutine, negative =
 	// GOMAXPROCS). Results are byte-identical for every setting.
 	Workers int
-	// LPs, when at least 1, runs eligible simulations on the conservative
-	// parallel scheduler — one logical process per cluster, lookahead
-	// windows, this many worker goroutines per run. Results are
-	// byte-identical for every LPs >= 1 (but differ from LPs = 0, which
-	// keeps the classic serial event loop: the LP path shards its random
-	// streams per cluster).
-	LPs int
 }
 
 // RunInfo reports the simulation work behind a regenerated figure, for
@@ -293,7 +286,6 @@ func ReproduceFigureWith(name string, scale ExperimentScale, opt RunOptions, pro
 	}
 	s := scale.scale()
 	s.Workers = opt.Workers
-	s.LPs = opt.LPs
 	return spec.run(s, progress)
 }
 
@@ -310,7 +302,6 @@ func ReproduceAll(scale ExperimentScale, progress func(string)) (map[string]stri
 func ReproduceAllWith(scale ExperimentScale, opt RunOptions, progress func(string)) (map[string]string, RunInfo, error) {
 	s := scale.scale()
 	s.Workers = opt.Workers
-	s.LPs = opt.LPs
 	out := map[string]string{"fig3": harness.Figure3Table()}
 	var info RunInfo
 

@@ -282,20 +282,6 @@ func (s *Simulator) RunCapped(limit uint64) error {
 	return nil
 }
 
-// runBounded executes events with instants strictly before end, up to
-// budget events, and stops. Unlike RunUntil it never advances the clock
-// past the last executed event: the caller (the window scheduler) owns
-// the decision of when an idle LP's clock may move, because moving it
-// early would make subsequent scheduling panics depend on window shape.
-func (s *Simulator) runBounded(end Time, budget uint64) {
-	s.guardRun()
-	defer func() { s.running = false }()
-	for budget > 0 && len(s.queue.keys) > 0 && s.queue.keys[0].at < end {
-		s.Step()
-		budget--
-	}
-}
-
 func (s *Simulator) guardRun() {
 	if s.running {
 		panic("des: reentrant Run on the same Simulator")

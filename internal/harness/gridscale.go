@@ -21,10 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"gridmutex/internal/check"
-	"gridmutex/internal/core"
-	"gridmutex/internal/des"
-	"gridmutex/internal/simnet"
+	"gridmutex/internal/run"
 	"gridmutex/internal/topology"
 	"gridmutex/internal/workload"
 )
@@ -35,8 +32,7 @@ const gridScaleLeaf = 10
 
 // The sweep's latency model: leaf clusters exchange messages at
 // gridScaleLeafRTT, root crossings cost gridScaleRootRTT, and each level
-// below the root halves the RTT down to gridScaleMinLevelRTT so
-// MinInterOneWay stays positive and meaningful.
+// below the root halves the RTT down to gridScaleMinLevelRTT.
 const (
 	gridScaleLeafRTT     = time.Millisecond
 	gridScaleRootRTT     = 32 * time.Millisecond
@@ -202,45 +198,32 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	sim := des.New()
-	net := simnet.New(sim, g, simnet.Options{Jitter: 0.05, Seed: seed})
-	mon := check.NewMonitor(sim)
 	// ρ = apps puts the mean idle time at apps·α: arrivals trickle in at
 	// roughly the global service rate, so the sweep exercises a loaded
 	// but not degenerate queue at every N.
-	runner, err := workload.NewRunner(sim, workload.Params{
-		Alpha: alpha, Rho: float64(apps), Dist: workload.Exponential,
-		CSPerProcess: csPerProcess, Seed: seed,
-	}, mon)
+	r, err := run.Build(run.Spec{
+		Grid: g, Seed: seed, Jitter: 0.05,
+		Workload: workload.Params{
+			Alpha: alpha, Rho: float64(apps), Dist: workload.Exponential,
+			CSPerProcess: csPerProcess,
+		},
+		System: run.System{Levels: algs, Groups: groups},
+	})
 	if err != nil {
 		return GridScalePoint{}, err
 	}
-	d, err := core.BuildMultiLevel(net, g, algs, groups, runner.Callbacks)
-	if err != nil {
-		return GridScalePoint{}, err
-	}
-	runner.Bind(d.Apps)
 
 	runtime.GC()
 	var built runtime.MemStats
 	runtime.ReadMemStats(&built)
 
-	runner.Start()
-	mon.WatchLiveness(runner.Waiting, runner.Done, 2000*alpha)
-	limit := uint64(runner.ExpectedTotal())*10_000 + 1_000_000
 	//lint:allow desdeterminism wall-clock throughput is the point of GridScaleMem; it never enters figure text (Table renders deterministic columns only)
 	start := time.Now()
-	if err := sim.RunCapped(limit); err != nil {
-		return GridScalePoint{}, fmt.Errorf("did not drain: %w (outstanding %d)", err, runner.Outstanding())
-	}
+	out := r.Drive()
 	//lint:allow desdeterminism wall-clock throughput is the point of GridScaleMem; it never enters figure text (Table renders deterministic columns only)
 	wall := time.Since(start)
-	mon.AssertQuiescent()
-	if !mon.Ok() {
-		return GridScalePoint{}, fmt.Errorf("property violation: %s", mon.Violations()[0])
-	}
-	if !runner.Done() {
-		return GridScalePoint{}, fmt.Errorf("liveness: %d requests unsatisfied", runner.Outstanding())
+	if err := verify(out); err != nil {
+		return GridScalePoint{}, err
 	}
 
 	var after runtime.MemStats
@@ -251,15 +234,15 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 		Clusters: g.NumClusters(),
 		Levels:   levels,
 		Apps:     apps,
-		Grants:   int64(len(runner.Records())),
-		Events:   int64(sim.Processed()),
+		Grants:   int64(len(out.Records)),
+		Events:   int64(out.Events),
 	}
-	counters := net.Counters()
+	counters := out.Counters
 	if p.Grants > 0 {
 		p.TotalMsgsPerCS = float64(counters.Messages) / float64(p.Grants)
 		p.InterMsgsPerCS = float64(counters.InterMessages) / float64(p.Grants)
 	}
-	procs := len(d.Procs)
+	procs := len(out.Core.Procs)
 	p.Mem = GridScaleMem{
 		Procs:     procs,
 		LiveBytes: built.HeapAlloc,

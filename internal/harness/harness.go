@@ -11,18 +11,15 @@ import (
 	"math"
 	"time"
 
-	"gridmutex/internal/adaptive"
-	"gridmutex/internal/algorithms"
-	"gridmutex/internal/check"
 	"gridmutex/internal/core"
 	"gridmutex/internal/des"
 	"gridmutex/internal/fleet"
-	"gridmutex/internal/mutex"
 	"gridmutex/internal/reliable"
+	"gridmutex/internal/rng"
+	"gridmutex/internal/run"
 	"gridmutex/internal/simnet"
 	"gridmutex/internal/stats"
 	"gridmutex/internal/topology"
-	"gridmutex/internal/trace"
 	"gridmutex/internal/workload"
 )
 
@@ -147,18 +144,6 @@ type Scale struct {
 	// partials are merged by (system, ρ, rep) index, never by completion
 	// order.
 	Workers int
-	// LPs, when positive, runs each repetition on the conservative
-	// parallel scheduler (internal/des.Windows): one logical process per
-	// cluster with the topology's minimum inter-cluster one-way delay as
-	// lookahead, and up to LPs worker goroutines executing the windows.
-	// Outcomes are byte-identical for every positive value — LPs only
-	// caps the workers; LPs=1 runs the same windowed schedule serially.
-	// Ineligible configurations (adaptive inter level, reliable layer,
-	// loss, or a multi-cluster topology with zero inter-cluster latency)
-	// fall back to the classic single-simulator path. Note the windowed
-	// scheduler draws different (equally deterministic) random streams
-	// than the classic path: compare LP runs with LP runs.
-	LPs int
 }
 
 // Validate rejects degenerate experiment dimensions. Without it,
@@ -307,27 +292,18 @@ func Run(systems []System, scale Scale, progress func(string)) (*Result, error) 
 	return res, nil
 }
 
-// splitmix64 is the finalizer of Steele et al.'s SplitMix64 generator: a
-// bijective avalanche mix in which every input bit affects every output
-// bit.
-func splitmix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // deriveSeed mixes (BaseSeed, ρ, rep) into one run seed. ρ enters through
 // its IEEE-754 bit pattern, so arbitrarily close fractional sweep values
 // draw distinct streams (the previous int64(rho*7919) truncation collided
 // for ρ closer than 1/7919), and each component passes through the
-// splitmix64 finalizer so additive rep/ρ strides cannot alias across
+// SplitMix64 finalizer so additive rep/ρ strides cannot alias across
 // cells. The seed deliberately ignores the system under test: every
 // system replays the same random streams per (ρ, rep) — common random
 // numbers — which is what keeps cross-system curve differences paired.
 func deriveSeed(base int64, rho float64, rep int) int64 {
-	z := splitmix64(uint64(base) + 0x9e3779b97f4a7c15)
-	z = splitmix64(z ^ math.Float64bits(rho))
-	z = splitmix64(z ^ uint64(rep))
+	z := rng.SplitMix64(uint64(base) + 0x9e3779b97f4a7c15)
+	z = rng.SplitMix64(z ^ math.Float64bits(rho))
+	z = rng.SplitMix64(z ^ uint64(rep))
 	return int64(z)
 }
 
@@ -360,18 +336,20 @@ type repPartial struct {
 
 // digest folds one run's records into a repPartial. It walks records in
 // grant order, which the single-threaded simulation makes deterministic.
-func digest(scale Scale, out outcome) repPartial {
+func digest(scale Scale, out run.Outcome) repPartial {
 	p := repPartial{
-		counters:   out.counters,
-		grants:     int64(len(out.records)),
-		events:     int64(out.events),
-		switches:   out.switches,
-		handoffs:   out.handoffs,
-		biasRounds: out.biasRounds,
+		counters: out.Counters,
+		grants:   int64(len(out.Records)),
+		events:   int64(out.Events),
+		switches: out.Switches,
+	}
+	for _, c := range out.Core.Coordinators {
+		p.handoffs += c.Stats().InterHandoffs
+		p.biasRounds += c.Stats().BiasRounds
 	}
 	p.obtain.Sketch = true
 	p.phase = make([]stats.Accumulator, len(scale.Phases))
-	for _, r := range out.records {
+	for _, r := range out.Records {
 		ms := float64(r.Obtaining()) / float64(time.Millisecond)
 		p.obtain.Push(ms)
 		if len(scale.Phases) > 0 {
@@ -462,84 +440,87 @@ func mergeCell(c cell, partials []repPartial) (*Point, error) {
 	return p, nil
 }
 
+// runShards executes size(g) seeded runs for each of groups experiment
+// cells and hands each cell's results, in repetition order, to merge, cell
+// by cell. workers 0 or 1 keeps every run on the calling goroutine (zero
+// goroutines on the per-run path) and merges a cell as soon as its runs
+// finish, so progress streams; otherwise all runs fan out through
+// internal/fleet first, each on a private Simulator. Either way results
+// merge by (cell, rep) index, never completion order — which is what makes
+// aggregates byte-identical for every Workers setting.
+func runShards[T any](groups int, size func(group int) int, workers int, exec func(group, rep int) (T, error), merge func(group int, parts []T) error) error {
+	var all []T
+	if workers < 0 || workers > 1 {
+		type shard struct{ group, rep int }
+		var shards []shard
+		for g := 0; g < groups; g++ {
+			for rep := 0; rep < size(g); rep++ {
+				shards = append(shards, shard{g, rep})
+			}
+		}
+		var err error
+		all, err = fleet.Map(len(shards), workers, func(i int) (T, error) {
+			return exec(shards[i].group, shards[i].rep)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	next := 0
+	for g := 0; g < groups; g++ {
+		n := size(g)
+		var parts []T
+		if all != nil {
+			parts = all[next : next+n]
+		} else {
+			parts = make([]T, n)
+			for rep := range parts {
+				var err error
+				if parts[rep], err = exec(g, rep); err != nil {
+					return err
+				}
+			}
+		}
+		next += n
+		if err := merge(g, parts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runCells executes every (cell, repetition) simulation and merges the
-// partials by (cell, rep) index. workers 0 or 1 keeps everything on the
-// calling goroutine (zero goroutines on the per-run path); otherwise the
-// fan-out happens in internal/fleet, one job per repetition, each on a
-// private Simulator. emit, when non-nil, receives each merged Point in
-// cell order.
+// partials by (cell, rep) index. emit, when non-nil, receives each merged
+// Point in cell order.
 func runCells(cells []cell, workers int, emit func(i int, p *Point)) ([]Point, error) {
 	for i := range cells {
 		if err := cells[i].scale.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	type job struct{ cell, rep int }
-	var jobs []job
-	for ci := range cells {
-		for rep := 0; rep < cells[ci].scale.Repetitions; rep++ {
-			jobs = append(jobs, job{ci, rep})
-		}
-	}
-	runJob := func(j job) (repPartial, error) {
-		c := cells[j.cell]
-		out, err := runOnce(c.sys, c.scale, c.rho, deriveSeed(c.scale.BaseSeed, c.rho, j.rep))
+	reps := func(ci int) int { return cells[ci].scale.Repetitions }
+	points := make([]Point, 0, len(cells))
+	err := runShards(len(cells), reps, workers, func(ci, rep int) (repPartial, error) {
+		c := cells[ci]
+		out, err := runOnce(c.sys, c.scale, c.rho, deriveSeed(c.scale.BaseSeed, c.rho, rep))
 		if err != nil {
 			return repPartial{}, fmt.Errorf("harness: %s at rho=%g: repetition %d: %w",
-				c.sys.Name, c.rho, j.rep, err)
+				c.sys.Name, c.rho, rep, err)
 		}
 		return digest(c.scale, out), nil
-	}
-	merge := func(ci int, partials []repPartial) (*Point, error) {
+	}, func(ci int, partials []repPartial) error {
 		p, err := mergeCell(cells[ci], partials)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s at rho=%g: %w", cells[ci].sys.Name, cells[ci].rho, err)
+			return fmt.Errorf("harness: %s at rho=%g: %w", cells[ci].sys.Name, cells[ci].rho, err)
 		}
 		if emit != nil {
 			emit(ci, p)
 		}
-		return p, nil
-	}
-
-	points := make([]Point, 0, len(cells))
-	if workers < 0 || workers > 1 {
-		partials, err := fleet.Map(len(jobs), workers, func(i int) (repPartial, error) {
-			return runJob(jobs[i])
-		})
-		if err != nil {
-			return nil, err
-		}
-		next := 0
-		for ci := range cells {
-			reps := cells[ci].scale.Repetitions
-			p, err := merge(ci, partials[next:next+reps])
-			if err != nil {
-				return nil, err
-			}
-			next += reps
-			points = append(points, *p)
-		}
-		return points, nil
-	}
-	// Serial path: run and merge cell by cell so progress streams as the
-	// experiment advances, exactly as before.
-	ji := 0
-	for ci := range cells {
-		reps := cells[ci].scale.Repetitions
-		partials := make([]repPartial, reps)
-		for r := 0; r < reps; r++ {
-			part, err := runJob(jobs[ji])
-			if err != nil {
-				return nil, err
-			}
-			partials[r] = part
-			ji++
-		}
-		p, err := merge(ci, partials)
-		if err != nil {
-			return nil, err
-		}
 		points = append(points, *p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }
@@ -571,113 +552,67 @@ func grid(sys System, scale Scale) (*topology.Grid, error) {
 	return topology.Uniform(scale.Clusters, per, local, remote), nil
 }
 
-// outcome is what one simulation run yields.
-type outcome struct {
-	records  []workload.Record
-	counters simnet.Counters
-	// switches is the number of committed adaptive switches (adaptive
-	// systems only).
-	switches int64
-	// handoffs and biasRounds aggregate coordinator stats.
-	handoffs, biasRounds int64
-	// events is the number of DES events the run processed.
-	events uint64
-	// traceDump is the rendered event trace (Scale.TraceCapacity > 0 only).
-	traceDump string
-}
-
-func runOnce(sys System, scale Scale, rho float64, seed int64) (outcome, error) {
+// runOnce executes one seeded (system, ρ) simulation on the run kernel.
+func runOnce(sys System, scale Scale, rho float64, seed int64) (run.Outcome, error) {
 	g, err := grid(sys, scale)
 	if err != nil {
-		return outcome{}, err
+		return run.Outcome{}, err
 	}
-	if lpEligible(sys, scale, g) {
-		return runOnceLP(sys, scale, rho, seed)
+	spec := run.Spec{
+		Grid: g, Seed: seed, Jitter: scale.Jitter, Loss: scale.Loss,
+		TraceCapacity: scale.TraceCapacity,
+		Workload: workload.Params{
+			Alpha: scale.Alpha, Rho: rho, Phases: scale.Phases, Dist: workload.Exponential,
+			CSPerProcess: scale.CSPerProcess,
+			HotCluster:   scale.HotCluster, HotSkew: scale.HotSkew,
+		},
+		System: run.System{
+			Flat: sys.Flat, Intra: sys.Spec.Intra, Inter: sys.Spec.Inter,
+			AdaptiveInter: sys.AdaptiveInter, LocalBias: sys.LocalBias,
+		},
 	}
-	sim := des.New()
-	var tr *trace.Tracer
-	if scale.TraceCapacity > 0 {
-		tr = trace.New(sim.Now, scale.TraceCapacity)
-	}
-	net := simnet.New(sim, g, simnet.Options{Jitter: scale.Jitter, Seed: seed, Loss: scale.Loss, Trace: tr})
-	var fabric mutex.Fabric = net
 	if scale.Reliable {
 		// RTO above the largest simulated round trip keeps spurious
 		// retransmissions rare.
-		fabric = reliable.Wrap(net, sim, reliable.Options{RTO: 4 * scale.RemoteRTT})
+		spec.Reliable = &reliable.Options{RTO: 4 * scale.RemoteRTT}
 	}
-	mon := check.NewMonitor(sim)
-	runner, err := workload.NewRunner(sim, workload.Params{
-		Alpha: scale.Alpha, Rho: rho, Phases: scale.Phases, Dist: workload.Exponential,
-		CSPerProcess: scale.CSPerProcess, Seed: seed,
-		HotCluster: scale.HotCluster, HotSkew: scale.HotSkew,
-	}, mon)
+	return drive(spec)
+}
+
+// drive builds and drives one run and applies the harness's pass rule: an
+// experiment run must drain, leave the safety monitor clean and quiescent,
+// and complete its workload. Anything else is an error, worded per drive
+// mode.
+func drive(spec run.Spec) (run.Outcome, error) {
+	r, err := run.Build(spec)
 	if err != nil {
-		return outcome{}, err
+		return run.Outcome{}, err
 	}
-	var coordOpts []func(*core.Coordinator)
-	if sys.LocalBias > 0 {
-		k := sys.LocalBias
-		coordOpts = append(coordOpts, func(c *core.Coordinator) { c.SetLocalBias(k) })
-	}
-	var d *core.Deployment
+	out := r.Drive()
+	return out, verify(out)
+}
+
+func verify(out run.Outcome) error {
+	s, recovery := out.Stall, out.Recovery != nil
 	switch {
-	case sys.Flat != "":
-		d, err = core.BuildFlat(fabric, g, sys.Flat, runner.Callbacks)
-	case sys.AdaptiveInter:
-		var intraF mutex.Factory
-		intraF, err = algorithms.Factory(sys.Spec.Intra)
-		if err != nil {
-			return outcome{}, err
-		}
-		var adaptF mutex.Factory
-		adaptF, err = adaptive.NewFactory(adaptive.Config{
-			Initial: sys.Spec.Inter,
-			NewPolicy: func() adaptive.Policy {
-				return adaptive.NewGapPolicy(sim.Now, scale.Alpha)
-			},
-		})
-		if err != nil {
-			return outcome{}, err
-		}
-		d, err = core.BuildMultiLevelWith(fabric, g, []mutex.Factory{intraF, adaptF}, nil, runner.Callbacks, coordOpts...)
-	default:
-		d, err = core.BuildComposed(fabric, g, sys.Spec, runner.Callbacks, coordOpts...)
+	case s == nil:
+	case s.Kind == run.Starved:
+		return fmt.Errorf("liveness: %d requests unsatisfied after %d events", s.Outstanding, s.Events)
+	case s.Kind == run.NoDrain && recovery:
+		return fmt.Errorf("did not drain: %w", s.Err)
+	case s.Kind == run.NoDrain:
+		return fmt.Errorf("did not drain: %w (outstanding %d)", s.Err, s.Outstanding)
+	case recovery:
+		return fmt.Errorf("queue drained with %d requests unsatisfied", s.Outstanding)
 	}
-	if err != nil {
-		return outcome{}, err
+	out.Monitor.AssertQuiescent()
+	if !out.Monitor.Ok() {
+		return fmt.Errorf("property violation: %s", out.Monitor.Violations()[0])
 	}
-	runner.Bind(d.Apps)
-	runner.Start()
-	// The watchdog reports a precise stall instant long before the event
-	// cap would: a waiting request is granted within fractions of the
-	// interval under any load, so a full interval of global silence
-	// while requests wait is a deadlock.
-	mon.WatchLiveness(runner.Waiting, runner.Done, 2000*scale.Alpha)
-	limit := uint64(runner.ExpectedTotal())*10_000 + 1_000_000
-	if err := sim.RunCapped(limit); err != nil {
-		return outcome{}, fmt.Errorf("did not drain: %w (outstanding %d)", err, runner.Outstanding())
+	if s != nil {
+		return fmt.Errorf("liveness: %d requests unsatisfied", s.Outstanding)
 	}
-	mon.AssertQuiescent()
-	if !mon.Ok() {
-		return outcome{}, fmt.Errorf("property violation: %s", mon.Violations()[0])
-	}
-	if !runner.Done() {
-		return outcome{}, fmt.Errorf("liveness: %d requests unsatisfied", runner.Outstanding())
-	}
-	out := outcome{records: runner.Records(), counters: net.Counters(),
-		events: sim.Processed(), traceDump: tr.Dump()}
-	for _, c := range d.Coordinators {
-		out.handoffs += c.Stats().InterHandoffs
-		out.biasRounds += c.Stats().BiasRounds
-	}
-	if sys.AdaptiveInter && len(d.Coordinators) > 0 {
-		proc := d.Procs[d.Coordinators[0].ID()]
-		if w, ok := proc.Instance(1).(*adaptive.Instance); ok {
-			out.switches = w.Generation()
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // phaseOf returns the index of the phase in force at virtual instant t.

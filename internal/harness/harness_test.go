@@ -692,7 +692,7 @@ func TestSketchPercentilesMatchExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range out.records {
+		for _, r := range out.Records {
 			exact.Push(float64(r.Obtaining()) / float64(time.Millisecond))
 		}
 	}

@@ -5,16 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"gridmutex/internal/check"
 	"gridmutex/internal/core"
-	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
-	"gridmutex/internal/fleet"
-	"gridmutex/internal/mutex"
-	"gridmutex/internal/recovery"
-	"gridmutex/internal/simnet"
+	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
-	"gridmutex/internal/workload"
 )
 
 // PartitionParams tunes the network-partition experiment on top of a
@@ -79,46 +73,12 @@ func (r *PartitionResult) Point(duration time.Duration, rho float64) *PartitionP
 	return nil
 }
 
-// partPartial is what one repetition contributes to its (duration, ρ)
-// cell — accumulators and scalar counts, never raw records.
-type partPartial struct {
-	obtain                   stats.Accumulator
-	dropped, freezes, regens int64
-	epochs, grants           int64
-	detectorMsgs             int64
-	virtual                  time.Duration
-}
-
-// digestPartition folds one run's outcome into a partPartial.
-func digestPartition(out partitionOutcome) partPartial {
-	p := partPartial{
-		dropped: out.counters.DroppedPartition,
-		freezes: out.freezes,
-		regens:  out.regens,
-		epochs:  out.epochs,
-		grants:  int64(len(out.records)),
-		virtual: out.elapsed,
-	}
-	p.obtain.Sketch = true
-	for _, r := range out.records {
-		p.obtain.Push(float64(r.Obtaining()) / float64(time.Millisecond))
-	}
-	for _, k := range detectorKinds {
-		p.detectorMsgs += out.counters.ByKind[k]
-	}
-	return p
-}
-
 // RunPartition sweeps the cut-window duration across the scale's ρ axis.
 // Every repetition cuts one seeded cluster off the grid for the window,
 // heals, and drives the workload to full completion: the minority side
 // freezes (no spurious token regeneration on the cut-off side), the
 // majority regenerates and keeps granting, and after the heal the frozen
 // side rejoins through a resync epoch and drains its queued requests.
-//
-// The unit of fan-out is one (duration, ρ, repetition) shard, exactly as
-// in RunRecovery: partials merge in repetition order, so the aggregate is
-// byte-identical for every Workers setting.
 func RunPartition(params PartitionParams, scale Scale, progress func(string)) (*PartitionResult, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
@@ -137,7 +97,7 @@ func RunPartition(params PartitionParams, scale Scale, progress func(string)) (*
 	// suspecting anything, so a token that died on the cut is never
 	// regenerated and the run stalls. The experiment therefore only admits
 	// windows long enough to be detected with margin.
-	_, inter := partitionTimeouts(params, scale)
+	_, inter := detectorTimeouts(params.Period, scale)
 	for _, d := range params.Durations {
 		if d < 2*inter.Timeout {
 			return nil, fmt.Errorf("harness: cut duration %v is below twice the inter detector timeout (%v): an undetected cut loses messages without triggering recovery", d, inter.Timeout)
@@ -145,79 +105,27 @@ func RunPartition(params PartitionParams, scale Scale, progress func(string)) (*
 	}
 	res := &PartitionResult{Params: params, Scale: scale}
 
-	type shard struct {
-		duration time.Duration
-		rho      float64
-		rep      int
-	}
-	var shards []shard
-	for _, d := range params.Durations {
-		for _, rho := range scale.Rhos {
-			for rep := 0; rep < scale.Repetitions; rep++ {
-				shards = append(shards, shard{d, rho, rep})
-			}
+	err := sweepRecovery("partition duration", params.Durations, scale, func(d time.Duration, rho float64, seed int64) (run.Outcome, error) {
+		return runPartitionOnce(params, scale, d, rho, seed)
+	}, func(d time.Duration, rho float64, sum *recPartial) {
+		p := PartitionPoint{
+			Duration: d, Rho: rho,
+			Obtaining:          sum.obtain.Summarize(),
+			DroppedPartition:   sum.dropped,
+			MinorityFreezes:    sum.freezes,
+			Regenerations:      sum.regens,
+			Epochs:             sum.epochs,
+			Grants:             sum.grants,
+			DetectorMsgsPerSec: sum.detectorMsgsPerSec(),
 		}
-	}
-	runShard := func(s shard) (partPartial, error) {
-		seed := deriveSeed(scale.BaseSeed^int64(s.duration), s.rho, s.rep)
-		out, err := runPartitionOnce(params, scale, s.duration, s.rho, seed)
-		if err != nil {
-			return partPartial{}, fmt.Errorf("harness: partition duration=%v rho=%g rep=%d: %w",
-				s.duration, s.rho, s.rep, err)
+		res.Points = append(res.Points, p)
+		if progress != nil {
+			progress(fmt.Sprintf("cut=%6s rho=%6.0f  obtain=%8.2fms  dropped=%6d  freezes=%4d",
+				d, rho, p.Obtaining.Mean, p.DroppedPartition, p.MinorityFreezes))
 		}
-		return digestPartition(out), nil
-	}
-
-	var partials []partPartial
-	if w := scale.Workers; w < 0 || w > 1 {
-		var err error
-		partials, err = fleet.Map(len(shards), w, func(i int) (partPartial, error) {
-			return runShard(shards[i])
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		partials = make([]partPartial, len(shards))
-		for i := range shards {
-			part, err := runShard(shards[i])
-			if err != nil {
-				return nil, err
-			}
-			partials[i] = part
-		}
-	}
-
-	// Merge each cell's repetitions in index order.
-	next := 0
-	for _, d := range params.Durations {
-		for _, rho := range scale.Rhos {
-			p := PartitionPoint{Duration: d, Rho: rho}
-			obtain := stats.Accumulator{Sketch: true}
-			var detectorMsgs int64
-			var virtual time.Duration
-			for rep := 0; rep < scale.Repetitions; rep++ {
-				part := &partials[next]
-				next++
-				obtain.Merge(&part.obtain)
-				p.DroppedPartition += part.dropped
-				p.MinorityFreezes += part.freezes
-				p.Regenerations += part.regens
-				p.Epochs += part.epochs
-				p.Grants += part.grants
-				detectorMsgs += part.detectorMsgs
-				virtual += part.virtual
-			}
-			p.Obtaining = obtain.Summarize()
-			if sec := virtual.Seconds(); sec > 0 {
-				p.DetectorMsgsPerSec = float64(detectorMsgs) / sec
-			}
-			res.Points = append(res.Points, p)
-			if progress != nil {
-				progress(fmt.Sprintf("cut=%6s rho=%6.0f  obtain=%8.2fms  dropped=%6d  freezes=%4d",
-					d, rho, p.Obtaining.Mean, p.DroppedPartition, p.MinorityFreezes))
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -232,7 +140,7 @@ func PartitionSweep(scale Scale) (PartitionParams, Scale) {
 	n := float64(scale.N())
 	scale.Rhos = []float64{n / 2, 4 * n}
 	params := PartitionParams{Period: 2 * scale.Alpha}
-	_, inter := partitionTimeouts(params, scale)
+	_, inter := detectorTimeouts(params.Period, scale)
 	params.Durations = []time.Duration{
 		2 * inter.Timeout,
 		4 * inter.Timeout,
@@ -241,49 +149,14 @@ func PartitionSweep(scale Scale) (PartitionParams, Scale) {
 	return params, scale
 }
 
-// partitionTimeouts derives the detector options the partition runs use,
-// shared between the duration validation and the per-run build.
-func partitionTimeouts(params PartitionParams, scale Scale) (intra, inter recovery.Options) {
-	remote := scale.RemoteRTT
-	if remote <= 0 {
-		remote = 20 * time.Millisecond
-	}
-	return recovery.StaggeredTimeouts(params.Period, remote/2)
-}
-
-// partitionOutcome is what one partition run yields.
-type partitionOutcome struct {
-	records  []workload.Record
-	freezes  int64
-	regens   int64
-	epochs   int64
-	counters simnet.Counters
-	elapsed  time.Duration
-}
-
-// runPartitionOnce executes one seeded run: build the crash-tolerant
-// deployment, cut one seeded cluster off for the window, heal, and drive
-// the full workload to completion under the recovery-aware monitor.
-func runPartitionOnce(params PartitionParams, scale Scale, duration time.Duration, rho float64, seed int64) (partitionOutcome, error) {
-	// Two reserved nodes per cluster (primary and standby), as in the
-	// crash-recovery experiment.
-	s := scale
-	s.AppsPerCluster++
-	g, err := grid(System{Spec: params.Spec}, s)
+// runPartitionOnce executes one seeded run: the crash-tolerant
+// deployment, one seeded cluster cut off for the window and healed, the
+// full workload driven to completion under the recovery-aware monitor.
+func runPartitionOnce(params PartitionParams, scale Scale, duration time.Duration, rho float64, seed int64) (run.Outcome, error) {
+	g, err := recoveryGrid(params.Spec, scale)
 	if err != nil {
-		return partitionOutcome{}, err
+		return run.Outcome{}, err
 	}
-	sim := des.New()
-	net := simnet.New(sim, g, simnet.Options{Jitter: scale.Jitter, Seed: seed, KindCounts: true})
-	mon := check.NewMonitor(sim)
-	runner, err := workload.NewRunner(sim, workload.Params{
-		Alpha: scale.Alpha, Rho: rho, Dist: workload.Exponential,
-		CSPerProcess: scale.CSPerProcess, Seed: seed,
-	}, mon)
-	if err != nil {
-		return partitionOutcome{}, err
-	}
-
 	// One seeded window: a seeded cluster is cut off at a seeded instant
 	// within the run's opening stretch and healed after the duration.
 	sides := make([][]int, g.NumClusters())
@@ -294,62 +167,10 @@ func runPartitionOnce(params PartitionParams, scale Scale, duration time.Duratio
 	if horizon < 4*params.Period {
 		horizon = 4 * params.Period
 	}
-	sched := faults.PartitionPulse(seed, sides, horizon, duration)
-	sched.Apply(sim, faults.Actions{
-		// The schedule carries only partition events by construction.
-		Crash:     func(int) { panic("harness: partition schedule fired a crash") },
-		Restart:   func(int) { panic("harness: partition schedule fired a restart") },
-		Partition: net.Partition,
-		Heal:      net.Heal,
-	})
-
-	intra, inter := partitionTimeouts(params, scale)
-	dep, err := recovery.Build(net, g, params.Spec, runner.Callbacks, sim, recovery.BuildOptions{
-		Intra:    intra,
-		Inter:    inter,
-		NodeDown: net.Down,
-		OnEpoch: func(group string, self mutex.ID, e recovery.Epoch, members []mutex.ID, holder mutex.ID) {
-			mon.BeginEpoch(group)
-		},
-		OnRejoin: func(group string, self mutex.ID, e recovery.Epoch) {
-			mon.Rejoined(self)
-		},
-	})
-	if err != nil {
-		return partitionOutcome{}, err
-	}
-	runner.Bind(dep.Apps)
-	runner.Start()
-	limit := uint64(runner.ExpectedTotal())*10_000 + 1_000_000
-	for !runner.Done() {
-		if sim.Processed() > limit {
-			return partitionOutcome{}, fmt.Errorf("liveness: %d requests unsatisfied after %d events",
-				runner.Outstanding(), sim.Processed())
-		}
-		if !sim.Step() {
-			return partitionOutcome{}, fmt.Errorf("queue drained with %d requests unsatisfied", runner.Outstanding())
-		}
-	}
-	dep.Stop()
-	if err := sim.RunCapped(limit); err != nil {
-		return partitionOutcome{}, fmt.Errorf("did not drain: %w", err)
-	}
-	mon.AssertQuiescent()
-	if !mon.Ok() {
-		return partitionOutcome{}, fmt.Errorf("property violation: %s", mon.Violations()[0])
-	}
-	out := partitionOutcome{
-		records:  runner.Records(),
-		epochs:   mon.Epochs(),
-		counters: net.Counters(),
-		elapsed:  sim.Now(),
-	}
-	for _, m := range dep.Members {
-		st := m.Stats()
-		out.freezes += st.MinorityFreezes
-		out.regens += st.Regenerations
-	}
-	return out, nil
+	intra, inter := detectorTimeouts(params.Period, scale)
+	spec := recoverySpec(g, params.Spec, scale, rho, seed, intra, inter)
+	spec.Faults.Schedule = faults.PartitionPulse(seed, sides, horizon, duration)
+	return drive(spec)
 }
 
 // Table renders the partition experiment: obtaining-time inflation and

@@ -5,15 +5,12 @@ import (
 	"strings"
 	"time"
 
-	"gridmutex/internal/check"
 	"gridmutex/internal/core"
-	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
-	"gridmutex/internal/fleet"
-	"gridmutex/internal/mutex"
 	"gridmutex/internal/recovery"
-	"gridmutex/internal/simnet"
+	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
+	"gridmutex/internal/topology"
 	"gridmutex/internal/workload"
 )
 
@@ -76,37 +73,103 @@ func (r *RecoveryResult) Point(period time.Duration, rho float64) *RecoveryPoint
 // detectorKinds are the message kinds the recovery layer adds.
 var detectorKinds = []string{"rec.hb", "rec.probe", "rec.ack", "rec.epoch", "rec.join"}
 
-// recPartial is what one crash-recovery repetition contributes to its
-// (period, ρ) cell: accumulators and scalar counts, never raw records, so
-// the parallel sweep buffers bounded state per repetition.
+// recPartial is what one repetition of a recovery-deployment experiment
+// (crash recovery or partition) contributes to its cell: accumulators and
+// scalar counts, never raw records, so the parallel sweep buffers bounded
+// state per repetition.
 type recPartial struct {
-	latency, obtain stats.Accumulator
-	epochs, grants  int64
-	detectorMsgs    int64
-	totalMsgs       int64
-	virtual         time.Duration
+	latency, obtain          stats.Accumulator
+	epochs, grants           int64
+	detectorMsgs, totalMsgs  int64
+	dropped, freezes, regens int64
+	virtual                  time.Duration
 }
 
 // digestRecovery folds one run's outcome into a recPartial.
-func digestRecovery(out recoveryOutcome) recPartial {
+func digestRecovery(out run.Outcome) recPartial {
 	p := recPartial{
-		epochs:    out.epochs,
-		grants:    int64(len(out.records)),
-		totalMsgs: out.counters.Messages,
-		virtual:   out.elapsed,
+		latency:   stats.Accumulator{Sketch: true},
+		obtain:    stats.Accumulator{Sketch: true},
+		epochs:    out.Monitor.Epochs(),
+		grants:    int64(len(out.Records)),
+		totalMsgs: out.Counters.Messages,
+		dropped:   out.Counters.DroppedPartition,
+		virtual:   out.Elapsed,
 	}
-	p.latency.Sketch = true
-	p.obtain.Sketch = true
-	for _, d := range out.latencies {
+	for _, d := range out.Monitor.RecoveryLatencies() {
 		p.latency.Push(float64(d) / float64(time.Millisecond))
 	}
-	for _, r := range out.records {
+	for _, r := range out.Records {
 		p.obtain.Push(float64(r.Obtaining()) / float64(time.Millisecond))
 	}
 	for _, k := range detectorKinds {
-		p.detectorMsgs += out.counters.ByKind[k]
+		p.detectorMsgs += out.Counters.ByKind[k]
+	}
+	for _, m := range out.Recovery.Members {
+		st := m.Stats()
+		p.freezes += st.MinorityFreezes
+		p.regens += st.Regenerations
 	}
 	return p
+}
+
+// add folds another repetition of the same cell into p.
+func (p *recPartial) add(o *recPartial) {
+	p.latency.Merge(&o.latency)
+	p.obtain.Merge(&o.obtain)
+	p.epochs += o.epochs
+	p.grants += o.grants
+	p.detectorMsgs += o.detectorMsgs
+	p.totalMsgs += o.totalMsgs
+	p.dropped += o.dropped
+	p.freezes += o.freezes
+	p.regens += o.regens
+	p.virtual += o.virtual
+}
+
+// detectorMsgsPerSec is the failure-detector message rate per second of
+// virtual time.
+func (p *recPartial) detectorMsgsPerSec() float64 {
+	if sec := p.virtual.Seconds(); sec > 0 {
+		return float64(p.detectorMsgs) / sec
+	}
+	return 0
+}
+
+// sweepRecovery runs a recovery-deployment experiment: one cell per (axis
+// value, ρ), Repetitions seeded runs per cell through once, and each
+// cell's repetitions summed in repetition order and handed to emit in cell
+// order. The unit of fan-out is one (axis value, ρ, repetition) shard:
+// Scale.Workers bounds how many run concurrently, exactly like Run, and
+// the aggregate is byte-identical for every Workers setting.
+func sweepRecovery(axisName string, axis []time.Duration, scale Scale,
+	once func(v time.Duration, rho float64, seed int64) (run.Outcome, error),
+	emit func(v time.Duration, rho float64, sum *recPartial)) error {
+	type key struct {
+		v   time.Duration
+		rho float64
+	}
+	var cells []key
+	for _, v := range axis {
+		for _, rho := range scale.Rhos {
+			cells = append(cells, key{v, rho})
+		}
+	}
+	return runShards(len(cells), func(int) int { return scale.Repetitions }, scale.Workers, func(ci, rep int) (recPartial, error) {
+		c := cells[ci]
+		out, err := once(c.v, c.rho, deriveSeed(scale.BaseSeed^int64(c.v), c.rho, rep))
+		if err != nil {
+			return recPartial{}, fmt.Errorf("harness: %s=%v rho=%g rep=%d: %w", axisName, c.v, c.rho, rep, err)
+		}
+		return digestRecovery(out), nil
+	}, func(ci int, partials []recPartial) error {
+		sum := recPartial{latency: stats.Accumulator{Sketch: true}, obtain: stats.Accumulator{Sketch: true}}
+		for i := range partials {
+			sum.add(&partials[i])
+		}
+		emit(cells[ci].v, cells[ci].rho, &sum)
+		return nil
+	})
 }
 
 // RunRecovery sweeps the heartbeat period across the scale's ρ axis. Every
@@ -115,12 +178,6 @@ func digestRecovery(out recoveryOutcome) recPartial {
 // with CrashCoordinator, of the primary whose cluster's application enters
 // the CS), then measures the crash-to-regeneration latency and the
 // detector's message overhead.
-//
-// The unit of fan-out is one (period, ρ, repetition) shard: Scale.Workers
-// bounds how many run concurrently, each on a private Simulator, exactly
-// like Run. Per-repetition partials merge in repetition order — never
-// completion order — so the aggregate is byte-identical for every Workers
-// setting.
 func RunRecovery(params RecoveryParams, scale Scale, progress func(string)) (*RecoveryResult, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
@@ -133,125 +190,66 @@ func RunRecovery(params RecoveryParams, scale Scale, progress func(string)) (*Re
 	}
 	res := &RecoveryResult{Params: params, Scale: scale}
 
-	type shard struct {
-		period time.Duration
-		rho    float64
-		rep    int
-	}
-	var shards []shard
-	for _, period := range params.Periods {
-		for _, rho := range scale.Rhos {
-			for rep := 0; rep < scale.Repetitions; rep++ {
-				shards = append(shards, shard{period, rho, rep})
-			}
+	err := sweepRecovery("recovery period", params.Periods, scale, func(period time.Duration, rho float64, seed int64) (run.Outcome, error) {
+		return runRecoveryOnce(params, scale, period, rho, seed)
+	}, func(period time.Duration, rho float64, sum *recPartial) {
+		p := RecoveryPoint{
+			Period: period, Rho: rho,
+			RecoveryLatency:    sum.latency.Summarize(),
+			Epochs:             sum.epochs,
+			Obtaining:          sum.obtain.Summarize(),
+			DetectorMsgsPerSec: sum.detectorMsgsPerSec(),
+			Grants:             sum.grants,
 		}
-	}
-	runShard := func(s shard) (recPartial, error) {
-		seed := deriveSeed(scale.BaseSeed^int64(s.period), s.rho, s.rep)
-		out, err := runRecoveryOnce(params, scale, s.period, s.rho, seed)
-		if err != nil {
-			return recPartial{}, fmt.Errorf("harness: recovery period=%v rho=%g rep=%d: %w",
-				s.period, s.rho, s.rep, err)
+		if sum.totalMsgs > 0 {
+			p.DetectorShare = float64(sum.detectorMsgs) / float64(sum.totalMsgs)
 		}
-		return digestRecovery(out), nil
-	}
-
-	var partials []recPartial
-	if w := scale.Workers; w < 0 || w > 1 {
-		var err error
-		partials, err = fleet.Map(len(shards), w, func(i int) (recPartial, error) {
-			return runShard(shards[i])
-		})
-		if err != nil {
-			return nil, err
+		res.Points = append(res.Points, p)
+		if progress != nil {
+			progress(fmt.Sprintf("period=%6s rho=%6.0f  recover=%8.2fms  detector=%7.1f msg/s",
+				period, rho, p.RecoveryLatency.Mean, p.DetectorMsgsPerSec))
 		}
-	} else {
-		partials = make([]recPartial, len(shards))
-		for i := range shards {
-			part, err := runShard(shards[i])
-			if err != nil {
-				return nil, err
-			}
-			partials[i] = part
-		}
-	}
-
-	// Merge each cell's repetitions in index order.
-	next := 0
-	for _, period := range params.Periods {
-		for _, rho := range scale.Rhos {
-			p := RecoveryPoint{Period: period, Rho: rho}
-			latency := stats.Accumulator{Sketch: true}
-			obtain := stats.Accumulator{Sketch: true}
-			var detectorMsgs, totalMsgs int64
-			var virtual time.Duration
-			for rep := 0; rep < scale.Repetitions; rep++ {
-				part := &partials[next]
-				next++
-				latency.Merge(&part.latency)
-				obtain.Merge(&part.obtain)
-				p.Epochs += part.epochs
-				p.Grants += part.grants
-				detectorMsgs += part.detectorMsgs
-				totalMsgs += part.totalMsgs
-				virtual += part.virtual
-			}
-			p.RecoveryLatency = latency.Summarize()
-			p.Obtaining = obtain.Summarize()
-			if sec := virtual.Seconds(); sec > 0 {
-				p.DetectorMsgsPerSec = float64(detectorMsgs) / sec
-			}
-			if totalMsgs > 0 {
-				p.DetectorShare = float64(detectorMsgs) / float64(totalMsgs)
-			}
-			res.Points = append(res.Points, p)
-			if progress != nil {
-				progress(fmt.Sprintf("period=%6s rho=%6.0f  recover=%8.2fms  detector=%7.1f msg/s",
-					period, rho, p.RecoveryLatency.Mean, p.DetectorMsgsPerSec))
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// recoveryOutcome is what one crash-recovery run yields.
-type recoveryOutcome struct {
-	records   []workload.Record
-	latencies []time.Duration
-	epochs    int64
-	counters  simnet.Counters
-	elapsed   time.Duration
+// recoveryGrid builds the topology of a crash-tolerant run: two reserved
+// nodes per cluster (primary coordinator and standby), so the application
+// process count matches the other experiments.
+func recoveryGrid(spec core.Spec, scale Scale) (*topology.Grid, error) {
+	scale.AppsPerCluster++ // grid() adds one for the coordinator; add the standby here
+	return grid(System{Spec: spec}, scale)
 }
 
-// runRecoveryOnce executes one seeded run: build the crash-tolerant
-// deployment (two extra nodes per cluster — primary and standby), inject
-// one crash-on-CS-entry fault, drive the workload to completion of every
-// survivor, and check safety with the recovery-aware monitor.
-func runRecoveryOnce(params RecoveryParams, scale Scale, period time.Duration, rho float64, seed int64) (recoveryOutcome, error) {
-	// Two reserved nodes per cluster (primary coordinator and standby) so
-	// the application process count matches the other experiments.
-	s := scale
-	s.AppsPerCluster++ // grid() adds one for the coordinator; add the standby here
-	g, err := grid(System{Spec: params.Spec}, s)
-	if err != nil {
-		return recoveryOutcome{}, err
+// recoverySpec is the part of a run description the crash-recovery and
+// partition experiments share: the crash-tolerant deployment of spec with
+// the given detector options under the scale's workload.
+func recoverySpec(g *topology.Grid, spec core.Spec, scale Scale, rho float64, seed int64, intra, inter recovery.Options) run.Spec {
+	return run.Spec{
+		Grid: g, Seed: seed, Jitter: scale.Jitter,
+		// KindCounts: the detector-overhead metric reads ByKind.
+		KindCounts: true,
+		Workload: workload.Params{
+			Alpha: scale.Alpha, Rho: rho, Dist: workload.Exponential,
+			CSPerProcess: scale.CSPerProcess,
+		},
+		System: run.System{
+			Intra: spec.Intra, Inter: spec.Inter,
+			Recovery: &run.Detectors{Intra: intra, Inter: inter},
+		},
 	}
-	sim := des.New()
-	// KindCounts: the detector-overhead metric reads ByKind below.
-	net := simnet.New(sim, g, simnet.Options{Jitter: scale.Jitter, Seed: seed, KindCounts: true})
-	mon := check.NewMonitor(sim)
-	runner, err := workload.NewRunner(sim, workload.Params{
-		Alpha: scale.Alpha, Rho: rho, Dist: workload.Exponential,
-		CSPerProcess: scale.CSPerProcess, Seed: seed,
-	}, mon)
-	if err != nil {
-		return recoveryOutcome{}, err
-	}
+}
 
-	crash := func(node int) {
-		net.Crash(node)
-		runner.Crash(mutex.ID(node))
-		mon.Crashed(mutex.ID(node))
+// runRecoveryOnce executes one seeded run: the crash-tolerant deployment,
+// one crash-on-CS-entry fault, the workload driven to completion of every
+// survivor under the recovery-aware monitor.
+func runRecoveryOnce(params RecoveryParams, scale Scale, period time.Duration, rho float64, seed int64) (run.Outcome, error) {
+	g, err := recoveryGrid(params.Spec, scale)
+	if err != nil {
+		return run.Outcome{}, err
 	}
 	// Draw the victim and the trigger ordinal from the run seed. Candidate
 	// victims are the application nodes; under CrashCoordinator the crash
@@ -262,73 +260,22 @@ func runRecoveryOnce(params RecoveryParams, scale Scale, period time.Duration, r
 		appNodes = append(appNodes, g.NodesIn(c)[2:]...)
 	}
 	trig := faults.OnCSEntry(seed, appNodes, scale.CSPerProcess)
-	entries := 0
-	fired := false
-	appCB := func(id mutex.ID) mutex.Callbacks {
-		inner := runner.Callbacks(id)
-		if int(id) != trig.Victim {
-			return inner
-		}
-		return mutex.Callbacks{OnAcquire: func() {
-			inner.OnAcquire()
-			entries++
-			if entries == trig.Entry && !fired {
-				fired = true
-				if params.CrashCoordinator {
-					crash(g.NodesIn(g.ClusterOf(trig.Victim))[0])
-				} else {
-					crash(trig.Victim)
-				}
-			}
-		}}
-	}
+	intra, inter := detectorTimeouts(period, scale)
+	spec := recoverySpec(g, params.Spec, scale, rho, seed, intra, inter)
+	spec.Faults.HolderKills = []run.HolderKill{{
+		Victim: trig.Victim, Entry: trig.Entry, Coordinator: params.CrashCoordinator,
+	}}
+	return drive(spec)
+}
 
+// detectorTimeouts derives the staggered detector options for a heartbeat
+// period on the scale's grid.
+func detectorTimeouts(period time.Duration, scale Scale) (intra, inter recovery.Options) {
 	remote := scale.RemoteRTT
 	if remote <= 0 {
 		remote = 20 * time.Millisecond
 	}
-	intra, inter := recovery.StaggeredTimeouts(period, remote/2)
-	dep, err := recovery.Build(net, g, params.Spec, appCB, sim, recovery.BuildOptions{
-		Intra:    intra,
-		Inter:    inter,
-		NodeDown: net.Down,
-		OnEpoch: func(group string, self mutex.ID, e recovery.Epoch, members []mutex.ID, holder mutex.ID) {
-			mon.BeginEpoch(group)
-		},
-	})
-	if err != nil {
-		return recoveryOutcome{}, err
-	}
-	runner.Bind(dep.Apps)
-	runner.Start()
-	// Heartbeats keep the event queue non-empty forever, so drive the run
-	// step by step until the surviving workload completes, then stop the
-	// detectors and drain.
-	limit := uint64(runner.ExpectedTotal())*10_000 + 1_000_000
-	for !runner.Done() {
-		if sim.Processed() > limit {
-			return recoveryOutcome{}, fmt.Errorf("liveness: %d requests unsatisfied after %d events",
-				runner.Outstanding(), sim.Processed())
-		}
-		if !sim.Step() {
-			return recoveryOutcome{}, fmt.Errorf("queue drained with %d requests unsatisfied", runner.Outstanding())
-		}
-	}
-	dep.Stop()
-	if err := sim.RunCapped(limit); err != nil {
-		return recoveryOutcome{}, fmt.Errorf("did not drain: %w", err)
-	}
-	mon.AssertQuiescent()
-	if !mon.Ok() {
-		return recoveryOutcome{}, fmt.Errorf("property violation: %s", mon.Violations()[0])
-	}
-	return recoveryOutcome{
-		records:   runner.Records(),
-		latencies: mon.RecoveryLatencies(),
-		epochs:    mon.Epochs(),
-		counters:  net.Counters(),
-		elapsed:   sim.Now(),
-	}, nil
+	return recovery.StaggeredTimeouts(period, remote/2)
 }
 
 // Table renders the crash-recovery experiment: recovery latency and

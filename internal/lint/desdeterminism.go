@@ -38,6 +38,7 @@ var DESDeterminism = &Analyzer{
 		"internal/trace",
 		"internal/stats",
 		"internal/harness",
+		"internal/run",
 		"internal/reliable",
 		"internal/explore",
 		"internal/recovery",

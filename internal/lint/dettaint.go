@@ -47,6 +47,7 @@ var desEntryPackages = anyUnder(
 	"internal/core",
 	"internal/algorithms",
 	"internal/harness",
+	"internal/run",
 	"internal/explore",
 	"internal/faults",
 	"internal/recovery",

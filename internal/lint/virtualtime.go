@@ -34,6 +34,7 @@ var VirtualTime = &Analyzer{
 		"internal/workload",
 		"internal/check",
 		"internal/harness",
+		"internal/run",
 		"internal/reliable",
 		// trace and stats consume virtual timestamps wholesale (event logs,
 		// response-time aggregation) and fleet forwards per-job deadlines;

@@ -1,0 +1,430 @@
+// Package run is the one place a simulation is assembled and driven.
+// Build turns a plain Spec — topology, network model, workload, system
+// under test, faults — into a wired stack (simulator, simnet, optional
+// reliable layer, safety monitor, workload runner, deployment), and Drive
+// advances it in the mode the Spec implies and returns the raw material
+// callers format: the harness into figure points and errors, the scenario
+// engine into verdicts, gridsim into a trace dump. Holding everything
+// except the Spec fixed across callers is what makes their results
+// comparable.
+package run
+
+import (
+	"time"
+
+	"gridmutex/internal/adaptive"
+	"gridmutex/internal/algorithms"
+	"gridmutex/internal/check"
+	"gridmutex/internal/core"
+	"gridmutex/internal/des"
+	"gridmutex/internal/faults"
+	"gridmutex/internal/mutex"
+	"gridmutex/internal/recovery"
+	"gridmutex/internal/reliable"
+	"gridmutex/internal/simnet"
+	"gridmutex/internal/topology"
+	"gridmutex/internal/trace"
+	"gridmutex/internal/workload"
+)
+
+// Spec describes one simulation run.
+type Spec struct {
+	// Grid is the topology, reserved infrastructure nodes included.
+	Grid *topology.Grid
+	// Seed drives both the network's jitter/loss stream and the workload's
+	// idle times (it overwrites Workload.Seed).
+	Seed int64
+	// Jitter, Loss and KindCounts configure the simulated network (see
+	// simnet.Options).
+	Jitter, Loss float64
+	KindCounts   bool
+	// TraceCapacity, when positive, attaches a trace ring buffer of that
+	// many events to the fabric.
+	TraceCapacity int
+	// Reliable, when non-nil, wraps the fabric in the sequencing/ack/
+	// retransmission layer with these options.
+	Reliable *reliable.Options
+	// Workload is the application behaviour.
+	Workload workload.Params
+	System   System
+	Faults   Faults
+	// Horizon, when positive, runs for that stretch of virtual time
+	// instead of to completion (starved requests are expected), then
+	// stops the detectors and drains.
+	Horizon time.Duration
+	// EventLimit caps the events of a drive phase; 0 derives the default
+	// from the workload size.
+	EventLimit uint64
+}
+
+// System selects the deployment under test. Exactly one shape applies, in
+// this order: Levels (k-level hierarchy), Flat, Recovery, AdaptiveInter,
+// plain Intra-Inter composition.
+type System struct {
+	// Flat names an original (non-hierarchical) algorithm.
+	Flat string
+	// Intra and Inter name the two-level composition; with AdaptiveInter,
+	// Inter is only the initial inter algorithm.
+	Intra, Inter string
+	// Levels and Groups describe a k-level hierarchy (core.BuildMultiLevel).
+	Levels []string
+	Groups []int
+	// AdaptiveInter wraps the inter level in the adaptive switching
+	// protocol driven by a GapPolicy.
+	AdaptiveInter bool
+	// LocalBias is the number of extra local serving rounds before each
+	// inter handoff.
+	LocalBias int
+	// Recovery, when non-nil, builds the crash-tolerant deployment (a
+	// primary and a standby node per cluster) with these detector options.
+	Recovery *Detectors
+}
+
+// Detectors are the failure-detector options of a recovery deployment.
+type Detectors struct {
+	Intra, Inter recovery.Options
+}
+
+// Faults is what goes wrong during the run.
+type Faults struct {
+	// Schedule lists timed crashes, restarts and partition cuts.
+	Schedule faults.Schedule
+	// HolderKills crash a node the instant a victim enters a given
+	// critical section.
+	HolderKills []HolderKill
+}
+
+// HolderKill crashes Victim when it enters its Entry-th critical section
+// or, with Coordinator set, crashes the primary of Victim's cluster at
+// that instant instead.
+type HolderKill struct {
+	Victim, Entry int
+	Coordinator   bool
+}
+
+// Run is a built simulation, ready to Drive. Between Build and Drive
+// callers may attach observers to the deployment or sample the heap.
+type Run struct {
+	// Core is the deployment of non-recovery systems, Recovery that of
+	// recovery systems; exactly one is set.
+	Core     *core.Deployment
+	Recovery *recovery.Deployment
+	// Tracer is nil unless Spec.TraceCapacity is positive.
+	Tracer *trace.Tracer
+
+	spec    Spec
+	sim     *des.Simulator
+	net     *simnet.Network
+	rel     *reliable.Network
+	mon     *check.Monitor
+	runner  *workload.Runner
+	apps    []core.App
+	crashed map[int]bool
+}
+
+// Build assembles the run. Errors are configuration problems (unknown
+// algorithm, invalid workload).
+func Build(spec Spec) (*Run, error) {
+	g := spec.Grid
+	sim := des.New()
+	r := &Run{spec: spec, sim: sim, crashed: make(map[int]bool)}
+	if spec.TraceCapacity > 0 {
+		r.Tracer = trace.New(sim.Now, spec.TraceCapacity)
+	}
+	r.net = simnet.New(sim, g, simnet.Options{
+		Jitter: spec.Jitter, Seed: spec.Seed, Loss: spec.Loss,
+		Trace: r.Tracer, KindCounts: spec.KindCounts,
+	})
+	var fabric mutex.Fabric = r.net
+	if spec.Reliable != nil {
+		r.rel = reliable.Wrap(r.net, sim, *spec.Reliable)
+		fabric = r.rel
+	}
+	r.mon = check.NewMonitor(sim)
+	w := spec.Workload
+	w.Seed = spec.Seed
+	var err error
+	if r.runner, err = workload.NewRunner(sim, w, r.mon); err != nil {
+		return nil, err
+	}
+
+	appCB := r.wireHolderKills()
+	// Scheduled faults enter the event queue before the deployment's own
+	// timers: same-instant ties resolve in scheduling order.
+	if len(spec.Faults.Schedule) > 0 {
+		spec.Faults.Schedule.Apply(sim, faults.Actions{
+			Crash: r.crash, Restart: r.restart,
+			Partition: r.net.Partition, Heal: r.net.Heal,
+		})
+	}
+
+	sys := spec.System
+	var coordOpts []func(*core.Coordinator)
+	if k := sys.LocalBias; k > 0 {
+		coordOpts = append(coordOpts, func(c *core.Coordinator) { c.SetLocalBias(k) })
+	}
+	pair := core.Spec{Intra: sys.Intra, Inter: sys.Inter}
+	switch {
+	case len(sys.Levels) > 0:
+		r.Core, err = core.BuildMultiLevel(fabric, g, sys.Levels, sys.Groups, appCB, coordOpts...)
+	case sys.Flat != "":
+		r.Core, err = core.BuildFlat(fabric, g, sys.Flat, appCB)
+	case sys.Recovery != nil:
+		r.Recovery, err = recovery.Build(fabric, g, pair, appCB, sim, recovery.BuildOptions{
+			Intra:    sys.Recovery.Intra,
+			Inter:    sys.Recovery.Inter,
+			NodeDown: r.net.Down,
+			OnEpoch: func(group string, _ mutex.ID, _ recovery.Epoch, _ []mutex.ID, _ mutex.ID) {
+				r.mon.BeginEpoch(group)
+			},
+			// Revive ignores processes that never crashed, so one hook
+			// serves crash-only, partition and restart runs alike.
+			OnRejoin: func(_ string, self mutex.ID, _ recovery.Epoch) {
+				r.mon.Rejoined(self)
+				r.runner.Revive(self)
+			},
+		})
+	case sys.AdaptiveInter:
+		r.Core, err = r.buildAdaptive(fabric, appCB, coordOpts)
+	default:
+		r.Core, err = core.BuildComposed(fabric, g, pair, appCB, coordOpts...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if r.Recovery != nil {
+		r.apps = r.Recovery.Apps
+	} else {
+		r.apps = r.Core.Apps
+	}
+	r.runner.Bind(r.apps)
+	return r, nil
+}
+
+func (r *Run) buildAdaptive(fabric mutex.Fabric, appCB core.CallbackFunc, coordOpts []func(*core.Coordinator)) (*core.Deployment, error) {
+	intraF, err := algorithms.Factory(r.spec.System.Intra)
+	if err != nil {
+		return nil, err
+	}
+	adaptF, err := adaptive.NewFactory(adaptive.Config{
+		Initial: r.spec.System.Inter,
+		NewPolicy: func() adaptive.Policy {
+			return adaptive.NewGapPolicy(r.sim.Now, r.spec.Workload.Alpha)
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return core.BuildMultiLevelWith(fabric, r.spec.Grid, []mutex.Factory{intraF, adaptF}, nil, appCB, coordOpts...)
+}
+
+func (r *Run) crash(node int) {
+	r.crashed[node] = true
+	r.net.Crash(node)
+	r.runner.Crash(mutex.ID(node))
+	r.mon.Crashed(mutex.ID(node))
+}
+
+// restart restores connectivity and opens the rejoin-latency sample; the
+// workload process stays dead until the recovery layer re-admits it (the
+// OnRejoin hook revives it). The node leaves the crashed set: from here on
+// its completion and frozen state count as evidence again.
+func (r *Run) restart(node int) {
+	delete(r.crashed, node)
+	r.net.Restart(node)
+	r.mon.Restarted(mutex.ID(node))
+}
+
+// wireHolderKills wraps the runner's callbacks so each holder kill fires
+// the instant its victim enters the given critical section.
+func (r *Run) wireHolderKills() core.CallbackFunc {
+	kills := r.spec.Faults.HolderKills
+	if len(kills) == 0 {
+		return r.runner.Callbacks
+	}
+	g := r.spec.Grid
+	fired := make([]bool, len(kills))
+	return func(id mutex.ID) mutex.Callbacks {
+		inner := r.runner.Callbacks(id)
+		var mine []int
+		for i, k := range kills {
+			if k.Victim == int(id) {
+				mine = append(mine, i)
+			}
+		}
+		if len(mine) == 0 {
+			return inner
+		}
+		entries := 0
+		return mutex.Callbacks{OnAcquire: func() {
+			inner.OnAcquire()
+			entries++
+			for _, i := range mine {
+				k := kills[i]
+				if fired[i] || entries != k.Entry {
+					continue
+				}
+				fired[i] = true
+				if k.Coordinator {
+					r.crash(g.NodesIn(g.ClusterOf(k.Victim))[0])
+				} else {
+					r.crash(k.Victim)
+				}
+			}
+		}}
+	}
+}
+
+// StallKind classifies how a drive failed to complete.
+type StallKind uint8
+
+const (
+	// NoDrain: a capped run hit the event limit before the queue emptied;
+	// Stall.Err holds the des error.
+	NoDrain StallKind = iota + 1
+	// Unsatisfied: the queue drained with requests still outstanding.
+	Unsatisfied
+	// Starved: a recovery run went a full event limit without a single
+	// grant while requests were outstanding.
+	Starved
+)
+
+// Stall is a liveness failure of the drive, left unformatted so each
+// caller words it in its own error or verdict text.
+type Stall struct {
+	Kind StallKind
+	Err  error
+	// Outstanding is the number of critical sections still owed; Events
+	// the events processed when the drive gave up.
+	Outstanding int
+	Events      uint64
+}
+
+// Outcome is the raw material of a finished run.
+type Outcome struct {
+	Records  []workload.Record
+	Counters simnet.Counters
+	// Events is the number of DES events processed; Elapsed the virtual
+	// time the run ended at.
+	Events  uint64
+	Elapsed time.Duration
+	// Trace is the rendered trace ring (empty without TraceCapacity).
+	Trace   string
+	Monitor *check.Monitor
+	// Core, Recovery and Reliable are the run's deployment and reliable
+	// layer, nil when the Spec did not ask for them; Apps lists the
+	// application processes of whichever deployment ran.
+	Core     *core.Deployment
+	Recovery *recovery.Deployment
+	Reliable *reliable.Network
+	Apps     []core.App
+	// Crashed is the set of nodes down at the end of the run.
+	Crashed map[int]bool
+	// Switches counts committed adaptive algorithm switches.
+	Switches int64
+	// Stall is nil when the drive completed.
+	Stall *Stall
+}
+
+// Drive starts the workload and advances the simulation in the mode the
+// Spec implies:
+//
+//   - Bounded horizon: run for a fixed stretch of virtual time, then stop
+//     the detectors and drain.
+//   - Recovery to completion: heartbeats keep the event queue non-empty
+//     forever, so step until the surviving workload completes, then stop
+//     the detectors and drain.
+//   - Plain to completion: a liveness watchdog plus a capped run.
+//
+// It does not judge the monitor: callers decide whether to assert
+// quiescence and how to report violations.
+func (r *Run) Drive() Outcome {
+	r.runner.Start()
+	stall := r.drive()
+	out := Outcome{
+		Records:  r.runner.Records(),
+		Counters: r.net.Counters(),
+		Events:   r.sim.Processed(),
+		Elapsed:  r.sim.Now(),
+		Trace:    r.Tracer.Dump(),
+		Monitor:  r.mon,
+		Core:     r.Core,
+		Recovery: r.Recovery,
+		Reliable: r.rel,
+		Apps:     r.apps,
+		Crashed:  r.crashed,
+		Stall:    stall,
+	}
+	if r.spec.System.AdaptiveInter && r.Core != nil && len(r.Core.Coordinators) > 0 {
+		proc := r.Core.Procs[r.Core.Coordinators[0].ID()]
+		if inst, ok := proc.Instance(1).(*adaptive.Instance); ok {
+			out.Switches = inst.Generation()
+		}
+	}
+	return out
+}
+
+func (r *Run) drive() *Stall {
+	sim, runner, dep := r.sim, r.runner, r.Recovery
+	limit := r.spec.EventLimit
+	if limit == 0 {
+		limit = uint64(runner.ExpectedTotal())*10_000 + 1_000_000
+	}
+	drain := func() *Stall {
+		if err := sim.RunCapped(limit); err != nil {
+			return r.stalled(NoDrain, err)
+		}
+		return nil
+	}
+	if r.spec.Horizon > 0 {
+		sim.RunFor(r.spec.Horizon)
+		if dep != nil {
+			dep.Stop()
+		}
+		return drain()
+	}
+	if dep != nil {
+		s := r.stepUntilDone(limit)
+		dep.Stop()
+		if s != nil {
+			return s
+		}
+		return drain()
+	}
+	// The watchdog reports a precise stall instant long before the event
+	// cap would: a waiting request is granted within fractions of the
+	// interval under any load, so a full interval of global silence while
+	// requests wait is a deadlock.
+	r.mon.WatchLiveness(runner.Waiting, runner.Done, 2000*r.spec.Workload.Alpha)
+	if s := drain(); s != nil {
+		return s
+	}
+	if !runner.Done() {
+		return r.stalled(Unsatisfied, nil)
+	}
+	return nil
+}
+
+func (r *Run) stalled(kind StallKind, err error) *Stall {
+	return &Stall{Kind: kind, Err: err, Outstanding: r.runner.Outstanding(), Events: r.sim.Processed()}
+}
+
+// stepUntilDone steps the simulation until the workload completes. The cap
+// counts events since the last grant, not since the start: detector
+// heartbeats alone would exhaust a whole-run budget on a long sparse run
+// that is making steady progress.
+func (r *Run) stepUntilDone(limit uint64) *Stall {
+	grants, mark := 0, r.sim.Processed()
+	for !r.runner.Done() {
+		if n := len(r.runner.Records()); n != grants {
+			grants, mark = n, r.sim.Processed()
+		}
+		if r.sim.Processed()-mark > limit {
+			return r.stalled(Starved, nil)
+		}
+		if !r.sim.Step() {
+			return r.stalled(Unsatisfied, nil)
+		}
+	}
+	return nil
+}

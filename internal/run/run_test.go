@@ -1,0 +1,225 @@
+package run
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"gridmutex/internal/faults"
+	"gridmutex/internal/recovery"
+	"gridmutex/internal/topology"
+	"gridmutex/internal/workload"
+)
+
+// quickSpec is a Spec at the harness's quick-scale size: clusters of four
+// application processes plus reserved infrastructure nodes, 1 ms local and
+// 20 ms remote RTT, ten 5 ms critical sections per process.
+func quickSpec(clusters, reserved int, sys System) Spec {
+	return Spec{
+		Grid:          topology.Uniform(clusters, 4+reserved, time.Millisecond, 20*time.Millisecond),
+		Seed:          1,
+		Jitter:        0.05,
+		TraceCapacity: 1 << 17,
+		Workload: workload.Params{
+			Alpha: 5 * time.Millisecond, Rho: 6, Dist: workload.Exponential,
+			CSPerProcess: 10,
+		},
+		System: sys,
+	}
+}
+
+func detectors(period time.Duration) *Detectors {
+	intra, inter := recovery.StaggeredTimeouts(period, 10*time.Millisecond)
+	return &Detectors{Intra: intra, Inter: inter}
+}
+
+// TestSystemsAndModes builds every system kind the kernel knows in every
+// drive mode that kind supports and holds each run to the same bar: the
+// workload completes, the safety monitor stays clean and quiescent, and a
+// second run from the same Spec reproduces the trace, the records and the
+// counters exactly. It is the determinism regression the gridlint suite
+// exists to protect — any wall-clock read, unsorted map walk or stray
+// goroutine on the simulation path shows up here as a diff.
+func TestSystemsAndModes(t *testing.T) {
+	systems := []struct {
+		name               string
+		clusters, reserved int
+		sys                System
+	}{
+		{"flat", 3, 0, System{Flat: "central"}},
+		{"composed", 3, 1, System{Intra: "naimi", Inter: "naimi"}},
+		{"biased", 3, 1, System{Intra: "naimi", Inter: "martin", LocalBias: 2}},
+		{"three-level", 4, 1, System{Levels: []string{"naimi", "naimi", "naimi"}, Groups: []int{2}}},
+		{"adaptive", 3, 1, System{Intra: "naimi", Inter: "martin", AdaptiveInter: true}},
+		{"recovery", 3, 2, System{Intra: "naimi", Inter: "naimi", Recovery: detectors(10 * time.Millisecond)}},
+	}
+	modes := []struct {
+		name    string
+		horizon time.Duration
+	}{
+		{"completion", 0},
+		{"horizon", 200 * time.Millisecond},
+	}
+	for _, s := range systems {
+		for _, m := range modes {
+			t.Run(s.name+"/"+m.name, func(t *testing.T) {
+				spec := quickSpec(s.clusters, s.reserved, s.sys)
+				spec.Horizon = m.horizon
+				spec.KindCounts = s.sys.Recovery != nil
+				first := mustDrive(t, spec)
+				if first.Stall != nil {
+					t.Fatalf("stalled: %+v", first.Stall)
+				}
+				// Stopping the detectors at the horizon stops a recovery
+				// deployment's members too, so its drain grants nothing
+				// more; every other combination runs to completion.
+				want, got := s.clusters*4*10, len(first.Records)
+				if partial := s.sys.Recovery != nil && m.horizon > 0; got > want || got == 0 || (got < want && !partial) {
+					t.Fatalf("%d grants, want %d", got, want)
+				}
+				first.Monitor.AssertQuiescent()
+				if !first.Monitor.Ok() {
+					t.Fatalf("violations: %v", first.Monitor.Violations())
+				}
+				if (first.Recovery != nil) != (s.sys.Recovery != nil) || (first.Core == nil) != (s.sys.Recovery != nil) {
+					t.Fatalf("wrong deployment kind: core %v recovery %v", first.Core != nil, first.Recovery != nil)
+				}
+				if first.Trace == "" {
+					t.Fatal("empty trace; TraceCapacity not wired through")
+				}
+				second := mustDrive(t, spec)
+				if first.Trace != second.Trace {
+					t.Errorf("same seed produced different traces:\n%s", firstDiff(first.Trace, second.Trace))
+				}
+				if !reflect.DeepEqual(first.Records, second.Records) {
+					t.Error("same seed produced different workload records")
+				}
+				if !reflect.DeepEqual(first.Counters, second.Counters) {
+					t.Errorf("same seed produced different message counters:\n  %+v\n  %+v", first.Counters, second.Counters)
+				}
+				if first.Events != second.Events || first.Elapsed != second.Elapsed {
+					t.Errorf("same seed: events %d vs %d, elapsed %v vs %v", first.Events, second.Events, first.Elapsed, second.Elapsed)
+				}
+			})
+		}
+	}
+}
+
+func mustDrive(t *testing.T, spec Spec) Outcome {
+	t.Helper()
+	r, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Drive()
+}
+
+// firstDiff renders the first trace line where two dumps diverge.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  first:  %s\n  second: %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("traces differ in length: %d vs %d lines", len(al), len(bl))
+}
+
+// TestHolderKill: a crash-on-CS-entry fault fires at the named entry,
+// lands in the crashed set, and the survivors complete under the
+// recovery-aware monitor.
+func TestHolderKill(t *testing.T) {
+	for _, coordinator := range []bool{false, true} {
+		spec := quickSpec(3, 2, System{Intra: "naimi", Inter: "naimi", Recovery: detectors(10 * time.Millisecond)})
+		victim := spec.Grid.NodesIn(1)[3]
+		spec.Faults.HolderKills = []HolderKill{{Victim: victim, Entry: 2, Coordinator: coordinator}}
+		out := mustDrive(t, spec)
+		if out.Stall != nil {
+			t.Fatalf("coordinator=%v: stalled: %+v", coordinator, out.Stall)
+		}
+		down := victim
+		if coordinator {
+			down = spec.Grid.NodesIn(1)[0]
+		}
+		if !out.Crashed[down] || len(out.Crashed) != 1 {
+			t.Fatalf("coordinator=%v: crashed set %v, want {%d}", coordinator, out.Crashed, down)
+		}
+		out.Monitor.AssertQuiescent()
+		if !out.Monitor.Ok() {
+			t.Fatalf("coordinator=%v: violations: %v", coordinator, out.Monitor.Violations())
+		}
+		if out.Monitor.Epochs() == 0 {
+			t.Errorf("coordinator=%v: no regeneration epoch after the crash", coordinator)
+		}
+		want := 3 * 4 * 10
+		if !coordinator {
+			want -= 10 - 2 // the victim dies inside its second critical section
+		}
+		if len(out.Records) != want {
+			t.Errorf("coordinator=%v: %d grants, want %d", coordinator, len(out.Records), want)
+		}
+	}
+}
+
+// sparseRecovery is a recovery run with one application per cluster whose
+// detectors tick every 100 µs while each application requests once a
+// second: by far most events are heartbeats.
+func sparseRecovery(clusters int) Spec {
+	return Spec{
+		Grid: topology.Uniform(clusters, 3, 100*time.Microsecond, time.Millisecond),
+		Seed: 1,
+		Workload: workload.Params{
+			Alpha: time.Millisecond, Rho: 1000, Dist: workload.Constant,
+			CSPerProcess: 4,
+		},
+		System: System{Intra: "naimi", Inter: "naimi", Recovery: detectors(100 * time.Microsecond)},
+	}
+}
+
+// TestRecoveryCapCountsSinceLastGrant: detector heartbeats must not
+// exhaust the recovery drive's event budget on a long run that keeps
+// granting. The run processes more events in total than the default cap
+// (ExpectedTotal·10⁴ + 10⁶) but never that many between two grants; with
+// the cap counted from the start of the run it aborted with "requests
+// unsatisfied after N events", which is why paper-scale recovery and
+// partition sweeps never completed.
+func TestRecoveryCapCountsSinceLastGrant(t *testing.T) {
+	out := mustDrive(t, sparseRecovery(2))
+	if out.Stall != nil {
+		t.Fatalf("stalled after %d events: %+v", out.Events, out.Stall)
+	}
+	if len(out.Records) != 8 {
+		t.Fatalf("%d grants, want 8", len(out.Records))
+	}
+	if limit := uint64(8*10_000 + 1_000_000); out.Events <= limit {
+		t.Fatalf("run took %d events, not more than the default cap %d: the test no longer exercises the cap", out.Events, limit)
+	}
+}
+
+// TestRecoveryCapStillCatchesStall: a run that stops granting must still
+// hit the cap. Cluster 0 loses its primary and its standby at the start,
+// so its application can never obtain the inter token; the other two
+// clusters (still a majority of the inter group) finish and the heartbeats
+// go on forever.
+func TestRecoveryCapStillCatchesStall(t *testing.T) {
+	spec := sparseRecovery(3)
+	spec.Workload.Rho = 10
+	spec.EventLimit = 300_000 // several detector timeouts, so the survivors regenerate first
+	nodes := spec.Grid.NodesIn(0)
+	spec.Faults.Schedule = faults.Schedule{
+		{At: 0, Node: nodes[0], Kind: faults.Crash},
+		{At: 0, Node: nodes[1], Kind: faults.Crash},
+	}
+	out := mustDrive(t, spec)
+	if out.Stall == nil || out.Stall.Kind != Starved {
+		t.Fatalf("stall %+v, want Starved", out.Stall)
+	}
+	if out.Stall.Outstanding == 0 {
+		t.Error("starved with nothing outstanding")
+	}
+	if len(out.Records) == 0 {
+		t.Error("the healthy clusters never granted")
+	}
+}

@@ -24,7 +24,7 @@ func evaluate(o *runOutcome) Verdict {
 		v.Checks = append(v.Checks, Check{Name: name, Pass: pass, Detail: detail})
 	}
 
-	safety, liveness, quiescence := bucketViolations(o.mon.Violations())
+	safety, liveness, quiescence := bucketViolations(o.Monitor.Violations())
 	if o.driveErr != "" {
 		liveness = append([]string{o.driveErr}, liveness...)
 	}
@@ -37,12 +37,12 @@ func evaluate(o *runOutcome) Verdict {
 	checkCompletion(o, add)
 	e := &sc.Expect
 	if e.CrashExits >= 0 {
-		got := int(o.mon.CrashExits())
+		got := int(o.Monitor.CrashExits())
 		add("crash_exits", got == e.CrashExits,
 			fmt.Sprintf("%d critical sections ended by a crash, want %d", got, e.CrashExits))
 	}
 	if e.MinEpochs >= 0 || e.MaxEpochs >= 0 {
-		got := int(o.mon.Epochs())
+		got := int(o.Monitor.Epochs())
 		pass := (e.MinEpochs < 0 || got >= e.MinEpochs) && (e.MaxEpochs < 0 || got <= e.MaxEpochs)
 		add("epochs", pass, fmt.Sprintf("%d regeneration epochs, want %s", got,
 			rangeWant(e.MinEpochs, e.MaxEpochs)))
@@ -50,11 +50,11 @@ func evaluate(o *runOutcome) Verdict {
 	checkStandbys(o, add)
 	checkFrozen(o, add)
 	if e.MinSwitches >= 0 {
-		add("switches", o.switches >= int64(e.MinSwitches),
-			fmt.Sprintf("%d committed adaptive switches, want at least %d", o.switches, e.MinSwitches))
+		add("switches", o.Switches >= int64(e.MinSwitches),
+			fmt.Sprintf("%d committed adaptive switches, want at least %d", o.Switches, e.MinSwitches))
 	}
 	if e.MinRetransmits >= 0 || e.MaxGivenUp >= 0 {
-		st := o.rel.Stats()
+		st := o.Reliable.Stats()
 		var bad []string
 		if e.MinRetransmits >= 0 && st.Retransmits < int64(e.MinRetransmits) {
 			bad = append(bad, fmt.Sprintf("%d retransmits, want at least %d", st.Retransmits, e.MinRetransmits))
@@ -113,8 +113,8 @@ func summarize(msgs []string) string {
 // completion list against the grant records.
 func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 	e := &o.sc.Expect
-	per := make(map[mutex.ID]int, len(o.apps))
-	for _, r := range o.records {
+	per := make(map[mutex.ID]int, len(o.Apps))
+	for _, r := range o.Records {
 		per[r.ID]++
 	}
 	want := o.sc.Workload.CSPerProcess
@@ -122,7 +122,7 @@ func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 	// deterministic.
 	incomplete := func(include func(cluster int, node int) bool) []string {
 		var out []string
-		for _, a := range o.apps {
+		for _, a := range o.Apps {
 			if !include(a.Cluster, int(a.ID)) {
 				continue
 			}
@@ -137,7 +137,7 @@ func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 		missing := incomplete(func(int, int) bool { return true })
 		add("completion", len(missing) == 0, summarize(missing))
 	case CompleteSurvivors:
-		missing := incomplete(func(_ int, node int) bool { return !o.crashed[node] })
+		missing := incomplete(func(_ int, node int) bool { return !o.Crashed[node] })
 		add("completion", len(missing) == 0, summarize(missing))
 	}
 	if len(e.ClusterComplete) > 0 {
@@ -145,7 +145,7 @@ func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 		for _, c := range e.ClusterComplete {
 			set[c] = true
 		}
-		missing := incomplete(func(cluster int, node int) bool { return set[cluster] && !o.crashed[node] })
+		missing := incomplete(func(cluster int, node int) bool { return set[cluster] && !o.Crashed[node] })
 		add("completion:clusters", len(missing) == 0, summarize(missing))
 	}
 }
@@ -158,12 +158,12 @@ func checkStandbys(o *runOutcome, add func(string, bool, string)) {
 	}
 	var bad []string
 	for _, c := range e.StandbyActivated {
-		if !o.dep.Standbys[c].Activated() {
+		if !o.Recovery.Standbys[c].Activated() {
 			bad = append(bad, fmt.Sprintf("standby of cluster %d did not take over", c))
 		}
 	}
 	for _, c := range e.StandbyQuiet {
-		if o.dep.Standbys[c].Activated() {
+		if o.Recovery.Standbys[c].Activated() {
 			bad = append(bad, fmt.Sprintf("standby of cluster %d took over unexpectedly", c))
 		}
 	}
@@ -186,8 +186,8 @@ func checkFrozen(o *runOutcome, add func(string, bool, string)) {
 	// names here (deduplicated, then sorted) never iterates a map.
 	frozen := make(map[string]bool)
 	var frozenNames []string
-	for _, m := range o.dep.Members {
-		if o.crashed[int(m.ID())] {
+	for _, m := range o.Recovery.Members {
+		if o.Crashed[int(m.ID())] {
 			continue // a dead member's state is not evidence
 		}
 		if m.Stats().Frozen && !frozen[m.Group()] {

@@ -5,19 +5,14 @@ import (
 	"sort"
 	"time"
 
-	"gridmutex/internal/adaptive"
-	"gridmutex/internal/algorithms"
-	"gridmutex/internal/check"
-	"gridmutex/internal/core"
 	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
-	"gridmutex/internal/mutex"
 	"gridmutex/internal/recovery"
 	"gridmutex/internal/reliable"
-	"gridmutex/internal/simnet"
+	"gridmutex/internal/rng"
+	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
 	"gridmutex/internal/topology"
-	"gridmutex/internal/trace"
 	"gridmutex/internal/workload"
 )
 
@@ -27,12 +22,6 @@ type Options struct {
 	// of that many events to the run's fabric; the dump lands in
 	// Result.Trace. The determinism regression compares these dumps.
 	TraceCapacity int
-	// LPs, when at least 1, runs eligible scenarios on the conservative
-	// parallel scheduler with that many worker goroutines (see lp.go).
-	// The result is byte-identical for every LPs >= 1; scenarios the LP
-	// path cannot shard fall back to the classic serial run. Zero keeps
-	// everything on the classic path.
-	LPs int
 }
 
 // Result is one executed scenario: the verdict plus the optional trace.
@@ -42,26 +31,17 @@ type Result struct {
 }
 
 // runOutcome carries everything the checker library and the metric
-// registry read after a run.
+// registry read after a run: the kernel's raw outcome, the scenario it
+// answers to and the drive's liveness failure in verdict wording.
 type runOutcome struct {
+	run.Outcome
 	sc       *Scenario
-	records  []workload.Record
-	events   uint64
-	elapsed  time.Duration
-	counters simnet.Counters
-	mon      *check.Monitor
-	recovery bool
-	rel      *reliable.Network    // nil unless the fabric is wrapped
-	dep      *recovery.Deployment // nil unless recovery
-	apps     []core.App
-	crashed  map[int]bool
-	switches int64
 	driveErr string
 
 	obtainSummary *stats.Summary // lazily built by obtaining()
 }
 
-// Run compiles the scenario onto a private simulator, executes it
+// Run compiles the scenario onto the run kernel, executes it
 // deterministically and judges the outcome. A drive failure (stall, event
 // cap, premature drain) becomes a failing liveness check in the verdict,
 // not a Go error — broken fixtures must yield verdicts. The returned
@@ -72,203 +52,72 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lpEligible(sc, opts, g) {
-		return runLP(sc, opts, g)
-	}
-	sim := des.New()
-	var tr *trace.Tracer
-	if opts.TraceCapacity > 0 {
-		tr = trace.New(sim.Now, opts.TraceCapacity)
-	}
-	net := simnet.New(sim, g, simnet.Options{
-		Jitter: sc.Network.Jitter, Seed: sc.Seed, Loss: sc.Network.Loss, Trace: tr,
+	w := sc.Workload
+	spec := run.Spec{
+		Grid: g, Seed: sc.Seed, Jitter: sc.Network.Jitter, Loss: sc.Network.Loss,
 		// The detector_share metric reads ByKind on recovery runs.
-		KindCounts: sc.System.Recovery,
-	})
-	var fabric mutex.Fabric = net
-	var rel *reliable.Network
+		KindCounts:    sc.System.Recovery,
+		TraceCapacity: opts.TraceCapacity,
+		Workload: workload.Params{
+			Alpha: w.Alpha, Rho: w.Rho, Phases: w.Phases, Dist: w.Dist,
+			CSPerProcess: w.CSPerProcess,
+			HotCluster:   w.HotCluster, HotSkew: w.HotSkew,
+		},
+		System: run.System{
+			Flat: sc.System.Flat, Intra: sc.System.Intra, Inter: sc.System.Inter,
+			Levels: sc.System.Levels, Groups: sc.System.Groups,
+			AdaptiveInter: sc.System.Adaptive, LocalBias: sc.System.LocalBias,
+		},
+		Faults: run.Faults{
+			Schedule:    buildSchedule(sc, g),
+			HolderKills: holderKills(sc, g),
+		},
+		Horizon:    sc.Run.Horizon,
+		EventLimit: sc.Run.EventLimit,
+	}
 	if sc.Network.Reliable {
 		rto := sc.Network.RTO
 		if rto <= 0 {
 			rto = 3 * maxRTT(g)
 		}
-		rel = reliable.Wrap(net, sim, reliable.Options{RTO: rto, MaxRetries: sc.Network.MaxRetries})
-		fabric = rel
+		spec.Reliable = &reliable.Options{RTO: rto, MaxRetries: sc.Network.MaxRetries}
 	}
-	mon := check.NewMonitor(sim)
-	w := sc.Workload
-	runner, err := workload.NewRunner(sim, workload.Params{
-		Alpha: w.Alpha, Rho: w.Rho, Phases: w.Phases, Dist: w.Dist,
-		CSPerProcess: w.CSPerProcess, Seed: sc.Seed,
-		HotCluster: w.HotCluster, HotSkew: w.HotSkew,
-	}, mon)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %v", sc.Name, err)
-	}
-
-	crashed := make(map[int]bool)
-	crash := func(node int) {
-		crashed[node] = true
-		net.Crash(node)
-		runner.Crash(mutex.ID(node))
-		mon.Crashed(mutex.ID(node))
-	}
-	// Restart restores connectivity and opens the rejoin-latency sample;
-	// the workload process stays dead until the recovery layer re-admits
-	// it (OnRejoin below revives it). The node leaves the crashed set:
-	// from here on its completion and frozen state count as evidence
-	// again.
-	restart := func(node int) {
-		delete(crashed, node)
-		net.Restart(node)
-		mon.Restarted(mutex.ID(node))
-	}
-	appCB := wireHolderKills(sc, g, runner, crash)
-	if sched := buildSchedule(sc, g); len(sched) > 0 {
-		sched.Apply(sim, faults.Actions{
-			Crash: crash, Restart: restart,
-			Partition: net.Partition, Heal: net.Heal,
-		})
-	}
-
-	var coordOpts []func(*core.Coordinator)
-	if k := sc.System.LocalBias; k > 0 {
-		coordOpts = append(coordOpts, func(c *core.Coordinator) { c.SetLocalBias(k) })
-	}
-	var (
-		coreDep *core.Deployment
-		recDep  *recovery.Deployment
-		apps    []core.App
-	)
-	switch {
-	case len(sc.System.Levels) > 0:
-		coreDep, err = core.BuildMultiLevel(fabric, g, sc.System.Levels, sc.System.Groups, appCB, coordOpts...)
-	case sc.System.Flat != "":
-		coreDep, err = core.BuildFlat(fabric, g, sc.System.Flat, appCB)
-	case sc.System.Recovery:
+	if sc.System.Recovery {
 		intra, inter := recovery.StaggeredTimeouts(sc.System.Heartbeat, maxRTT(g)/2)
-		recDep, err = recovery.Build(fabric, g, core.Spec{Intra: sc.System.Intra, Inter: sc.System.Inter},
-			appCB, sim, recovery.BuildOptions{
-				Intra:    intra,
-				Inter:    inter,
-				NodeDown: net.Down,
-				OnEpoch: func(group string, self mutex.ID, e recovery.Epoch, members []mutex.ID, holder mutex.ID) {
-					mon.BeginEpoch(group)
-				},
-				OnRejoin: func(group string, self mutex.ID, e recovery.Epoch) {
-					mon.Rejoined(self)
-					runner.Revive(self)
-				},
-			})
-	case sc.System.Adaptive:
-		var intraF, adaptF mutex.Factory
-		intraF, err = algorithms.Factory(sc.System.Intra)
-		if err == nil {
-			adaptF, err = adaptive.NewFactory(adaptive.Config{
-				Initial: sc.System.Inter,
-				NewPolicy: func() adaptive.Policy {
-					return adaptive.NewGapPolicy(sim.Now, w.Alpha)
-				},
-			})
-		}
-		if err == nil {
-			coreDep, err = core.BuildMultiLevelWith(fabric, g, []mutex.Factory{intraF, adaptF}, nil, appCB, coordOpts...)
-		}
-	default:
-		coreDep, err = core.BuildComposed(fabric, g, core.Spec{Intra: sc.System.Intra, Inter: sc.System.Inter},
-			appCB, coordOpts...)
+		spec.System.Recovery = &run.Detectors{Intra: intra, Inter: inter}
 	}
+	r, err := run.Build(spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %v", sc.Name, err)
 	}
-	if recDep != nil {
-		apps = recDep.Apps
-	} else {
-		apps = coreDep.Apps
-	}
-	runner.Bind(apps)
-	runner.Start()
-
-	driveErr := drive(sc, sim, mon, runner, recDep)
+	o := &runOutcome{Outcome: r.Drive(), sc: sc}
+	o.driveErr = driveError(sc, o.Stall)
 	if sc.Expect.Quiescent {
-		mon.AssertQuiescent()
+		o.Monitor.AssertQuiescent()
 	}
-
-	o := &runOutcome{
-		sc:       sc,
-		records:  runner.Records(),
-		events:   sim.Processed(),
-		elapsed:  sim.Now(),
-		counters: net.Counters(),
-		mon:      mon,
-		recovery: sc.System.Recovery,
-		rel:      rel,
-		dep:      recDep,
-		apps:     apps,
-		crashed:  crashed,
-		driveErr: driveErr,
-	}
-	if sc.System.Adaptive && len(coreDep.Coordinators) > 0 {
-		proc := coreDep.Procs[coreDep.Coordinators[0].ID()]
-		if inst, ok := proc.Instance(1).(*adaptive.Instance); ok {
-			o.switches = inst.Generation()
-		}
-	}
-	return &Result{Verdict: evaluate(o), Trace: tr.Dump()}, nil
+	return &Result{Verdict: evaluate(o), Trace: o.Trace}, nil
 }
 
-// drive advances the simulation per the scenario's run mode and returns a
-// non-empty description on liveness failure.
-//
-//   - Bounded horizon: run for a fixed stretch of virtual time (starved
-//     requests are expected), then stop detectors and drain.
-//   - Recovery to completion: heartbeats keep the event queue non-empty
-//     forever, so step until the surviving workload completes, then stop
-//     the detectors and drain.
-//   - Plain to completion: a liveness watchdog plus a capped run.
-func drive(sc *Scenario, sim *des.Simulator, mon *check.Monitor, runner *workload.Runner, dep *recovery.Deployment) string {
-	limit := sc.Run.EventLimit
-	if limit == 0 {
-		limit = uint64(runner.ExpectedTotal())*10_000 + 1_000_000
-	}
-	if sc.Run.Horizon > 0 {
-		sim.RunFor(sc.Run.Horizon)
-		if dep != nil {
-			dep.Stop()
-		}
-		if err := sim.RunCapped(limit); err != nil {
-			return fmt.Sprintf("liveness: did not drain after horizon: %v", err)
-		}
+// driveError words a drive's liveness failure for the verdict; the text
+// depends on the run mode (bounded horizon, recovery, plain) the stall
+// happened in. Empty when the drive completed.
+func driveError(sc *Scenario, s *run.Stall) string {
+	switch {
+	case s == nil:
 		return ""
+	case sc.Run.Horizon > 0:
+		return fmt.Sprintf("liveness: did not drain after horizon: %v", s.Err)
+	case s.Kind == run.Starved:
+		return fmt.Sprintf("liveness: %d requests unsatisfied after %d events", s.Outstanding, s.Events)
+	case s.Kind == run.NoDrain && sc.System.Recovery:
+		return fmt.Sprintf("liveness: did not drain: %v", s.Err)
+	case s.Kind == run.NoDrain:
+		return fmt.Sprintf("liveness: did not drain: %v (outstanding %d)", s.Err, s.Outstanding)
+	case sc.System.Recovery:
+		return fmt.Sprintf("liveness: queue drained with %d requests unsatisfied", s.Outstanding)
+	default:
+		return fmt.Sprintf("liveness: %d requests unsatisfied", s.Outstanding)
 	}
-	if dep != nil {
-		for !runner.Done() {
-			if sim.Processed() > limit {
-				dep.Stop()
-				return fmt.Sprintf("liveness: %d requests unsatisfied after %d events",
-					runner.Outstanding(), sim.Processed())
-			}
-			if !sim.Step() {
-				dep.Stop()
-				return fmt.Sprintf("liveness: queue drained with %d requests unsatisfied", runner.Outstanding())
-			}
-		}
-		dep.Stop()
-		if err := sim.RunCapped(limit); err != nil {
-			return fmt.Sprintf("liveness: did not drain: %v", err)
-		}
-		return ""
-	}
-	// The watchdog reports a precise stall instant long before the event
-	// cap would (same interval rule as the harness).
-	mon.WatchLiveness(runner.Waiting, runner.Done, 2000*sc.Workload.Alpha)
-	if err := sim.RunCapped(limit); err != nil {
-		return fmt.Sprintf("liveness: did not drain: %v (outstanding %d)", err, runner.Outstanding())
-	}
-	if !runner.Done() {
-		return fmt.Sprintf("liveness: %d requests unsatisfied", runner.Outstanding())
-	}
-	return ""
 }
 
 // buildGrid realizes the scenario topology, adding the reserved
@@ -371,20 +220,12 @@ func victimSet(sc *Scenario, g *topology.Grid, name string) []int {
 	}
 }
 
-// holderKill is one armed crash-on-CS-entry trigger.
-type holderKill struct {
-	victim, entry int
-	coordinator   bool
-	fired         bool
-}
-
-// wireHolderKills wraps the runner's callbacks so each holder_kill fault
-// fires the instant its victim enters its k-th critical section.
-// Unspecified victims and ordinals are drawn from the scenario seed,
-// mixed per fault index so multiple seeded kills draw independently.
-func wireHolderKills(sc *Scenario, g *topology.Grid, runner *workload.Runner, crash func(int)) core.CallbackFunc {
+// holderKills resolves the scenario's holder_kill faults. Unspecified
+// victims and ordinals are drawn from the scenario seed, mixed per fault
+// index so multiple seeded kills draw independently.
+func holderKills(sc *Scenario, g *topology.Grid) []run.HolderKill {
+	var kills []run.HolderKill
 	candidates := appNodes(sc, g)
-	byVictim := make(map[int][]*holderKill)
 	for i, f := range sc.Faults {
 		if f.Kind != FaultHolderKill {
 			continue
@@ -396,47 +237,13 @@ func wireHolderKills(sc *Scenario, g *topology.Grid, runner *workload.Runner, cr
 		if f.Entry > 0 {
 			t.Entry = f.Entry
 		}
-		byVictim[t.Victim] = append(byVictim[t.Victim],
-			&holderKill{victim: t.Victim, entry: t.Entry, coordinator: f.Target == "coordinator"})
+		kills = append(kills, run.HolderKill{Victim: t.Victim, Entry: t.Entry, Coordinator: f.Target == "coordinator"})
 	}
-	if len(byVictim) == 0 {
-		return runner.Callbacks
-	}
-	return func(id mutex.ID) mutex.Callbacks {
-		inner := runner.Callbacks(id)
-		kills := byVictim[int(id)]
-		if len(kills) == 0 {
-			return inner
-		}
-		entries := 0
-		return mutex.Callbacks{OnAcquire: func() {
-			inner.OnAcquire()
-			entries++
-			for _, k := range kills {
-				if k.fired || entries != k.entry {
-					continue
-				}
-				k.fired = true
-				if k.coordinator {
-					crash(g.NodesIn(g.ClusterOf(k.victim))[0])
-				} else {
-					crash(k.victim)
-				}
-			}
-		}}
-	}
-}
-
-// splitmix64 is the Steele et al. finalizer (same mix as the harness's
-// seed derivation).
-func splitmix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return kills
 }
 
 // faultSeed derives an independent stream for the i-th fault entry.
 func faultSeed(seed int64, i int) int64 {
-	z := splitmix64(uint64(seed) + 0x9e3779b97f4a7c15)
-	return int64(splitmix64(z ^ uint64(i+1)))
+	z := rng.SplitMix64(uint64(seed) + 0x9e3779b97f4a7c15)
+	return int64(rng.SplitMix64(z ^ uint64(i+1)))
 }

@@ -25,52 +25,52 @@ type metricDef struct {
 // verdicts, part of the byte-determinism contract.
 var metricRegistry = []metricDef{
 	{"grants", func(o *runOutcome) (float64, bool) {
-		return float64(len(o.records)), true
+		return float64(len(o.Records)), true
 	}},
 	{"events", func(o *runOutcome) (float64, bool) {
-		return float64(o.events), true
+		return float64(o.Events), true
 	}},
 	{"virtual_ms", func(o *runOutcome) (float64, bool) {
-		return float64(o.elapsed) / float64(time.Millisecond), true
+		return float64(o.Elapsed) / float64(time.Millisecond), true
 	}},
 	{"mean_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().Mean, len(o.records) > 0
+		return o.obtaining().Mean, len(o.Records) > 0
 	}},
 	{"std_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().Std, len(o.records) > 0
+		return o.obtaining().Std, len(o.Records) > 0
 	}},
 	{"p50_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().P50, len(o.records) > 0
+		return o.obtaining().P50, len(o.Records) > 0
 	}},
 	{"p95_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().P95, len(o.records) > 0
+		return o.obtaining().P95, len(o.Records) > 0
 	}},
 	{"p99_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().P99, len(o.records) > 0
+		return o.obtaining().P99, len(o.Records) > 0
 	}},
 	{"max_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().Max, len(o.records) > 0
+		return o.obtaining().Max, len(o.Records) > 0
 	}},
 	{"inter_msgs_per_cs", func(o *runOutcome) (float64, bool) {
-		return perCS(float64(o.counters.InterMessages), o), true
+		return perCS(float64(o.Counters.InterMessages), o), true
 	}},
 	{"intra_msgs_per_cs", func(o *runOutcome) (float64, bool) {
-		return perCS(float64(o.counters.IntraMessages), o), true
+		return perCS(float64(o.Counters.IntraMessages), o), true
 	}},
 	{"total_msgs_per_cs", func(o *runOutcome) (float64, bool) {
-		return perCS(float64(o.counters.Messages), o), true
+		return perCS(float64(o.Counters.Messages), o), true
 	}},
 	{"inter_bytes_per_cs", func(o *runOutcome) (float64, bool) {
-		return perCS(float64(o.counters.InterBytes), o), true
+		return perCS(float64(o.Counters.InterBytes), o), true
 	}},
 	{"crashes", func(o *runOutcome) (float64, bool) {
-		return float64(o.mon.Crashes()), true
+		return float64(o.Monitor.Crashes()), true
 	}},
 	{"crash_exits", func(o *runOutcome) (float64, bool) {
-		return float64(o.mon.CrashExits()), true
+		return float64(o.Monitor.CrashExits()), true
 	}},
 	{"epochs", func(o *runOutcome) (float64, bool) {
-		return float64(o.mon.Epochs()), o.recovery
+		return float64(o.Monitor.Epochs()), o.sc.System.Recovery
 	}},
 	{"mean_recovery_ms", func(o *runOutcome) (float64, bool) {
 		s, ok := o.recoveryLatency()
@@ -81,42 +81,42 @@ var metricRegistry = []metricDef{
 		return s.Max, ok
 	}},
 	{"detector_share", func(o *runOutcome) (float64, bool) {
-		if !o.recovery || o.counters.Messages == 0 {
+		if !o.sc.System.Recovery || o.Counters.Messages == 0 {
 			return 0, false
 		}
-		return float64(o.detectorMsgs()) / float64(o.counters.Messages), true
+		return float64(o.detectorMsgs()) / float64(o.Counters.Messages), true
 	}},
 	{"retransmits", func(o *runOutcome) (float64, bool) {
-		if o.rel == nil {
+		if o.Reliable == nil {
 			return 0, false
 		}
-		return float64(o.rel.Stats().Retransmits), true
+		return float64(o.Reliable.Stats().Retransmits), true
 	}},
 	{"given_up", func(o *runOutcome) (float64, bool) {
-		if o.rel == nil {
+		if o.Reliable == nil {
 			return 0, false
 		}
-		return float64(o.rel.Stats().GivenUp), true
+		return float64(o.Reliable.Stats().GivenUp), true
 	}},
 	{"switches", func(o *runOutcome) (float64, bool) {
-		return float64(o.switches), o.sc.System.Adaptive
+		return float64(o.Switches), o.sc.System.Adaptive
 	}},
 	{"dropped", func(o *runOutcome) (float64, bool) {
-		return float64(o.counters.Dropped), true
+		return float64(o.Counters.Dropped), true
 	}},
 	{"dropped_dead", func(o *runOutcome) (float64, bool) {
-		return float64(o.counters.DroppedDead), true
+		return float64(o.Counters.DroppedDead), true
 	}},
 	// Registry order is append-only: the entries below postdate the ones
 	// above and must stay after them.
 	{"dropped_partition", func(o *runOutcome) (float64, bool) {
-		return float64(o.counters.DroppedPartition), true
+		return float64(o.Counters.DroppedPartition), true
 	}},
 	{"restarts", func(o *runOutcome) (float64, bool) {
-		return float64(o.mon.Restarts()), true
+		return float64(o.Monitor.Restarts()), true
 	}},
 	{"rejoins", func(o *runOutcome) (float64, bool) {
-		return float64(o.mon.Rejoins()), o.recovery
+		return float64(o.Monitor.Rejoins()), o.sc.System.Recovery
 	}},
 	{"mean_rejoin_ms", func(o *runOutcome) (float64, bool) {
 		s, ok := o.rejoinLatency()
@@ -127,21 +127,21 @@ var metricRegistry = []metricDef{
 		return s.Max, ok
 	}},
 	{"minority_freezes", func(o *runOutcome) (float64, bool) {
-		if o.dep == nil {
+		if o.Recovery == nil {
 			return 0, false
 		}
 		var n int64
-		for _, m := range o.dep.Members {
+		for _, m := range o.Recovery.Members {
 			n += m.Stats().MinorityFreezes
 		}
 		return float64(n), true
 	}},
 	{"regenerations", func(o *runOutcome) (float64, bool) {
-		if o.dep == nil {
+		if o.Recovery == nil {
 			return 0, false
 		}
 		var n int64
-		for _, m := range o.dep.Members {
+		for _, m := range o.Recovery.Members {
 			n += m.Stats().Regenerations
 		}
 		return float64(n), true
@@ -150,10 +150,10 @@ var metricRegistry = []metricDef{
 
 // perCS normalizes a counter by the number of critical sections entered.
 func perCS(v float64, o *runOutcome) float64 {
-	if len(o.records) == 0 {
+	if len(o.Records) == 0 {
 		return 0
 	}
-	return v / float64(len(o.records))
+	return v / float64(len(o.Records))
 }
 
 // KnownMetric reports whether name is in the registry — validation
@@ -203,7 +203,7 @@ func metricValue(o *runOutcome, name string) (float64, bool) {
 func (o *runOutcome) obtaining() stats.Summary {
 	if o.obtainSummary == nil {
 		acc := stats.Accumulator{Retain: true}
-		for _, r := range o.records {
+		for _, r := range o.Records {
 			acc.Push(float64(r.Obtaining()) / float64(time.Millisecond))
 		}
 		s := acc.Summarize()
@@ -214,7 +214,7 @@ func (o *runOutcome) obtaining() stats.Summary {
 
 // recoveryLatency summarizes crash-to-regeneration delays in ms.
 func (o *runOutcome) recoveryLatency() (stats.Summary, bool) {
-	lats := o.mon.RecoveryLatencies()
+	lats := o.Monitor.RecoveryLatencies()
 	if len(lats) == 0 {
 		return stats.Summary{}, false
 	}
@@ -227,7 +227,7 @@ func (o *runOutcome) recoveryLatency() (stats.Summary, bool) {
 
 // rejoinLatency summarizes restart-to-readmission delays in ms.
 func (o *runOutcome) rejoinLatency() (stats.Summary, bool) {
-	lats := o.mon.RejoinLatencies()
+	lats := o.Monitor.RejoinLatencies()
 	if len(lats) == 0 {
 		return stats.Summary{}, false
 	}
@@ -247,7 +247,7 @@ var detectorKinds = []string{"rec.hb", "rec.probe", "rec.ack", "rec.epoch", "rec
 func (o *runOutcome) detectorMsgs() int64 {
 	var n int64
 	for _, k := range detectorKinds {
-		n += o.counters.ByKind[k]
+		n += o.Counters.ByKind[k]
 	}
 	return n
 }

@@ -60,8 +60,7 @@ type Options struct {
 	// KindCounts enables the per-Message.Kind counter map
 	// (Counters.ByKind). It is opt-in because the map insert — a string
 	// hash per message — is the single most expensive accounting step;
-	// the default hot path touches no maps at all. Unsupported on LP
-	// networks (NewLP), whose counter shards merge numerically.
+	// the default hot path touches no maps at all.
 	KindCounts bool
 	// Tables selects the routing-table representation; the default
 	// TablesAuto picks dense node×node tables for small grids and the
@@ -69,26 +68,14 @@ type Options struct {
 	// produce byte-identical simulations (see DESIGN.md §14); the switch
 	// trades per-send indexed loads against quadratic memory.
 	Tables TableMode
-	// Traces, for NewLP networks only, records per logical process: entry
-	// i receives the sends and deliveries executed by LP i. Per-LP tracers
-	// keep tracing race-free and deterministic under parallel window
-	// execution; merge them with trace.Merge. Either empty or one entry
-	// per LP (nil entries disable tracing for that LP).
-	Traces []*trace.Tracer
 }
 
-// Network simulates the grid's message fabric. It runs either over a
-// single simulator (New) or sharded across the logical processes of a
-// des.Windows scheduler (NewLP); in the latter case every piece of
-// mutable per-message state — rng streams, counters, tracers — is
-// partitioned by LP so parallel window execution stays race-free and
-// the outcome is independent of worker count.
+// Network simulates the grid's message fabric over one simulator.
 type Network struct {
-	sims []*des.Simulator // one per LP; classic networks have exactly one
-	win  *des.Windows     // nil for classic single-simulator networks
+	sim  *des.Simulator
 	grid gridModel
 	opts Options
-	rngs []*rand.Rand // per-LP jitter/loss streams
+	rng  *rand.Rand // jitter/loss stream
 
 	// Dense per-process routing state, indexed by mutex.ID. The tables
 	// grow on demand because hierarchical deployments register
@@ -99,12 +86,9 @@ type Network struct {
 	// lastAt is the flat FIFO watermark of dense-table networks,
 	// lastAt[from*len(handlers)+to]: the latest delivery instant scheduled
 	// on the ordered link, or -1 when the link has carried nothing yet.
-	// Each entry is written only while executing the sender's LP, so the
-	// table needs no locking. Factored networks replace the procs² table
-	// with lastTo — one map per sender, materializing entries only for
-	// links that have actually carried a message. The per-sender split
-	// preserves the locking-free contract: a sender's map is touched only
-	// on its own LP.
+	// Factored networks replace the procs² table with lastTo — one map per
+	// sender, materializing entries only for links that have actually
+	// carried a message.
 	lastAt []des.Time
 	lastTo []map[mutex.ID]des.Time
 
@@ -131,14 +115,11 @@ type Network struct {
 	// matrices) or O(levels) (trees), so the per-send cost stays flat.
 	// The arithmetic is the same division either way, so all three
 	// representations schedule identical instants.
-	clModel  clusterModel
-	lpOfNode []int32 // physical node -> LP index; all zero when classic
-	jittery  bool    // opts.Jitter > 0
-	lossy    bool    // opts.Loss > 0
+	clModel clusterModel
+	jittery bool // opts.Jitter > 0
+	lossy   bool // opts.Loss > 0
 
-	// shards holds per-LP message accounting, merged by Counters().
-	shards  []Counters
-	tracers []*trace.Tracer // per-LP; entry nil = tracing off for that LP
+	counters Counters
 
 	// Crash state: down is nil until the first Crash, and anyDown caches
 	// len(down-set) > 0 so fault-free runs pay one branch per send.
@@ -204,67 +185,6 @@ var clusterPairLimit = 1 << 18
 
 // New builds a network over sim using grid latencies.
 func New(sim *des.Simulator, grid gridModel, opts Options) *Network {
-	if len(opts.Traces) > 0 {
-		panic("simnet: Options.Traces is for NewLP; classic networks use Options.Trace")
-	}
-	n := newNetwork(grid, opts)
-	n.sims = []*des.Simulator{sim}
-	n.rngs = []*rand.Rand{rng.New(opts.Seed)}
-	n.shards = make([]Counters, 1)
-	n.tracers = []*trace.Tracer{opts.Trace}
-	n.lpOfNode = make([]int32, n.nodes)
-	n.growProcs(n.nodes)
-	return n
-}
-
-// NewLP builds a network sharded across the logical processes of a
-// window scheduler: lpOf assigns each physical node to an LP (the
-// cluster partition, in the harness), messages between nodes of one LP
-// schedule on that LP's simulator, and messages crossing LPs route
-// through win.CrossSend so they arrive at the next window barrier.
-// Every inter-LP one-way latency must be at least the scheduler's
-// lookahead — the caller guarantees this by using the topology's
-// MinInterOneWay as the lookahead.
-//
-// Per-LP rng streams are derived from opts.Seed, so an LP network is a
-// different (but per-seed deterministic) random universe than a classic
-// network with the same seed: runs compare LP-vs-LP, not LP-vs-classic.
-func NewLP(win *des.Windows, grid gridModel, lpOf func(node int) int, opts Options) *Network {
-	if opts.KindCounts {
-		panic("simnet: KindCounts is unsupported on LP networks")
-	}
-	if opts.Trace != nil {
-		panic("simnet: Options.Trace is for New; LP networks trace per LP via Options.Traces")
-	}
-	k := win.NumLPs()
-	if len(opts.Traces) != 0 && len(opts.Traces) != k {
-		panic(fmt.Sprintf("simnet: %d tracers for %d LPs", len(opts.Traces), k))
-	}
-	n := newNetwork(grid, opts)
-	n.win = win
-	n.sims = make([]*des.Simulator, k)
-	n.rngs = make([]*rand.Rand, k)
-	for i := 0; i < k; i++ {
-		n.sims[i] = win.LP(i)
-		n.rngs[i] = rng.New(lpSeed(opts.Seed, i))
-	}
-	n.shards = make([]Counters, k)
-	n.tracers = make([]*trace.Tracer, k)
-	copy(n.tracers, opts.Traces)
-	n.lpOfNode = make([]int32, n.nodes)
-	for node := 0; node < n.nodes; node++ {
-		lp := lpOf(node)
-		if lp < 0 || lp >= k {
-			panic(fmt.Sprintf("simnet: node %d assigned to LP %d of %d", node, lp, k))
-		}
-		n.lpOfNode[node] = int32(lp)
-	}
-	n.growProcs(n.nodes)
-	return n
-}
-
-// newNetwork validates the options and builds the LP-independent part.
-func newNetwork(grid gridModel, opts Options) *Network {
 	if opts.Jitter < 0 {
 		panic("simnet: negative jitter")
 	}
@@ -273,14 +193,25 @@ func newNetwork(grid gridModel, opts Options) *Network {
 	}
 	nodes := grid.NumNodes()
 	n := &Network{
+		sim:     sim,
 		grid:    grid,
 		opts:    opts,
+		rng:     rng.New(opts.Seed),
 		nodes:   nodes,
 		jittery: opts.Jitter > 0,
 		lossy:   opts.Loss > 0,
 	}
+	n.buildTables()
+	n.growProcs(nodes)
+	return n
+}
+
+// buildTables precomputes the routing tables in the representation
+// Options.Tables selects.
+func (n *Network) buildTables() {
+	grid, nodes := n.grid, n.nodes
 	cm, clustered := grid.(clusterModel)
-	switch opts.Tables {
+	switch n.opts.Tables {
 	case TablesFactored:
 		if !clustered {
 			panic("simnet: TablesFactored needs a grid exposing cluster structure (NumClusters/ClusterOf/RTT)")
@@ -290,7 +221,7 @@ func newNetwork(grid gridModel, opts Options) *Network {
 		n.factored = clustered && nodes > DenseNodeLimit
 	case TablesDense:
 	default:
-		panic(fmt.Sprintf("simnet: unknown table mode %d", opts.Tables))
+		panic(fmt.Sprintf("simnet: unknown table mode %d", n.opts.Tables))
 	}
 	if n.factored {
 		// O(N) node→cluster index plus O(C²) cluster-pair one-way delays.
@@ -306,7 +237,7 @@ func newNetwork(grid gridModel, opts Options) *Network {
 		}
 		if c > clusterPairLimit/c { // c*c > limit, overflow-safe
 			n.clModel = cm
-			return n
+			return
 		}
 		n.clOneWay = make([]des.Time, c*c)
 		for a := 0; a < c; a++ {
@@ -315,7 +246,7 @@ func newNetwork(grid gridModel, opts Options) *Network {
 				n.clOneWay[row+b] = cm.RTT(a, b) / 2
 			}
 		}
-		return n
+		return
 	}
 	n.oneWay = make([]des.Time, nodes*nodes)
 	n.sameCl = make([]bool, nodes*nodes)
@@ -326,16 +257,6 @@ func newNetwork(grid gridModel, opts Options) *Network {
 			n.sameCl[row+t] = grid.SameCluster(f, t)
 		}
 	}
-	return n
-}
-
-// lpSeed derives LP i's rng seed from the run seed through the
-// SplitMix64 finalizer, so neighbouring LPs draw unrelated streams.
-func lpSeed(base int64, i int) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(i+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // growProcs widens the per-process tables to hold at least size IDs,
@@ -400,7 +321,7 @@ func (n *Network) RegisterAt(id mutex.ID, node int, h Handler) {
 	n.growProcs(int(id) + 1)
 	n.handlers[id] = h
 	n.nodeOf[id] = int32(node)
-	n.sinks[id] = &sink{net: n, to: id, toNode: int32(node), lp: n.lpOfNode[node]}
+	n.sinks[id] = &sink{net: n, to: id, toNode: int32(node)}
 }
 
 // Endpoint returns the mutex.Env bound to process id. The process must be
@@ -409,32 +330,11 @@ func (n *Network) Endpoint(id mutex.ID) mutex.Env {
 	return &endpoint{net: n, self: id}
 }
 
-// Counters returns a snapshot of the message accounting so far. On LP
-// networks the per-LP shards are summed; do not call while a window is
-// executing in parallel.
-func (n *Network) Counters() Counters {
-	c := n.shards[0]
-	for i := 1; i < len(n.shards); i++ {
-		s := &n.shards[i]
-		c.Messages += s.Messages
-		c.Bytes += s.Bytes
-		c.IntraMessages += s.IntraMessages
-		c.IntraBytes += s.IntraBytes
-		c.InterMessages += s.InterMessages
-		c.InterBytes += s.InterBytes
-		c.Dropped += s.Dropped
-		c.DroppedDead += s.DroppedDead
-		c.DroppedPartition += s.DroppedPartition
-	}
-	return c
-}
+// Counters returns a snapshot of the message accounting so far.
+func (n *Network) Counters() Counters { return n.counters }
 
 // ResetCounters zeroes the accounting (used to exclude warm-up phases).
-func (n *Network) ResetCounters() {
-	for i := range n.shards {
-		n.shards[i] = Counters{}
-	}
-}
+func (n *Network) ResetCounters() { n.counters = Counters{} }
 
 // Crash marks a physical node as failed: from this instant its processes
 // emit nothing, and any message addressed to it — whether sent before or
@@ -562,7 +462,6 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	if n.anyDown && n.down[fromNode] {
 		return
 	}
-	srcLP := n.lpOfNode[fromNode]
 	var sameCl bool
 	var delay des.Time
 	if n.factored {
@@ -578,18 +477,18 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 		sameCl = n.sameCl[pair]
 		delay = n.oneWay[pair]
 	}
-	n.shards[srcLP].note(m, sameCl, n.opts.KindCounts)
-	if t := n.tracers[srcLP]; t != nil {
+	n.counters.note(m, sameCl, n.opts.KindCounts)
+	if t := n.opts.Trace; t != nil {
 		t.Record(trace.Send, from, to, m.Kind())
 	}
-	if n.lossy && n.rngs[srcLP].Float64() < n.opts.Loss {
-		n.shards[srcLP].Dropped++
+	if n.lossy && n.rng.Float64() < n.opts.Loss {
+		n.counters.Dropped++
 		return
 	}
 	if n.jittery {
-		delay = time.Duration(float64(delay) * (1 + n.opts.Jitter*n.rngs[srcLP].Float64()))
+		delay = time.Duration(float64(delay) * (1 + n.opts.Jitter*n.rng.Float64()))
 	}
-	at := n.sims[srcLP].Now() + delay
+	at := n.sim.Now() + delay
 	// FIFO per ordered pair: never deliver before an earlier message on
 	// the same link. Dense watermarks are -1 on untouched links, below
 	// any schedulable instant; sparse watermarks simply have no entry —
@@ -606,16 +505,7 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 		}
 		n.lastAt[link] = at
 	}
-	s := n.sinks[to]
-	if s.lp != srcLP {
-		// Crossing LPs: buffer on the scheduler, which injects the
-		// delivery into the destination LP at the next window barrier.
-		// The inter-LP one-way delay is at least the lookahead, so `at`
-		// always lands beyond the destination's current window.
-		n.win.CrossSend(int(srcLP), int(s.lp), at, s, from, m)
-		return
-	}
-	n.sims[srcLP].AtDeliver(at, s, from, m)
+	n.sim.AtDeliver(at, n.sinks[to], from, m)
 }
 
 // sink is the per-destination delivery interposer: it is the handler typed
@@ -628,24 +518,20 @@ type sink struct {
 	net    *Network
 	to     mutex.ID
 	toNode int32
-	lp     int32 // LP owning the destination node
 }
 
-// Deliver implements mutex.Handler for the delivery event. It always
-// runs on the destination's LP — locally scheduled or injected at a
-// window barrier — so the shard and tracer indexed by s.lp are owned by
-// the executing goroutine.
+// Deliver implements mutex.Handler for the delivery event.
 func (s *sink) Deliver(from mutex.ID, m mutex.Message) {
 	n := s.net
 	if n.anyDown && n.down[s.toNode] {
-		n.shards[s.lp].DroppedDead++
+		n.counters.DroppedDead++
 		return
 	}
 	if n.anyPart && n.side[s.toNode] != n.side[n.nodeOf[from]] {
-		n.shards[s.lp].DroppedPartition++
+		n.counters.DroppedPartition++
 		return
 	}
-	if t := n.tracers[s.lp]; t != nil {
+	if t := n.opts.Trace; t != nil {
 		t.Record(trace.Deliver, from, s.to, m.Kind())
 	}
 	n.handlers[s.to].Deliver(from, m)
@@ -665,15 +551,14 @@ func (e *endpoint) Send(to mutex.ID, m mutex.Message) { e.net.send(e.self, to, m
 // and counters read only Kind and Size, at send or delivery time.
 func (e *endpoint) DeliversOnce() {}
 
-// Local schedules f at the current instant on the process's own LP;
-// FIFO ordering of the event queue guarantees it runs after the handler
-// that scheduled it.
+// Local schedules f at the current instant; FIFO ordering of the event
+// queue guarantees it runs after the handler that scheduled it.
 func (e *endpoint) Local(f func()) {
 	n := e.net
 	if e.self < 0 || int(e.self) >= len(n.nodeOf) || n.nodeOf[e.self] < 0 {
 		panic(fmt.Sprintf("simnet: Local on unregistered process %d", e.self))
 	}
-	n.sims[n.lpOfNode[n.nodeOf[e.self]]].After(0, f)
+	n.sim.After(0, f)
 }
 
 // Counters aggregates message traffic, split the way the paper reports it.

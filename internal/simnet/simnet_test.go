@@ -8,7 +8,6 @@ import (
 	"gridmutex/internal/des"
 	"gridmutex/internal/mutex"
 	"gridmutex/internal/topology"
-	"gridmutex/internal/trace"
 )
 
 // ping is a minimal message for transport tests.
@@ -395,53 +394,8 @@ func TestCrashClassifiedAtDelivery(t *testing.T) {
 	})
 }
 
-// lpRecorder records deliveries with the clock of its own LP.
-type lpRecorder struct {
-	now func() des.Time
-	got []delivery
-}
-
-func (r *lpRecorder) Deliver(from mutex.ID, m mutex.Message) {
-	r.got = append(r.got, delivery{r.now(), from, m})
-}
-
-// TestLPRouting: intra-LP messages schedule locally, inter-LP messages
-// cross at the barrier, and both land at the topology's latency.
-func TestLPRouting(t *testing.T) {
-	g := topology.Uniform(2, 2, 2*time.Millisecond, 20*time.Millisecond)
-	lookahead, ok := g.MinInterOneWay()
-	if !ok || lookahead != 10*time.Millisecond {
-		t.Fatalf("lookahead %v, %v", lookahead, ok)
-	}
-	win := des.NewWindows(g.NumClusters(), lookahead, 1)
-	n := NewLP(win, g, g.ClusterOf, Options{})
-	recs := make([]*lpRecorder, 4)
-	for id := 0; id < 4; id++ {
-		lp := win.LP(g.ClusterOf(id))
-		recs[id] = &lpRecorder{now: lp.Now}
-		n.Register(mutex.ID(id), recs[id])
-	}
-	ep := n.Endpoint(0)
-	ep.Send(1, ping{"intra", 8})
-	ep.Send(2, ping{"inter", 8})
-	if err := win.RunCapped(100); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs[1].got) != 1 || recs[1].got[0].at != time.Millisecond {
-		t.Fatalf("intra delivery %+v, want at 1ms", recs[1].got)
-	}
-	if len(recs[2].got) != 1 || recs[2].got[0].at != 10*time.Millisecond {
-		t.Fatalf("inter delivery %+v, want at 10ms", recs[2].got)
-	}
-	c := n.Counters()
-	if c.Messages != 2 || c.IntraMessages != 1 || c.InterMessages != 1 {
-		t.Fatalf("counters %+v", c)
-	}
-}
-
 // bouncer returns every message to its sender with one fewer hop,
-// logging each delivery. Logs are per node, hence per LP: safe under
-// parallel window execution.
+// logging each delivery.
 type bouncer struct {
 	ep   mutex.Env
 	self mutex.ID
@@ -454,103 +408,6 @@ func (b *bouncer) Deliver(from mutex.ID, m mutex.Message) {
 	b.log = append(b.log, fmt.Sprintf("%d<-%d@%v", b.self, from, b.now()))
 	if p.size > 0 {
 		b.ep.Send(from, ping{p.kind, p.size - 1})
-	}
-}
-
-// runLPBounce drives a jittered 2-cluster bounce storm and returns the
-// per-node delivery logs and merged counters.
-func runLPBounce(t *testing.T, workers int) ([][]string, Counters) {
-	t.Helper()
-	g := topology.Uniform(2, 2, 2*time.Millisecond, 20*time.Millisecond)
-	lookahead, _ := g.MinInterOneWay()
-	win := des.NewWindows(g.NumClusters(), lookahead, workers)
-	n := NewLP(win, g, g.ClusterOf, Options{Jitter: 0.3, Seed: 42})
-	bs := make([]*bouncer, 4)
-	for id := 0; id < 4; id++ {
-		bs[id] = &bouncer{ep: n.Endpoint(mutex.ID(id)), self: mutex.ID(id), now: win.LP(g.ClusterOf(id)).Now}
-		n.Register(mutex.ID(id), bs[id])
-	}
-	bs[0].ep.Send(1, ping{"a", 20}) // intra ping-pong in cluster 0
-	bs[0].ep.Send(2, ping{"b", 20}) // inter ping-pong across clusters
-	bs[3].ep.Send(1, ping{"c", 20}) // inter, reverse direction
-	if err := win.RunCapped(10_000); err != nil {
-		t.Fatal(err)
-	}
-	logs := make([][]string, 4)
-	for i, b := range bs {
-		logs[i] = b.log
-	}
-	return logs, n.Counters()
-}
-
-// TestLPWorkerEquivalence is simnet's end of the determinism contract:
-// the same seeded model must produce identical deliveries and counters
-// whether the windows run serially or on many workers.
-func TestLPWorkerEquivalence(t *testing.T) {
-	serialLogs, serialC := runLPBounce(t, 1)
-	total := 0
-	for _, l := range serialLogs {
-		total += len(l)
-	}
-	if total == 0 {
-		t.Fatal("bounce storm delivered nothing")
-	}
-	for _, workers := range []int{2, 4} {
-		logs, c := runLPBounce(t, workers)
-		if fmt.Sprintf("%+v", c) != fmt.Sprintf("%+v", serialC) {
-			t.Fatalf("workers=%d: counters %+v, want %+v", workers, c, serialC)
-		}
-		for node := range serialLogs {
-			if len(logs[node]) != len(serialLogs[node]) {
-				t.Fatalf("workers=%d node %d: %d deliveries, want %d", workers, node, len(logs[node]), len(serialLogs[node]))
-			}
-			for i := range serialLogs[node] {
-				if logs[node][i] != serialLogs[node][i] {
-					t.Fatalf("workers=%d node %d delivery %d = %q, want %q", workers, node, i, logs[node][i], serialLogs[node][i])
-				}
-			}
-		}
-	}
-}
-
-// TestLPTracers: each LP's tracer sees exactly its own LP's sends and
-// deliveries, and trace.Merge yields one chronological log.
-func TestLPTracers(t *testing.T) {
-	g := topology.Uniform(2, 1, 2*time.Millisecond, 20*time.Millisecond)
-	lookahead, _ := g.MinInterOneWay()
-	win := des.NewWindows(2, lookahead, 1)
-	tracers := []*trace.Tracer{
-		trace.New(func() time.Duration { return win.LP(0).Now() }, 64),
-		trace.New(func() time.Duration { return win.LP(1).Now() }, 64),
-	}
-	n := NewLP(win, g, g.ClusterOf, Options{Traces: tracers})
-	for id := 0; id < 2; id++ {
-		id := mutex.ID(id)
-		ep := n.Endpoint(id)
-		n.Register(id, HandlerFunc(func(from mutex.ID, m mutex.Message) {
-			if m.(ping).size > 0 {
-				ep.Send(from, ping{"p", m.(ping).size - 1})
-			}
-		}))
-	}
-	n.Endpoint(0).Send(1, ping{"p", 2})
-	if err := win.RunCapped(100); err != nil {
-		t.Fatal(err)
-	}
-	// LP0: send@0, deliver@20ms; LP1: deliver@10ms, send@10ms, deliver... —
-	// count events rather than script them all: 3 sends, 3 delivers total.
-	merged := trace.Merge(tracers)
-	if got := len(merged.Filter(trace.Send)); got != 3 {
-		t.Errorf("%d sends traced, want 3\n%s", got, merged.Dump())
-	}
-	if got := len(merged.Filter(trace.Deliver)); got != 3 {
-		t.Errorf("%d delivers traced, want 3\n%s", got, merged.Dump())
-	}
-	evs := merged.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatalf("merged trace out of order:\n%s", merged.Dump())
-		}
 	}
 }
 
@@ -716,87 +573,4 @@ func TestFactoredSendDeliverAllocs(t *testing.T) {
 	if perMsg := allocs / batch; perMsg > 1 {
 		t.Errorf("factored send→deliver allocates %.2f objects per message, want <= 1", perMsg)
 	}
-}
-
-// TestLPFactoredEquivalence: the factored tables compose with the window
-// scheduler — per-sender watermark maps are written only on the sender's
-// LP — and remain byte-identical across worker counts.
-func TestLPFactoredEquivalence(t *testing.T) {
-	run := func(workers int) ([][]string, Counters) {
-		t.Helper()
-		g := topology.Uniform(2, 2, 2*time.Millisecond, 20*time.Millisecond)
-		lookahead, _ := g.MinInterOneWay()
-		win := des.NewWindows(g.NumClusters(), lookahead, workers)
-		n := NewLP(win, g, g.ClusterOf, Options{Jitter: 0.3, Seed: 42, Tables: TablesFactored})
-		bs := make([]*bouncer, 4)
-		for id := 0; id < 4; id++ {
-			bs[id] = &bouncer{ep: n.Endpoint(mutex.ID(id)), self: mutex.ID(id), now: win.LP(g.ClusterOf(id)).Now}
-			n.Register(mutex.ID(id), bs[id])
-		}
-		bs[0].ep.Send(1, ping{"a", 20})
-		bs[0].ep.Send(2, ping{"b", 20})
-		bs[3].ep.Send(1, ping{"c", 20})
-		if err := win.RunCapped(10_000); err != nil {
-			t.Fatal(err)
-		}
-		logs := make([][]string, 4)
-		for i, b := range bs {
-			logs[i] = b.log
-		}
-		return logs, n.Counters()
-	}
-	serialLogs, serialC := run(1)
-	// The factored LP run must also match the dense LP run (same seed):
-	// runLPBounce uses default tables on an identical model.
-	denseLogs, denseC := runLPBounce(t, 1)
-	if fmt.Sprintf("%+v", serialC) != fmt.Sprintf("%+v", denseC) {
-		t.Fatalf("factored LP counters %+v, dense %+v", serialC, denseC)
-	}
-	for node := range denseLogs {
-		for i := range denseLogs[node] {
-			if serialLogs[node][i] != denseLogs[node][i] {
-				t.Fatalf("node %d delivery %d: %q factored, %q dense", node, i, serialLogs[node][i], denseLogs[node][i])
-			}
-		}
-	}
-	for _, workers := range []int{2, 4} {
-		logs, c := run(workers)
-		if fmt.Sprintf("%+v", c) != fmt.Sprintf("%+v", serialC) {
-			t.Fatalf("workers=%d: counters %+v, want %+v", workers, c, serialC)
-		}
-		for node := range serialLogs {
-			for i := range serialLogs[node] {
-				if logs[node][i] != serialLogs[node][i] {
-					t.Fatalf("workers=%d node %d delivery %d diverges", workers, node, i)
-				}
-			}
-		}
-	}
-}
-
-// TestNewLPValidation: the LP constructor rejects configurations whose
-// semantics would be undefined under sharding.
-func TestNewLPValidation(t *testing.T) {
-	g := topology.Uniform(2, 1, 2*time.Millisecond, 20*time.Millisecond)
-	win := des.NewWindows(2, 10*time.Millisecond, 1)
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("KindCounts", func() { NewLP(win, g, g.ClusterOf, Options{KindCounts: true}) })
-	expectPanic("Trace", func() {
-		tr := trace.New(win.LP(0).Now, 8)
-		NewLP(win, g, g.ClusterOf, Options{Trace: tr})
-	})
-	expectPanic("Traces length", func() {
-		NewLP(win, g, g.ClusterOf, Options{Traces: make([]*trace.Tracer, 3)})
-	})
-	expectPanic("bad lpOf", func() { NewLP(win, g, func(int) int { return 7 }, Options{}) })
-	expectPanic("Traces on classic", func() {
-		New(des.New(), g, Options{Traces: make([]*trace.Tracer, 2)})
-	})
 }

@@ -144,39 +144,6 @@ func (g *Grid) OneWay(from, to int) time.Duration {
 // SameCluster reports whether two global node indices live in one cluster.
 func (g *Grid) SameCluster(a, b int) bool { return g.ClusterOf(a) == g.ClusterOf(b) }
 
-// MinInterOneWay returns the smallest one-way delay between nodes in
-// different clusters — the lookahead of a conservative parallel
-// simulation partitioned by cluster: no inter-cluster message can arrive
-// sooner after it was sent. The second result is false for single-cluster
-// grids, where no inter-cluster link exists. A zero result means some
-// cluster pair communicates instantly, leaving a window scheduler no
-// concurrency to exploit; callers must then fall back to serial execution.
-func (g *Grid) MinInterOneWay() (time.Duration, bool) {
-	if g.tree != nil {
-		// Trees always have >= 2 clusters (fan-outs are >= 2) and the
-		// smallest inter-cluster RTT is the smallest level RTT — an
-		// O(levels) scan instead of the O(C²) pair sweep below.
-		return g.tree.minLevelRTT() / 2, true
-	}
-	n := len(g.names)
-	if n < 2 {
-		return 0, false
-	}
-	found := false
-	var min time.Duration
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			if d := g.rtt[a][b] / 2; !found || d < min {
-				min, found = d, true
-			}
-		}
-	}
-	return min, true
-}
-
 // grid5000Names lists the 9 Grid'5000 sites used in the paper's evaluation.
 var grid5000Names = []string{
 	"orsay", "grenoble", "lyon", "rennes", "lille", "nancy", "toulouse", "sophia", "bordeaux",

@@ -119,37 +119,6 @@ func TestSingle(t *testing.T) {
 	}
 }
 
-// TestMinInterOneWay: the lookahead of a cluster-partitioned parallel
-// simulation is the smallest off-diagonal one-way delay.
-func TestMinInterOneWay(t *testing.T) {
-	// Grid'5000: smallest off-diagonal RTT is toulouse->bordeaux at
-	// 3131µs (the reverse route measures 3150µs — asymmetry matters).
-	g := Grid5000(2)
-	min9, ok := g.MinInterOneWay()
-	if !ok {
-		t.Fatal("Grid5000: no inter-cluster link reported")
-	}
-	if want := 3131 * time.Microsecond / 2; min9 != want {
-		t.Errorf("Grid5000 lookahead = %v, want %v", min9, want)
-	}
-
-	u := Uniform(3, 2, time.Millisecond, 10*time.Millisecond)
-	if min3, ok := u.MinInterOneWay(); !ok || min3 != 5*time.Millisecond {
-		t.Errorf("Uniform lookahead = %v, %v, want 5ms, true", min3, ok)
-	}
-
-	// A single cluster has no inter-cluster link at all.
-	if _, ok := Single(4, time.Millisecond).MinInterOneWay(); ok {
-		t.Error("Single: reported an inter-cluster delay")
-	}
-
-	// Zero remote latency: the link exists but admits no lookahead.
-	z := Uniform(2, 2, time.Millisecond, 0)
-	if min0, ok := z.MinInterOneWay(); !ok || min0 != 0 {
-		t.Errorf("zero-remote lookahead = %v, %v, want 0, true", min0, ok)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	ms := time.Millisecond
 	cases := []struct {

@@ -163,17 +163,6 @@ func (t *treeModel) clusterName(c int) string {
 	return b.String()
 }
 
-// minLevelRTT returns the smallest inter-cluster RTT of the tree.
-func (t *treeModel) minLevelRTT() time.Duration {
-	min := t.spec.LevelRTT[0]
-	for _, d := range t.spec.LevelRTT[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // mulInt multiplies two non-negative ints, reporting false on overflow.
 func mulInt(a, b int) (int, bool) {
 	if a < 0 || b < 0 {

@@ -85,14 +85,6 @@ func TestTreeMatchesMaterialized(t *testing.T) {
 			}
 		}
 	}
-	tMin, tOk := tree.MinInterOneWay()
-	dMin, dOk := dense.MinInterOneWay()
-	if tMin != dMin || tOk != dOk {
-		t.Fatalf("MinInterOneWay %v,%v vs %v,%v", tMin, tOk, dMin, dOk)
-	}
-	if want := 2 * time.Millisecond; tMin != want {
-		t.Fatalf("MinInterOneWay %v, want %v", tMin, want)
-	}
 }
 
 // TestTreeLCALatency pins the level arithmetic directly: cluster pairs at
@@ -194,9 +186,6 @@ func TestTreeMemoryIsFlat(t *testing.T) {
 	}
 	if got := tree.RTT(0, 1); got != 5*time.Millisecond {
 		t.Fatalf("near RTT %v", got)
-	}
-	if min, ok := tree.MinInterOneWay(); !ok || min != 2500*time.Microsecond {
-		t.Fatalf("MinInterOneWay %v %v", min, ok)
 	}
 }
 

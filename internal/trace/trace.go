@@ -156,51 +156,6 @@ func (t *Tracer) Dump() string {
 	return b.String()
 }
 
-// Merge combines several tracers into one read-only tracer whose events
-// are ordered by (timestamp, input index): events at the same instant
-// keep the order of the tracers they came from. The window-barrier
-// scheduler records per logical process and merges here, so the merged
-// dump is a pure function of the inputs — never of goroutine timing.
-// Nil tracers in the slice contribute nothing; the result must not be
-// Recorded into.
-func Merge(ts []*Tracer) *Tracer {
-	total := 0
-	var dropped int64
-	for _, t := range ts {
-		total += t.Len()
-		dropped += t.Dropped()
-	}
-	if total == 0 {
-		total = 1 // Tracer demands positive capacity
-	}
-	m := &Tracer{cap: total, dropped: dropped, events: make([]Event, 0, total)}
-	// Index-ordered k-way merge: each input is already chronological, so
-	// repeatedly taking the earliest head — ties broken by input index —
-	// yields a stable global order.
-	heads := make([][]Event, 0, len(ts))
-	for _, t := range ts {
-		if t.Len() > 0 {
-			heads = append(heads, t.Events())
-		}
-	}
-	for {
-		best := -1
-		for i, h := range heads {
-			if len(h) == 0 {
-				continue
-			}
-			if best < 0 || h[0].At < heads[best][0].At {
-				best = i
-			}
-		}
-		if best < 0 {
-			return m
-		}
-		m.events = append(m.events, heads[best][0])
-		heads[best] = heads[best][1:]
-	}
-}
-
 // Filter returns the retained events matching kind, in order.
 func (t *Tracer) Filter(kind Kind) []Event {
 	var out []Event

@@ -106,43 +106,3 @@ func TestConstructorPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestMergeOrdersByTimeThenIndex(t *testing.T) {
-	mk := func(ats ...time.Duration) *Tracer {
-		tr := New(fixedClock(0), 16)
-		for _, at := range ats {
-			tr.clock = fixedClock(at)
-			tr.Record(Send, 1, 2, "m")
-		}
-		return tr
-	}
-	a := mk(1*time.Millisecond, 3*time.Millisecond, 3*time.Millisecond)
-	b := mk(2*time.Millisecond, 3*time.Millisecond)
-	m := Merge([]*Tracer{a, b, nil})
-	got := m.Events()
-	want := []time.Duration{1 * time.Millisecond, 2 * time.Millisecond,
-		3 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d events, want %d", len(got), len(want))
-	}
-	for i, e := range got {
-		if e.At != want[i] {
-			t.Errorf("event %d at %v, want %v", i, e.At, want[i])
-		}
-	}
-	// The three 3ms events must keep input order: a's two first, then b's.
-	if got[2].At != got[3].At || got[3].At != got[4].At {
-		t.Fatal("tie events not adjacent")
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	m := Merge(nil)
-	if m.Len() != 0 || m.Dump() != "" {
-		t.Fatalf("empty merge: len %d dump %q", m.Len(), m.Dump())
-	}
-	m = Merge([]*Tracer{nil, New(fixedClock(0), 4)})
-	if m.Len() != 0 {
-		t.Fatalf("merge of empty tracers retained %d events", m.Len())
-	}
-}

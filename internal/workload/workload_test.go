@@ -343,60 +343,3 @@ func TestIdleClampsOverflow(t *testing.T) {
 		t.Errorf("Beta() = %v, want saturation", b)
 	}
 }
-
-// TestMergeRecords: per-runner streams interleave by AcquiredAt, ties
-// keeping input order.
-func TestMergeRecords(t *testing.T) {
-	ms := func(n int) des.Time { return des.Time(n) * time.Millisecond }
-	a := []Record{{ID: 0, AcquiredAt: ms(1)}, {ID: 0, AcquiredAt: ms(5)}, {ID: 1, AcquiredAt: ms(5)}}
-	b := []Record{{ID: 2, AcquiredAt: ms(2)}, {ID: 3, AcquiredAt: ms(5)}}
-	got := MergeRecords([][]Record{a, b, nil})
-	wantIDs := []int{0, 2, 0, 1, 3} // 5ms tie: both of part a before part b
-	if len(got) != len(wantIDs) {
-		t.Fatalf("merged %d records, want %d", len(got), len(wantIDs))
-	}
-	for i, id := range wantIDs {
-		if int(got[i].ID) != id {
-			t.Errorf("merged[%d].ID = %d, want %d", i, got[i].ID, id)
-		}
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].AcquiredAt < got[i-1].AcquiredAt {
-			t.Fatalf("merged records out of order at %d", i)
-		}
-	}
-	if out := MergeRecords(nil); len(out) != 0 {
-		t.Errorf("MergeRecords(nil) = %v", out)
-	}
-}
-
-// TestReplayMonitor: serialized records replay clean; overlapping
-// records are flagged as the safety violation they are.
-func TestReplayMonitor(t *testing.T) {
-	alpha := 10 * time.Millisecond
-	ms := func(n int) des.Time { return des.Time(n) * time.Millisecond }
-	good := []Record{
-		{ID: 0, AcquiredAt: ms(0)},
-		{ID: 1, AcquiredAt: ms(10)}, // back-to-back: enter at the exit instant
-		{ID: 2, AcquiredAt: ms(25)},
-	}
-	mon := ReplayMonitor(good, alpha)
-	if !mon.Ok() {
-		t.Fatalf("clean records flagged: %v", mon.Violations())
-	}
-	if mon.Entries() != 3 || mon.Exits() != 3 {
-		t.Fatalf("entries/exits = %d/%d, want 3/3", mon.Entries(), mon.Exits())
-	}
-	mon.AssertQuiescent()
-	if !mon.Ok() {
-		t.Fatalf("quiescence check failed: %v", mon.Violations())
-	}
-
-	overlap := []Record{
-		{ID: 0, AcquiredAt: ms(0)},
-		{ID: 1, AcquiredAt: ms(5)}, // enters while 0 still holds
-	}
-	if mon := ReplayMonitor(overlap, alpha); mon.Ok() {
-		t.Fatal("overlapping critical sections not flagged")
-	}
-}

@@ -12,6 +12,20 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> one assembly site: only internal/run wires a simulation stack"
+# internal/run is the one place a simulator, network, monitor, workload
+# runner and deployment are put together (DESIGN.md "Run kernel"); the
+# harness, the scenario engine and the commands produce Specs. algotest,
+# examples/ and bench/ wire their own stacks on purpose: they test or
+# show the layers, and bench/ is an independent reference for the kernel.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'simnet\.New\(|workload\.NewRunner\(|check\.NewMonitor\(|recovery\.Build\(' . |
+    grep -vE '^\./(internal/run|internal/algorithms/algotest|examples|bench)/' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "ci: simulation stack assembled outside internal/run (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -35,14 +49,6 @@ go test -race ./internal/recovery/ ./internal/faults/
 echo "==> parallel harness equivalence under -race (incl. single-cell + recovery shards)"
 go test -race -run 'TestParallel|TestMap' ./internal/harness/ ./internal/fleet/
 
-echo "==> LP-equivalence under -race: window-barrier scheduler byte-identical for 1 vs N workers"
-# The conservative parallel DES (DESIGN.md §12): one logical process per
-# cluster, lookahead windows from the topology's minimum inter-cluster
-# one-way delay. The harness and scenario identity tests assert traces,
-# records, counters and verdicts match byte for byte across LP worker
-# counts, with the race detector certifying the window fan-out.
-go test -race -run 'TestLP' -count=1 ./internal/harness/ ./internal/scenario/ ./internal/des/ ./internal/simnet/
-
 echo "==> allocation regression: steady-state send/deliver must stay <= 1 alloc/message"
 go test -run 'Allocs' ./internal/des/ ./internal/simnet/
 
@@ -59,18 +65,6 @@ trap 'rm -f "$bench_tmp"' EXIT
 go run ./cmd/gridbench -experiment fig4a -scale quick -parallel 4 -json "$bench_tmp" -q >/dev/null
 go run ./cmd/benchcmp -baseline BENCH_5.json -fresh "$bench_tmp"
 
-echo "==> benchmark guard: window scheduler fig4a vs committed BENCH_8.json"
-# BENCH_8.json is the committed window-scheduler record (-lps 4). The
-# same figures must reproduce from a fresh -lps 4 run AND from a serial
-# -lps 1 run — the records are byte-identical for every LP worker count,
-# which is the scheduler's whole determinism contract.
-bench8_tmp="$(mktemp -t bench8.XXXXXX.json)"
-trap 'rm -f "$bench_tmp" "$bench8_tmp"' EXIT
-go run ./cmd/gridbench -experiment fig4a -scale quick -lps 4 -json "$bench8_tmp" -q >/dev/null
-go run ./cmd/benchcmp -baseline BENCH_8.json -fresh "$bench8_tmp"
-go run ./cmd/gridbench -experiment fig4a -scale quick -lps 1 -json "$bench8_tmp" -q >/dev/null
-go run ./cmd/benchcmp -baseline BENCH_8.json -fresh "$bench8_tmp"
-
 echo "==> memory guard: grid-scale sweep vs committed BENCH_10.json"
 # BENCH_10.json is the committed grid-scale record (DESIGN.md §14): a
 # k-level hierarchy swept over N = 100 .. 100,000 processes. benchcmp
@@ -80,7 +74,7 @@ echo "==> memory guard: grid-scale sweep vs committed BENCH_10.json"
 # so a reintroduced O(N) or O(C^2) term in the simulator's per-process
 # state fails CI long before it would fail a real deployment.
 bench10_tmp="$(mktemp -t bench10.XXXXXX.json)"
-trap 'rm -f "$bench_tmp" "$bench8_tmp" "$bench10_tmp"' EXIT
+trap 'rm -f "$bench_tmp" "$bench10_tmp"' EXIT
 go run ./cmd/gridbench -experiment gridscale -scale paper -json "$bench10_tmp" -q >/dev/null
 go run ./cmd/benchcmp -baseline BENCH_10.json -fresh "$bench10_tmp"
 
