@@ -16,9 +16,9 @@
 // deliveries are scheduled as typed des events rather than per-message
 // closures (see DESIGN.md §10). Above Options.Tables' auto threshold the
 // node×node tables switch to a byte-identical cluster-factored
-// representation — O(C²) latency matrix, O(N) membership index, sparse
-// FIFO watermarks — so grid-scale topologies (10⁵+ nodes) fit in memory
-// (DESIGN.md §14).
+// representation — O(C²) latency matrix, O(N) membership index, FIFO
+// watermarks only for messages still in flight — so grid-scale topologies
+// (10⁵+ nodes) fit in memory (DESIGN.md §14).
 package simnet
 
 import (
@@ -86,11 +86,19 @@ type Network struct {
 	// lastAt is the flat FIFO watermark of dense-table networks,
 	// lastAt[from*len(handlers)+to]: the latest delivery instant scheduled
 	// on the ordered link, or -1 when the link has carried nothing yet.
-	// Factored networks replace the procs² table with lastTo — one map per
-	// sender, materializing entries only for links that have actually
-	// carried a message.
+	// Factored networks replace the procs² table with lastTo — per sender,
+	// the watermarks of the links that still have a message in flight.
+	//
+	// Dropping a watermark once it lies in the past is exact: send bumps a
+	// new instant at' only when at' <= last, and at' >= Now(), so an entry
+	// with last < Now() can never fire again. An entry with last == Now()
+	// can (a zero-latency link sends and lands in the same instant) and is
+	// kept. send scans the sender's list linearly and prunes it in the same
+	// pass, so a send costs O(the sender's in-flight links) and a k-way
+	// broadcast O(k²); memory is O(messages in flight), not O(links ever
+	// used).
 	lastAt []des.Time
-	lastTo []map[mutex.ID]des.Time
+	lastTo [][]flight
 
 	// Routing tables precomputed from the gridModel once, so the
 	// per-message latency and intra/inter classification are indexed
@@ -131,6 +139,14 @@ type Network struct {
 	// per delivery. side[node] is 1 on the cut-off side, 0 on the rest.
 	side    []uint8
 	anyPart bool
+}
+
+// flight is one in-flight FIFO watermark of a factored network: the latest
+// delivery instant scheduled on the ordered link from the owning sender to
+// process to.
+type flight struct {
+	to mutex.ID
+	at des.Time
 }
 
 // gridModel is the slice of topology.Grid the network needs; an interface
@@ -261,7 +277,7 @@ func (n *Network) buildTables() {
 
 // growProcs widens the per-process tables to hold at least size IDs,
 // re-striding the FIFO watermark array (dense mode) or extending the
-// per-sender watermark maps (factored mode). Registration happens during
+// per-sender in-flight lists (factored mode). Registration happens during
 // deployment wiring, so the rebuild never runs on the message hot path.
 func (n *Network) growProcs(size int) {
 	old := len(n.handlers)
@@ -274,13 +290,9 @@ func (n *Network) growProcs(size int) {
 		n.nodeOf = append(n.nodeOf, -1)
 	}
 	if n.factored {
-		// Sparse watermarks: one map per sender, entries appear only for
-		// links that carry traffic. Allocating the (empty) maps here keeps
-		// the send path free of nil checks and lazy construction.
-		n.lastTo = append(n.lastTo, make([]map[mutex.ID]des.Time, size-old)...)
-		for i := old; i < size; i++ {
-			n.lastTo[i] = make(map[mutex.ID]des.Time)
-		}
+		// Nil lists: a sender's list grows on its first sends, to the
+		// number of links it keeps in flight at once.
+		n.lastTo = append(n.lastTo, make([][]flight, size-old)...)
 		return
 	}
 	last := make([]des.Time, size*size)
@@ -488,16 +500,34 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	if n.jittery {
 		delay = time.Duration(float64(delay) * (1 + n.opts.Jitter*n.rng.Float64()))
 	}
-	at := n.sim.Now() + delay
+	now := n.sim.Now()
+	at := now + delay
 	// FIFO per ordered pair: never deliver before an earlier message on
 	// the same link. Dense watermarks are -1 on untouched links, below
-	// any schedulable instant; sparse watermarks simply have no entry —
-	// both paths bump identically on links that have carried a message.
+	// any schedulable instant; factored networks keep an entry only while
+	// it can still bump (see lastTo) — both paths bump identically.
 	if n.factored {
-		if last, ok := n.lastTo[from][to]; ok && at <= last {
-			at = last + time.Nanosecond
+		fl, w, hit := n.lastTo[from], 0, false
+		for _, f := range fl {
+			switch {
+			case f.to == to:
+				if at <= f.at {
+					at = f.at + time.Nanosecond
+				}
+				f.at, hit = at, true
+			case f.at < now:
+				continue // landed: can never bump again
+			}
+			fl[w] = f
+			w++
 		}
-		n.lastTo[from][to] = at
+		fl = fl[:w]
+		if !hit {
+			// Grows to the sender's in-flight high-water mark, then reuses
+			// the backing array: steady-state sends allocate nothing.
+			fl = append(fl, flight{to, at})
+		}
+		n.lastTo[from] = fl
 	} else {
 		link := int(from)*procs + int(to)
 		if last := n.lastAt[link]; at <= last {

@@ -141,11 +141,18 @@ type Runner struct {
 	params  Params
 	rng     *rand.Rand
 	monitor *check.Monitor
-	procs   map[mutex.ID]*appProc
+	procs   []*appProc // indexed by mutex.ID; nil for non-application ids
 	order   []mutex.ID
 	records []Record
 	bound   bool
 	started bool
+	// Run progress, kept current by setWaiting and setRemaining — the only
+	// writers of appProc.waiting and appProc.remaining — so the liveness
+	// watchdog (one tick per interval) and the recovery drive (one Done per
+	// event) read a field instead of walking every process.
+	waiting     int // processes with an ungranted request
+	unfinished  int // processes with remaining > 0
+	outstanding int // sum of remaining
 }
 
 type appProc struct {
@@ -173,7 +180,6 @@ func NewRunner(sim *des.Simulator, params Params, monitor *check.Monitor) (*Runn
 		params:  params,
 		rng:     rng.New(params.Seed),
 		monitor: monitor,
-		procs:   make(map[mutex.ID]*appProc),
 	}, nil
 }
 
@@ -193,12 +199,50 @@ func (r *Runner) Bind(apps []core.App) {
 		if a.Instance == nil {
 			panic(fmt.Sprintf("workload: app %d has no instance", a.ID))
 		}
-		p := &appProc{app: a, remaining: r.params.CSPerProcess}
+		p := &appProc{app: a}
 		p.request = func() { r.request(p) }
 		p.exitCS = func() { r.exitCS(p) }
+		r.setRemaining(p, r.params.CSPerProcess)
+		if n := int(a.ID) + 1; n > len(r.procs) {
+			r.procs = append(r.procs, make([]*appProc, n-len(r.procs))...)
+		}
 		r.procs[a.ID] = p
 		r.order = append(r.order, a.ID)
 	}
+}
+
+// proc returns the application process with the given id, or nil when the
+// id belongs to no application (a coordinator, a standby, out of range).
+func (r *Runner) proc(id mutex.ID) *appProc {
+	if id < 0 || int(id) >= len(r.procs) {
+		return nil
+	}
+	return r.procs[id]
+}
+
+// setWaiting and setRemaining are the only writers of the two appProc
+// fields the progress counters summarise.
+func (r *Runner) setWaiting(p *appProc, w bool) {
+	if p.waiting != w {
+		if w {
+			r.waiting++
+		} else {
+			r.waiting--
+		}
+		p.waiting = w
+	}
+}
+
+func (r *Runner) setRemaining(p *appProc, n int) {
+	if (p.remaining > 0) != (n > 0) {
+		if n > 0 {
+			r.unfinished++
+		} else {
+			r.unfinished--
+		}
+	}
+	r.outstanding += n - p.remaining
+	p.remaining = n
 }
 
 // Start schedules every process's first request after an initial idle
@@ -270,16 +314,18 @@ func clampDur(v float64) time.Duration {
 // no-ops. Unknown ids (coordinators, standbys, fresh hierarchy processes)
 // are ignored so fault injection can target any node. Call Monitor.Crashed
 // separately — the runner does not know whether the process was inside its
-// critical section from the monitor's point of view.
+// critical section from the monitor's point of view. Crashing a crashed
+// process is a no-op, as in simnet.Crash: the critical sections the first
+// crash set aside stay set aside for Revive.
 func (r *Runner) Crash(id mutex.ID) {
-	p, ok := r.procs[id]
-	if !ok {
+	p := r.proc(id)
+	if p == nil || p.dead {
 		return
 	}
 	p.dead = true
 	p.lostCS = p.remaining
-	p.remaining = 0
-	p.waiting = false
+	r.setRemaining(p, 0)
+	r.setWaiting(p, false)
 }
 
 // Revive resumes a crashed process after its node restarted and its group
@@ -289,12 +335,12 @@ func (r *Runner) Crash(id mutex.ID) {
 // a clean request. Unknown or never-crashed ids are ignored, mirroring
 // Crash.
 func (r *Runner) Revive(id mutex.ID) {
-	p, ok := r.procs[id]
-	if !ok || !p.dead {
+	p := r.proc(id)
+	if p == nil || !p.dead {
 		return
 	}
 	p.dead = false
-	p.remaining = p.lostCS
+	r.setRemaining(p, p.lostCS)
 	p.lostCS = 0
 	if p.remaining > 0 {
 		r.sim.After(r.idle(p.app.Cluster), p.request)
@@ -306,19 +352,19 @@ func (r *Runner) request(p *appProc) {
 		return
 	}
 	p.reqAt = r.sim.Now()
-	p.waiting = true
+	r.setWaiting(p, true)
 	p.app.Instance.Request()
 }
 
 func (r *Runner) onAcquire(id mutex.ID) {
-	p, ok := r.procs[id]
-	if !ok {
+	p := r.proc(id)
+	if p == nil {
 		panic(fmt.Sprintf("workload: acquire for unknown process %d", id))
 	}
 	if p.dead {
 		return // a grant racing a crash: the dead process ignores it
 	}
-	p.waiting = false
+	r.setWaiting(p, false)
 	if r.monitor != nil {
 		r.monitor.Enter(id)
 	}
@@ -339,7 +385,7 @@ func (r *Runner) exitCS(p *appProc) {
 		r.monitor.Exit(p.app.ID)
 	}
 	p.app.Instance.Release()
-	p.remaining--
+	r.setRemaining(p, p.remaining-1)
 	if p.remaining > 0 {
 		r.sim.After(r.idle(p.app.Cluster), p.request)
 	}
@@ -349,39 +395,18 @@ func (r *Runner) exitCS(p *appProc) {
 func (r *Runner) Records() []Record { return r.records }
 
 // Done reports whether every process has finished its critical sections.
-func (r *Runner) Done() bool {
-	for _, p := range r.procs {
-		if p.remaining > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (r *Runner) Done() bool { return r.unfinished == 0 }
 
 // Outstanding returns how many critical sections remain across all
 // processes.
-func (r *Runner) Outstanding() int {
-	n := 0
-	for _, p := range r.procs {
-		n += p.remaining
-	}
-	return n
-}
+func (r *Runner) Outstanding() int { return r.outstanding }
 
 // Waiting returns how many processes have an outstanding request that has
 // not been granted yet — the quantity a liveness watchdog should monitor
 // (idle processes between critical sections do not count).
-func (r *Runner) Waiting() int {
-	n := 0
-	for _, p := range r.procs {
-		if p.waiting {
-			n++
-		}
-	}
-	return n
-}
+func (r *Runner) Waiting() int { return r.waiting }
 
 // ExpectedTotal returns the number of grants a complete run produces.
 func (r *Runner) ExpectedTotal() int {
-	return len(r.procs) * r.params.CSPerProcess
+	return len(r.order) * r.params.CSPerProcess
 }

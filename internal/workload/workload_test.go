@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -8,6 +9,8 @@ import (
 	"gridmutex/internal/check"
 	"gridmutex/internal/core"
 	"gridmutex/internal/des"
+	"gridmutex/internal/mutex"
+	"gridmutex/internal/rng"
 	"gridmutex/internal/simnet"
 	"gridmutex/internal/topology"
 )
@@ -281,46 +284,278 @@ func TestPhaseValidation(t *testing.T) {
 	}
 }
 
-func TestOutstandingAndWaiting(t *testing.T) {
+// recount is the oracle for the runner's progress counters: the loops
+// Waiting, Outstanding and Done used to be, kept here only to check the
+// counters against.
+func recount(r *Runner) (waiting, outstanding int, done bool) {
+	done = true
+	for _, p := range r.procs {
+		if p == nil {
+			continue
+		}
+		if p.waiting {
+			waiting++
+		}
+		outstanding += p.remaining
+		if p.remaining > 0 {
+			done = false
+		}
+	}
+	return
+}
+
+// checkCounters fails unless the runner's counters equal a recount over
+// its processes.
+func checkCounters(t *testing.T, r *Runner, when string) {
+	t.Helper()
+	w, o, d := recount(r)
+	if r.Waiting() != w || r.Outstanding() != o || r.Done() != d {
+		t.Fatalf("%s: waiting=%d outstanding=%d done=%v, recount says %d %d %v",
+			when, r.Waiting(), r.Outstanding(), r.Done(), w, o, d)
+	}
+}
+
+// stubLock is a lock the test grants by hand: Request queues, grant hands
+// the lock to the head of the queue through the runner's OnAcquire, and
+// crashes are the test's to stage. It lets a grant arrive for a process
+// that died waiting and a CS timer fire for one that died inside.
+type stubLock struct {
+	queue  []mutex.ID
+	holder mutex.ID
+}
+
+type stubInst struct {
+	lock *stubLock
+	id   mutex.ID
+}
+
+func (s stubInst) Request()                        { s.lock.queue = append(s.lock.queue, s.id) }
+func (s stubInst) Release()                        { s.lock.holder = mutex.None }
+func (s stubInst) Deliver(mutex.ID, mutex.Message) {}
+func (s stubInst) HasPending() bool                { return false }
+func (s stubInst) HoldsToken() bool                { return s.lock.holder == s.id }
+func (s stubInst) State() mutex.State              { return mutex.NoReq }
+
+// grant offers the free lock to the longest-waiting requester; a dead
+// requester ignores it (no record) and the lock stays free.
+func (l *stubLock) grant(r *Runner) {
+	if l.holder != mutex.None || len(l.queue) == 0 {
+		return
+	}
+	id := l.queue[0]
+	l.queue = l.queue[1:]
+	before := len(r.Records())
+	r.Callbacks(id).OnAcquire()
+	if len(r.Records()) > before {
+		l.holder = id
+	}
+}
+
+// crash kills id in the runner and frees the lock if it died holding it.
+func (l *stubLock) crash(r *Runner, id mutex.ID) {
+	r.Crash(id)
+	if l.holder == id {
+		l.holder = mutex.None
+	}
+}
+
+// stubRunner binds a runner with constant 2 ms idle and CS times to stub
+// applications 0, 1 and 3: id 2 is a hole inside the process table, ids
+// above 3 lie beyond it.
+func stubRunner(t *testing.T, cs int) (*des.Simulator, *Runner, *stubLock) {
+	t.Helper()
 	sim := des.New()
-	grid := topology.Single(3, time.Millisecond)
-	net := simnet.New(sim, grid, simnet.Options{})
-	runner, err := NewRunner(sim, Params{
-		Alpha: 2 * time.Millisecond, Rho: 2, CSPerProcess: 4, Seed: 8,
+	r, err := NewRunner(sim, Params{
+		Alpha: 2 * time.Millisecond, Rho: 1, Dist: Constant, CSPerProcess: cs, Seed: 5,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.BuildFlat(net, grid, "central", runner.Callbacks)
-	if err != nil {
-		t.Fatal(err)
+	lock := &stubLock{holder: mutex.None}
+	var apps []core.App
+	for _, id := range []mutex.ID{0, 1, 3} {
+		apps = append(apps, core.App{ID: id, Instance: stubInst{lock, id}})
 	}
-	runner.Bind(d.Apps)
-	if got := runner.Outstanding(); got != 12 {
-		t.Fatalf("Outstanding before start = %d, want 12", got)
-	}
-	if runner.Waiting() != 0 {
-		t.Fatal("Waiting before start should be 0")
-	}
-	if runner.Done() {
-		t.Fatal("Done before start")
-	}
-	runner.Start()
-	sim.RunFor(20 * time.Millisecond)
-	// Mid-run: releases have happened (20ms covers several 2ms critical
-	// sections at rho = 2), so the remaining-CS count must have shrunk.
-	if got := runner.Outstanding(); got >= 12 || got == 0 {
-		t.Fatalf("Outstanding mid-run = %d, want in (0, 12)", got)
-	}
-	if w := runner.Waiting(); w < 0 || w > 3 {
-		t.Fatalf("Waiting = %d out of range", w)
-	}
-	sim.Run()
-	if !runner.Done() || runner.Outstanding() != 0 || runner.Waiting() != 0 {
-		t.Fatalf("final state: done=%v outstanding=%d waiting=%d",
-			runner.Done(), runner.Outstanding(), runner.Waiting())
+	r.Bind(apps)
+	return sim, r, lock
+}
+
+func TestOutstandingAndWaiting(t *testing.T) {
+	t.Run("full run", func(t *testing.T) {
+		sim := des.New()
+		grid := topology.Single(3, time.Millisecond)
+		net := simnet.New(sim, grid, simnet.Options{})
+		runner, err := NewRunner(sim, Params{
+			Alpha: 2 * time.Millisecond, Rho: 2, CSPerProcess: 4, Seed: 8,
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := core.BuildFlat(net, grid, "central", runner.Callbacks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner.Bind(d.Apps)
+		if got := runner.Outstanding(); got != 12 {
+			t.Fatalf("Outstanding before start = %d, want 12", got)
+		}
+		if runner.Waiting() != 0 {
+			t.Fatal("Waiting before start should be 0")
+		}
+		if runner.Done() {
+			t.Fatal("Done before start")
+		}
+		runner.Start()
+		for sim.Now() < 20*time.Millisecond && sim.Step() {
+			checkCounters(t, runner, "mid-run")
+		}
+		// Mid-run: releases have happened (20ms covers several 2ms critical
+		// sections at rho = 2), so the remaining-CS count must have shrunk.
+		if got := runner.Outstanding(); got >= 12 || got == 0 {
+			t.Fatalf("Outstanding mid-run = %d, want in (0, 12)", got)
+		}
+		if w := runner.Waiting(); w < 0 || w > 3 {
+			t.Fatalf("Waiting = %d out of range", w)
+		}
+		for sim.Step() {
+			checkCounters(t, runner, "late run")
+		}
+		if !runner.Done() || runner.Outstanding() != 0 || runner.Waiting() != 0 {
+			t.Fatalf("final state: done=%v outstanding=%d waiting=%d",
+				runner.Done(), runner.Outstanding(), runner.Waiting())
+		}
+	})
+
+	// Every way a crash can meet the request cycle, in one scripted run.
+	t.Run("crash and revive", func(t *testing.T) {
+		sim, r, lock := stubRunner(t, 2)
+		expect := func(when string, waiting, outstanding int, done bool) {
+			t.Helper()
+			checkCounters(t, r, when)
+			if r.Waiting() != waiting || r.Outstanding() != outstanding || r.Done() != done {
+				t.Fatalf("%s: waiting=%d outstanding=%d done=%v, want %d %d %v",
+					when, r.Waiting(), r.Outstanding(), r.Done(), waiting, outstanding, done)
+			}
+		}
+		expect("bound", 0, 6, false)
+		r.Start()
+		lock.crash(r, 0)
+		expect("crash while idle", 0, 4, false)
+		sim.RunFor(3 * time.Millisecond) // 1 and 3 request; dead 0's timer is a no-op
+		expect("two requests", 2, 4, false)
+		lock.crash(r, 1)
+		expect("crash while waiting", 1, 2, false)
+		lock.grant(r)
+		expect("late grant to a dead process", 1, 2, false)
+		if len(r.Records()) != 0 || lock.holder != mutex.None {
+			t.Fatalf("dead process took the grant: %d records, holder %d", len(r.Records()), lock.holder)
+		}
+		lock.grant(r)
+		expect("grant", 0, 2, false)
+		lock.crash(r, 3)
+		expect("crash inside the CS", 0, 0, true)
+		sim.RunFor(3 * time.Millisecond) // 3's exitCS timer fires on a dead process
+		expect("late exitCS", 0, 0, true)
+		lock.crash(r, 3)
+		expect("double crash", 0, 0, true)
+		r.Revive(3)
+		// The regression: the second crash used to overwrite the forfeited
+		// count with zero, and the revived process never ran again.
+		expect("revive after double crash", 0, 2, false)
+		for _, id := range []mutex.ID{-1, 2, 4, 99} {
+			lock.crash(r, id)
+			r.Revive(id)
+		}
+		expect("crash and revive of non-application ids", 0, 2, false)
+		r.Revive(0)
+		r.Revive(1)
+		r.Revive(1) // alive: ignored
+		expect("all revived", 0, 6, false)
+		for sim.Step() {
+			lock.grant(r)
+			checkCounters(t, r, "drain")
+		}
+		expect("drained", 0, 0, true)
+		lock.crash(r, 0)
+		r.Revive(0)
+		expect("revive with nothing left", 0, 0, true)
+		if sim.Pending() != 0 {
+			t.Fatalf("revive with nothing left scheduled %d events", sim.Pending())
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("acquire for a non-application id did not panic")
+			}
+		}()
+		r.Callbacks(2).OnAcquire()
+	})
+
+	// A seeded walk over the same moves, checked against the recount after
+	// every one.
+	t.Run("seeded walk", func(t *testing.T) {
+		sim, r, lock := stubRunner(t, 5)
+		r.Start()
+		rnd := rng.New(21)
+		for i := 0; i < 4000; i++ {
+			id := mutex.ID(rnd.Intn(6)) // 2, 4 and 5 are not applications
+			switch k := rnd.Intn(10); {
+			case k < 5:
+				sim.Step()
+			case k < 8:
+				lock.grant(r)
+			case k < 9:
+				lock.crash(r, id)
+			default:
+				// A crash leaves the victim's timers queued; let them fire
+				// on the dead process before it comes back.
+				for until := sim.Now() + 3*time.Millisecond; sim.Now() < until && sim.Step(); {
+					checkCounters(t, r, "flush before revive")
+				}
+				r.Revive(id)
+			}
+			checkCounters(t, r, "walk")
+		}
+		for _, id := range []mutex.ID{0, 1, 3} {
+			r.Revive(id)
+		}
+		for sim.Step() {
+			lock.grant(r)
+			checkCounters(t, r, "drain")
+		}
+		if !r.Done() || r.Outstanding() != 0 || r.Waiting() != 0 {
+			t.Fatalf("final state: done=%v outstanding=%d waiting=%d", r.Done(), r.Outstanding(), r.Waiting())
+		}
+	})
+}
+
+// BenchmarkWatchdogTick pins what the liveness watchdog and the recovery
+// drive's per-event Done cost: field reads, the same at any size.
+func BenchmarkWatchdogTick(b *testing.B) {
+	for _, n := range []int{100, 100_000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			r, err := NewRunner(des.New(), Params{Alpha: time.Millisecond, Rho: 1, CSPerProcess: 3}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lock := &stubLock{holder: mutex.None}
+			apps := make([]core.App, n)
+			for i := range apps {
+				apps[i] = core.App{ID: mutex.ID(i), Instance: stubInst{lock, mutex.ID(i)}}
+			}
+			r.Bind(apps)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tickWaiting += r.Waiting()
+				tickDone = r.Done()
+			}
+		})
 	}
 }
+
+var (
+	tickWaiting int
+	tickDone    bool
+)
 
 // TestIdleClampsOverflow: a β (or a draw above it) past 2^63 ns must
 // saturate, not wrap into a negative duration scheduled in the past.
