@@ -220,25 +220,6 @@ func BenchmarkLiveLockUnlock(b *testing.B) {
 	}
 }
 
-// BenchmarkUDPLockUnlock measures the UDP runtime: one uncontended
-// Lock/Unlock over loopback sockets.
-func BenchmarkUDPLockUnlock(b *testing.B) {
-	g, err := New(Config{Clusters: 2, AppsPerCluster: 2, Transport: UDP})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer g.Close()
-	m := g.Mutex(0)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Lock(ctx); err != nil {
-			b.Fatal(err)
-		}
-		m.Unlock()
-	}
-}
-
 // BenchmarkTopologyOneWay measures the latency lookup on the hot path of
 // every simulated message.
 func BenchmarkTopologyOneWay(b *testing.B) {

@@ -48,25 +48,24 @@ type Deployment struct {
 	// arena backs the Process values contiguously: one slab allocation
 	// sized up front instead of N separate heap objects (structure-of-
 	// arrays bookkeeping, DESIGN.md §14). Pointers into the arena are
-	// stable because the slab never grows past its initial capacity;
-	// newProcess falls back to individual allocation if a builder
-	// under-estimated.
+	// stable because the slab never grows past its initial capacity: the
+	// builders reserve the exact process count, and running out is a
+	// wiring bug newProcess panics on.
 	arena []Process
 }
 
 // reserve sizes the arena for n processes; must run before newProcess.
 func (d *Deployment) reserve(n int) { d.arena = make([]Process, 0, n) }
 
-// newProcess carves a process out of the arena (or heap-allocates one if
-// the arena is exhausted) and records it in the dense Procs table.
+// newProcess carves a process out of the arena and records it in the dense
+// Procs table. An exhausted arena panics: the builder reserved fewer
+// processes than it creates, a wiring bug like registering an ID twice.
 func (d *Deployment) newProcess(id mutex.ID, raw mutex.Env) *Process {
-	var p *Process
-	if len(d.arena) < cap(d.arena) {
-		d.arena = d.arena[:len(d.arena)+1]
-		p = &d.arena[len(d.arena)-1]
-	} else {
-		p = new(Process)
+	if len(d.arena) == cap(d.arena) {
+		panic(fmt.Sprintf("core: process %d exceeds the %d reserved: the builder under-counted its processes", id, cap(d.arena)))
 	}
+	d.arena = d.arena[:len(d.arena)+1]
+	p := &d.arena[len(d.arena)-1]
 	p.init(id, raw)
 	for int(id) >= len(d.Procs) {
 		d.Procs = append(d.Procs, nil)

@@ -10,19 +10,20 @@
 // process handler.
 //
 // The send→deliver path is the innermost loop of every experiment, so the
-// package keeps it allocation-free and map-free on small grids: routing
-// state lives in dense slices indexed by process ID, per-pair latencies and
-// cluster co-membership are precomputed into flat node×node tables, and
-// deliveries are scheduled as typed des events rather than per-message
-// closures (see DESIGN.md §10). Above Options.Tables' auto threshold the
-// node×node tables switch to a byte-identical cluster-factored
-// representation — O(C²) latency matrix, O(N) membership index, FIFO
-// watermarks only for messages still in flight — so grid-scale topologies
-// (10⁵+ nodes) fit in memory (DESIGN.md §14).
+// package keeps it allocation-free and map-free: routing state lives in
+// dense slices indexed by process ID and deliveries are scheduled as typed
+// des events rather than per-message closures (DESIGN.md §10). Latency has
+// one path at every grid size: the paper gives it as a cluster-to-cluster
+// RTT matrix, so send looks up both processes' clusters in an O(N) index
+// and asks the grid for RTT(ca, cb)/2. Only the FIFO watermark has two
+// stores, each kept because a benchmark workload measurably needs it — a
+// process×process table on small grids, per-sender in-flight lists above
+// fifoTableLimit (see Network.lastAt and DESIGN.md §14).
 package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"time"
 
@@ -62,12 +63,6 @@ type Options struct {
 	// hash per message — is the single most expensive accounting step;
 	// the default hot path touches no maps at all.
 	KindCounts bool
-	// Tables selects the routing-table representation; the default
-	// TablesAuto picks dense node×node tables for small grids and the
-	// factored O(C²+N) representation above DenseNodeLimit nodes. Both
-	// produce byte-identical simulations (see DESIGN.md §14); the switch
-	// trades per-send indexed loads against quadratic memory.
-	Tables TableMode
 }
 
 // Network simulates the grid's message fabric over one simulator.
@@ -82,48 +77,32 @@ type Network struct {
 	// coordinator processes with IDs beyond the topology's node count.
 	handlers []Handler // nil entry = unregistered
 	nodeOf   []int32   // logical process -> physical node; -1 = unregistered
+	clOf     []int32   // logical process -> its node's cluster; -1 = unregistered
 	sinks    []*sink   // per-process delivery interposers (typed des events)
-	// lastAt is the flat FIFO watermark of dense-table networks,
-	// lastAt[from*len(handlers)+to]: the latest delivery instant scheduled
-	// on the ordered link, or -1 when the link has carried nothing yet.
-	// Factored networks replace the procs² table with lastTo — per sender,
-	// the watermarks of the links that still have a message in flight.
+	// FIFO watermarks: the latest delivery instant scheduled on each
+	// ordered link, in one of two stores chosen once in New (listFIFO).
 	//
-	// Dropping a watermark once it lies in the past is exact: send bumps a
-	// new instant at' only when at' <= last, and at' >= Now(), so an entry
-	// with last < Now() can never fire again. An entry with last == Now()
-	// can (a zero-latency link sends and lands in the same instant) and is
-	// kept. send scans the sender's list linearly and prunes it in the same
-	// pass, so a send costs O(the sender's in-flight links) and a k-way
-	// broadcast O(k²); memory is O(messages in flight), not O(links ever
-	// used).
-	lastAt []des.Time
-	lastTo [][]flight
+	// lastAt, on grids of at most fifoTableLimit nodes, is the flat table
+	// lastAt[from*len(handlers)+to], -1 while the link has carried nothing:
+	// one load and one store per send however many links the sender has in
+	// flight. It is what keeps heartbeat fan-out (recovery-6x8) and flat
+	// Suzuki-Kasami's N-way broadcasts (fig4a-paper, scale) O(1) per send.
+	//
+	// lastTo, above the limit, holds per sender only the watermarks of links
+	// with a message still in flight, so memory is O(messages in flight)
+	// where the table would be O(processes²) — the store gridscale-1e5 can
+	// afford. Dropping a watermark once it lies in the past is exact: send
+	// bumps a new instant at' only when at' <= last, and at' >= Now(), so an
+	// entry with last < Now() can never fire again. An entry with
+	// last == Now() can (a zero-latency link sends and lands in the same
+	// instant) and is kept. send scans the sender's list linearly and prunes
+	// it in the same pass, so a send costs O(the sender's in-flight links)
+	// and a k-way broadcast O(k²).
+	listFIFO bool
+	lastAt   []des.Time
+	lastTo   [][]flight
 
-	// Routing tables precomputed from the gridModel once, so the
-	// per-message latency and intra/inter classification are indexed
-	// loads instead of interface calls into nested slices. Dense networks
-	// fill the flat node×node tables oneWay/sameCl; factored networks
-	// (factored == true) fill the O(N) node→cluster index clOf and the
-	// O(C²) cluster pair matrix clOneWay instead, and classify
-	// same-cluster by index equality. Both paths compute identical delays
-	// — RTT(cluster(from), cluster(to))/2 — so the representations are
-	// observably interchangeable.
-	nodes    int
-	oneWay   []des.Time
-	sameCl   []bool
-	factored bool
-	clOf     []int32
-	clOneWay []des.Time
-	clC      int
-	// clModel, when non-nil, replaces the clOneWay matrix: the factored
-	// network computes RTT(ca,cb)/2 per send straight from the cluster
-	// model. It is set when even the O(C²) matrix would dominate memory
-	// (clusterPairLimit); topology models answer RTT in O(1) (explicit
-	// matrices) or O(levels) (trees), so the per-send cost stays flat.
-	// The arithmetic is the same division either way, so all three
-	// representations schedule identical instants.
-	clModel clusterModel
+	nodes   int
 	jittery bool // opts.Jitter > 0
 	lossy   bool // opts.Loss > 0
 
@@ -141,7 +120,7 @@ type Network struct {
 	anyPart bool
 }
 
-// flight is one in-flight FIFO watermark of a factored network: the latest
+// flight is one in-flight FIFO watermark of a list-FIFO network: the latest
 // delivery instant scheduled on the ordered link from the owning sender to
 // process to.
 type flight struct {
@@ -149,55 +128,22 @@ type flight struct {
 	at des.Time
 }
 
-// gridModel is the slice of topology.Grid the network needs; an interface
-// keeps simnet testable with synthetic latency functions.
+// gridModel is the slice of topology.Grid the network needs — the paper's
+// latency model, a cluster-to-cluster RTT matrix plus cluster membership;
+// an interface keeps simnet testable with synthetic latency functions.
 type gridModel interface {
 	NumNodes() int
-	OneWay(from, to int) time.Duration
-	SameCluster(a, b int) bool
-}
-
-// clusterModel is the richer slice a grid must expose for the factored
-// tables: cluster membership and cluster-pair round trips, from which the
-// network derives every per-node quantity. topology.Grid implements it.
-type clusterModel interface {
-	NumClusters() int
 	ClusterOf(n int) int
 	RTT(a, b int) time.Duration
 }
 
-// TableMode selects the routing-table representation.
-type TableMode uint8
-
-const (
-	// TablesAuto (the default) uses dense tables up to DenseNodeLimit
-	// nodes and the factored representation beyond — provided the grid
-	// implements the cluster interfaces; synthetic latency models that
-	// don't stay dense at any size.
-	TablesAuto TableMode = iota
-	// TablesDense forces the node×node tables (O(N²) memory).
-	TablesDense
-	// TablesFactored forces the cluster-factored tables (O(C²+N) memory).
-	// Panics if the grid does not expose cluster structure.
-	TablesFactored
-)
-
-// DenseNodeLimit is the TablesAuto crossover: grids at or below this node
-// count precompute dense node×node tables (fastest per send, O(N²)
-// memory — every committed figure runs far below the limit), larger
-// grids use the factored representation. 512 nodes puts the dense tables
-// at a few MB, well under any modern cache-of-consequence while still
-// covering the paper's 189-node deployments with headroom.
-const DenseNodeLimit = 512
-
-// clusterPairLimit bounds the precomputed cluster-pair matrix of factored
-// networks: up to this many C² entries the one-way delays are cached (2 MB
-// at the limit); beyond it the network keeps the cluster model and derives
-// each delay per send. Without this tier the factored tables would turn
-// quadratic again on fine-grained grids — 10⁵ nodes in 10-node clusters is
-// 10⁸ pair entries. A var, not a const, so tests can lower the crossover
-// and compare both representations on small grids.
-var clusterPairLimit = 1 << 18
+// fifoTableLimit is FIFO memory policy and nothing else: grids of at most
+// this many nodes keep the process×process lastAt table (8 bytes per
+// ordered pair, 2 MB at the limit, every committed figure far below it),
+// larger grids the in-flight lastTo lists. Latency and classification do
+// not depend on it. A var only so that tests can lower it and run the same
+// traffic through both stores.
+var fifoTableLimit = 512
 
 // New builds a network over sim using grid latencies.
 func New(sim *des.Simulator, grid gridModel, opts Options) *Network {
@@ -209,76 +155,23 @@ func New(sim *des.Simulator, grid gridModel, opts Options) *Network {
 	}
 	nodes := grid.NumNodes()
 	n := &Network{
-		sim:     sim,
-		grid:    grid,
-		opts:    opts,
-		rng:     rng.New(opts.Seed),
-		nodes:   nodes,
-		jittery: opts.Jitter > 0,
-		lossy:   opts.Loss > 0,
+		sim:      sim,
+		grid:     grid,
+		opts:     opts,
+		rng:      rng.New(opts.Seed),
+		listFIFO: nodes > fifoTableLimit,
+		nodes:    nodes,
+		jittery:  opts.Jitter > 0,
+		lossy:    opts.Loss > 0,
 	}
-	n.buildTables()
 	n.growProcs(nodes)
 	return n
 }
 
-// buildTables precomputes the routing tables in the representation
-// Options.Tables selects.
-func (n *Network) buildTables() {
-	grid, nodes := n.grid, n.nodes
-	cm, clustered := grid.(clusterModel)
-	switch n.opts.Tables {
-	case TablesFactored:
-		if !clustered {
-			panic("simnet: TablesFactored needs a grid exposing cluster structure (NumClusters/ClusterOf/RTT)")
-		}
-		n.factored = true
-	case TablesAuto:
-		n.factored = clustered && nodes > DenseNodeLimit
-	case TablesDense:
-	default:
-		panic(fmt.Sprintf("simnet: unknown table mode %d", n.opts.Tables))
-	}
-	if n.factored {
-		// O(N) node→cluster index plus O(C²) cluster-pair one-way delays.
-		// The entries are the same divisions the dense path performs per
-		// node pair — RTT/2 — so both modes schedule identical instants.
-		// When even the pair matrix would dominate memory, skip it and
-		// keep the model itself: delays derive per send.
-		c := cm.NumClusters()
-		n.clC = c
-		n.clOf = make([]int32, nodes)
-		for i := 0; i < nodes; i++ {
-			n.clOf[i] = int32(cm.ClusterOf(i))
-		}
-		if c > clusterPairLimit/c { // c*c > limit, overflow-safe
-			n.clModel = cm
-			return
-		}
-		n.clOneWay = make([]des.Time, c*c)
-		for a := 0; a < c; a++ {
-			row := a * c
-			for b := 0; b < c; b++ {
-				n.clOneWay[row+b] = cm.RTT(a, b) / 2
-			}
-		}
-		return
-	}
-	n.oneWay = make([]des.Time, nodes*nodes)
-	n.sameCl = make([]bool, nodes*nodes)
-	for f := 0; f < nodes; f++ {
-		row := f * nodes
-		for t := 0; t < nodes; t++ {
-			n.oneWay[row+t] = grid.OneWay(f, t)
-			n.sameCl[row+t] = grid.SameCluster(f, t)
-		}
-	}
-}
-
 // growProcs widens the per-process tables to hold at least size IDs,
-// re-striding the FIFO watermark array (dense mode) or extending the
-// per-sender in-flight lists (factored mode). Registration happens during
-// deployment wiring, so the rebuild never runs on the message hot path.
+// re-striding the FIFO watermark table or extending the per-sender
+// in-flight lists. Registration happens during deployment wiring, so the
+// rebuild never runs on the message hot path.
 func (n *Network) growProcs(size int) {
 	old := len(n.handlers)
 	if size <= old {
@@ -288,8 +181,9 @@ func (n *Network) growProcs(size int) {
 	n.sinks = append(n.sinks, make([]*sink, size-old)...)
 	for i := old; i < size; i++ {
 		n.nodeOf = append(n.nodeOf, -1)
+		n.clOf = append(n.clOf, -1)
 	}
-	if n.factored {
+	if n.listFIFO {
 		// Nil lists: a sender's list grows on its first sends, to the
 		// number of links it keeps in flight at once.
 		n.lastTo = append(n.lastTo, make([][]flight, size-old)...)
@@ -333,6 +227,7 @@ func (n *Network) RegisterAt(id mutex.ID, node int, h Handler) {
 	n.growProcs(int(id) + 1)
 	n.handlers[id] = h
 	n.nodeOf[id] = int32(node)
+	n.clOf[id] = int32(n.grid.ClusterOf(node))
 	n.sinks[id] = &sink{net: n, to: id, toNode: int32(node)}
 }
 
@@ -342,8 +237,13 @@ func (n *Network) Endpoint(id mutex.ID) mutex.Env {
 	return &endpoint{net: n, self: id}
 }
 
-// Counters returns a snapshot of the message accounting so far.
-func (n *Network) Counters() Counters { return n.counters }
+// Counters returns a snapshot of the message accounting so far; ByKind is
+// copied, so later traffic does not change a snapshot already taken.
+func (n *Network) Counters() Counters {
+	c := n.counters
+	c.ByKind = maps.Clone(c.ByKind) // nil stays nil
+	return c
+}
 
 // ResetCounters zeroes the accounting (used to exclude warm-up phases).
 func (n *Network) ResetCounters() { n.counters = Counters{} }
@@ -411,10 +311,14 @@ func (n *Network) ProcessDown(id mutex.ID) bool {
 //
 // Only one cut is active at a time; calling Partition again replaces the
 // previous cut. An empty node set panics — it would be a no-op cut and is
-// always a caller bug.
+// always a caller bug — as does a node outside the topology; a rejected
+// call leaves the previous cut as it was.
 func (n *Network) Partition(nodes []int) {
 	if len(nodes) == 0 {
 		panic("simnet: Partition with empty node set")
+	}
+	for _, node := range nodes {
+		n.checkNode(node) // all of them before the previous cut is touched
 	}
 	if n.side == nil {
 		n.side = make([]uint8, n.nodes)
@@ -423,7 +327,6 @@ func (n *Network) Partition(nodes []int) {
 		n.side[i] = 0
 	}
 	for _, node := range nodes {
-		n.checkNode(node)
 		n.side[node] = 1
 	}
 	n.anyPart = true
@@ -452,7 +355,8 @@ func (n *Network) checkNode(node int) {
 
 // send implements transmission with latency, jitter, FIFO per ordered link
 // and accounting. The steady-state path allocates nothing: every lookup is
-// an indexed load on a dense slice and the delivery is a typed des event.
+// an indexed load on a dense slice or the grid's RTT, and the delivery is a
+// typed des event.
 func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	if m == nil {
 		panic("simnet: nil message")
@@ -461,35 +365,23 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	if to < 0 || int(to) >= procs || n.handlers[to] == nil {
 		panic(fmt.Sprintf("simnet: message %s from %d to unregistered process %d", m.Kind(), from, to))
 	}
-	if from < 0 || int(from) >= procs || n.nodeOf[from] < 0 {
+	if from < 0 || int(from) >= procs || n.clOf[from] < 0 {
 		panic(fmt.Sprintf("simnet: message %s sent by unregistered process %d", m.Kind(), from))
 	}
-	fromNode, toNode := n.nodeOf[from], n.nodeOf[to]
 	// Fail-stop fault model: a dead sender emits nothing (its still-queued
 	// timers may fire, but nothing leaves the node). anyDown is false until
 	// the first Crash, so fault-free runs are byte-identical to builds
 	// without the fault model. There is deliberately no dead-*destination*
 	// check here: whether a message is lost depends on the receiver's
 	// state when it arrives, not when it leaves — sink.Deliver classifies.
-	if n.anyDown && n.down[fromNode] {
+	if n.anyDown && n.down[n.nodeOf[from]] {
 		return
 	}
-	var sameCl bool
-	var delay des.Time
-	if n.factored {
-		ca, cb := n.clOf[fromNode], n.clOf[toNode]
-		sameCl = ca == cb
-		if n.clModel != nil {
-			delay = n.clModel.RTT(int(ca), int(cb)) / 2
-		} else {
-			delay = n.clOneWay[int(ca)*n.clC+int(cb)]
-		}
-	} else {
-		pair := int(fromNode)*n.nodes + int(toNode)
-		sameCl = n.sameCl[pair]
-		delay = n.oneWay[pair]
-	}
-	n.counters.note(m, sameCl, n.opts.KindCounts)
+	// The paper's latency model, evaluated directly: half the round trip
+	// between the two processes' clusters.
+	ca, cb := n.clOf[from], n.clOf[to]
+	delay := n.grid.RTT(int(ca), int(cb)) / 2
+	n.counters.note(m, ca == cb, n.opts.KindCounts)
 	if t := n.opts.Trace; t != nil {
 		t.Record(trace.Send, from, to, m.Kind())
 	}
@@ -503,10 +395,10 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	now := n.sim.Now()
 	at := now + delay
 	// FIFO per ordered pair: never deliver before an earlier message on
-	// the same link. Dense watermarks are -1 on untouched links, below
-	// any schedulable instant; factored networks keep an entry only while
-	// it can still bump (see lastTo) — both paths bump identically.
-	if n.factored {
+	// the same link. Table watermarks are -1 on untouched links, below
+	// any schedulable instant; the lists keep an entry only while it can
+	// still bump (see lastTo) — both stores bump identically.
+	if n.listFIFO {
 		fl, w, hit := n.lastTo[from], 0, false
 		for _, f := range fl {
 			switch {

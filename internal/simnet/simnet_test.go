@@ -109,6 +109,24 @@ func TestCountersByKindOptIn(t *testing.T) {
 	}
 }
 
+// A Counters value is a snapshot: traffic after the call must not show up
+// in it, the ByKind map included.
+func TestCountersSnapshot(t *testing.T) {
+	sim, n, _, _ := twoClusterNet(t, Options{KindCounts: true})
+	ep0 := n.Endpoint(0)
+	ep0.Send(2, ping{"a", 10})
+	snap := n.Counters()
+	ep0.Send(2, ping{"a", 10})
+	ep0.Send(2, ping{"b", 10})
+	sim.Run()
+	if snap.Messages != 1 || len(snap.ByKind) != 1 || snap.ByKind["a"] != 1 {
+		t.Errorf("snapshot moved after later sends: %+v", snap)
+	}
+	if c := n.Counters(); c.ByKind["a"] != 2 || c.ByKind["b"] != 1 {
+		t.Errorf("live counters = %v, want a:2 b:1", c.ByKind)
+	}
+}
+
 func TestFIFOPerLinkUnderJitter(t *testing.T) {
 	sim, n, _, r2 := twoClusterNet(t, Options{Jitter: 0.9, Seed: 42})
 	ep0 := n.Endpoint(0)
@@ -324,27 +342,27 @@ func TestSendDeliverAllocs(t *testing.T) {
 
 // BenchmarkSendDeliver measures the raw transport hot path: one send and
 // its delivery through the simulator, jitter enabled (the realistic
-// configuration used by every experiment). The broadcast case is the
-// factored tier's worst one: a sender with k messages in flight scans k
-// watermarks per send, so one 1,000-way broadcast costs O(k²) where the
-// dense table costs O(k). No committed experiment broadcasts above
-// DenseNodeLimit; the number is here so that one that does knows the price.
+// configuration used by every experiment), once per FIFO store. The
+// broadcast case is the list store's worst one: a sender with k messages in
+// flight scans k watermarks per send, so one 1,000-way broadcast costs O(k²)
+// where the table costs O(k). No committed experiment broadcasts above
+// fifoTableLimit; the number is here so that one that does knows the price.
 func BenchmarkSendDeliver(b *testing.B) {
 	for _, c := range []struct {
 		name          string
 		clusters, per int
 		fanout, drain int
-		factored      bool
+		listFIFO      bool
 	}{
-		{"dense", 2, 2, 4, 256, false},
-		{"factored-broadcast-1000", 11, 91, 1000, 1000, true},
+		{"table-fifo", 2, 2, 4, 256, false},
+		{"list-fifo-broadcast-1000", 11, 91, 1000, 1000, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sim := des.New()
 			g := topology.Uniform(c.clusters, c.per, 2*time.Millisecond, 20*time.Millisecond)
 			n := New(sim, g, Options{Jitter: 0.2, Seed: 3})
-			if n.factored != c.factored {
-				b.Fatalf("factored = %v, want %v", n.factored, c.factored)
+			if n.listFIFO != c.listFIFO {
+				b.Fatalf("listFIFO = %v, want %v", n.listFIFO, c.listFIFO)
 			}
 			for id := 0; id < g.NumNodes(); id++ {
 				n.Register(mutex.ID(id), HandlerFunc(func(mutex.ID, mutex.Message) {}))
@@ -430,46 +448,59 @@ func (b *bouncer) Deliver(from mutex.ID, m mutex.Message) {
 	}
 }
 
-// zeroGrid is a clustered 3×3 grid whose every link has zero latency: a
-// message lands in the instant it is sent, so a FIFO watermark equal to
-// Now() is still live and the next send on the link must bump past it.
-type zeroGrid struct{}
+// stubGrid is a synthetic grid of n nodes in clusters of three whose every
+// link has zero latency: a message lands in the instant it is sent, so a
+// FIFO watermark equal to Now() is still live and the next send on the link
+// must bump past it.
+type stubGrid struct{ n int }
 
-func (zeroGrid) NumNodes() int                 { return 9 }
-func (zeroGrid) OneWay(_, _ int) time.Duration { return 0 }
-func (zeroGrid) SameCluster(a, b int) bool     { return a/3 == b/3 }
-func (zeroGrid) NumClusters() int              { return 3 }
-func (zeroGrid) ClusterOf(n int) int           { return n / 3 }
-func (zeroGrid) RTT(_, _ int) time.Duration    { return 0 }
+func (g stubGrid) NumNodes() int            { return g.n }
+func (stubGrid) ClusterOf(n int) int        { return n / 3 }
+func (stubGrid) RTT(_, _ int) time.Duration { return 0 }
 
-// stormGrids are the 9-node grids every table tier must agree on.
+// newWithFIFO builds a network with the FIFO store forced: the unexported
+// limit is the one test seam, lowered for the duration of New so that small
+// grids reach the in-flight lists.
+func newWithFIFO(t testing.TB, sim *des.Simulator, g gridModel, opts Options, lists bool) *Network {
+	t.Helper()
+	old := fifoTableLimit
+	defer func() { fifoTableLimit = old }()
+	if lists {
+		fifoTableLimit = 0
+	}
+	n := New(sim, g, opts)
+	if n.listFIFO != lists {
+		t.Fatalf("listFIFO = %v, want %v", n.listFIFO, lists)
+	}
+	return n
+}
+
+// stormGrids are the 9-node grids both FIFO stores must agree on.
 var stormGrids = []struct {
 	name string
 	grid gridModel
 }{
 	{"uniform", topology.Uniform(3, 3, 2*time.Millisecond, 20*time.Millisecond)},
-	{"zero-latency", zeroGrid{}},
+	{"zero-latency", stubGrid{9}},
 }
 
-// runTableStorm drives a deterministic jittered, lossy bounce storm with a
-// mid-run crash and partition window under the given table mode, returning
+// runStorm drives a deterministic jittered, lossy bounce storm with a
+// mid-run crash and partition window over the given FIFO store, returning
 // per-node delivery logs and counters. On top of the bounces, six rounds
-// 35 ms apart each put a same-instant burst on one link and a broadcast
-// from one sender: watermarks of earlier rounds have landed by the next,
-// and some broadcasts are in flight across the crash and the restart. The
-// observable outcome must be independent of the representation — the
-// factored tables' whole contract, with the dense table as the reference.
-func runTableStorm(t *testing.T, g gridModel, mode TableMode) ([][]string, Counters) {
+// 35 ms apart each put a same-instant burst on one link and a 10-way
+// broadcast from one sender: watermarks of earlier rounds have landed by the
+// next, and some broadcasts are in flight across the crash and the restart.
+func runStorm(t *testing.T, g gridModel, lists bool) ([][]string, Counters) {
 	t.Helper()
 	sim := des.New()
-	n := New(sim, g, Options{Jitter: 0.5, Seed: 17, Loss: 0.05, Tables: mode})
+	n := newWithFIFO(t, sim, g, Options{Jitter: 0.5, Seed: 17, Loss: 0.05}, lists)
 	bs := make([]*bouncer, 9)
 	for id := 0; id < 9; id++ {
 		bs[id] = &bouncer{ep: n.Endpoint(mutex.ID(id)), self: mutex.ID(id), now: sim.Now}
 		n.Register(mutex.ID(id), bs[id])
 	}
 	// A co-located coordinator process beyond the topology node count, so
-	// the sparse watermarks cover hierarchical registration too.
+	// both stores cover hierarchical registration too.
 	coord := &bouncer{ep: n.Endpoint(100), self: 100, now: sim.Now}
 	n.RegisterAt(100, 4, coord)
 	bs[0].ep.Send(1, ping{"a", 30})
@@ -500,112 +531,166 @@ func runTableStorm(t *testing.T, g gridModel, mode TableMode) ([][]string, Count
 	return append(logs, coord.log), n.Counters()
 }
 
-// sameStorm fails unless two storms delivered the same messages to every
-// node at the same instants in the same order, with the same counters.
-func sameStorm(t *testing.T, got, want string, gotLogs, wantLogs [][]string, gotC, wantC Counters) {
-	t.Helper()
-	if fmt.Sprintf("%+v", gotC) != fmt.Sprintf("%+v", wantC) {
-		t.Fatalf("counters diverge:\n%s %+v\n%s %+v", got, gotC, want, wantC)
-	}
-	for node := range wantLogs {
-		if len(gotLogs[node]) != len(wantLogs[node]) {
-			t.Fatalf("node %d: %d deliveries %s, %d %s", node, len(gotLogs[node]), got, len(wantLogs[node]), want)
-		}
-		for i := range wantLogs[node] {
-			if gotLogs[node][i] != wantLogs[node][i] {
-				t.Fatalf("node %d delivery %d: %q %s, %q %s", node, i, gotLogs[node][i], got, wantLogs[node][i], want)
-			}
-		}
-	}
-}
-
-// TestFactoredMatchesDense is the byte-identity half of the grid-scale
-// memory work (DESIGN.md §14): forcing the O(C²+N) factored tables, whose
-// FIFO watermarks live only while their message is in flight, must
-// reproduce the dense run event for event — same delivery instants, same
-// loss draws, same crash/partition classification, same counters.
+// TestFactoredMatchesDense holds the two FIFO stores to one behaviour: the
+// in-flight lists, whose watermarks live only while their message is in
+// flight, must reproduce the table's run event for event — same delivery
+// instants, same loss draws, same crash/partition classification, same
+// counters. The zero-latency grid is what catches a list pruned one instant
+// too early (at == now == last must still bump).
 func TestFactoredMatchesDense(t *testing.T) {
 	for _, g := range stormGrids {
 		t.Run(g.name, func(t *testing.T) {
-			denseLogs, denseC := runTableStorm(t, g.grid, TablesDense)
+			tableLogs, tableC := runStorm(t, g.grid, false)
 			total := 0
-			for _, l := range denseLogs {
+			for _, l := range tableLogs {
 				total += len(l)
 			}
 			if total == 0 {
 				t.Fatal("storm delivered nothing")
 			}
-			factLogs, factC := runTableStorm(t, g.grid, TablesFactored)
-			sameStorm(t, "factored", "dense", factLogs, denseLogs, factC, denseC)
+			listLogs, listC := runStorm(t, g.grid, true)
+			if got, want := fmt.Sprintf("%+v", listC), fmt.Sprintf("%+v", tableC); got != want {
+				t.Fatalf("counters diverge:\nlists %s\ntable %s", got, want)
+			}
+			for node := range tableLogs {
+				if got, want := fmt.Sprint(listLogs[node]), fmt.Sprint(tableLogs[node]); got != want {
+					t.Fatalf("node %d deliveries diverge:\nlists %s\ntable %s", node, got, want)
+				}
+			}
 		})
 	}
 }
 
-// TestFactoredDirectMatchesMatrix is the byte-identity proof of the third
-// table tier: when the cluster-pair matrix itself is too large to cache
-// (clusterPairLimit), the factored network derives each delay from the
-// cluster model per send — and the storm must reproduce the matrix-backed
-// run event for event. The limit is lowered so a small grid exercises the
-// direct path.
-func TestFactoredDirectMatchesMatrix(t *testing.T) {
-	old := clusterPairLimit
-	defer func() { clusterPairLimit = old }()
-	for _, g := range stormGrids {
-		t.Run(g.name, func(t *testing.T) {
-			clusterPairLimit = old
-			matrixLogs, matrixC := runTableStorm(t, g.grid, TablesFactored)
-			clusterPairLimit = 1 // any C > 1 goes matrix-free
-			directLogs, directC := runTableStorm(t, g.grid, TablesFactored)
-			sameStorm(t, "direct", "matrix", directLogs, matrixLogs, directC, matrixC)
-		})
+// TestLatencyMatchesGridOneWay is the latency path's oracle from outside
+// simnet: without jitter every message must land exactly
+// topology.Grid.OneWay(fromNode, toNode) after it was sent and be counted
+// intra-cluster exactly when topology.Grid.SameCluster says so — on a
+// matrix grid with asymmetric RTTs, on a tree grid, for a co-located
+// coordinator process, and over both FIFO stores. Every ordered pair sends
+// once, at its own instant, so no FIFO bump can move a delivery.
+func TestLatencyMatchesGridOneWay(t *testing.T) {
+	tree, err := topology.NewTree(topology.TreeSpec{
+		Fanouts:  []int{2, 3},
+		LeafSize: 2,
+		LeafRTT:  time.Millisecond,
+		LevelRTT: []time.Duration{40 * time.Millisecond, 7 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And the representation really was matrix-free.
-	n := New(des.New(), topology.Uniform(3, 3, time.Millisecond, 10*time.Millisecond), Options{Tables: TablesFactored})
-	if n.clModel == nil || len(n.clOneWay) != 0 {
-		t.Errorf("limit %d: clModel=%v with %d matrix entries, want direct mode", clusterPairLimit, n.clModel != nil, len(n.clOneWay))
-	}
-}
-
-// TestTablesAutoThreshold pins the auto selection: at or below
-// DenseNodeLimit nodes the network keeps dense tables, above it the
-// factored representation takes over, and grids without cluster structure
-// stay dense at any size.
-func TestTablesAutoThreshold(t *testing.T) {
-	small := New(des.New(), topology.Uniform(2, 2, time.Millisecond, 10*time.Millisecond), Options{})
-	if small.factored {
-		t.Error("small grid selected factored tables")
-	}
-	big := New(des.New(), topology.Uniform(40, 16, time.Millisecond, 10*time.Millisecond), Options{})
-	if !big.factored {
-		t.Error("640-node grid kept dense tables")
-	}
-	if got := len(big.oneWay); got != 0 {
-		t.Errorf("factored network materialized %d dense entries", got)
-	}
-	if got := len(big.clOneWay); got != 40*40 {
-		t.Errorf("factored matrix has %d entries, want 1600", got)
-	}
-	// A synthetic gridModel without cluster accessors cannot factor.
-	flat := New(des.New(), flatModel{n: DenseNodeLimit + 1}, Options{})
-	if flat.factored {
-		t.Error("cluster-less grid selected factored tables")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("TablesFactored on a cluster-less grid did not panic")
+	for _, g := range []struct {
+		name string
+		grid *topology.Grid
+	}{
+		{"grid5000", topology.Grid5000(2)},
+		{"tree", tree},
+	} {
+		for _, lists := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/lists=%v", g.name, lists), func(t *testing.T) {
+				sim := des.New()
+				n := newWithFIFO(t, sim, g.grid, Options{}, lists)
+				nodes := g.grid.NumNodes()
+				coord, coordNode := mutex.ID(nodes+5), nodes-1
+				hostOf := func(id mutex.ID) int {
+					if id == coord {
+						return coordNode
+					}
+					return int(id)
+				}
+				ids := []mutex.ID{coord}
+				for id := 0; id < nodes; id++ {
+					ids = append(ids, mutex.ID(id))
+				}
+				sent := make(map[[2]mutex.ID]des.Time)
+				delivered := 0
+				for _, id := range ids {
+					id := id
+					n.RegisterAt(id, hostOf(id), HandlerFunc(func(from mutex.ID, _ mutex.Message) {
+						delivered++
+						want := sent[[2]mutex.ID{from, id}] + g.grid.OneWay(hostOf(from), hostOf(id))
+						if sim.Now() != want {
+							t.Errorf("%d->%d landed at %v, want %v", from, id, sim.Now(), want)
+						}
+					}))
+				}
+				var at des.Time
+				var intra int64
+				for _, from := range ids {
+					for _, to := range ids {
+						from, to := from, to
+						at += 3 * time.Microsecond
+						if g.grid.SameCluster(hostOf(from), hostOf(to)) {
+							intra++
+						}
+						sim.At(at, func() {
+							sent[[2]mutex.ID{from, to}] = sim.Now()
+							n.Endpoint(from).Send(to, ping{"p", 1})
+						})
+					}
+				}
+				sim.Run()
+				if want := len(ids) * len(ids); delivered != want {
+					t.Fatalf("delivered %d, want %d", delivered, want)
+				}
+				if c := n.Counters(); c.IntraMessages != intra || c.Messages != int64(delivered) {
+					t.Errorf("intra = %d of %d, want %d of %d", c.IntraMessages, c.Messages, intra, delivered)
+				}
+			})
 		}
-	}()
-	New(des.New(), flatModel{n: 4}, Options{Tables: TablesFactored})
+	}
 }
 
-// flatModel is a gridModel with no cluster structure.
-type flatModel struct{ n int }
+// TestTablesAutoThreshold pins the one size threshold: up to fifoTableLimit
+// nodes the FIFO watermarks are the process×process table, above it the
+// in-flight lists — for synthetic grid models exactly as for topology.Grid.
+func TestTablesAutoThreshold(t *testing.T) {
+	for _, c := range []struct {
+		grid  gridModel
+		lists bool
+	}{
+		{topology.Uniform(2, 2, time.Millisecond, 10*time.Millisecond), false},
+		{topology.Uniform(32, 16, time.Millisecond, 10*time.Millisecond), false}, // at the limit
+		{topology.Uniform(27, 19, time.Millisecond, 10*time.Millisecond), true},  // one above
+		{stubGrid{fifoTableLimit}, false},
+		{stubGrid{fifoTableLimit + 1}, true},
+	} {
+		n := New(des.New(), c.grid, Options{})
+		nodes := c.grid.NumNodes()
+		if n.listFIFO != c.lists {
+			t.Errorf("%d nodes: listFIFO = %v, want %v", nodes, n.listFIFO, c.lists)
+		}
+		wantTable := nodes * nodes
+		if c.lists {
+			wantTable = 0
+		}
+		if len(n.lastAt) != wantTable || (len(n.lastTo) != 0) != c.lists {
+			t.Errorf("%d nodes: %d table entries and %d lists, want %d table entries, lists=%v",
+				nodes, len(n.lastAt), len(n.lastTo), wantTable, c.lists)
+		}
+	}
+}
 
-func (f flatModel) NumNodes() int                     { return f.n }
-func (f flatModel) OneWay(from, to int) time.Duration { return time.Millisecond }
-func (f flatModel) SameCluster(a, b int) bool         { return true }
+// TestPartitionRejectedLeavesCut: a Partition call that names a node outside
+// the topology panics before it touches the active cut.
+func TestPartitionRejectedLeavesCut(t *testing.T) {
+	_, n, _, _ := twoClusterNet(t, Options{})
+	n.Partition([]int{0, 1})
+	before := [...]bool{n.Partitioned(0, 1), n.Partitioned(0, 2), n.Partitioned(1, 3), n.Partitioned(2, 3)}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Partition with an out-of-range node did not panic")
+			}
+		}()
+		n.Partition([]int{3, 99})
+	}()
+	after := [...]bool{n.Partitioned(0, 1), n.Partitioned(0, 2), n.Partitioned(1, 3), n.Partitioned(2, 3)}
+	if before != after || before != [...]bool{false, true, true, false} {
+		t.Errorf("cut {0,1}: Partitioned answers %v before the rejected call, %v after", before, after)
+	}
+}
 
-// TestFactoredSendDeliverAllocs pins the factored hot path. A sender's
+// TestFactoredSendDeliverAllocs pins the list-FIFO hot path. A sender's
 // in-flight watermark list grows by doubling to the number of links it
 // keeps in flight at once — at most one allocation per send while it does —
 // and from then on send→deliver allocates nothing: the list is pruned and
@@ -613,7 +698,7 @@ func (f flatModel) SameCluster(a, b int) bool         { return true }
 func TestFactoredSendDeliverAllocs(t *testing.T) {
 	sim := des.New()
 	g := topology.Uniform(2, 4, 2*time.Millisecond, 20*time.Millisecond)
-	n := New(sim, g, Options{Jitter: 0.2, Seed: 3, Tables: TablesFactored})
+	n := newWithFIFO(t, sim, g, Options{Jitter: 0.2, Seed: 3}, true)
 	for id := mutex.ID(0); id < 8; id++ {
 		n.Register(id, HandlerFunc(func(mutex.ID, mutex.Message) {}))
 	}
@@ -631,7 +716,7 @@ func TestFactoredSendDeliverAllocs(t *testing.T) {
 		}
 		sim.Run()
 	}); allocs != 0 {
-		t.Errorf("steady-state factored send→deliver allocates %.2f objects per %d messages, want 0", allocs, batch)
+		t.Errorf("steady-state list-FIFO send→deliver allocates %.2f objects per %d messages, want 0", allocs, batch)
 	}
 	// Growing: every call takes a sender that has sent nothing yet.
 	const fanout = 4

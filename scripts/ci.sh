@@ -26,6 +26,18 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> one latency path: simnet's routing-table tiers stay deleted"
+# simnet computes every latency as grid.RTT(ca, cb)/2 and has one size
+# threshold, the unexported FIFO-store limit (DESIGN.md §14). The cached
+# tables, the option that chose between them and their crossovers were
+# measured and removed (ROADMAP earn-or-delete (2)); none may come back
+# without new numbers.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'TableMode|TablesAuto|TablesDense|TablesFactored|clusterPairLimit|DenseNodeLimit' .; then
+    echo "ci: a deleted simnet routing tier or threshold reappeared (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -49,7 +61,7 @@ go test -race ./internal/recovery/ ./internal/faults/
 echo "==> parallel harness equivalence under -race (incl. single-cell + recovery shards)"
 go test -race -run 'TestParallel|TestMap' ./internal/harness/ ./internal/fleet/
 
-echo "==> allocation regression: steady-state send/deliver must stay <= 1 alloc/message"
+echo "==> allocation regression: steady-state send/deliver must stay <= 1 alloc/message (simnet: on both FIFO stores)"
 go test -run 'Allocs' ./internal/des/ ./internal/simnet/
 
 echo "==> benchmark guard: regenerate fig4a into a temp record, compare against committed BENCH_5.json"
