@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,43 +24,48 @@ import (
 	"gridmutex/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(gridsim(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func gridsim(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gridsim", flag.ExitOnError)
 	var (
-		intra    = flag.String("intra", "naimi", "intra-cluster algorithm")
-		inter    = flag.String("inter", "naimi", "inter-cluster algorithm")
-		flat     = flag.String("flat", "", "run a flat original algorithm instead of a composition")
-		adaptive = flag.Bool("adaptive", false, "wrap the inter level in the adaptive switching protocol")
-		grid5000 = flag.Bool("grid5000", false, "use the paper's measured Grid5000 latency matrix (9 clusters)")
-		clusters = flag.Int("clusters", 9, "number of clusters")
-		apps     = flag.Int("apps", 20, "application processes per cluster")
-		localMS  = flag.Float64("local-rtt", 0.1, "intra-cluster RTT in ms (synthetic topologies)")
-		remoteMS = flag.Float64("remote-rtt", 20, "inter-cluster RTT in ms (synthetic topologies)")
-		rho      = flag.Float64("rho", 180, "degree of parallelism (beta/alpha)")
-		alphaMS  = flag.Float64("alpha", 10, "critical section duration in ms")
-		cs       = flag.Int("cs", 100, "critical sections per process")
-		reps     = flag.Int("reps", 1, "repetitions to average")
-		seed     = flag.Int64("seed", 1, "base random seed")
-		jitter   = flag.Float64("jitter", 0.05, "fractional latency jitter")
-		matrix   = flag.String("matrix", "", "file with a measured cluster RTT matrix (Figure 3 text format); overrides -grid5000/-clusters")
-		loss     = flag.Float64("loss", 0, "probability of dropping each message (requires -reliable to stay live)")
-		reliab   = flag.Bool("reliable", false, "add the sequencing/ack/retransmission layer")
-		asJSON   = flag.Bool("json", false, "emit the point as JSON")
-		traceN   = flag.Int("trace", 0, "run one extra small traced simulation and dump its last N protocol events")
+		intra    = fs.String("intra", "naimi", "intra-cluster algorithm")
+		inter    = fs.String("inter", "naimi", "inter-cluster algorithm")
+		flat     = fs.String("flat", "", "run a flat original algorithm instead of a composition")
+		adaptive = fs.Bool("adaptive", false, "wrap the inter level in the adaptive switching protocol")
+		grid5000 = fs.Bool("grid5000", false, "use the paper's measured Grid5000 latency matrix (9 clusters)")
+		clusters = fs.Int("clusters", 9, "number of clusters")
+		apps     = fs.Int("apps", 20, "application processes per cluster")
+		localMS  = fs.Float64("local-rtt", 0.1, "intra-cluster RTT in ms (synthetic topologies)")
+		remoteMS = fs.Float64("remote-rtt", 20, "inter-cluster RTT in ms (synthetic topologies)")
+		rho      = fs.Float64("rho", 180, "degree of parallelism (beta/alpha)")
+		alphaMS  = fs.Float64("alpha", 10, "critical section duration in ms")
+		cs       = fs.Int("cs", 100, "critical sections per process")
+		reps     = fs.Int("reps", 1, "repetitions to average")
+		seed     = fs.Int64("seed", 1, "base random seed")
+		jitter   = fs.Float64("jitter", 0.05, "fractional latency jitter")
+		matrix   = fs.String("matrix", "", "file with a measured cluster RTT matrix (Figure 3 text format); overrides -grid5000/-clusters")
+		loss     = fs.Float64("loss", 0, "probability of dropping each message (requires -reliable to stay live)")
+		reliab   = fs.Bool("reliable", false, "add the sequencing/ack/retransmission layer")
+		asJSON   = fs.Bool("json", false, "emit the point as JSON")
+		traceN   = fs.Int("trace", 0, "run one extra small traced simulation and dump its last N protocol events")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var customMatrix *topology.Matrix
 	if *matrix != "" {
 		f, err := os.Open(*matrix)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "gridsim:", err)
+			return 1
 		}
 		customMatrix, err = topology.ParseMatrixSpec(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "gridsim:", err)
+			return 1
 		}
 	}
 
@@ -92,56 +98,64 @@ func main() {
 
 	res, err := harness.Run([]harness.System{sys}, scale, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gridsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "gridsim:", err)
+		return 1
 	}
 	p := res.Points[0]
 
 	if *traceN > 0 {
-		if err := dumpTrace(*intra, *inter, *rho, *seed, *traceN); err != nil {
-			fmt.Fprintln(os.Stderr, "gridsim:", err)
-			os.Exit(1)
+		if err := dumpTrace(stderr, sys, *rho, *seed, *traceN); err != nil {
+			fmt.Fprintln(stderr, "gridsim:", err)
+			return 1
 		}
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(p); err != nil {
-			fmt.Fprintln(os.Stderr, "gridsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "gridsim:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("system:                 %s\n", p.System)
-	fmt.Printf("N (apps):               %d\n", scale.N())
-	fmt.Printf("rho:                    %g  (N=%d: low<=N, intermediate<=3N, high>=3N)\n", p.Rho, scale.N())
-	fmt.Printf("grants:                 %d\n", p.Grants)
-	fmt.Printf("obtaining mean:         %.3f ms\n", p.Obtaining.Mean)
-	fmt.Printf("obtaining std dev:      %.3f ms\n", p.Obtaining.Std)
-	fmt.Printf("obtaining rel std dev:  %.3f\n", p.Obtaining.RelStd)
-	fmt.Printf("obtaining p50/p95/p99:  %.3f / %.3f / %.3f ms\n", p.Obtaining.P50, p.Obtaining.P95, p.Obtaining.P99)
-	fmt.Printf("inter-cluster msgs/CS:  %.3f\n", p.InterMsgsPerCS)
-	fmt.Printf("intra-cluster msgs/CS:  %.3f\n", p.IntraMsgsPerCS)
-	fmt.Printf("total msgs/CS:          %.3f\n", p.TotalMsgsPerCS)
-	fmt.Printf("inter-cluster bytes/CS: %.1f\n", p.InterBytesPerCS)
+	fmt.Fprintf(stdout, "system:                 %s\n", p.System)
+	fmt.Fprintf(stdout, "N (apps):               %d\n", scale.N())
+	fmt.Fprintf(stdout, "rho:                    %g  (N=%d: low<=N, intermediate<=3N, high>=3N)\n", p.Rho, scale.N())
+	fmt.Fprintf(stdout, "grants:                 %d\n", p.Grants)
+	fmt.Fprintf(stdout, "obtaining mean:         %.3f ms\n", p.Obtaining.Mean)
+	fmt.Fprintf(stdout, "obtaining std dev:      %.3f ms\n", p.Obtaining.Std)
+	fmt.Fprintf(stdout, "obtaining rel std dev:  %.3f\n", p.Obtaining.RelStd)
+	fmt.Fprintf(stdout, "obtaining p50/p95/p99:  %.3f / %.3f / %.3f ms\n", p.Obtaining.P50, p.Obtaining.P95, p.Obtaining.P99)
+	fmt.Fprintf(stdout, "inter-cluster msgs/CS:  %.3f\n", p.InterMsgsPerCS)
+	fmt.Fprintf(stdout, "intra-cluster msgs/CS:  %.3f\n", p.IntraMsgsPerCS)
+	fmt.Fprintf(stdout, "total msgs/CS:          %.3f\n", p.TotalMsgsPerCS)
+	fmt.Fprintf(stdout, "inter-cluster bytes/CS: %.1f\n", p.InterBytesPerCS)
 	if sys.AdaptiveInter {
-		fmt.Printf("adaptive switches:      %d\n", p.Switches)
+		fmt.Fprintf(stdout, "adaptive switches:      %d\n", p.Switches)
 	}
+	return 0
 }
 
-// dumpTrace runs a small traced deployment and prints its last n protocol
-// events — a quick way to watch the composition work.
-func dumpTrace(intra, inter string, rho float64, seed int64, n int) error {
+// dumpTrace runs sys on a small traced deployment (2 clusters of 2
+// application processes) and prints its last n protocol events — a quick
+// way to watch the selected system work.
+func dumpTrace(w io.Writer, sys harness.System, rho float64, seed int64, n int) error {
+	// As in the harness, a composition gets one extra node per cluster
+	// for its coordinator.
+	per := 2
+	if sys.Flat == "" {
+		per++
+	}
 	r, err := run.Build(run.Spec{
-		Grid: topology.Uniform(2, 3, time.Millisecond, 15*time.Millisecond),
+		Grid: topology.Uniform(2, per, time.Millisecond, 15*time.Millisecond),
 		Seed: seed, TraceCapacity: n,
 		Workload: workload.Params{
 			Alpha: 5 * time.Millisecond, Rho: rho / 10, Dist: workload.Exponential,
 			CSPerProcess: 3,
 		},
-		System:     run.System{Intra: intra, Inter: inter},
+		System:     sys.RunSystem(),
 		EventLimit: 1_000_000,
 	})
 	if err != nil {
@@ -157,8 +171,8 @@ func dumpTrace(intra, inter string, rho float64, seed int64, n int) error {
 	if out.Stall != nil && out.Stall.Err != nil {
 		return out.Stall.Err
 	}
-	fmt.Fprintf(os.Stderr, "--- trace of a 2x2 %s-%s run (last %d events) ---\n", intra, inter, n)
-	fmt.Fprint(os.Stderr, out.Trace)
-	fmt.Fprintln(os.Stderr, "---")
+	fmt.Fprintf(w, "--- trace of a 2x2 %s run (last %d events) ---\n", sys.Name, n)
+	fmt.Fprint(w, out.Trace)
+	fmt.Fprintln(w, "---")
 	return nil
 }

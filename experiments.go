@@ -36,65 +36,17 @@ type RunOptions struct {
 	Workers int
 }
 
-// RunInfo reports the simulation work behind a regenerated figure, for
-// benchmark records.
-type RunInfo struct {
-	// Cells is the number of (system, parameter) experiment cells.
-	Cells int
-	// Runs is the number of individual seeded simulations.
-	Runs int
-	// Events is the total DES events processed across all runs.
-	Events int64
-	// Memory holds the per-N machine measurements of the gridscale
-	// experiment (nil for every other figure). These are deliberately
-	// kept out of figure text — figures must reproduce byte for byte on
-	// any machine — and surface only in benchmark records.
-	Memory []MemSample
-}
-
-// MemSample is one grid-scale memory measurement: how much heap one
-// simulated process costs at a given N, plus the run's peak footprint
-// and throughput. JSON tags match the gridbench/1 record layout.
-type MemSample struct {
-	// N is the topology node count of the sweep point; Procs the total
-	// simulated processes (applications plus all coordinators).
-	N     int `json:"n"`
-	Procs int `json:"procs"`
-	// BytesPerProc is settled live heap added by the build divided by
-	// Procs; LiveBytes the absolute settled live heap after the build;
-	// PeakBytes the heap space obtained from the OS by the end of the run.
-	BytesPerProc float64 `json:"bytes_per_proc"`
-	LiveBytes    uint64  `json:"live_bytes"`
-	PeakBytes    uint64  `json:"peak_bytes"`
-	// WallMS and EventsPerSec time the point's simulation pass alone.
-	WallMS       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-func (a RunInfo) add(b RunInfo) RunInfo {
-	return RunInfo{Cells: a.Cells + b.Cells, Runs: a.Runs + b.Runs,
-		Events: a.Events + b.Events, Memory: append(a.Memory, b.Memory...)}
-}
-
-func infoOf(points []harness.Point, reps int) RunInfo {
-	info := RunInfo{Cells: len(points), Runs: len(points) * reps}
-	for i := range points {
-		info.Events += points[i].Events
-	}
-	return info
-}
-
 // figureSpec wires one figure name to the experiment producing it.
 type figureSpec struct {
 	describe string
-	run      func(scale harness.Scale, progress func(string)) (string, RunInfo, error)
+	run      func(scale harness.Scale, progress func(string)) (string, error)
 }
 
 var figureSpecs = map[string]figureSpec{
 	"fig3": {
 		describe: "Grid5000 RTT latency matrix (input data, encoded verbatim)",
-		run: func(harness.Scale, func(string)) (string, RunInfo, error) {
-			return harness.Figure3Table(), RunInfo{}, nil
+		run: func(harness.Scale, func(string)) (string, error) {
+			return harness.Figure3Table(), nil
 		},
 	},
 	"fig4a": {describe: "obtaining time vs rho: original Naimi vs compositions",
@@ -110,70 +62,57 @@ var figureSpecs = map[string]figureSpec{
 	"fig6b": {describe: "intra algorithm choice: standard deviation vs rho",
 		run: intraFigure(harness.ObtainingStd, "Figure 6(b)")},
 	"scale": {describe: "section 4.7 scalability: messages per CS vs cluster count",
-		run: func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+		run: func(scale harness.Scale, progress func(string)) (string, error) {
 			clusters := []int{2, 3, 6, 9, 12}
 			if scale.CSPerProcess >= 100 { // paper scale: keep runtime sane
 				clusters = []int{3, 6, 9, 12, 15}
 			}
 			res, err := harness.RunScalability(harness.ScalabilitySystems(), scale, clusters, progress)
 			if err != nil {
-				return "", RunInfo{}, err
+				return "", err
 			}
-			info := RunInfo{Cells: len(res.Points), Runs: len(res.Points) * scale.Repetitions}
-			for i := range res.Points {
-				info.Events += res.Points[i].Events
-			}
-			return res.Table("Section 4.7"), info, nil
+			return res.Table("Section 4.7"), nil
 		}},
 	"locality": {describe: "locality analysis: per-cluster obtaining time under a hotspot workload",
-		run: func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+		run: func(scale harness.Scale, progress func(string)) (string, error) {
 			n := float64(scale.N())
 			res, err := harness.RunLocality(harness.LocalitySystems(), scale, 8*n, 0, 8, progress)
 			if err != nil {
-				return "", RunInfo{}, err
+				return "", err
 			}
-			return res.LocalityTable("Locality under an 8x hot cluster 0", 0),
-				infoOf(res.Points, scale.Repetitions), nil
+			return res.LocalityTable("Locality under an 8x hot cluster 0", 0), nil
 		}},
 	"bias": {describe: "related-work extension (Bertier et al.): serve local requests before inter handoffs",
-		run: func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+		run: func(scale harness.Scale, progress func(string)) (string, error) {
 			// Two rhos spanning saturated and sparse regimes.
 			n := float64(scale.N())
 			scale.Rhos = []float64{n / 2, 4 * n}
 			res, err := harness.Run(harness.BiasSystems(), scale, progress)
 			if err != nil {
-				return "", RunInfo{}, err
+				return "", err
 			}
-			return res.BiasTable("Local bias ablation"), infoOf(res.Points, scale.Repetitions), nil
+			return res.BiasTable("Local bias ablation"), nil
 		}},
 	"recovery": {describe: "robustness extension: token regeneration latency and detector overhead vs heartbeat period",
-		run: func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+		run: func(scale harness.Scale, progress func(string)) (string, error) {
 			params, scale := recoverySweep(scale)
 			res, err := harness.RunRecovery(params, scale, progress)
 			if err != nil {
-				return "", RunInfo{}, err
+				return "", err
 			}
-			info := RunInfo{
-				Cells: len(res.Points),
-				Runs:  len(res.Points) * scale.Repetitions,
-			}
-			return res.Table("Crash recovery"), info, nil
+			return res.Table("Crash recovery"), nil
 		}},
 	"partition": {describe: "robustness extension: graceful minority degradation and rejoin under partition windows",
-		run: func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+		run: func(scale harness.Scale, progress func(string)) (string, error) {
 			params, scale := harness.PartitionSweep(scale)
 			res, err := harness.RunPartition(params, scale, progress)
 			if err != nil {
-				return "", RunInfo{}, err
+				return "", err
 			}
-			info := RunInfo{
-				Cells: len(res.Points),
-				Runs:  len(res.Points) * scale.Repetitions,
-			}
-			return res.Table("Partition tolerance"), info, nil
+			return res.Table("Partition tolerance"), nil
 		}},
 	"gridscale": {describe: "grid-scale memory axis: k-level trees, N swept over decades, memory per process recorded",
-		run: func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+		run: func(scale harness.Scale, progress func(string)) (string, error) {
 			// Paper scale reaches the 10⁵-node acceptance point; quick
 			// stays at two decades. One repetition per point: the sweep
 			// measures scaling shape and machine footprint, not
@@ -181,31 +120,18 @@ var figureSpecs = map[string]figureSpec{
 			ns := harness.GridScaleNs(scale.CSPerProcess >= 100)
 			res, err := harness.RunGridScale(ns, 1, scale.Alpha, scale.BaseSeed, progress)
 			if err != nil {
-				return "", RunInfo{}, err
+				return "", err
 			}
-			info := RunInfo{Cells: len(res.Points), Runs: len(res.Points)}
-			for i := range res.Points {
-				p := &res.Points[i]
-				info.Events += p.Events
-				info.Memory = append(info.Memory, MemSample{
-					N: p.N, Procs: p.Mem.Procs,
-					BytesPerProc: p.Mem.BytesPerProc,
-					LiveBytes:    p.Mem.LiveBytes,
-					PeakBytes:    p.Mem.PeakBytes,
-					WallMS:       p.Mem.WallMS,
-					EventsPerSec: p.Mem.EventsPerSec,
-				})
-			}
-			return res.Table("Grid-scale sweep"), info, nil
+			return res.Table("Grid-scale sweep"), nil
 		}},
 	"adaptive": {describe: "section 6 extension: adaptive inter algorithm on a phased workload",
-		run: func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+		run: func(scale harness.Scale, progress func(string)) (string, error) {
 			scale.Phases = harness.AdaptivePhases(scale)
 			res, err := harness.RunPhased(harness.AdaptiveSystems(), scale, progress)
 			if err != nil {
-				return "", RunInfo{}, err
+				return "", err
 			}
-			return res.PhasedTable("Adaptive composition"), infoOf(res.Points, scale.Repetitions), nil
+			return res.PhasedTable("Adaptive composition"), nil
 		}},
 }
 
@@ -225,23 +151,23 @@ func recoverySweep(scale harness.Scale) (harness.RecoveryParams, harness.Scale) 
 	return params, scale
 }
 
-func compositionFigure(m harness.Metric, title string) func(harness.Scale, func(string)) (string, RunInfo, error) {
-	return func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+func compositionFigure(m harness.Metric, title string) func(harness.Scale, func(string)) (string, error) {
+	return func(scale harness.Scale, progress func(string)) (string, error) {
 		res, err := harness.Run(harness.CompositionSystems(), scale, progress)
 		if err != nil {
-			return "", RunInfo{}, err
+			return "", err
 		}
-		return tableAndChart(res, m, title), infoOf(res.Points, scale.Repetitions), nil
+		return tableAndChart(res, m, title), nil
 	}
 }
 
-func intraFigure(m harness.Metric, title string) func(harness.Scale, func(string)) (string, RunInfo, error) {
-	return func(scale harness.Scale, progress func(string)) (string, RunInfo, error) {
+func intraFigure(m harness.Metric, title string) func(harness.Scale, func(string)) (string, error) {
+	return func(scale harness.Scale, progress func(string)) (string, error) {
 		res, err := harness.Run(harness.IntraSystems(), scale, progress)
 		if err != nil {
-			return "", RunInfo{}, err
+			return "", err
 		}
-		return tableAndChart(res, m, title), infoOf(res.Points, scale.Repetitions), nil
+		return tableAndChart(res, m, title), nil
 	}
 }
 
@@ -273,16 +199,14 @@ func DescribeFigure(name string) (string, error) {
 // ReproduceFigure regenerates one of the paper's figures as a text table.
 // progress, when non-nil, receives a line per completed experiment cell.
 func ReproduceFigure(name string, scale ExperimentScale, progress func(string)) (string, error) {
-	out, _, err := ReproduceFigureWith(name, scale, RunOptions{}, progress)
-	return out, err
+	return ReproduceFigureWith(name, scale, RunOptions{}, progress)
 }
 
-// ReproduceFigureWith is ReproduceFigure with execution options, also
-// reporting how much simulation work the figure required.
-func ReproduceFigureWith(name string, scale ExperimentScale, opt RunOptions, progress func(string)) (string, RunInfo, error) {
+// ReproduceFigureWith is ReproduceFigure with execution options.
+func ReproduceFigureWith(name string, scale ExperimentScale, opt RunOptions, progress func(string)) (string, error) {
 	spec, ok := figureSpecs[name]
 	if !ok {
-		return "", RunInfo{}, fmt.Errorf("gridmutex: unknown figure %q (have %v)", name, Figures())
+		return "", fmt.Errorf("gridmutex: unknown figure %q (have %v)", name, Figures())
 	}
 	s := scale.scale()
 	s.Workers = opt.Workers
@@ -293,23 +217,19 @@ func ReproduceFigureWith(name string, scale ExperimentScale, opt RunOptions, pro
 // runs between figures that plot different metrics of the same data (4a/4b/
 // 5a/5b come from one run; 6a/6b from another).
 func ReproduceAll(scale ExperimentScale, progress func(string)) (map[string]string, error) {
-	out, _, err := ReproduceAllWith(scale, RunOptions{}, progress)
-	return out, err
+	return ReproduceAllWith(scale, RunOptions{}, progress)
 }
 
-// ReproduceAllWith is ReproduceAll with execution options, also reporting
-// the total simulation work.
-func ReproduceAllWith(scale ExperimentScale, opt RunOptions, progress func(string)) (map[string]string, RunInfo, error) {
+// ReproduceAllWith is ReproduceAll with execution options.
+func ReproduceAllWith(scale ExperimentScale, opt RunOptions, progress func(string)) (map[string]string, error) {
 	s := scale.scale()
 	s.Workers = opt.Workers
 	out := map[string]string{"fig3": harness.Figure3Table()}
-	var info RunInfo
 
 	comp, err := harness.Run(harness.CompositionSystems(), s, progress)
 	if err != nil {
-		return nil, info, fmt.Errorf("gridmutex: composition experiment: %w", err)
+		return nil, fmt.Errorf("gridmutex: composition experiment: %w", err)
 	}
-	info = info.add(infoOf(comp.Points, s.Repetitions))
 	out["fig4a"] = tableAndChart(comp, harness.ObtainingMean, "Figure 4(a)")
 	out["fig4b"] = tableAndChart(comp, harness.InterMsgs, "Figure 4(b)")
 	out["fig5a"] = tableAndChart(comp, harness.ObtainingStd, "Figure 5(a)")
@@ -317,19 +237,17 @@ func ReproduceAllWith(scale ExperimentScale, opt RunOptions, progress func(strin
 
 	intra, err := harness.Run(harness.IntraSystems(), s, progress)
 	if err != nil {
-		return nil, info, fmt.Errorf("gridmutex: intra experiment: %w", err)
+		return nil, fmt.Errorf("gridmutex: intra experiment: %w", err)
 	}
-	info = info.add(infoOf(intra.Points, s.Repetitions))
 	out["fig6a"] = tableAndChart(intra, harness.ObtainingMean, "Figure 6(a)")
 	out["fig6b"] = tableAndChart(intra, harness.ObtainingStd, "Figure 6(b)")
 
 	for _, name := range []string{"scale", "gridscale", "adaptive", "bias", "locality", "recovery", "partition"} {
-		tab, figInfo, err := figureSpecs[name].run(s, progress)
+		tab, err := figureSpecs[name].run(s, progress)
 		if err != nil {
-			return nil, info, fmt.Errorf("gridmutex: %s experiment: %w", name, err)
+			return nil, fmt.Errorf("gridmutex: %s experiment: %w", name, err)
 		}
-		info = info.add(figInfo)
 		out[name] = tab
 	}
-	return out, info, nil
+	return out, nil
 }

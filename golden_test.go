@@ -12,10 +12,11 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/figures-quick.t
 const goldenFigures = "testdata/golden/figures-quick.txt"
 
 // TestGoldenFiguresQuick holds every figure ReproduceAll renders at quick
-// scale to the committed bytes. BENCH_5/BENCH_10 pin two figures; this
-// pins all of them, so a refactor of the run path that moves any table
-// cell fails here. Regenerate with `go test -run TestGoldenFiguresQuick
-// -update .` only when a change is meant to move figure bytes.
+// scale to the committed bytes, so a refactor of the run path that moves
+// any table cell fails here (the paper-scale gridscale table is held by
+// internal/harness TestGridScalePaper). Regenerate with `go test -run
+// TestGoldenFiguresQuick -update .` only when a change is meant to move
+// figure bytes.
 func TestGoldenFiguresQuick(t *testing.T) {
 	figs, err := ReproduceAll(ScaleQuick, nil)
 	if err != nil {

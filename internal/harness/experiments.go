@@ -133,7 +133,6 @@ type ScalePoint struct {
 	TotalMsgsPerCS float64
 	InterMsgsPerCS float64
 	BytesPerCS     float64
-	Events         int64
 }
 
 // ScalabilityResult aggregates the section 4.7 experiment.
@@ -187,7 +186,6 @@ func RunScalability(systems []System, scale Scale, clusters []int, progress func
 			TotalMsgsPerCS: p.TotalMsgsPerCS,
 			InterMsgsPerCS: p.InterMsgsPerCS,
 			BytesPerCS:     p.InterBytesPerCS,
-			Events:         p.Events,
 		})
 		if progress != nil {
 			progress(fmt.Sprintf("%-22s clusters=%2d  msgs/CS=%7.2f  inter/CS=%6.2f",

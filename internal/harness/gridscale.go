@@ -4,14 +4,15 @@ package harness
 // k-level composition on synthetic hierarchical trees (topology.NewTree)
 // while N sweeps whole decades, and reports both the deterministic
 // simulation outcomes (grants, events, messages per CS) and the
-// non-deterministic machine measurements (bytes per process, peak heap,
-// wall-clock throughput). The two kinds of output are kept strictly
+// non-deterministic machine measurements (bytes per process, wall-clock
+// throughput). The two kinds of output are kept strictly
 // apart: Table renders only the deterministic columns, so committed
 // figures stay byte-identical across machines, while the memory samples
-// travel separately into benchmark records (gridbench -json).
+// go to the progress line, to TestGridScalePaper's bytes-per-process
+// ceiling and to the benchmark (bench's gridscale-1e5 workload).
 //
 // The point of the experiment is the memory model of DESIGN.md §14: with
-// cluster-factored latency tables (O(C²+N) instead of O(N²)), sparse
+// latencies computed from the cluster model (no O(N²) table), sparse
 // token-state vectors and arena-backed process bookkeeping, bytes per
 // process should stay near-flat while N grows from 10² to 10⁵.
 
@@ -49,11 +50,6 @@ type GridScaleMem struct {
 	// by Procs: (live after build − live before build) / Procs, both ends
 	// measured after a forced collection.
 	BytesPerProc float64
-	// LiveBytes is the absolute settled live heap after the build.
-	LiveBytes uint64
-	// PeakBytes is the heap space obtained from the OS by the end of the
-	// run (runtime.MemStats.HeapSys) — a peak-footprint proxy.
-	PeakBytes uint64
 	// WallMS and EventsPerSec time the simulation pass alone (build
 	// excluded).
 	WallMS       float64
@@ -226,9 +222,6 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 		return GridScalePoint{}, err
 	}
 
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-
 	p := GridScalePoint{
 		N:        g.NumNodes(),
 		Clusters: g.NumClusters(),
@@ -244,10 +237,8 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 	}
 	procs := len(out.Core.Procs)
 	p.Mem = GridScaleMem{
-		Procs:     procs,
-		LiveBytes: built.HeapAlloc,
-		PeakBytes: after.HeapSys,
-		WallMS:    float64(wall) / float64(time.Millisecond),
+		Procs:  procs,
+		WallMS: float64(wall) / float64(time.Millisecond),
 	}
 	if procs > 0 && built.HeapAlloc > before.HeapAlloc {
 		p.Mem.BytesPerProc = float64(built.HeapAlloc-before.HeapAlloc) / float64(procs)

@@ -43,6 +43,14 @@ type System struct {
 	LocalBias int
 }
 
+// RunSystem is the system as the run kernel takes it.
+func (s System) RunSystem() run.System {
+	return run.System{
+		Flat: s.Flat, Intra: s.Spec.Intra, Inter: s.Spec.Inter,
+		AdaptiveInter: s.AdaptiveInter, LocalBias: s.LocalBias,
+	}
+}
+
 // Composed returns the System for an intra-inter pair, labeled in the
 // paper's notation.
 func Composed(intra, inter string) System {
@@ -566,10 +574,7 @@ func runOnce(sys System, scale Scale, rho float64, seed int64) (run.Outcome, err
 			CSPerProcess: scale.CSPerProcess,
 			HotCluster:   scale.HotCluster, HotSkew: scale.HotSkew,
 		},
-		System: run.System{
-			Flat: sys.Flat, Intra: sys.Spec.Intra, Inter: sys.Spec.Inter,
-			AdaptiveInter: sys.AdaptiveInter, LocalBias: sys.LocalBias,
-		},
+		System: sys.RunSystem(),
 	}
 	if scale.Reliable {
 		// RTO above the largest simulated round trip keeps spurious

@@ -249,6 +249,21 @@ func TestRunDeterminism(t *testing.T) {
 			t.Fatalf("nondeterministic cell %s rho=%g", pa.System, pa.Rho)
 		}
 	}
+
+	// Total DES events behind fig4a at quick scale. The figure goldens pin
+	// rendered means; this pins the work under them, so an event added,
+	// dropped or duplicated that the averages absorb still shows.
+	res, err := Run(CompositionSystems(), QuickScale(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events int64
+	for _, p := range res.Points {
+		events += p.Events
+	}
+	if events != 58542 {
+		t.Errorf("fig4a quick scale processed %d DES events, want 58542", events)
+	}
 }
 
 func TestGridValidation(t *testing.T) {

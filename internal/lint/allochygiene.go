@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// AllocHygiene guards the zero-allocation claim of the simulator hot
-// path (BENCH_5: steady-state send/deliver allocates nothing). The
-// benchmark proves the property for the configurations it runs;
-// this analyzer keeps the *code* honest in between benchmark runs by
+// AllocHygiene guards the allocation claim of the simulator hot path
+// (the Allocs tests of des and simnet: steady-state send/deliver stays
+// at one allocation per message or fewer). Those tests prove the
+// property for the configurations they run; this analyzer keeps the
+// *code* honest for every other configuration by
 // flagging constructs that heap-allocate on every execution, on any
 // function reachable from the hot-path roots:
 //

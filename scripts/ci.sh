@@ -38,6 +38,18 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> one benchmark system: the BENCH_* records and their tooling stay deleted"
+# bench/ with BENCHMARK.json is the repository's one benchmark (repeated
+# units, medians, bounds). The single-shot records, the command that
+# compared them and the record writer in gridbench were deleted (ROADMAP
+# "One benchmark system" (1)); what they guarded is held by the goldens
+# under testdata/golden/ and harness's TestGridScalePaper.
+if grep -rnE --include='*.go' --exclude-dir=bench \
+    'benchcmp|BENCH_[0-9]|gridbench/1|RunInfo|MemSample' .; then
+    echo "ci: a deleted benchmark-record name reappeared outside bench/ (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -63,32 +75,6 @@ go test -race -run 'TestParallel|TestMap' ./internal/harness/ ./internal/fleet/
 
 echo "==> allocation regression: steady-state send/deliver must stay <= 1 alloc/message (simnet: on both FIFO stores)"
 go test -run 'Allocs' ./internal/des/ ./internal/simnet/
-
-echo "==> benchmark guard: regenerate fig4a into a temp record, compare against committed BENCH_5.json"
-# BENCH_3.json is the committed pre-optimization record and BENCH_5.json
-# the committed post-optimization one (DESIGN.md §10). Neither is
-# rewritten here: the fresh run lands in a temp file and benchcmp checks
-# it reproduces the committed record byte for byte (figures, event
-# count) with throughput above an environment-tunable floor
-# (BENCHCMP_TOLERANCE) — so the audited records stay fixed and the
-# worktree stays clean.
-bench_tmp="$(mktemp -t bench5.XXXXXX.json)"
-trap 'rm -f "$bench_tmp"' EXIT
-go run ./cmd/gridbench -experiment fig4a -scale quick -parallel 4 -json "$bench_tmp" -q >/dev/null
-go run ./cmd/benchcmp -baseline BENCH_5.json -fresh "$bench_tmp"
-
-echo "==> memory guard: grid-scale sweep vs committed BENCH_10.json"
-# BENCH_10.json is the committed grid-scale record (DESIGN.md §14): a
-# k-level hierarchy swept over N = 100 .. 100,000 processes. benchcmp
-# holds the fresh run to three properties — the deterministic sweep
-# figure byte for byte, throughput above the machine-scaled floor, and
-# bytes-per-process at every N under a ceiling (BENCHCMP_MEM_TOLERANCE)
-# so a reintroduced O(N) or O(C^2) term in the simulator's per-process
-# state fails CI long before it would fail a real deployment.
-bench10_tmp="$(mktemp -t bench10.XXXXXX.json)"
-trap 'rm -f "$bench_tmp" "$bench10_tmp"' EXIT
-go run ./cmd/gridbench -experiment gridscale -scale paper -json "$bench10_tmp" -q >/dev/null
-go run ./cmd/benchcmp -baseline BENCH_10.json -fresh "$bench10_tmp"
 
 echo "==> scenario conformance corpus (parallel sweep under -race, JSON verdicts archived)"
 # The declarative acceptance suite (DESIGN.md §11): every fixture under
