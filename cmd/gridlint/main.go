@@ -3,29 +3,26 @@
 //
 // Usage:
 //
-//	gridlint ./internal/... ./cmd/...  # whole program (the CI invocation)
-//	gridlint ./internal/des            # specific packages
-//	gridlint -json ./...               # machine-readable diagnostics
-//	gridlint -audit ./...              # also audit //lint:allow pragmas
-//	gridlint -exemptions ./...         # list every pragma with usage
-//	gridlint -list                     # describe the analyzer suite
+//	gridlint                    # the whole module, like ./...
+//	gridlint ./internal/des     # specific packages
+//	gridlint -exemptions ./...  # also list every //lint:allow pragma with usage
+//	gridlint -list              # describe the analyzer suite
 //
 // All named packages are loaded and type-checked together as one
-// program: the per-package analyzers run on each, and the whole-program
-// analyzers (determinism taint, allocation hygiene) run on the combined
-// call graph — so narrowing the package list narrows what the
-// cross-package passes can see.
+// program, so narrowing the package list narrows what the call-graph
+// analyzers (determinism taint, allocation hygiene) can see.
 //
 // Findings print in go vet style (file:line:col: analyzer: message),
-// with the entry-point call chain appended for whole-program findings,
-// and are suppressed only by an in-source //lint:allow comment; see the
-// package documentation of internal/lint for the convention.
+// with the entry-point call chain appended where there is one, and are
+// suppressed only by an in-source //lint:allow comment; see the package
+// documentation of internal/lint for the convention. Every run also
+// audits those comments: a pragma that is stale, names no analyzer of
+// the suite or records no reason is a finding.
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,36 +35,19 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-// jsonReport is the -json output shape, one object per run.
-type jsonReport struct {
-	// Diagnostics are the surviving (non-exempt) findings, including any
-	// audit findings when -audit is set.
-	Diagnostics []lint.Diagnostic `json:"diagnostics"`
-	// Exemptions lists every //lint:allow pragma with usage accounting
-	// when -exemptions is set (always populated under -audit runs too,
-	// since the audit is about them).
-	Exemptions []*lint.Exemption `json:"exemptions,omitempty"`
-}
-
 func run(args []string, stdout *os.File) int {
 	fs := flag.NewFlagSet("gridlint", flag.ExitOnError)
 	list := fs.Bool("list", false, "list the analyzer suite and exit")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	audit := fs.Bool("audit", false, "audit //lint:allow pragmas: stale, unknown analyzer, missing reason")
 	exemptions := fs.Bool("exemptions", false, "list every //lint:allow pragma with usage")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gridlint [-list] [-json] [-audit] [-exemptions] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: gridlint [-list] [-exemptions] [packages]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
 
-	suite := lint.DefaultSuite()
 	if *list {
-		for _, a := range suite.Analyzers {
-			fmt.Fprintf(stdout, "%s\n\t%s\n", a.Name, strings.ReplaceAll(strings.TrimSpace(a.Doc), "\n", "\n\t"))
-		}
-		for _, a := range suite.Program {
-			fmt.Fprintf(stdout, "%s (whole-program)\n\t%s\n", a.Name, strings.ReplaceAll(strings.TrimSpace(a.Doc), "\n", "\n\t"))
+		for _, a := range lint.All() {
+			fmt.Fprintf(stdout, "%s\n\t%s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -88,54 +68,13 @@ func run(args []string, stdout *os.File) int {
 		fmt.Fprintln(os.Stderr, "gridlint:", err)
 		return 2
 	}
+
 	status := 0
-	for _, pkg := range prog.Packages {
-		for _, e := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "gridlint: %s: %v\n", pkg.Path, e)
-			status = 2
-		}
-	}
-	if status != 0 {
-		return status
-	}
-
-	result := lint.RunSuite(prog, suite)
-	diags := result.Diagnostics
-	if *audit {
-		diags = append(diags, lint.AuditExemptions(result.Exemptions, suite.Names())...)
-	}
-	for i := range diags {
-		diags[i].Pos.Filename = relPath(diags[i].Pos.Filename)
-		for j := range diags[i].Chain {
-			diags[i].Chain[j].File = relPath(diags[i].Chain[j].File)
-		}
-	}
-	for _, e := range result.Exemptions {
-		e.Pos.Filename = relPath(e.Pos.Filename)
-	}
-	if len(diags) > 0 {
-		status = 1
-	}
-
-	if *jsonOut {
-		report := jsonReport{Diagnostics: diags}
-		if report.Diagnostics == nil {
-			report.Diagnostics = []lint.Diagnostic{}
-		}
-		if *exemptions || *audit {
-			report.Exemptions = result.Exemptions
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, "gridlint:", err)
-			return 2
-		}
-		return status
-	}
-
-	for _, d := range diags {
+	result := lint.Run(prog, lint.All())
+	for _, d := range result.Diagnostics {
+		d.Pos.Filename = relPath(d.Pos.Filename)
 		fmt.Fprintln(stdout, d)
+		status = 1
 	}
 	if *exemptions {
 		for _, e := range result.Exemptions {
@@ -147,7 +86,9 @@ func run(args []string, stdout *os.File) int {
 			if reason == "" {
 				reason = "(no reason recorded)"
 			}
-			fmt.Fprintf(stdout, "%s: allow %s [%s]: %s\n", e.Pos, strings.Join(e.Analyzers, ","), state, reason)
+			pos := e.Pos
+			pos.Filename = relPath(pos.Filename)
+			fmt.Fprintf(stdout, "%s: allow %s [%s]: %s\n", pos, strings.Join(e.Analyzers, ","), state, reason)
 		}
 	}
 	return status

@@ -384,55 +384,6 @@ func TestBufferedRequestDuringSwitch(t *testing.T) {
 	}
 }
 
-func TestThresholdPolicyMapping(t *testing.T) {
-	p := NewThresholdPolicy()
-	// Fill the window with busy releases: low parallelism -> martin.
-	for i := 0; i < p.Window; i++ {
-		p.ObserveRelease(true)
-	}
-	if got := p.Recommend("naimi"); got != "martin" {
-		t.Errorf("all-busy window recommends %q, want martin", got)
-	}
-	// All idle: high parallelism -> suzuki.
-	p2 := NewThresholdPolicy()
-	for i := 0; i < p2.Window; i++ {
-		p2.ObserveRelease(false)
-	}
-	if got := p2.Recommend("naimi"); got != "suzuki" {
-		t.Errorf("all-idle window recommends %q, want suzuki", got)
-	}
-	// Mixed: tree.
-	p3 := NewThresholdPolicy()
-	for i := 0; i < p3.Window; i++ {
-		p3.ObserveRelease(i%2 == 0)
-	}
-	if got := p3.Recommend("martin"); got != "naimi" {
-		t.Errorf("mixed window recommends %q, want naimi", got)
-	}
-}
-
-func TestThresholdPolicyWarmup(t *testing.T) {
-	p := NewThresholdPolicy()
-	p.ObserveRelease(true)
-	if got := p.Recommend("naimi"); got != "naimi" {
-		t.Errorf("under-filled window recommends %q, want current", got)
-	}
-}
-
-func TestThresholdPolicySlidingWindow(t *testing.T) {
-	p := NewThresholdPolicy()
-	for i := 0; i < p.Window; i++ {
-		p.ObserveRelease(true)
-	}
-	// Overwrite the window with idle observations.
-	for i := 0; i < p.Window; i++ {
-		p.ObserveRelease(false)
-	}
-	if got := p.Recommend("martin"); got != "suzuki" {
-		t.Errorf("slid window recommends %q, want suzuki", got)
-	}
-}
-
 func TestMessageMetadata(t *testing.T) {
 	at := Attempt{Proposer: 1, Seq: 2}
 	msgs := []mutex.Message{

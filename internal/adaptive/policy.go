@@ -2,92 +2,6 @@ package adaptive
 
 import "time"
 
-// ThresholdPolicy implements the paper's conclusion as a control rule: the
-// logical topology should match the observed degree of parallelism. It
-// watches the fraction of this participant's releases that found another
-// request already pending ("busy releases") over a sliding window:
-//
-//   - mostly busy releases  -> low parallelism  -> ring (Martin)
-//   - mostly idle releases  -> high parallelism -> broadcast (Suzuki)
-//   - in between            -> intermediate     -> tree (Naimi-Trehel)
-//
-// The thresholds map directly onto section 4.7's recommendation table.
-type ThresholdPolicy struct {
-	// Window is how many recent releases are considered (default 8).
-	Window int
-	// HighContention is the busy fraction at or above which Martin's
-	// ring is recommended (default 0.75).
-	HighContention float64
-	// LowContention is the busy fraction at or below which
-	// Suzuki-Kasami's broadcast is recommended (default 0.25).
-	LowContention float64
-
-	history []bool
-	next    int
-	filled  bool
-}
-
-// NewThresholdPolicy returns a policy with the default thresholds.
-func NewThresholdPolicy() *ThresholdPolicy {
-	return &ThresholdPolicy{Window: 8, HighContention: 0.75, LowContention: 0.25}
-}
-
-// ObserveGrant implements Policy; grants carry no signal for this policy.
-func (p *ThresholdPolicy) ObserveGrant() {}
-
-// ObservePending implements Policy; pendings carry no signal for this
-// policy.
-func (p *ThresholdPolicy) ObservePending() {}
-
-// ObserveRelease implements Policy.
-func (p *ThresholdPolicy) ObserveRelease(busy bool) {
-	if p.Window <= 0 {
-		p.Window = 8
-	}
-	if len(p.history) < p.Window {
-		p.history = append(p.history, busy)
-		return
-	}
-	p.history[p.next] = busy
-	p.next = (p.next + 1) % p.Window
-	p.filled = true
-}
-
-// busyFraction returns the busy ratio over the current window.
-func (p *ThresholdPolicy) busyFraction() float64 {
-	if len(p.history) == 0 {
-		return 0
-	}
-	busy := 0
-	for _, b := range p.history {
-		if b {
-			busy++
-		}
-	}
-	return float64(busy) / float64(len(p.history))
-}
-
-// Recommend implements Policy. It stays with the current algorithm until
-// the window is full, then maps the busy fraction to the recommended
-// topology.
-func (p *ThresholdPolicy) Recommend(current string) string {
-	if !p.filled && len(p.history) < p.Window {
-		return current
-	}
-	f := p.busyFraction()
-	switch {
-	case f >= p.HighContention:
-		return "martin"
-	case f <= p.LowContention:
-		return "suzuki"
-	default:
-		return "naimi"
-	}
-}
-
-// compile-time interface check
-var _ Policy = (*ThresholdPolicy)(nil)
-
 // GapPolicy is the switching policy for composed deployments, where the
 // inter token holder is logically in the critical section the whole time
 // its cluster owns the right. It measures, with an injected clock (the

@@ -156,9 +156,6 @@ func (w *World) DropAt(i int) {
 	w.inflight = append(w.inflight[:i], w.inflight[i+1:]...)
 }
 
-// PendingLocals reports how many queued local callbacks have not yet run.
-func (w *World) PendingLocals() int { return len(w.locals) }
-
 // Crash fail-stops a process: in-flight messages addressed to it are
 // purged, future sends from it are suppressed, and late deliveries to it
 // are discarded. Messages it already sent stay in flight — they are on

@@ -314,6 +314,3 @@ func (s *StepLiveness) Step(waiting, inflight int) {
 			waiting, s.quiet, s.k)
 	}
 }
-
-// Tripped reports whether the bound has been exceeded.
-func (s *StepLiveness) Tripped() bool { return s.tripped }

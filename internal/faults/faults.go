@@ -220,77 +220,10 @@ func (t CSEntryTrigger) String() string {
 	return fmt.Sprintf("crash node=%d on cs-entry #%d\n", t.Victim, t.Entry)
 }
 
-// PartitionConfig parameterizes the PartitionWindows generator.
-type PartitionConfig struct {
-	// Seed makes the schedule deterministic.
-	Seed int64
-	// Sides is the candidate cut-off node sets — typically one entry per
-	// cluster, holding that cluster's node indices. Each window isolates
-	// one seeded candidate.
-	Sides [][]int
-	// Windows is how many partition windows to draw. Windows never
-	// overlap: the horizon is divided into equal slots, one window per
-	// slot, so at most one cut is active at any instant (matching
-	// simnet's single-cut model).
-	Windows int
-	// Horizon bounds the window instants.
-	Horizon time.Duration
-	// MinHeal and MaxHeal bound the cut duration, uniform in
-	// [MinHeal, MaxHeal]. MaxHeal == 0 means the last window never heals.
-	MinHeal, MaxHeal time.Duration
-}
-
-// PartitionWindows draws a partition schedule: each window isolates one
-// seeded candidate side at a uniform instant within its slot and heals
-// after a uniform duration (clamped to the slot, so cuts never overlap).
-// The result is sorted and byte-identical per (config, seed).
-func PartitionWindows(cfg PartitionConfig) Schedule {
-	if cfg.Horizon <= 0 {
-		panic("faults: non-positive horizon")
-	}
-	if cfg.MaxHeal < cfg.MinHeal {
-		panic("faults: MaxHeal before MinHeal")
-	}
-	if len(cfg.Sides) == 0 || cfg.Windows <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	slot := int64(cfg.Horizon) / int64(cfg.Windows)
-	if slot <= 1 {
-		panic("faults: horizon too short for the requested windows")
-	}
-	var s Schedule
-	for w := 0; w < cfg.Windows; w++ {
-		side := cfg.Sides[rng.Intn(len(cfg.Sides))]
-		lo := des.Time(int64(w) * slot)
-		at := lo + des.Time(1+rng.Int63n(slot-1))
-		cut := append([]int(nil), side...)
-		sort.Ints(cut)
-		s = append(s, Event{At: at, Node: -1, Kind: PartitionStart, Nodes: cut})
-		if cfg.MaxHeal > 0 {
-			dur := cfg.MinHeal
-			if spread := int64(cfg.MaxHeal - cfg.MinHeal); spread > 0 {
-				dur += time.Duration(rng.Int63n(spread + 1))
-			}
-			heal := at + dur
-			if limit := lo + des.Time(slot); heal >= limit {
-				heal = limit - 1 // stay inside the slot: cuts never overlap
-			}
-			if heal <= at {
-				heal = at + 1
-			}
-			s = append(s, Event{At: heal, Node: -1, Kind: PartitionEnd})
-		}
-	}
-	s.sort()
-	return s
-}
-
 // PartitionPulse draws a single fixed-length partition window: one seeded
 // side from sides is cut off at a uniform instant in (0, startHorizon]
 // and healed exactly duration later — the shape swept by the harness's
-// partition experiment, where the cut length is the controlled variable
-// and must not be clamped the way PartitionWindows clamps to its slots.
+// partition experiment, where the cut length is the controlled variable.
 // The result is byte-identical per (arguments, seed).
 func PartitionPulse(seed int64, sides [][]int, startHorizon, duration time.Duration) Schedule {
 	if startHorizon <= 0 {

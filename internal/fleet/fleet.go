@@ -5,7 +5,7 @@
 //
 // fleet is the one deliberate goroutine island in the simulation stack,
 // and therefore the one DES-adjacent package exempt from gridlint's
-// desdeterminism pass (see DESIGN.md §8). The exemption is sound because
+// dettaint pass (see DESIGN.md §8). The exemption is sound because
 // the pool adds no shared state to the jobs it runs: every harness job
 // is a pure function of (topology, composition, workload, seed) executing
 // on its own private des.Simulator, and Map's only outputs — the result
@@ -71,7 +71,7 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:allow desdeterminism worker-pool island (DESIGN.md §8): each job is a pure function of its seed on a private Simulator, and results merge by job index, so scheduler order cannot reach any aggregate
+		//lint:allow dettaint worker-pool island (DESIGN.md §8): each job is a pure function of its seed on a private Simulator, and results merge by job index, so scheduler order cannot reach any aggregate
 		go func() {
 			defer wg.Done()
 			for {

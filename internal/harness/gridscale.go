@@ -213,10 +213,10 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 	var built runtime.MemStats
 	runtime.ReadMemStats(&built)
 
-	//lint:allow desdeterminism wall-clock throughput is the point of GridScaleMem; it never enters figure text (Table renders deterministic columns only)
+	//lint:allow dettaint wall-clock throughput is the point of GridScaleMem; it never enters figure text (Table renders deterministic columns only)
 	start := time.Now()
 	out := r.Drive()
-	//lint:allow desdeterminism wall-clock throughput is the point of GridScaleMem; it never enters figure text (Table renders deterministic columns only)
+	//lint:allow dettaint wall-clock throughput is the point of GridScaleMem; it never enters figure text (Table renders deterministic columns only)
 	wall := time.Since(start)
 	if err := verify(out); err != nil {
 		return GridScalePoint{}, err

@@ -36,7 +36,7 @@ import (
 // carry //lint:allow allochygiene pragmas with reasons — the analyzer
 // is a tripwire, and the pragma inventory is the audited list of every
 // hole in the zero-alloc story.
-var AllocHygiene = &ProgramAnalyzer{
+var AllocHygiene = &Analyzer{
 	Name: "allochygiene",
 	Doc: "flag per-event heap allocation (closures, fmt, string concat, " +
 		"make/new, interface boxing) on functions reachable from the " +
@@ -67,51 +67,21 @@ var hotRootNames = map[string]bool{
 	"note":      true,
 }
 
-func runAllocHygiene(p *ProgramPass) {
-	g := BuildCallGraph(p.Prog)
+func runAllocHygiene(p *Pass) {
+	g := p.Prog.CallGraph()
 
-	var roots []*CallNode
-	for _, n := range g.Nodes {
-		if hotPackages(n.Pkg.Path) && hotRootNames[n.Fn.Name()] {
-			roots = append(roots, n)
-		}
-	}
-
-	parent := g.ReachableFrom(roots, func(n *CallNode) bool {
+	parent := g.ReachableFrom(func(n *CallNode) bool {
+		return hotRootNames[n.Fn.Name()]
+	}, func(n *CallNode) bool {
 		return !hotPackages(n.Pkg.Path)
 	})
-
-	// Walk reachable functions in deterministic (package, position) order.
-	for _, pkg := range p.Prog.Packages {
-		if !hotPackages(pkg.Path) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := g.Nodes[obj]
-				if node == nil {
-					continue
-				}
-				if _, reachable := parent[node]; !reachable {
-					continue
-				}
-				chain := g.Chain(parent, node)
-				scanAllocs(p, pkg, fd, chain)
-			}
-		}
+	for n := range parent {
+		scanAllocs(p, n.Pkg, n.Decl, g.Chain(parent, n))
 	}
 }
 
 // scanAllocs reports allocating constructs in one hot function body.
-func scanAllocs(p *ProgramPass, pkg *Package, fd *ast.FuncDecl, chain []ChainEntry) {
+func scanAllocs(p *Pass, pkg *Package, fd *ast.FuncDecl, chain []string) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -122,10 +92,10 @@ func scanAllocs(p *ProgramPass, pkg *Package, fd *ast.FuncDecl, chain []ChainEnt
 			}
 			checkAllocCall(p, pkg, n, chain)
 		case *ast.FuncLit:
-			p.Reportf(n.Pos(), chain, "function literal on the hot path allocates its closure environment per event; hoist it to a method or package function")
+			p.ReportVia(chain, n.Pos(), "function literal on the hot path allocates its closure environment per event; hoist it to a method or package function")
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringConcat(pkg, n) {
-				p.Reportf(n.Pos(), chain, "string concatenation on the hot path allocates per event; precompute the string or use fixed identifiers")
+				p.ReportVia(chain, n.Pos(), "string concatenation on the hot path allocates per event; precompute the string or use fixed identifiers")
 			}
 		}
 		return true
@@ -140,7 +110,7 @@ func isPanicCall(call *ast.CallExpr) bool {
 
 // checkAllocCall flags fmt calls, make(map/chan), new, and interface
 // boxing at argument positions.
-func checkAllocCall(p *ProgramPass, pkg *Package, call *ast.CallExpr, chain []ChainEntry) {
+func checkAllocCall(p *Pass, pkg *Package, call *ast.CallExpr, chain []string) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		switch fun.Name {
@@ -148,19 +118,19 @@ func checkAllocCall(p *ProgramPass, pkg *Package, call *ast.CallExpr, chain []Ch
 			if len(call.Args) > 0 {
 				switch pkg.Info.TypeOf(call.Args[0]).Underlying().(type) {
 				case *types.Map:
-					p.Reportf(call.Pos(), chain, "make(map) on the hot path allocates per event; preallocate the map at construction time")
+					p.ReportVia(chain, call.Pos(), "make(map) on the hot path allocates per event; preallocate the map at construction time")
 				case *types.Chan:
-					p.Reportf(call.Pos(), chain, "make(chan) on the hot path allocates per event — and channels have no place under the DES at all")
+					p.ReportVia(chain, call.Pos(), "make(chan) on the hot path allocates per event — and channels have no place under the DES at all")
 				}
 			}
 			return
 		case "new":
-			p.Reportf(call.Pos(), chain, "new(%s) on the hot path allocates per event; draw from a freelist or reuse a field", exprString(call.Args[0]))
+			p.ReportVia(chain, call.Pos(), "new(%s) on the hot path allocates per event; draw from a freelist or reuse a field", types.ExprString(call.Args[0]))
 			return
 		}
 	case *ast.SelectorExpr:
 		if isPkgIdent(pkg.Info, fun.X, "fmt") {
-			p.Reportf(call.Pos(), chain, "fmt.%s on the hot path boxes every argument into ...any; move formatting off the per-event path", fun.Sel.Name)
+			p.ReportVia(chain, call.Pos(), "fmt.%s on the hot path boxes every argument into ...any; move formatting off the per-event path", fun.Sel.Name)
 			return
 		}
 	}
@@ -170,7 +140,7 @@ func checkAllocCall(p *ProgramPass, pkg *Package, call *ast.CallExpr, chain []Ch
 // checkBoxingArgs flags struct-typed values passed to interface-typed
 // parameters: the conversion heap-allocates the struct copy per call.
 // Pointer, basic and already-interface arguments are free.
-func checkBoxingArgs(p *ProgramPass, pkg *Package, call *ast.CallExpr, chain []ChainEntry) {
+func checkBoxingArgs(p *Pass, pkg *Package, call *ast.CallExpr, chain []string) {
 	sig, ok := pkg.Info.TypeOf(call.Fun).(*types.Signature)
 	if ok && sig.Variadic() {
 		// Variadic calls allocate the backing slice too, but the repo's
@@ -197,7 +167,7 @@ func checkBoxingArgs(p *ProgramPass, pkg *Package, call *ast.CallExpr, chain []C
 			continue
 		}
 		if _, isStruct := argT.Underlying().(*types.Struct); isStruct {
-			p.Reportf(arg.Pos(), chain, "struct value %s boxed into interface parameter on the hot path allocates a copy per event; pass a pointer or use the typed delivery hook", exprString(arg))
+			p.ReportVia(chain, arg.Pos(), "struct value %s boxed into interface parameter on the hot path allocates a copy per event; pass a pointer or use the typed delivery hook", types.ExprString(arg))
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAllocHygieneHotPath(t *testing.T) {
-	linttest.RunProgram(t, linttest.TestDataDir(t), lint.AllocHygiene,
+	linttest.Run(t, linttest.TestDataDir(t), lint.AllocHygiene,
 		"allochygiene/internal/simnet",
 	)
 }

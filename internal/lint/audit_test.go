@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gridmutex/internal/lint"
+	"gridmutex/internal/lint/linttest"
 )
 
 // TestExemptionAudit runs the full suite over a corpus package carrying
@@ -12,25 +13,32 @@ import (
 // correctly: live pragmas pass, stale ones, unknown analyzer names, and
 // missing reasons are each reported.
 func TestExemptionAudit(t *testing.T) {
-	prog := loadProgram(t, "exemptaudit/internal/des")
-	suite := lint.DefaultSuite()
-	result := lint.RunSuite(prog, suite)
+	prog := linttest.Load(t, linttest.TestDataDir(t), "exemptaudit/internal/des")
+	result := lint.Run(prog, lint.All())
+
+	var findings, audit []lint.Diagnostic
+	for _, d := range result.Diagnostics {
+		if d.Analyzer == lint.AuditName {
+			audit = append(audit, d)
+		} else {
+			findings = append(findings, d)
+		}
+	}
 
 	// The typo'd pragma suppresses nothing, so the go statement under it
-	// surfaces as the run's only diagnostic.
-	if len(result.Diagnostics) != 1 {
-		t.Fatalf("got %d diagnostics, want 1 (the go statement under the typo'd pragma):\n%v", len(result.Diagnostics), result.Diagnostics)
+	// surfaces as the run's only analyzer finding.
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want 1 (the go statement under the typo'd pragma):\n%v", len(findings), findings)
 	}
-	if d := result.Diagnostics[0]; d.Analyzer != "desdeterminism" || !strings.Contains(d.Message, "go statement") {
+	if d := findings[0]; d.Analyzer != "dettaint" || !strings.Contains(d.Message, "go statement") {
 		t.Errorf("unexpected surviving diagnostic: %s", d)
 	}
 
-	audit := lint.AuditExemptions(result.Exemptions, suite.Names())
 	wantFragments := []string{
-		"stale //lint:allow desdeterminism",            // Sum's leftover pragma
-		"unknown analyzer determinism",                 // Typo's misspelling
-		"stale //lint:allow determinism",               // ...which therefore also suppresses nothing
-		"//lint:allow desdeterminism without a reason", // Quiet's bare pragma
+		"stale //lint:allow dettaint",            // Sum's leftover pragma
+		"unknown analyzer determinism",           // Typo's misspelling
+		"stale //lint:allow determinism",         // ...which therefore also suppresses nothing
+		"//lint:allow dettaint without a reason", // Quiet's bare pragma
 	}
 	if len(audit) != len(wantFragments) {
 		t.Fatalf("got %d audit findings, want %d:\n%v", len(audit), len(wantFragments), audit)

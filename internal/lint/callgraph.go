@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // CallGraph is a static over-approximation of the program's call
@@ -28,7 +27,6 @@ import (
 // unloaded packages) have no node; analyzers treat interesting external
 // callees (time.Now, the global math/rand) as sources syntactically.
 type CallGraph struct {
-	Prog *Program
 	// Nodes maps every function declared in the program to its node.
 	Nodes map[*types.Func]*CallNode
 }
@@ -46,12 +44,7 @@ type CallNode struct {
 // Name renders the node as pkg.Func or pkg.(Type).Method, with the
 // module prefix stripped for readability.
 func (n *CallNode) Name() string {
-	pkg := n.Pkg.Path
-	if i := strings.Index(pkg, "internal/"); i >= 0 {
-		pkg = pkg[i:]
-	} else if i := strings.Index(pkg, "cmd/"); i >= 0 {
-		pkg = pkg[i:]
-	}
+	pkg := stripModulePrefix(n.Pkg.Path)
 	if recv := n.Fn.Type().(*types.Signature).Recv(); recv != nil {
 		t := recv.Type()
 		if ptr, ok := t.(*types.Pointer); ok {
@@ -89,9 +82,9 @@ type methodImpl struct {
 	node *CallNode
 }
 
-// BuildCallGraph constructs the call graph of the program.
-func BuildCallGraph(prog *Program) *CallGraph {
-	g := &CallGraph{Prog: prog, Nodes: make(map[*types.Func]*CallNode)}
+// buildCallGraph constructs the call graph of the program.
+func buildCallGraph(prog *Program) *CallGraph {
+	g := &CallGraph{Nodes: make(map[*types.Func]*CallNode)}
 
 	// Pass 1: one node per declared function/method.
 	for _, pkg := range prog.Packages {
@@ -125,29 +118,14 @@ func BuildCallGraph(prog *Program) *CallGraph {
 		impls[fn.Name()] = append(impls[fn.Name()], methodImpl{recv: t, node: node})
 	}
 
-	// Pass 2: edges.
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := g.Nodes[obj]
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					g.addCallEdges(node, pkg, call, impls)
-					return true
-				})
+	// Pass 2: edges (in map order; callees are sorted below).
+	for _, node := range g.Nodes {
+		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				g.addCallEdges(node, call, impls)
 			}
-		}
+			return true
+		})
 	}
 
 	// Deterministic callee order, so chains and reports are stable.
@@ -160,7 +138,8 @@ func BuildCallGraph(prog *Program) *CallGraph {
 }
 
 // addCallEdges resolves one call expression into zero or more edges.
-func (g *CallGraph) addCallEdges(from *CallNode, pkg *Package, call *ast.CallExpr, impls map[string][]methodImpl) {
+func (g *CallGraph) addCallEdges(from *CallNode, call *ast.CallExpr, impls map[string][]methodImpl) {
+	pkg := from.Pkg
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
@@ -202,39 +181,29 @@ func implementsIface(t types.Type, iface *types.Interface) bool {
 	return types.Implements(types.NewPointer(t), iface)
 }
 
-// ChainEntry is one hop of a reachability chain, innermost last.
-type ChainEntry struct {
-	// Func is the display name of the function (CallNode.Name).
-	Func string `json:"func"`
-	// File/Line locate its declaration.
-	File string `json:"file"`
-	Line int    `json:"line"`
-}
-
-// ReachableFrom runs a breadth-first search from the roots and returns,
-// for every reachable node, its predecessor on a shortest chain (roots
-// map to nil). skip prunes traversal: a node for which skip returns true
-// is neither visited nor traversed through.
-func (g *CallGraph) ReachableFrom(roots []*CallNode, skip func(*CallNode) bool) map[*CallNode]*CallNode {
-	parent := make(map[*CallNode]*CallNode)
-	queue := make([]*CallNode, 0, len(roots))
-	for _, r := range roots {
-		if skip != nil && skip(r) {
-			continue
+// ReachableFrom runs a breadth-first search from the nodes isRoot accepts
+// and returns, for every reachable node, its predecessor on a shortest
+// chain (roots map to nil). skip prunes traversal: a node for which skip
+// returns true is neither visited nor traversed through. Roots are taken
+// in name order, so which of several shortest chains is recorded does
+// not depend on map iteration.
+func (g *CallGraph) ReachableFrom(isRoot, skip func(*CallNode) bool) map[*CallNode]*CallNode {
+	var queue []*CallNode
+	for _, n := range g.Nodes {
+		if isRoot(n) && !skip(n) {
+			queue = append(queue, n)
 		}
-		if _, seen := parent[r]; !seen {
-			parent[r] = nil
-			queue = append(queue, r)
-		}
+	}
+	sort.Slice(queue, func(i, j int) bool { return queue[i].Name() < queue[j].Name() })
+	parent := make(map[*CallNode]*CallNode, len(queue))
+	for _, r := range queue {
+		parent[r] = nil
 	}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
 		for _, c := range n.Callees {
-			if skip != nil && skip(c) {
-				continue
-			}
-			if _, seen := parent[c]; !seen {
+			if _, seen := parent[c]; !seen && !skip(c) {
 				parent[c] = n
 				queue = append(queue, c)
 			}
@@ -243,20 +212,15 @@ func (g *CallGraph) ReachableFrom(roots []*CallNode, skip func(*CallNode) bool) 
 	return parent
 }
 
-// Chain materializes the root→node chain recorded by ReachableFrom.
-func (g *CallGraph) Chain(parent map[*CallNode]*CallNode, node *CallNode) []ChainEntry {
-	var rev []*CallNode
+// Chain materializes the root→node chain recorded by ReachableFrom as
+// display names (CallNode.Name), outermost first.
+func (g *CallGraph) Chain(parent map[*CallNode]*CallNode, node *CallNode) []string {
+	var out []string
 	for n := node; n != nil; n = parent[n] {
-		rev = append(rev, n)
-		if parent[n] == nil {
-			break
-		}
+		out = append(out, n.Name())
 	}
-	out := make([]ChainEntry, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		n := rev[i]
-		pos := g.Prog.Fset.Position(n.Decl.Name.Pos())
-		out = append(out, ChainEntry{Func: n.Name(), File: pos.Filename, Line: pos.Line})
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
 	}
 	return out
 }

@@ -3,54 +3,65 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
-// DetTaint is the whole-program determinism-taint analyzer. The
-// per-package desdeterminism pass has a structural blind spot: it checks
-// the packages on its AppliesTo list file by file, so a DES package
-// calling a helper in some *other* package that reads time.Now sails
-// through — the call site is clean and the helper is out of scope.
+// DetTaint forbids sources of nondeterminism under the DES: wall-clock
+// reads, the global math/rand generator, goroutines, select statements,
+// and iteration over maps whose order can reach state or messages (see
+// mapRangeLeaksOrder for what is provably harmless).
 //
-// DetTaint closes the gap with the call graph: every function
-// transitively reachable from a DES entry point (an exported function or
-// method of des, simnet, core, algorithms, harness, explore, faults,
-// recovery) is scanned for the same nondeterminism sources —
-// wall-clock reads, the global math/rand generator, goroutine spawns,
-// select statements, and map iteration that can leak order — wherever
-// that function lives. Each finding carries the full call chain from the
-// entry point, so the report explains *why* an apparently unrelated
-// package is on the determinism hook.
+// Its scope is every file of a DES-driven package, plus every function
+// transitively reachable through the call graph from those packages'
+// exported API, wherever that function lives: a DES package calling a
+// helper in some other package that reads time.Now has a clean call site
+// and an out-of-list helper, and only reachability finds it. A finding
+// outside the package list carries the call chain from the entry point,
+// so the report explains why an apparently unrelated package is on the
+// determinism hook.
 //
-// Scope discipline, to avoid double reporting:
-//
-//   - sources inside packages the per-package desdeterminism pass already
-//     covers are NOT re-reported here; desdeterminism owns them;
-//   - internal/livenet is a traversal island: it is the live transport,
-//     deliberately built on goroutines and the wall clock, and is never
-//     wired under the DES (conservative interface resolution would
-//     otherwise drag every mutex.Env implementation into the DES slice).
-//     Its own discipline is lockdiscipline's job.
-var DetTaint = &ProgramAnalyzer{
+// internal/livenet is a traversal island: it is the live transport,
+// deliberately built on goroutines and the wall clock, and is never wired
+// under the DES (conservative interface resolution would otherwise drag
+// every mutex.Env implementation into the DES slice). Its own discipline
+// is lockdiscipline's job.
+var DetTaint = &Analyzer{
 	Name: "dettaint",
-	Doc: "flag wall-clock, global math/rand, goroutine, select and map-order " +
-		"nondeterminism in any function transitively reachable from DES entry " +
-		"points, with the full call chain",
+	Doc: "forbid wall-clock time, global math/rand, goroutines, select and " +
+		"order-dependent map iteration in DES-driven packages and in any " +
+		"function reachable from their exported API, with the call chain",
 	Run: runDetTaint,
 }
 
-// desEntryPackages marks the packages whose exported API the DES drives;
-// their exported functions and methods are the taint roots.
-var desEntryPackages = anyUnder(
+// desPackages are the DES-driven packages: every file in them is scanned
+// and their exported functions and methods are the reachability roots.
+var desPackages = anyUnder(
 	"internal/des",
 	"internal/simnet",
-	"internal/core",
 	"internal/algorithms",
+	"internal/core",
+	"internal/adaptive",
+	"internal/workload",
+	"internal/check",
+	"internal/trace",
+	"internal/stats",
 	"internal/harness",
 	"internal/run",
+	"internal/reliable",
 	"internal/explore",
-	"internal/faults",
 	"internal/recovery",
+	"internal/faults",
+	// fleet is the one goroutine island in the simulation stack — the
+	// worker pool the harness fans repetitions out on. Its jobs are pure
+	// functions of their seeds, each on a private Simulator, and its
+	// results are merged by job index, so scheduler nondeterminism cannot
+	// reach any aggregate (DESIGN.md §8). It is still on this list: the
+	// island is one specific `go` statement, excused in place with a
+	// reasoned //lint:allow, not a package-wide blind spot.
+	"internal/fleet",
+	// scenario compiles declarative fixtures onto the simulation stack
+	// and promises byte-identical verdicts per seed, so it obeys the
+	// same determinism rules as the packages it drives.
+	"internal/scenario",
 )
 
 // taintIslands are packages the traversal never enters (see the analyzer
@@ -59,45 +70,48 @@ var taintIslands = anyUnder(
 	"internal/livenet",
 )
 
-func runDetTaint(p *ProgramPass) {
-	g := BuildCallGraph(p.Prog)
+// forbiddenTimeFuncs are the package-level time functions that read or
+// depend on the wall clock. Pure constructors and formatters (Duration,
+// ParseDuration, Unix...) stay legal.
+var forbiddenTimeFuncs = map[string]string{
+	"Now":       "reads the wall clock",
+	"Since":     "reads the wall clock",
+	"Until":     "reads the wall clock",
+	"Sleep":     "blocks on the wall clock",
+	"After":     "schedules on the wall clock",
+	"Tick":      "schedules on the wall clock",
+	"NewTicker": "schedules on the wall clock",
+	"NewTimer":  "schedules on the wall clock",
+	"AfterFunc": "schedules on the wall clock",
+}
 
-	var roots []*CallNode
-	for _, n := range g.Nodes {
-		if desEntryPackages(n.Pkg.Path) && isExportedEntry(n) {
-			roots = append(roots, n)
+// allowedRandFuncs construct seeded generators; everything else on the
+// math/rand package operates the process-global, unseeded source.
+var allowedRandFuncs = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
+func runDetTaint(p *Pass) {
+	for _, pkg := range p.packagesIn(desPackages) {
+		for _, f := range pkg.Files {
+			scanDetSources(p, pkg, f, "in a DES-driven package", nil)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Name() < roots[j].Name() })
 
-	parent := g.ReachableFrom(roots, func(n *CallNode) bool {
+	g := p.Prog.CallGraph()
+	parent := g.ReachableFrom(func(n *CallNode) bool {
+		return desPackages(n.Pkg.Path) && isExportedEntry(n)
+	}, func(n *CallNode) bool {
 		return taintIslands(n.Pkg.Path)
 	})
-
-	// Deterministic report order: nodes sorted by declaration position.
-	reachable := make([]*CallNode, 0, len(parent))
 	for n := range parent {
-		reachable = append(reachable, n)
-	}
-	sort.Slice(reachable, func(i, j int) bool {
-		a := p.Prog.Fset.Position(reachable[i].Decl.Pos())
-		b := p.Prog.Fset.Position(reachable[j].Decl.Pos())
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Offset < b.Offset
-	})
-
-	for _, n := range reachable {
-		// desdeterminism already polices its own packages file-locally;
-		// re-reporting the same lines under a second name would force
-		// double pragmas.
-		if DESDeterminism.AppliesTo(n.Pkg.Path) {
-			continue
+		if desPackages(n.Pkg.Path) {
+			continue // scanned file by file above
 		}
 		chain := g.Chain(parent, n)
-		entry := chain[0].Func
-		scanTaintSources(p, n, chain, entry)
+		scanDetSources(p, n.Pkg, n.Decl, "reachable from DES entry point "+chain[0], chain)
 	}
 }
 
@@ -117,46 +131,36 @@ func isExportedEntry(n *CallNode) bool {
 	return ok && named.Obj().Exported()
 }
 
-// scanTaintSources walks one reachable function's body (closures
+// scanDetSources walks one file or function declaration (closures
 // included: a closure's nondeterminism belongs to whoever wrote it) and
-// reports every nondeterminism source with the reachability chain.
-func scanTaintSources(p *ProgramPass, n *CallNode, chain []ChainEntry, entry string) {
-	pkg := n.Pkg
-	file := fileOf(pkg, n.Decl)
-	ast.Inspect(n.Decl, func(node ast.Node) bool {
-		switch node := node.(type) {
+// reports every nondeterminism source. where says why the code is in
+// scope; chain is the reachability chain for code outside desPackages.
+func scanDetSources(p *Pass, pkg *Package, root ast.Node, where string, chain []string) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
 		case *ast.GoStmt:
-			p.Reportf(node.Pos(), chain, "go statement reachable from DES entry point %s: spawned goroutines make event interleaving scheduler-dependent", entry)
+			p.ReportVia(chain, n.Pos(), "go statement %s: spawned goroutines make event interleaving scheduler-dependent", where)
 		case *ast.SelectStmt:
-			p.Reportf(node.Pos(), chain, "select statement reachable from DES entry point %s: channel readiness order is scheduler-dependent", entry)
+			p.ReportVia(chain, n.Pos(), "select statement %s: channel readiness order is scheduler-dependent", where)
 		case *ast.CallExpr:
-			if sel, ok := node.Fun.(*ast.SelectorExpr); ok {
-				if isPkgIdent(pkg.Info, sel.X, "time") {
-					if why, bad := forbiddenTimeFuncs[sel.Sel.Name]; bad {
-						p.Reportf(node.Pos(), chain, "time.%s %s on a path reachable from DES entry point %s; thread the simulator's virtual clock through instead", sel.Sel.Name, why, entry)
-					}
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			if isPkgIdent(pkg.Info, sel.X, "time") {
+				if why, bad := forbiddenTimeFuncs[sel.Sel.Name]; bad {
+					p.ReportVia(chain, n.Pos(), "time.%s %s on a path %s; use the simulator's virtual clock", sel.Sel.Name, why, where)
 				}
-				if isPkgIdent(pkg.Info, sel.X, "math/rand") || isPkgIdent(pkg.Info, sel.X, "math/rand/v2") {
-					if !allowedRandFuncs[sel.Sel.Name] {
-						p.Reportf(node.Pos(), chain, "math/rand.%s uses the global generator on a path reachable from DES entry point %s; draw from a seeded *rand.Rand instead", sel.Sel.Name, entry)
-					}
+			} else if isPkgIdent(pkg.Info, sel.X, "math/rand") || isPkgIdent(pkg.Info, sel.X, "math/rand/v2") {
+				if !allowedRandFuncs[sel.Sel.Name] {
+					p.ReportVia(chain, n.Pos(), "math/rand.%s uses the global generator on a path %s; draw from a seeded *rand.Rand instead", sel.Sel.Name, where)
 				}
 			}
 		case *ast.RangeStmt:
-			if file != nil && mapRangeLeaksOrder(pkg, node, file) {
-				p.Reportf(node.Pos(), chain, "iteration over map %s can leak scheduler-chosen order into a path reachable from DES entry point %s; sort the keys first or make the body order-independent", exprString(node.X), entry)
+			if mapRangeLeaksOrder(pkg, n, root) {
+				p.ReportVia(chain, n.Pos(), "iteration over map %s has scheduler-chosen order that can reach state or messages on a path %s; sort the keys first, make the body order-independent, or annotate //lint:allow dettaint with a reason", types.ExprString(n.X), where)
 			}
 		}
 		return true
 	})
-}
-
-// fileOf returns the *ast.File containing the declaration.
-func fileOf(pkg *Package, decl *ast.FuncDecl) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= decl.Pos() && decl.Pos() <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -7,8 +7,20 @@ import (
 	"gridmutex/internal/lint/linttest"
 )
 
+// The bad and good corpora sit inside a DES-driven package path, where
+// every file is scanned whether or not anything calls it.
+func TestDetTaintBad(t *testing.T) {
+	linttest.Run(t, linttest.TestDataDir(t), lint.DetTaint, "dettaint/internal/des/bad")
+}
+
+func TestDetTaintGood(t *testing.T) {
+	linttest.Run(t, linttest.TestDataDir(t), lint.DetTaint, "dettaint/internal/des/good")
+}
+
+// The chain corpus keeps every source in util, outside the package list:
+// the findings exist only because harness (a DES package) reaches them.
 func TestDetTaintCrossPackageChain(t *testing.T) {
-	linttest.RunProgram(t, linttest.TestDataDir(t), lint.DetTaint,
+	linttest.Run(t, linttest.TestDataDir(t), lint.DetTaint,
 		"dettaint/internal/harness",
 		"dettaint/internal/util",
 	)
@@ -17,8 +29,8 @@ func TestDetTaintCrossPackageChain(t *testing.T) {
 // TestDetTaintChainRecorded pins the part the want harness cannot see:
 // the diagnostic carries the entry-point chain, outermost first.
 func TestDetTaintChainRecorded(t *testing.T) {
-	prog := loadProgram(t, "dettaint/internal/harness", "dettaint/internal/util")
-	diags := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{lint.DetTaint})
+	prog := linttest.Load(t, linttest.TestDataDir(t), "dettaint/internal/harness", "dettaint/internal/util")
+	diags := lint.Run(prog, []*lint.Analyzer{lint.DetTaint}).Diagnostics
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics")
 	}
@@ -27,43 +39,8 @@ func TestDetTaintChainRecorded(t *testing.T) {
 			t.Errorf("diagnostic without a cross-package chain: %s", d)
 			continue
 		}
-		if d.Chain[0].Func != "internal/harness.Run" {
-			t.Errorf("chain starts at %s, want the DES entry point internal/harness.Run", d.Chain[0].Func)
+		if d.Chain[0] != "internal/harness.Run" {
+			t.Errorf("chain starts at %s, want the DES entry point internal/harness.Run", d.Chain[0])
 		}
 	}
-}
-
-// TestDetTaintOldPassMisses proves the blind spot: the file-local
-// desdeterminism pass, run exactly as the suite configures it, reports
-// nothing on the helper package — the wall-clock read there is only
-// caught through the cross-package chain.
-func TestDetTaintOldPassMisses(t *testing.T) {
-	prog := loadProgram(t, "dettaint/internal/util")
-	pkg := prog.Package("dettaint/internal/util")
-	if pkg == nil {
-		t.Fatal("util package not loaded")
-	}
-	if diags := lint.RunAnalyzers(pkg, lint.All()); len(diags) != 0 {
-		t.Errorf("per-package suite unexpectedly reports on the helper package:\n%s", linttest.Describe(diags))
-	}
-}
-
-func loadProgram(t *testing.T, paths ...string) *lint.Program {
-	t.Helper()
-	root := linttest.TestDataDir(t)
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.ExtraRoot = root
-	prog, err := loader.LoadProgram(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range prog.Packages {
-		for _, e := range pkg.TypeErrors {
-			t.Errorf("%s: type error: %v", pkg.Path, e)
-		}
-	}
-	return prog
 }

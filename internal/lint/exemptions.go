@@ -8,8 +8,8 @@ import (
 )
 
 // allowRe matches suppression comments: //lint:allow <names> <reason>.
-// Names are comma-separated analyzer names (or "all"); everything after
-// them is the recorded justification.
+// Names are comma-separated analyzer names; everything after them is the
+// recorded justification.
 var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-z0-9_,-]+)[ \t]*(.*)$`)
 
 // Exemption is one //lint:allow pragma found in source. It suppresses
@@ -17,17 +17,16 @@ var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-z0-9_,-]+)[ \t]*(.*)$`)
 // directly below, so both trailing and preceding placement work.
 type Exemption struct {
 	// Pos locates the pragma comment.
-	Pos token.Position `json:"pos"`
-	// Analyzers are the names the pragma suppresses ("all" matches every
-	// analyzer).
-	Analyzers []string `json:"analyzers"`
+	Pos token.Position
+	// Analyzers are the names the pragma suppresses.
+	Analyzers []string
 	// Reason is the recorded justification (text after the names).
-	Reason string `json:"reason"`
+	Reason string
 	// Used reports whether the pragma suppressed at least one diagnostic
 	// in the run that collected it. A pragma that suppresses nothing is
 	// stale: either the code it excused is gone, or it never matched —
 	// both rot the invariant it punched a hole in.
-	Used bool `json:"used"`
+	Used bool
 }
 
 // collectExemptions gathers every pragma of one package.
@@ -85,7 +84,7 @@ func (idx *exemptionIndex) suppresses(d Diagnostic) bool {
 	}
 	for _, e := range lines[d.Pos.Line] {
 		for _, name := range e.Analyzers {
-			if name == d.Analyzer || name == "all" {
+			if name == d.Analyzer {
 				e.Used = true
 				return true
 			}
@@ -100,21 +99,20 @@ func (idx *exemptionIndex) suppresses(d Diagnostic) bool {
 // stop.
 const AuditName = "exemption-audit"
 
-// AuditExemptions cross-checks the pragmas of a finished run:
+// auditExemptions cross-checks the pragmas of a finished run:
 //
 //   - a pragma that suppressed nothing is stale and must be deleted;
 //   - a pragma naming an analyzer the suite does not contain is a typo
 //     that silently suppresses nothing;
 //   - a pragma without a reason is an escape hatch with no recorded
-//     justification, which is how invariants rot (the reason used to be
-//     "mandatory by convention"; the audit makes it mechanical).
+//     justification, which is how invariants rot.
 //
-// known is the set of valid analyzer names (plus the implicit "all").
-func AuditExemptions(exs []*Exemption, known map[string]bool) []Diagnostic {
+// known is the set of analyzer names the run executed.
+func auditExemptions(exs []*Exemption, known map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, e := range exs {
 		for _, name := range e.Analyzers {
-			if name != "all" && !known[name] {
+			if !known[name] {
 				out = append(out, Diagnostic{
 					Analyzer: AuditName,
 					Pos:      e.Pos,
@@ -137,7 +135,6 @@ func AuditExemptions(exs []*Exemption, known map[string]bool) []Diagnostic {
 			})
 		}
 	}
-	sortDiagnostics(out)
 	return out
 }
 

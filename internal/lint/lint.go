@@ -14,16 +14,18 @@
 // and type-checked with go/types, resolving module-internal imports from
 // the source tree and standard library imports from GOROOT source. That
 // keeps the linter dependency-free, at the cost of the modular fact
-// plumbing the x/tools driver provides — which the four passes here do
-// not need.
+// plumbing the x/tools driver provides — which the analyzers here do not
+// need: every analyzer runs over the whole loaded Program.
 //
 // Suppression: a diagnostic is dropped when the offending line, or the
 // line directly above it, carries a comment of the form
 //
 //	//lint:allow <analyzer> <reason>
 //
-// The reason is mandatory by convention (reviewed, not enforced): an
-// escape hatch without a recorded justification is how invariants rot.
+// Every run audits these pragmas (see auditExemptions): one that
+// suppresses nothing, names an unknown analyzer or omits the reason is
+// itself a finding — an escape hatch without a live, recorded
+// justification is how invariants rot.
 package lint
 
 import (
@@ -35,7 +37,10 @@ import (
 	"strings"
 )
 
-// Analyzer is one named pass over a type-checked package.
+// Analyzer is one named pass over a type-checked program. Each analyzer
+// decides for itself which packages and functions it looks at (a package
+// list, call-graph reachability, or both); the driver only hands it the
+// program.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //lint:allow
 	// comments. Lower-case, no spaces.
@@ -43,45 +48,43 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces
 	// and why.
 	Doc string
-	// AppliesTo reports whether the analyzer should run on the package
-	// with the given import path. A nil AppliesTo runs everywhere the
-	// driver points it.
-	AppliesTo func(pkgPath string) bool
-	// Run inspects the package and reports findings through the pass.
+	// Run inspects the program and reports findings through the pass.
 	Run func(*Pass)
 }
 
-// Pass carries one analyzer's view of one package.
+// Pass carries one analyzer's view of one program.
 type Pass struct {
 	Analyzer *Analyzer
-	Pkg      *Package
+	Prog     *Program
 
 	diags []Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.ReportVia(nil, pos, format, args...)
 }
 
-// TypeOf returns the type of e, or nil.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	return p.Pkg.Info.TypeOf(e)
+// ReportVia records a diagnostic at pos together with the call chain
+// explaining how the flagged code is reached from an entry point.
+func (p *Pass) ReportVia(chain []string, pos token.Pos, format string, args ...any) {
+	p.diags = append(p.diags, Diagnostic{
+		Analyzer: p.Analyzer.Name,
+		Pos:      p.Prog.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
+		Chain:    chain,
+	})
 }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
-	// Chain, set by whole-program analyzers, is the call chain from an
+	Analyzer string
+	Pos      token.Position
+	Message  string
+	// Chain, set by the call-graph analyzers, is the call chain from an
 	// entry point to the function containing the finding, outermost
 	// first.
-	Chain []ChainEntry `json:"chain,omitempty"`
+	Chain []string
 }
 
 // String renders the diagnostic the way go vet does, with the call chain
@@ -89,11 +92,7 @@ type Diagnostic struct {
 func (d Diagnostic) String() string {
 	s := fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 	if len(d.Chain) > 0 {
-		names := make([]string, len(d.Chain))
-		for i, c := range d.Chain {
-			names[i] = c.Func
-		}
-		s += fmt.Sprintf("\n\tvia %s", strings.Join(names, " → "))
+		s += "\n\tvia " + strings.Join(d.Chain, " → ")
 	}
 	return s
 }
@@ -115,61 +114,21 @@ func sortDiagnostics(out []Diagnostic) {
 	})
 }
 
-// RunAnalyzers executes every applicable analyzer on the package and
-// returns the surviving diagnostics sorted by position. Pragma usage is
-// discarded; drivers that need the exemption audit use RunSuite.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	idx := newExemptionIndex(collectExemptions(pkg))
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
-			continue
-		}
-		pass := &Pass{Analyzer: a, Pkg: pkg}
-		a.Run(pass)
-		for _, d := range pass.diags {
-			if !idx.suppresses(d) {
-				out = append(out, d)
-			}
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// Suite is the full gridlint configuration: per-package analyzers plus
-// whole-program analyzers.
-type Suite struct {
-	Analyzers []*Analyzer
-	Program   []*ProgramAnalyzer
-}
-
-// Names returns the set of valid analyzer names, for the exemption
-// audit.
-func (s Suite) Names() map[string]bool {
-	out := make(map[string]bool)
-	for _, a := range s.Analyzers {
-		out[a.Name] = true
-	}
-	for _, a := range s.Program {
-		out[a.Name] = true
-	}
-	return out
-}
-
-// Result is one whole-suite run over one program.
+// Result is one run of a set of analyzers over one program.
 type Result struct {
-	// Diagnostics are the surviving (non-exempt) findings, sorted.
+	// Diagnostics are the findings no //lint:allow pragma covers, plus
+	// the exemption audit's findings about the pragmas themselves,
+	// sorted.
 	Diagnostics []Diagnostic
 	// Exemptions are every //lint:allow pragma seen, with usage marked.
 	Exemptions []*Exemption
 }
 
-// RunSuite executes the per-package analyzers on every package of the
-// program and the whole-program analyzers on the program itself,
-// suppressing findings covered by //lint:allow pragmas and recording
-// which pragmas earned their keep.
-func RunSuite(prog *Program, s Suite) Result {
+// Run executes the analyzers on the program, drops findings covered by
+// //lint:allow pragmas, and audits the pragmas: one that suppressed
+// nothing, names an analyzer not among those run, or records no reason is
+// itself a finding.
+func Run(prog *Program, analyzers []*Analyzer) Result {
 	var exs []*Exemption
 	for _, pkg := range prog.Packages {
 		exs = append(exs, collectExemptions(pkg)...)
@@ -177,53 +136,33 @@ func RunSuite(prog *Program, s Suite) Result {
 	idx := newExemptionIndex(exs)
 
 	var out []Diagnostic
-	keep := func(diags []Diagnostic) {
-		for _, d := range diags {
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		known[a.Name] = true
+		pass := &Pass{Analyzer: a, Prog: prog}
+		a.Run(pass)
+		for _, d := range pass.diags {
 			if !idx.suppresses(d) {
 				out = append(out, d)
 			}
 		}
 	}
-	for _, pkg := range prog.Packages {
-		for _, a := range s.Analyzers {
-			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
-				continue
-			}
-			pass := &Pass{Analyzer: a, Pkg: pkg}
-			a.Run(pass)
-			keep(pass.diags)
-		}
-	}
-	keep(RunProgramAnalyzers(prog, s.Program))
+	out = append(out, auditExemptions(exs, known)...)
 
 	sortDiagnostics(out)
 	sortExemptions(exs)
 	return Result{Diagnostics: out, Exemptions: exs}
 }
 
-// All returns the gridlint per-package analyzer suite.
+// All returns the gridlint suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		DESDeterminism,
-		EpochFence,
-		FreelistDiscipline,
+		AllocHygiene,
+		DetTaint,
 		LockDiscipline,
 		MsgPurity,
 		VirtualTime,
 	}
-}
-
-// AllProgram returns the gridlint whole-program analyzer suite.
-func AllProgram() []*ProgramAnalyzer {
-	return []*ProgramAnalyzer{
-		AllocHygiene,
-		DetTaint,
-	}
-}
-
-// DefaultSuite is the complete gridlint suite the driver and CI run.
-func DefaultSuite() Suite {
-	return Suite{Analyzers: All(), Program: AllProgram()}
 }
 
 // PathUnder reports whether the import path equals prefix or lives below
@@ -232,20 +171,17 @@ func PathUnder(path, prefix string) bool {
 	return path == prefix || strings.HasPrefix(path, prefix+"/")
 }
 
-// anyUnder builds an AppliesTo func matching any of the given prefixes,
-// compared against the path as given and with everything before an
-// "internal/" or "cmd/" path segment stripped — so filters keep working
-// both on real module paths (gridmutex/internal/des) and on the
-// synthetic paths the test corpus loads packages under
-// (dettaint/internal/util).
+// anyUnder builds a package-scope predicate matching any of the given
+// prefixes, compared against the path with everything before an
+// "internal/" or "cmd/" path segment stripped — so scopes work both on
+// real module paths (gridmutex/internal/des) and on the synthetic paths
+// the test corpus loads packages under (dettaint/internal/util).
 func anyUnder(prefixes ...string) func(string) bool {
 	return func(pkgPath string) bool {
-		cands := []string{pkgPath, stripModulePrefix(pkgPath)}
+		rel := stripModulePrefix(pkgPath)
 		for _, p := range prefixes {
-			for _, c := range cands {
-				if PathUnder(c, p) {
-					return true
-				}
+			if PathUnder(rel, p) {
+				return true
 			}
 		}
 		return false
@@ -253,7 +189,7 @@ func anyUnder(prefixes ...string) func(string) bool {
 }
 
 // stripModulePrefix cuts everything before the first "internal/" or
-// "cmd/" segment at a path boundary, mirroring CallNode.Name.
+// "cmd/" segment at a path boundary.
 func stripModulePrefix(pkgPath string) string {
 	for _, seg := range []string{"internal/", "cmd/"} {
 		if strings.HasPrefix(pkgPath, seg) {
@@ -264,6 +200,18 @@ func stripModulePrefix(pkgPath string) string {
 		}
 	}
 	return pkgPath
+}
+
+// packagesIn returns the program's packages the scope accepts, in path
+// order.
+func (p *Pass) packagesIn(scope func(string) bool) []*Package {
+	var out []*Package
+	for _, pkg := range p.Prog.Packages {
+		if scope(pkg.Path) {
+			out = append(out, pkg)
+		}
+	}
+	return out
 }
 
 // isPkgIdent reports whether e is an identifier naming an imported package
@@ -296,9 +244,4 @@ func derefNamed(t types.Type) (*types.Named, bool) {
 	}
 	n, ok := t.(*types.Named)
 	return n, ok
-}
-
-// exprString renders an expression for diagnostics.
-func exprString(e ast.Expr) string {
-	return types.ExprString(e)
 }

@@ -13,13 +13,9 @@
 package linttest
 
 import (
-	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
 
 	"gridmutex/internal/lint"
@@ -35,62 +31,15 @@ func TestDataDir(t *testing.T) string {
 	return filepath.Join(filepath.Dir(file), "testdata", "src")
 }
 
-// Run loads testdata/src/<pkgdir> as a package and checks the analyzer's
-// diagnostics against the want comments in its sources.
-func Run(t *testing.T, srcRoot string, a *lint.Analyzer, pkgdir string) {
-	t.Helper()
-	loader, err := lint.NewLoader(srcRoot)
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	loader.ExtraRoot = srcRoot
-	pkg, err := loader.LoadDir(filepath.Join(srcRoot, filepath.FromSlash(pkgdir)), pkgdir)
-	if err != nil {
-		t.Fatalf("linttest: load %s: %v", pkgdir, err)
-	}
-	for _, e := range pkg.TypeErrors {
-		t.Errorf("linttest: %s: type error: %v", pkgdir, e)
-	}
-
-	// Run without the package filter: the corpus decides scope.
-	unfiltered := &lint.Analyzer{Name: a.Name, Doc: a.Doc, Run: a.Run}
-	got := lint.RunAnalyzers(pkg, []*lint.Analyzer{unfiltered})
-
-	wants := collectWants(t, pkg.Fset, pkg)
-	matched := make([]bool, len(wants))
-	for _, d := range got {
-		ok := false
-		for i, w := range wants {
-			if matched[i] || w.file != filepath.Base(d.Pos.Filename) || w.line != d.Pos.Line {
-				continue
-			}
-			if w.re.MatchString(d.Message) {
-				matched[i] = true
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Errorf("%s: unexpected diagnostic: %s", pkgdir, d)
-		}
-	}
-	for i, w := range wants {
-		if !matched[i] {
-			t.Errorf("%s: %s:%d: no diagnostic matched want %q", pkgdir, w.file, w.line, w.re)
-		}
-	}
-}
-
-// RunProgram loads the given testdata/src/<pkgdir> packages together as
-// one program, runs the whole-program analyzer over it, and checks its
-// diagnostics against the want comments across all the sources.
+// Load loads the given testdata/src/<pkgdir> packages together as one
+// program, failing the test on load or type errors.
 //
-// Corpus packages select themselves into the analyzer's scope by path
+// Corpus packages select themselves into an analyzer's scope by path
 // shape: a package under testdata/src/<name>/internal/harness loads with
 // import path <name>/internal/harness, which the analyzers' package
-// filters match at the internal/ boundary exactly like the real module
+// scopes match at the internal/ boundary exactly like the real module
 // path.
-func RunProgram(t *testing.T, srcRoot string, a *lint.ProgramAnalyzer, pkgdirs ...string) {
+func Load(t *testing.T, srcRoot string, pkgdirs ...string) *lint.Program {
 	t.Helper()
 	loader, err := lint.NewLoader(srcRoot)
 	if err != nil {
@@ -99,19 +48,25 @@ func RunProgram(t *testing.T, srcRoot string, a *lint.ProgramAnalyzer, pkgdirs .
 	loader.ExtraRoot = srcRoot
 	prog, err := loader.LoadProgram(pkgdirs)
 	if err != nil {
-		t.Fatalf("linttest: load program: %v", err)
+		t.Fatalf("linttest: %v", err)
 	}
+	return prog
+}
+
+// Run loads the corpus packages as one program, runs the analyzer over
+// it, and checks its diagnostics (after //lint:allow suppression and the
+// exemption audit, as in every gridlint run) against the want comments
+// across all the sources.
+func Run(t *testing.T, srcRoot string, a *lint.Analyzer, pkgdirs ...string) {
+	t.Helper()
+	prog := Load(t, srcRoot, pkgdirs...)
 	var wants []want
 	for _, pkg := range prog.Packages {
-		for _, e := range pkg.TypeErrors {
-			t.Errorf("linttest: %s: type error: %v", pkg.Path, e)
-		}
-		wants = append(wants, collectWants(t, pkg.Fset, pkg)...)
+		wants = append(wants, collectWants(t, pkg)...)
 	}
 
-	got := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{a})
 	matched := make([]bool, len(wants))
-	for _, d := range got {
+	for _, d := range lint.Run(prog, []*lint.Analyzer{a}).Diagnostics {
 		ok := false
 		for i, w := range wants {
 			if matched[i] || w.file != filepath.Base(d.Pos.Filename) || w.line != d.Pos.Line {
@@ -143,7 +98,7 @@ type want struct {
 var wantRe = regexp.MustCompile("// want (.*)$")
 var fragRe = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
 
-func collectWants(t *testing.T, fset *token.FileSet, pkg *lint.Package) []want {
+func collectWants(t *testing.T, pkg *lint.Package) []want {
 	t.Helper()
 	var out []want
 	for _, f := range pkg.Files {
@@ -153,7 +108,7 @@ func collectWants(t *testing.T, fset *token.FileSet, pkg *lint.Package) []want {
 				if m == nil {
 					continue
 				}
-				pos := fset.Position(c.Pos())
+				pos := pkg.Fset.Position(c.Pos())
 				frags := fragRe.FindAllStringSubmatch(m[1], -1)
 				if len(frags) == 0 {
 					t.Fatalf("linttest: %s:%d: want comment without quoted pattern", pos.Filename, pos.Line)
@@ -172,20 +127,5 @@ func collectWants(t *testing.T, fset *token.FileSet, pkg *lint.Package) []want {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].file != out[j].file {
-			return out[i].file < out[j].file
-		}
-		return out[i].line < out[j].line
-	})
 	return out
-}
-
-// Describe renders diagnostics for debugging test failures.
-func Describe(diags []lint.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintf(&b, "  %s\n", d)
-	}
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -25,9 +26,9 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// TypeErrors collects type-checking problems. The analyzers still
-	// run on a partially checked package, but a driver should surface
-	// these: a finding on broken code may be wrong.
+	// TypeErrors collects type-checking problems; LoadProgram refuses a
+	// program whose listed packages have any, because a finding on
+	// broken code may be wrong.
 	TypeErrors []error
 }
 
@@ -58,23 +59,14 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Loader{ModuleRoot: root, ModulePath: modPath}
-	l.init()
-	return l, nil
-}
-
-func (l *Loader) init() {
-	if l.fset == nil {
-		l.fset = token.NewFileSet()
-		l.std = importer.ForCompiler(l.fset, "source", nil)
-		l.cache = make(map[string]*Package)
-	}
-}
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet {
-	l.init()
-	return l.fset
+	fset := token.NewFileSet()
+	return &Loader{
+		ModuleRoot: root,
+		ModulePath: modPath,
+		fset:       fset,
+		std:        importer.ForCompiler(fset, "source", nil),
+		cache:      make(map[string]*Package),
+	}, nil
 }
 
 // findModule walks up from dir to the enclosing go.mod.
@@ -100,16 +92,57 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// Load type-checks the package with the given import path.
-func (l *Loader) Load(path string) (*Package, error) {
-	l.init()
-	return l.load(path, make(map[string]bool))
+// Program is a set of packages loaded and type-checked together under one
+// Loader, the unit every analyzer runs on. The call-graph analyzers see
+// exactly the packages in the Program: pointing the driver at a subset of
+// the module narrows their view.
+type Program struct {
+	// Fset is the FileSet shared by every package in the program.
+	Fset *token.FileSet
+	// Packages, sorted by import path.
+	Packages []*Package
+
+	graph *CallGraph
 }
 
-// LoadDir type-checks the package in dir under the given import path.
-func (l *Loader) LoadDir(dir, path string) (*Package, error) {
-	l.init()
-	return l.loadDir(dir, path, make(map[string]bool))
+// LoadProgram loads every listed import path into one Program. A package
+// that fails to load or to type-check aborts the whole program: a
+// whole-program analysis over a partial program would silently
+// under-report.
+func (l *Loader) LoadProgram(paths []string) (*Program, error) {
+	prog := &Program{Fset: l.fset}
+	seen := make(map[string]bool, len(paths))
+	var typeErrs []error
+	for _, path := range paths {
+		if seen[path] {
+			continue
+		}
+		seen[path] = true
+		pkg, err := l.load(path, make(map[string]bool))
+		if err != nil {
+			return nil, fmt.Errorf("lint: load program: %w", err)
+		}
+		for _, e := range pkg.TypeErrors {
+			typeErrs = append(typeErrs, fmt.Errorf("%s: %w", path, e))
+		}
+		prog.Packages = append(prog.Packages, pkg)
+	}
+	if len(typeErrs) > 0 {
+		return nil, errors.Join(typeErrs...)
+	}
+	sort.Slice(prog.Packages, func(i, j int) bool {
+		return prog.Packages[i].Path < prog.Packages[j].Path
+	})
+	return prog, nil
+}
+
+// CallGraph returns the program's call graph, built on first use and
+// shared by every analyzer that needs one.
+func (p *Program) CallGraph() *CallGraph {
+	if p.graph == nil {
+		p.graph = buildCallGraph(p)
+	}
+	return p.graph
 }
 
 // ModulePackages returns the import paths of every package under the
@@ -183,13 +216,6 @@ func (l *Loader) load(path string, loading map[string]bool) (*Package, error) {
 	dir := l.dirFor(path)
 	if dir == "" {
 		return nil, fmt.Errorf("lint: %s is not a module or corpus package", path)
-	}
-	return l.loadDir(dir, path, loading)
-}
-
-func (l *Loader) loadDir(dir, path string, loading map[string]bool) (*Package, error) {
-	if p, ok := l.cache[path]; ok {
-		return p, nil
 	}
 	if loading[path] {
 		return nil, fmt.Errorf("lint: import cycle through %s", path)

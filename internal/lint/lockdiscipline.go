@@ -5,86 +5,55 @@ import (
 	"go/types"
 )
 
-// LockDiscipline enforces the three mutex rules the live transports
-// depend on:
-//
-//  1. A function that calls Lock (or RLock) on a sync.Mutex/RWMutex must
-//     contain a matching Unlock (RUnlock) on the same receiver — the
-//     cross-function handoff pattern is banned because it defeats local
-//     reasoning about lock extent.
-//  2. No channel send while a mutex is held: the receiver may be a
-//     mailbox goroutine that needs the same mutex to drain, which is the
-//     classic livenet deadlock.
-//  3. Mutexes travel by pointer: a by-value sync.Mutex/RWMutex parameter
-//     or result silently copies the lock state.
+// LockDiscipline forbids a channel send while a mutex is held in the
+// goroutine-and-mutex packages (the live transports and the fleet pool):
+// the receiver may be a mailbox goroutine that needs the same mutex to
+// drain, which is the classic livenet deadlock — one that neither the
+// race detector nor the live tests' happy paths provoke.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc: "require in-function Lock/Unlock pairing, forbid channel sends " +
-		"under a held mutex and mutexes passed by value",
-	AppliesTo: anyUnder(
-		"internal/livenet",
-		"internal/reliable",
-		// fleet IS the goroutine pool (its one `go` statement carries a
-		// reasoned //lint:allow desdeterminism), so it also gets the
-		// concurrent-code discipline checks.
-		"internal/fleet",
-	),
-	Run: runLockDiscipline,
+	Doc:  "forbid channel sends while a sync.Mutex/RWMutex is held",
+	Run:  runLockDiscipline,
 }
+
+var lockPackages = anyUnder(
+	"internal/livenet",
+	"internal/reliable",
+	// fleet IS the goroutine pool (its one `go` statement carries a
+	// reasoned //lint:allow dettaint), so it also gets the
+	// concurrent-code discipline checks.
+	"internal/fleet",
+)
 
 func isMutexType(t types.Type) bool {
 	return namedType(t, "sync", "Mutex") || namedType(t, "sync", "RWMutex")
 }
 
-var unlockOf = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
-
+// runLockDiscipline scans every function body and function literal as
+// its own scope: a closure may run on another goroutine, much later, or
+// never, so it neither inherits nor discharges the enclosing function's
+// held set.
 func runLockDiscipline(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkMutexParams(p, n.Type)
-				if n.Body != nil {
-					checkFuncBody(p, n.Body)
+	for _, pkg := range p.packagesIn(lockPackages) {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Body != nil {
+						scanHeld(p, pkg, n.Body.List, nil)
+					}
+				case *ast.FuncLit:
+					scanHeld(p, pkg, n.Body.List, nil)
 				}
-				// Nested FuncLits are handled below; returning true
-				// descends into them.
-			case *ast.FuncLit:
-				checkFuncBody(p, n.Body)
-			}
-			return true
-		})
-	}
-}
-
-// checkMutexParams flags by-value mutex parameters and results.
-func checkMutexParams(p *Pass, ft *ast.FuncType) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			if t := p.TypeOf(field.Type); t != nil {
-				if _, isPtr := t.(*types.Pointer); !isPtr && isMutexType(t) {
-					p.Reportf(field.Type.Pos(), "sync.%s passed by value as a %s copies the lock state; use a pointer", typeName(t), what)
-				}
-			}
+				return true
+			})
 		}
 	}
-	check(ft.Params, "parameter")
-	check(ft.Results, "result")
-}
-
-func typeName(t types.Type) string {
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
 }
 
 // mutexCall returns (receiver expression string, method name) when call
 // is a Lock/Unlock/RLock/RUnlock on a mutex-typed receiver.
-func mutexCall(p *Pass, call *ast.CallExpr) (string, string, bool) {
+func mutexCall(pkg *Package, call *ast.CallExpr) (string, string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", "", false
@@ -94,71 +63,11 @@ func mutexCall(p *Pass, call *ast.CallExpr) (string, string, bool) {
 	default:
 		return "", "", false
 	}
-	t := p.TypeOf(sel.X)
+	t := pkg.Info.TypeOf(sel.X)
 	if t == nil || !isMutexType(t) {
 		return "", "", false
 	}
 	return types.ExprString(sel.X), sel.Sel.Name, true
-}
-
-// checkFuncBody runs the pairing and send-under-lock checks on one
-// function body. Nested function literals are skipped here — the
-// surrounding walk visits them as their own scope, because a closure's
-// Unlock cannot discharge the enclosing function's Lock (it may run on
-// another goroutine, much later, or never).
-func checkFuncBody(p *Pass, body *ast.BlockStmt) {
-	locks := make(map[string][]*ast.CallExpr) // receiver -> Lock/RLock calls
-	unlocks := make(map[string]bool)          // receiver+method present?
-	walkOwnLevel(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		recv, method, ok := mutexCall(p, call)
-		if !ok {
-			return
-		}
-		switch method {
-		case "Lock", "RLock":
-			locks[recv+"."+method] = append(locks[recv+"."+method], call)
-		case "Unlock", "RUnlock":
-			unlocks[recv+"."+method] = true
-		}
-	})
-	for key, calls := range locks {
-		recv, method := splitLockKey(key)
-		want := unlockOf[method]
-		if !unlocks[recv+"."+want] {
-			for _, c := range calls {
-				p.Reportf(c.Pos(), "%s.%s without a %s on %s in the same function; release the lock where it is taken", recv, method, want, recv)
-			}
-		}
-	}
-	var held []string
-	scanHeld(p, body.List, held)
-}
-
-func splitLockKey(key string) (recv, method string) {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '.' {
-			return key[:i], key[i+1:]
-		}
-	}
-	return key, ""
-}
-
-// walkOwnLevel visits every node of the body except nested FuncLit
-// bodies.
-func walkOwnLevel(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }
 
 // scanHeld walks a statement list in program order, tracking which mutex
@@ -168,13 +77,13 @@ func walkOwnLevel(body *ast.BlockStmt, visit func(ast.Node)) {
 // outlive it, a deliberate approximation that keeps the analysis linear
 // and errs toward reporting (the escape hatch covers the rare deliberate
 // send-under-lock).
-func scanHeld(p *Pass, stmts []ast.Stmt, held []string) {
+func scanHeld(p *Pass, pkg *Package, stmts []ast.Stmt, held []string) {
 	holds := func() bool { return len(held) > 0 }
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
-				if recv, method, ok := mutexCall(p, call); ok {
+				if recv, method, ok := mutexCall(pkg, call); ok {
 					switch method {
 					case "Lock", "RLock":
 						held = append(held, recv)
@@ -192,23 +101,23 @@ func scanHeld(p *Pass, stmts []ast.Stmt, held []string) {
 				p.Reportf(s.Pos(), "channel send while holding mutex %s; the receiver may need the same lock to make progress", held[len(held)-1])
 			}
 		case *ast.BlockStmt:
-			scanHeld(p, s.List, append([]string(nil), held...))
+			scanHeld(p, pkg, s.List, append([]string(nil), held...))
 		case *ast.IfStmt:
-			scanIf(p, s, held)
+			scanIf(p, pkg, s, held)
 		case *ast.ForStmt:
-			scanHeld(p, s.Body.List, append([]string(nil), held...))
+			scanHeld(p, pkg, s.Body.List, append([]string(nil), held...))
 		case *ast.RangeStmt:
-			scanHeld(p, s.Body.List, append([]string(nil), held...))
+			scanHeld(p, pkg, s.Body.List, append([]string(nil), held...))
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					scanHeld(p, cc.Body, append([]string(nil), held...))
+					scanHeld(p, pkg, cc.Body, append([]string(nil), held...))
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					scanHeld(p, cc.Body, append([]string(nil), held...))
+					scanHeld(p, pkg, cc.Body, append([]string(nil), held...))
 				}
 			}
 		case *ast.SelectStmt:
@@ -217,20 +126,20 @@ func scanHeld(p *Pass, stmts []ast.Stmt, held []string) {
 					if snd, ok := cc.Comm.(*ast.SendStmt); ok && holds() {
 						p.Reportf(snd.Pos(), "channel send while holding mutex %s; the receiver may need the same lock to make progress", held[len(held)-1])
 					}
-					scanHeld(p, cc.Body, append([]string(nil), held...))
+					scanHeld(p, pkg, cc.Body, append([]string(nil), held...))
 				}
 			}
 		}
 	}
 }
 
-func scanIf(p *Pass, s *ast.IfStmt, held []string) {
-	scanHeld(p, s.Body.List, append([]string(nil), held...))
+func scanIf(p *Pass, pkg *Package, s *ast.IfStmt, held []string) {
+	scanHeld(p, pkg, s.Body.List, append([]string(nil), held...))
 	switch e := s.Else.(type) {
 	case *ast.BlockStmt:
-		scanHeld(p, e.List, append([]string(nil), held...))
+		scanHeld(p, pkg, e.List, append([]string(nil), held...))
 	case *ast.IfStmt:
-		scanIf(p, e, held)
+		scanIf(p, pkg, e, held)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 func TestLockDisciplineBad(t *testing.T) {
-	linttest.Run(t, linttest.TestDataDir(t), lint.LockDiscipline, "lockdiscipline/bad")
+	linttest.Run(t, linttest.TestDataDir(t), lint.LockDiscipline, "lockdiscipline/internal/livenet/bad")
 }
 
 func TestLockDisciplineGood(t *testing.T) {
-	linttest.Run(t, linttest.TestDataDir(t), lint.LockDiscipline, "lockdiscipline/good")
+	linttest.Run(t, linttest.TestDataDir(t), lint.LockDiscipline, "lockdiscipline/internal/livenet/good")
 }

@@ -6,129 +6,13 @@ import (
 	"go/types"
 )
 
-// DESDeterminism forbids sources of nondeterminism inside DES-driven
-// packages: wall-clock reads, the global math/rand generator, goroutines,
-// select statements, and iteration over maps whose order can reach state
-// or messages.
-//
-// Map ranges are allowed when the loop body is provably order-independent
-// (pure counting/accumulation with commutative operators, early constant
-// returns, key deletion) or when the collected keys are sorted before
-// use (the append-keys-then-sort.Slice idiom). Anything else needs a
-// //lint:allow desdeterminism comment with a reason.
-var DESDeterminism = &Analyzer{
-	Name: "desdeterminism",
-	Doc: "forbid wall-clock time, global math/rand, goroutines, select, and " +
-		"order-dependent map iteration in DES-driven packages",
-	// internal/fleet is the one goroutine island in the simulation stack —
-	// the worker pool the harness fans repetitions out on. Its jobs are
-	// pure functions of their seeds, each on a private Simulator, and its
-	// results are merged by job index, so scheduler nondeterminism cannot
-	// reach any aggregate (DESIGN.md §8). It is still on this list: the
-	// island is one specific `go` statement, excused in place with a
-	// reasoned //lint:allow, not a package-wide blind spot.
-	AppliesTo: anyUnder(
-		"internal/des",
-		"internal/simnet",
-		"internal/algorithms",
-		"internal/core",
-		"internal/adaptive",
-		"internal/workload",
-		"internal/check",
-		"internal/trace",
-		"internal/stats",
-		"internal/harness",
-		"internal/run",
-		"internal/reliable",
-		"internal/explore",
-		"internal/recovery",
-		"internal/faults",
-		// fleet joined the list when gridlint grew whole-program taint:
-		// its goroutine pool is a deliberate, documented exception, so the
-		// `go` statement it needs carries a //lint:allow pragma with the
-		// DESIGN.md §8 justification instead of a blanket package opt-out.
-		"internal/fleet",
-		// scenario compiles declarative fixtures onto the simulation stack
-		// and promises byte-identical verdicts per seed, so it obeys the
-		// same determinism rules as the packages it drives.
-		"internal/scenario",
-	),
-	Run: runDESDeterminism,
-}
-
-// forbiddenTimeFuncs are the package-level time functions that read or
-// depend on the wall clock. Pure constructors and formatters (Duration,
-// ParseDuration, Unix...) stay legal.
-var forbiddenTimeFuncs = map[string]string{
-	"Now":       "reads the wall clock",
-	"Since":     "reads the wall clock",
-	"Until":     "reads the wall clock",
-	"Sleep":     "blocks on the wall clock",
-	"After":     "schedules on the wall clock",
-	"Tick":      "schedules on the wall clock",
-	"NewTicker": "schedules on the wall clock",
-	"NewTimer":  "schedules on the wall clock",
-	"AfterFunc": "schedules on the wall clock",
-}
-
-// allowedRandFuncs construct seeded generators; everything else on the
-// math/rand package operates the process-global, unseeded source.
-var allowedRandFuncs = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-}
-
-func runDESDeterminism(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				p.Reportf(n.Pos(), "go statement in a DES-driven package: handlers must stay single-threaded to keep event interleaving reproducible")
-			case *ast.SelectStmt:
-				p.Reportf(n.Pos(), "select statement in a DES-driven package: channel readiness order is scheduler-dependent")
-			case *ast.CallExpr:
-				checkDESCall(p, n)
-			case *ast.RangeStmt:
-				checkMapRange(p, n, f)
-				return true
-			}
-			return true
-		})
-	}
-}
-
-func checkDESCall(p *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if isPkgIdent(p.Pkg.Info, sel.X, "time") {
-		if why, bad := forbiddenTimeFuncs[sel.Sel.Name]; bad {
-			p.Reportf(call.Pos(), "time.%s %s; use the simulator's virtual clock", sel.Sel.Name, why)
-		}
-		return
-	}
-	if isPkgIdent(p.Pkg.Info, sel.X, "math/rand") || isPkgIdent(p.Pkg.Info, sel.X, "math/rand/v2") {
-		if !allowedRandFuncs[sel.Sel.Name] {
-			p.Reportf(call.Pos(), "math/rand.%s uses the global generator; draw from a seeded *rand.Rand instead", sel.Sel.Name)
-		}
-	}
-}
-
-// checkMapRange flags `range m` over a map unless the iteration provably
-// cannot leak order.
-func checkMapRange(p *Pass, rng *ast.RangeStmt, file *ast.File) {
-	if mapRangeLeaksOrder(p.Pkg, rng, file) {
-		p.Reportf(rng.Pos(), "iteration over map %s has scheduler-chosen order that can reach state or messages; sort the keys first, make the body order-independent, or annotate //lint:allow desdeterminism with a reason", types.ExprString(rng.X))
-	}
-}
-
 // mapRangeLeaksOrder reports whether rng iterates a map in a way that can
-// leak iteration order: not provably order-independent and not the
-// collect-keys-then-sort idiom. Shared with the whole-program taint pass,
-// which applies the same judgment to packages outside the per-file set.
-func mapRangeLeaksOrder(pkg *Package, rng *ast.RangeStmt, file *ast.File) bool {
+// leak iteration order: not provably order-independent (pure
+// counting/accumulation with commutative operators, early constant
+// returns, key deletion) and not the collect-keys-then-sort idiom. root is
+// the file or declaration being scanned, searched for the statements
+// following the loop.
+func mapRangeLeaksOrder(pkg *Package, rng *ast.RangeStmt, root ast.Node) bool {
 	t := pkg.Info.TypeOf(rng.X)
 	if t == nil {
 		return false
@@ -139,7 +23,7 @@ func mapRangeLeaksOrder(pkg *Package, rng *ast.RangeStmt, file *ast.File) bool {
 	if orderIndependentBlock(pkg, rng.Body) {
 		return false
 	}
-	return !collectThenSort(pkg, rng, file)
+	return !collectThenSort(pkg, rng, root)
 }
 
 // orderIndependentBlock reports whether executing the statements in any
@@ -245,7 +129,7 @@ func constantExpr(p *Package, e ast.Expr) bool {
 //	    out = append(out, k)
 //	}
 //	sort.Slice(out, ...)
-func collectThenSort(p *Package, rng *ast.RangeStmt, file *ast.File) bool {
+func collectThenSort(p *Package, rng *ast.RangeStmt, root ast.Node) bool {
 	if len(rng.Body.List) != 1 {
 		return false
 	}
@@ -267,7 +151,7 @@ func collectThenSort(p *Package, rng *ast.RangeStmt, file *ast.File) bool {
 
 	// Find the statement list containing the range and scan forward: the
 	// first use of target must be a sort call.
-	block := enclosingBlock(file, rng)
+	block := enclosingBlock(root, rng)
 	if block == nil {
 		return false
 	}
@@ -292,10 +176,11 @@ func collectThenSort(p *Package, rng *ast.RangeStmt, file *ast.File) bool {
 	return false
 }
 
-// enclosingBlock returns the statement list directly containing stmt.
-func enclosingBlock(file *ast.File, stmt ast.Stmt) []ast.Stmt {
+// enclosingBlock returns the statement list under root directly
+// containing stmt.
+func enclosingBlock(root ast.Node, stmt ast.Stmt) []ast.Stmt {
 	var found []ast.Stmt
-	ast.Inspect(file, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		if found != nil {
 			return false
 		}

@@ -28,50 +28,46 @@ var MsgPurity = &Analyzer{
 	Name: "msgpurity",
 	Doc: "message structs exchanged through the network must not carry " +
 		"pointer, slice-of-pointer, map, chan or func fields",
-	AppliesTo: anyUnder(
-		"internal/mutex",
-		"internal/algorithms",
-		"internal/core",
-		"internal/adaptive",
-		"internal/reliable",
-		"internal/simnet",
-		"internal/livenet",
-		"internal/recovery",
-		// workload and trace sit beside the message plane (request
-		// generators, event records); they define no messages today, but
-		// being on the list means a Message impl added there tomorrow is
-		// checked from its first commit rather than silently skipped.
-		"internal/workload",
-		"internal/trace",
-		// scenario defines no messages either; listed for the same
-		// first-commit coverage reason.
-		"internal/scenario",
-	),
 	Run: runMsgPurity,
 }
 
+var msgPackages = anyUnder(
+	"internal/mutex",
+	"internal/algorithms",
+	"internal/core",
+	"internal/adaptive",
+	"internal/reliable",
+	"internal/simnet",
+	"internal/livenet",
+	"internal/recovery",
+	// workload and trace sit beside the message plane (request
+	// generators, event records); they define no messages today, but
+	// being on the list means a Message impl added there tomorrow is
+	// checked from its first commit rather than silently skipped.
+	"internal/workload",
+	"internal/trace",
+	// scenario defines no messages either; listed for the same
+	// first-commit coverage reason.
+	"internal/scenario",
+)
+
 func runMsgPurity(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
+	for _, pkg := range p.packagesIn(msgPackages) {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
 				if !ok {
-					continue
+					return true
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				if !ok {
-					continue
+					return true
 				}
-				obj := p.Pkg.Info.Defs[ts.Name]
-				if obj == nil || !isMessageType(obj.Type()) {
-					continue
+				if obj := pkg.Info.Defs[ts.Name]; obj != nil && isMessageType(obj.Type()) {
+					checkMessageStruct(p, pkg, ts.Name.Name, st)
 				}
-				checkMessageStruct(p, ts.Name.Name, st)
-			}
+				return true
+			})
 		}
 	}
 }
@@ -98,9 +94,9 @@ func hasMethodSig(ms *types.MethodSet, name, result string) bool {
 	return false
 }
 
-func checkMessageStruct(p *Pass, name string, st *ast.StructType) {
+func checkMessageStruct(p *Pass, pkg *Package, name string, st *ast.StructType) {
 	for _, field := range st.Fields.List {
-		t := p.TypeOf(field.Type)
+		t := pkg.Info.TypeOf(field.Type)
 		if t == nil {
 			continue
 		}

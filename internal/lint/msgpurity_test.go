@@ -8,9 +8,9 @@ import (
 )
 
 func TestMsgPurityBad(t *testing.T) {
-	linttest.Run(t, linttest.TestDataDir(t), lint.MsgPurity, "msgpurity/bad")
+	linttest.Run(t, linttest.TestDataDir(t), lint.MsgPurity, "msgpurity/internal/algorithms/bad")
 }
 
 func TestMsgPurityGood(t *testing.T) {
-	linttest.Run(t, linttest.TestDataDir(t), lint.MsgPurity, "msgpurity/good")
+	linttest.Run(t, linttest.TestDataDir(t), lint.MsgPurity, "msgpurity/internal/algorithms/good")
 }

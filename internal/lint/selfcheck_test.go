@@ -1,18 +1,16 @@
 package lint_test
 
 import (
-	"strings"
 	"testing"
 
 	"gridmutex/internal/lint"
-	"gridmutex/internal/lint/linttest"
 )
 
-// TestGridlintSelfCheck runs the complete suite — per-package analyzers,
-// whole-program taint and allocation hygiene, and the exemption audit —
-// over the repo itself, exactly as CI invokes gridlint. The tree must be
-// clean: every invariant violation is either fixed or carries a
-// reasoned, still-live //lint:allow pragma.
+// TestGridlintSelfCheck runs the complete suite and the exemption audit
+// over the whole module — what the gridlint command does with no
+// arguments, and the only place CI runs it. The tree must be clean: every
+// invariant violation is either fixed or carries a reasoned, still-live
+// //lint:allow pragma.
 func TestGridlintSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -21,15 +19,9 @@ func TestGridlintSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := loader.ModulePackages()
+	paths, err := loader.ModulePackages()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var paths []string
-	for _, p := range all {
-		if strings.HasPrefix(p, loader.ModulePath+"/internal/") || strings.HasPrefix(p, loader.ModulePath+"/cmd/") {
-			paths = append(paths, p)
-		}
 	}
 	if len(paths) == 0 {
 		t.Fatal("no module packages found")
@@ -38,18 +30,8 @@ func TestGridlintSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range prog.Packages {
-		for _, e := range pkg.TypeErrors {
-			t.Errorf("%s: type error: %v", pkg.Path, e)
-		}
-	}
 
-	suite := lint.DefaultSuite()
-	result := lint.RunSuite(prog, suite)
-	if len(result.Diagnostics) != 0 {
-		t.Errorf("gridlint is not clean over the repo:\n%s", linttest.Describe(result.Diagnostics))
-	}
-	if audit := lint.AuditExemptions(result.Exemptions, suite.Names()); len(audit) != 0 {
-		t.Errorf("exemption audit is not clean over the repo:\n%s", linttest.Describe(audit))
+	for _, d := range lint.Run(prog, lint.All()).Diagnostics {
+		t.Errorf("gridlint is not clean over the repo: %s", d)
 	}
 }

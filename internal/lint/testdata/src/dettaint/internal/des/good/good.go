@@ -1,5 +1,5 @@
 // Package good holds the corrected counterparts of the bad corpus: every
-// construct here must pass desdeterminism without a diagnostic.
+// construct here must pass dettaint without a diagnostic.
 package good
 
 import (
@@ -72,7 +72,7 @@ func (s *state) jitter() float64 { return s.rng.Float64() }
 // dump is genuinely order-dependent but deliberate: the escape hatch
 // names the analyzer and records why.
 func (s *state) dump(emit func(k, v int)) {
-	//lint:allow desdeterminism debug dump ordering is not part of any trace or metric
+	//lint:allow dettaint debug dump ordering is not part of any trace or metric
 	for k, v := range s.pending {
 		emit(k, v)
 	}

@@ -1,8 +1,7 @@
-// Package harness mimics a DES entry package (its path ends in
-// internal/harness, which is on the entry list). The package is clean
-// under the file-local desdeterminism pass — every nondeterminism source
-// lives one package over, in util — so all want annotations sit in
-// util's sources.
+// Package harness mimics a DES package (its path ends in
+// internal/harness, which is on the list). Its own files are clean —
+// every nondeterminism source lives one package over, in util — so all
+// expectations sit in util's sources.
 package harness
 
 import "dettaint/internal/util"
@@ -20,9 +19,8 @@ func Run(reps int) int64 {
 }
 
 // internalOnly is unexported, so it is not a root; it is also never
-// called. The wall-clock read inside stays unreported: unexported dead
-// code in an entry package is desdeterminism's business (which does
-// cover this package in the real tree), not taint's.
+// called. Its body holds no source itself, and it adds no chain: only
+// the exported API seeds reachability.
 func internalOnly() int64 {
 	return util.Stamp()
 }

@@ -1,8 +1,7 @@
-// Package util is a helper package OUTSIDE the desdeterminism package
-// list: the file-local pass never looks at it, which is exactly the
-// blind spot the whole-program taint analyzer exists to close. Its
-// findings appear here only because internal/harness (a DES entry
-// package) reaches into it.
+// Package util is a helper package OUTSIDE the DES package list: nothing
+// scans it file by file, so its findings appear only because
+// internal/harness (a DES package) reaches into it through the call
+// graph.
 package util
 
 import (
@@ -11,8 +10,7 @@ import (
 )
 
 // Stamp is reached from harness.Run → util.Stamp: the wall-clock read
-// taints the DES even though this package is out of desdeterminism's
-// scope.
+// taints the DES even though this package is not on the list.
 func Stamp() int64 {
 	return time.Now().UnixNano() // want `time.Now reads the wall clock on a path reachable from DES entry point internal/harness.Run`
 }

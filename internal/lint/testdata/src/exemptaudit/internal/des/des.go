@@ -4,17 +4,17 @@
 // that does not exist, and one with no recorded reason.
 package des
 
-// Spawn really does violate desdeterminism; the pragma is live and
+// Spawn really does violate dettaint; the pragma is live and
 // reasoned, so the audit stays quiet about it.
 func Spawn(f func()) {
-	//lint:allow desdeterminism corpus: deliberate violation kept to prove live pragmas pass the audit
+	//lint:allow dettaint corpus: deliberate violation kept to prove live pragmas pass the audit
 	go f()
 }
 
 // Sum is order-independent, so the pragma below suppresses nothing.
 func Sum(m map[int]int) int {
 	total := 0
-	//lint:allow desdeterminism left behind after the loop body was made order-independent
+	//lint:allow dettaint left behind after the loop body was made order-independent
 	for _, v := range m {
 		total += v
 	}
@@ -29,6 +29,6 @@ func Typo(f func()) {
 
 // Quiet has a live pragma with no reason recorded.
 func Quiet(f func()) {
-	//lint:allow desdeterminism
+	//lint:allow dettaint
 	go f()
 }

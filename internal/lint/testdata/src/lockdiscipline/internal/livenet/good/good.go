@@ -45,9 +45,3 @@ func (b *rbox) rlocked() int {
 	defer b.mu.RUnlock()
 	return b.n
 }
-
-// byPointer shares the lock instead of copying it.
-func byPointer(mu *sync.Mutex) {
-	mu.Lock()
-	mu.Unlock()
-}

@@ -26,53 +26,54 @@ var VirtualTime = &Analyzer{
 	Name: "virtualtime",
 	Doc: "flag arithmetic mixing virtual-time values with raw " +
 		"time.Duration literals outside the latency model",
-	AppliesTo: anyUnder(
-		"internal/des",
-		"internal/algorithms",
-		"internal/core",
-		"internal/adaptive",
-		"internal/workload",
-		"internal/check",
-		"internal/harness",
-		"internal/run",
-		"internal/reliable",
-		// trace and stats consume virtual timestamps wholesale (event logs,
-		// response-time aggregation) and fleet forwards per-job deadlines;
-		// none of them is the latency model, so literal mixing is as wrong
-		// there as in the algorithms.
-		"internal/trace",
-		"internal/stats",
-		"internal/fleet",
-	),
 	Run: runVirtualTime,
 }
 
+var virtualTimePackages = anyUnder(
+	"internal/des",
+	"internal/algorithms",
+	"internal/core",
+	"internal/adaptive",
+	"internal/workload",
+	"internal/check",
+	"internal/harness",
+	"internal/run",
+	"internal/reliable",
+	// trace and stats consume virtual timestamps wholesale (event logs,
+	// response-time aggregation) and fleet forwards per-job deadlines;
+	// none of them is the latency model, so literal mixing is as wrong
+	// there as in the algorithms.
+	"internal/trace",
+	"internal/stats",
+	"internal/fleet",
+)
+
 func runVirtualTime(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok {
+	for _, pkg := range p.packagesIn(virtualTimePackages) {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok {
+					return true
+				}
+				switch be.Op {
+				case token.ADD, token.SUB, token.LSS, token.LEQ, token.GTR, token.GEQ:
+					checkMix(p, pkg, be, be.X, be.Y)
+					checkMix(p, pkg, be, be.Y, be.X)
+				}
 				return true
-			}
-			switch be.Op {
-			case token.ADD, token.SUB, token.LSS, token.LEQ, token.GTR, token.GEQ:
-			default:
-				return true
-			}
-			checkMix(p, be, be.X, be.Y)
-			checkMix(p, be, be.Y, be.X)
-			return true
-		})
+			})
+		}
 	}
 }
 
 // checkMix reports when lit is a duration-unit literal and other is a
 // non-constant duration-typed expression.
-func checkMix(p *Pass, be *ast.BinaryExpr, lit, other ast.Expr) {
-	if !durationLiteral(p, lit) {
+func checkMix(p *Pass, pkg *Package, be *ast.BinaryExpr, lit, other ast.Expr) {
+	if !durationLiteral(pkg, lit) {
 		return
 	}
-	tv, ok := p.Pkg.Info.Types[other]
+	tv, ok := pkg.Info.Types[other]
 	if !ok || tv.Value != nil {
 		return // other side is constant too: pure config arithmetic
 	}
@@ -85,12 +86,12 @@ func checkMix(p *Pass, be *ast.BinaryExpr, lit, other ast.Expr) {
 // durationLiteral recognizes bare time-unit selectors (time.Second) and
 // constant multiples of them (50 * time.Millisecond, time.Duration(50) *
 // time.Millisecond).
-func durationLiteral(p *Pass, e ast.Expr) bool {
+func durationLiteral(pkg *Package, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
-		return durationLiteral(p, e.X)
+		return durationLiteral(pkg, e.X)
 	case *ast.SelectorExpr:
-		if !isPkgIdent(p.Pkg.Info, e.X, "time") {
+		if !isPkgIdent(pkg.Info, e.X, "time") {
 			return false
 		}
 		switch e.Sel.Name {
@@ -103,17 +104,14 @@ func durationLiteral(p *Pass, e ast.Expr) bool {
 			return false
 		}
 		// Constant * unit (either side), itself constant overall.
-		if tv, ok := p.Pkg.Info.Types[e]; !ok || tv.Value == nil {
+		if tv, ok := pkg.Info.Types[e]; !ok || tv.Value == nil {
 			return false
 		}
-		return durationLiteral(p, e.X) || durationLiteral(p, e.Y)
+		return durationLiteral(pkg, e.X) || durationLiteral(pkg, e.Y)
 	}
 	return false
 }
 
 func isDurationType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return namedType(t, "time", "Duration")
+	return t != nil && namedType(t, "time", "Duration")
 }

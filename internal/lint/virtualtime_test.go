@@ -8,9 +8,9 @@ import (
 )
 
 func TestVirtualTimeBad(t *testing.T) {
-	linttest.Run(t, linttest.TestDataDir(t), lint.VirtualTime, "virtualtime/bad")
+	linttest.Run(t, linttest.TestDataDir(t), lint.VirtualTime, "virtualtime/internal/des/bad")
 }
 
 func TestVirtualTimeGood(t *testing.T) {
-	linttest.Run(t, linttest.TestDataDir(t), lint.VirtualTime, "virtualtime/good")
+	linttest.Run(t, linttest.TestDataDir(t), lint.VirtualTime, "virtualtime/internal/des/good")
 }

@@ -431,10 +431,6 @@ func (m *Member) Group() string { return m.cfg.Group }
 // Epoch returns the current epoch.
 func (m *Member) Epoch() Epoch { return m.epoch }
 
-// Live returns the current epoch's membership (sorted, shared slice —
-// callers must not mutate).
-func (m *Member) Live() []mutex.ID { return m.live }
-
 // Stats returns a snapshot of recovery activity.
 func (m *Member) Stats() Stats {
 	s := m.stats
@@ -768,7 +764,7 @@ func (m *Member) joinReady(b joinBid) bool {
 }
 
 func (m *Member) anyJoinReady() bool {
-	//lint:allow desdeterminism order-independent: a pure OR over the entries, no state or sends
+	//lint:allow dettaint order-independent: a pure OR over the entries, no state or sends
 	for _, b := range m.pendingJoin {
 		if m.joinFresh(b) && m.joinReady(b) {
 			return true

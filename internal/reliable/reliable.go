@@ -40,7 +40,7 @@ func (t TimerFunc) After(d time.Duration, f func()) { t(d, f) }
 
 // WallClock returns a Timer backed by time.AfterFunc, for live fabrics.
 func WallClock() Timer {
-	//lint:allow desdeterminism WallClock is the live-fabric boundary; DES runs inject the simulator's virtual timer instead
+	//lint:allow dettaint WallClock is the live-fabric boundary; DES runs inject the simulator's virtual timer instead
 	return TimerFunc(func(d time.Duration, f func()) { time.AfterFunc(d, func() { f() }) })
 }
 

@@ -71,54 +71,3 @@ func FuzzLoad(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseTree gives the hierarchical topology parser the same contract
-// as the matrix loader: never panic, and any accepted spec must round-trip
-// exactly — FormatTreeSpec of the parsed spec re-parses to the identical
-// spec and is a fixed point of parse∘format.
-func FuzzParseTree(f *testing.F) {
-	f.Add("tree v1\nleaf 4 0.1\nlevel 2 1\n")
-	f.Add("# deep tree\ntree v1\nleaf 20 0.1\nlevel 8 40.0\nlevel 16 12.0\n")
-	f.Add("tree v1\nleaf 782 0.489\nlevel 8 40.000\nlevel 16 12.345678\n")
-	f.Add("tree v1\nleaf 1 0\nlevel 2 9223372036854.775807\n")
-	f.Add("tree v1\nleaf 1 0\nlevel 2 9223372036854.775808\n") // past MaxInt64
-	f.Add("tree v1\nleaf 4 0.1\nlevel 1 1\n")                  // fan-out 1
-	f.Add("tree v1\nleaf 4 0.1\nlevel 2 0\n")                  // zero inter RTT
-	f.Add("tree v1\nleaf 4 NaN\nlevel 2 1\n")
-	f.Add("tree v1\nleaf 4 1e300\nlevel 2 1\n")
-	f.Add("tree v1\nleaf 4 0.1\nlevel 4194304 1\nlevel 4194304 1\nlevel 4194304 1\n") // product overflow
-	f.Add("tree v1\nlevel 2 1\n")
-	f.Add("tree v2\nleaf 4 0.1\nlevel 2 1\n")
-	f.Add("")
-
-	f.Fuzz(func(t *testing.T, data string) {
-		spec, err := ParseTreeSpec(strings.NewReader(data))
-		if err != nil {
-			return // rejected input is fine; panics are not
-		}
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("accepted spec fails validation: %v", err)
-		}
-		text := FormatTreeSpec(spec)
-		spec2, err := ParseTreeSpec(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("formatted spec does not re-parse: %v\n%s", err, text)
-		}
-		if spec2.LeafSize != spec.LeafSize || spec2.LeafRTT != spec.LeafRTT || len(spec2.Fanouts) != len(spec.Fanouts) {
-			t.Fatalf("round trip changed spec: %+v -> %+v", spec, spec2)
-		}
-		for i := range spec.Fanouts {
-			if spec2.Fanouts[i] != spec.Fanouts[i] || spec2.LevelRTT[i] != spec.LevelRTT[i] {
-				t.Fatalf("round trip changed level %d: %+v -> %+v", i, spec, spec2)
-			}
-		}
-		if text2 := FormatTreeSpec(spec2); text2 != text {
-			t.Fatalf("format not a fixed point:\n%s\nvs\n%s", text, text2)
-		}
-		// Anything the parser accepts must build (the node-count product
-		// was already overflow-checked by validation).
-		if _, err := NewTree(spec); err != nil {
-			t.Fatalf("accepted spec does not build a grid: %v", err)
-		}
-	})
-}

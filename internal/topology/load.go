@@ -29,9 +29,8 @@ func (m *Matrix) Grid(nodesPerCluster int) (*Grid, error) {
 	return New(m.Names, sizes, m.RTT)
 }
 
-// ParseMatrix reads a cluster RTT matrix in the textual format of the
-// paper's Figure 3 and builds a Grid with nodesPerCluster nodes in each
-// cluster:
+// ParseMatrixSpec reads a cluster RTT matrix in the textual format of the
+// paper's Figure 3:
 //
 //	# comment lines and blank lines are ignored
 //	from      orsay  grenoble  lyon
@@ -43,18 +42,9 @@ func (m *Matrix) Grid(nodesPerCluster int) (*Grid, error) {
 // clusters; each following row starts with the source cluster name and
 // lists the RTTs in milliseconds. Row names must match the header order.
 // This is how an operator feeds measured latencies from their own grid
-// into the simulator.
-func ParseMatrix(r io.Reader, nodesPerCluster int) (*Grid, error) {
-	m, err := ParseMatrixSpec(r)
-	if err != nil {
-		return nil, err
-	}
-	return m.Grid(nodesPerCluster)
-}
-
-// ParseMatrixSpec reads the same format as ParseMatrix but returns the
-// unbound matrix, letting callers instantiate several grid sizes from one
-// measurement file.
+// into the simulator. The matrix comes back unbound to node counts
+// (Matrix.Grid binds it), letting callers instantiate several grid sizes
+// from one measurement file.
 func ParseMatrixSpec(r io.Reader) (*Matrix, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -237,18 +227,4 @@ func formatMS(d time.Duration) string {
 		s = s[:len(s)-1]
 	}
 	return s
-}
-
-// FormatMatrix renders the grid's RTT matrix in the format ParseMatrix
-// reads, so measured topologies round-trip through files.
-func FormatMatrix(g *Grid) string {
-	m := Matrix{Names: make([]string, g.NumClusters()), RTT: make([][]time.Duration, g.NumClusters())}
-	for i := range m.Names {
-		m.Names[i] = g.ClusterName(i)
-		m.RTT[i] = make([]time.Duration, g.NumClusters())
-		for j := range m.RTT[i] {
-			m.RTT[i][j] = g.RTT(i, j)
-		}
-	}
-	return m.Format()
 }

@@ -14,8 +14,17 @@ lyon      4.1    0.030  6.5
 nice      9.2    6.6    0.040
 `
 
+// parseGrid parses a matrix and binds it to nodesPerCluster nodes.
+func parseGrid(text string, nodesPerCluster int) (*Grid, error) {
+	m, err := ParseMatrixSpec(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	return m.Grid(nodesPerCluster)
+}
+
 func TestParseMatrix(t *testing.T) {
-	g, err := ParseMatrix(strings.NewReader(sampleMatrix), 5)
+	g, err := parseGrid(sampleMatrix, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,21 +136,29 @@ func TestParseMatrixErrors(t *testing.T) {
 		"negative":       "from a\na -1\n",
 	}
 	for name, input := range cases {
-		if _, err := ParseMatrix(strings.NewReader(input), 2); err == nil {
+		if _, err := parseGrid(input, 2); err == nil {
 			t.Errorf("%s: parsed successfully", name)
 		}
 	}
-	if _, err := ParseMatrix(strings.NewReader(sampleMatrix), 0); err == nil {
+	if _, err := parseGrid(sampleMatrix, 0); err == nil {
 		t.Error("zero nodes per cluster accepted")
 	}
 }
 
-// TestMatrixRoundTrip: FormatMatrix output parses back to identical
-// latencies, including the built-in Grid'5000 matrix.
+// TestMatrixRoundTrip: the built-in Grid'5000 matrix, formatted, parses
+// back to identical names and latencies.
 func TestMatrixRoundTrip(t *testing.T) {
 	orig := Grid5000(3)
-	text := FormatMatrix(orig)
-	parsed, err := ParseMatrix(strings.NewReader(text), 3)
+	m := Matrix{Names: make([]string, orig.NumClusters()), RTT: make([][]time.Duration, orig.NumClusters())}
+	for i := range m.Names {
+		m.Names[i] = orig.ClusterName(i)
+		m.RTT[i] = make([]time.Duration, orig.NumClusters())
+		for j := range m.RTT[i] {
+			m.RTT[i][j] = orig.RTT(i, j)
+		}
+	}
+	text := m.Format()
+	parsed, err := parseGrid(text, 3)
 	if err != nil {
 		t.Fatalf("round trip parse: %v\n%s", err, text)
 	}

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -125,14 +124,6 @@ func NewTree(spec TreeSpec) (*Grid, error) {
 	return &Grid{tree: t, total: clusters * spec.LeafSize}, nil
 }
 
-// Tree returns the spec of a tree-built grid, or false for matrix grids.
-func (g *Grid) Tree() (TreeSpec, bool) {
-	if g.tree == nil {
-		return TreeSpec{}, false
-	}
-	return g.tree.spec, true
-}
-
 // rtt returns the round trip between leaf clusters a and b: the RTT of
 // the deepest level both share, found by comparing cluster-index prefixes
 // top-down.
@@ -176,88 +167,4 @@ func mulInt(a, b int) (int, bool) {
 		return 0, false
 	}
 	return p, true
-}
-
-// ParseTreeSpec reads a tree topology description:
-//
-//	# comment lines and blank lines are ignored
-//	tree v1
-//	leaf 20 0.1
-//	level 8 40.0
-//	level 16 12.0
-//
-// The header line names the format. The single leaf line gives nodes per
-// cluster and the intra-cluster RTT in milliseconds; each level line gives
-// one internal tree level root-first — fan-out and the RTT crossing that
-// level. Plain-decimal RTTs convert exactly through integer arithmetic,
-// so FormatTreeSpec/ParseTreeSpec is an identity (the same round-trip
-// guarantee the matrix loader gives).
-func ParseTreeSpec(r io.Reader) (TreeSpec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return TreeSpec{}, fmt.Errorf("topology: reading tree spec: %w", err)
-	}
-	var lines []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		lines = append(lines, line)
-	}
-	if len(lines) == 0 {
-		return TreeSpec{}, fmt.Errorf("topology: empty tree spec")
-	}
-	if fields := strings.Fields(lines[0]); len(fields) != 2 || fields[0] != "tree" || fields[1] != "v1" {
-		return TreeSpec{}, fmt.Errorf("topology: tree spec header %q, want \"tree v1\"", lines[0])
-	}
-	var spec TreeSpec
-	haveLeaf := false
-	for _, line := range lines[1:] {
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return TreeSpec{}, fmt.Errorf("topology: tree spec line %q, want \"leaf <size> <rtt-ms>\" or \"level <fanout> <rtt-ms>\"", line)
-		}
-		count, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return TreeSpec{}, fmt.Errorf("topology: tree spec line %q: %w", line, err)
-		}
-		d, err := parseMS(fields[2])
-		if err != nil {
-			return TreeSpec{}, fmt.Errorf("topology: tree spec line %q: %w", line, err)
-		}
-		switch fields[0] {
-		case "leaf":
-			if haveLeaf {
-				return TreeSpec{}, fmt.Errorf("topology: duplicate leaf line %q", line)
-			}
-			haveLeaf = true
-			spec.LeafSize, spec.LeafRTT = count, d
-		case "level":
-			spec.Fanouts = append(spec.Fanouts, count)
-			spec.LevelRTT = append(spec.LevelRTT, d)
-		default:
-			return TreeSpec{}, fmt.Errorf("topology: tree spec line %q, want leaf or level", line)
-		}
-	}
-	if !haveLeaf {
-		return TreeSpec{}, fmt.Errorf("topology: tree spec has no leaf line")
-	}
-	if err := spec.Validate(); err != nil {
-		return TreeSpec{}, err
-	}
-	return spec, nil
-}
-
-// FormatTreeSpec renders the spec in the format ParseTreeSpec reads.
-// Durations use the exact decimal-millisecond rendering of the matrix
-// format, so parsing the output reproduces the spec bit for bit.
-func FormatTreeSpec(s TreeSpec) string {
-	var b strings.Builder
-	b.WriteString("tree v1\n")
-	fmt.Fprintf(&b, "leaf %d %s\n", s.LeafSize, formatMS(s.LeafRTT))
-	for i, f := range s.Fanouts {
-		fmt.Fprintf(&b, "level %d %s\n", f, formatMS(s.LevelRTT[i]))
-	}
-	return b.String()
 }

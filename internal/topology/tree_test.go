@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -186,60 +184,5 @@ func TestTreeMemoryIsFlat(t *testing.T) {
 	}
 	if got := tree.RTT(0, 1); got != 5*time.Millisecond {
 		t.Fatalf("near RTT %v", got)
-	}
-}
-
-func TestTreeFormatRoundTrip(t *testing.T) {
-	specs := []TreeSpec{
-		treeSpec3(),
-		{Fanouts: []int{8, 16}, LeafSize: 782, LeafRTT: 489 * time.Microsecond,
-			LevelRTT: []time.Duration{40 * time.Millisecond, 12345678 * time.Nanosecond}},
-		{Fanouts: []int{2}, LeafSize: 1, LeafRTT: 0, LevelRTT: []time.Duration{math.MaxInt64}},
-	}
-	for _, spec := range specs {
-		text := FormatTreeSpec(spec)
-		got, err := ParseTreeSpec(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("formatted spec does not parse: %v\n%s", err, text)
-		}
-		if got.LeafSize != spec.LeafSize || got.LeafRTT != spec.LeafRTT {
-			t.Fatalf("leaf round trip: %+v -> %+v", spec, got)
-		}
-		if len(got.Fanouts) != len(spec.Fanouts) {
-			t.Fatalf("level count round trip: %+v -> %+v", spec, got)
-		}
-		for i := range spec.Fanouts {
-			if got.Fanouts[i] != spec.Fanouts[i] || got.LevelRTT[i] != spec.LevelRTT[i] {
-				t.Fatalf("level %d round trip: %+v -> %+v", i, spec, got)
-			}
-		}
-		if again := FormatTreeSpec(got); again != text {
-			t.Fatalf("format not a fixed point:\n%s\nvs\n%s", text, again)
-		}
-	}
-}
-
-func TestParseTreeSpecRejects(t *testing.T) {
-	cases := []string{
-		"",
-		"# only comments\n",
-		"matrix v1\n",
-		"tree v2\n",
-		"tree v1\n",             // no leaf
-		"tree v1\nleaf 4 0.1\n", // no levels
-		"tree v1\nleaf 4 0.1\nleaf 4 0.1\nlevel 2 1\n",                             // duplicate leaf
-		"tree v1\nleaf 4 0.1\nlevel 1 1\n",                                         // fan-out 1
-		"tree v1\nleaf 4 0.1\nlevel 2 0\n",                                         // zero inter RTT
-		"tree v1\nleaf 4 0.1\nlevel 2 -1\n",                                        // negative RTT
-		"tree v1\nleaf 4 0.1\nlevel 2\n",                                           // missing field
-		"tree v1\nleaf 4 0.1\nlevel two 1\n",                                       // non-numeric
-		"tree v1\nleaf 4 NaN\nlevel 2 1\n",                                         // NaN latency
-		"tree v1\nleaf 4 0.1\nbranch 2 1\n",                                        // unknown keyword
-		"tree v1\nleaf 4 0.1\nlevel 4194304 1\nlevel 4194304 1\nlevel 4194304 1\n", // overflow
-	}
-	for _, in := range cases {
-		if _, err := ParseTreeSpec(strings.NewReader(in)); err == nil {
-			t.Errorf("accepted %q", in)
-		}
 	}
 }

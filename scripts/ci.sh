@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# ci.sh is the repository's CI gate: build, vet, the full test suite under
-# the race detector, and gridlint — the determinism/concurrency analyzer
-# suite (cmd/gridlint, see DESIGN.md "Determinism rules"). Everything must
-# pass with no findings for a change to land.
+# ci.sh is the repository's CI gate: build, vet, and the full test suite
+# under the race detector — which includes gridlint, the
+# determinism/concurrency analyzer suite, run over the whole module with
+# its exemption audit by internal/lint's TestGridlintSelfCheck (see
+# DESIGN.md "Determinism rules"). Everything must pass with no findings
+# for a change to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,37 +55,17 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> bounded schedule exploration (GRIDMUTEX_EXPLORE_LONG=1 for exhaustive)"
-go test -race -run 'TestExplore' ./internal/explore/ ./internal/algorithms/ ./internal/core/
+echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool"
+# The line above ran these in a race-instrumented build; the pins are
+# claims about the plain build the benchmark and the commands run.
+go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/
 
-echo "==> bounded crash exploration (fail-stop safety under MaxCrashes)"
-go test -race -run 'TestCrash' ./internal/explore/
-
-echo "==> bounded crash->restart and partition exploration (safety-only resync-epoch model)"
-# Every ordering of one crash, one amnesiac restart (rejoin resync epoch:
-# global rebuild, epoch fence, claim never resurrected) and of one
-# single-node cut plus heal must preserve mutual exclusion; liveness is
-# out of scope because a dead or cut-off token legitimately stalls the
-# raw algorithms (recovering is internal/recovery's job).
-go test -race -run 'TestRestart|TestPartition|TestFaultExplore' ./internal/explore/
-
-echo "==> crash-recovery subsystem under -race"
-go test -race ./internal/recovery/ ./internal/faults/
-
-echo "==> parallel harness equivalence under -race (incl. single-cell + recovery shards)"
-go test -race -run 'TestParallel|TestMap' ./internal/harness/ ./internal/fleet/
-
-echo "==> allocation regression: steady-state send/deliver must stay <= 1 alloc/message (simnet: on both FIFO stores)"
-go test -run 'Allocs' ./internal/des/ ./internal/simnet/
-
-echo "==> scenario conformance corpus (parallel sweep under -race, JSON verdicts archived)"
+echo "==> scenario conformance corpus through the CLI (JSON verdicts archived)"
 # The declarative acceptance suite (DESIGN.md §11): every fixture under
-# testdata/scenarios/ must produce a passing verdict, swept in parallel so
-# the race detector sees the fleet fan-out. The JSON verdict dump is the
-# CI artifact — byte-identical across runs by the determinism contract,
-# so a diff against a previous run pinpoints exactly which invariant or
-# metric moved.
-go test -race -run 'TestCorpus|TestBroken|TestVerdictDeterminism|TestParallelCorpus' -count=1 ./internal/scenario/
+# testdata/scenarios/ must produce a passing verdict. The JSON verdict
+# dump is the CI artifact — byte-identical across runs by the determinism
+# contract, so a diff against a previous run pinpoints exactly which
+# invariant or metric moved.
 go run ./cmd/gridscenario -json testdata/scenarios > scenario-verdicts.json
 # The committed broken fixtures must FAIL (exit 1) and name their
 # offending invariant — proving the checker library can reject, not just
@@ -97,18 +79,5 @@ echo "==> fuzz targets, 10s each"
 go test -fuzz=FuzzDecode -fuzztime=10s -run '^$' ./internal/livenet/wire
 go test -fuzz=FuzzLoad -fuzztime=10s -run '^$' ./internal/topology
 go test -fuzz=FuzzLoadScenario -fuzztime=10s -run '^$' ./internal/scenario
-
-echo "==> gridlint (whole program: per-package + cross-package taint/alloc analyzers)"
-# One program over internal/... and cmd/... so the call-graph analyzers
-# see every cross-package edge; the JSON artifact keeps call chains for
-# findings machine-readable.
-go run ./cmd/gridlint -json ./internal/... ./cmd/... > gridlint.json || {
-    cat gridlint.json
-    echo "gridlint: non-exempt findings (see gridlint.json)" >&2
-    exit 1
-}
-
-echo "==> gridlint exemption audit: every //lint:allow must be live, known, and reasoned"
-go run ./cmd/gridlint -audit ./internal/... ./cmd/...
 
 echo "CI green"
