@@ -142,20 +142,15 @@ func gridsim(args []string, stdout, stderr io.Writer) int {
 // application processes) and prints its last n protocol events — a quick
 // way to watch the selected system work.
 func dumpTrace(w io.Writer, sys harness.System, rho float64, seed int64, n int) error {
-	// As in the harness, a composition gets one extra node per cluster
-	// for its coordinator.
-	per := 2
-	if sys.Flat == "" {
-		per++
-	}
+	rs := sys.RunSystem()
 	r, err := run.Build(run.Spec{
-		Grid: topology.Uniform(2, per, time.Millisecond, 15*time.Millisecond),
+		Grid: topology.Uniform(2, 2+rs.Reserved(), time.Millisecond, 15*time.Millisecond),
 		Seed: seed, TraceCapacity: n,
 		Workload: workload.Params{
 			Alpha: 5 * time.Millisecond, Rho: rho / 10, Dist: workload.Exponential,
 			CSPerProcess: 3,
 		},
-		System:     sys.RunSystem(),
+		System:     rs,
 		EventLimit: 1_000_000,
 	})
 	if err != nil {
@@ -168,8 +163,8 @@ func dumpTrace(w io.Writer, sys harness.System, rho float64, seed int64, n int) 
 		})
 	}
 	out := r.Drive()
-	if out.Stall != nil && out.Stall.Err != nil {
-		return out.Stall.Err
+	if out.Stall != nil {
+		return out.Stall
 	}
 	fmt.Fprintf(w, "--- trace of a 2x2 %s run (last %d events) ---\n", sys.Name, n)
 	fmt.Fprint(w, out.Trace)

@@ -3,7 +3,6 @@ package gridmutex
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"gridmutex/internal/harness"
 )
@@ -39,30 +38,48 @@ type RunOptions struct {
 // figureSpec wires one figure name to the experiment producing it.
 type figureSpec struct {
 	describe string
-	run      func(scale harness.Scale, progress func(string)) (string, error)
+	run      func(scale harness.Scale, progress func(string), runs runCache) (string, error)
+}
+
+// runCache holds one call's harness.Run results by system set, so figures
+// that plot different metrics of the same experiment (4a/4b/5a/5b; 6a/6b)
+// share its runs when rendered together.
+type runCache map[string]*harness.Result
+
+func (c runCache) run(systems []harness.System, scale harness.Scale, progress func(string)) (*harness.Result, error) {
+	key := fmt.Sprint(systems)
+	if res, ok := c[key]; ok {
+		return res, nil
+	}
+	res, err := harness.Run(systems, scale, progress)
+	if err != nil {
+		return nil, err
+	}
+	c[key] = res
+	return res, nil
 }
 
 var figureSpecs = map[string]figureSpec{
 	"fig3": {
 		describe: "Grid5000 RTT latency matrix (input data, encoded verbatim)",
-		run: func(harness.Scale, func(string)) (string, error) {
+		run: func(harness.Scale, func(string), runCache) (string, error) {
 			return harness.Figure3Table(), nil
 		},
 	},
 	"fig4a": {describe: "obtaining time vs rho: original Naimi vs compositions",
-		run: compositionFigure(harness.ObtainingMean, "Figure 4(a)")},
+		run: sharedFigure(harness.CompositionSystems, harness.ObtainingMean, "Figure 4(a)")},
 	"fig4b": {describe: "inter-cluster messages per CS vs rho",
-		run: compositionFigure(harness.InterMsgs, "Figure 4(b)")},
+		run: sharedFigure(harness.CompositionSystems, harness.InterMsgs, "Figure 4(b)")},
 	"fig5a": {describe: "obtaining time standard deviation vs rho",
-		run: compositionFigure(harness.ObtainingStd, "Figure 5(a)")},
+		run: sharedFigure(harness.CompositionSystems, harness.ObtainingStd, "Figure 5(a)")},
 	"fig5b": {describe: "obtaining time relative deviation vs rho",
-		run: compositionFigure(harness.ObtainingRelStd, "Figure 5(b)")},
+		run: sharedFigure(harness.CompositionSystems, harness.ObtainingRelStd, "Figure 5(b)")},
 	"fig6a": {describe: "intra algorithm choice: obtaining time vs rho",
-		run: intraFigure(harness.ObtainingMean, "Figure 6(a)")},
+		run: sharedFigure(harness.IntraSystems, harness.ObtainingMean, "Figure 6(a)")},
 	"fig6b": {describe: "intra algorithm choice: standard deviation vs rho",
-		run: intraFigure(harness.ObtainingStd, "Figure 6(b)")},
+		run: sharedFigure(harness.IntraSystems, harness.ObtainingStd, "Figure 6(b)")},
 	"scale": {describe: "section 4.7 scalability: messages per CS vs cluster count",
-		run: func(scale harness.Scale, progress func(string)) (string, error) {
+		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
 			clusters := []int{2, 3, 6, 9, 12}
 			if scale.CSPerProcess >= 100 { // paper scale: keep runtime sane
 				clusters = []int{3, 6, 9, 12, 15}
@@ -74,7 +91,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Section 4.7"), nil
 		}},
 	"locality": {describe: "locality analysis: per-cluster obtaining time under a hotspot workload",
-		run: func(scale harness.Scale, progress func(string)) (string, error) {
+		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
 			n := float64(scale.N())
 			res, err := harness.RunLocality(harness.LocalitySystems(), scale, 8*n, 0, 8, progress)
 			if err != nil {
@@ -83,7 +100,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.LocalityTable("Locality under an 8x hot cluster 0", 0), nil
 		}},
 	"bias": {describe: "related-work extension (Bertier et al.): serve local requests before inter handoffs",
-		run: func(scale harness.Scale, progress func(string)) (string, error) {
+		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
 			// Two rhos spanning saturated and sparse regimes.
 			n := float64(scale.N())
 			scale.Rhos = []float64{n / 2, 4 * n}
@@ -94,8 +111,8 @@ var figureSpecs = map[string]figureSpec{
 			return res.BiasTable("Local bias ablation"), nil
 		}},
 	"recovery": {describe: "robustness extension: token regeneration latency and detector overhead vs heartbeat period",
-		run: func(scale harness.Scale, progress func(string)) (string, error) {
-			params, scale := recoverySweep(scale)
+		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+			params, scale := harness.RecoverySweep(scale)
 			res, err := harness.RunRecovery(params, scale, progress)
 			if err != nil {
 				return "", err
@@ -103,8 +120,11 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Crash recovery"), nil
 		}},
 	"partition": {describe: "robustness extension: graceful minority degradation and rejoin under partition windows",
-		run: func(scale harness.Scale, progress func(string)) (string, error) {
-			params, scale := harness.PartitionSweep(scale)
+		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+			params, scale, err := harness.PartitionSweep(scale)
+			if err != nil {
+				return "", err
+			}
 			res, err := harness.RunPartition(params, scale, progress)
 			if err != nil {
 				return "", err
@@ -112,7 +132,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Partition tolerance"), nil
 		}},
 	"gridscale": {describe: "grid-scale memory axis: k-level trees, N swept over decades, memory per process recorded",
-		run: func(scale harness.Scale, progress func(string)) (string, error) {
+		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
 			// Paper scale reaches the 10⁵-node acceptance point; quick
 			// stays at two decades. One repetition per point: the sweep
 			// measures scaling shape and machine footprint, not
@@ -125,7 +145,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Grid-scale sweep"), nil
 		}},
 	"adaptive": {describe: "section 6 extension: adaptive inter algorithm on a phased workload",
-		run: func(scale harness.Scale, progress func(string)) (string, error) {
+		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
 			scale.Phases = harness.AdaptivePhases(scale)
 			res, err := harness.RunPhased(harness.AdaptiveSystems(), scale, progress)
 			if err != nil {
@@ -135,46 +155,16 @@ var figureSpecs = map[string]figureSpec{
 		}},
 }
 
-// recoverySweep derives the crash-recovery sweep from a figure scale: a
-// heartbeat-period axis bracketing the critical-section duration and two
-// ρ values spanning the saturated and sparse regimes.
-func recoverySweep(scale harness.Scale) (harness.RecoveryParams, harness.Scale) {
-	n := float64(scale.N())
-	scale.Rhos = []float64{n / 2, 4 * n}
-	params := harness.RecoveryParams{
-		Periods: []time.Duration{
-			scale.Alpha / 2,
-			2 * scale.Alpha,
-			8 * scale.Alpha,
-		},
-	}
-	return params, scale
-}
-
-func compositionFigure(m harness.Metric, title string) func(harness.Scale, func(string)) (string, error) {
-	return func(scale harness.Scale, progress func(string)) (string, error) {
-		res, err := harness.Run(harness.CompositionSystems(), scale, progress)
+// sharedFigure plots one metric of an experiment several figures draw on;
+// its runs come from, and go to, the call's cache.
+func sharedFigure(systems func() []harness.System, m harness.Metric, title string) func(harness.Scale, func(string), runCache) (string, error) {
+	return func(scale harness.Scale, progress func(string), runs runCache) (string, error) {
+		res, err := runs.run(systems(), scale, progress)
 		if err != nil {
 			return "", err
 		}
-		return tableAndChart(res, m, title), nil
+		return res.Table(m, title) + "\n" + res.Chart(m, title), nil
 	}
-}
-
-func intraFigure(m harness.Metric, title string) func(harness.Scale, func(string)) (string, error) {
-	return func(scale harness.Scale, progress func(string)) (string, error) {
-		res, err := harness.Run(harness.IntraSystems(), scale, progress)
-		if err != nil {
-			return "", err
-		}
-		return tableAndChart(res, m, title), nil
-	}
-}
-
-// tableAndChart renders the numeric table followed by the ASCII plot the
-// paper's figures correspond to.
-func tableAndChart(res *harness.Result, m harness.Metric, title string) string {
-	return res.Table(m, title) + "\n" + res.Chart(m, title)
 }
 
 // Figures lists the regenerable figure names.
@@ -210,7 +200,7 @@ func ReproduceFigureWith(name string, scale ExperimentScale, opt RunOptions, pro
 	}
 	s := scale.scale()
 	s.Workers = opt.Workers
-	return spec.run(s, progress)
+	return spec.run(s, progress, runCache{})
 }
 
 // ReproduceAll regenerates every figure, sharing the underlying experiment
@@ -224,26 +214,9 @@ func ReproduceAll(scale ExperimentScale, progress func(string)) (map[string]stri
 func ReproduceAllWith(scale ExperimentScale, opt RunOptions, progress func(string)) (map[string]string, error) {
 	s := scale.scale()
 	s.Workers = opt.Workers
-	out := map[string]string{"fig3": harness.Figure3Table()}
-
-	comp, err := harness.Run(harness.CompositionSystems(), s, progress)
-	if err != nil {
-		return nil, fmt.Errorf("gridmutex: composition experiment: %w", err)
-	}
-	out["fig4a"] = tableAndChart(comp, harness.ObtainingMean, "Figure 4(a)")
-	out["fig4b"] = tableAndChart(comp, harness.InterMsgs, "Figure 4(b)")
-	out["fig5a"] = tableAndChart(comp, harness.ObtainingStd, "Figure 5(a)")
-	out["fig5b"] = tableAndChart(comp, harness.ObtainingRelStd, "Figure 5(b)")
-
-	intra, err := harness.Run(harness.IntraSystems(), s, progress)
-	if err != nil {
-		return nil, fmt.Errorf("gridmutex: intra experiment: %w", err)
-	}
-	out["fig6a"] = tableAndChart(intra, harness.ObtainingMean, "Figure 6(a)")
-	out["fig6b"] = tableAndChart(intra, harness.ObtainingStd, "Figure 6(b)")
-
-	for _, name := range []string{"scale", "gridscale", "adaptive", "bias", "locality", "recovery", "partition"} {
-		tab, err := figureSpecs[name].run(s, progress)
+	out, runs := make(map[string]string), runCache{}
+	for _, name := range Figures() {
+		tab, err := figureSpecs[name].run(s, progress, runs)
 		if err != nil {
 			return nil, fmt.Errorf("gridmutex: %s experiment: %w", name, err)
 		}

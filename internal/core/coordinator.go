@@ -152,17 +152,7 @@ func (c *Coordinator) InterCallbacks() mutex.Callbacks {
 // token acquisition (every coordinator boots holding its cluster's intra
 // token, per section 3.1). The coordinator must be the intra instance's
 // initial holder, so the acquisition completes without any message.
-func (c *Coordinator) Start(intra, inter mutex.Instance) {
-	if c.intra != nil || c.inter != nil {
-		panic(fmt.Sprintf("core: coordinator %d started twice", c.id))
-	}
-	if intra == nil || inter == nil {
-		panic(fmt.Sprintf("core: coordinator %d started with nil instance", c.id))
-	}
-	c.intra = intra
-	c.inter = inter
-	c.intra.Request()
-}
+func (c *Coordinator) Start(intra, inter mutex.Instance) { c.Adopt(intra, inter, Booting) }
 
 // Adopt wires a standby coordinator taking over a cluster after its
 // primary crashed. Unlike Start, the automaton may begin in a state other

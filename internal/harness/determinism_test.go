@@ -1,6 +1,9 @@
 package harness
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestRunSeedSensitivity: different seeds must actually perturb the
 // schedule, or the same-seed identity checks (internal/run's kernel test,
@@ -9,7 +12,6 @@ func TestRunSeedSensitivity(t *testing.T) {
 	scale := QuickScale()
 	scale.CSPerProcess = 5
 	scale.Repetitions = 1
-	scale.TraceCapacity = 1 << 17
 
 	sys := Composed("naimi", "naimi")
 	a, err := runOnce(sys, scale, 6, 1)
@@ -20,7 +22,7 @@ func TestRunSeedSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Trace == b.Trace {
-		t.Error("seeds 1 and 2 produced identical traces; seed is not reaching the run")
+	if reflect.DeepEqual(a.Records, b.Records) {
+		t.Error("seeds 1 and 2 produced identical grant records; seed is not reaching the run")
 	}
 }

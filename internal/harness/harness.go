@@ -140,10 +140,6 @@ type Scale struct {
 	// workload.Params); HotSkew <= 1 disables the skew.
 	HotCluster int
 	HotSkew    float64
-	// TraceCapacity, when positive, attaches a trace ring buffer of that
-	// many events to every run's fabric. The determinism regression test
-	// uses it: two runs with the same seed must dump identical traces.
-	TraceCapacity int
 	// Workers bounds how many repetitions run concurrently, each on its
 	// own private Simulator (the goroutine fan-out lives in
 	// internal/fleet; this package stays goroutine-free). 0 or 1 keeps
@@ -533,14 +529,11 @@ func runCells(cells []cell, workers int, emit func(i int, p *Point)) ([]Point, e
 	return points, nil
 }
 
-// grid builds the run topology: composed deployments reserve one extra
-// node per cluster for the coordinator so that the application process
-// count matches flat runs.
-func grid(sys System, scale Scale) (*topology.Grid, error) {
-	per := scale.AppsPerCluster
-	if sys.Flat == "" {
-		per++
-	}
+// grid builds the run topology: every cluster gets the system's reserved
+// infrastructure nodes on top of the scale's application processes, so the
+// application count is the same whatever the system under test.
+func grid(sys run.System, scale Scale) (*topology.Grid, error) {
+	per := scale.AppsPerCluster + sys.Reserved()
 	if scale.CustomMatrix != nil {
 		return scale.CustomMatrix.Grid(per)
 	}
@@ -560,34 +553,40 @@ func grid(sys System, scale Scale) (*topology.Grid, error) {
 	return topology.Uniform(scale.Clusters, per, local, remote), nil
 }
 
-// runOnce executes one seeded (system, ρ) simulation on the run kernel.
-func runOnce(sys System, scale Scale, rho float64, seed int64) (run.Outcome, error) {
+// spec is the harness's one translation of a Scale into a run description:
+// sys at ρ under seed, on the scale's grid, network and workload.
+func (scale Scale) spec(sys run.System, rho float64, seed int64) (run.Spec, error) {
 	g, err := grid(sys, scale)
 	if err != nil {
-		return run.Outcome{}, err
+		return run.Spec{}, err
 	}
 	spec := run.Spec{
 		Grid: g, Seed: seed, Jitter: scale.Jitter, Loss: scale.Loss,
-		TraceCapacity: scale.TraceCapacity,
 		Workload: workload.Params{
 			Alpha: scale.Alpha, Rho: rho, Phases: scale.Phases, Dist: workload.Exponential,
 			CSPerProcess: scale.CSPerProcess,
 			HotCluster:   scale.HotCluster, HotSkew: scale.HotSkew,
 		},
-		System: sys.RunSystem(),
+		System: sys,
 	}
 	if scale.Reliable {
-		// RTO above the largest simulated round trip keeps spurious
-		// retransmissions rare.
-		spec.Reliable = &reliable.Options{RTO: 4 * scale.RemoteRTT}
+		spec.Reliable = &reliable.Options{}
+	}
+	return spec, nil
+}
+
+// runOnce executes one seeded (system, ρ) simulation on the run kernel.
+func runOnce(sys System, scale Scale, rho float64, seed int64) (run.Outcome, error) {
+	spec, err := scale.spec(sys.RunSystem(), rho, seed)
+	if err != nil {
+		return run.Outcome{}, err
 	}
 	return drive(spec)
 }
 
 // drive builds and drives one run and applies the harness's pass rule: an
 // experiment run must drain, leave the safety monitor clean and quiescent,
-// and complete its workload. Anything else is an error, worded per drive
-// mode.
+// and complete its workload. Anything else is an error.
 func drive(spec run.Spec) (run.Outcome, error) {
 	r, err := run.Build(spec)
 	if err != nil {
@@ -598,24 +597,18 @@ func drive(spec run.Spec) (run.Outcome, error) {
 }
 
 func verify(out run.Outcome) error {
-	s, recovery := out.Stall, out.Recovery != nil
-	switch {
-	case s == nil:
-	case s.Kind == run.Starved:
-		return fmt.Errorf("liveness: %d requests unsatisfied after %d events", s.Outstanding, s.Events)
-	case s.Kind == run.NoDrain && recovery:
-		return fmt.Errorf("did not drain: %w", s.Err)
-	case s.Kind == run.NoDrain:
-		return fmt.Errorf("did not drain: %w (outstanding %d)", s.Err, s.Outstanding)
-	case recovery:
-		return fmt.Errorf("queue drained with %d requests unsatisfied", s.Outstanding)
+	// A queue that drained under the liveness watchdog (no detectors) is
+	// left to the monitor first: the watchdog's violation names the stall
+	// instant, the bare stall only the count.
+	if s := out.Stall; s != nil && (s.Kind == run.NoDrain || s.Detectors) {
+		return s
 	}
 	out.Monitor.AssertQuiescent()
 	if !out.Monitor.Ok() {
 		return fmt.Errorf("property violation: %s", out.Monitor.Violations()[0])
 	}
-	if s != nil {
-		return fmt.Errorf("liveness: %d requests unsatisfied", s.Outstanding)
+	if out.Stall != nil {
+		return out.Stall
 	}
 	return nil
 }

@@ -63,16 +63,6 @@ type PartitionResult struct {
 	Points []PartitionPoint
 }
 
-// Point returns the cell for (duration, rho), or nil.
-func (r *PartitionResult) Point(duration time.Duration, rho float64) *PartitionPoint {
-	for i := range r.Points {
-		if r.Points[i].Duration == duration && r.Points[i].Rho == rho {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
 // RunPartition sweeps the cut-window duration across the scale's ρ axis.
 // Every repetition cuts one seeded cluster off the grid for the window,
 // heals, and drives the workload to full completion: the minority side
@@ -97,15 +87,18 @@ func RunPartition(params PartitionParams, scale Scale, progress func(string)) (*
 	// suspecting anything, so a token that died on the cut is never
 	// regenerated and the run stalls. The experiment therefore only admits
 	// windows long enough to be detected with margin.
-	_, inter := detectorTimeouts(params.Period, scale)
+	timeout, err := interTimeout(params.Period, scale)
+	if err != nil {
+		return nil, err
+	}
 	for _, d := range params.Durations {
-		if d < 2*inter.Timeout {
-			return nil, fmt.Errorf("harness: cut duration %v is below twice the inter detector timeout (%v): an undetected cut loses messages without triggering recovery", d, inter.Timeout)
+		if d < 2*timeout {
+			return nil, fmt.Errorf("harness: cut duration %v is below twice the inter detector timeout (%v): an undetected cut loses messages without triggering recovery", d, timeout)
 		}
 	}
 	res := &PartitionResult{Params: params, Scale: scale}
 
-	err := sweepRecovery("partition duration", params.Durations, scale, func(d time.Duration, rho float64, seed int64) (run.Outcome, error) {
+	err = sweepRecovery("partition duration", params.Durations, scale, func(d time.Duration, rho float64, seed int64) (run.Outcome, error) {
 		return runPartitionOnce(params, scale, d, rho, seed)
 	}, func(d time.Duration, rho float64, sum *recPartial) {
 		p := PartitionPoint{
@@ -135,40 +128,49 @@ func RunPartition(params PartitionParams, scale Scale, progress func(string)) (*
 // cut-duration axis in multiples of the inter detector timeout — the
 // shortest window the recovery layer can actually see (shorter cuts drop
 // messages without any member suspecting anything; RunPartition rejects
-// them).
-func PartitionSweep(scale Scale) (PartitionParams, Scale) {
+// them). The error is the scale's: no grid can be built from it.
+func PartitionSweep(scale Scale) (PartitionParams, Scale, error) {
 	n := float64(scale.N())
 	scale.Rhos = []float64{n / 2, 4 * n}
 	params := PartitionParams{Period: 2 * scale.Alpha}
-	_, inter := detectorTimeouts(params.Period, scale)
-	params.Durations = []time.Duration{
-		2 * inter.Timeout,
-		4 * inter.Timeout,
-		8 * inter.Timeout,
+	timeout, err := interTimeout(params.Period, scale)
+	if err != nil {
+		return PartitionParams{}, scale, err
 	}
-	return params, scale
+	params.Durations = []time.Duration{2 * timeout, 4 * timeout, 8 * timeout}
+	return params, scale, nil
+}
+
+// interTimeout returns the inter group's detector timeout at a heartbeat
+// period on the scale's grid — the unit of the cut-duration axis.
+func interTimeout(period time.Duration, scale Scale) (time.Duration, error) {
+	g, err := grid(run.System{Heartbeat: period}, scale)
+	if err != nil {
+		return 0, err
+	}
+	_, inter := run.DetectorTimeouts(g, period)
+	return inter.Timeout, nil
 }
 
 // runPartitionOnce executes one seeded run: the crash-tolerant
 // deployment, one seeded cluster cut off for the window and healed, the
 // full workload driven to completion under the recovery-aware monitor.
 func runPartitionOnce(params PartitionParams, scale Scale, duration time.Duration, rho float64, seed int64) (run.Outcome, error) {
-	g, err := recoveryGrid(params.Spec, scale)
+	sys := run.System{Intra: params.Spec.Intra, Inter: params.Spec.Inter, Heartbeat: params.Period}
+	spec, err := scale.spec(sys, rho, seed)
 	if err != nil {
 		return run.Outcome{}, err
 	}
 	// One seeded window: a seeded cluster is cut off at a seeded instant
 	// within the run's opening stretch and healed after the duration.
-	sides := make([][]int, g.NumClusters())
+	sides := make([][]int, spec.Grid.NumClusters())
 	for c := range sides {
-		sides[c] = g.NodesIn(c)
+		sides[c] = spec.Grid.NodesIn(c)
 	}
 	horizon := scale.Alpha * time.Duration(scale.CSPerProcess)
 	if horizon < 4*params.Period {
 		horizon = 4 * params.Period
 	}
-	intra, inter := detectorTimeouts(params.Period, scale)
-	spec := recoverySpec(g, params.Spec, scale, rho, seed, intra, inter)
 	spec.Faults.Schedule = faults.PartitionPulse(seed, sides, horizon, duration)
 	return drive(spec)
 }

@@ -10,8 +10,6 @@ import (
 	"gridmutex/internal/recovery"
 	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
-	"gridmutex/internal/topology"
-	"gridmutex/internal/workload"
 )
 
 // RecoveryParams tunes the crash-recovery experiment on top of a Scale.
@@ -60,19 +58,6 @@ type RecoveryResult struct {
 	Points []RecoveryPoint
 }
 
-// Point returns the cell for (period, rho), or nil.
-func (r *RecoveryResult) Point(period time.Duration, rho float64) *RecoveryPoint {
-	for i := range r.Points {
-		if r.Points[i].Period == period && r.Points[i].Rho == rho {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
-// detectorKinds are the message kinds the recovery layer adds.
-var detectorKinds = []string{"rec.hb", "rec.probe", "rec.ack", "rec.epoch", "rec.join"}
-
 // recPartial is what one repetition of a recovery-deployment experiment
 // (crash recovery or partition) contributes to its cell: accumulators and
 // scalar counts, never raw records, so the parallel sweep buffers bounded
@@ -87,28 +72,24 @@ type recPartial struct {
 
 // digestRecovery folds one run's outcome into a recPartial.
 func digestRecovery(out run.Outcome) recPartial {
+	members := out.Recovery.Stats()
 	p := recPartial{
-		latency:   stats.Accumulator{Sketch: true},
-		obtain:    stats.Accumulator{Sketch: true},
-		epochs:    out.Monitor.Epochs(),
-		grants:    int64(len(out.Records)),
-		totalMsgs: out.Counters.Messages,
-		dropped:   out.Counters.DroppedPartition,
-		virtual:   out.Elapsed,
+		latency:      stats.Accumulator{Sketch: true},
+		obtain:       stats.Accumulator{Sketch: true},
+		epochs:       out.Monitor.Epochs(),
+		grants:       int64(len(out.Records)),
+		detectorMsgs: recovery.DetectorMessages(out.Counters.ByKind),
+		totalMsgs:    out.Counters.Messages,
+		dropped:      out.Counters.DroppedPartition,
+		freezes:      members.MinorityFreezes,
+		regens:       members.Regenerations,
+		virtual:      out.Elapsed,
 	}
 	for _, d := range out.Monitor.RecoveryLatencies() {
 		p.latency.Push(float64(d) / float64(time.Millisecond))
 	}
 	for _, r := range out.Records {
 		p.obtain.Push(float64(r.Obtaining()) / float64(time.Millisecond))
-	}
-	for _, k := range detectorKinds {
-		p.detectorMsgs += out.Counters.ByKind[k]
-	}
-	for _, m := range out.Recovery.Members {
-		st := m.Stats()
-		p.freezes += st.MinorityFreezes
-		p.regens += st.Regenerations
 	}
 	return p
 }
@@ -216,38 +197,21 @@ func RunRecovery(params RecoveryParams, scale Scale, progress func(string)) (*Re
 	return res, nil
 }
 
-// recoveryGrid builds the topology of a crash-tolerant run: two reserved
-// nodes per cluster (primary coordinator and standby), so the application
-// process count matches the other experiments.
-func recoveryGrid(spec core.Spec, scale Scale) (*topology.Grid, error) {
-	scale.AppsPerCluster++ // grid() adds one for the coordinator; add the standby here
-	return grid(System{Spec: spec}, scale)
-}
-
-// recoverySpec is the part of a run description the crash-recovery and
-// partition experiments share: the crash-tolerant deployment of spec with
-// the given detector options under the scale's workload.
-func recoverySpec(g *topology.Grid, spec core.Spec, scale Scale, rho float64, seed int64, intra, inter recovery.Options) run.Spec {
-	return run.Spec{
-		Grid: g, Seed: seed, Jitter: scale.Jitter,
-		// KindCounts: the detector-overhead metric reads ByKind.
-		KindCounts: true,
-		Workload: workload.Params{
-			Alpha: scale.Alpha, Rho: rho, Dist: workload.Exponential,
-			CSPerProcess: scale.CSPerProcess,
-		},
-		System: run.System{
-			Intra: spec.Intra, Inter: spec.Inter,
-			Recovery: &run.Detectors{Intra: intra, Inter: inter},
-		},
-	}
+// RecoverySweep derives the default crash-recovery experiment from a
+// figure scale: a heartbeat-period axis bracketing the critical-section
+// duration and two ρ values spanning the saturated and sparse regimes.
+func RecoverySweep(scale Scale) (RecoveryParams, Scale) {
+	n := float64(scale.N())
+	scale.Rhos = []float64{n / 2, 4 * n}
+	return RecoveryParams{Periods: []time.Duration{scale.Alpha / 2, 2 * scale.Alpha, 8 * scale.Alpha}}, scale
 }
 
 // runRecoveryOnce executes one seeded run: the crash-tolerant deployment,
 // one crash-on-CS-entry fault, the workload driven to completion of every
 // survivor under the recovery-aware monitor.
 func runRecoveryOnce(params RecoveryParams, scale Scale, period time.Duration, rho float64, seed int64) (run.Outcome, error) {
-	g, err := recoveryGrid(params.Spec, scale)
+	sys := run.System{Intra: params.Spec.Intra, Inter: params.Spec.Inter, Heartbeat: period}
+	spec, err := scale.spec(sys, rho, seed)
 	if err != nil {
 		return run.Outcome{}, err
 	}
@@ -255,27 +219,11 @@ func runRecoveryOnce(params RecoveryParams, scale Scale, period time.Duration, r
 	// victims are the application nodes; under CrashCoordinator the crash
 	// is redirected to the victim's primary at the same trigger instant —
 	// the moment the primary's cluster holds the global CS right.
-	var appNodes []int
-	for c := 0; c < g.NumClusters(); c++ {
-		appNodes = append(appNodes, g.NodesIn(c)[2:]...)
-	}
-	trig := faults.OnCSEntry(seed, appNodes, scale.CSPerProcess)
-	intra, inter := detectorTimeouts(period, scale)
-	spec := recoverySpec(g, params.Spec, scale, rho, seed, intra, inter)
+	trig := faults.OnCSEntry(seed, sys.AppNodes(spec.Grid), scale.CSPerProcess)
 	spec.Faults.HolderKills = []run.HolderKill{{
 		Victim: trig.Victim, Entry: trig.Entry, Coordinator: params.CrashCoordinator,
 	}}
 	return drive(spec)
-}
-
-// detectorTimeouts derives the staggered detector options for a heartbeat
-// period on the scale's grid.
-func detectorTimeouts(period time.Duration, scale Scale) (intra, inter recovery.Options) {
-	remote := scale.RemoteRTT
-	if remote <= 0 {
-		remote = 20 * time.Millisecond
-	}
-	return recovery.StaggeredTimeouts(period, remote/2)
 }
 
 // Table renders the crash-recovery experiment: recovery latency and

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gridmutex/internal/core"
 )
 
 func recoveryTestScale() Scale {
@@ -75,5 +77,30 @@ func TestRunRecoveryDeterministic(t *testing.T) {
 	}
 	if a.Table("x") != b.Table("x") {
 		t.Fatal("same base seed produced different recovery tables")
+	}
+}
+
+// TestRecoveryDetectorsOnGrid5000: the detector timeouts come from the
+// grid's own RTT matrix. With the worst one-way delay taken as the uniform
+// grid's 10 ms default, the inter probe timeout (50 ms) sat under the
+// orsay→nancy→orsay probe (47.6 + 2.8 ms before jitter): one coordinator
+// crash cost 5 probe rounds and froze live, reachable members twice. Off
+// the matrix (49.2 ms) it takes one intra and one inter round and nobody
+// freezes.
+func TestRecoveryDetectorsOnGrid5000(t *testing.T) {
+	scale := PaperScale()
+	scale.AppsPerCluster = 4
+	scale.CSPerProcess = 5
+	scale.Repetitions = 1
+	params, scale := RecoverySweep(scale)
+	params.CrashCoordinator = true
+	params.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
+	period, rho := params.Periods[0], scale.Rhos[0] // α/2 and N/2 = 18: the recovery figure's first cell
+	out, err := runRecoveryOnce(params, scale, period, rho, deriveSeed(scale.BaseSeed^int64(period), rho, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := out.Recovery.Stats(); st.Rounds != 2 || st.MinorityFreezes != 0 {
+		t.Errorf("%d probe rounds, %d minority freezes (%d suspicions), want 2 and 0", st.Rounds, st.MinorityFreezes, st.Suspicions)
 	}
 }

@@ -13,17 +13,11 @@ import (
 
 // BuildOptions tune a crash-tolerant deployment.
 type BuildOptions struct {
-	// Intra tunes the failure detectors of the per-cluster intra groups.
-	Intra Options
-	// Inter tunes the inter group's detector. A zero Timeout derives a
-	// staggered default: intra Timeout ×2 plus the intra probe timeout.
-	// The stagger matters for safety — when a primary dies while its
-	// cluster owns the global CS right, the cluster's intra recovery (and
-	// the standby's claim on the inter token, see Member.AdoptCS) must
-	// complete before the inter group's census runs, or the inter token
-	// would be regenerated in another cluster while this one's
-	// application is still inside its critical section.
-	Inter Options
+	// Intra and Inter tune the failure detectors of the per-cluster intra
+	// groups and of the inter group. Fill both from StaggeredTimeouts: the
+	// inter timeout has to be staggered after the intra one for safety, and
+	// Build takes what it is given.
+	Intra, Inter Options
 	// NodeDown is the crash oracle (typically simnet's (*Network).Down);
 	// nil means nodes never crash.
 	NodeDown func(node int) bool
@@ -53,9 +47,9 @@ type Standby struct {
 	priIntra *Member
 	priInter *Member
 	d        *Deployment
-	coord    *core.Coordinator
-
-	activated bool
+	// coord is the automaton created at takeover: non-nil exactly while
+	// the standby is active.
+	coord *core.Coordinator
 	// priPassive marks a primary that rejoined while the standby was
 	// active: alive, a group member, but not driving the automaton.
 	priPassive bool
@@ -65,23 +59,19 @@ type Standby struct {
 func (s *Standby) ID() mutex.ID { return s.id }
 
 // Activated reports whether the standby has taken over.
-func (s *Standby) Activated() bool { return s.activated }
-
-// Coordinator returns the automaton created at takeover, or nil.
-func (s *Standby) Coordinator() *core.Coordinator { return s.coord }
+func (s *Standby) Activated() bool { return s.coord != nil }
 
 // onIntraEpoch is the takeover trigger, installed as the OnEpoch hook of
 // the standby's intra member: it fires inside the epoch application,
 // before any buffered traffic is flushed, so the new coordinator's
 // callbacks are in place ahead of queued requests.
 func (s *Standby) onIntraEpoch(e Epoch, members []mutex.ID, holder mutex.ID) {
-	if s.activated || !containsID(members, s.id) {
+	if s.Activated() || !containsID(members, s.id) {
 		return
 	}
 	if containsID(members, s.primary) && !s.priPassive {
 		return
 	}
-	s.activated = true
 	c := core.NewCoordinator(s.id)
 	s.coord = c
 	s.intraM.SetCallbacks(c.IntraCallbacks())
@@ -110,7 +100,7 @@ func (s *Standby) onIntraEpoch(e Epoch, members []mutex.ID, holder mutex.ID) {
 // guarantees the inter group's regeneration runs only after this
 // re-adoption, so the claim cannot be doubled).
 func (s *Standby) onPrimaryRejoin(e Epoch, members []mutex.ID, holder mutex.ID) {
-	if s.activated {
+	if s.Activated() {
 		s.priPassive = true
 		s.priIntra.SetCallbacks(mutex.Callbacks{})
 		s.priInter.SetCallbacks(mutex.Callbacks{})
@@ -129,7 +119,6 @@ func (s *Standby) onPrimaryRejoin(e Epoch, members []mutex.ID, holder mutex.ID) 
 // gone, the very epoch that re-admits the standby re-triggers the
 // takeover (OnRejoin runs before OnEpoch, where onIntraEpoch hangs).
 func (s *Standby) onStandbyRejoin(e Epoch, members []mutex.ID, holder mutex.ID) {
-	s.activated = false
 	s.coord = nil
 	s.intraM.SetCallbacks(mutex.Callbacks{})
 	s.interM.SetCallbacks(mutex.Callbacks{})
@@ -144,7 +133,6 @@ func (s *Standby) onPrimaryEpoch(e Epoch, members []mutex.ID, holder mutex.ID) {
 		return
 	}
 	s.priPassive = false
-	s.activated = false
 	s.coord = nil
 	c := core.NewCoordinator(s.primary)
 	s.d.Coordinators[s.cluster] = c
@@ -164,12 +152,12 @@ func (s *Standby) onPrimaryEpoch(e Epoch, members []mutex.ID, holder mutex.ID) {
 func (s *Standby) onMinority(standbySide bool, entered bool) {
 	var c *core.Coordinator
 	if standbySide {
-		if !s.activated || s.coord == nil {
+		if !s.Activated() {
 			return
 		}
 		c = s.coord
 	} else {
-		if s.activated || s.priPassive {
+		if s.Activated() || s.priPassive {
 			return
 		}
 		c = s.d.Coordinators[s.cluster]
@@ -205,6 +193,29 @@ func (d *Deployment) Stop() {
 	}
 }
 
+// Stats sums the counters of every member; each of the three state flags
+// reads true when it does for any member.
+func (d *Deployment) Stats() Stats {
+	var sum Stats
+	for _, m := range d.Members {
+		s := m.Stats()
+		sum.Epochs += s.Epochs
+		sum.Regenerations += s.Regenerations
+		sum.Rounds += s.Rounds
+		sum.Suspicions += s.Suspicions
+		sum.StaleDropped += s.StaleDropped
+		sum.FencedDropped += s.FencedDropped
+		sum.HeartbeatsSent += s.HeartbeatsSent
+		sum.Restarts += s.Restarts
+		sum.Rejoins += s.Rejoins
+		sum.MinorityFreezes += s.MinorityFreezes
+		sum.Frozen = sum.Frozen || s.Frozen
+		sum.Minority = sum.Minority || s.Minority
+		sum.Rejoining = sum.Rejoining || s.Rejoining
+	}
+	return sum
+}
+
 // Build assembles the paper's two-level composition with crash recovery:
 // within every cluster the first node hosts the primary coordinator, the
 // second node the standby, and the remaining nodes application processes.
@@ -226,15 +237,7 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 	if err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	intraOpts := bopts.Intra.withDefaults()
-	interOpts := bopts.Inter
-	if interOpts.Period <= 0 {
-		interOpts.Period = intraOpts.Period
-	}
-	if interOpts.Timeout <= 0 {
-		interOpts.Timeout = 2*intraOpts.Timeout + intraOpts.ProbeTimeout
-	}
-	interOpts = interOpts.withDefaults()
+	intraOpts, interOpts := bopts.Intra.withDefaults(), bopts.Inter.withDefaults()
 
 	down := func(id mutex.ID) func() bool {
 		if bopts.NodeDown == nil {
@@ -401,10 +404,14 @@ func (d *Deployment) memberOf(id mutex.ID, level core.Level) *Member {
 	return m
 }
 
-// StaggeredTimeouts returns detector options where the inter group's
-// timeout is staggered after the intra group's worst-case recovery, for a
-// given heartbeat period and maximum one-way latency. Helper for harness
-// experiments sweeping the period.
+// StaggeredTimeouts returns detector options for a heartbeat period and a
+// maximum one-way latency, with the inter group's timeout staggered after
+// the intra group's worst-case recovery. The stagger matters for safety:
+// when a primary dies while its cluster owns the global CS right, the
+// cluster's intra recovery (and the standby's claim on the inter token, see
+// Member.AdoptCS) must complete before the inter group's census runs, or
+// the inter token would be regenerated in another cluster while this one's
+// application is still inside its critical section.
 func StaggeredTimeouts(period, maxDelay time.Duration) (intra, inter Options) {
 	intra = Options{
 		Period:       period,

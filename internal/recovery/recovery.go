@@ -210,6 +210,17 @@ func (w Wrapped) Kind() string { return w.Inner.Kind() }
 // Size implements mutex.Message.
 func (w Wrapped) Size() int { return w.Inner.Size() + 8 }
 
+// DetectorMessages totals, from a per-kind message count such as simnet's
+// Counters.ByKind, the traffic the recovery layer adds on its own: the
+// five control kinds above (Wrapped counts under its inner kind).
+func DetectorMessages(byKind map[string]int64) int64 {
+	var n int64
+	for _, m := range [...]mutex.Message{Heartbeat{}, Rejoin{}, Probe{}, ProbeAck{}, NewEpoch{}} {
+		n += byKind[m.Kind()]
+	}
+	return n
+}
+
 // Options tune the failure detector.
 type Options struct {
 	// Period is the heartbeat interval. Default 50ms.

@@ -26,22 +26,9 @@ import (
 	"gridmutex/internal/mutex"
 )
 
-// Timer schedules a callback after a delay; des.Simulator and the
-// wall-clock both satisfy it.
+// Timer schedules a callback after a delay; des.Simulator satisfies it.
 type Timer interface {
 	After(d time.Duration, f func())
-}
-
-// TimerFunc adapts a function to the Timer interface.
-type TimerFunc func(d time.Duration, f func())
-
-// After calls f after d.
-func (t TimerFunc) After(d time.Duration, f func()) { t(d, f) }
-
-// WallClock returns a Timer backed by time.AfterFunc, for live fabrics.
-func WallClock() Timer {
-	//lint:allow dettaint WallClock is the live-fabric boundary; DES runs inject the simulator's virtual timer instead
-	return TimerFunc(func(d time.Duration, f func()) { time.AfterFunc(d, func() { f() }) })
 }
 
 // Options tune the retransmission machinery.

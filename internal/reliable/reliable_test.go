@@ -312,16 +312,6 @@ func TestPacketMetadata(t *testing.T) {
 	}
 }
 
-func TestWallClockTimer(t *testing.T) {
-	done := make(chan struct{})
-	WallClock().After(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("wall clock timer never fired")
-	}
-}
-
 func TestPendingSeqsAndLocal(t *testing.T) {
 	sim := des.New()
 	grid := topology.Single(2, 10*time.Millisecond)

@@ -1,15 +1,16 @@
 // Package run is the one place a simulation is assembled and driven.
 // Build turns a plain Spec — topology, network model, workload, system
 // under test, faults — into a wired stack (simulator, simnet, optional
-// reliable layer, safety monitor, workload runner, deployment), and Drive
-// advances it in the mode the Spec implies and returns the raw material
-// callers format: the harness into figure points and errors, the scenario
-// engine into verdicts, gridsim into a trace dump. Holding everything
-// except the Spec fixed across callers is what makes their results
-// comparable.
+// reliable layer, safety monitor, workload runner, deployment), deriving
+// every network-dependent parameter from the Spec's grid, and Drive drains
+// it and returns the raw material callers format: the harness into figure
+// points and errors, the scenario engine into verdicts, gridsim into a
+// trace dump. Holding everything except the Spec fixed across callers is
+// what makes their results comparable.
 package run
 
 import (
+	"fmt"
 	"time"
 
 	"gridmutex/internal/adaptive"
@@ -34,15 +35,14 @@ type Spec struct {
 	// Seed drives both the network's jitter/loss stream and the workload's
 	// idle times (it overwrites Workload.Seed).
 	Seed int64
-	// Jitter, Loss and KindCounts configure the simulated network (see
-	// simnet.Options).
+	// Jitter and Loss configure the simulated network (see simnet.Options).
 	Jitter, Loss float64
-	KindCounts   bool
 	// TraceCapacity, when positive, attaches a trace ring buffer of that
 	// many events to the fabric.
 	TraceCapacity int
 	// Reliable, when non-nil, wraps the fabric in the sequencing/ack/
-	// retransmission layer with these options.
+	// retransmission layer with these options. A zero RTO means three times
+	// the grid's largest round trip: spurious retransmissions stay rare.
 	Reliable *reliable.Options
 	// Workload is the application behaviour.
 	Workload workload.Params
@@ -52,14 +52,15 @@ type Spec struct {
 	// instead of to completion (starved requests are expected), then
 	// stops the detectors and drains.
 	Horizon time.Duration
-	// EventLimit caps the events of a drive phase; 0 derives the default
-	// from the workload size.
+	// EventLimit caps the events without a grant: the drive gives up once
+	// that many have run since the last stretch of that length that granted
+	// anything. 0 derives the default from the workload size.
 	EventLimit uint64
 }
 
 // System selects the deployment under test. Exactly one shape applies, in
-// this order: Levels (k-level hierarchy), Flat, Recovery, AdaptiveInter,
-// plain Intra-Inter composition.
+// this order: Levels (k-level hierarchy), Flat, Heartbeat (crash-tolerant
+// composition), AdaptiveInter, plain Intra-Inter composition.
 type System struct {
 	// Flat names an original (non-hierarchical) algorithm.
 	Flat string
@@ -75,14 +76,46 @@ type System struct {
 	// LocalBias is the number of extra local serving rounds before each
 	// inter handoff.
 	LocalBias int
-	// Recovery, when non-nil, builds the crash-tolerant deployment (a
-	// primary and a standby node per cluster) with these detector options.
-	Recovery *Detectors
+	// Heartbeat, when positive, builds the crash-tolerant deployment (a
+	// primary and a standby node per cluster) with failure detectors of
+	// that period; their timeouts come from the grid (DetectorTimeouts).
+	Heartbeat time.Duration
 }
 
-// Detectors are the failure-detector options of a recovery deployment.
-type Detectors struct {
-	Intra, Inter recovery.Options
+// recovery reports whether s is the crash-tolerant deployment.
+func (s System) recovery() bool {
+	return len(s.Levels) == 0 && s.Flat == "" && s.Heartbeat > 0
+}
+
+// Reserved returns how many infrastructure nodes the system occupies at
+// the front of every cluster, on top of the applications: none when flat,
+// the coordinator of a composition, plus the standby of a crash-tolerant one.
+func (s System) Reserved() int {
+	switch {
+	case s.recovery():
+		return 2
+	case len(s.Levels) == 0 && s.Flat != "":
+		return 0
+	default:
+		return 1
+	}
+}
+
+// AppNodes lists g's application nodes: every cluster's, in cluster order,
+// past the system's reserved ones.
+func (s System) AppNodes(g *topology.Grid) []int {
+	var out []int
+	for c, skip := 0, s.Reserved(); c < g.NumClusters(); c++ {
+		out = append(out, g.NodesIn(c)[skip:]...)
+	}
+	return out
+}
+
+// DetectorTimeouts returns the failure-detector options Build gives a
+// crash-tolerant deployment on g: the worst one-way delay is half the
+// grid's largest round trip.
+func DetectorTimeouts(g *topology.Grid, heartbeat time.Duration) (intra, inter recovery.Options) {
+	return recovery.StaggeredTimeouts(heartbeat, g.MaxRTT()/2)
 }
 
 // Faults is what goes wrong during the run.
@@ -131,13 +164,19 @@ func Build(spec Spec) (*Run, error) {
 	if spec.TraceCapacity > 0 {
 		r.Tracer = trace.New(sim.Now, spec.TraceCapacity)
 	}
+	sys := spec.System
 	r.net = simnet.New(sim, g, simnet.Options{
-		Jitter: spec.Jitter, Seed: spec.Seed, Loss: spec.Loss,
-		Trace: r.Tracer, KindCounts: spec.KindCounts,
+		Jitter: spec.Jitter, Seed: spec.Seed, Loss: spec.Loss, Trace: r.Tracer,
+		// Detector overhead is a reported axis of every recovery run.
+		KindCounts: sys.recovery(),
 	})
 	var fabric mutex.Fabric = r.net
 	if spec.Reliable != nil {
-		r.rel = reliable.Wrap(r.net, sim, *spec.Reliable)
+		opts := *spec.Reliable
+		if opts.RTO <= 0 {
+			opts.RTO = 3 * g.MaxRTT()
+		}
+		r.rel = reliable.Wrap(r.net, sim, opts)
 		fabric = r.rel
 	}
 	r.mon = check.NewMonitor(sim)
@@ -158,7 +197,6 @@ func Build(spec Spec) (*Run, error) {
 		})
 	}
 
-	sys := spec.System
 	var coordOpts []func(*core.Coordinator)
 	if k := sys.LocalBias; k > 0 {
 		coordOpts = append(coordOpts, func(c *core.Coordinator) { c.SetLocalBias(k) })
@@ -169,10 +207,10 @@ func Build(spec Spec) (*Run, error) {
 		r.Core, err = core.BuildMultiLevel(fabric, g, sys.Levels, sys.Groups, appCB, coordOpts...)
 	case sys.Flat != "":
 		r.Core, err = core.BuildFlat(fabric, g, sys.Flat, appCB)
-	case sys.Recovery != nil:
+	case sys.recovery():
+		intra, inter := DetectorTimeouts(g, sys.Heartbeat)
 		r.Recovery, err = recovery.Build(fabric, g, pair, appCB, sim, recovery.BuildOptions{
-			Intra:    sys.Recovery.Intra,
-			Inter:    sys.Recovery.Inter,
+			Intra: intra, Inter: inter,
 			NodeDown: r.net.Down,
 			OnEpoch: func(group string, _ mutex.ID, _ recovery.Epoch, _ []mutex.ID, _ mutex.ID) {
 				r.mon.BeginEpoch(group)
@@ -279,25 +317,38 @@ func (r *Run) wireHolderKills() core.CallbackFunc {
 type StallKind uint8
 
 const (
-	// NoDrain: a capped run hit the event limit before the queue emptied;
-	// Stall.Err holds the des error.
+	// NoDrain: the drain went a full event limit without a grant and the
+	// queue still held events; Stall.Err holds the des error.
 	NoDrain StallKind = iota + 1
 	// Unsatisfied: the queue drained with requests still outstanding.
 	Unsatisfied
-	// Starved: a recovery run went a full event limit without a single
-	// grant while requests were outstanding.
-	Starved
 )
 
-// Stall is a liveness failure of the drive, left unformatted so each
-// caller words it in its own error or verdict text.
+// Stall is a liveness failure of the drive; its Error is the one wording
+// every caller reports.
 type Stall struct {
 	Kind StallKind
 	Err  error
-	// Outstanding is the number of critical sections still owed; Events
-	// the events processed when the drive gave up.
+	// Outstanding is the number of critical sections still owed.
 	Outstanding int
-	Events      uint64
+	// Horizon and Detectors say what the run was: one bounded by
+	// Spec.Horizon, one of a deployment with failure detectors.
+	Horizon, Detectors bool
+}
+
+func (s *Stall) Error() string {
+	switch {
+	case s.Horizon:
+		return fmt.Sprintf("liveness: did not drain after horizon: %v", s.Err)
+	case s.Kind == NoDrain && s.Detectors:
+		return fmt.Sprintf("liveness: did not drain: %v", s.Err)
+	case s.Kind == NoDrain:
+		return fmt.Sprintf("liveness: did not drain: %v (outstanding %d)", s.Err, s.Outstanding)
+	case s.Detectors:
+		return fmt.Sprintf("liveness: queue drained with %d requests unsatisfied", s.Outstanding)
+	default:
+		return fmt.Sprintf("liveness: %d requests unsatisfied", s.Outstanding)
+	}
 }
 
 // Outcome is the raw material of a finished run.
@@ -326,18 +377,9 @@ type Outcome struct {
 	Stall *Stall
 }
 
-// Drive starts the workload and advances the simulation in the mode the
-// Spec implies:
-//
-//   - Bounded horizon: run for a fixed stretch of virtual time, then stop
-//     the detectors and drain.
-//   - Recovery to completion: heartbeats keep the event queue non-empty
-//     forever, so step until the surviving workload completes, then stop
-//     the detectors and drain.
-//   - Plain to completion: a liveness watchdog plus a capped run.
-//
-// It does not judge the monitor: callers decide whether to assert
-// quiescence and how to report violations.
+// Drive starts the workload and drains the simulation (see drive). It does
+// not judge the monitor: callers decide whether to assert quiescence and
+// how to report violations.
 func (r *Run) Drive() Outcome {
 	r.runner.Start()
 	stall := r.drive()
@@ -364,67 +406,51 @@ func (r *Run) Drive() Outcome {
 	return out
 }
 
+// drive is one capped drain, preceded by the only thing the Spec chooses:
+// when the failure detectors stop, since their heartbeats keep the event
+// queue non-empty forever — at the horizon or, run to completion, the
+// instant the last unfinished process finishes or crashes. A deployment
+// without detectors, run to completion, arms the liveness watchdog instead.
+// It reports a precise stall instant long before the cap would: a waiting
+// request is granted within fractions of the interval under any load, so a
+// full interval of global silence while requests wait is a deadlock.
 func (r *Run) drive() *Stall {
 	sim, runner, dep := r.sim, r.runner, r.Recovery
-	limit := r.spec.EventLimit
-	if limit == 0 {
-		limit = uint64(runner.ExpectedTotal())*10_000 + 1_000_000
-	}
-	drain := func() *Stall {
-		if err := sim.RunCapped(limit); err != nil {
-			return r.stalled(NoDrain, err)
-		}
-		return nil
-	}
-	if r.spec.Horizon > 0 {
+	switch {
+	case r.spec.Horizon > 0:
 		sim.RunFor(r.spec.Horizon)
 		if dep != nil {
 			dep.Stop()
 		}
-		return drain()
+	case dep != nil:
+		runner.OnDone(dep.Stop)
+	default:
+		r.mon.WatchLiveness(runner.Waiting, runner.Done, 2000*r.spec.Workload.Alpha)
 	}
-	if dep != nil {
-		s := r.stepUntilDone(limit)
-		dep.Stop()
-		if s != nil {
-			return s
+	limit := r.spec.EventLimit
+	if limit == 0 {
+		limit = uint64(runner.ExpectedTotal())*10_000 + 1_000_000
+	}
+	// The cap counts events since the last window that granted anything,
+	// not since the start: detector heartbeats alone would exhaust a
+	// whole-run budget on a long sparse run that is making steady progress.
+	for {
+		grants := len(runner.Records())
+		err := sim.RunCapped(limit)
+		switch {
+		case err == nil && r.spec.Horizon == 0 && !runner.Done():
+			return r.stalled(Unsatisfied, nil)
+		case err == nil:
+			return nil
+		case len(runner.Records()) == grants:
+			return r.stalled(NoDrain, err)
 		}
-		return drain()
 	}
-	// The watchdog reports a precise stall instant long before the event
-	// cap would: a waiting request is granted within fractions of the
-	// interval under any load, so a full interval of global silence while
-	// requests wait is a deadlock.
-	r.mon.WatchLiveness(runner.Waiting, runner.Done, 2000*r.spec.Workload.Alpha)
-	if s := drain(); s != nil {
-		return s
-	}
-	if !runner.Done() {
-		return r.stalled(Unsatisfied, nil)
-	}
-	return nil
 }
 
 func (r *Run) stalled(kind StallKind, err error) *Stall {
-	return &Stall{Kind: kind, Err: err, Outstanding: r.runner.Outstanding(), Events: r.sim.Processed()}
-}
-
-// stepUntilDone steps the simulation until the workload completes. The cap
-// counts events since the last grant, not since the start: detector
-// heartbeats alone would exhaust a whole-run budget on a long sparse run
-// that is making steady progress.
-func (r *Run) stepUntilDone(limit uint64) *Stall {
-	grants, mark := 0, r.sim.Processed()
-	for !r.runner.Done() {
-		if n := len(r.runner.Records()); n != grants {
-			grants, mark = n, r.sim.Processed()
-		}
-		if r.sim.Processed()-mark > limit {
-			return r.stalled(Starved, nil)
-		}
-		if !r.sim.Step() {
-			return r.stalled(Unsatisfied, nil)
-		}
+	return &Stall{
+		Kind: kind, Err: err, Outstanding: r.runner.Outstanding(),
+		Horizon: r.spec.Horizon > 0, Detectors: r.Recovery != nil,
 	}
-	return nil
 }

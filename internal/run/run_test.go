@@ -1,14 +1,15 @@
 package run
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
-	"gridmutex/internal/recovery"
 	"gridmutex/internal/topology"
 	"gridmutex/internal/workload"
 )
@@ -16,9 +17,9 @@ import (
 // quickSpec is a Spec at the harness's quick-scale size: clusters of four
 // application processes plus reserved infrastructure nodes, 1 ms local and
 // 20 ms remote RTT, ten 5 ms critical sections per process.
-func quickSpec(clusters, reserved int, sys System) Spec {
+func quickSpec(clusters int, sys System) Spec {
 	return Spec{
-		Grid:          topology.Uniform(clusters, 4+reserved, time.Millisecond, 20*time.Millisecond),
+		Grid:          topology.Uniform(clusters, 4+sys.Reserved(), time.Millisecond, 20*time.Millisecond),
 		Seed:          1,
 		Jitter:        0.05,
 		TraceCapacity: 1 << 17,
@@ -30,11 +31,6 @@ func quickSpec(clusters, reserved int, sys System) Spec {
 	}
 }
 
-func detectors(period time.Duration) *Detectors {
-	intra, inter := recovery.StaggeredTimeouts(period, 10*time.Millisecond)
-	return &Detectors{Intra: intra, Inter: inter}
-}
-
 // TestSystemsAndModes builds every system kind the kernel knows in every
 // drive mode that kind supports and holds each run to the same bar: the
 // workload completes, the safety monitor stays clean and quiescent, and a
@@ -44,16 +40,16 @@ func detectors(period time.Duration) *Detectors {
 // goroutine on the simulation path shows up here as a diff.
 func TestSystemsAndModes(t *testing.T) {
 	systems := []struct {
-		name               string
-		clusters, reserved int
-		sys                System
+		name     string
+		clusters int
+		sys      System
 	}{
-		{"flat", 3, 0, System{Flat: "central"}},
-		{"composed", 3, 1, System{Intra: "naimi", Inter: "naimi"}},
-		{"biased", 3, 1, System{Intra: "naimi", Inter: "martin", LocalBias: 2}},
-		{"three-level", 4, 1, System{Levels: []string{"naimi", "naimi", "naimi"}, Groups: []int{2}}},
-		{"adaptive", 3, 1, System{Intra: "naimi", Inter: "martin", AdaptiveInter: true}},
-		{"recovery", 3, 2, System{Intra: "naimi", Inter: "naimi", Recovery: detectors(10 * time.Millisecond)}},
+		{"flat", 3, System{Flat: "central"}},
+		{"composed", 3, System{Intra: "naimi", Inter: "naimi"}},
+		{"biased", 3, System{Intra: "naimi", Inter: "martin", LocalBias: 2}},
+		{"three-level", 4, System{Levels: []string{"naimi", "naimi", "naimi"}, Groups: []int{2}}},
+		{"adaptive", 3, System{Intra: "naimi", Inter: "martin", AdaptiveInter: true}},
+		{"recovery", 3, System{Intra: "naimi", Inter: "naimi", Heartbeat: 10 * time.Millisecond}},
 	}
 	modes := []struct {
 		name    string
@@ -65,26 +61,31 @@ func TestSystemsAndModes(t *testing.T) {
 	for _, s := range systems {
 		for _, m := range modes {
 			t.Run(s.name+"/"+m.name, func(t *testing.T) {
-				spec := quickSpec(s.clusters, s.reserved, s.sys)
+				spec := quickSpec(s.clusters, s.sys)
 				spec.Horizon = m.horizon
-				spec.KindCounts = s.sys.Recovery != nil
+				recovery := s.sys.Heartbeat > 0
 				first := mustDrive(t, spec)
 				if first.Stall != nil {
-					t.Fatalf("stalled: %+v", first.Stall)
+					t.Fatalf("stalled: %v", first.Stall)
 				}
 				// Stopping the detectors at the horizon stops a recovery
 				// deployment's members too, so its drain grants nothing
 				// more; every other combination runs to completion.
 				want, got := s.clusters*4*10, len(first.Records)
-				if partial := s.sys.Recovery != nil && m.horizon > 0; got > want || got == 0 || (got < want && !partial) {
+				if partial := recovery && m.horizon > 0; got > want || got == 0 || (got < want && !partial) {
 					t.Fatalf("%d grants, want %d", got, want)
 				}
 				first.Monitor.AssertQuiescent()
 				if !first.Monitor.Ok() {
 					t.Fatalf("violations: %v", first.Monitor.Violations())
 				}
-				if (first.Recovery != nil) != (s.sys.Recovery != nil) || (first.Core == nil) != (s.sys.Recovery != nil) {
+				if (first.Recovery != nil) != recovery || (first.Core == nil) != recovery {
 					t.Fatalf("wrong deployment kind: core %v recovery %v", first.Core != nil, first.Recovery != nil)
+				}
+				// Per-kind counters are on exactly when there are detectors
+				// whose traffic to report.
+				if (first.Counters.ByKind != nil) != recovery {
+					t.Fatalf("ByKind %v on a run with recovery=%v", first.Counters.ByKind, recovery)
 				}
 				if first.Trace == "" {
 					t.Fatal("empty trace; TraceCapacity not wired through")
@@ -132,12 +133,12 @@ func firstDiff(a, b string) string {
 // recovery-aware monitor.
 func TestHolderKill(t *testing.T) {
 	for _, coordinator := range []bool{false, true} {
-		spec := quickSpec(3, 2, System{Intra: "naimi", Inter: "naimi", Recovery: detectors(10 * time.Millisecond)})
+		spec := quickSpec(3, System{Intra: "naimi", Inter: "naimi", Heartbeat: 10 * time.Millisecond})
 		victim := spec.Grid.NodesIn(1)[3]
 		spec.Faults.HolderKills = []HolderKill{{Victim: victim, Entry: 2, Coordinator: coordinator}}
 		out := mustDrive(t, spec)
 		if out.Stall != nil {
-			t.Fatalf("coordinator=%v: stalled: %+v", coordinator, out.Stall)
+			t.Fatalf("coordinator=%v: stalled: %v", coordinator, out.Stall)
 		}
 		down := victim
 		if coordinator {
@@ -174,13 +175,13 @@ func sparseRecovery(clusters int) Spec {
 			Alpha: time.Millisecond, Rho: 1000, Dist: workload.Constant,
 			CSPerProcess: 4,
 		},
-		System: System{Intra: "naimi", Inter: "naimi", Recovery: detectors(100 * time.Microsecond)},
+		System: System{Intra: "naimi", Inter: "naimi", Heartbeat: 100 * time.Microsecond},
 	}
 }
 
 // TestRecoveryCapCountsSinceLastGrant: detector heartbeats must not
-// exhaust the recovery drive's event budget on a long run that keeps
-// granting. The run processes more events in total than the default cap
+// exhaust the drain's event budget on a long run that keeps granting. The
+// run processes more events in total than the default cap
 // (ExpectedTotal·10⁴ + 10⁶) but never that many between two grants; with
 // the cap counted from the start of the run it aborted with "requests
 // unsatisfied after N events", which is why paper-scale recovery and
@@ -188,7 +189,7 @@ func sparseRecovery(clusters int) Spec {
 func TestRecoveryCapCountsSinceLastGrant(t *testing.T) {
 	out := mustDrive(t, sparseRecovery(2))
 	if out.Stall != nil {
-		t.Fatalf("stalled after %d events: %+v", out.Events, out.Stall)
+		t.Fatalf("stalled after %d events: %v", out.Events, out.Stall)
 	}
 	if len(out.Records) != 8 {
 		t.Fatalf("%d grants, want 8", len(out.Records))
@@ -199,10 +200,11 @@ func TestRecoveryCapCountsSinceLastGrant(t *testing.T) {
 }
 
 // TestRecoveryCapStillCatchesStall: a run that stops granting must still
-// hit the cap. Cluster 0 loses its primary and its standby at the start,
-// so its application can never obtain the inter token; the other two
-// clusters (still a majority of the inter group) finish and the heartbeats
-// go on forever.
+// hit the cap, within two windows of the limit after its last grant.
+// Cluster 0 loses its primary and its standby at the start, so its
+// application can never obtain the inter token; the other two clusters
+// (still a majority of the inter group) finish and the heartbeats go on
+// forever.
 func TestRecoveryCapStillCatchesStall(t *testing.T) {
 	spec := sparseRecovery(3)
 	spec.Workload.Rho = 10
@@ -213,13 +215,53 @@ func TestRecoveryCapStillCatchesStall(t *testing.T) {
 		{At: 0, Node: nodes[1], Kind: faults.Crash},
 	}
 	out := mustDrive(t, spec)
-	if out.Stall == nil || out.Stall.Kind != Starved {
-		t.Fatalf("stall %+v, want Starved", out.Stall)
+	var exceeded des.MaxEventsExceeded
+	if out.Stall == nil || out.Stall.Kind != NoDrain || !errors.As(out.Stall.Err, &exceeded) {
+		t.Fatalf("stall %+v, want NoDrain on the event cap", out.Stall)
 	}
 	if out.Stall.Outstanding == 0 {
-		t.Error("starved with nothing outstanding")
+		t.Error("stalled with nothing outstanding")
 	}
 	if len(out.Records) == 0 {
-		t.Error("the healthy clusters never granted")
+		t.Fatal("the healthy clusters never granted")
+	}
+	// A twin run stopped at the last grant's instant counts the events up
+	// to it.
+	twin, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.runner.Start()
+	twin.sim.RunUntil(out.Records[len(out.Records)-1].AcquiredAt)
+	if since := out.Events - twin.sim.Processed(); since < spec.EventLimit || since > 2*spec.EventLimit {
+		t.Errorf("gave up %d events after the last grant, want within [1, 2] windows of %d", since, spec.EventLimit)
+	}
+}
+
+// TestStallError pins the one wording of a liveness failure that the
+// harness's errors, the scenario verdicts and gridsim all report.
+func TestStallError(t *testing.T) {
+	capped := des.MaxEventsExceeded{Limit: 500, Now: 2 * time.Second}
+	cases := []struct {
+		name  string
+		stall Stall
+		want  string
+	}{
+		{"horizon", Stall{Kind: NoDrain, Err: capped, Outstanding: 3, Horizon: true, Detectors: true},
+			"liveness: did not drain after horizon: des: exceeded 500 events at virtual time 2s"},
+		{"no drain", Stall{Kind: NoDrain, Err: capped, Outstanding: 3},
+			"liveness: did not drain: des: exceeded 500 events at virtual time 2s (outstanding 3)"},
+		{"no drain, detectors", Stall{Kind: NoDrain, Err: capped, Outstanding: 3, Detectors: true},
+			"liveness: did not drain: des: exceeded 500 events at virtual time 2s"},
+		{"unsatisfied", Stall{Kind: Unsatisfied, Outstanding: 3},
+			"liveness: 3 requests unsatisfied"},
+		{"unsatisfied, detectors", Stall{Kind: Unsatisfied, Outstanding: 3, Detectors: true},
+			"liveness: queue drained with 3 requests unsatisfied"},
+	}
+	for _, c := range cases {
+		var err error = &c.stall
+		if got := err.Error(); got != c.want {
+			t.Errorf("%s: %q, want %q", c.name, got, c.want)
+		}
 	}
 }

@@ -25,8 +25,8 @@ func evaluate(o *runOutcome) Verdict {
 	}
 
 	safety, liveness, quiescence := bucketViolations(o.Monitor.Violations())
-	if o.driveErr != "" {
-		liveness = append([]string{o.driveErr}, liveness...)
+	if o.Stall != nil {
+		liveness = append([]string{o.Stall.Error()}, liveness...)
 	}
 	add("safety", len(safety) == 0, summarize(safety))
 	add("liveness", len(liveness) == 0, summarize(liveness))

@@ -3,11 +3,9 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
-	"gridmutex/internal/recovery"
 	"gridmutex/internal/reliable"
 	"gridmutex/internal/rng"
 	"gridmutex/internal/run"
@@ -31,12 +29,11 @@ type Result struct {
 }
 
 // runOutcome carries everything the checker library and the metric
-// registry read after a run: the kernel's raw outcome, the scenario it
-// answers to and the drive's liveness failure in verdict wording.
+// registry read after a run: the kernel's raw outcome and the scenario it
+// answers to.
 type runOutcome struct {
 	run.Outcome
-	sc       *Scenario
-	driveErr string
+	sc *Scenario
 
 	obtainSummary *stats.Summary // lazily built by obtaining()
 }
@@ -55,19 +52,13 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	w := sc.Workload
 	spec := run.Spec{
 		Grid: g, Seed: sc.Seed, Jitter: sc.Network.Jitter, Loss: sc.Network.Loss,
-		// The detector_share metric reads ByKind on recovery runs.
-		KindCounts:    sc.System.Recovery,
 		TraceCapacity: opts.TraceCapacity,
 		Workload: workload.Params{
 			Alpha: w.Alpha, Rho: w.Rho, Phases: w.Phases, Dist: w.Dist,
 			CSPerProcess: w.CSPerProcess,
 			HotCluster:   w.HotCluster, HotSkew: w.HotSkew,
 		},
-		System: run.System{
-			Flat: sc.System.Flat, Intra: sc.System.Intra, Inter: sc.System.Inter,
-			Levels: sc.System.Levels, Groups: sc.System.Groups,
-			AdaptiveInter: sc.System.Adaptive, LocalBias: sc.System.LocalBias,
-		},
+		System: sc.runSystem(),
 		Faults: run.Faults{
 			Schedule:    buildSchedule(sc, g),
 			HolderKills: holderKills(sc, g),
@@ -76,48 +67,17 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		EventLimit: sc.Run.EventLimit,
 	}
 	if sc.Network.Reliable {
-		rto := sc.Network.RTO
-		if rto <= 0 {
-			rto = 3 * maxRTT(g)
-		}
-		spec.Reliable = &reliable.Options{RTO: rto, MaxRetries: sc.Network.MaxRetries}
-	}
-	if sc.System.Recovery {
-		intra, inter := recovery.StaggeredTimeouts(sc.System.Heartbeat, maxRTT(g)/2)
-		spec.System.Recovery = &run.Detectors{Intra: intra, Inter: inter}
+		spec.Reliable = &reliable.Options{RTO: sc.Network.RTO, MaxRetries: sc.Network.MaxRetries}
 	}
 	r, err := run.Build(spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %v", sc.Name, err)
 	}
 	o := &runOutcome{Outcome: r.Drive(), sc: sc}
-	o.driveErr = driveError(sc, o.Stall)
 	if sc.Expect.Quiescent {
 		o.Monitor.AssertQuiescent()
 	}
 	return &Result{Verdict: evaluate(o), Trace: o.Trace}, nil
-}
-
-// driveError words a drive's liveness failure for the verdict; the text
-// depends on the run mode (bounded horizon, recovery, plain) the stall
-// happened in. Empty when the drive completed.
-func driveError(sc *Scenario, s *run.Stall) string {
-	switch {
-	case s == nil:
-		return ""
-	case sc.Run.Horizon > 0:
-		return fmt.Sprintf("liveness: did not drain after horizon: %v", s.Err)
-	case s.Kind == run.Starved:
-		return fmt.Sprintf("liveness: %d requests unsatisfied after %d events", s.Outstanding, s.Events)
-	case s.Kind == run.NoDrain && sc.System.Recovery:
-		return fmt.Sprintf("liveness: did not drain: %v", s.Err)
-	case s.Kind == run.NoDrain:
-		return fmt.Sprintf("liveness: did not drain: %v (outstanding %d)", s.Err, s.Outstanding)
-	case sc.System.Recovery:
-		return fmt.Sprintf("liveness: queue drained with %d requests unsatisfied", s.Outstanding)
-	default:
-		return fmt.Sprintf("liveness: %d requests unsatisfied", s.Outstanding)
-	}
 }
 
 // buildGrid realizes the scenario topology, adding the reserved
@@ -136,34 +96,6 @@ func buildGrid(sc *Scenario) (*topology.Grid, error) {
 	default:
 		return topology.Uniform(t.Clusters, per, t.LocalRTT, t.RemoteRTT), nil
 	}
-}
-
-// maxRTT returns the largest cluster-pair round trip of the grid — the
-// scale for retransmission and failure-detector timeouts.
-func maxRTT(g *topology.Grid) time.Duration {
-	var max time.Duration
-	for a := 0; a < g.NumClusters(); a++ {
-		for b := 0; b < g.NumClusters(); b++ {
-			if rtt := g.RTT(a, b); rtt > max {
-				max = rtt
-			}
-		}
-	}
-	if max <= 0 {
-		max = time.Millisecond
-	}
-	return max
-}
-
-// appNodes lists the application node indices (cluster by cluster,
-// skipping reserved infrastructure nodes).
-func appNodes(sc *Scenario, g *topology.Grid) []int {
-	reserved := sc.ReservedNodes()
-	var out []int
-	for c := 0; c < g.NumClusters(); c++ {
-		out = append(out, g.NodesIn(c)[reserved:]...)
-	}
-	return out
 }
 
 // buildSchedule collects the scenario's scheduled faults (fixed crashes
@@ -216,7 +148,7 @@ func victimSet(sc *Scenario, g *topology.Grid, name string) []int {
 		}
 		return out
 	default:
-		return appNodes(sc, g)
+		return sc.runSystem().AppNodes(g)
 	}
 }
 
@@ -225,7 +157,7 @@ func victimSet(sc *Scenario, g *topology.Grid, name string) []int {
 // index so multiple seeded kills draw independently.
 func holderKills(sc *Scenario, g *topology.Grid) []run.HolderKill {
 	var kills []run.HolderKill
-	candidates := appNodes(sc, g)
+	candidates := sc.runSystem().AppNodes(g)
 	for i, f := range sc.Faults {
 		if f.Kind != FaultHolderKill {
 			continue

@@ -3,6 +3,7 @@ package scenario
 import (
 	"time"
 
+	"gridmutex/internal/recovery"
 	"gridmutex/internal/stats"
 )
 
@@ -73,18 +74,18 @@ var metricRegistry = []metricDef{
 		return float64(o.Monitor.Epochs()), o.sc.System.Recovery
 	}},
 	{"mean_recovery_ms", func(o *runOutcome) (float64, bool) {
-		s, ok := o.recoveryLatency()
+		s, ok := msSummary(o.Monitor.RecoveryLatencies())
 		return s.Mean, ok
 	}},
 	{"max_recovery_ms", func(o *runOutcome) (float64, bool) {
-		s, ok := o.recoveryLatency()
+		s, ok := msSummary(o.Monitor.RecoveryLatencies())
 		return s.Max, ok
 	}},
 	{"detector_share", func(o *runOutcome) (float64, bool) {
 		if !o.sc.System.Recovery || o.Counters.Messages == 0 {
 			return 0, false
 		}
-		return float64(o.detectorMsgs()) / float64(o.Counters.Messages), true
+		return float64(recovery.DetectorMessages(o.Counters.ByKind)) / float64(o.Counters.Messages), true
 	}},
 	{"retransmits", func(o *runOutcome) (float64, bool) {
 		if o.Reliable == nil {
@@ -119,32 +120,24 @@ var metricRegistry = []metricDef{
 		return float64(o.Monitor.Rejoins()), o.sc.System.Recovery
 	}},
 	{"mean_rejoin_ms", func(o *runOutcome) (float64, bool) {
-		s, ok := o.rejoinLatency()
+		s, ok := msSummary(o.Monitor.RejoinLatencies())
 		return s.Mean, ok
 	}},
 	{"max_rejoin_ms", func(o *runOutcome) (float64, bool) {
-		s, ok := o.rejoinLatency()
+		s, ok := msSummary(o.Monitor.RejoinLatencies())
 		return s.Max, ok
 	}},
 	{"minority_freezes", func(o *runOutcome) (float64, bool) {
 		if o.Recovery == nil {
 			return 0, false
 		}
-		var n int64
-		for _, m := range o.Recovery.Members {
-			n += m.Stats().MinorityFreezes
-		}
-		return float64(n), true
+		return float64(o.Recovery.Stats().MinorityFreezes), true
 	}},
 	{"regenerations", func(o *runOutcome) (float64, bool) {
 		if o.Recovery == nil {
 			return 0, false
 		}
-		var n int64
-		for _, m := range o.Recovery.Members {
-			n += m.Stats().Regenerations
-		}
-		return float64(n), true
+		return float64(o.Recovery.Stats().Regenerations), true
 	}},
 }
 
@@ -212,9 +205,9 @@ func (o *runOutcome) obtaining() stats.Summary {
 	return *o.obtainSummary
 }
 
-// recoveryLatency summarizes crash-to-regeneration delays in ms.
-func (o *runOutcome) recoveryLatency() (stats.Summary, bool) {
-	lats := o.Monitor.RecoveryLatencies()
+// msSummary summarizes the monitor's latency samples (crash to
+// regeneration, restart to readmission) in ms; false when there are none.
+func msSummary(lats []time.Duration) (stats.Summary, bool) {
 	if len(lats) == 0 {
 		return stats.Summary{}, false
 	}
@@ -223,31 +216,4 @@ func (o *runOutcome) recoveryLatency() (stats.Summary, bool) {
 		acc.Push(float64(d) / float64(time.Millisecond))
 	}
 	return acc.Summarize(), true
-}
-
-// rejoinLatency summarizes restart-to-readmission delays in ms.
-func (o *runOutcome) rejoinLatency() (stats.Summary, bool) {
-	lats := o.Monitor.RejoinLatencies()
-	if len(lats) == 0 {
-		return stats.Summary{}, false
-	}
-	acc := stats.Accumulator{}
-	for _, d := range lats {
-		acc.Push(float64(d) / float64(time.Millisecond))
-	}
-	return acc.Summarize(), true
-}
-
-// detectorKinds are the message kinds the recovery layer adds (mirrors
-// harness.detectorKinds).
-var detectorKinds = []string{"rec.hb", "rec.probe", "rec.ack", "rec.epoch", "rec.join"}
-
-// detectorMsgs totals failure-detector traffic (KindCounts is enabled on
-// recovery runs).
-func (o *runOutcome) detectorMsgs() int64 {
-	var n int64
-	for _, k := range detectorKinds {
-		n += o.Counters.ByKind[k]
-	}
-	return n
 }

@@ -97,7 +97,8 @@ type System struct {
 	// detectors and epoch-fenced token regeneration.
 	Recovery bool
 	// Heartbeat is the failure-detector period (recovery only; default
-	// 20ms). Intra/inter timeouts derive via recovery.StaggeredTimeouts.
+	// 20ms). The run kernel derives the intra/inter timeouts from it and
+	// the grid's largest RTT (run.DetectorTimeouts).
 	Heartbeat time.Duration
 }
 
@@ -174,8 +175,8 @@ type RunSpec struct {
 	// virtual time instead of to workload completion — the shape for
 	// scenarios where starvation is expected (frozen clusters).
 	Horizon time.Duration
-	// EventLimit caps processed DES events (0 derives the harness
-	// default from the expected grant count).
+	// EventLimit caps the events without a grant (run.Spec.EventLimit; 0
+	// derives the default from the expected grant count).
 	EventLimit uint64
 }
 

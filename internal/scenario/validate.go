@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gridmutex/internal/algorithms"
+	"gridmutex/internal/run"
 	"gridmutex/internal/topology"
 	"gridmutex/internal/workload"
 )
@@ -52,20 +53,21 @@ func (sc *Scenario) treeSpec() topology.TreeSpec {
 	}
 }
 
-// ReservedNodes returns how many infrastructure nodes the system under
-// test occupies at the front of every cluster: none for a flat
-// deployment, the coordinator for a composition, coordinator plus
-// standby for a crash-tolerant one.
-func (sc *Scenario) ReservedNodes() int {
-	switch {
-	case sc.System.Flat != "":
-		return 0
-	case sc.System.Recovery:
-		return 2
-	default:
-		return 1
+// runSystem is the system under test as the run kernel takes it.
+// Validation leaves Heartbeat positive exactly when Recovery is set.
+func (sc *Scenario) runSystem() run.System {
+	s := &sc.System
+	return run.System{
+		Flat: s.Flat, Intra: s.Intra, Inter: s.Inter,
+		Levels: s.Levels, Groups: s.Groups,
+		AdaptiveInter: s.Adaptive, LocalBias: s.LocalBias,
+		Heartbeat: s.Heartbeat,
 	}
 }
+
+// ReservedNodes returns how many infrastructure nodes the system under
+// test occupies at the front of every cluster (run.System.Reserved).
+func (sc *Scenario) ReservedNodes() int { return sc.runSystem().Reserved() }
 
 // NodesPerCluster returns application processes plus reserved nodes.
 func (sc *Scenario) NodesPerCluster() int {
@@ -82,10 +84,12 @@ func (sc *Scenario) Validate() error {
 	if !validName(sc.Name) {
 		return fmt.Errorf("scenario: name %q must be lowercase letters, digits and dashes", sc.Name)
 	}
-	if err := sc.validateTopology(); err != nil {
+	// The system first: a tree topology's leaf size counts its reserved
+	// nodes, which follow the defaulted heartbeat (runSystem).
+	if err := sc.validateSystem(); err != nil {
 		return err
 	}
-	if err := sc.validateSystem(); err != nil {
+	if err := sc.validateTopology(); err != nil {
 		return err
 	}
 	if err := sc.validateWorkload(); err != nil {

@@ -135,6 +135,27 @@ func (g *Grid) RTT(a, b int) time.Duration {
 	return g.rtt[a][b]
 }
 
+// MaxRTT returns the largest round trip between any two clusters (a
+// cluster's own included), and at least 1 ms — the scale retransmission
+// and failure-detector timeouts derive from. A tree grid reads it off its
+// O(levels) spec: every level has at least two children, so every level's
+// RTT separates some pair.
+func (g *Grid) MaxRTT() time.Duration {
+	max := time.Millisecond
+	rows := g.rtt
+	if g.tree != nil {
+		rows = [][]time.Duration{{g.tree.spec.LeafRTT}, g.tree.spec.LevelRTT}
+	}
+	for _, row := range rows {
+		for _, d := range row {
+			if d > max {
+				max = d
+			}
+		}
+	}
+	return max
+}
+
 // OneWay returns the modeled one-way message delay between two global node
 // indices: half the RTT between their clusters.
 func (g *Grid) OneWay(from, to int) time.Duration {

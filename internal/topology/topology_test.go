@@ -119,6 +119,46 @@ func TestSingle(t *testing.T) {
 	}
 }
 
+// TestMaxRTT: the timeout scale equals the maximum of RTT(a, b) over all
+// cluster pairs on every grid representation, and never falls under 1 ms.
+func TestMaxRTT(t *testing.T) {
+	ms := time.Millisecond
+	asym, err := New([]string{"a", "b"}, []int{1, 1}, [][]time.Duration{{ms, 7 * ms}, {30 * ms, 2 * ms}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := NewTree(treeSpec3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		g    *Grid
+		want time.Duration
+	}{
+		{"grid5000", Grid5000(1), 98398 * time.Microsecond},
+		{"uniform", Uniform(3, 2, ms, 20*ms), 20 * ms},
+		{"asymmetric", asym, 30 * ms},
+		{"tree", tree, 40 * ms},
+	}
+	for _, c := range cases {
+		var pairs time.Duration
+		for a := 0; a < c.g.NumClusters(); a++ {
+			for b := 0; b < c.g.NumClusters(); b++ {
+				if d := c.g.RTT(a, b); d > pairs {
+					pairs = d
+				}
+			}
+		}
+		if got := c.g.MaxRTT(); got != c.want || got != pairs {
+			t.Errorf("%s: MaxRTT = %v, want %v (maximum over pairs %v)", c.name, got, c.want, pairs)
+		}
+	}
+	if got := Single(4, 100*time.Microsecond).MaxRTT(); got != ms {
+		t.Errorf("sub-millisecond grid: MaxRTT = %v, want the 1ms floor", got)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	ms := time.Millisecond
 	cases := []struct {

@@ -148,11 +148,13 @@ type Runner struct {
 	started bool
 	// Run progress, kept current by setWaiting and setRemaining — the only
 	// writers of appProc.waiting and appProc.remaining — so the liveness
-	// watchdog (one tick per interval) and the recovery drive (one Done per
-	// event) read a field instead of walking every process.
+	// watchdog (one tick per interval) reads a field instead of walking
+	// every process, and the drive learns of completion from onDone instead
+	// of polling.
 	waiting     int // processes with an ungranted request
 	unfinished  int // processes with remaining > 0
 	outstanding int // sum of remaining
+	onDone      func()
 }
 
 type appProc struct {
@@ -234,16 +236,25 @@ func (r *Runner) setWaiting(p *appProc, w bool) {
 }
 
 func (r *Runner) setRemaining(p *appProc, n int) {
-	if (p.remaining > 0) != (n > 0) {
-		if n > 0 {
-			r.unfinished++
-		} else {
-			r.unfinished--
+	was := p.remaining
+	r.outstanding += n - was
+	p.remaining = n
+	switch {
+	case was <= 0 && n > 0:
+		r.unfinished++
+	case was > 0 && n <= 0:
+		r.unfinished--
+		if r.unfinished == 0 && r.onDone != nil {
+			r.onDone()
 		}
 	}
-	r.outstanding += n - p.remaining
-	p.remaining = n
 }
+
+// OnDone registers f to run the instant the last unfinished process exits
+// its last critical section or crashes — every time Done turns true, since
+// a Revive can turn it false again. f runs inside that event, with the
+// progress counters already current.
+func (r *Runner) OnDone(f func()) { r.onDone = f }
 
 // Start schedules every process's first request after an initial idle
 // period, staggering arrivals the way the paper's free-running processes

@@ -396,6 +396,8 @@ func TestOutstandingAndWaiting(t *testing.T) {
 			t.Fatal(err)
 		}
 		runner.Bind(d.Apps)
+		fired := 0
+		runner.OnDone(func() { fired++ })
 		if got := runner.Outstanding(); got != 12 {
 			t.Fatalf("Outstanding before start = %d, want 12", got)
 		}
@@ -419,6 +421,12 @@ func TestOutstandingAndWaiting(t *testing.T) {
 		}
 		for sim.Step() {
 			checkCounters(t, runner, "late run")
+			if fired > 0 && !runner.Done() {
+				t.Fatalf("OnDone fired with %d outstanding", runner.Outstanding())
+			}
+		}
+		if fired != 1 {
+			t.Fatalf("OnDone fired %d times over a full run, want once, at the last exit", fired)
 		}
 		if !runner.Done() || runner.Outstanding() != 0 || runner.Waiting() != 0 {
 			t.Fatalf("final state: done=%v outstanding=%d waiting=%d",
@@ -429,56 +437,60 @@ func TestOutstandingAndWaiting(t *testing.T) {
 	// Every way a crash can meet the request cycle, in one scripted run.
 	t.Run("crash and revive", func(t *testing.T) {
 		sim, r, lock := stubRunner(t, 2)
-		expect := func(when string, waiting, outstanding int, done bool) {
+		fired := 0
+		r.OnDone(func() { fired++ })
+		// expect also pins OnDone: it has fired once per time Done turned
+		// true so far — on a crash and on a last exit alike, never before.
+		expect := func(when string, waiting, outstanding int, done bool, onDone int) {
 			t.Helper()
 			checkCounters(t, r, when)
-			if r.Waiting() != waiting || r.Outstanding() != outstanding || r.Done() != done {
-				t.Fatalf("%s: waiting=%d outstanding=%d done=%v, want %d %d %v",
-					when, r.Waiting(), r.Outstanding(), r.Done(), waiting, outstanding, done)
+			if r.Waiting() != waiting || r.Outstanding() != outstanding || r.Done() != done || fired != onDone {
+				t.Fatalf("%s: waiting=%d outstanding=%d done=%v OnDone=%d, want %d %d %v %d",
+					when, r.Waiting(), r.Outstanding(), r.Done(), fired, waiting, outstanding, done, onDone)
 			}
 		}
-		expect("bound", 0, 6, false)
+		expect("bound", 0, 6, false, 0)
 		r.Start()
 		lock.crash(r, 0)
-		expect("crash while idle", 0, 4, false)
+		expect("crash while idle", 0, 4, false, 0)
 		sim.RunFor(3 * time.Millisecond) // 1 and 3 request; dead 0's timer is a no-op
-		expect("two requests", 2, 4, false)
+		expect("two requests", 2, 4, false, 0)
 		lock.crash(r, 1)
-		expect("crash while waiting", 1, 2, false)
+		expect("crash while waiting", 1, 2, false, 0)
 		lock.grant(r)
-		expect("late grant to a dead process", 1, 2, false)
+		expect("late grant to a dead process", 1, 2, false, 0)
 		if len(r.Records()) != 0 || lock.holder != mutex.None {
 			t.Fatalf("dead process took the grant: %d records, holder %d", len(r.Records()), lock.holder)
 		}
 		lock.grant(r)
-		expect("grant", 0, 2, false)
-		lock.crash(r, 3)
-		expect("crash inside the CS", 0, 0, true)
+		expect("grant", 0, 2, false, 0)
+		lock.crash(r, 3) // the last survivor: Done turns true by a crash
+		expect("crash inside the CS", 0, 0, true, 1)
 		sim.RunFor(3 * time.Millisecond) // 3's exitCS timer fires on a dead process
-		expect("late exitCS", 0, 0, true)
+		expect("late exitCS", 0, 0, true, 1)
 		lock.crash(r, 3)
-		expect("double crash", 0, 0, true)
+		expect("double crash", 0, 0, true, 1)
 		r.Revive(3)
 		// The regression: the second crash used to overwrite the forfeited
 		// count with zero, and the revived process never ran again.
-		expect("revive after double crash", 0, 2, false)
+		expect("revive after double crash", 0, 2, false, 1)
 		for _, id := range []mutex.ID{-1, 2, 4, 99} {
 			lock.crash(r, id)
 			r.Revive(id)
 		}
-		expect("crash and revive of non-application ids", 0, 2, false)
+		expect("crash and revive of non-application ids", 0, 2, false, 1)
 		r.Revive(0)
 		r.Revive(1)
 		r.Revive(1) // alive: ignored
-		expect("all revived", 0, 6, false)
+		expect("all revived", 0, 6, false, 1)
 		for sim.Step() {
 			lock.grant(r)
 			checkCounters(t, r, "drain")
 		}
-		expect("drained", 0, 0, true)
+		expect("drained", 0, 0, true, 2) // fired again: the revived processes finished
 		lock.crash(r, 0)
 		r.Revive(0)
-		expect("revive with nothing left", 0, 0, true)
+		expect("revive with nothing left", 0, 0, true, 2)
 		if sim.Pending() != 0 {
 			t.Fatalf("revive with nothing left scheduled %d events", sim.Pending())
 		}
@@ -528,8 +540,8 @@ func TestOutstandingAndWaiting(t *testing.T) {
 	})
 }
 
-// BenchmarkWatchdogTick pins what the liveness watchdog and the recovery
-// drive's per-event Done cost: field reads, the same at any size.
+// BenchmarkWatchdogTick pins what the liveness watchdog's reads cost: two
+// fields, the same at any size.
 func BenchmarkWatchdogTick(b *testing.B) {
 	for _, n := range []int{100, 100_000} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

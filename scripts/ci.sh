@@ -27,6 +27,20 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     echo "ci: simulation stack assembled outside internal/run (see above)" >&2
     exit 1
 fi
+# The same holds for what the kernel derives from the Spec's grid: detector
+# timeouts (StaggeredTimeouts) are computed in internal/run only, from
+# Grid.MaxRTT(), per-kind counters are switched on there only, and the
+# copies the harness and the scenario engine used to keep — which had
+# drifted apart on Grid'5000 — stay deleted, with the three drive modes.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'StaggeredTimeouts\(' . |
+    grep -vE '^\./internal/(run|recovery)/' ||
+    grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'KindCounts' . |
+    grep -vE '^\./internal/(run|simnet)/' ||
+    grep -rnE --include='*.go' --exclude-dir=bench \
+        'detectorKinds|func maxRTT|func driveError|stepUntilDone|WallClock' .; then
+    echo "ci: a value internal/run derives is derived or set elsewhere again (see above)" >&2
+    exit 1
+fi
 
 echo "==> one latency path: simnet's routing-table tiers stay deleted"
 # simnet computes every latency as grid.RTT(ca, cb)/2 and has one size
