@@ -1,18 +1,6 @@
-// Command gridbench regenerates the paper's evaluation figures.
-//
-// Every table and figure of the evaluation section maps to an experiment:
-//
-//	fig3   Grid5000 RTT matrix (input data, encoded verbatim)
-//	fig4a  obtaining time vs rho (original Naimi vs compositions)
-//	fig4b  inter-cluster messages per CS vs rho
-//	fig5a  obtaining time standard deviation vs rho
-//	fig5b  obtaining time relative standard deviation vs rho
-//	fig6a  intra algorithm choice: obtaining time
-//	fig6b  intra algorithm choice: standard deviation
-//	scale  section 4.7 scalability discussion
-//	adaptive  section 6 future work: adaptive inter algorithm
-//	recovery  robustness extension: token regeneration vs heartbeat period
-//	partition robustness extension: minority degradation vs cut duration
+// Command gridbench regenerates the paper's evaluation figures: every
+// table and figure of the evaluation section, and each extension beyond
+// it, maps to an experiment. `gridbench -list` names and describes them.
 //
 // Usage:
 //
@@ -21,8 +9,9 @@
 //	gridbench -experiment fig4a -scale quick -parallel 8
 //	gridbench -experiment fig4a -scale quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// With -parallel N the harness fans repetitions out over N goroutines;
-// results are byte-identical to a serial run. Timings and memory are
+// With -parallel N the harness fans repetitions out over N goroutines (0 =
+// GOMAXPROCS); results and progress lines are byte-identical to a serial
+// run, and progress streams cell by cell either way. Timings and memory are
 // measured by the benchmark, `go run ./bench`, not here.
 package main
 
@@ -37,6 +26,15 @@ import (
 
 	"gridmutex"
 )
+
+// workers translates -parallel into RunOptions.Workers: the flag's 0 asks
+// for GOMAXPROCS, where the option's zero value is serial.
+func workers(parallel int) int {
+	if parallel == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return parallel
+}
 
 func main() {
 	experiment := flag.String("experiment", "all", "figure to regenerate, or 'all' (one of: all "+strings.Join(gridmutex.Figures(), " ")+")")
@@ -89,7 +87,7 @@ func main() {
 		}
 	}
 
-	opt := gridmutex.RunOptions{Workers: *parallel}
+	opt := gridmutex.RunOptions{Workers: workers(*parallel)}
 	var figs map[string]string
 	var err error
 	if *experiment == "all" {

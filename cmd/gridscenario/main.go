@@ -32,7 +32,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 func run(args []string, stdout *os.File) int {
 	fs := flag.NewFlagSet("gridscenario", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit verdicts as a JSON array")
-	workers := fs.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS, 1 = serial on the calling goroutine)")
 	verbose := fs.Bool("v", false, "print every check, not only failures")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: gridscenario [-json] [-workers N] [-v] <file-or-dir>...")

@@ -86,15 +86,16 @@ func gridsim(args []string, stdout, stderr io.Writer) int {
 		Reliable:       *reliab,
 	}
 
-	var sys harness.System
+	// -intra and -inter have defaults, so -flat replaces them; any other
+	// contradiction (-flat -adaptive) is the run kernel's to reject.
+	sys := harness.Composed(*intra, *inter)
 	switch {
 	case *flat != "":
 		sys = harness.Flat(*flat)
 	case *adaptive:
 		sys = harness.Adaptive(*intra, *inter)
-	default:
-		sys = harness.Composed(*intra, *inter)
 	}
+	sys.AdaptiveInter = *adaptive
 
 	res, err := harness.Run([]harness.System{sys}, scale, nil)
 	if err != nil {

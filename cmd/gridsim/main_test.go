@@ -32,3 +32,33 @@ func TestTraceFollowsSelectedSystem(t *testing.T) {
 		}
 	}
 }
+
+// TestIllegalRunsAreOneLineErrors: a flag combination the run kernel
+// rejects (run.Spec.Validate) exits 1 with one "gridsim:" line. At d1e79f2
+// the first two died in simnet.New with a goroutine dump, the third ran
+// flat Naimi and silently dropped -adaptive, the fourth ran at 1 ms.
+func TestIllegalRunsAreOneLineErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-loss", "1.5"}, "loss 1.5 outside [0, 1)"},
+		{[]string{"-jitter", "-1"}, "jitter -1"},
+		{[]string{"-flat", "naimi", "-adaptive"}, "flat excludes adaptive"},
+		{[]string{"-local-rtt", "-5"}, "negative RTT"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-cs", "2", "-apps", "2", "-clusters", "2"}, c.args...)
+		code := gridsim(args, &stdout, &stderr)
+		msg := stderr.String()
+		if code != 1 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d with %d bytes on stdout, want exit 1 and none", c.args, code, stdout.Len())
+		}
+		if !strings.HasPrefix(msg, "gridsim: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
+			t.Errorf("%v: stderr %q, want one gridsim: line mentioning %q", c.args, msg, c.want)
+		}
+		if strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
+			t.Errorf("%v: stderr carries a crash dump:\n%s", c.args, msg)
+		}
+	}
+}

@@ -29,9 +29,9 @@ func (s ExperimentScale) scale() harness.Scale {
 // RunOptions tunes how figure experiments execute without changing what
 // they compute.
 type RunOptions struct {
-	// Workers fans each experiment's repetitions out across this many
-	// goroutines (0 or 1 = serial on the calling goroutine, negative =
-	// GOMAXPROCS). Results are byte-identical for every setting.
+	// Workers is harness.Scale.Workers: each experiment's repetitions fan
+	// out across this many goroutines (0 or 1 = serial on the calling
+	// goroutine, negative = GOMAXPROCS), with byte-identical results.
 	Workers int
 }
 

@@ -34,9 +34,8 @@ import (
 	"gridmutex/internal/topology"
 )
 
-// Algorithms lists the algorithms available at either hierarchy level:
-// "martin" (ring), "naimi" (tree), "suzuki" (broadcast), "raymond" (static
-// tree), "central" (server) and the permission-based "ricart-agrawala".
+// Algorithms lists the names of the algorithms available at either
+// hierarchy level (the registry of internal/algorithms).
 func Algorithms() []string {
 	return algorithms.Names()
 }

@@ -21,17 +21,6 @@ type GapPolicy struct {
 	Clock func() time.Duration
 	// Alpha is the application's critical section duration.
 	Alpha time.Duration
-	// ShortGap (default 3): gaps below ShortGap*Alpha vote for Martin.
-	ShortGap float64
-	// LongGap (default 30): gaps above LongGap*Alpha vote for Suzuki.
-	LongGap float64
-	// Window is how many recent gaps are considered (default 4).
-	Window int
-	// Patience is how many consecutive consultations must agree on the
-	// same different algorithm before a switch is recommended (default
-	// 3) — hysteresis against flapping at regime boundaries, where each
-	// switch costs a prepare/vote/commit round.
-	Patience int
 
 	grantAt    time.Duration
 	holding    bool
@@ -41,9 +30,21 @@ type GapPolicy struct {
 	streak     int
 }
 
-// NewGapPolicy returns a GapPolicy with default thresholds.
+// The policy's thresholds, the same for every adaptive run in the tree.
+const (
+	shortGap  = 3.0  // gaps below shortGap·α vote for Martin
+	longGap   = 30.0 // gaps above longGap·α vote for Suzuki
+	gapWindow = 4    // how many recent gaps are considered
+	// gapPatience is how many consecutive consultations must agree on the
+	// same different algorithm before a switch is recommended — hysteresis
+	// against flapping at regime boundaries, where each switch costs a
+	// prepare/vote/commit round.
+	gapPatience = 3
+)
+
+// NewGapPolicy returns a GapPolicy for critical sections of duration alpha.
 func NewGapPolicy(clock func() time.Duration, alpha time.Duration) *GapPolicy {
-	return &GapPolicy{Clock: clock, Alpha: alpha, ShortGap: 3, LongGap: 30, Window: 4, Patience: 3}
+	return &GapPolicy{Clock: clock, Alpha: alpha}
 }
 
 // ObserveGrant implements Policy.
@@ -74,19 +75,16 @@ func (p *GapPolicy) ObserveRelease(busy bool) {
 }
 
 func (p *GapPolicy) push(gap time.Duration) {
-	if p.Window <= 0 {
-		p.Window = 4
-	}
 	p.gaps = append(p.gaps, gap)
-	if len(p.gaps) > p.Window {
+	if len(p.gaps) > gapWindow {
 		p.gaps = p.gaps[1:]
 	}
 }
 
 // Recommend implements Policy using the mean of the recent gaps, with
-// Patience consecutive agreements required before recommending a change.
+// gapPatience consecutive agreements required before recommending a change.
 func (p *GapPolicy) Recommend(current string) string {
-	if len(p.gaps) < p.Window {
+	if len(p.gaps) < gapWindow {
 		return current
 	}
 	var sum time.Duration
@@ -97,9 +95,9 @@ func (p *GapPolicy) Recommend(current string) string {
 	alpha := float64(p.Alpha)
 	var rec string
 	switch {
-	case mean <= p.ShortGap*alpha:
+	case mean <= shortGap*alpha:
 		rec = "martin"
-	case mean >= p.LongGap*alpha:
+	case mean >= longGap*alpha:
 		rec = "suzuki"
 	default:
 		rec = "naimi"
@@ -113,7 +111,7 @@ func (p *GapPolicy) Recommend(current string) string {
 	} else {
 		p.lastRec, p.streak = rec, 1
 	}
-	if p.streak < p.Patience {
+	if p.streak < gapPatience {
 		return current
 	}
 	p.lastRec, p.streak = "", 0

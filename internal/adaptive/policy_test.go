@@ -12,11 +12,11 @@ func (c *fakeClock) fn() func() time.Duration { return func() time.Duration { re
 
 const alpha = 10 * time.Millisecond
 
-// recommendStable consults the policy until its Patience hysteresis is
+// recommendStable consults the policy until its gapPatience hysteresis is
 // satisfied, returning the final recommendation.
 func recommendStable(p *GapPolicy, current string) string {
 	out := current
-	for i := 0; i < p.Patience+1; i++ {
+	for i := 0; i < gapPatience+1; i++ {
 		out = p.Recommend(current)
 		if out != current {
 			return out
@@ -27,7 +27,7 @@ func recommendStable(p *GapPolicy, current string) string {
 
 // feedGaps runs the grant/pending cycle Window times with the given gap.
 func feedGaps(p *GapPolicy, c *fakeClock, gap time.Duration) {
-	for i := 0; i < p.Window; i++ {
+	for i := 0; i < gapWindow; i++ {
 		p.ObserveGrant()
 		c.now += gap
 		p.ObservePending()
@@ -39,7 +39,7 @@ func feedGaps(p *GapPolicy, c *fakeClock, gap time.Duration) {
 func TestGapPolicyShortGapsRecommendMartin(t *testing.T) {
 	c := &fakeClock{}
 	p := NewGapPolicy(c.fn(), alpha)
-	feedGaps(p, c, alpha) // gaps of 1*alpha < ShortGap*alpha
+	feedGaps(p, c, alpha) // gaps of 1*alpha < shortGap*alpha
 	if got := recommendStable(p, "naimi"); got != "martin" {
 		t.Fatalf("short gaps recommend %q, want martin", got)
 	}
@@ -48,7 +48,7 @@ func TestGapPolicyShortGapsRecommendMartin(t *testing.T) {
 func TestGapPolicyLongGapsRecommendSuzuki(t *testing.T) {
 	c := &fakeClock{}
 	p := NewGapPolicy(c.fn(), alpha)
-	feedGaps(p, c, 100*alpha) // far above LongGap*alpha
+	feedGaps(p, c, 100*alpha) // far above longGap*alpha
 	if got := recommendStable(p, "naimi"); got != "suzuki" {
 		t.Fatalf("long gaps recommend %q, want suzuki", got)
 	}
@@ -57,7 +57,7 @@ func TestGapPolicyLongGapsRecommendSuzuki(t *testing.T) {
 func TestGapPolicyMediumGapsRecommendNaimi(t *testing.T) {
 	c := &fakeClock{}
 	p := NewGapPolicy(c.fn(), alpha)
-	feedGaps(p, c, 10*alpha) // between ShortGap (3) and LongGap (30)
+	feedGaps(p, c, 10*alpha) // between shortGap (3) and longGap (30)
 	if got := recommendStable(p, "martin"); got != "naimi" {
 		t.Fatalf("medium gaps recommend %q, want naimi", got)
 	}
@@ -79,7 +79,7 @@ func TestGapPolicyWarmup(t *testing.T) {
 func TestGapPolicyReleaseWithoutPending(t *testing.T) {
 	c := &fakeClock{}
 	p := NewGapPolicy(c.fn(), alpha)
-	for i := 0; i < p.Window; i++ {
+	for i := 0; i < gapWindow; i++ {
 		p.ObserveGrant()
 		c.now += 200 * alpha // long quiet holding
 		p.ObserveRelease(false)
@@ -113,8 +113,8 @@ func TestGapPolicyWindowSlides(t *testing.T) {
 	if got := recommendStable(p, "martin"); got != "suzuki" {
 		t.Fatalf("slid window recommends %q, want suzuki", got)
 	}
-	if len(p.gaps) != p.Window {
-		t.Fatalf("window holds %d samples, want %d", len(p.gaps), p.Window)
+	if len(p.gaps) != gapWindow {
+		t.Fatalf("window holds %d samples, want %d", len(p.gaps), gapWindow)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapReturnsResultsInIndexOrder(t *testing.T) {
@@ -133,5 +134,183 @@ func TestMapPanicPropagates(t *testing.T) {
 			panic("kaboom")
 		}
 		return i, nil
+	})
+}
+
+// goroutineID names the calling goroutine by the header line of its stack.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+func TestEachEmitsInIndexOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		caller := goroutineID()
+		var got []int
+		err := Each(100, workers, func(i int) (int, error) { return i * i, nil }, func(i, v int) error {
+			if v != i*i {
+				t.Errorf("workers=%d: index %d emitted %d, want %d", workers, i, v, i*i)
+			}
+			if id := goroutineID(); id != caller {
+				t.Errorf("workers=%d: index %d emitted on goroutine %s, caller is %s", workers, i, id, caller)
+			}
+			got = append(got, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != 100 {
+			t.Fatalf("workers=%d: %d results emitted, want 100", workers, len(got))
+		}
+		for i, idx := range got {
+			if idx != i {
+				t.Fatalf("workers=%d: emission %d carried index %d", workers, i, idx)
+			}
+		}
+	}
+}
+
+// TestEachOneWorkerRunsInline: the serial setting starts no goroutine, so
+// a run's panics, profiles and stack depth are those of a plain loop.
+func TestEachOneWorkerRunsInline(t *testing.T) {
+	caller := goroutineID()
+	err := Each(10, 1, func(i int) (int, error) {
+		if id := goroutineID(); id != caller {
+			t.Errorf("job %d ran on goroutine %s, caller is %s", i, id, caller)
+		}
+		return i, nil
+	}, func(int, int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEachStreams: a result is emitted while higher jobs are still
+// running — here the last job cannot finish until index 0 has been
+// emitted, which a collect-then-emit pool would never do.
+func TestEachStreams(t *testing.T) {
+	const n = 4
+	released := make(chan struct{})
+	err := Each(n, 2, func(i int) (int, error) {
+		if i == n-1 {
+			select {
+			case <-released:
+			case <-time.After(10 * time.Second):
+				return 0, errors.New("index 0 was not emitted while the last job ran")
+			}
+		}
+		return i, nil
+	}, func(i, _ int) error {
+		if i == 0 {
+			close(released)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEachBoundsRunAhead: while index 0 is unfinished, the jobs claimed
+// beyond it never exceed the window — the reorder buffer is bounded.
+func TestEachBoundsRunAhead(t *testing.T) {
+	const workers, n = 2, 1000
+	var started atomic.Int64
+	gate := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- Each(n, workers, func(i int) (int, error) {
+			started.Add(1)
+			if i == 0 {
+				<-gate
+			}
+			return i, nil
+		}, func(int, int) error { return nil })
+	}()
+	// The other worker runs ahead until the window stops it; give it time
+	// to overshoot if it were going to.
+	for deadline := time.Now().Add(5 * time.Second); started.Load() < 8*workers && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := started.Load(); got != 8*workers {
+		t.Errorf("%d jobs started while index 0 was unfinished, want the window of %d", got, 8*workers)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := started.Load(); got != n {
+		t.Fatalf("%d jobs ran, want %d", got, n)
+	}
+}
+
+// TestEachErrorAfterLowerIndices: like a serial loop, every index below
+// the failure is emitted before the error is returned, nothing at or above
+// it is, and the lowest failing index wins.
+func TestEachErrorAfterLowerIndices(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var emitted []int
+		err := Each(64, workers, func(i int) (int, error) {
+			if i == 5 || i == 9 {
+				return 0, fmt.Errorf("boom %d", i)
+			}
+			return i, nil
+		}, func(i, _ int) error {
+			emitted = append(emitted, i)
+			return nil
+		})
+		if err == nil || err.Error() != "boom 5" {
+			t.Fatalf("workers=%d: error %v, want boom 5", workers, err)
+		}
+		if fmt.Sprint(emitted) != "[0 1 2 3 4]" {
+			t.Fatalf("workers=%d: emitted %v before the index-5 failure, want [0 1 2 3 4]", workers, emitted)
+		}
+	}
+}
+
+func TestEachEmitErrorStops(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		wantErr := errors.New("merge failed")
+		err := Each(10_000, workers, func(i int) (int, error) {
+			ran.Add(1)
+			return i, nil
+		}, func(i, _ int) error {
+			if i == 3 {
+				return wantErr
+			}
+			return nil
+		})
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("workers=%d: error %v, want the emit error", workers, err)
+		}
+		// Nothing beyond the window past the failing emission may have started.
+		if got := ran.Load(); got > 4+8*int64(workers) {
+			t.Fatalf("workers=%d: %d jobs ran after emit failed at index 3", workers, got)
+		}
+	}
+}
+
+func TestEachPanicPropagates(t *testing.T) {
+	var emitted []int
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "job 5 panicked: kaboom") || !strings.Contains(msg, "worker stack:") {
+			t.Fatalf("panic %q does not name job 5 with the worker stack", msg)
+		}
+		if fmt.Sprint(emitted) != "[0 1 2 3 4]" {
+			t.Fatalf("emitted %v before the index-5 panic, want [0 1 2 3 4]", emitted)
+		}
+	}()
+	Each(16, 4, func(i int) (int, error) {
+		if i == 5 {
+			panic("kaboom")
+		}
+		return i, nil
+	}, func(i, _ int) error {
+		emitted = append(emitted, i)
+		return nil
 	})
 }

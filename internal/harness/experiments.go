@@ -192,7 +192,7 @@ func RunScalability(systems []System, scale Scale, clusters []int, progress func
 				p.System, k, p.TotalMsgsPerCS, p.InterMsgsPerCS))
 		}
 	}
-	if _, err := runCells(cells, scale.Workers, emit); err != nil {
+	if err := runCells(cells, scale.Workers, emit); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -294,18 +294,16 @@ func RunPhased(systems []System, scale Scale, progress func(string)) (*Result, e
 	for i, sys := range systems {
 		cells[i] = cell{sys: sys, scale: scale, rho: 0}
 	}
-	var emit func(int, *Point)
-	if progress != nil {
-		emit = func(_ int, p *Point) {
+	err := runCells(cells, scale.Workers, func(_ int, p *Point) {
+		res.Points = append(res.Points, *p)
+		if progress != nil {
 			progress(fmt.Sprintf("%-22s obtain=%8.2fms  inter/CS=%6.2f  switches=%d",
 				p.System, p.Obtaining.Mean, p.InterMsgsPerCS, p.Switches))
 		}
-	}
-	points, err := runCells(cells, scale.Workers, emit)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Points = points
 	return res, nil
 }
 

@@ -150,12 +150,6 @@ func gridScaleTree(n int) (topology.TreeSpec, []int, error) {
 // heap measurements. The deterministic fields of every point are a pure
 // function of (N, seed); only Mem varies across machines.
 func RunGridScale(ns []int, csPerProcess int, alpha time.Duration, seed int64, progress func(string)) (*GridScaleResult, error) {
-	if csPerProcess < 1 {
-		return nil, fmt.Errorf("harness: grid-scale CSPerProcess %d, need at least 1", csPerProcess)
-	}
-	if alpha <= 0 {
-		return nil, fmt.Errorf("harness: grid-scale Alpha %v, need > 0", alpha)
-	}
 	res := &GridScaleResult{}
 	for _, n := range ns {
 		p, err := runGridScaleOnce(n, csPerProcess, alpha, seed)

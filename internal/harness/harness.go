@@ -43,12 +43,14 @@ type System struct {
 	LocalBias int
 }
 
-// RunSystem is the system as the run kernel takes it.
+// RunSystem is the system as the run kernel takes it: Spec is ignored under
+// Flat; any other contradiction reaches run.System.Validate and is an error.
 func (s System) RunSystem() run.System {
-	return run.System{
-		Flat: s.Flat, Intra: s.Spec.Intra, Inter: s.Spec.Inter,
-		AdaptiveInter: s.AdaptiveInter, LocalBias: s.LocalBias,
+	sys := run.System{Flat: s.Flat, AdaptiveInter: s.AdaptiveInter, LocalBias: s.LocalBias}
+	if s.Flat == "" {
+		sys.Intra, sys.Inter = s.Spec.Intra, s.Spec.Inter
 	}
+	return sys
 }
 
 // Composed returns the System for an intra-inter pair, labeled in the
@@ -142,11 +144,12 @@ type Scale struct {
 	HotSkew    float64
 	// Workers bounds how many repetitions run concurrently, each on its
 	// own private Simulator (the goroutine fan-out lives in
-	// internal/fleet; this package stays goroutine-free). 0 or 1 keeps
-	// every run on the calling goroutine; negative means GOMAXPROCS.
-	// Aggregates are byte-identical for every setting: per-repetition
-	// partials are merged by (system, ρ, rep) index, never by completion
-	// order.
+	// internal/fleet; this package stays goroutine-free). It is fleet's
+	// count — 1 keeps every run on the calling goroutine, negative means
+	// GOMAXPROCS — except that the zero value means 1 too, so a Scale that
+	// does not mention Workers stays serial. Aggregates and progress lines
+	// are byte-identical for every setting: per-repetition partials are
+	// merged by (system, ρ, rep) index, never by completion order.
 	Workers int
 }
 
@@ -281,34 +284,27 @@ func Run(systems []System, scale Scale, progress func(string)) (*Result, error) 
 			cells = append(cells, cell{sys: sys, scale: scale, rho: rho})
 		}
 	}
-	var emit func(int, *Point)
-	if progress != nil {
-		emit = func(_ int, p *Point) {
+	err := runCells(cells, scale.Workers, func(_ int, p *Point) {
+		res.Points = append(res.Points, *p)
+		if progress != nil {
 			progress(fmt.Sprintf("%-22s rho=%6.0f  obtain=%8.2fms  inter/CS=%6.2f",
 				p.System, p.Rho, p.Obtaining.Mean, p.InterMsgsPerCS))
 		}
-	}
-	points, err := runCells(cells, scale.Workers, emit)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Points = points
 	return res, nil
 }
 
-// deriveSeed mixes (BaseSeed, ρ, rep) into one run seed. ρ enters through
-// its IEEE-754 bit pattern, so arbitrarily close fractional sweep values
-// draw distinct streams (the previous int64(rho*7919) truncation collided
-// for ρ closer than 1/7919), and each component passes through the
-// SplitMix64 finalizer so additive rep/ρ strides cannot alias across
-// cells. The seed deliberately ignores the system under test: every
-// system replays the same random streams per (ρ, rep) — common random
-// numbers — which is what keeps cross-system curve differences paired.
+// deriveSeed mixes (BaseSeed, ρ, rep) into one run seed (rng.Mix). ρ enters
+// through its IEEE-754 bit pattern, so arbitrarily close fractional sweep
+// values draw distinct streams. The seed deliberately ignores the system
+// under test: every system replays the same random streams per (ρ, rep) —
+// common random numbers — which is what keeps cross-system curve
+// differences paired.
 func deriveSeed(base int64, rho float64, rep int) int64 {
-	z := rng.SplitMix64(uint64(base) + 0x9e3779b97f4a7c15)
-	z = rng.SplitMix64(z ^ math.Float64bits(rho))
-	z = rng.SplitMix64(z ^ uint64(rep))
-	return int64(z)
+	return rng.Mix(base, math.Float64bits(rho), uint64(rep))
 }
 
 // cell is one (system, scale, ρ) experiment cell; Repetitions seeded runs
@@ -445,66 +441,49 @@ func mergeCell(c cell, partials []repPartial) (*Point, error) {
 }
 
 // runShards executes size(g) seeded runs for each of groups experiment
-// cells and hands each cell's results, in repetition order, to merge, cell
-// by cell. workers 0 or 1 keeps every run on the calling goroutine (zero
-// goroutines on the per-run path) and merges a cell as soon as its runs
-// finish, so progress streams; otherwise all runs fan out through
-// internal/fleet first, each on a private Simulator. Either way results
-// merge by (cell, rep) index, never completion order — which is what makes
+// cells, fanned out through internal/fleet as one flat list of (cell, rep)
+// shards, and hands each cell's results, in repetition order, to merge the
+// moment its last shard is emitted — on the calling goroutine, for every
+// workers setting (Scale.Workers), so progress streams. Results merge by
+// (cell, rep) index, never completion order — which is what makes
 // aggregates byte-identical for every Workers setting.
 func runShards[T any](groups int, size func(group int) int, workers int, exec func(group, rep int) (T, error), merge func(group int, parts []T) error) error {
-	var all []T
-	if workers < 0 || workers > 1 {
-		type shard struct{ group, rep int }
-		var shards []shard
-		for g := 0; g < groups; g++ {
-			for rep := 0; rep < size(g); rep++ {
-				shards = append(shards, shard{g, rep})
-			}
-		}
-		var err error
-		all, err = fleet.Map(len(shards), workers, func(i int) (T, error) {
-			return exec(shards[i].group, shards[i].rep)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	next := 0
+	type shard struct{ group, rep int }
+	var shards []shard
 	for g := 0; g < groups; g++ {
-		n := size(g)
-		var parts []T
-		if all != nil {
-			parts = all[next : next+n]
-		} else {
-			parts = make([]T, n)
-			for rep := range parts {
-				var err error
-				if parts[rep], err = exec(g, rep); err != nil {
-					return err
-				}
-			}
-		}
-		next += n
-		if err := merge(g, parts); err != nil {
-			return err
+		for rep := 0; rep < size(g); rep++ {
+			shards = append(shards, shard{g, rep})
 		}
 	}
-	return nil
+	if workers == 0 {
+		workers = 1
+	}
+	var parts []T
+	return fleet.Each(len(shards), workers, func(i int) (T, error) {
+		return exec(shards[i].group, shards[i].rep)
+	}, func(i int, part T) error {
+		parts = append(parts, part)
+		g := shards[i].group
+		if len(parts) < size(g) {
+			return nil
+		}
+		cell := parts
+		parts = nil
+		return merge(g, cell)
+	})
 }
 
-// runCells executes every (cell, repetition) simulation and merges the
-// partials by (cell, rep) index. emit, when non-nil, receives each merged
-// Point in cell order.
-func runCells(cells []cell, workers int, emit func(i int, p *Point)) ([]Point, error) {
+// runCells executes every (cell, repetition) simulation, merges the
+// partials by (cell, rep) index and hands each merged Point to emit, in
+// cell order.
+func runCells(cells []cell, workers int, emit func(i int, p *Point)) error {
 	for i := range cells {
 		if err := cells[i].scale.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	reps := func(ci int) int { return cells[ci].scale.Repetitions }
-	points := make([]Point, 0, len(cells))
-	err := runShards(len(cells), reps, workers, func(ci, rep int) (repPartial, error) {
+	return runShards(len(cells), reps, workers, func(ci, rep int) (repPartial, error) {
 		c := cells[ci]
 		out, err := runOnce(c.sys, c.scale, c.rho, deriveSeed(c.scale.BaseSeed, c.rho, rep))
 		if err != nil {
@@ -517,16 +496,9 @@ func runCells(cells []cell, workers int, emit func(i int, p *Point)) ([]Point, e
 		if err != nil {
 			return fmt.Errorf("harness: %s at rho=%g: %w", cells[ci].sys.Name, cells[ci].rho, err)
 		}
-		if emit != nil {
-			emit(ci, p)
-		}
-		points = append(points, *p)
+		emit(ci, p)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
 }
 
 // grid builds the run topology: every cluster gets the system's reserved
@@ -544,10 +516,13 @@ func grid(sys run.System, scale Scale) (*topology.Grid, error) {
 		return topology.Grid5000(per), nil
 	}
 	local, remote := scale.LocalRTT, scale.RemoteRTT
-	if local <= 0 {
+	if local < 0 || remote < 0 {
+		return nil, fmt.Errorf("negative RTT (local %v, remote %v)", local, remote)
+	}
+	if local == 0 {
 		local = time.Millisecond
 	}
-	if remote <= 0 {
+	if remote == 0 {
 		remote = 20 * time.Millisecond
 	}
 	return topology.Uniform(scale.Clusters, per, local, remote), nil

@@ -463,6 +463,30 @@ func TestGridDefaultsForZeroLatencies(t *testing.T) {
 	if _, err := Run([]System{Flat("central")}, scale, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Zero means "the default"; a negative RTT means nothing and must not
+	// quietly become the default too.
+	scale.LocalRTT = -5 * time.Millisecond
+	if _, err := Run([]System{Flat("central")}, scale, nil); err == nil || !strings.Contains(err.Error(), "negative RTT") {
+		t.Fatalf("negative LocalRTT: %v, want a negative-RTT error", err)
+	}
+}
+
+// TestSystemContradictionsAreErrors: Flat ignores Spec, as System documents;
+// anything else that contradicts Flat is the run kernel's error, not a
+// field that silently loses.
+func TestSystemContradictionsAreErrors(t *testing.T) {
+	scale := testScale()
+	scale.Rhos = []float64{5}
+	scale.Repetitions = 1
+	sys := Flat("central")
+	sys.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
+	if _, err := Run([]System{sys}, scale, nil); err != nil {
+		t.Fatalf("Flat with a Spec: %v, want Spec ignored", err)
+	}
+	sys.AdaptiveInter = true
+	if _, err := Run([]System{sys}, scale, nil); err == nil || !strings.Contains(err.Error(), "flat excludes adaptive") {
+		t.Fatalf("Flat with AdaptiveInter: %v, want a \"flat excludes adaptive\" error", err)
+	}
 }
 
 // TestFairnessMetric: every system's Jain index is in (0,1], all processes

@@ -36,23 +36,16 @@ type Options struct {
 	// RTO is the initial retransmission timeout; it should exceed the
 	// largest round trip of the underlying fabric (default 250ms).
 	RTO time.Duration
-	// Backoff multiplies the timeout on every retransmission (default 2).
-	Backoff float64
 	// MaxRetries bounds retransmissions per packet (default 10).
 	MaxRetries int
-	// OnLinkFailure, when non-nil, is called once per abandoned packet
-	// after the retry budget is exhausted — the hook a recovery layer uses
-	// to learn that a peer is unreachable. It runs outside the network's
-	// lock, on the timer's context.
-	OnLinkFailure func(to mutex.ID, m mutex.Message)
 }
+
+// backoff multiplies the timeout on every retransmission.
+const backoff = 2
 
 func (o *Options) fill() {
 	if o.RTO <= 0 {
 		o.RTO = 250 * time.Millisecond
-	}
-	if o.Backoff < 1 {
-		o.Backoff = 2
 	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 10
@@ -223,16 +216,13 @@ func (n *Network) scheduleRetransmit(l link, seq uint64, timeout time.Duration, 
 			delete(st.outstanding, seq)
 			n.stats.GivenUp++
 			n.mu.Unlock()
-			if n.opts.OnLinkFailure != nil {
-				n.opts.OnLinkFailure(l.to, m)
-			}
 			return
 		}
 		n.stats.Retransmits++
 		env := n.envs[l.from]
 		n.mu.Unlock()
 		env.Send(l.to, Packet{Seq: seq, M: m})
-		n.scheduleRetransmit(l, seq, time.Duration(float64(timeout)*n.opts.Backoff), attempt+1)
+		n.scheduleRetransmit(l, seq, backoff*timeout, attempt+1)
 	})
 }
 

@@ -105,28 +105,18 @@ func TestGivesUpOnDeadLink(t *testing.T) {
 	}
 }
 
-// TestOnLinkFailureCallback: exhausting the retry budget toward a crashed
-// node fires the link-failure hook with the unreachable peer and the
-// abandoned message.
-func TestOnLinkFailureCallback(t *testing.T) {
+// TestRetryBudgetTowardCrashedNode: toward a crashed node every
+// transmission is discarded, so the budget is spent exactly — MaxRetries
+// retransmissions, then one packet given up and nothing retained.
+func TestRetryBudgetTowardCrashedNode(t *testing.T) {
 	sim := des.New()
 	grid := topology.Single(2, 10*time.Millisecond)
 	inner := simnet.New(sim, grid, simnet.Options{Seed: 4})
-	type failure struct {
-		to mutex.ID
-		m  mutex.Message
-	}
-	var failures []failure
-	rel := Wrap(inner, sim, Options{
-		RTO: 20 * time.Millisecond, MaxRetries: 3,
-		OnLinkFailure: func(to mutex.ID, m mutex.Message) {
-			failures = append(failures, failure{to, m})
-		},
-	})
+	rel := Wrap(inner, sim, Options{RTO: 20 * time.Millisecond, MaxRetries: 3})
 	s := &sink{}
 	rel.RegisterAt(0, 0, &sink{})
 	rel.RegisterAt(1, 1, s)
-	inner.Crash(1) // every transmission to node 1 is now discarded
+	inner.Crash(1)
 	rel.Endpoint(0).Send(1, note{seq: 7})
 	if err := sim.RunCapped(1_000_000); err != nil {
 		t.Fatal(err)
@@ -134,18 +124,12 @@ func TestOnLinkFailureCallback(t *testing.T) {
 	if len(s.got) != 0 {
 		t.Fatalf("crashed node received %d messages", len(s.got))
 	}
-	st := rel.Stats()
-	if st.GivenUp != 1 || st.Retransmits != 3 {
+	if st := rel.Stats(); st.GivenUp != 1 || st.Retransmits != 3 {
 		t.Fatalf("stats %+v, want 1 given up after 3 retransmits", st)
 	}
-	if len(failures) != 1 {
-		t.Fatalf("link-failure hook fired %d times, want 1", len(failures))
-	}
-	if failures[0].to != 1 {
-		t.Errorf("failure peer %d, want 1", failures[0].to)
-	}
-	if m, ok := failures[0].m.(note); !ok || m.seq != 7 {
-		t.Errorf("failure message %#v, want note{seq: 7}", failures[0].m)
+	// Backoff doubles the timeout: 20 + 40 + 80 + 160 ms to the give-up.
+	if got, want := sim.Now(), 300*time.Millisecond; got != want {
+		t.Errorf("gave up at %v, want %v", got, want)
 	}
 	if !rel.Quiesced() {
 		t.Error("outstanding state retained after giving up")

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -32,6 +33,27 @@ func TestStreamMatchesStdlib(t *testing.T) {
 					t.Fatalf("seed %d draw %d: ExpFloat64 = %v, want %v", seed, i, g, w)
 				}
 			}
+		}
+	}
+}
+
+// TestMixPinned holds the seeds the harness derives per (base, ρ,
+// repetition) and the scenario engine per (seed, fault index + 1) to the
+// values they had when each spelled the fold out itself: every figure and
+// verdict golden is a function of them.
+func TestMixPinned(t *testing.T) {
+	rho := math.Float64bits(45.0)
+	for _, c := range []struct {
+		base  int64
+		parts []uint64
+		want  int64
+	}{
+		{1, []uint64{rho, 0}, -1237049269030838893},
+		{1, []uint64{rho, 1}, -7031907609141799517},
+		{3, []uint64{1}, -4986418406098498070},
+	} {
+		if got := Mix(c.base, c.parts...); got != c.want {
+			t.Errorf("Mix(%d, %v) = %d, want %d", c.base, c.parts, got, c.want)
 		}
 	}
 }

@@ -58,16 +58,38 @@ type Spec struct {
 	EventLimit uint64
 }
 
-// System selects the deployment under test. Exactly one shape applies, in
-// this order: Levels (k-level hierarchy), Flat, Heartbeat (crash-tolerant
-// composition), AdaptiveInter, plain Intra-Inter composition.
+// Validate reports whether s describes a legal run, by every rule that
+// does not need the grid. Build calls it first and the scenario loader
+// calls it on the Spec its engine would run, so a flag, a file and a
+// hand-built Spec are held to one statement of the rules.
+func (s Spec) Validate() error {
+	if err := s.System.Validate(); err != nil {
+		return err
+	}
+	if s.Jitter < 0 {
+		return fmt.Errorf("run: jitter %v must be non-negative", s.Jitter)
+	}
+	if s.Loss < 0 || s.Loss >= 1 {
+		return fmt.Errorf("run: loss %v outside [0, 1)", s.Loss)
+	}
+	if s.Horizon < 0 {
+		return fmt.Errorf("run: horizon %v must be non-negative", s.Horizon)
+	}
+	return s.Workload.Validate()
+}
+
+// System selects the deployment under test: exactly one of a k-level
+// hierarchy (Levels), a flat original algorithm (Flat) or an Intra-Inter
+// composition, the last optionally adaptive, locally biased or
+// crash-tolerant (Heartbeat). Validate holds the combinations.
 type System struct {
 	// Flat names an original (non-hierarchical) algorithm.
 	Flat string
 	// Intra and Inter name the two-level composition; with AdaptiveInter,
 	// Inter is only the initial inter algorithm.
 	Intra, Inter string
-	// Levels and Groups describe a k-level hierarchy (core.BuildMultiLevel).
+	// Levels and Groups describe a k-level hierarchy, deepest level first
+	// (core.BuildMultiLevel).
 	Levels []string
 	Groups []int
 	// AdaptiveInter wraps the inter level in the adaptive switching
@@ -82,10 +104,49 @@ type System struct {
 	Heartbeat time.Duration
 }
 
-// recovery reports whether s is the crash-tolerant deployment.
-func (s System) recovery() bool {
-	return len(s.Levels) == 0 && s.Flat == "" && s.Heartbeat > 0
+// Validate reports whether s is one legal shape.
+func (s System) Validate() error {
+	shape, names := "", []string{s.Intra, s.Inter}
+	switch {
+	case len(s.Levels) > 0:
+		shape, names = "levels", s.Levels
+	case s.Flat != "":
+		shape, names = "flat", []string{s.Flat}
+	}
+	switch {
+	case shape != "" && (s.Intra != "" || s.Inter != "" || shape == "levels" && s.Flat != ""):
+		return fmt.Errorf("run: %s excludes the other shapes (intra/inter, flat, levels)", shape)
+	case shape != "" && (s.AdaptiveInter || s.Heartbeat != 0):
+		return fmt.Errorf("run: %s excludes adaptive and recovery (heartbeat)", shape)
+	case shape == "" && (s.Intra == "" || s.Inter == ""):
+		return fmt.Errorf("run: system needs intra and inter (or flat, or levels)")
+	case shape == "levels" && len(s.Levels) < 2:
+		return fmt.Errorf("run: a hierarchy needs at least 2 levels, got %d", len(s.Levels))
+	case shape == "levels" && len(s.Levels) != len(s.Groups)+2:
+		return fmt.Errorf("run: %d levels need %d group sizes, got %d", len(s.Levels), len(s.Levels)-2, len(s.Groups))
+	case shape != "levels" && len(s.Groups) > 0:
+		return fmt.Errorf("run: groups need a levels list")
+	case s.AdaptiveInter && s.Heartbeat != 0:
+		return fmt.Errorf("run: adaptive and recovery (heartbeat) cannot combine: the recovery layer wraps static members")
+	case s.LocalBias < 0:
+		return fmt.Errorf("run: local bias %d must be non-negative", s.LocalBias)
+	case s.LocalBias > 0 && shape == "flat":
+		return fmt.Errorf("run: local bias needs a composition: flat has no coordinators")
+	case s.LocalBias > 0 && s.Heartbeat != 0:
+		return fmt.Errorf("run: local bias is not supported under recovery (heartbeat)")
+	case s.Heartbeat < 0:
+		return fmt.Errorf("run: heartbeat %v must be non-negative", s.Heartbeat)
+	}
+	for _, name := range names {
+		if _, err := algorithms.Factory(name); err != nil {
+			return fmt.Errorf("run: %v", err)
+		}
+	}
+	return nil
 }
+
+// recovery reports whether s is the crash-tolerant deployment.
+func (s System) recovery() bool { return s.Heartbeat > 0 }
 
 // Reserved returns how many infrastructure nodes the system occupies at
 // the front of every cluster, on top of the applications: none when flat,
@@ -94,7 +155,7 @@ func (s System) Reserved() int {
 	switch {
 	case s.recovery():
 		return 2
-	case len(s.Levels) == 0 && s.Flat != "":
+	case s.Flat != "":
 		return 0
 	default:
 		return 1
@@ -155,9 +216,12 @@ type Run struct {
 	crashed map[int]bool
 }
 
-// Build assembles the run. Errors are configuration problems (unknown
-// algorithm, invalid workload).
+// Build assembles the run. Errors are configuration problems: whatever
+// Spec.Validate rejects, or a system that does not fit the grid.
 func Build(spec Spec) (*Run, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	g := spec.Grid
 	sim := des.New()
 	r := &Run{spec: spec, sim: sim, crashed: make(map[int]bool)}

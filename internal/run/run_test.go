@@ -265,3 +265,92 @@ func TestStallError(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecValidate is the table of what a legal run is: one valid Spec per
+// system shape, and every contradiction a flag, a scenario file or a
+// hand-built Spec could express, each an error naming the rule — never a
+// precedence between fields, never a panic further down.
+func TestSpecValidate(t *testing.T) {
+	hb := 20 * time.Millisecond
+	three := []string{"naimi", "naimi", "naimi"}
+	cases := []struct {
+		name   string
+		sys    System
+		mutate func(*Spec)
+		want   string // "" means valid
+	}{
+		{"flat", System{Flat: "suzuki"}, nil, ""},
+		{"composed", System{Intra: "naimi", Inter: "martin"}, nil, ""},
+		{"biased", System{Intra: "naimi", Inter: "martin", LocalBias: 2}, nil, ""},
+		{"adaptive", System{Intra: "naimi", Inter: "martin", AdaptiveInter: true}, nil, ""},
+		{"recovery", System{Intra: "naimi", Inter: "naimi", Heartbeat: hb}, nil, ""},
+		{"two levels", System{Levels: three[:2]}, nil, ""},
+		{"three levels", System{Levels: three, Groups: []int{2}}, nil, ""},
+		{"biased levels", System{Levels: three, Groups: []int{2}, LocalBias: 1}, nil, ""},
+		{"horizon", System{Flat: "naimi"}, func(s *Spec) { s.Horizon = time.Second }, ""},
+
+		{"nothing", System{}, nil, "needs intra and inter"},
+		{"intra only", System{Intra: "naimi"}, nil, "needs intra and inter"},
+		{"flat and pair", System{Flat: "naimi", Intra: "naimi", Inter: "naimi"}, nil, "flat excludes the other shapes"},
+		{"flat adaptive", System{Flat: "naimi", AdaptiveInter: true}, nil, "flat excludes adaptive"},
+		{"flat heartbeat", System{Flat: "naimi", Heartbeat: hb}, nil, "flat excludes adaptive and recovery"},
+		{"flat bias", System{Flat: "naimi", LocalBias: 1}, nil, "local bias needs a composition"},
+		{"levels and pair", System{Levels: three[:2], Intra: "naimi", Inter: "naimi"}, nil, "levels excludes the other shapes"},
+		{"levels and flat", System{Levels: three[:2], Flat: "naimi"}, nil, "levels excludes the other shapes"},
+		{"levels adaptive", System{Levels: three[:2], AdaptiveInter: true}, nil, "levels excludes adaptive"},
+		{"levels heartbeat", System{Levels: three[:2], Heartbeat: hb}, nil, "levels excludes adaptive and recovery"},
+		{"one level", System{Levels: three[:1]}, nil, "at least 2 levels"},
+		{"levels without groups", System{Levels: three}, nil, "3 levels need 1 group sizes, got 0"},
+		{"groups without levels", System{Intra: "naimi", Inter: "naimi", Groups: []int{2}}, nil, "groups need a levels list"},
+		{"adaptive heartbeat", System{Intra: "naimi", Inter: "naimi", AdaptiveInter: true, Heartbeat: hb}, nil, "cannot combine"},
+		{"negative bias", System{Intra: "naimi", Inter: "naimi", LocalBias: -1}, nil, "non-negative"},
+		{"bias heartbeat", System{Intra: "naimi", Inter: "naimi", LocalBias: 1, Heartbeat: hb}, nil, "not supported under recovery"},
+		{"negative heartbeat", System{Intra: "naimi", Inter: "naimi", Heartbeat: -hb}, nil, "heartbeat -20ms"},
+		{"unknown flat", System{Flat: "nope"}, nil, `unknown algorithm "nope"`},
+		{"unknown intra", System{Intra: "nope", Inter: "naimi"}, nil, `unknown algorithm "nope"`},
+		{"unknown inter", System{Intra: "naimi", Inter: "nope"}, nil, `unknown algorithm "nope"`},
+		{"unknown adaptive initial", System{Intra: "naimi", Inter: "nope", AdaptiveInter: true}, nil, `unknown algorithm "nope"`},
+		{"unknown level", System{Levels: []string{"naimi", "nope"}}, nil, `unknown algorithm "nope"`},
+
+		{"negative jitter", System{Flat: "naimi"}, func(s *Spec) { s.Jitter = -1 }, "jitter -1"},
+		{"negative loss", System{Flat: "naimi"}, func(s *Spec) { s.Loss = -0.1 }, "loss -0.1 outside [0, 1)"},
+		{"loss one", System{Flat: "naimi"}, func(s *Spec) { s.Loss = 1 }, "loss 1 outside [0, 1)"},
+		{"loss above one", System{Flat: "naimi"}, func(s *Spec) { s.Loss = 1.5 }, "loss 1.5 outside [0, 1)"},
+		{"negative horizon", System{Flat: "naimi"}, func(s *Spec) { s.Horizon = -time.Second }, "horizon -1s"},
+		{"workload", System{Flat: "naimi"}, func(s *Spec) { s.Workload.Alpha = 0 }, "workload: alpha"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := quickSpec(4, c.sys)
+			if c.mutate != nil {
+				c.mutate(&spec)
+			}
+			// No rule needs the grid: the scenario loader validates before
+			// it has one.
+			spec.Grid = nil
+			err := spec.Validate()
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("Validate() = %v, want an error mentioning %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestBuildValidatesFirst: Build is the front door. A Spec that contradicts
+// itself is an error — at d1e79f2 this one built flat Naimi with no
+// detectors and said nothing — and a network value outside its range is an
+// error before simnet.New's wiring guard could panic on it.
+func TestBuildValidatesFirst(t *testing.T) {
+	spec := quickSpec(3, System{Flat: "naimi", Heartbeat: 20 * time.Millisecond})
+	if r, err := Build(spec); err == nil || !strings.Contains(err.Error(), "flat excludes") {
+		t.Fatalf("Build(System{Flat, Heartbeat}) = %v, %v; want a \"flat excludes\" error", r, err)
+	}
+	spec = quickSpec(3, System{Flat: "naimi"})
+	spec.Loss = 1.5
+	if r, err := Build(spec); err == nil || !strings.Contains(err.Error(), "loss 1.5") {
+		t.Fatalf("Build(Loss: 1.5) = %v, %v; want a loss error", r, err)
+	}
+}

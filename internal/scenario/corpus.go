@@ -59,22 +59,12 @@ func LoadDir(dir string) ([]*Scenario, error) {
 	return out, nil
 }
 
-// RunAll executes the scenarios, fanning out across workers goroutines —
+// RunAll executes the scenarios on up to workers goroutines (fleet's
+// convention: <= 0 means GOMAXPROCS, 1 runs them inline on the caller) —
 // each run on its own private Simulator — and returns results in input
 // order, never completion order, so a parallel sweep renders the same
-// bytes as a serial one. workers <= 0 means GOMAXPROCS; 1 stays serial.
+// bytes as a serial one.
 func RunAll(scs []*Scenario, workers int, opts Options) ([]*Result, error) {
-	if workers == 1 {
-		out := make([]*Result, len(scs))
-		for i, sc := range scs {
-			r, err := Run(sc, opts)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
 	return fleet.Map(len(scs), workers, func(i int) (*Result, error) {
 		return Run(scs[i], opts)
 	})

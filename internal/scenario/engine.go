@@ -6,12 +6,10 @@ import (
 
 	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
-	"gridmutex/internal/reliable"
 	"gridmutex/internal/rng"
 	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
 	"gridmutex/internal/topology"
-	"gridmutex/internal/workload"
 )
 
 // Options tune a run beyond what the scenario file declares.
@@ -49,25 +47,11 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := sc.Workload
-	spec := run.Spec{
-		Grid: g, Seed: sc.Seed, Jitter: sc.Network.Jitter, Loss: sc.Network.Loss,
-		TraceCapacity: opts.TraceCapacity,
-		Workload: workload.Params{
-			Alpha: w.Alpha, Rho: w.Rho, Phases: w.Phases, Dist: w.Dist,
-			CSPerProcess: w.CSPerProcess,
-			HotCluster:   w.HotCluster, HotSkew: w.HotSkew,
-		},
-		System: sc.runSystem(),
-		Faults: run.Faults{
-			Schedule:    buildSchedule(sc, g),
-			HolderKills: holderKills(sc, g),
-		},
-		Horizon:    sc.Run.Horizon,
-		EventLimit: sc.Run.EventLimit,
-	}
-	if sc.Network.Reliable {
-		spec.Reliable = &reliable.Options{RTO: sc.Network.RTO, MaxRetries: sc.Network.MaxRetries}
+	spec := sc.spec(g)
+	spec.TraceCapacity = opts.TraceCapacity
+	spec.Faults = run.Faults{
+		Schedule:    buildSchedule(sc, g),
+		HolderKills: holderKills(sc, g),
 	}
 	r, err := run.Build(spec)
 	if err != nil {
@@ -148,7 +132,7 @@ func victimSet(sc *Scenario, g *topology.Grid, name string) []int {
 		}
 		return out
 	default:
-		return sc.runSystem().AppNodes(g)
+		return sc.System.AppNodes(g)
 	}
 }
 
@@ -157,7 +141,7 @@ func victimSet(sc *Scenario, g *topology.Grid, name string) []int {
 // index so multiple seeded kills draw independently.
 func holderKills(sc *Scenario, g *topology.Grid) []run.HolderKill {
 	var kills []run.HolderKill
-	candidates := sc.runSystem().AppNodes(g)
+	candidates := sc.System.AppNodes(g)
 	for i, f := range sc.Faults {
 		if f.Kind != FaultHolderKill {
 			continue
@@ -175,7 +159,4 @@ func holderKills(sc *Scenario, g *topology.Grid) []run.HolderKill {
 }
 
 // faultSeed derives an independent stream for the i-th fault entry.
-func faultSeed(seed int64, i int) int64 {
-	z := rng.SplitMix64(uint64(seed) + 0x9e3779b97f4a7c15)
-	return int64(rng.SplitMix64(z ^ uint64(i+1)))
-}
+func faultSeed(seed int64, i int) int64 { return rng.Mix(seed, uint64(i+1)) }

@@ -100,7 +100,7 @@ var metricRegistry = []metricDef{
 		return float64(o.Reliable.Stats().GivenUp), true
 	}},
 	{"switches", func(o *runOutcome) (float64, bool) {
-		return float64(o.Switches), o.sc.System.Adaptive
+		return float64(o.Switches), o.sc.System.AdaptiveInter
 	}},
 	{"dropped", func(o *runOutcome) (float64, bool) {
 		return float64(o.Counters.Dropped), true

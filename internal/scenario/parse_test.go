@@ -33,9 +33,9 @@ func TestLoadMinimalDefaults(t *testing.T) {
 	if sc.Expect.CrashExits != -1 || sc.Expect.MinEpochs != -1 || sc.Expect.MinSwitches != -1 {
 		t.Errorf("counters must default unchecked: %+v", sc.Expect)
 	}
-	if sc.ReservedNodes() != 1 || sc.NodesPerCluster() != 4 {
+	if sc.System.Reserved() != 1 || sc.NodesPerCluster() != 4 {
 		t.Errorf("composed deployment reserves 1 node: reserved=%d per=%d",
-			sc.ReservedNodes(), sc.NodesPerCluster())
+			sc.System.Reserved(), sc.NodesPerCluster())
 	}
 }
 
@@ -130,11 +130,11 @@ system:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Clusters() != 2 || sc.Topology.Matrix == nil {
+	if sc.Topology.Clusters != 2 || sc.Topology.Matrix == nil {
 		t.Fatalf("matrix not decoded: %+v", sc.Topology)
 	}
-	if sc.ReservedNodes() != 0 {
-		t.Errorf("flat deployment reserves no nodes, got %d", sc.ReservedNodes())
+	if sc.System.Reserved() != 0 {
+		t.Errorf("flat deployment reserves no nodes, got %d", sc.System.Reserved())
 	}
 }
 
@@ -161,11 +161,11 @@ system:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.Clusters(); got != 6 {
+	if got := sc.Topology.Clusters; got != 6 {
 		t.Fatalf("fan-out product clusters = %d, want 6", got)
 	}
-	if sc.ReservedNodes() != 1 {
-		t.Errorf("a hierarchy reserves one coordinator per cluster, got %d", sc.ReservedNodes())
+	if sc.System.Reserved() != 1 {
+		t.Errorf("a hierarchy reserves one coordinator per cluster, got %d", sc.System.Reserved())
 	}
 	spec := sc.treeSpec()
 	if spec.LeafSize != 3 {

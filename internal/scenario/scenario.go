@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"gridmutex/internal/run"
 	"gridmutex/internal/topology"
 	"gridmutex/internal/workload"
 )
@@ -24,7 +25,8 @@ type Scenario struct {
 	Seed int64
 
 	Topology Topology
-	Workload Workload
+	// Workload's own Seed is unused: the scenario's drives every stream.
+	Workload workload.Params
 	System   System
 	Network  Network
 	Faults   []Fault
@@ -38,8 +40,9 @@ type Scenario struct {
 type Topology struct {
 	// Kind is "uniform", "grid5000", "matrix" or "tree".
 	Kind string
-	// Clusters is the cluster count (uniform only; grid5000 has 9, a
-	// matrix brings its own and a tree's is its fan-out product).
+	// Clusters is the cluster count. A file declares it for uniform only
+	// (grid5000 has 9, a matrix brings its own and a tree's is its fan-out
+	// product); validation settles it for every kind.
 	Clusters int
 	// AppsPerCluster is the number of application processes per cluster.
 	AppsPerCluster int
@@ -58,48 +61,16 @@ type Topology struct {
 	LevelRTT []time.Duration
 }
 
-// Workload declares the application behaviour (workload.Params minus the
-// seed, which the scenario owns).
-type Workload struct {
-	Alpha        time.Duration
-	Rho          float64
-	Dist         workload.Distribution
-	CSPerProcess int
-	HotCluster   int
-	HotSkew      float64
-	Phases       []workload.Phase
-}
-
-// System declares what runs on the grid.
+// System declares what runs on the grid: the run kernel's own description,
+// which the decoder writes the file's keys straight into, plus the one key
+// that exists only in the file.
 type System struct {
-	// Intra / Inter name the two-level composition.
-	Intra, Inter string
-	// Flat names an original (non-hierarchical) algorithm instead.
-	Flat string
-	// Levels names the algorithms of a generalized k-level hierarchy,
-	// deepest first: Levels[0] runs inside every cluster, Levels[1] among
-	// cluster coordinators grouped Groups[0] to a region, and so on; the
-	// last algorithm spans the top-level coordinators. Mutually exclusive
-	// with Intra/Inter/Flat; len(Levels) must be len(Groups)+2
-	// (core.BuildMultiLevel).
-	Levels []string
-	// Groups lists the consecutive-unit group sizes of the intermediate
-	// hierarchy levels (tree-aligned when the topology is a tree: the
-	// fan-outs deepest first, excluding the root).
-	Groups []int
-	// Adaptive wraps the inter level in the runtime-switching protocol;
-	// Inter is then only the initial algorithm.
-	Adaptive bool
-	// LocalBias configures extra local serving rounds per inter handoff.
-	LocalBias int
+	run.System
 	// Recovery deploys the crash-tolerant composition: a primary
-	// coordinator plus a standby per cluster, heartbeat failure
-	// detectors and epoch-fenced token regeneration.
+	// coordinator plus a standby per cluster, heartbeat failure detectors
+	// and epoch-fenced token regeneration. Validation leaves Heartbeat
+	// (default 20ms) positive exactly when Recovery is set.
 	Recovery bool
-	// Heartbeat is the failure-detector period (recovery only; default
-	// 20ms). The run kernel derives the intra/inter timeouts from it and
-	// the grid's largest RTT (run.DetectorTimeouts).
-	Heartbeat time.Duration
 }
 
 // Network declares the fabric conditions.
@@ -296,8 +267,8 @@ func decodeTopology(n *node, t *Topology) error {
 		"fanouts":          func(n *node) error { return intList(n, &t.Fanouts) },
 		"level_rtt":        func(n *node) error { return durList(n, &t.LevelRTT) },
 		"matrix": func(n *node) error {
-			rows, err := strList(n)
-			if err != nil {
+			var rows []string
+			if err := strList(n, &rows); err != nil {
 				return err
 			}
 			m, err := topology.ParseMatrixSpec(strings.NewReader(strings.Join(rows, "\n") + "\n"))
@@ -310,7 +281,7 @@ func decodeTopology(n *node, t *Topology) error {
 	})
 }
 
-func decodeWorkload(n *node, w *Workload) error {
+func decodeWorkload(n *node, w *workload.Params) error {
 	err := eachKey(n, "workload", map[string]func(*node) error{
 		"alpha":          func(n *node) error { return dur(n, &w.Alpha) },
 		"rho":            func(n *node) error { return f64(n, &w.Rho) },
@@ -357,19 +328,12 @@ func decodeWorkload(n *node, w *Workload) error {
 
 func decodeSystem(n *node, s *System) error {
 	return eachKey(n, "system", map[string]func(*node) error{
-		"intra": func(n *node) error { return str(n, &s.Intra) },
-		"inter": func(n *node) error { return str(n, &s.Inter) },
-		"flat":  func(n *node) error { return str(n, &s.Flat) },
-		"levels": func(n *node) error {
-			rows, err := strList(n)
-			if err != nil {
-				return err
-			}
-			s.Levels = rows
-			return nil
-		},
+		"intra":      func(n *node) error { return str(n, &s.Intra) },
+		"inter":      func(n *node) error { return str(n, &s.Inter) },
+		"flat":       func(n *node) error { return str(n, &s.Flat) },
+		"levels":     func(n *node) error { return strList(n, &s.Levels) },
 		"groups":     func(n *node) error { return intList(n, &s.Groups) },
-		"adaptive":   func(n *node) error { return boolean(n, &s.Adaptive) },
+		"adaptive":   func(n *node) error { return boolean(n, &s.AdaptiveInter) },
 		"local_bias": func(n *node) error { return intval(n, &s.LocalBias) },
 		"recovery":   func(n *node) error { return boolean(n, &s.Recovery) },
 		"heartbeat":  func(n *node) error { return dur(n, &s.Heartbeat) },
@@ -437,18 +401,11 @@ func decodeExpect(n *node, e *Expect) error {
 		"max_epochs":        func(n *node) error { return intval(n, &e.MaxEpochs) },
 		"standby_activated": func(n *node) error { return intList(n, &e.StandbyActivated) },
 		"standby_quiet":     func(n *node) error { return intList(n, &e.StandbyQuiet) },
-		"frozen_groups": func(n *node) error {
-			rows, err := strList(n)
-			if err != nil {
-				return err
-			}
-			e.FrozenGroups = rows
-			return nil
-		},
-		"min_switches":     func(n *node) error { return intval(n, &e.MinSwitches) },
-		"min_retransmits":  func(n *node) error { return intval(n, &e.MinRetransmits) },
-		"max_given_up":     func(n *node) error { return intval(n, &e.MaxGivenUp) },
-		"cluster_complete": func(n *node) error { return intList(n, &e.ClusterComplete) },
+		"frozen_groups":     func(n *node) error { return strList(n, &e.FrozenGroups) },
+		"min_switches":      func(n *node) error { return intval(n, &e.MinSwitches) },
+		"min_retransmits":   func(n *node) error { return intval(n, &e.MinRetransmits) },
+		"max_given_up":      func(n *node) error { return intval(n, &e.MaxGivenUp) },
+		"cluster_complete":  func(n *node) error { return intList(n, &e.ClusterComplete) },
 		"envelopes": func(n *node) error {
 			return eachItem(n, "envelopes", func(item *node) error {
 				env := Envelope{}
@@ -613,30 +570,24 @@ func distVal(n *node, out *workload.Distribution) error {
 	if err != nil {
 		return err
 	}
-	switch s {
-	case "exponential":
-		*out = workload.Exponential
-	case "constant":
-		*out = workload.Constant
-	case "uniform":
-		*out = workload.Uniform
-	default:
-		return fmt.Errorf("scenario: %s: unknown distribution %q (exponential/constant/uniform)", line1(n.line), s)
+	for _, d := range []workload.Distribution{workload.Exponential, workload.Constant, workload.Uniform} {
+		if s == d.String() {
+			*out = d
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("scenario: %s: unknown distribution %q (exponential/constant/uniform)", line1(n.line), s)
 }
 
-func strList(n *node) ([]string, error) {
-	var out []string
-	err := eachItem(n, "list", func(item *node) error {
-		s, err := scalarOf(item)
-		if err != nil {
+func strList(n *node, out *[]string) error {
+	return eachItem(n, "list", func(item *node) error {
+		var s string
+		if err := str(item, &s); err != nil {
 			return err
 		}
-		out = append(out, s)
+		*out = append(*out, s)
 		return nil
 	})
-	return out, err
 }
 
 func intList(n *node, out *[]int) error {

@@ -5,10 +5,9 @@ import (
 	"sort"
 	"time"
 
-	"gridmutex/internal/algorithms"
+	"gridmutex/internal/reliable"
 	"gridmutex/internal/run"
 	"gridmutex/internal/topology"
-	"gridmutex/internal/workload"
 )
 
 // Topology kinds.
@@ -18,27 +17,6 @@ const (
 	TopoMatrix   = "matrix"
 	TopoTree     = "tree"
 )
-
-// Clusters returns the scenario's cluster count.
-func (sc *Scenario) Clusters() int {
-	switch sc.Topology.Kind {
-	case TopoGrid5000:
-		return 9
-	case TopoMatrix:
-		if sc.Topology.Matrix != nil {
-			return len(sc.Topology.Matrix.Names)
-		}
-		return 0
-	case TopoTree:
-		c, err := sc.treeSpec().Clusters()
-		if err != nil {
-			return 0
-		}
-		return c
-	default:
-		return sc.Topology.Clusters
-	}
-}
 
 // treeSpec assembles the topology.TreeSpec of a tree scenario: fan-outs
 // and level RTTs from the file, leaf size from the application count plus
@@ -53,25 +31,25 @@ func (sc *Scenario) treeSpec() topology.TreeSpec {
 	}
 }
 
-// runSystem is the system under test as the run kernel takes it.
-// Validation leaves Heartbeat positive exactly when Recovery is set.
-func (sc *Scenario) runSystem() run.System {
-	s := &sc.System
-	return run.System{
-		Flat: s.Flat, Intra: s.Intra, Inter: s.Inter,
-		Levels: s.Levels, Groups: s.Groups,
-		AdaptiveInter: s.Adaptive, LocalBias: s.LocalBias,
-		Heartbeat: s.Heartbeat,
+// spec is the scenario as the run kernel takes it, on grid g: the one
+// translation both the loader (g nil: no rule of run.Spec.Validate needs
+// it) and the engine (which adds the faults resolved on g) use.
+func (sc *Scenario) spec(g *topology.Grid) run.Spec {
+	spec := run.Spec{
+		Grid: g, Seed: sc.Seed, Jitter: sc.Network.Jitter, Loss: sc.Network.Loss,
+		Workload: sc.Workload, System: sc.System.System,
+		Horizon: sc.Run.Horizon, EventLimit: sc.Run.EventLimit,
 	}
+	if sc.Network.Reliable {
+		spec.Reliable = &reliable.Options{RTO: sc.Network.RTO, MaxRetries: sc.Network.MaxRetries}
+	}
+	return spec
 }
 
-// ReservedNodes returns how many infrastructure nodes the system under
-// test occupies at the front of every cluster (run.System.Reserved).
-func (sc *Scenario) ReservedNodes() int { return sc.runSystem().Reserved() }
-
-// NodesPerCluster returns application processes plus reserved nodes.
+// NodesPerCluster returns application processes plus the infrastructure
+// nodes the system under test reserves (run.System.Reserved).
 func (sc *Scenario) NodesPerCluster() int {
-	return sc.Topology.AppsPerCluster + sc.ReservedNodes()
+	return sc.Topology.AppsPerCluster + sc.System.Reserved()
 }
 
 // Validate normalizes defaults and rejects every inconsistency the
@@ -84,16 +62,16 @@ func (sc *Scenario) Validate() error {
 	if !validName(sc.Name) {
 		return fmt.Errorf("scenario: name %q must be lowercase letters, digits and dashes", sc.Name)
 	}
-	// The system first: a tree topology's leaf size counts its reserved
-	// nodes, which follow the defaulted heartbeat (runSystem).
-	if err := sc.validateSystem(); err != nil {
+	// The run first: a tree topology's leaf size counts the system's
+	// reserved nodes, which follow the defaulted heartbeat.
+	if err := sc.validateRun(); err != nil {
 		return err
 	}
 	if err := sc.validateTopology(); err != nil {
 		return err
 	}
-	if err := sc.validateWorkload(); err != nil {
-		return err
+	if w := &sc.Workload; w.HotSkew > 1 && (w.HotCluster < 0 || w.HotCluster >= sc.Topology.Clusters) {
+		return fmt.Errorf("scenario: hot_cluster %d outside the %d-cluster grid", w.HotCluster, sc.Topology.Clusters)
 	}
 	if err := sc.validateNetwork(); err != nil {
 		return err
@@ -131,9 +109,6 @@ func (sc *Scenario) validateTopology() error {
 		if t.Clusters < 1 {
 			return fmt.Errorf("scenario: topology needs at least one cluster")
 		}
-		if t.Matrix != nil {
-			return fmt.Errorf("scenario: inline matrix requires kind: matrix")
-		}
 		if t.LocalRTT == 0 {
 			t.LocalRTT = time.Millisecond
 		}
@@ -145,9 +120,6 @@ func (sc *Scenario) validateTopology() error {
 			return fmt.Errorf("scenario: grid5000 has 9 clusters, not %d", t.Clusters)
 		}
 		t.Clusters = 9
-		if t.Matrix != nil {
-			return fmt.Errorf("scenario: inline matrix requires kind: matrix")
-		}
 	case TopoMatrix:
 		if t.Matrix == nil {
 			return fmt.Errorf("scenario: kind: matrix requires an inline matrix block")
@@ -161,14 +133,14 @@ func (sc *Scenario) validateTopology() error {
 		if len(t.Fanouts) == 0 {
 			return fmt.Errorf("scenario: kind: tree requires a fanouts list")
 		}
-		if t.Matrix != nil {
-			return fmt.Errorf("scenario: inline matrix requires kind: matrix")
-		}
 		if t.LocalRTT == 0 {
 			t.LocalRTT = time.Millisecond
 		}
 	default:
 		return fmt.Errorf("scenario: unknown topology kind %q (uniform/grid5000/matrix/tree)", t.Kind)
+	}
+	if t.Kind != TopoMatrix && t.Matrix != nil {
+		return fmt.Errorf("scenario: inline matrix requires kind: matrix")
 	}
 	if t.Kind != TopoTree && (len(t.Fanouts) > 0 || len(t.LevelRTT) > 0) {
 		return fmt.Errorf("scenario: fanouts/level_rtt require kind: tree")
@@ -185,86 +157,11 @@ func (sc *Scenario) validateTopology() error {
 		if err := sc.treeSpec().Validate(); err != nil {
 			return fmt.Errorf("scenario: %v", err)
 		}
-		if c, _ := sc.treeSpec().Clusters(); t.Clusters != 0 && t.Clusters != c {
+		c, _ := sc.treeSpec().Clusters()
+		if t.Clusters != 0 && t.Clusters != c {
 			return fmt.Errorf("scenario: clusters %d contradicts the fan-out product %d", t.Clusters, c)
 		}
-	}
-	return nil
-}
-
-func (sc *Scenario) validateSystem() error {
-	s := &sc.System
-	if len(s.Groups) > 0 && len(s.Levels) == 0 {
-		return fmt.Errorf("scenario: groups need a levels list")
-	}
-	switch {
-	case len(s.Levels) > 0:
-		if s.Flat != "" || s.Intra != "" || s.Inter != "" {
-			return fmt.Errorf("scenario: levels excludes intra/inter/flat")
-		}
-		if s.Adaptive || s.Recovery {
-			return fmt.Errorf("scenario: levels excludes adaptive and recovery")
-		}
-		if len(s.Levels) < 2 {
-			return fmt.Errorf("scenario: a hierarchy needs at least 2 levels, got %d", len(s.Levels))
-		}
-		if len(s.Levels) != len(s.Groups)+2 {
-			return fmt.Errorf("scenario: %d levels need %d group sizes, got %d",
-				len(s.Levels), len(s.Levels)-2, len(s.Groups))
-		}
-		for i, name := range s.Levels {
-			if _, err := algorithms.Factory(name); err != nil {
-				return fmt.Errorf("scenario: level %d: %v", i, err)
-			}
-		}
-		for i, g := range s.Groups {
-			if g < 2 {
-				return fmt.Errorf("scenario: group size %d at level %d (a one-child group adds nothing)", g, i+1)
-			}
-		}
-	case s.Flat != "":
-		if s.Intra != "" || s.Inter != "" {
-			return fmt.Errorf("scenario: flat excludes intra/inter")
-		}
-		if s.Adaptive || s.Recovery {
-			return fmt.Errorf("scenario: flat excludes adaptive and recovery")
-		}
-		if s.LocalBias != 0 {
-			return fmt.Errorf("scenario: local_bias needs a composition")
-		}
-		if _, err := algorithms.Factory(s.Flat); err != nil {
-			return fmt.Errorf("scenario: %v", err)
-		}
-	default:
-		if s.Intra == "" || s.Inter == "" {
-			return fmt.Errorf("scenario: system needs intra and inter (or flat, or levels)")
-		}
-		if _, err := algorithms.Factory(s.Intra); err != nil {
-			return fmt.Errorf("scenario: intra: %v", err)
-		}
-		if _, err := algorithms.Factory(s.Inter); err != nil {
-			return fmt.Errorf("scenario: inter: %v", err)
-		}
-	}
-	if s.Adaptive && s.Recovery {
-		return fmt.Errorf("scenario: adaptive and recovery cannot combine (the recovery layer wraps static members)")
-	}
-	if s.LocalBias < 0 {
-		return fmt.Errorf("scenario: local_bias must be non-negative")
-	}
-	if s.LocalBias > 0 && s.Recovery {
-		return fmt.Errorf("scenario: local_bias is not supported under recovery")
-	}
-	if s.Heartbeat != 0 && !s.Recovery {
-		return fmt.Errorf("scenario: heartbeat needs recovery: true")
-	}
-	if s.Recovery {
-		if s.Heartbeat == 0 {
-			s.Heartbeat = 20 * time.Millisecond
-		}
-		if s.Heartbeat <= 0 {
-			return fmt.Errorf("scenario: heartbeat must be positive")
-		}
+		t.Clusters = c
 	}
 	return nil
 }
@@ -273,26 +170,29 @@ func (sc *Scenario) validateSystem() error {
 // omits alpha; the loader's overflow check uses the same value.
 const defaultAlpha = 5 * time.Millisecond
 
-func (sc *Scenario) validateWorkload() error {
-	w := &sc.Workload
+// validateRun fills the file's defaults and holds the Spec the engine would
+// run to the kernel's own rules, so the scenario format can never accept a
+// run the kernel rejects. The checks written out here are the file's alone.
+func (sc *Scenario) validateRun() error {
+	s, w := &sc.System, &sc.Workload
+	if s.Heartbeat != 0 && !s.Recovery {
+		return fmt.Errorf("scenario: heartbeat needs recovery: true")
+	}
+	if s.Recovery && s.Heartbeat == 0 {
+		s.Heartbeat = 20 * time.Millisecond
+	}
 	if w.Alpha == 0 {
 		w.Alpha = defaultAlpha
 	}
 	if w.CSPerProcess == 0 {
 		w.CSPerProcess = 6
 	}
-	// Delegate the cross-field rules to the workload package so the
-	// scenario format can never accept parameters the runner rejects.
-	params := workload.Params{
-		Alpha: w.Alpha, Rho: w.Rho, Phases: w.Phases, Dist: w.Dist,
-		CSPerProcess: w.CSPerProcess, HotCluster: w.HotCluster, HotSkew: w.HotSkew,
-	}
-	if err := params.Validate(); err != nil {
+	if err := sc.spec(nil).Validate(); err != nil {
 		return fmt.Errorf("scenario: %v", err)
 	}
-	if w.HotCluster < 0 || w.HotCluster >= sc.Clusters() {
-		if w.HotSkew > 1 {
-			return fmt.Errorf("scenario: hot_cluster %d outside the %d-cluster grid", w.HotCluster, sc.Clusters())
+	for i, g := range s.Groups {
+		if g < 2 {
+			return fmt.Errorf("scenario: group size %d at level %d (a one-child group adds nothing)", g, i+1)
 		}
 	}
 	return nil
@@ -300,11 +200,8 @@ func (sc *Scenario) validateWorkload() error {
 
 func (sc *Scenario) validateNetwork() error {
 	n := &sc.Network
-	if n.Jitter < 0 || n.Jitter > 1 {
+	if n.Jitter > 1 {
 		return fmt.Errorf("scenario: jitter %v outside [0, 1]", n.Jitter)
-	}
-	if n.Loss < 0 || n.Loss >= 1 {
-		return fmt.Errorf("scenario: loss %v outside [0, 1)", n.Loss)
 	}
 	if n.Loss > 0 && !n.Reliable {
 		return fmt.Errorf("scenario: loss %v needs reliable: true (the algorithms assume reliable channels)", n.Loss)
@@ -319,7 +216,7 @@ func (sc *Scenario) validateNetwork() error {
 }
 
 func (sc *Scenario) validateFaults() error {
-	total := sc.Clusters() * sc.NodesPerCluster()
+	total := sc.Topology.Clusters * sc.NodesPerCluster()
 	for i, f := range sc.Faults {
 		ctx := fmt.Sprintf("scenario: fault %d (%s)", i, f.Kind)
 		switch f.Kind {
@@ -334,7 +231,7 @@ func (sc *Scenario) validateFaults() error {
 			switch f.Victims {
 			case VictimsApps:
 			case VictimsCoordinators, VictimsStandbys:
-				if sc.ReservedNodes() == 0 {
+				if sc.System.Reserved() == 0 {
 					return fmt.Errorf("%s: %s victims need a composed deployment", ctx, f.Victims)
 				}
 				if f.Victims == VictimsStandbys && !sc.System.Recovery {
@@ -356,7 +253,7 @@ func (sc *Scenario) validateFaults() error {
 			if f.Target != "app" && f.Target != "coordinator" {
 				return fmt.Errorf("%s: unknown target %q (app/coordinator)", ctx, f.Target)
 			}
-			if f.Target == "coordinator" && sc.ReservedNodes() == 0 {
+			if f.Target == "coordinator" && sc.System.Reserved() == 0 {
 				return fmt.Errorf("%s: coordinator target needs a composed deployment", ctx)
 			}
 			if f.Entry < 0 || f.Entry > sc.Workload.CSPerProcess {
@@ -367,16 +264,16 @@ func (sc *Scenario) validateFaults() error {
 				if f.Victim >= total {
 					return fmt.Errorf("%s: victim %d outside the %d-node grid", ctx, f.Victim, total)
 				}
-				if f.Victim%sc.NodesPerCluster() < sc.ReservedNodes() {
+				if f.Victim%sc.NodesPerCluster() < sc.System.Reserved() {
 					return fmt.Errorf("%s: victim %d is an infrastructure node (apps start at offset %d per cluster)",
-						ctx, f.Victim, sc.ReservedNodes())
+						ctx, f.Victim, sc.System.Reserved())
 				}
 			}
 		case FaultPartition:
 			if len(f.Clusters) == 0 {
 				return fmt.Errorf("%s: needs a non-empty clusters list", ctx)
 			}
-			clusters := sc.Clusters()
+			clusters := sc.Topology.Clusters
 			seen := make(map[int]bool, len(f.Clusters))
 			for _, c := range f.Clusters {
 				if c < 0 || c >= clusters {
@@ -445,7 +342,7 @@ func (sc *Scenario) validateExpect() error {
 	if e.MinEpochs >= 0 && e.MaxEpochs >= 0 && e.MinEpochs > e.MaxEpochs {
 		return fmt.Errorf("scenario: min_epochs %d above max_epochs %d", e.MinEpochs, e.MaxEpochs)
 	}
-	clusters := sc.Clusters()
+	clusters := sc.Topology.Clusters
 	for _, set := range [][]int{e.StandbyActivated, e.StandbyQuiet, e.ClusterComplete} {
 		for _, c := range set {
 			if c < 0 || c >= clusters {
@@ -459,7 +356,7 @@ func (sc *Scenario) validateExpect() error {
 	if !sc.System.Recovery && (e.CrashExits > 0 || e.MinEpochs > 0) {
 		return fmt.Errorf("scenario: crash_exits/min_epochs expectations need recovery: true")
 	}
-	if e.MinSwitches >= 0 && !sc.System.Adaptive {
+	if e.MinSwitches >= 0 && !sc.System.AdaptiveInter {
 		return fmt.Errorf("scenario: min_switches needs adaptive: true")
 	}
 	if (e.MinRetransmits >= 0 || e.MaxGivenUp >= 0) && !sc.Network.Reliable {

@@ -3,8 +3,10 @@
 # under the race detector — which includes gridlint, the
 # determinism/concurrency analyzer suite, run over the whole module with
 # its exemption audit by internal/lint's TestGridlintSelfCheck (see
-# DESIGN.md "Determinism rules"). Everything must pass with no findings
-# for a change to land.
+# DESIGN.md "Determinism rules"), and the schedule exploration of all
+# seven algorithms and the Naimi-Martin composition, to exhaustion (about
+# 20 s of the race pass). Everything must pass with no findings for a
+# change to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,7 +68,20 @@ if grep -rnE --include='*.go' --exclude-dir=bench \
     exit 1
 fi
 
-echo "==> go test -race ./..."
+echo "==> one front door: no environment switch, one workers convention"
+# Nothing a test or a run does depends on an environment variable (the
+# explorer's long mode is the only mode), and what a worker count means is
+# decided in internal/fleet alone: <= 0 GOMAXPROCS, 1 inline on the caller
+# (DESIGN.md "Run kernel"). The harness maps its zero value to 1 and
+# gridbench its 0 to GOMAXPROCS; nothing else branches on a count.
+if grep -rn --include='*.go' 'GRIDMUTEX_' . ||
+    grep -rnE --include='*.go' --exclude-dir=bench 'workers (== 1|> 1|< 0)' . |
+    grep -vE '^\./internal/fleet/'; then
+    echo "ci: an environment switch or a second workers convention reappeared (see above)" >&2
+    exit 1
+fi
+
+echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
 echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool"
