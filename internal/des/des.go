@@ -64,25 +64,125 @@ func (k eventKey) before(o eventKey) bool {
 	return k.seq < o.seq
 }
 
-// eventQueue is a 4-ary min-heap in structure-of-arrays form: keys sift
-// through the heap, payloads stay put in their slot until popped, and
-// freed slots recycle through a stack. The heap is hand-rolled rather
-// than built on container/heap because that interface moves every
-// element through `any`, boxing each event onto the garbage-collected
-// heap; here scheduling is allocation-free once the backing arrays have
-// grown to the simulation's high-water mark. The fan-out of four halves
-// the tree depth of the pop-heavy workload, and the four child keys it
-// scans per level sit in adjacent cache lines.
-type eventQueue struct {
-	keys  []eventKey
-	slots []payload
-	free  []int32 // stack of reusable indices into slots
+// farAfter routes a key by how far ahead of now its instant lies: beyond
+// it the key goes to the far heap. Every workload is bimodal — protocol
+// time (RTTs, critical sections, heartbeats: under 100 ms) against think
+// time of seconds to hundreds of seconds — and key moves per event at
+// N = 10⁵ are flat for any value from 20 ms to 1 s (DESIGN.md §10), so it
+// is data here, not an option.
+const farAfter = time.Second
+
+// TierStats counts one key heap's work, exactly: keys pushed, levels keys
+// were moved by push and pop sifts together, and the most keys it held.
+type TierStats struct {
+	Pushes, KeyMoves uint64
+	HighWater        int
 }
 
-// push adds an event and restores the heap invariant. The sift-up moves
-// a hole toward the root and writes the key exactly once; the payload is
-// written once into its slot and never moves.
-func (q *eventQueue) push(at Time, seq uint64, p payload) {
+// QueueStats is the event queue's work over a run, per tier. Every field
+// is a pure function of the schedule, so it repeats per seed on any
+// machine.
+type QueueStats struct{ Near, Far TierStats }
+
+// Pushes is the number of events scheduled, over both tiers.
+func (q QueueStats) Pushes() uint64 { return q.Near.Pushes + q.Far.Pushes }
+
+// MovesPerEvent is the sift work per scheduled event: one key moved one
+// heap level counts one, push and pop together.
+func (q QueueStats) MovesPerEvent() float64 {
+	return float64(q.Near.KeyMoves+q.Far.KeyMoves) / float64(max(q.Pushes(), 1))
+}
+
+// keyHeap is a 4-ary min-heap of event keys under before. It is
+// hand-rolled rather than built on container/heap because that interface
+// moves every element through `any`, boxing each event onto the
+// garbage-collected heap. The fan-out of four halves the tree depth of
+// the pop-heavy workload, and the four child keys it scans per level sit
+// in adjacent cache lines.
+type keyHeap struct {
+	keys  []eventKey
+	stats TierStats
+}
+
+// push adds a key and restores the heap invariant. The sift-up moves a
+// hole toward the root and writes the key exactly once.
+func (h *keyHeap) push(k eventKey) {
+	keys := append(h.keys, eventKey{})
+	i := len(keys) - 1
+	moves := 0
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !k.before(keys[parent]) {
+			break
+		}
+		keys[i] = keys[parent]
+		i = parent
+		moves++
+	}
+	keys[i] = k
+	h.keys = keys
+	h.stats.Pushes++
+	h.stats.KeyMoves += uint64(moves)
+	h.stats.HighWater = max(h.stats.HighWater, len(keys))
+}
+
+// pop removes and returns the minimum key of a non-empty heap. Like push,
+// the sift-down moves a hole instead of swapping pairs.
+func (h *keyHeap) pop() eventKey {
+	keys := h.keys
+	top := keys[0]
+	n := len(keys) - 1
+	last := keys[n]
+	keys = keys[:n]
+	i := 0
+	moves := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		end := min(first+4, n)
+		for c := first + 1; c < end; c++ {
+			if keys[c].before(keys[least]) {
+				least = c
+			}
+		}
+		if !last.before(keys[least]) {
+			keys[i] = keys[least]
+			i = least
+			moves++
+			continue
+		}
+		break
+	}
+	if n > 0 {
+		keys[i] = last
+	}
+	h.keys = keys
+	h.stats.KeyMoves += uint64(moves)
+	return top
+}
+
+// eventQueue is a priority queue in structure-of-arrays form: keys sift
+// through one of two heaps, payloads stay put in their slot until popped,
+// and freed slots recycle through a stack, so scheduling is
+// allocation-free once the backing arrays have grown to the simulation's
+// high-water mark. A key is pushed to far when its instant lies more than
+// farAfter ahead of now and to near otherwise, and stays where it was
+// pushed; pop takes whichever top is before the other, so events leave in
+// the one (at, seq) order whatever the routing — it decides only how deep
+// a heap a key sifts through. Near holds the messages in flight (tens of
+// keys), far the idle timers (one per thinking process).
+type eventQueue struct {
+	near, far keyHeap
+	slots     []payload
+	free      []int32 // stack of reusable indices into slots
+}
+
+// push stores the payload, written once into its slot and never moved,
+// and adds its key to the far or the near heap.
+func (q *eventQueue) push(at Time, seq uint64, far bool, p payload) {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -92,67 +192,38 @@ func (q *eventQueue) push(at Time, seq uint64, p payload) {
 		q.slots = append(q.slots, payload{})
 	}
 	q.slots[slot] = p
-	k := eventKey{at: at, seq: seq, slot: slot}
-	keys := append(q.keys, eventKey{})
-	i := len(keys) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.before(keys[parent]) {
-			break
-		}
-		keys[i] = keys[parent]
-		i = parent
+	h := &q.near
+	if far {
+		h = &q.far
 	}
-	keys[i] = k
-	q.keys = keys
+	h.push(eventKey{at: at, seq: seq, slot: slot})
 }
 
-// pop removes and returns the minimum event's instant and payload. Like
-// push, the sift-down moves a hole instead of swapping pairs.
-func (q *eventQueue) pop() (Time, payload) {
-	keys := q.keys
-	top := keys[0]
-	n := len(keys) - 1
-	last := keys[n]
-	keys = keys[:n]
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := min4(first+4, n)
-		for c := first + 1; c < end; c++ {
-			if keys[c].before(keys[min]) {
-				min = c
-			}
-		}
-		if !last.before(keys[min]) {
-			keys[i] = keys[min]
-			i = min
-			continue
-		}
-		break
+// next returns the heap whose top is the earliest pending event, nil when
+// both are empty.
+func (q *eventQueue) next() *keyHeap {
+	near, far := q.near.keys, q.far.keys
+	if len(far) > 0 && (len(near) == 0 || far[0].before(near[0])) {
+		return &q.far
 	}
-	if n > 0 {
-		keys[i] = last
+	if len(near) == 0 {
+		return nil
 	}
-	q.keys = keys
+	return &q.near
+}
+
+// pop removes the top of h, one of the queue's two heaps, and returns its
+// instant and payload.
+func (q *eventQueue) pop(h *keyHeap) (Time, payload) {
+	top := h.pop()
 	p := q.slots[top.slot]
 	// The slot is NOT zeroed here: the next push into it overwrites every
 	// field, and skipping the clear saves a bulk write barrier per event.
-	// The popped closure/message stays reachable until then — acceptable,
-	// because a queue lives only as long as its (short) simulation.
+	// A stale slot pins one popped closure/message until the slot is
+	// reused, and the slot array never exceeds the pending high-water
+	// mark, so that is the most a queue of any lifetime retains.
 	q.free = append(q.free, top.slot)
 	return top.at, p
-}
-
-func min4(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
@@ -178,7 +249,12 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events waiting in the queue.
-func (s *Simulator) Pending() int { return len(s.queue.keys) }
+func (s *Simulator) Pending() int { return len(s.queue.near.keys) + len(s.queue.far.keys) }
+
+// QueueStats returns the event queue's exact work counts so far.
+func (s *Simulator) QueueStats() QueueStats {
+	return QueueStats{Near: s.queue.near.stats, Far: s.queue.far.stats}
+}
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
 // it would silently corrupt causality, which is never recoverable.
@@ -190,7 +266,7 @@ func (s *Simulator) At(t Time, fn func()) {
 		panic(fmt.Sprintf("des: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
 	s.seq++
-	s.queue.push(t, s.seq, payload{fn: fn})
+	s.queue.push(t, s.seq, t-s.now > farAfter, payload{fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time. A negative d
@@ -212,20 +288,26 @@ func (s *Simulator) AtDeliver(t Time, h mutex.Handler, from mutex.ID, m mutex.Me
 		panic(fmt.Sprintf("des: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
 	s.seq++
-	s.queue.push(t, s.seq, payload{h: h, from: from, msg: m})
+	s.queue.push(t, s.seq, t-s.now > farAfter, payload{h: h, from: from, msg: m})
 }
 
 // Step executes the earliest pending event, advancing the clock to its
 // instant. It reports whether an event was executed.
 func (s *Simulator) Step() bool {
-	if len(s.queue.keys) == 0 {
+	h := s.queue.next()
+	if h == nil {
 		return false
 	}
-	at, p := s.queue.pop()
+	s.exec(h)
+	return true
+}
+
+// exec pops and runs the top of h, the heap next returned.
+func (s *Simulator) exec(h *keyHeap) {
+	at, p := s.queue.pop(h)
 	s.now = at
 	s.processed++
 	p.run()
-	return true
 }
 
 // Run executes events until the queue is empty.
@@ -241,8 +323,8 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(deadline Time) {
 	s.guardRun()
 	defer func() { s.running = false }()
-	for len(s.queue.keys) > 0 && s.queue.keys[0].at <= deadline {
-		s.Step()
+	for h := s.queue.next(); h != nil && h.keys[0].at <= deadline; h = s.queue.next() {
+		s.exec(h)
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -254,8 +336,8 @@ func (s *Simulator) RunFor(d time.Duration) {
 	s.RunUntil(s.now + d)
 }
 
-// MaxEventsExceeded is the panic value used by RunCapped when the event
-// budget is exhausted; it almost always indicates a livelock (two nodes
+// MaxEventsExceeded is the error RunCapped returns when the event budget
+// is exhausted; it almost always indicates a livelock (two nodes
 // bouncing messages forever).
 type MaxEventsExceeded struct {
 	Limit uint64
@@ -273,11 +355,11 @@ func (s *Simulator) RunCapped(limit uint64) error {
 	s.guardRun()
 	defer func() { s.running = false }()
 	start := s.processed
-	for len(s.queue.keys) > 0 {
+	for h := s.queue.next(); h != nil; h = s.queue.next() {
 		if s.processed-start >= limit {
 			return MaxEventsExceeded{Limit: limit, Now: s.now}
 		}
-		s.Step()
+		s.exec(h)
 	}
 	return nil
 }

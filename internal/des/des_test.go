@@ -368,6 +368,42 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
+// nopHandler discards deliveries.
+type nopHandler struct{}
+
+func (nopHandler) Deliver(mutex.ID, mutex.Message) {}
+
+// BenchmarkIdleTimersUnderTraffic is the shape of every large run in
+// isolation: 9×10⁴ think timers pending (100 h away, which no b.N
+// reaches: one firing would take a Step from the hold model and grow the
+// traffic) under 64 messages in flight, each op one AtDeliver 1–16 ms
+// ahead and one Step. ns/op is what a delivery pays for the idle timers
+// it shares a queue with; moves/op is the same thing counted.
+func BenchmarkIdleTimersUnderTraffic(b *testing.B) {
+	s := New()
+	for j := 0; j < 90_000; j++ {
+		s.At(100*time.Hour+Time(j)*time.Microsecond, func() { b.Fatal("an idle timer fired") })
+	}
+	msg := mutex.Message(testMsg{1})
+	rng := rand.New(rand.NewSource(1))
+	hold := func() {
+		s.AtDeliver(s.Now()+time.Millisecond+Time(rng.Intn(15_000))*time.Microsecond, nopHandler{}, 0, msg)
+	}
+	for j := 0; j < 64; j++ {
+		hold()
+	}
+	before := s.QueueStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hold()
+		s.Step()
+	}
+	after := s.QueueStats()
+	moves := after.Near.KeyMoves + after.Far.KeyMoves - before.Near.KeyMoves - before.Far.KeyMoves
+	b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
+}
+
 // deliverRec records typed deliveries for AtDeliver tests.
 type deliverRec struct {
 	s   *Simulator
@@ -400,7 +436,7 @@ func TestAtDeliverOrderingWithClosures(t *testing.T) {
 	var order []string
 	s.At(2*time.Millisecond, func() { order = append(order, "fn@2") })
 	s.AtDeliver(time.Millisecond, rec, 7, testMsg{1})
-	s.AtDeliver(2*time.Millisecond, rec, 8, testMsg{2}) // same instant as fn@2, scheduled after
+	s.AtDeliver(2*time.Millisecond, rec, 8, testMsg{2})              // same instant as fn@2, scheduled after
 	s.At(time.Millisecond, func() { order = append(order, "fn@1") }) // same instant as first delivery, after
 	s.Run()
 	if len(rec.got) != 2 {
@@ -464,5 +500,169 @@ func TestAtDeliverSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("steady-state AtDeliver of 1024 messages allocates %.1f times, want ~0", allocs)
+	}
+}
+
+// fireRec is a Handler that reports a typed delivery's id (carried in the
+// message) to fire.
+type fireRec struct{ fire func(id int) }
+
+func (f fireRec) Deliver(_ mutex.ID, m mutex.Message) { f.fire(m.(testMsg).n) }
+
+// TestPropertyTiersMatchReferenceSort is the differential test of the
+// two-tier queue: random mixes of At, After(0) and AtDeliver on both
+// sides of the tier boundary, scheduled before and during the run, must
+// fire in the order of a reference sort by (at, scheduling order) — the
+// single total order the queue promises whatever heap holds a key.
+func TestPropertyTiersMatchReferenceSort(t *testing.T) {
+	// Both sides of farAfter to the nanosecond, and far beyond it.
+	delays := []time.Duration{
+		0, time.Nanosecond, 3 * time.Millisecond, 47 * time.Millisecond,
+		farAfter, farAfter + time.Nanosecond, 2 * time.Minute, 7 * time.Minute,
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		type ev struct {
+			at Time
+			id int
+		}
+		var want []ev
+		var got []int
+		var schedule func()
+		fire := func(id int) {
+			if s.Now() != want[id].at {
+				t.Errorf("seed %d: event %d fired at %v, scheduled for %v", seed, id, s.Now(), want[id].at)
+			}
+			got = append(got, id)
+			for k := rng.Intn(3); k > 0 && len(want) < 600; k-- {
+				schedule()
+			}
+		}
+		schedule = func() {
+			id := len(want)
+			d := delays[rng.Intn(len(delays))]
+			switch rng.Intn(3) {
+			case 0:
+				s.At(s.Now()+d, func() { fire(id) })
+			case 1:
+				d = 0
+				s.After(0, func() { fire(id) })
+			default:
+				s.AtDeliver(s.Now()+d, fireRec{fire}, 0, testMsg{id})
+			}
+			want = append(want, ev{s.Now() + d, id})
+		}
+		for i := 0; i < 200; i++ {
+			schedule()
+		}
+		s.Run()
+		// ids are scheduling order, which is seq order: a stable sort by
+		// instant is the (at, seq) order.
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(got) != len(want) || s.Pending() != 0 {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i].id {
+				return false
+			}
+		}
+		q := s.QueueStats()
+		return q.Pushes() == uint64(len(want)) && q.Near.Pushes > 0 && q.Far.Pushes > 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSameInstantFIFOAcrossTiers: an event pushed far for instant T and,
+// once now is within farAfter of T, one pushed near for the same T fire
+// in push order — the tie-break is seq, not the heap a key sits in.
+func TestSameInstantFIFOAcrossTiers(t *testing.T) {
+	const T = 3 * farAfter
+	s := New()
+	var order []string
+	s.At(T, func() { order = append(order, "far") })
+	s.At(T-farAfter, func() { // exactly farAfter before T: still near
+		s.At(T, func() { order = append(order, "near") })
+		s.AtDeliver(T, fireRec{func(int) { order = append(order, "near-deliver") }}, 0, testMsg{})
+	})
+	s.Run()
+	if q := s.QueueStats(); q.Far.Pushes != 2 || q.Near.Pushes != 2 {
+		t.Fatalf("pushes near %d far %d, want 2 and 2", q.Near.Pushes, q.Far.Pushes)
+	}
+	if len(order) != 3 || order[0] != "far" || order[1] != "near" || order[2] != "near-deliver" {
+		t.Fatalf("same-instant events across tiers fired as %v, want [far near near-deliver]", order)
+	}
+}
+
+// TestRunBoundsReadBothTiers: RunUntil and RunFor peek at, Pending sums
+// and RunCapped counts the events of both heaps.
+func TestRunBoundsReadBothTiers(t *testing.T) {
+	s := New()
+	fired := 0
+	s.At(5*time.Second, func() { fired++ }) // the only event, and it is far
+	s.RunUntil(10 * time.Second)
+	if fired != 1 || s.Now() != 10*time.Second {
+		t.Fatalf("RunUntil past a far-only event: fired %d, clock %v", fired, s.Now())
+	}
+
+	s.After(500*time.Millisecond, func() { fired++ }) // near, beyond the deadline
+	s.After(time.Minute, func() { fired++ })          // far
+	s.RunFor(100 * time.Millisecond)
+	if fired != 1 || s.Pending() != 2 || s.Now() != 10100*time.Millisecond {
+		t.Fatalf("RunFor short of a near event: fired %d, pending %d, clock %v", fired, s.Pending(), s.Now())
+	}
+	s.RunFor(time.Second) // takes the near one, leaves the far one
+	if fired != 2 || s.Pending() != 1 {
+		t.Fatalf("RunFor over the near event: fired %d, pending %d", fired, s.Pending())
+	}
+	s.Run()
+
+	for i := 0; i < 5; i++ {
+		s.After(Time(i)*time.Millisecond, func() { fired++ })
+		s.After(time.Hour+Time(i), func() { fired++ })
+	}
+	fired = 0
+	if _, ok := s.RunCapped(7).(MaxEventsExceeded); !ok || fired != 7 || s.Pending() != 3 {
+		t.Fatalf("RunCapped(7) over 5 near + 5 far events: fired %d, pending %d", fired, s.Pending())
+	}
+	if err := s.RunCapped(3); err != nil || fired != 10 {
+		t.Fatalf("RunCapped(3) over the last 3 far events: %v, fired %d", err, fired)
+	}
+	if q := s.QueueStats(); q.Near.Pushes != 6 || q.Far.Pushes != 7 || q.Near.HighWater != 5 || q.Far.HighWater != 5 {
+		t.Fatalf("queue stats %+v, want 6 near and 7 far pushes, high water 5 and 5", q)
+	}
+}
+
+// TestTwoTierSteadyStateAllocs is the allocation pin with far pushes in
+// the traffic: both key arrays, like the slot array, stop growing at the
+// high-water mark.
+func TestTwoTierSteadyStateAllocs(t *testing.T) {
+	s := New()
+	fn := func() {}
+	msg := mutex.Message(testMsg{1})
+	round := func() {
+		for j := 0; j < 1024; j++ {
+			d := Time(j%13) * time.Millisecond
+			if j%8 == 0 {
+				d += 2 * farAfter
+			}
+			if j%2 == 0 {
+				s.At(s.Now()+d, fn)
+			} else {
+				s.AtDeliver(s.Now()+d, nopHandler{}, 0, msg)
+			}
+		}
+		s.Run()
+	}
+	round()
+	before := s.QueueStats().Far.Pushes
+	if allocs := testing.AllocsPerRun(100, round); allocs > 1 {
+		t.Errorf("steady-state schedule+run of 1024 events over both tiers allocates %.1f times, want ~0", allocs)
+	}
+	if far := s.QueueStats().Far.Pushes - before; far < 100*128 {
+		t.Errorf("%d far pushes in the measured rounds, want 128 a round", far)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"gridmutex/internal/des"
 	"gridmutex/internal/run"
 	"gridmutex/internal/topology"
 	"gridmutex/internal/workload"
@@ -71,6 +72,8 @@ type GridScalePoint struct {
 	// TotalMsgsPerCS and InterMsgsPerCS are sent-message counts
 	// normalized per critical section.
 	TotalMsgsPerCS, InterMsgsPerCS float64
+	// Queue is the event queue's counted work (excluded from Table).
+	Queue des.QueueStats
 	// Mem is the machine-dependent measurement (excluded from Table).
 	Mem GridScaleMem
 }
@@ -158,9 +161,10 @@ func RunGridScale(ns []int, csPerProcess int, alpha time.Duration, seed int64, p
 		}
 		res.Points = append(res.Points, p)
 		if progress != nil {
-			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d events=%-9d  %7.0f B/proc  %6.2f Mev/s",
+			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d events=%-9d  %7.0f B/proc  %6.2f Mev/s  %5.2f key moves/event  far %d of %d pushes, high-water near %d far %d",
 				p.N, p.Clusters, p.Levels, p.Grants, p.Events,
-				p.Mem.BytesPerProc, p.Mem.EventsPerSec/1e6))
+				p.Mem.BytesPerProc, p.Mem.EventsPerSec/1e6, p.Queue.MovesPerEvent(),
+				p.Queue.Far.Pushes, p.Queue.Pushes(), p.Queue.Near.HighWater, p.Queue.Far.HighWater))
 		}
 	}
 	return res, nil
@@ -223,6 +227,7 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 		Apps:     apps,
 		Grants:   int64(len(out.Records)),
 		Events:   int64(out.Events),
+		Queue:    out.Queue,
 	}
 	counters := out.Counters
 	if p.Grants > 0 {

@@ -423,6 +423,9 @@ type Outcome struct {
 	// time the run ended at.
 	Events  uint64
 	Elapsed time.Duration
+	// Queue is the event queue's exact work: pushes, key moves and
+	// high-water mark per tier (des.QueueStats).
+	Queue des.QueueStats
 	// Trace is the rendered trace ring (empty without TraceCapacity).
 	Trace   string
 	Monitor *check.Monitor
@@ -452,6 +455,7 @@ func (r *Run) Drive() Outcome {
 		Counters: r.net.Counters(),
 		Events:   r.sim.Processed(),
 		Elapsed:  r.sim.Now(),
+		Queue:    r.sim.QueueStats(),
 		Trace:    r.Tracer.Dump(),
 		Monitor:  r.mon,
 		Core:     r.Core,

@@ -81,6 +81,18 @@ if grep -rn --include='*.go' 'GRIDMUTEX_' . ||
     exit 1
 fi
 
+echo "==> one event queue: des's two key heaps, one routing constant, nothing to set"
+# des.eventQueue is the only priority queue in the product: two hand-rolled
+# key heaps under one (at, seq) order, routed by the unexported constant
+# farAfter (DESIGN.md §10, with the measured reason it is not an option).
+# No second heap beside it, and no selector, setter or second assignment.
+if grep -rnE --include='*.go' --exclude='*_test.go' '"container/heap"' . ||
+    grep -rnE --include='*.go' 'QueueKind|SetFarAfter|farAfter *=[^=]' . |
+    grep -vE '^\./internal/des/des\.go:[0-9]+:const farAfter = '; then
+    echo "ci: a second event queue or a way to select the tier policy appeared (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
