@@ -9,6 +9,8 @@ package des
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"gridmutex/internal/mutex"
@@ -44,145 +46,65 @@ func (p *payload) run() {
 	p.h.Deliver(p.from, p.msg)
 }
 
-// eventKey is a heap element: the ordering fields plus the index of the
-// event's payload slot. It is pointer-free on purpose — sifting a key up
-// or down copies 24 bytes and emits no GC write barriers, where sifting
-// a full event (five pointer words of closure/handler/message) made the
-// runtime's bulk barrier the hottest frame in the scheduler profile.
+// eventKey is a queue element: the event's instant and the index of its
+// payload slot. It is pointer-free on purpose — moving a key copies 16
+// bytes and emits no GC write barriers, where moving a full event (five
+// pointer words of closure/handler/message) made the runtime's bulk
+// barrier the hottest frame in the scheduler profile.
 type eventKey struct {
 	at   Time
-	seq  uint64 // FIFO tie-break for events at the same instant
 	slot int32
 }
 
-// before orders two keys by (at, seq). seq is unique per simulator, so
-// the order is total and the slot index never participates.
-func (k eventKey) before(o eventKey) bool {
-	if k.at != o.at {
-		return k.at < o.at
-	}
-	return k.seq < o.seq
+// QueueStats is the event queue's work over a run, exactly: keys pushed,
+// keys moved by scatters, buckets scattered and the most events pending at
+// once. Every field is a pure function of the schedule, so it repeats per
+// seed on any machine.
+type QueueStats struct {
+	Pushes, Moves, Scatters uint64
+	HighWater               int
 }
 
-// farAfter routes a key by how far ahead of now its instant lies: beyond
-// it the key goes to the far heap. Every workload is bimodal — protocol
-// time (RTTs, critical sections, heartbeats: under 100 ms) against think
-// time of seconds to hundreds of seconds — and key moves per event at
-// N = 10⁵ are flat for any value from 20 ms to 1 s (DESIGN.md §10), so it
-// is data here, not an option.
-const farAfter = time.Second
-
-// TierStats counts one key heap's work, exactly: keys pushed, levels keys
-// were moved by push and pop sifts together, and the most keys it held.
-type TierStats struct {
-	Pushes, KeyMoves uint64
-	HighWater        int
-}
-
-// QueueStats is the event queue's work over a run, per tier. Every field
-// is a pure function of the schedule, so it repeats per seed on any
-// machine.
-type QueueStats struct{ Near, Far TierStats }
-
-// Pushes is the number of events scheduled, over both tiers.
-func (q QueueStats) Pushes() uint64 { return q.Near.Pushes + q.Far.Pushes }
-
-// MovesPerEvent is the sift work per scheduled event: one key moved one
-// heap level counts one, push and pop together.
+// MovesPerEvent is the scatter work per scheduled event: one key appended
+// to a lower bucket counts one (a push and a pop move nothing).
 func (q QueueStats) MovesPerEvent() float64 {
-	return float64(q.Near.KeyMoves+q.Far.KeyMoves) / float64(max(q.Pushes(), 1))
+	return float64(q.Moves) / float64(max(q.Pushes, 1))
 }
 
-// keyHeap is a 4-ary min-heap of event keys under before. It is
-// hand-rolled rather than built on container/heap because that interface
-// moves every element through `any`, boxing each event onto the
-// garbage-collected heap. The fan-out of four halves the tree depth of
-// the pop-heavy workload, and the four child keys it scans per level sit
-// in adjacent cache lines.
-type keyHeap struct {
-	keys  []eventKey
-	stats TierStats
-}
-
-// push adds a key and restores the heap invariant. The sift-up moves a
-// hole toward the root and writes the key exactly once.
-func (h *keyHeap) push(k eventKey) {
-	keys := append(h.keys, eventKey{})
-	i := len(keys) - 1
-	moves := 0
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.before(keys[parent]) {
-			break
-		}
-		keys[i] = keys[parent]
-		i = parent
-		moves++
-	}
-	keys[i] = k
-	h.keys = keys
-	h.stats.Pushes++
-	h.stats.KeyMoves += uint64(moves)
-	h.stats.HighWater = max(h.stats.HighWater, len(keys))
-}
-
-// pop removes and returns the minimum key of a non-empty heap. Like push,
-// the sift-down moves a hole instead of swapping pairs.
-func (h *keyHeap) pop() eventKey {
-	keys := h.keys
-	top := keys[0]
-	n := len(keys) - 1
-	last := keys[n]
-	keys = keys[:n]
-	i := 0
-	moves := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		least := first
-		end := min(first+4, n)
-		for c := first + 1; c < end; c++ {
-			if keys[c].before(keys[least]) {
-				least = c
-			}
-		}
-		if !last.before(keys[least]) {
-			keys[i] = keys[least]
-			i = least
-			moves++
-			continue
-		}
-		break
-	}
-	if n > 0 {
-		keys[i] = last
-	}
-	h.keys = keys
-	h.stats.KeyMoves += uint64(moves)
-	return top
-}
-
-// eventQueue is a priority queue in structure-of-arrays form: keys sift
-// through one of two heaps, payloads stay put in their slot until popped,
-// and freed slots recycle through a stack, so scheduling is
-// allocation-free once the backing arrays have grown to the simulation's
-// high-water mark. A key is pushed to far when its instant lies more than
-// farAfter ahead of now and to near otherwise, and stays where it was
-// pushed; pop takes whichever top is before the other, so events leave in
-// the one (at, seq) order whatever the routing — it decides only how deep
-// a heap a key sifts through. Near holds the messages in flight (tens of
-// keys), far the idle timers (one per thinking process).
+// eventQueue is a radix heap in structure-of-arrays form — a monotone
+// priority queue, which is all a simulator needs: nothing is pushed before
+// the instant of the latest pop, last. A key sits in bucket
+// bits.Len64(at ^ last): bucket 0 holds the keys at last itself, bucket b
+// those whose instant first differs from last at bit b-1, so where a key
+// sits is a function of its instant and the clock, with no boundary to
+// tune and no comparison on push. Payloads stay put in their slot until
+// popped and freed slots recycle through a stack, so scheduling allocates
+// nothing once the arrays have grown. Pop order is (instant, scheduling
+// order) by three invariants:
+//
+//  1. Placement: a key in bucket j agrees with last on every bit >= j, and
+//     a new last from a lower bucket b agrees with the old one on every
+//     bit >= b, so keys above b stay put, the earliest key is always in
+//     the lowest non-empty bucket, and b's keys land strictly below b.
+//  2. FIFO without a tie-break field: every bucket is in push order at all
+//     times — a push appends, and a scatter appends in stored order into
+//     buckets empty at that moment — and same-instant keys share a bucket.
+//  3. last <= now: only a pop moves last, and the clock with it, so a peek
+//     (RunUntil short of the next event) must not scatter.
 type eventQueue struct {
-	near, far keyHeap
-	slots     []payload
-	free      []int32 // stack of reusable indices into slots
+	buckets [64][]eventKey // instants are >= 0: the XOR never sets bit 63
+	mask    uint64         // bit b set = bucket b non-empty
+	head    int            // bucket 0 is served front to back from here
+	last    Time
+	pending int
+	slots   []payload
+	free    []int32 // stack of reusable indices into slots
+	stats   QueueStats
 }
 
 // push stores the payload, written once into its slot and never moved,
-// and adds its key to the far or the near heap.
-func (q *eventQueue) push(at Time, seq uint64, far bool, p payload) {
+// and appends its key to the bucket its instant selects.
+func (q *eventQueue) push(at Time, p payload) {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -192,38 +114,70 @@ func (q *eventQueue) push(at Time, seq uint64, far bool, p payload) {
 		q.slots = append(q.slots, payload{})
 	}
 	q.slots[slot] = p
-	h := &q.near
-	if far {
-		h = &q.far
-	}
-	h.push(eventKey{at: at, seq: seq, slot: slot})
+	q.place(eventKey{at: at, slot: slot})
+	q.pending++
+	q.stats.Pushes++
+	q.stats.HighWater = max(q.stats.HighWater, q.pending)
 }
 
-// next returns the heap whose top is the earliest pending event, nil when
-// both are empty.
-func (q *eventQueue) next() *keyHeap {
-	near, far := q.near.keys, q.far.keys
-	if len(far) > 0 && (len(near) == 0 || far[0].before(near[0])) {
-		return &q.far
-	}
-	if len(near) == 0 {
-		return nil
-	}
-	return &q.near
+// place appends k to its bucket under the current last.
+func (q *eventQueue) place(k eventKey) {
+	b := bits.Len64(uint64(k.at) ^ uint64(q.last))
+	q.buckets[b] = append(q.buckets[b], k)
+	q.mask |= 1 << b
 }
 
-// pop removes the top of h, one of the queue's two heaps, and returns its
-// instant and payload.
-func (q *eventQueue) pop(h *keyHeap) (Time, payload) {
-	top := h.pop()
-	p := q.slots[top.slot]
+// pop removes the earliest pending event and returns its instant and
+// payload, provided that instant is <= deadline; otherwise it reports false
+// and leaves the queue, last included, as it was.
+func (q *eventQueue) pop(deadline Time) (Time, payload, bool) {
+	var k eventKey
+	if q.mask&1 == 0 {
+		if q.mask == 0 {
+			return 0, payload{}, false
+		}
+		// The lowest non-empty bucket's minimum becomes last, and the
+		// bucket's keys redistribute below it.
+		b := bits.TrailingZeros64(q.mask)
+		keys := q.buckets[b]
+		k = keys[0]
+		for _, o := range keys[1:] {
+			if o.at < k.at {
+				k = o
+			}
+		}
+		if k.at > deadline {
+			return 0, payload{}, false
+		}
+		q.last = k.at
+		q.buckets[b] = keys[:0]
+		q.mask &^= 1 << b
+		if len(keys) > 1 { // a lone key — the sparse case — is popped in place
+			for _, o := range keys {
+				q.place(o)
+			}
+			q.stats.Scatters++
+			q.stats.Moves += uint64(len(keys))
+		}
+	} else if q.last > deadline {
+		return 0, payload{}, false
+	}
+	if q.mask&1 != 0 { // bucket 0 holds the keys at last, in push order
+		keys := q.buckets[0]
+		k = keys[q.head]
+		if q.head++; q.head == len(keys) {
+			q.buckets[0], q.head = keys[:0], 0
+			q.mask &^= 1
+		}
+	}
 	// The slot is NOT zeroed here: the next push into it overwrites every
 	// field, and skipping the clear saves a bulk write barrier per event.
 	// A stale slot pins one popped closure/message until the slot is
 	// reused, and the slot array never exceeds the pending high-water
 	// mark, so that is the most a queue of any lifetime retains.
-	q.free = append(q.free, top.slot)
-	return top.at, p
+	q.free = append(q.free, k.slot)
+	q.pending--
+	return k.at, q.slots[k.slot], true
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
@@ -232,7 +186,6 @@ func (q *eventQueue) pop(h *keyHeap) (Time, payload) {
 type Simulator struct {
 	now       Time
 	queue     eventQueue
-	seq       uint64
 	processed uint64
 	running   bool
 }
@@ -249,12 +202,10 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending returns the number of events waiting in the queue.
-func (s *Simulator) Pending() int { return len(s.queue.near.keys) + len(s.queue.far.keys) }
+func (s *Simulator) Pending() int { return s.queue.pending }
 
 // QueueStats returns the event queue's exact work counts so far.
-func (s *Simulator) QueueStats() QueueStats {
-	return QueueStats{Near: s.queue.near.stats, Far: s.queue.far.stats}
-}
+func (s *Simulator) QueueStats() QueueStats { return s.queue.stats }
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
 // it would silently corrupt causality, which is never recoverable.
@@ -265,8 +216,7 @@ func (s *Simulator) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
-	s.seq++
-	s.queue.push(t, s.seq, t-s.now > farAfter, payload{fn: fn})
+	s.queue.push(t, payload{fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time. A negative d
@@ -287,27 +237,23 @@ func (s *Simulator) AtDeliver(t Time, h mutex.Handler, from mutex.ID, m mutex.Me
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
-	s.seq++
-	s.queue.push(t, s.seq, t-s.now > farAfter, payload{h: h, from: from, msg: m})
+	s.queue.push(t, payload{h: h, from: from, msg: m})
 }
 
 // Step executes the earliest pending event, advancing the clock to its
 // instant. It reports whether an event was executed.
-func (s *Simulator) Step() bool {
-	h := s.queue.next()
-	if h == nil {
+func (s *Simulator) Step() bool { return s.step(math.MaxInt64) }
+
+// step executes the earliest pending event if its instant is <= deadline.
+func (s *Simulator) step(deadline Time) bool {
+	at, p, ok := s.queue.pop(deadline)
+	if !ok {
 		return false
 	}
-	s.exec(h)
-	return true
-}
-
-// exec pops and runs the top of h, the heap next returned.
-func (s *Simulator) exec(h *keyHeap) {
-	at, p := s.queue.pop(h)
 	s.now = at
 	s.processed++
 	p.run()
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -323,8 +269,7 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(deadline Time) {
 	s.guardRun()
 	defer func() { s.running = false }()
-	for h := s.queue.next(); h != nil && h.keys[0].at <= deadline; h = s.queue.next() {
-		s.exec(h)
+	for s.step(deadline) {
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -355,11 +300,11 @@ func (s *Simulator) RunCapped(limit uint64) error {
 	s.guardRun()
 	defer func() { s.running = false }()
 	start := s.processed
-	for h := s.queue.next(); h != nil; h = s.queue.next() {
+	for s.queue.pending > 0 {
 		if s.processed-start >= limit {
 			return MaxEventsExceeded{Limit: limit, Now: s.now}
 		}
-		s.exec(h)
+		s.Step()
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -400,8 +401,7 @@ func BenchmarkIdleTimersUnderTraffic(b *testing.B) {
 		s.Step()
 	}
 	after := s.QueueStats()
-	moves := after.Near.KeyMoves + after.Far.KeyMoves - before.Near.KeyMoves - before.Far.KeyMoves
-	b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
+	b.ReportMetric(float64(after.Moves-before.Moves)/float64(b.N), "moves/op")
 }
 
 // deliverRec records typed deliveries for AtDeliver tests.
@@ -510,17 +510,22 @@ type fireRec struct{ fire func(id int) }
 func (f fireRec) Deliver(_ mutex.ID, m mutex.Message) { f.fire(m.(testMsg).n) }
 
 // TestPropertyTiersMatchReferenceSort is the differential test of the
-// two-tier queue: random mixes of At, After(0) and AtDeliver on both
-// sides of the tier boundary, scheduled before and during the run, must
-// fire in the order of a reference sort by (at, scheduling order) — the
-// single total order the queue promises whatever heap holds a key.
+// event queue: random mixes of At, After(0) and AtDeliver, with delays on
+// both sides of every bucket boundary, scheduled before and during the run,
+// must fire in the order of a reference sort by (at, scheduling order) —
+// the single total order the queue promises whatever bucket holds a key.
+// Two drivers: one Run, and RunUntil to instants between events with pushes
+// from outside the run, below the pending minimum (invariant 3: a peek does
+// not move last).
 func TestPropertyTiersMatchReferenceSort(t *testing.T) {
-	// Both sides of farAfter to the nanosecond, and far beyond it.
 	delays := []time.Duration{
 		0, time.Nanosecond, 3 * time.Millisecond, 47 * time.Millisecond,
-		farAfter, farAfter + time.Nanosecond, 2 * time.Minute, 7 * time.Minute,
+		time.Second, 2 * time.Minute, 7 * time.Minute,
 	}
-	f := func(seed int64) bool {
+	for k := 1; k <= 40; k++ {
+		delays = append(delays, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	f := func(seed int64, stepwise bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
 		type ev struct {
@@ -556,9 +561,18 @@ func TestPropertyTiersMatchReferenceSort(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			schedule()
 		}
-		s.Run()
-		// ids are scheduling order, which is seq order: a stable sort by
-		// instant is the (at, seq) order.
+		if stepwise {
+			for s.Pending() > 0 {
+				s.RunFor(delays[rng.Intn(len(delays))])
+				for k := rng.Intn(3); k > 0 && len(want) < 600; k-- {
+					schedule()
+				}
+			}
+		} else {
+			s.Run()
+		}
+		// ids are scheduling order: a stable sort by instant is the order
+		// the queue promises.
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 		if len(got) != len(want) || s.Pending() != 0 {
 			return false
@@ -568,37 +582,88 @@ func TestPropertyTiersMatchReferenceSort(t *testing.T) {
 				return false
 			}
 		}
-		q := s.QueueStats()
-		return q.Pushes() == uint64(len(want)) && q.Near.Pushes > 0 && q.Far.Pushes > 0
+		return s.QueueStats().Pushes == uint64(len(want))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.4}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSameInstantFIFOAcrossTiers: an event pushed far for instant T and,
-// once now is within farAfter of T, one pushed near for the same T fire
-// in push order — the tie-break is seq, not the heap a key sits in.
+// TestBucketsStayInPushOrder is the white-box check of invariants 1 and 2:
+// after each of 10⁴ mixed operations every pending key sits in the bucket
+// its instant and last select, no key is before last, last is not ahead of
+// the clock, and every bucket holds its keys in scheduling order (the ids
+// the payloads carry).
+func TestBucketsStayInPushOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := New()
+	q := &s.queue
+	next := 0
+	for op := 0; op < 10_000; op++ {
+		switch r := rng.Intn(8); {
+		case r < 4:
+			d := Time(0)
+			if rng.Intn(4) > 0 {
+				d = Time(1) << rng.Intn(36)
+				d += Time(rng.Int63n(int64(d)))
+			}
+			s.AtDeliver(s.Now()+d, nopHandler{}, 0, testMsg{next})
+			next++
+		case r < 7:
+			s.Step()
+		default:
+			s.RunFor(Time(rng.Intn(1 << 20)))
+		}
+		if q.last > s.Now() {
+			t.Fatalf("op %d: last %v is ahead of the clock %v", op, q.last, s.Now())
+		}
+		pending := 0
+		for b, keys := range q.buckets {
+			if (q.mask>>b&1 == 1) != (len(keys) > 0) {
+				t.Fatalf("op %d: mask bit %d is %d over %d keys", op, b, q.mask>>b&1, len(keys))
+			}
+			if b == 0 && len(keys) > 0 {
+				keys = keys[q.head:]
+			}
+			pending += len(keys)
+			prev := -1
+			for _, k := range keys {
+				if k.at < q.last || bits.Len64(uint64(k.at)^uint64(q.last)) != b {
+					t.Fatalf("op %d: key at %v in bucket %d under last %v", op, k.at, b, q.last)
+				}
+				id := q.slots[k.slot].msg.(testMsg).n
+				if id <= prev {
+					t.Fatalf("op %d: bucket %d holds id %d after id %d", op, b, id, prev)
+				}
+				prev = id
+			}
+		}
+		if pending != s.Pending() {
+			t.Fatalf("op %d: buckets hold %d keys, Pending() = %d", op, pending, s.Pending())
+		}
+	}
+}
+
+// TestSameInstantFIFOAcrossTiers: an event pushed for instant T an hour
+// ahead and, a nanosecond before T, two more pushed for the same T fire in
+// push order — the three meet in one bucket, in the order they were pushed.
 func TestSameInstantFIFOAcrossTiers(t *testing.T) {
-	const T = 3 * farAfter
+	const T = time.Hour
 	s := New()
 	var order []string
 	s.At(T, func() { order = append(order, "far") })
-	s.At(T-farAfter, func() { // exactly farAfter before T: still near
+	s.At(T-time.Nanosecond, func() {
 		s.At(T, func() { order = append(order, "near") })
 		s.AtDeliver(T, fireRec{func(int) { order = append(order, "near-deliver") }}, 0, testMsg{})
 	})
 	s.Run()
-	if q := s.QueueStats(); q.Far.Pushes != 2 || q.Near.Pushes != 2 {
-		t.Fatalf("pushes near %d far %d, want 2 and 2", q.Near.Pushes, q.Far.Pushes)
-	}
 	if len(order) != 3 || order[0] != "far" || order[1] != "near" || order[2] != "near-deliver" {
-		t.Fatalf("same-instant events across tiers fired as %v, want [far near near-deliver]", order)
+		t.Fatalf("same-instant events pushed an hour and a nanosecond ahead fired as %v, want [far near near-deliver]", order)
 	}
 }
 
-// TestRunBoundsReadBothTiers: RunUntil and RunFor peek at, Pending sums
-// and RunCapped counts the events of both heaps.
+// TestRunBoundsReadBothTiers: RunUntil and RunFor peek at, Pending counts
+// and RunCapped counts events both near to and far from the clock.
 func TestRunBoundsReadBothTiers(t *testing.T) {
 	s := New()
 	fired := 0
@@ -631,14 +696,14 @@ func TestRunBoundsReadBothTiers(t *testing.T) {
 	if err := s.RunCapped(3); err != nil || fired != 10 {
 		t.Fatalf("RunCapped(3) over the last 3 far events: %v, fired %d", err, fired)
 	}
-	if q := s.QueueStats(); q.Near.Pushes != 6 || q.Far.Pushes != 7 || q.Near.HighWater != 5 || q.Far.HighWater != 5 {
-		t.Fatalf("queue stats %+v, want 6 near and 7 far pushes, high water 5 and 5", q)
+	if q := s.QueueStats(); q.Pushes != 13 || q.HighWater != 10 {
+		t.Fatalf("queue stats %+v, want 13 pushes and a high water of 10", q)
 	}
 }
 
 // TestTwoTierSteadyStateAllocs is the allocation pin with far pushes in
-// the traffic: both key arrays, like the slot array, stop growing at the
-// high-water mark.
+// the traffic: every bucket, like the slot array, stops growing once it
+// has held the most keys the schedule ever puts in it.
 func TestTwoTierSteadyStateAllocs(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -647,7 +712,7 @@ func TestTwoTierSteadyStateAllocs(t *testing.T) {
 		for j := 0; j < 1024; j++ {
 			d := Time(j%13) * time.Millisecond
 			if j%8 == 0 {
-				d += 2 * farAfter
+				d += 2 * time.Second
 			}
 			if j%2 == 0 {
 				s.At(s.Now()+d, fn)
@@ -657,12 +722,16 @@ func TestTwoTierSteadyStateAllocs(t *testing.T) {
 		}
 		s.Run()
 	}
-	round()
-	before := s.QueueStats().Far.Pushes
-	if allocs := testing.AllocsPerRun(100, round); allocs > 1 {
-		t.Errorf("steady-state schedule+run of 1024 events over both tiers allocates %.1f times, want ~0", allocs)
+	// Which buckets a round fills depends on the clock's bits, so rounds
+	// differ: warm up until no bucket grows any more.
+	for i := 0; i < 200; i++ {
+		round()
 	}
-	if far := s.QueueStats().Far.Pushes - before; far < 100*128 {
-		t.Errorf("%d far pushes in the measured rounds, want 128 a round", far)
+	before := s.QueueStats().Pushes
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("steady-state schedule+run of 1024 events near and far allocates %.2f times, want 0", allocs)
+	}
+	if pushes := s.QueueStats().Pushes - before; pushes != 101*1024 {
+		t.Errorf("%d pushes in the measured rounds, want 1024 a round", pushes)
 	}
 }

@@ -42,12 +42,12 @@ func TestGridScalePaper(t *testing.T) {
 	}
 }
 
-// TestGridScaleQueueWork holds the two-tier event queue to its counts, so
-// CI needs no stopwatch: at N = 10⁴ (three critical sections per process,
-// 397,136 events) a push plus its pop move keys under 1.5 heap levels per
-// event — 10.53 with every key in one heap, 0.99 with the ~9,000 idle
-// think timers in a heap of their own — and under 8 % of pushes go far
-// (6.7 %: think timers and watchdog ticks).
+// TestGridScaleQueueWork holds the radix-heap event queue to its counts,
+// so CI needs no stopwatch: at N = 10⁴ (three critical sections per process,
+// 397,136 events) scatters move under 1.3 keys per event — 1.06 as built,
+// 1.49 when a bucket of one key is scattered instead of popped in place:
+// the ~9,000 idle think timers sit in high buckets and are moved only as
+// the clock's high bits turn.
 func TestGridScaleQueueWork(t *testing.T) {
 	res, err := RunGridScale([]int{10_000}, 3, 10*time.Millisecond, 1, nil)
 	if err != nil {
@@ -56,13 +56,10 @@ func TestGridScaleQueueWork(t *testing.T) {
 	p := res.Points[0]
 	q := p.Queue
 	t.Logf("N=%d: %d events, %.2f key moves/event, %+v", p.N, p.Events, q.MovesPerEvent(), q)
-	if q.Pushes() != uint64(p.Events) {
-		t.Errorf("%d pushes for %d events", q.Pushes(), p.Events)
+	if q.Pushes != uint64(p.Events) {
+		t.Errorf("%d pushes for %d events", q.Pushes, p.Events)
 	}
-	if m := q.MovesPerEvent(); m > 1.5 {
-		t.Errorf("%.2f key moves per event, want <= 1.5", m)
-	}
-	if far := float64(q.Far.Pushes) / float64(q.Pushes()); far > 0.08 {
-		t.Errorf("%.1f%% of pushes went to the far heap, want <= 8%%", 100*far)
+	if m := q.MovesPerEvent(); m > 1.3 {
+		t.Errorf("%.2f key moves per event, want <= 1.3", m)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gridmutex/internal/core"
+	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
 	"gridmutex/internal/recovery"
 	"gridmutex/internal/run"
@@ -48,6 +49,11 @@ type RecoveryPoint struct {
 	DetectorShare float64
 	// Grants counts critical sections entered across repetitions.
 	Grants int64
+	// Events counts the DES events processed and Queue sums the event
+	// queue's counted work across repetitions (HighWater is the deepest of
+	// them): what the cell costs to simulate. Neither enters Table.
+	Events int64
+	Queue  des.QueueStats
 }
 
 // RecoveryResult is the crash-recovery experiment: one point per
@@ -68,6 +74,9 @@ type recPartial struct {
 	detectorMsgs, totalMsgs  int64
 	dropped, freezes, regens int64
 	virtual                  time.Duration
+	events                   int64
+	queue                    des.QueueStats
+	wall                     time.Duration
 }
 
 // digestRecovery folds one run's outcome into a recPartial.
@@ -84,6 +93,8 @@ func digestRecovery(out run.Outcome) recPartial {
 		freezes:      members.MinorityFreezes,
 		regens:       members.Regenerations,
 		virtual:      out.Elapsed,
+		events:       int64(out.Events),
+		queue:        out.Queue,
 	}
 	for _, d := range out.Monitor.RecoveryLatencies() {
 		p.latency.Push(float64(d) / float64(time.Millisecond))
@@ -106,6 +117,12 @@ func (p *recPartial) add(o *recPartial) {
 	p.freezes += o.freezes
 	p.regens += o.regens
 	p.virtual += o.virtual
+	p.events += o.events
+	p.queue.Pushes += o.queue.Pushes
+	p.queue.Moves += o.queue.Moves
+	p.queue.Scatters += o.queue.Scatters
+	p.queue.HighWater = max(p.queue.HighWater, o.queue.HighWater)
+	p.wall += o.wall
 }
 
 // detectorMsgsPerSec is the failure-detector message rate per second of
@@ -138,11 +155,14 @@ func sweepRecovery(axisName string, axis []time.Duration, scale Scale,
 	}
 	return runShards(len(cells), func(int) int { return scale.Repetitions }, scale.Workers, func(ci, rep int) (recPartial, error) {
 		c := cells[ci]
+		start := wallNow()
 		out, err := once(c.v, c.rho, deriveSeed(scale.BaseSeed^int64(c.v), c.rho, rep))
 		if err != nil {
 			return recPartial{}, fmt.Errorf("harness: %s=%v rho=%g rep=%d: %w", axisName, c.v, c.rho, rep, err)
 		}
-		return digestRecovery(out), nil
+		p := digestRecovery(out)
+		p.wall = wallNow().Sub(start)
+		return p, nil
 	}, func(ci int, partials []recPartial) error {
 		sum := recPartial{latency: stats.Accumulator{Sketch: true}, obtain: stats.Accumulator{Sketch: true}}
 		for i := range partials {
@@ -181,14 +201,18 @@ func RunRecovery(params RecoveryParams, scale Scale, progress func(string)) (*Re
 			Obtaining:          sum.obtain.Summarize(),
 			DetectorMsgsPerSec: sum.detectorMsgsPerSec(),
 			Grants:             sum.grants,
+			Events:             sum.events,
+			Queue:              sum.queue,
 		}
 		if sum.totalMsgs > 0 {
 			p.DetectorShare = float64(sum.detectorMsgs) / float64(sum.totalMsgs)
 		}
 		res.Points = append(res.Points, p)
 		if progress != nil {
-			progress(fmt.Sprintf("period=%6s rho=%6.0f  recover=%8.2fms  detector=%7.1f msg/s",
-				period, rho, p.RecoveryLatency.Mean, p.DetectorMsgsPerSec))
+			// Mev/s is machine-dependent, so it stays out of the point.
+			progress(fmt.Sprintf("period=%6s rho=%6.0f  recover=%8.2fms  detector=%7.1f msg/s  events=%-9d %6.2f Mev/s  %5.2f key moves/event, high-water %d",
+				period, rho, p.RecoveryLatency.Mean, p.DetectorMsgsPerSec,
+				p.Events, float64(p.Events)/1e6/max(sum.wall.Seconds(), 1e-9), p.Queue.MovesPerEvent(), p.Queue.HighWater))
 		}
 	})
 	if err != nil {

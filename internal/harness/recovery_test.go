@@ -104,3 +104,34 @@ func TestRecoveryDetectorsOnGrid5000(t *testing.T) {
 		t.Errorf("%d probe rounds, %d minority freezes (%d suspicions), want 2 and 0", st.Rounds, st.MinorityFreezes, st.Suspicions)
 	}
 }
+
+// TestRecoveryQueueWork holds what a recovery run costs the event queue, in
+// counts: on 6 clusters of 8 applications (72 detector members), 20 ms
+// heartbeats and ρ = 24, every member ticks in the same instant and puts
+// some 740 jittered heartbeats in flight at once — the shape that cost a
+// 4-ary heap 4.4 levels of four compares per event — and the radix heap
+// moves each key about five times on its way down (reads 5.11).
+func TestRecoveryQueueWork(t *testing.T) {
+	s := QuickScale()
+	s.Clusters, s.AppsPerCluster = 6, 8
+	s.CSPerProcess = 50
+	s.Alpha = 10 * time.Millisecond
+	s.Rhos = []float64{24}
+	s.Repetitions = 1
+	res, err := RunRecovery(RecoveryParams{Periods: []time.Duration{20 * time.Millisecond}}, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Points[0]
+	q := p.Queue
+	t.Logf("%d events, %.2f key moves/event, %+v", p.Events, q.MovesPerEvent(), q)
+	if q.Pushes != uint64(p.Events) {
+		t.Errorf("%d pushes for %d events", q.Pushes, p.Events)
+	}
+	if q.HighWater < 700 {
+		t.Errorf("high-water %d, want >= 700: the detectors no longer tick together", q.HighWater)
+	}
+	if m := q.MovesPerEvent(); m > 6 {
+		t.Errorf("%.2f key moves per event, want <= 6", m)
+	}
+}

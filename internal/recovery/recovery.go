@@ -99,6 +99,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -357,6 +358,12 @@ type joinBid struct {
 	last  des.Time
 }
 
+// peer is the failure detector's state for one configured member.
+type peer struct {
+	heardAt des.Time
+	suspect bool
+}
+
 // Member is one process's endpoint of a crash-tolerant group: a
 // mutex.Instance that runs the configured algorithm under the current
 // epoch and the failure detector that advances epochs. All entry points
@@ -375,8 +382,15 @@ type Member struct {
 	suppressAcquire  bool
 	releaseOnAcquire bool
 
-	lastHeard map[mutex.ID]des.Time
-	suspects  map[mutex.ID]bool
+	// Detector state, dense — a delivered heartbeat costs two loads, not
+	// three hashed lookups: members is the configured membership, sorted
+	// and never written again, peers[i] the state of members[i], and
+	// pos[id-members[0]] is i, or -1 for an id in the span that is not a
+	// member.
+	members []mutex.ID
+	peers   []peer
+	pos     []int32
+	tickFn  func() // m.tick, bound once: re-arming allocates no method value
 
 	probing bool
 	round   uint32
@@ -412,21 +426,27 @@ func NewMember(cfg Config) (*Member, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("recovery: nil clock")
 	}
+	if len(cfg.Members) == 0 {
+		return nil, fmt.Errorf("recovery: empty membership")
+	}
 	m := &Member{
-		cfg:       cfg,
-		opts:      cfg.Opts.withDefaults(),
-		epoch:     Epoch{Seq: 0, Leader: mutex.None},
-		holder:    cfg.Holder,
-		cbs:       cfg.Callbacks,
-		lastHeard: make(map[mutex.ID]des.Time, len(cfg.Members)),
-		suspects:  make(map[mutex.ID]bool),
+		cfg:     cfg,
+		opts:    cfg.Opts.withDefaults(),
+		epoch:   Epoch{Seq: 0, Leader: mutex.None},
+		holder:  cfg.Holder,
+		cbs:     cfg.Callbacks,
+		members: slices.Clone(cfg.Members),
+		peers:   make([]peer, len(cfg.Members)),
 	}
-	m.live = append([]mutex.ID(nil), cfg.Members...)
-	sort.Slice(m.live, func(i, j int) bool { return m.live[i] < m.live[j] })
-	now := cfg.Clock.Now()
-	for _, id := range m.live {
-		m.lastHeard[id] = now
+	slices.Sort(m.members)
+	m.pos = make([]int32, m.members[len(m.members)-1]-m.members[0]+1)
+	for i := range m.pos {
+		m.pos[i] = -1
 	}
+	for i, id := range m.members {
+		m.pos[id-m.members[0]] = int32(i)
+	}
+	m.setLive(m.members)
 	if err := m.buildInner(); err != nil {
 		return nil, err
 	}
@@ -461,7 +481,8 @@ func (m *Member) Start() {
 		panic(fmt.Sprintf("recovery: member %d of %s started twice", m.cfg.Self, m.cfg.Group))
 	}
 	m.started = true
-	m.cfg.Clock.After(m.opts.Period, m.tick)
+	m.tickFn = m.tick
+	m.cfg.Clock.After(m.opts.Period, m.tickFn)
 }
 
 // Stop halts the detector: the current tick chain ends and no further
@@ -612,7 +633,7 @@ func (m *Member) tick() {
 	}
 	if m.down() {
 		m.wasDown = true
-		m.cfg.Clock.After(m.opts.Period, m.tick)
+		m.cfg.Clock.After(m.opts.Period, m.tickFn)
 		return
 	}
 	if m.wasDown {
@@ -631,11 +652,12 @@ func (m *Member) tick() {
 	if !m.frozen && !m.rejoining {
 		now := m.cfg.Clock.Now()
 		for _, id := range m.live {
-			if id == m.cfg.Self || m.suspects[id] {
+			p := m.peerOf(id)
+			if id == m.cfg.Self || p.suspect {
 				continue
 			}
-			if time.Duration(now-m.lastHeard[id]) > m.opts.Timeout {
-				m.suspects[id] = true
+			if time.Duration(now-p.heardAt) > m.opts.Timeout {
+				p.suspect = true
 				m.stats.Suspicions++
 			}
 		}
@@ -680,7 +702,7 @@ func (m *Member) tick() {
 			m.startRound()
 		}
 	}
-	m.cfg.Clock.After(m.opts.Period, m.tick)
+	m.cfg.Clock.After(m.opts.Period, m.tickFn)
 }
 
 // amnesia resets the member on the down→up edge: every piece of protocol
@@ -704,12 +726,29 @@ func (m *Member) amnesia() {
 	m.acks = nil
 	m.targets = m.targets[:0]
 	m.pendingJoin = nil
-	m.suspects = make(map[mutex.ID]bool)
-	m.live = append([]mutex.ID(nil), m.cfg.Members...)
-	sort.Slice(m.live, func(i, j int) bool { return m.live[i] < m.live[j] })
+	m.setLive(m.members)
+}
+
+// peerOf returns the detector state of a configured member, nil for any
+// other id.
+func (m *Member) peerOf(id mutex.ID) *peer {
+	if i := int(id - m.members[0]); i >= 0 && i < len(m.pos) && m.pos[i] >= 0 {
+		return &m.peers[m.pos[i]]
+	}
+	return nil
+}
+
+// setLive installs a membership — ids, which the member keeps and, like the
+// instance built on it, only reads — with every suspicion cleared and every
+// live member counted as heard now.
+func (m *Member) setLive(ids []mutex.ID) {
+	m.live = ids
+	clear(m.peers)
 	now := m.cfg.Clock.Now()
-	for _, id := range m.live {
-		m.lastHeard[id] = now
+	for _, id := range ids {
+		// Never nil: epochs are censused from live members and Rejoin
+		// senders of this group, all configured with the same membership.
+		m.peerOf(id).heardAt = now
 	}
 }
 
@@ -718,7 +757,7 @@ func (m *Member) amnesia() {
 func (m *Member) reachable() int {
 	n := 0
 	for _, id := range m.live {
-		if id == m.cfg.Self || !m.suspects[id] {
+		if id == m.cfg.Self || !m.peerOf(id).suspect {
 			n++
 		}
 	}
@@ -793,7 +832,7 @@ func (m *Member) anyJoinReady() bool {
 func (m *Member) isLeader() bool {
 	fallback := mutex.None
 	for _, id := range m.live {
-		if m.suspects[id] {
+		if m.peerOf(id).suspect {
 			continue
 		}
 		if fallback == mutex.None {
@@ -809,7 +848,7 @@ func (m *Member) isLeader() bool {
 
 func (m *Member) anySuspectLive() bool {
 	for _, id := range m.live {
-		if m.suspects[id] {
+		if m.peerOf(id).suspect {
 			return true
 		}
 	}
@@ -818,17 +857,16 @@ func (m *Member) anySuspectLive() bool {
 
 // heard records aliveness evidence from a peer.
 func (m *Member) heard(from mutex.ID) {
-	if _, known := m.lastHeard[from]; !known {
-		// Not part of the current membership: heartbeats alone don't
-		// re-admit — the Rejoin beacon path does.
-		if !containsID(m.live, from) {
-			return
-		}
+	p := m.peerOf(from)
+	if p == nil {
+		// Not a configured member: hearing it proves nothing about this
+		// group, and only the Rejoin beacon path admits anyone.
+		return
 	}
-	m.lastHeard[from] = m.cfg.Clock.Now()
-	if m.suspects[from] && !m.probing {
+	p.heardAt = m.cfg.Clock.Now()
+	if p.suspect && !m.probing {
 		// A false suspicion cleared before any round acted on it.
-		delete(m.suspects, from)
+		p.suspect = false
 	}
 }
 
@@ -869,7 +907,7 @@ func (m *Member) startRound() {
 	}
 	m.targets = m.targets[:0]
 	for _, id := range m.live {
-		if id == m.cfg.Self || m.suspects[id] {
+		if id == m.cfg.Self || m.peerOf(id).suspect {
 			continue
 		}
 		if b, ok := m.pendingJoin[id]; ok && m.joinFresh(b) {
@@ -900,8 +938,8 @@ func (m *Member) roundTimeout(round uint32) {
 	missing := false
 	for _, id := range m.targets {
 		if _, ok := m.acks[id]; !ok {
-			if !m.suspects[id] {
-				m.suspects[id] = true
+			if p := m.peerOf(id); !p.suspect {
+				p.suspect = true
 				m.stats.Suspicions++
 			}
 			missing = true
@@ -935,7 +973,7 @@ func (m *Member) finishRound() {
 	m.probing = false
 	var newLive []mutex.ID
 	for _, id := range m.live {
-		if m.suspects[id] {
+		if m.peerOf(id).suspect {
 			continue
 		}
 		if b, ok := m.pendingJoin[id]; ok && m.joinFresh(b) && !m.joinReady(b) {
@@ -1059,9 +1097,8 @@ func (m *Member) applyNewEpoch(ne NewEpoch) {
 	}
 	m.epoch = ne.E
 	m.stats.Epochs++
-	m.live = append([]mutex.ID(nil), ne.Members...)
+	m.setLive(append([]mutex.ID(nil), ne.Members...))
 	m.holder = ne.Holder
-	m.suspects = make(map[mutex.ID]bool)
 	m.probing = false
 	m.suppressAcquire = false
 	m.releaseOnAcquire = false
@@ -1069,10 +1106,6 @@ func (m *Member) applyNewEpoch(ne NewEpoch) {
 	m.stats.FencedDropped += int64(len(m.fencedBuf))
 	m.fencedBuf = nil
 	m.fenced = false
-	now := m.cfg.Clock.Now()
-	for _, id := range m.live {
-		m.lastHeard[id] = now
-	}
 	// An admitted joiner is folded back in by this epoch.
 	for _, id := range m.live {
 		delete(m.pendingJoin, id)

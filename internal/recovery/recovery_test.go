@@ -260,12 +260,12 @@ func TestFaultyRunDeterministic(t *testing.T) {
 // idleInst is a token-less stub algorithm instance for detector-only tests.
 type idleInst struct{}
 
-func (idleInst) Request()                          {}
-func (idleInst) Release()                          {}
-func (idleInst) Deliver(mutex.ID, mutex.Message)   {}
-func (idleInst) HasPending() bool                  { return false }
-func (idleInst) HoldsToken() bool                  { return false }
-func (idleInst) State() mutex.State                { return mutex.NoReq }
+func (idleInst) Request()                        {}
+func (idleInst) Release()                        {}
+func (idleInst) Deliver(mutex.ID, mutex.Message) {}
+func (idleInst) HasPending() bool                { return false }
+func (idleInst) HoldsToken() bool                { return false }
+func (idleInst) State() mutex.State              { return mutex.NoReq }
 
 // TestRestartHeartbeatUnsuspects is the detector regression for the rejoin
 // path: a suspicion formed while a node was down must be rescinded by its
@@ -329,6 +329,51 @@ func TestRestartHeartbeatUnsuspects(t *testing.T) {
 	}
 	if rs := members[2].Stats(); rs.Restarts != 1 || !rs.Rejoining {
 		t.Fatalf("restarted member stats %+v, want Restarts=1 and Rejoining (no epoch admitted it yet)", rs)
+	}
+}
+
+// TestHeartbeatRoundAllocs pins the detector's steady state: one full
+// heartbeat round of a 10-member group on simnet — ten ticks re-armed, 90
+// heartbeats sent, counted by kind, queued, delivered and recorded — touches
+// no map and allocates nothing once the event queue has grown.
+func TestHeartbeatRoundAllocs(t *testing.T) {
+	const period = 10 * time.Millisecond
+	g := topology.Uniform(1, 10, time.Millisecond, time.Millisecond)
+	sim := des.New()
+	net := simnet.New(sim, g, simnet.Options{Seed: 1, Jitter: 0.05, KindCounts: true})
+	ids := make([]mutex.ID, 10)
+	for i := range ids {
+		ids[i] = mutex.ID(i)
+	}
+	factory := func(mutex.Config) (mutex.Instance, error) { return idleInst{}, nil }
+	var members []*Member
+	for _, id := range ids {
+		m, err := NewMember(Config{
+			Group: "g", Self: id, Members: ids, Holder: 0,
+			Factory: factory, Env: net.Endpoint(id), Clock: sim,
+			Opts: Options{Period: period, Timeout: 45 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Register(id, m)
+		members = append(members, m)
+	}
+	for _, m := range members {
+		m.Start()
+	}
+	sim.RunFor(500 * period) // which buckets a round fills depends on the clock's bits
+	before := members[0].Stats().HeartbeatsSent
+	if allocs := testing.AllocsPerRun(100, func() { sim.RunFor(period) }); allocs != 0 {
+		t.Errorf("one heartbeat round of 10 members allocates %.0f times, want 0", allocs)
+	}
+	if sent := members[0].Stats().HeartbeatsSent - before; sent != 101*9 {
+		t.Errorf("member 0 sent %d heartbeats in the measured rounds, want 9 a round", sent)
+	}
+	for _, m := range members {
+		if s := m.Stats(); s.Suspicions != 0 || s.Epochs != 0 {
+			t.Errorf("member %d: %+v, want an undisturbed group", m.ID(), s)
+		}
 	}
 }
 

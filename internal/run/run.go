@@ -423,8 +423,8 @@ type Outcome struct {
 	// time the run ended at.
 	Events  uint64
 	Elapsed time.Duration
-	// Queue is the event queue's exact work: pushes, key moves and
-	// high-water mark per tier (des.QueueStats).
+	// Queue is the event queue's exact work: pushes, scatter moves,
+	// buckets scattered and the pending high-water mark (des.QueueStats).
 	Queue des.QueueStats
 	// Trace is the rendered trace ring (empty without TraceCapacity).
 	Trace   string

@@ -59,9 +59,9 @@ type Options struct {
 	// network needs the reliable wrapper on top to stay live.
 	Loss float64
 	// KindCounts enables the per-Message.Kind counter map
-	// (Counters.ByKind). It is opt-in because the map insert — a string
-	// hash per message — is the single most expensive accounting step;
-	// the default hot path touches no maps at all.
+	// (Counters.ByKind). It is opt-in because even counted by runs of one
+	// kind it costs a string compare per message; the default hot path
+	// skips it.
 	KindCounts bool
 }
 
@@ -107,6 +107,10 @@ type Network struct {
 	lossy   bool // opts.Loss > 0
 
 	counters Counters
+	// With KindCounts, a run of one kind — detector traffic is heartbeats by
+	// the hundred — reaches counters.ByKind, one hashed insert, when it ends.
+	runKind string
+	runLen  int64
 
 	// Crash state: down is nil until the first Crash, and anyDown caches
 	// len(down-set) > 0 so fault-free runs pay one branch per send.
@@ -163,6 +167,9 @@ func New(sim *des.Simulator, grid gridModel, opts Options) *Network {
 		nodes:    nodes,
 		jittery:  opts.Jitter > 0,
 		lossy:    opts.Loss > 0,
+	}
+	if opts.KindCounts {
+		n.counters.ByKind = make(map[string]int64)
 	}
 	n.growProcs(nodes)
 	return n
@@ -240,13 +247,28 @@ func (n *Network) Endpoint(id mutex.ID) mutex.Env {
 // Counters returns a snapshot of the message accounting so far; ByKind is
 // copied, so later traffic does not change a snapshot already taken.
 func (n *Network) Counters() Counters {
+	n.flushKinds()
 	c := n.counters
-	c.ByKind = maps.Clone(c.ByKind) // nil stays nil
+	if c.ByKind = maps.Clone(c.ByKind); len(c.ByKind) == 0 {
+		c.ByKind = nil // off, or nothing counted yet
+	}
 	return c
 }
 
 // ResetCounters zeroes the accounting (used to exclude warm-up phases).
-func (n *Network) ResetCounters() { n.counters = Counters{} }
+func (n *Network) ResetCounters() {
+	clear(n.counters.ByKind) // snapshots are copies, so in place; a no-op on nil
+	n.counters = Counters{ByKind: n.counters.ByKind}
+	n.runLen = 0
+}
+
+// flushKinds adds the current run of one kind to ByKind.
+func (n *Network) flushKinds() {
+	if n.runLen > 0 {
+		n.counters.ByKind[n.runKind] += n.runLen
+		n.runLen = 0
+	}
+}
 
 // Crash marks a physical node as failed: from this instant its processes
 // emit nothing, and any message addressed to it — whether sent before or
@@ -381,7 +403,14 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	// between the two processes' clusters.
 	ca, cb := n.clOf[from], n.clOf[to]
 	delay := n.grid.RTT(int(ca), int(cb)) / 2
-	n.counters.note(m, ca == cb, n.opts.KindCounts)
+	n.counters.note(m, ca == cb)
+	if n.opts.KindCounts {
+		if kind := m.Kind(); kind != n.runKind {
+			n.flushKinds()
+			n.runKind = kind
+		}
+		n.runLen++
+	}
 	if t := n.opts.Trace; t != nil {
 		t.Record(trace.Send, from, to, m.Kind())
 	}
@@ -492,8 +521,8 @@ type Counters struct {
 	// Inter* count messages crossing a cluster boundary — the quantity
 	// of Figure 4(b).
 	InterMessages, InterBytes int64
-	// ByKind counts messages per Message.Kind. It is populated only when
-	// Options.KindCounts is set; the default hot path skips the map.
+	// ByKind counts messages per Message.Kind. It is non-nil only when
+	// Options.KindCounts is set.
 	ByKind map[string]int64
 	// Dropped counts messages lost to injected loss (they are included
 	// in the send counts above).
@@ -512,7 +541,7 @@ type Counters struct {
 	DroppedPartition int64
 }
 
-func (c *Counters) note(m mutex.Message, sameCluster, kinds bool) {
+func (c *Counters) note(m mutex.Message, sameCluster bool) {
 	size := int64(m.Size())
 	c.Messages++
 	c.Bytes += size
@@ -522,12 +551,5 @@ func (c *Counters) note(m mutex.Message, sameCluster, kinds bool) {
 	} else {
 		c.InterMessages++
 		c.InterBytes += size
-	}
-	if kinds {
-		if c.ByKind == nil {
-			//lint:allow allochygiene built once per counter when KindCounts tracing is opted into; steady-state sends with tracing off never reach this branch
-			c.ByKind = make(map[string]int64)
-		}
-		c.ByKind[m.Kind()]++
 	}
 }

@@ -89,6 +89,11 @@ func TestCounters(t *testing.T) {
 	if got := n.Counters(); got.Messages != 0 || got.ByKind != nil {
 		t.Errorf("ResetCounters left %+v", got)
 	}
+	// The kind of the run the reset cut short starts again from zero.
+	ep1.Send(2, ping{"b", 100})
+	if got := n.Counters(); len(got.ByKind) != 1 || got.ByKind["b"] != 1 {
+		t.Errorf("ByKind after a reset and one more b = %v, want b:1", got.ByKind)
+	}
 }
 
 // Without KindCounts the hot path must touch no maps: ByKind stays nil

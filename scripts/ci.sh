@@ -81,25 +81,27 @@ if grep -rn --include='*.go' 'GRIDMUTEX_' . ||
     exit 1
 fi
 
-echo "==> one event queue: des's two key heaps, one routing constant, nothing to set"
-# des.eventQueue is the only priority queue in the product: two hand-rolled
-# key heaps under one (at, seq) order, routed by the unexported constant
-# farAfter (DESIGN.md §10, with the measured reason it is not an option).
-# No second heap beside it, and no selector, setter or second assignment.
+echo "==> one event queue: des's radix heap, nothing to set"
+# des.eventQueue is the only priority queue in the product: one radix heap
+# whose bucket for a key is a function of the key's instant and the clock
+# (DESIGN.md §10). No second queue beside it, and none of the names of the
+# heaps and the routing constant it replaced.
 if grep -rnE --include='*.go' --exclude='*_test.go' '"container/heap"' . ||
-    grep -rnE --include='*.go' 'QueueKind|SetFarAfter|farAfter *=[^=]' . |
-    grep -vE '^\./internal/des/des\.go:[0-9]+:const farAfter = '; then
-    echo "ci: a second event queue or a way to select the tier policy appeared (see above)" >&2
+    grep -rnE --include='*.go' 'farAfter|keyHeap|QueueKind' .; then
+    echo "ci: a second event queue or a deleted queue tier reappeared (see above)" >&2
     exit 1
 fi
 
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
-echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool"
+echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round"
 # The line above ran these in a race-instrumented build; the pins are
 # claims about the plain build the benchmark and the commands run.
-go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/
+go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/
+
+echo "==> event-queue order against a reference sort, 800 random schedules over both drivers"
+go test -run 'TestPropertyTiersMatchReferenceSort' ./internal/des/ -quickchecks 2000
 
 echo "==> scenario conformance corpus through the CLI (JSON verdicts archived)"
 # The declarative acceptance suite (DESIGN.md §11): every fixture under
