@@ -19,13 +19,13 @@
 // token-state memory wall (N processes × N entries). The token on the
 // wire still carries the dense LN array the 1985 algorithm defines, with
 // identical contents and the same modeled O(N) Size; only the resident
-// representation is factored. Iteration over sparse entries always walks
-// a sorted index list, never the map, so outcomes stay independent of
-// Go's randomized map order.
+// representation is factored. The sparse entries are one run sorted by
+// member index, so iterating them walks member order by construction.
 package suzukikasami
 
 import (
 	"fmt"
+	"slices"
 
 	"gridmutex/internal/mutex"
 )
@@ -56,59 +56,62 @@ func (Token) Kind() string { return "suzuki.token" }
 // refers to.
 func (t Token) Size() int { return 16 + 8*len(t.LN) + 4*len(t.Q) }
 
-// seqVec is a sparse member-indexed sequence vector: the map materializes
-// an entry only for members whose value has ever been set, and the sorted
-// index slice provides deterministic member-index-order iteration — code
-// must range over active, never over the map, so no simulation outcome
-// depends on Go's randomized map order. Both RN and LN start as all-zero
-// vectors of which only ever-requesting members deviate, so a node's
-// footprint is O(requesters it has heard from), not O(N): the token-state
-// memory wall at grid scale (DESIGN.md §14).
+// seqVec is a sparse member-indexed sequence vector: one run of entries,
+// sorted by member index, materialized only for members whose value has
+// ever been set, so ranging over it walks member-index order by
+// construction. Both RN and LN start as all-zero vectors of which only
+// ever-requesting members deviate, so a node's footprint is O(requesters
+// it has heard from), not O(N): the token-state memory wall at grid scale
+// (DESIGN.md §14).
 type seqVec struct {
-	seq    map[int32]int64
-	active []int32 // sorted member indexes with materialized entries
+	e []seqEntry
 }
 
-// get returns the value at member index i (zero when unmaterialized).
-func (v *seqVec) get(i int32) int64 { return v.seq[i] }
-
-// set stores the value at member index i, materializing the entry.
-func (v *seqVec) set(i int32, x int64) {
-	if v.seq == nil {
-		v.seq = make(map[int32]int64, 4)
-	}
-	if _, ok := v.seq[i]; !ok {
-		v.insert(i)
-	}
-	v.seq[i] = x
+// seqEntry is member index i's value x.
+type seqEntry struct {
+	i int32
+	x int64
 }
 
-// insert adds i to the sorted active list (binary search + shift; the
-// list grows once per member that ever requests, never on steady state).
-func (v *seqVec) insert(i int32) {
-	lo, hi := 0, len(v.active)
+// find returns where member index i is, or would be inserted, in e.
+func (v *seqVec) find(i int32) (int, bool) {
+	lo, hi := 0, len(v.e)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if v.active[mid] < i {
+		if v.e[mid].i < i {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	v.active = append(v.active, 0)
-	copy(v.active[lo+1:], v.active[lo:])
-	v.active[lo] = i
+	return lo, lo < len(v.e) && v.e[lo].i == i
+}
+
+// get returns the value at member index i (zero when unmaterialized).
+func (v *seqVec) get(i int32) int64 {
+	if k, ok := v.find(i); ok {
+		return v.e[k].x
+	}
+	return 0
+}
+
+// set stores the value at member index i, materializing the entry (an
+// insert shift, once per member that ever requests since the last reset).
+func (v *seqVec) set(i int32, x int64) {
+	k, ok := v.find(i)
+	if !ok {
+		v.e = slices.Insert(v.e, k, seqEntry{i: i})
+	}
+	v.e[k].x = x
 }
 
 // materialized returns the number of sparse entries (tests assert the
 // bound: never more than the members that ever requested, plus self).
-func (v *seqVec) materialized() int { return len(v.active) }
+func (v *seqVec) materialized() int { return len(v.e) }
 
-// reset drops all entries, returning the vector to all-zero.
-func (v *seqVec) reset() {
-	v.seq = nil
-	v.active = nil
-}
+// reset drops all entries, returning the vector to all-zero; the backing
+// array stays for the next token.
+func (v *seqVec) reset() { v.e = v.e[:0] }
 
 type node struct {
 	cfg   mutex.Config
@@ -162,27 +165,12 @@ func (n *node) Release() {
 	n.ln.set(n.self, n.rn.get(n.self))
 	// Append every node with an outstanding request that is not queued
 	// yet, scanning in member-index order (deliberately arrival-blind).
-	// Only members with a materialized RN or LN entry can satisfy
-	// rn == ln+1 — both are zero for everyone else — so merging the two
-	// sorted active lists visits exactly the candidates, in the same
-	// member order the dense scan used.
-	ra, la := n.rn.active, n.ln.active
-	i, j := 0, 0
-	for i < len(ra) || j < len(la) {
-		var mi int32
-		switch {
-		case j >= len(la) || (i < len(ra) && ra[i] < la[j]):
-			mi = ra[i]
-			i++
-		case i >= len(ra) || la[j] < ra[i]:
-			mi = la[j]
-			j++
-		default:
-			mi = ra[i]
-			i++
-			j++
-		}
-		if m := n.cfg.Members[mi]; n.rn.get(mi) == n.ln.get(mi)+1 && !n.queued(m) {
+	// rn == ln+1 needs rn > 0, since LN holds copies of RN values and is
+	// never negative, so only members with a materialized RN entry are
+	// candidates, and RN's run visits them in the member order the dense
+	// scan used.
+	for _, r := range n.rn.e {
+		if m := n.cfg.Members[r.i]; r.x == n.ln.get(r.i)+1 && !n.queued(m) {
 			n.queue = append(n.queue, m)
 		}
 	}
@@ -209,8 +197,8 @@ func (n *node) sendToken(to mutex.ID) {
 	// identical to what a dense implementation would send: zeros for
 	// members that never requested.
 	ln := make([]int64, len(n.cfg.Members))
-	for _, i := range n.ln.active {
-		ln[i] = n.ln.get(i)
+	for _, e := range n.ln.e {
+		ln[e.i] = e.x
 	}
 	t := Token{
 		LN: ln,
@@ -291,8 +279,8 @@ func (n *node) HasPending() bool {
 	}
 	// rn > ln needs rn > 0, so only members with a materialized RN entry
 	// can have an outstanding request.
-	for _, i := range n.rn.active {
-		if i != n.self && n.rn.get(i) > n.ln.get(i) {
+	for _, r := range n.rn.e {
+		if r.i != n.self && r.x > n.ln.get(r.i) {
 			return true
 		}
 	}

@@ -119,6 +119,81 @@ func TestSparseStateMaterialization(t *testing.T) {
 	}
 }
 
+// TestSeqVecMatchesDense holds the sorted run to a dense reference: random
+// get/set/reset sequences, with inserts at the head, in the middle and at
+// the tail of the run, must read back what a dense []int64 holds, with one
+// entry per member set since the last reset, in member order.
+func TestSeqVecMatchesDense(t *testing.T) {
+	const n = 20
+	rng := rand.New(rand.NewSource(1))
+	var v seqVec
+	dense := make([]int64, n)
+	set := make([]bool, n) // materialized since the last reset
+	var head, middle, tail int
+	for op := 0; op < 20_000; op++ {
+		switch r := rng.Intn(100); {
+		case r < 2:
+			v.reset()
+			clear(dense)
+			clear(set)
+		case r < 50:
+			i := int32(rng.Intn(n))
+			x := rng.Int63n(1000)
+			if !set[i] {
+				switch k, _ := v.find(i); {
+				case k == 0:
+					head++
+				case k == len(v.e):
+					tail++
+				default:
+					middle++
+				}
+			}
+			v.set(i, x)
+			dense[i], set[i] = x, true
+		default:
+			i := int32(rng.Intn(n))
+			if got := v.get(i); got != dense[i] {
+				t.Fatalf("op %d: get(%d) = %d, dense holds %d", op, i, got, dense[i])
+			}
+		}
+		want := 0
+		for _, s := range set {
+			if s {
+				want++
+			}
+		}
+		if v.materialized() != want {
+			t.Fatalf("op %d: %d entries materialized, %d members set", op, v.materialized(), want)
+		}
+		for k, e := range v.e {
+			if k > 0 && v.e[k-1].i >= e.i || e.x != dense[e.i] {
+				t.Fatalf("op %d: entry %d is %+v in run %+v", op, k, e, v.e)
+			}
+		}
+	}
+	if head == 0 || middle == 0 || tail == 0 {
+		t.Fatalf("inserts at head/middle/tail: %d/%d/%d, want each > 0", head, middle, tail)
+	}
+}
+
+// TestSeqVecSteadyStateAllocs: a reset keeps the run's backing array, so a
+// token arrival that re-materializes the coordinators' entries allocates
+// nothing once the run has grown.
+func TestSeqVecSteadyStateAllocs(t *testing.T) {
+	var v seqVec
+	fill := func() {
+		v.reset()
+		for _, i := range []int32{4, 0, 8, 2, 6, 1, 7, 3, 5} {
+			v.set(i, int64(i)+1)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
+		t.Errorf("reset + 9 sets allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestHolderReentryIsFree(t *testing.T) {
 	w := algotest.NewWorld()
 	m := build(t, w, 4, 2)

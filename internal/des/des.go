@@ -28,22 +28,17 @@ type Time = time.Duration
 //     handler, sender and message are stored by value in the slot array,
 //     so a network layer delivering millions of messages never boxes a
 //     per-message closure onto the garbage-collected heap.
+//
+// A payload is written field by field into its slot and read there: it is
+// never passed or returned by value, which the register ABI would spill
+// in 8-byte words and reload in 16-byte ones, a store-forwarding stall at
+// every push, pop and step.
 type payload struct {
 	fn func()
-	// Typed delivery fields (fn == nil). h and msg are interface values:
-	// copying them moves two words each, no allocation.
+	// Typed delivery fields (fn == nil).
 	h    mutex.Handler
 	msg  mutex.Message
 	from mutex.ID
-}
-
-// run executes the payload's variant.
-func (p *payload) run() {
-	if p.fn != nil {
-		p.fn()
-		return
-	}
-	p.h.Deliver(p.from, p.msg)
 }
 
 // eventKey is a queue element: the event's instant and the index of its
@@ -102,9 +97,11 @@ type eventQueue struct {
 	stats   QueueStats
 }
 
-// push stores the payload, written once into its slot and never moved,
-// and appends its key to the bucket its instant selects.
-func (q *eventQueue) push(at Time, p payload) {
+// push reserves a slot for an event at instant at, appends its key to the
+// bucket that instant selects, and returns the slot for the caller to
+// write every field of: the payload is written once, in place, and never
+// moved.
+func (q *eventQueue) push(at Time) *payload {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -113,11 +110,11 @@ func (q *eventQueue) push(at Time, p payload) {
 		slot = int32(len(q.slots))
 		q.slots = append(q.slots, payload{})
 	}
-	q.slots[slot] = p
 	q.place(eventKey{at: at, slot: slot})
 	q.pending++
 	q.stats.Pushes++
 	q.stats.HighWater = max(q.stats.HighWater, q.pending)
+	return &q.slots[slot]
 }
 
 // place appends k to its bucket under the current last.
@@ -128,13 +125,14 @@ func (q *eventQueue) place(k eventKey) {
 }
 
 // pop removes the earliest pending event and returns its instant and
-// payload, provided that instant is <= deadline; otherwise it reports false
-// and leaves the queue, last included, as it was.
-func (q *eventQueue) pop(deadline Time) (Time, payload, bool) {
+// payload slot, provided that instant is <= deadline; otherwise it reports
+// false and leaves the queue, last included, as it was. The slot goes on
+// the free stack before the event runs, so the next push reuses it.
+func (q *eventQueue) pop(deadline Time) (Time, int32, bool) {
 	var k eventKey
 	if q.mask&1 == 0 {
 		if q.mask == 0 {
-			return 0, payload{}, false
+			return 0, 0, false
 		}
 		// The lowest non-empty bucket's minimum becomes last, and the
 		// bucket's keys redistribute below it.
@@ -147,7 +145,7 @@ func (q *eventQueue) pop(deadline Time) (Time, payload, bool) {
 			}
 		}
 		if k.at > deadline {
-			return 0, payload{}, false
+			return 0, 0, false
 		}
 		q.last = k.at
 		q.buckets[b] = keys[:0]
@@ -160,7 +158,7 @@ func (q *eventQueue) pop(deadline Time) (Time, payload, bool) {
 			q.stats.Moves += uint64(len(keys))
 		}
 	} else if q.last > deadline {
-		return 0, payload{}, false
+		return 0, 0, false
 	}
 	if q.mask&1 != 0 { // bucket 0 holds the keys at last, in push order
 		keys := q.buckets[0]
@@ -177,7 +175,7 @@ func (q *eventQueue) pop(deadline Time) (Time, payload, bool) {
 	// mark, so that is the most a queue of any lifetime retains.
 	q.free = append(q.free, k.slot)
 	q.pending--
-	return k.at, q.slots[k.slot], true
+	return k.at, k.slot, true
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
@@ -216,7 +214,10 @@ func (s *Simulator) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
-	s.queue.push(t, payload{fn: fn})
+	// Clearing the delivery fields keeps a reused slot from pinning the
+	// message of the delivery that last ran in it.
+	p := s.queue.push(t)
+	p.fn, p.h, p.msg = fn, nil, nil
 }
 
 // After schedules fn to run d after the current virtual time. A negative d
@@ -237,7 +238,8 @@ func (s *Simulator) AtDeliver(t Time, h mutex.Handler, from mutex.ID, m mutex.Me
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling into the past (now=%v, at=%v)", s.now, t))
 	}
-	s.queue.push(t, payload{h: h, from: from, msg: m})
+	p := s.queue.push(t)
+	p.fn, p.h, p.from, p.msg = nil, h, from, m
 }
 
 // Step executes the earliest pending event, advancing the clock to its
@@ -246,13 +248,22 @@ func (s *Simulator) Step() bool { return s.step(math.MaxInt64) }
 
 // step executes the earliest pending event if its instant is <= deadline.
 func (s *Simulator) step(deadline Time) bool {
-	at, p, ok := s.queue.pop(deadline)
+	at, slot, ok := s.queue.pop(deadline)
 	if !ok {
 		return false
 	}
 	s.now = at
 	s.processed++
-	p.run()
+	// The slot is already free and the event's first push takes it over
+	// (and may grow the slot array), so every field is loaded before the
+	// call.
+	p := &s.queue.slots[slot]
+	if fn := p.fn; fn != nil {
+		fn()
+		return true
+	}
+	h, from, msg := p.h, p.from, p.msg
+	h.Deliver(from, msg)
 	return true
 }
 

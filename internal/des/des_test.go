@@ -644,6 +644,74 @@ func TestBucketsStayInPushOrder(t *testing.T) {
 	}
 }
 
+// TestHandlerSchedulesIntoItsOwnSlot pins what dispatching from the slot
+// needs: the popped slot is already free, so a delivery handler's first
+// push takes it over, and scheduling more events than the slot array holds
+// reallocates it under the running handler. The handler must still see its
+// own sender and message, the events it schedules must fire with theirs in
+// (at, push) order, and the closure written into the slot the delivery
+// used must run as a closure, not as that delivery again.
+func TestHandlerSchedulesIntoItsOwnSlot(t *testing.T) {
+	s := New()
+	// An event as it fires: its id, sender (-1 for a closure) and instant.
+	type ev struct {
+		id   int
+		from mutex.ID
+		at   Time
+	}
+	var got, want []ev
+	grew := false
+	var h fireHandler
+	h = func(from mutex.ID, m mutex.Message) {
+		got = append(got, ev{m.(testMsg).n, from, s.Now()})
+		if len(got) > 1 {
+			return
+		}
+		slot := s.queue.free[len(s.queue.free)-1] // the one being dispatched
+		c := cap(s.queue.slots)
+		for id := 1; id <= c+1; id++ {
+			at := s.Now() + Time(id%3)*time.Millisecond
+			if id%2 == 1 {
+				s.At(at, func() { got = append(got, ev{id, -1, s.Now()}) })
+				want = append(want, ev{id, -1, at})
+			} else {
+				s.AtDeliver(at, h, mutex.ID(100+id), testMsg{id})
+				want = append(want, ev{id, mutex.ID(100 + id), at})
+			}
+			if id == 1 && s.queue.slots[slot].fn == nil {
+				t.Fatal("the handler's first push did not take over the slot it was dispatched from")
+			}
+		}
+		grew = cap(s.queue.slots) > c
+	}
+	for j := 0; j < 3; j++ { // give the slot array some idle capacity
+		s.After(0, func() {})
+	}
+	s.Run()
+	s.AtDeliver(time.Millisecond, h, 7, testMsg{0})
+	s.Run()
+
+	if !grew {
+		t.Fatal("the handler's pushes did not reallocate the slot array")
+	}
+	// want is in push order: a stable sort by instant is the firing order.
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	want = append([]ev{{0, 7, time.Millisecond}}, want...)
+	if len(got) != len(want) {
+		t.Fatalf("fired %+v, want %+v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("event %d fired as %+v, want %+v (all: %+v)", k, got[k], want[k], got)
+		}
+	}
+}
+
+// fireHandler is a Handler made of a function.
+type fireHandler func(mutex.ID, mutex.Message)
+
+func (f fireHandler) Deliver(from mutex.ID, m mutex.Message) { f(from, m) }
+
 // TestSameInstantFIFOAcrossTiers: an event pushed for instant T an hour
 // ahead and, a nanosecond before T, two more pushed for the same T fire in
 // push order — the three meet in one bucket, in the order they were pushed.

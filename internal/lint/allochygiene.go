@@ -22,7 +22,7 @@ import (
 //     positions (the Message-in-Envelope trap PR 5 eliminated).
 //
 // Roots are the named hot-path functions of des, simnet and core —
-// Send/send, Deliver/AtDeliver, Step, push/pop, run, note — and
+// Send/send, Deliver/AtDeliver, Step, push/pop, note — and
 // reachability is confined to those three packages: a call that leaves
 // the hot core (into stats, trace, check) is by construction on a slow
 // or setup path.
@@ -53,8 +53,8 @@ var hotPackages = anyUnder(
 
 // hotRootNames are the hot-path functions by name. Send/Deliver are the
 // public event surface; AtDeliver is the typed delivery hook; Step,
-// push, pop drive the event heap; run executes one event; note feeds
-// the per-kind counters on every send.
+// push, pop drive the event queue; note feeds the per-kind counters on
+// every send.
 var hotRootNames = map[string]bool{
 	"Send":      true,
 	"send":      true,
@@ -63,7 +63,6 @@ var hotRootNames = map[string]bool{
 	"Step":      true,
 	"push":      true,
 	"pop":       true,
-	"run":       true,
 	"note":      true,
 }
 
