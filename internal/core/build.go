@@ -40,22 +40,21 @@ type Deployment struct {
 	Coordinators []*Coordinator
 	// Procs holds the process dispatchers, indexed densely by process ID
 	// (builders assign IDs 0..N-1 to topology nodes and the next integers
-	// to intermediate coordinators). A slice instead of a map keeps the
-	// per-process bookkeeping at 8 bytes and one cache-friendly indexed
-	// load — at grid scale (10⁵+ processes) the map's buckets and per-entry
-	// overhead were a measurable slice of the deployment's footprint.
+	// to intermediate coordinators): 8 bytes per process where a map's
+	// buckets were a measurable slice of the footprint at grid scale.
 	Procs []*Process
-	// arena backs the Process values contiguously: one slab allocation
-	// sized up front instead of N separate heap objects (structure-of-
-	// arrays bookkeeping, DESIGN.md §14). Pointers into the arena are
-	// stable because the slab never grows past its initial capacity: the
-	// builders reserve the exact process count, and running out is a
-	// wiring bug newProcess panics on.
+	// arena backs the Process values contiguously: one slab sized up front
+	// instead of N heap objects (DESIGN.md §14). Pointers into it are
+	// stable because the builders reserve the exact process count, and
+	// running out is a wiring bug newProcess panics on.
 	arena []Process
+	// boxes is the envelope freelist all its processes share, an object of
+	// its own so that they do not keep the Deployment alive.
+	boxes *[]*pooledEnvelope
 }
 
 // reserve sizes the arena for n processes; must run before newProcess.
-func (d *Deployment) reserve(n int) { d.arena = make([]Process, 0, n) }
+func (d *Deployment) reserve(n int) { d.arena, d.boxes = make([]Process, 0, n), new([]*pooledEnvelope) }
 
 // newProcess carves a process out of the arena and records it in the dense
 // Procs table. An exhausted arena panics: the builder reserved fewer
@@ -66,7 +65,7 @@ func (d *Deployment) newProcess(id mutex.ID, raw mutex.Env) *Process {
 	}
 	d.arena = d.arena[:len(d.arena)+1]
 	p := &d.arena[len(d.arena)-1]
-	p.init(id, raw)
+	p.init(id, raw, d.boxes)
 	for int(id) >= len(d.Procs) {
 		d.Procs = append(d.Procs, nil)
 	}

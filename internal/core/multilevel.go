@@ -80,7 +80,7 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 	}
 
 	// Level 0: one unit per cluster, exactly as in the two-level build.
-	var units []*bridge
+	var units, bridges []*bridge
 	for c := 0; c < grid.NumClusters(); c++ {
 		if grid.ClusterSize(c) < 2 {
 			return nil, fmt.Errorf("core: cluster %d has %d nodes; need a coordinator plus at least one application process", c, grid.ClusterSize(c))
@@ -117,7 +117,7 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 			}
 		}
 		units = append(units, br)
-		d.Coordinators = append(d.Coordinators, br.coord)
+		bridges = append(bridges, br)
 	}
 
 	// Intermediate levels: group children, add a fresh bridge per group.
@@ -166,7 +166,7 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 			parent.intra = inst
 
 			parents = append(parents, parent)
-			d.Coordinators = append(d.Coordinators, parent.coord)
+			bridges = append(bridges, parent)
 		}
 		units = parents
 	}
@@ -195,24 +195,12 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 	// boot itself is posted to the coordinator's serial context: on live
 	// fabrics a permission-based boot broadcasts, and another
 	// coordinator's broadcast may already be in this process's mailbox.
-	for _, c := range d.Coordinators {
+	for _, b := range bridges {
+		d.Coordinators = append(d.Coordinators, b.coord)
 		for _, opt := range coordOpts {
-			opt(c)
+			opt(b.coord)
 		}
-		// Find the bridge record: every coordinator was stored with
-		// its instances at creation; reconstruct from the process.
-		proc := d.Procs[c.ID()]
-		var intra, inter mutex.Instance
-		for lvl := 0; lvl < len(factories); lvl++ {
-			if inst := proc.Instance(Level(lvl)); inst != nil {
-				if intra == nil {
-					intra = inst
-				} else {
-					inter = inst
-				}
-			}
-		}
-		proc.Env(0).Local(func() { c.Start(intra, inter) })
+		b.proc.Local(func() { b.coord.Start(b.intra, b.inter) })
 	}
 	return d, nil
 }

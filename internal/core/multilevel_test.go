@@ -78,6 +78,33 @@ func TestFourLevelHierarchy(t *testing.T) {
 	}
 }
 
+// TestFiveLevelHierarchy: 16 clusters -> 8 -> 4 -> 2 -> top, the depth of
+// the grid-scale sweep at N = 10⁵. Every process hosts one or two levels,
+// and the region coordinators, which host no level 0, still boot.
+func TestFiveLevelHierarchy(t *testing.T) {
+	grid := topology.Uniform(16, 3, time.Millisecond, 16*time.Millisecond)
+	params := workload.Params{
+		Alpha: 3 * time.Millisecond, Rho: 40, Dist: workload.Exponential,
+		CSPerProcess: 3, Seed: 37,
+	}
+	_, d := runMultiLevel(t, grid, []string{"naimi", "naimi", "naimi", "naimi", "naimi"}, []int{2, 2, 2}, params)
+	// 16 + 8 + 4 + 2 coordinators.
+	if len(d.Coordinators) != 30 {
+		t.Fatalf("%d coordinators, want 30", len(d.Coordinators))
+	}
+	for id, p := range d.Procs {
+		hosted := 0
+		for lvl := core.Level(0); lvl < 5; lvl++ {
+			if p.Instance(lvl) != nil {
+				hosted++
+			}
+		}
+		if hosted < 1 || hosted > 2 {
+			t.Errorf("process %d hosts %d levels, want 1 or 2", id, hosted)
+		}
+	}
+}
+
 // TestUnevenGroups: group size that does not divide the cluster count.
 func TestUnevenGroups(t *testing.T) {
 	grid := topology.Uniform(5, 3, time.Millisecond, 16*time.Millisecond)

@@ -35,13 +35,12 @@ func (e Envelope) Kind() string { return e.Inner.Kind() }
 func (e Envelope) Size() int { return e.Inner.Size() + 1 }
 
 // pooledEnvelope is an Envelope in a recycled heap box. Sending an
-// Envelope by value boxes it into the mutex.Message interface — one
-// heap allocation per message, which on the simulator hot path was the
-// single largest allocation site. Boxes cycle through a per-process
-// freelist instead: Send fills one, Deliver empties it and puts it back
-// (into the *receiving* process's list, which is where the next send
-// from that process finds it — the box population migrates but stays
-// bounded by the in-flight high-water mark).
+// Envelope by value boxes it into the mutex.Message interface — one heap
+// allocation per message, once the simulator's largest allocation site.
+// Boxes cycle through a LIFO freelist instead: Send pops one, Deliver
+// empties it and pushes it back. The processes of a Deployment share one
+// list, so a send reuses the box the latest delivery freed, still in
+// cache; NewProcess gives a process its own.
 //
 // Recycling is only sound when the transport delivers each sent message
 // at most once and retains no reference afterwards, so it is gated on
@@ -53,89 +52,113 @@ type pooledEnvelope struct {
 }
 
 // deliversOnce is the capability a raw endpoint implements to opt in to
-// envelope recycling: every message passed to Send is delivered to the
-// registered handler at most once, and no reference to it survives the
-// delivery (drops are fine — an unreturned box is simply collected).
-// Implementers are driven by a single-goroutine event loop (the DES),
-// which is what lets the freelist skip all synchronization.
+// envelope recycling: every message passed to Send is delivered at most
+// once and no reference to it survives the delivery (an undelivered box
+// is simply collected). Implementers run a single-goroutine event loop
+// (the DES), which lets the freelist skip all synchronization.
 type deliversOnce interface {
 	DeliversOnce()
 }
 
 // Process hosts the algorithm instances of one grid process and routes
-// incoming envelopes to the right one. It implements the mutex.Handler
-// contract.
+// incoming envelopes to the right one (the mutex.Handler contract). It
+// takes part in at most two hierarchy levels (its unit's and, for a
+// coordinator, the one above), so its instances live in two inline slots,
+// each with its level and the Env its instance sends through; a third
+// level panics. Deliver and Send read only the first cache line.
 //
 // Attach and Deliver may run on different goroutines on live transports
-// (the builder attaches while a socket reader is already live, and a
-// permission-based algorithm broadcasts during coordinator boot), so the
-// instance table is a copy-on-write slice indexed by level: Attach
-// publishes a fresh copy under the mutex, Deliver loads it with a single
-// atomic read — no lock on the per-message path. The instances
-// themselves are still only ever entered from their process's serial
-// context.
+// (a socket reader is live while the builder attaches), so an attached
+// slot is published by its bit in an atomic mask, set under mu after the
+// instance is written: Deliver reads published slots only, with one
+// atomic load. Instances are only ever entered from the serial context.
 type Process struct {
-	id     mutex.ID
-	raw    mutex.Env
-	pooled bool              // raw advertises deliversOnce: envelope boxes recycle
-	boxes  []*pooledEnvelope // freelist; only touched when pooled (single goroutine)
+	id    mutex.ID
+	mask  atomic.Uint32 // bit i: slots[i] holds an attached instance
+	raw   mutex.Env
+	boxes *[]*pooledEnvelope // envelope freelist; nil unless raw advertises deliversOnce
+	slots [2]slot
 
-	mu       sync.Mutex // serializes Attach
-	attached []bool     // guarded by mu; occupancy, since nil instances may attach
-	inst     atomic.Pointer[[]mutex.Instance]
+	mu sync.Mutex // serializes Env and Attach, which claim slots
+	_  [24]byte   // two whole cache lines: arena entries stay line-aligned
+}
+
+// slot is one hosted level: its Env (p nil while unclaimed) carries the
+// level, and its instance is valid once the slot's mask bit is set.
+type slot struct {
+	inst mutex.Instance
+	env  levelEnv
 }
 
 // NewProcess creates a process with the given raw network endpoint.
 func NewProcess(id mutex.ID, raw mutex.Env) *Process {
 	p := new(Process)
-	p.init(id, raw)
+	p.init(id, raw, new([]*pooledEnvelope))
 	return p
 }
 
 // init readies a zero Process in place; Deployment carves processes out of
 // a contiguous arena instead of heap-allocating each one.
-func (p *Process) init(id mutex.ID, raw mutex.Env) {
-	_, once := raw.(deliversOnce)
-	p.id, p.raw, p.pooled = id, raw, once
-	p.inst.Store(new([]mutex.Instance))
+func (p *Process) init(id mutex.ID, raw mutex.Env, boxes *[]*pooledEnvelope) {
+	p.id, p.raw = id, raw
+	if _, once := raw.(deliversOnce); once {
+		p.boxes = boxes
+	}
 }
 
 // ID returns the process identifier.
 func (p *Process) ID() mutex.ID { return p.id }
 
+// slotFor returns the slot serving level, claiming the first free one on
+// first use. The caller holds mu.
+func (p *Process) slotFor(level Level) int {
+	for i := range p.slots {
+		if s := &p.slots[i]; s.env.p == nil {
+			s.env = levelEnv{p: p, level: level}
+		}
+		if p.slots[i].env.level == level {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("core: process %d hosts levels %d and %d and cannot host level %d too",
+		p.id, p.slots[0].env.level, p.slots[1].env.level, level))
+}
+
 // Attach registers the instance serving the given level.
 func (p *Process) Attach(level Level, inst mutex.Instance) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if int(level) < len(p.attached) && p.attached[level] {
+	i := p.slotFor(level)
+	mask := p.mask.Load()
+	if mask&(1<<i) != 0 {
 		panic(fmt.Sprintf("core: process %d already has an instance at level %d", p.id, level))
 	}
-	old := *p.inst.Load()
-	n := max(len(old), int(level)+1)
-	next := make([]mutex.Instance, n)
-	copy(next, old)
-	next[level] = inst
-	for len(p.attached) < n {
-		p.attached = append(p.attached, false)
-	}
-	p.attached[level] = true
-	p.inst.Store(&next)
+	p.slots[i].inst = inst
+	p.mask.Store(mask | 1<<i)
 }
 
 // Instance returns the instance at the level, or nil.
 func (p *Process) Instance(level Level) mutex.Instance {
-	tbl := *p.inst.Load()
-	if int(level) >= len(tbl) {
-		return nil
+	mask := p.mask.Load()
+	for i := range p.slots {
+		if mask&(1<<i) != 0 && p.slots[i].env.level == level {
+			return p.slots[i].inst
+		}
 	}
-	return tbl[level]
+	return nil
 }
 
 // Env returns the mutex.Env an instance at the given level must be
 // constructed with: sends are wrapped in envelopes carrying the level.
+// It claims the level's slot.
 func (p *Process) Env(level Level) mutex.Env {
-	return &levelEnv{p: p, level: level}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return &p.slots[p.slotFor(level)].env
 }
+
+// Local runs f on the process's serial context without claiming a slot.
+func (p *Process) Local(f func()) { p.raw.Local(f) }
 
 // Deliver routes an incoming envelope to the instance at its level. A
 // pooled box is copied out and returned to the pool before the instance
@@ -148,15 +171,15 @@ func (p *Process) Deliver(from mutex.ID, m mutex.Message) {
 	case *pooledEnvelope:
 		env = v.Envelope
 		v.Inner = nil
-		p.boxes = append(p.boxes, v)
+		*p.boxes = append(*p.boxes, v)
 	default:
 		panic(fmt.Sprintf("core: process %d received bare message %T", p.id, m))
 	}
-	tbl := *p.inst.Load()
-	if int(env.Level) >= len(tbl) || tbl[env.Level] == nil {
+	inst := p.Instance(env.Level)
+	if inst == nil {
 		panic(fmt.Sprintf("core: process %d has no instance at level %d for %s", p.id, env.Level, env.Inner.Kind()))
 	}
-	tbl[env.Level].Deliver(from, env.Inner)
+	inst.Deliver(from, env.Inner)
 }
 
 type levelEnv struct {
@@ -165,22 +188,22 @@ type levelEnv struct {
 }
 
 func (e *levelEnv) Send(to mutex.ID, m mutex.Message) {
-	if e.p.pooled {
+	p := e.p
+	if boxes := p.boxes; boxes != nil {
 		var pe *pooledEnvelope
-		if n := len(e.p.boxes); n > 0 {
-			pe = e.p.boxes[n-1]
-			e.p.boxes = e.p.boxes[:n-1]
+		if n := len(*boxes); n > 0 {
+			pe = (*boxes)[n-1]
+			*boxes = (*boxes)[:n-1]
 		} else {
 			//lint:allow allochygiene freelist growth: allocates only until the box population reaches the in-flight high-water mark, then steady state pops recycled boxes
 			pe = new(pooledEnvelope)
 		}
-		pe.Level = e.level
-		pe.Inner = m
-		e.p.raw.Send(to, pe)
+		pe.Level, pe.Inner = e.level, m
+		p.raw.Send(to, pe)
 		return
 	}
 	//lint:allow allochygiene boxing fallback for transports without deliversOnce (duplicating fabrics, serializing wires); the pooled branch above keeps the DES hot path allocation-free
-	e.p.raw.Send(to, Envelope{Level: e.level, Inner: m})
+	p.raw.Send(to, Envelope{Level: e.level, Inner: m})
 }
 
 func (e *levelEnv) Local(f func()) { e.p.raw.Local(f) }

@@ -10,15 +10,15 @@
 // process handler.
 //
 // The send→deliver path is the innermost loop of every experiment, so the
-// package keeps it allocation-free and map-free: routing state lives in
-// dense slices indexed by process ID and deliveries are scheduled as typed
-// des events rather than per-message closures (DESIGN.md §10). Latency has
-// one path at every grid size: the paper gives it as a cluster-to-cluster
-// RTT matrix, so send looks up both processes' clusters in an O(N) index
-// and asks the grid for RTT(ca, cb)/2. Only the FIFO watermark has two
-// stores, each kept because a benchmark workload measurably needs it — a
-// process×process table on small grids, per-sender in-flight lists above
-// fifoTableLimit (see Network.lastAt and DESIGN.md §14).
+// package keeps it allocation-free and map-free and reads about one cache
+// line per process on each side: a process's one record (proc) is its
+// mutex.Env and the handler of the typed des events that deliver to it
+// (DESIGN.md §10). Latency has one path at every grid size: the paper gives
+// it as a cluster-to-cluster RTT matrix, so send reads the receiver's
+// cluster from an O(N) index and asks the grid for RTT(ca, cb)/2. Only the
+// FIFO watermark has two stores, each kept because a benchmark workload
+// measurably needs it — a process×process table on small grids, per-sender
+// in-flight lists above fifoTableLimit (see Network.lastAt and DESIGN.md §14).
 package simnet
 
 import (
@@ -72,37 +72,30 @@ type Network struct {
 	opts Options
 	rng  *rand.Rand // jitter/loss stream
 
-	// Dense per-process routing state, indexed by mutex.ID. The tables
-	// grow on demand because hierarchical deployments register
-	// coordinator processes with IDs beyond the topology's node count.
-	handlers []Handler // nil entry = unregistered
-	nodeOf   []int32   // logical process -> physical node; -1 = unregistered
-	clOf     []int32   // logical process -> its node's cluster; -1 = unregistered
-	sinks    []*sink   // per-process delivery interposers (typed des events)
+	// The records, by mutex.ID. A record's address is its process's Env and
+	// the handler of its delivery events, so records never move: base holds
+	// the topology's nodes exactly, more the coordinators registered past them.
+	base []proc
+	more []*proc
+	clOf []int32 // process -> its node's cluster; -1 = unregistered
 	// FIFO watermarks: the latest delivery instant scheduled on each
 	// ordered link, in one of two stores chosen once in New (listFIFO).
 	//
 	// lastAt, on grids of at most fifoTableLimit nodes, is the flat table
-	// lastAt[from*len(handlers)+to], -1 while the link has carried nothing:
-	// one load and one store per send however many links the sender has in
-	// flight. It is what keeps heartbeat fan-out (recovery-6x8) and flat
-	// Suzuki-Kasami's N-way broadcasts (fig4a-paper, scale) O(1) per send.
+	// lastAt[from*len(clOf)+to], -1 while the link has carried nothing:
+	// one load and one store per send however wide the sender's fan-out —
+	// what keeps heartbeat fan-out (recovery-6x8) and flat Suzuki-Kasami's
+	// N-way broadcasts (fig4a-paper, scale) O(1) per send.
 	//
-	// lastTo, above the limit, holds per sender only the watermarks of links
-	// with a message still in flight, so memory is O(messages in flight)
-	// where the table would be O(processes²) — the store gridscale-1e5 can
-	// afford. Dropping a watermark once it lies in the past is exact: send
-	// bumps a new instant at' only when at' <= last, and at' >= Now(), so an
-	// entry with last < Now() can never fire again. An entry with
-	// last == Now() can (a zero-latency link sends and lands in the same
-	// instant) and is kept. send scans the sender's list linearly and prunes
-	// it in the same pass, so a send costs O(the sender's in-flight links)
-	// and a k-way broadcast O(k²).
+	// Above the limit, a sender's record keeps only the watermarks of its
+	// links with a message in flight (proc.fl): O(messages in flight) where
+	// the table would be O(processes²). Dropping a watermark below Now() is
+	// exact, since send only bumps an instant at' >= Now() past it; one equal
+	// to Now() (a zero-latency link) is kept. Send scans and prunes the list
+	// in one pass: O(in-flight links) per send, O(k²) per k-way broadcast.
 	listFIFO bool
 	lastAt   []des.Time
-	lastTo   [][]flight
 
-	nodes   int
 	jittery bool // opts.Jitter > 0
 	lossy   bool // opts.Loss > 0
 
@@ -122,6 +115,18 @@ type Network struct {
 	// per delivery. side[node] is 1 on the cut-off side, 0 on the rest.
 	side    []uint8
 	anyPart bool
+}
+
+// proc is the one record a network keeps per process, no larger than a
+// cache line (TestProcFitsCacheLine): a send reads the sender's record and
+// the receiver's cluster, a delivery the receiver's record.
+type proc struct {
+	net  *Network
+	h    Handler  // nil until registered
+	fl   []flight // list FIFO only: watermarks of this sender's links in flight
+	id   mutex.ID
+	node int32 // physical node
+	cl   int32 // the node's cluster
 }
 
 // flight is one in-flight FIFO watermark of a list-FIFO network: the latest
@@ -144,7 +149,7 @@ type gridModel interface {
 // fifoTableLimit is FIFO memory policy and nothing else: grids of at most
 // this many nodes keep the process×process lastAt table (8 bytes per
 // ordered pair, 2 MB at the limit, every committed figure far below it),
-// larger grids the in-flight lastTo lists. Latency and classification do
+// larger grids the in-flight lists. Latency and classification do
 // not depend on it. A var only so that tests can lower it and run the same
 // traffic through both stores.
 var fifoTableLimit = 512
@@ -164,36 +169,42 @@ func New(sim *des.Simulator, grid gridModel, opts Options) *Network {
 		opts:     opts,
 		rng:      rng.New(opts.Seed),
 		listFIFO: nodes > fifoTableLimit,
-		nodes:    nodes,
 		jittery:  opts.Jitter > 0,
 		lossy:    opts.Loss > 0,
 	}
 	if opts.KindCounts {
 		n.counters.ByKind = make(map[string]int64)
 	}
+	n.base = make([]proc, nodes)
 	n.growProcs(nodes)
 	return n
 }
 
-// growProcs widens the per-process tables to hold at least size IDs,
-// re-striding the FIFO watermark table or extending the per-sender
-// in-flight lists. Registration happens during deployment wiring, so the
-// rebuild never runs on the message hot path.
+// rec returns the record of id, which growProcs must have made.
+func (n *Network) rec(id mutex.ID) *proc {
+	if int(id) < len(n.base) {
+		return &n.base[id]
+	}
+	return n.more[int(id)-len(n.base)]
+}
+
+// growProcs makes records for at least size IDs, never moving one, and
+// re-strides the FIFO watermark table. Endpoints and registrations are made
+// during deployment wiring, so this never runs on the message hot path.
 func (n *Network) growProcs(size int) {
-	old := len(n.handlers)
+	old := len(n.clOf)
 	if size <= old {
 		return
 	}
-	n.handlers = append(n.handlers, make([]Handler, size-old)...)
-	n.sinks = append(n.sinks, make([]*sink, size-old)...)
-	for i := old; i < size; i++ {
-		n.nodeOf = append(n.nodeOf, -1)
+	for id := mutex.ID(old); int(id) < size; id++ {
+		if int(id) < len(n.base) {
+			n.base[id] = proc{net: n, id: id}
+		} else {
+			n.more = append(n.more, &proc{net: n, id: id})
+		}
 		n.clOf = append(n.clOf, -1)
 	}
 	if n.listFIFO {
-		// Nil lists: a sender's list grows on its first sends, to the
-		// number of links it keeps in flight at once.
-		n.lastTo = append(n.lastTo, make([][]flight, size-old)...)
 		return
 	}
 	last := make([]des.Time, size*size)
@@ -219,29 +230,27 @@ func (n *Network) Register(id mutex.ID, h Handler) {
 // cluster coordinator); latency and intra/inter classification follow the
 // physical node.
 func (n *Network) RegisterAt(id mutex.ID, node int, h Handler) {
-	if node < 0 || node >= n.nodes {
-		panic(fmt.Sprintf("simnet: node %d outside topology of %d nodes", node, n.nodes))
-	}
+	n.checkNode(node)
 	if id < 0 {
 		panic(fmt.Sprintf("simnet: negative process id %d", id))
 	}
-	if int(id) < len(n.handlers) && n.handlers[id] != nil {
+	if int(id) < len(n.clOf) && n.clOf[id] >= 0 {
 		panic(fmt.Sprintf("simnet: process %d registered twice", id))
 	}
 	if h == nil {
 		panic("simnet: nil handler")
 	}
 	n.growProcs(int(id) + 1)
-	n.handlers[id] = h
-	n.nodeOf[id] = int32(node)
-	n.clOf[id] = int32(n.grid.ClusterOf(node))
-	n.sinks[id] = &sink{net: n, to: id, toNode: int32(node)}
+	r := n.rec(id)
+	r.h, r.node, r.cl = h, int32(node), int32(n.grid.ClusterOf(node))
+	n.clOf[id] = r.cl
 }
 
-// Endpoint returns the mutex.Env bound to process id. The process must be
-// Registered before any message addressed to it arrives.
+// Endpoint returns the mutex.Env bound to process id (>= 0), its record.
+// The process must be Registered before it sends or a message reaches it.
 func (n *Network) Endpoint(id mutex.ID) mutex.Env {
-	return &endpoint{net: n, self: id}
+	n.growProcs(int(id) + 1)
+	return n.rec(id)
 }
 
 // Counters returns a snapshot of the message accounting so far; ByKind is
@@ -280,7 +289,7 @@ func (n *Network) flushKinds() {
 func (n *Network) Crash(node int) {
 	n.checkNode(node)
 	if n.down == nil {
-		n.down = make([]bool, n.nodes)
+		n.down = make([]bool, len(n.base))
 	}
 	n.down[node] = true
 	n.anyDown = true
@@ -314,10 +323,10 @@ func (n *Network) Down(node int) bool {
 // is currently crashed. Unregistered processes panic: asking about them is
 // a wiring bug.
 func (n *Network) ProcessDown(id mutex.ID) bool {
-	if id < 0 || int(id) >= len(n.nodeOf) || n.nodeOf[id] < 0 {
+	if id < 0 || int(id) >= len(n.clOf) || n.clOf[id] < 0 {
 		panic(fmt.Sprintf("simnet: ProcessDown for unregistered process %d", id))
 	}
-	return n.anyDown && n.down[n.nodeOf[id]]
+	return n.anyDown && n.down[n.rec(id).node]
 }
 
 // Partition cuts the network into two sides: the given node set and the
@@ -343,7 +352,7 @@ func (n *Network) Partition(nodes []int) {
 		n.checkNode(node) // all of them before the previous cut is touched
 	}
 	if n.side == nil {
-		n.side = make([]uint8, n.nodes)
+		n.side = make([]uint8, len(n.base))
 	}
 	for i := range n.side {
 		n.side[i] = 0
@@ -370,38 +379,38 @@ func (n *Network) Partitioned(a, b int) bool {
 }
 
 func (n *Network) checkNode(node int) {
-	if node < 0 || node >= n.nodes {
-		panic(fmt.Sprintf("simnet: node %d outside topology of %d nodes", node, n.nodes))
+	if node < 0 || node >= len(n.base) {
+		panic(fmt.Sprintf("simnet: node %d outside topology of %d nodes", node, len(n.base)))
 	}
 }
 
-// send implements transmission with latency, jitter, FIFO per ordered link
-// and accounting. The steady-state path allocates nothing: every lookup is
-// an indexed load on a dense slice or the grid's RTT, and the delivery is a
-// typed des event.
-func (n *Network) send(from, to mutex.ID, m mutex.Message) {
+// Send implements transmission with latency, jitter, FIFO per ordered link
+// and accounting. The steady-state path allocates nothing: it reads the
+// sender's record, the receiver's cluster and the grid's RTT, and the
+// delivery is a typed des event.
+func (r *proc) Send(to mutex.ID, m mutex.Message) {
+	n := r.net
 	if m == nil {
 		panic("simnet: nil message")
 	}
-	procs := len(n.handlers)
-	if to < 0 || int(to) >= procs || n.handlers[to] == nil {
-		panic(fmt.Sprintf("simnet: message %s from %d to unregistered process %d", m.Kind(), from, to))
+	if to < 0 || int(to) >= len(n.clOf) || n.clOf[to] < 0 {
+		panic(fmt.Sprintf("simnet: message %s from %d to unregistered process %d", m.Kind(), r.id, to))
 	}
-	if from < 0 || int(from) >= procs || n.clOf[from] < 0 {
-		panic(fmt.Sprintf("simnet: message %s sent by unregistered process %d", m.Kind(), from))
+	if r.h == nil {
+		panic(fmt.Sprintf("simnet: message %s sent by unregistered process %d", m.Kind(), r.id))
 	}
 	// Fail-stop fault model: a dead sender emits nothing (its still-queued
 	// timers may fire, but nothing leaves the node). anyDown is false until
 	// the first Crash, so fault-free runs are byte-identical to builds
 	// without the fault model. There is deliberately no dead-*destination*
 	// check here: whether a message is lost depends on the receiver's
-	// state when it arrives, not when it leaves — sink.Deliver classifies.
-	if n.anyDown && n.down[n.nodeOf[from]] {
+	// state when it arrives, not when it leaves — Deliver classifies.
+	if n.anyDown && n.down[r.node] {
 		return
 	}
 	// The paper's latency model, evaluated directly: half the round trip
 	// between the two processes' clusters.
-	ca, cb := n.clOf[from], n.clOf[to]
+	ca, cb := r.cl, n.clOf[to]
 	delay := n.grid.RTT(int(ca), int(cb)) / 2
 	n.counters.note(m, ca == cb)
 	if n.opts.KindCounts {
@@ -412,7 +421,7 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 		n.runLen++
 	}
 	if t := n.opts.Trace; t != nil {
-		t.Record(trace.Send, from, to, m.Kind())
+		t.Record(trace.Send, r.id, to, m.Kind())
 	}
 	if n.lossy && n.rng.Float64() < n.opts.Loss {
 		n.counters.Dropped++
@@ -426,9 +435,9 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	// FIFO per ordered pair: never deliver before an earlier message on
 	// the same link. Table watermarks are -1 on untouched links, below
 	// any schedulable instant; the lists keep an entry only while it can
-	// still bump (see lastTo) — both stores bump identically.
+	// still bump (see Network.lastAt) — both stores bump identically.
 	if n.listFIFO {
-		fl, w, hit := n.lastTo[from], 0, false
+		fl, w, hit := r.fl, 0, false
 		for _, f := range fl {
 			switch {
 			case f.to == to:
@@ -448,68 +457,49 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 			// the backing array: steady-state sends allocate nothing.
 			fl = append(fl, flight{to, at})
 		}
-		n.lastTo[from] = fl
+		r.fl = fl
 	} else {
-		link := int(from)*procs + int(to)
+		link := int(r.id)*len(n.clOf) + int(to)
 		if last := n.lastAt[link]; at <= last {
 			at = last + time.Nanosecond
 		}
 		n.lastAt[link] = at
 	}
-	n.sim.AtDeliver(at, n.sinks[to], from, m)
+	n.sim.AtDeliver(at, n.rec(to), r.id, m)
 }
 
-// sink is the per-destination delivery interposer: it is the handler typed
-// des delivery events dispatch to, and applies the checks that must happen
-// at delivery time (the receiver may have crashed while the message was in
-// flight) plus tracing, before handing the message to the registered
-// process handler. One sink exists per process, so scheduling a delivery
-// stores a pre-existing interface value — no per-message state.
-type sink struct {
-	net    *Network
-	to     mutex.ID
-	toNode int32
-}
-
-// Deliver implements mutex.Handler for the delivery event.
-func (s *sink) Deliver(from mutex.ID, m mutex.Message) {
-	n := s.net
-	if n.anyDown && n.down[s.toNode] {
+// Deliver is the delivery event's handler: it applies the checks that must
+// happen at delivery time (the receiver may have crashed meanwhile) and
+// tracing, then hands the message to the registered process handler.
+func (r *proc) Deliver(from mutex.ID, m mutex.Message) {
+	n := r.net
+	if n.anyDown && n.down[r.node] {
 		n.counters.DroppedDead++
 		return
 	}
-	if n.anyPart && n.side[s.toNode] != n.side[n.nodeOf[from]] {
+	if n.anyPart && n.side[r.node] != n.side[n.rec(from).node] {
 		n.counters.DroppedPartition++
 		return
 	}
 	if t := n.opts.Trace; t != nil {
-		t.Record(trace.Deliver, from, s.to, m.Kind())
+		t.Record(trace.Deliver, from, r.id, m.Kind())
 	}
-	n.handlers[s.to].Deliver(from, m)
+	r.h.Deliver(from, m)
 }
-
-// endpoint is the per-process mutex.Env.
-type endpoint struct {
-	net  *Network
-	self mutex.ID
-}
-
-func (e *endpoint) Send(to mutex.ID, m mutex.Message) { e.net.send(e.self, to, m) }
 
 // DeliversOnce advertises the recycling contract core.Process keys on:
 // simnet hands each sent message to its destination handler at most once
 // (drops lose it entirely) and keeps no reference afterwards — the trace
 // and counters read only Kind and Size, at send or delivery time.
-func (e *endpoint) DeliversOnce() {}
+func (r *proc) DeliversOnce() {}
 
 // Local schedules f at the current instant; FIFO ordering of the event
 // queue guarantees it runs after the handler that scheduled it.
-func (e *endpoint) Local(f func()) {
-	n := e.net
-	if e.self < 0 || int(e.self) >= len(n.nodeOf) || n.nodeOf[e.self] < 0 {
-		panic(fmt.Sprintf("simnet: Local on unregistered process %d", e.self))
+func (r *proc) Local(f func()) {
+	if r.h == nil {
+		panic(fmt.Sprintf("simnet: Local on unregistered process %d", r.id))
 	}
-	n.sim.After(0, f)
+	r.net.sim.After(0, f)
 }
 
 // Counters aggregates message traffic, split the way the paper reports it.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gridmutex/internal/des"
 	"gridmutex/internal/mutex"
@@ -668,9 +669,12 @@ func TestTablesAutoThreshold(t *testing.T) {
 		if c.lists {
 			wantTable = 0
 		}
-		if len(n.lastAt) != wantTable || (len(n.lastTo) != 0) != c.lists {
-			t.Errorf("%d nodes: %d table entries and %d lists, want %d table entries, lists=%v",
-				nodes, len(n.lastAt), len(n.lastTo), wantTable, c.lists)
+		n.Register(0, HandlerFunc(func(mutex.ID, mutex.Message) {}))
+		n.Register(1, HandlerFunc(func(mutex.ID, mutex.Message) {}))
+		n.Endpoint(0).Send(1, ping{"p", 1})
+		if listed := len(n.rec(0).fl); len(n.lastAt) != wantTable || (listed != 0) != c.lists {
+			t.Errorf("%d nodes: %d table entries and %d listed watermarks after one send, want %d table entries, lists=%v",
+				nodes, len(n.lastAt), listed, wantTable, c.lists)
 		}
 	}
 }
@@ -737,5 +741,55 @@ func TestFactoredSendDeliverAllocs(t *testing.T) {
 		fresh = fresh[1:]
 	}); allocs > fanout {
 		t.Errorf("a fresh sender's first %d sends allocate %.2f objects, want <= 1 per send", fanout, allocs)
+	}
+}
+
+// TestProcFitsCacheLine pins the record a send or a delivery reads of a
+// process to one cache line.
+func TestProcFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(proc{}); size > 64 {
+		t.Errorf("proc is %d bytes, want <= 64", size)
+	}
+}
+
+// TestRecordsNeverMove: a record's address is its process's Env and the
+// handler of every delivery event addressed to it, so registering ids past
+// the topology's nodes while messages are in flight — as BuildMultiLevel
+// does for coordinators — must leave every record where it was.
+func TestRecordsNeverMove(t *testing.T) {
+	for _, lists := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lists=%v", lists), func(t *testing.T) {
+			sim := des.New()
+			g := topology.Uniform(2, 2, 2*time.Millisecond, 20*time.Millisecond)
+			n := newWithFIFO(t, sim, g, Options{}, lists)
+			got := map[mutex.ID]int{}
+			register := func(id mutex.ID, node int) mutex.Env {
+				ep := n.Endpoint(id)
+				n.RegisterAt(id, node, HandlerFunc(func(mutex.ID, mutex.Message) { got[id]++ }))
+				return ep
+			}
+			eps := map[mutex.ID]mutex.Env{}
+			for id := mutex.ID(0); id < 4; id++ {
+				eps[id] = register(id, int(id))
+			}
+			eps[4] = register(4, 0)
+			eps[0].Send(1, ping{"p", 1})
+			eps[1].Send(4, ping{"p", 1})
+			for id := mutex.ID(5); id < 100; id++ {
+				register(id, int(id)%4)
+			}
+			eps[99] = n.Endpoint(99)
+			eps[4].Send(99, ping{"p", 1})
+			eps[0].Send(1, ping{"p", 1})
+			for id, ep := range eps {
+				if n.Endpoint(id) != ep {
+					t.Errorf("process %d's record moved while messages were in flight", id)
+				}
+			}
+			sim.Run()
+			if got[1] != 2 || got[4] != 1 || got[99] != 1 || len(got) != 3 {
+				t.Errorf("deliveries %v, want 1:2 4:1 99:1", got)
+			}
+		})
 	}
 }

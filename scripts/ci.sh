@@ -92,6 +92,19 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '"container/heap"' . ||
     exit 1
 fi
 
+echo "==> one record per process: simnet's side tables and core's copy-on-write instance table stay gone"
+# A send and its delivery read one simnet record and one core.Process cache
+# line on each side (DESIGN.md §10, §14). The record replaced the handler,
+# node, sink and in-flight-list tables and the sink and endpoint types; two
+# inline slots replaced the instance table. None may come back beside them.
+# (livenet and reliable keep their own endpoint types and node maps.)
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    '\b(sinks|nodeOf|lastTo)\b|type (sink|endpoint) struct|atomic\.Pointer\[\[\]mutex\.Instance\]' \
+    internal/simnet internal/core; then
+    echo "ci: a per-process side table or type the records replaced reappeared (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
