@@ -46,6 +46,7 @@ func TestIllegalRunsAreOneLineErrors(t *testing.T) {
 		{[]string{"-jitter", "-1"}, "jitter -1"},
 		{[]string{"-flat", "naimi", "-adaptive"}, "flat excludes adaptive"},
 		{[]string{"-local-rtt", "-5"}, "negative RTT"},
+		{[]string{"-cs", "2147483648"}, "CSPerProcess 2147483648 exceeds 2147483647"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-cs", "2", "-apps", "2", "-clusters", "2"}, c.args...)

@@ -43,8 +43,12 @@ func (Token) Kind() string { return "naimi.token" }
 // Size implements mutex.Message.
 func (Token) Size() int { return 16 }
 
+// node keeps only what the algorithm reads after New: the member list and
+// the initial holder are consulted once, to set father and token.
 type node struct {
-	cfg    mutex.Config
+	env    mutex.Env
+	cbs    mutex.Callbacks
+	self   mutex.ID
 	father mutex.ID // probable owner; None when this node is the root
 	next   mutex.ID // next node to grant the token to; None if none
 	token  bool
@@ -56,7 +60,7 @@ func New(cfg mutex.Config) (mutex.Instance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &node{cfg: cfg, next: mutex.None}
+	n := &node{env: cfg.Env, cbs: cfg.Callbacks, self: cfg.Self, next: mutex.None}
 	if cfg.Self == cfg.Holder {
 		n.father = mutex.None // initial root holds the token idle
 		n.token = true
@@ -76,7 +80,7 @@ func (n *node) Request() {
 		return
 	}
 	// Ask the probable owner and become the new root.
-	n.cfg.Env.Send(n.father, Request{Origin: n.cfg.Self})
+	n.env.Send(n.father, Request{Origin: n.self})
 	n.father = mutex.None
 }
 
@@ -87,7 +91,7 @@ func (n *node) Release() {
 	n.state = mutex.NoReq
 	if n.next != mutex.None {
 		n.token = false
-		n.cfg.Env.Send(n.next, Token{})
+		n.env.Send(n.next, Token{})
 		n.next = mutex.None
 	}
 }
@@ -109,7 +113,7 @@ func (n *node) onRequest(origin mutex.ID) {
 		// the requester behind itself.
 		if n.state == mutex.NoReq {
 			n.token = false
-			n.cfg.Env.Send(origin, Token{})
+			n.env.Send(origin, Token{})
 		} else {
 			if n.next != mutex.None {
 				// A root queues at most one requester before the
@@ -122,7 +126,7 @@ func (n *node) onRequest(origin mutex.ID) {
 			}
 		}
 	} else {
-		n.cfg.Env.Send(n.father, Request{Origin: origin})
+		n.env.Send(n.father, Request{Origin: origin})
 	}
 	// Path reversal: the requester is the new probable owner.
 	n.father = origin
@@ -138,14 +142,14 @@ func (n *node) onToken() {
 
 func (n *node) enterCS() {
 	n.state = mutex.InCS
-	if f := n.cfg.Callbacks.OnAcquire; f != nil {
-		n.cfg.Env.Local(f)
+	if f := n.cbs.OnAcquire; f != nil {
+		n.env.Local(f)
 	}
 }
 
 func (n *node) firePending() {
-	if f := n.cfg.Callbacks.OnPending; f != nil {
-		n.cfg.Env.Local(f)
+	if f := n.cbs.OnPending; f != nil {
+		n.env.Local(f)
 	}
 }
 

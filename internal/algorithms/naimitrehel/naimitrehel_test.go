@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gridmutex/internal/algorithms/algotest"
 	"gridmutex/internal/mutex"
@@ -351,5 +352,15 @@ func TestPropertyTreeInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNodeLayout pins what a Naimi-Trehel node keeps: its Env, callbacks,
+// self, the two pointers, the token flag and the state — at most 48 bytes,
+// with no copy of the member list a 10⁵-process hierarchy would pay for in
+// every instance.
+func TestNodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size > 48 {
+		t.Fatalf("node is %d bytes, want <= 48", size)
 	}
 }

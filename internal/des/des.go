@@ -24,10 +24,13 @@ type Time = time.Duration
 // variants, discriminated by fn:
 //
 //   - a closure event (fn non-nil), scheduled with At/After;
-//   - a typed delivery event (fn nil), scheduled with AtDeliver: the
-//     handler, sender and message are stored by value in the slot array,
-//     so a network layer delivering millions of messages never boxes a
-//     per-message closure onto the garbage-collected heap.
+//   - a typed event (fn nil), scheduled with AtDeliver: the handler, sender
+//     and message are stored by value in the slot array, so a network layer
+//     delivering millions of messages never boxes a per-message closure onto
+//     the garbage-collected heap. Typed events carry the workload's request
+//     and exit timers as well as deliveries: the "message" is a one-byte
+//     timer kind and the handler the runner, so a timer needs no closure
+//     per process either.
 //
 // A payload is written field by field into its slot and read there: it is
 // never passed or returned by value, which the register ABI would spill
@@ -52,12 +55,14 @@ type eventKey struct {
 }
 
 // QueueStats is the event queue's work over a run, exactly: keys pushed,
-// keys moved by scatters, buckets scattered and the most events pending at
-// once. Every field is a pure function of the schedule, so it repeats per
-// seed on any machine.
+// keys moved by scatters, buckets scattered, the most events pending at
+// once, and how many of the pushes were closure events (At/After; the rest
+// were typed events from AtDeliver). Every field is a pure function of the
+// schedule, so it repeats per seed on any machine.
 type QueueStats struct {
 	Pushes, Moves, Scatters uint64
 	HighWater               int
+	Closures                uint64
 }
 
 // MovesPerEvent is the scatter work per scheduled event: one key appended
@@ -218,6 +223,7 @@ func (s *Simulator) At(t Time, fn func()) {
 	// message of the delivery that last ran in it.
 	p := s.queue.push(t)
 	p.fn, p.h, p.msg = fn, nil, nil
+	s.queue.stats.Closures++
 }
 
 // After schedules fn to run d after the current virtual time. A negative d
@@ -226,11 +232,12 @@ func (s *Simulator) After(d time.Duration, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// AtDeliver schedules a typed message delivery at virtual time t: when the
-// event fires, h.Deliver(from, m) runs. Unlike At with a closure, the
-// handler, sender and message are stored by value inside the event queue,
-// so the steady-state send path of a network layer allocates nothing.
-// Scheduling in the past or with a nil handler panics.
+// AtDeliver schedules a typed event at virtual time t: when it fires,
+// h.Deliver(from, m) runs. Unlike At with a closure, the handler, sender and
+// message are stored by value inside the event queue, so the steady-state
+// send path of a network layer allocates nothing, and a timer whose handler
+// and kind are fixed values needs no closure bound per process. Scheduling
+// in the past or with a nil handler panics.
 func (s *Simulator) AtDeliver(t Time, h mutex.Handler, from mutex.ID, m mutex.Message) {
 	if h == nil {
 		panic("des: AtDeliver called with nil handler")

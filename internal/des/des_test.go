@@ -803,3 +803,22 @@ func TestTwoTierSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%d pushes in the measured rounds, want 1024 a round", pushes)
 	}
 }
+
+// TestClosuresCountsAtOnly: QueueStats.Closures counts the events scheduled
+// with At and After, and typed events from AtDeliver are not among them.
+func TestClosuresCountsAtOnly(t *testing.T) {
+	s := New()
+	fn := func() {}
+	msg := mutex.Message(testMsg{1})
+	s.At(time.Millisecond, fn)
+	s.After(2*time.Millisecond, fn)
+	for i := 0; i < 3; i++ {
+		s.AtDeliver(Time(i)*time.Millisecond, nopHandler{}, 0, msg)
+	}
+	s.Run()
+	s.After(time.Millisecond, fn)
+	s.Run()
+	if q := s.QueueStats(); q.Closures != 3 || q.Pushes != 6 {
+		t.Fatalf("queue stats %+v, want 3 closures of 6 pushes", q)
+	}
+}

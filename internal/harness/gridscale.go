@@ -161,9 +161,10 @@ func RunGridScale(ns []int, csPerProcess int, alpha time.Duration, seed int64, p
 		}
 		res.Points = append(res.Points, p)
 		if progress != nil {
-			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d events=%-9d  %7.0f B/proc  %6.2f Mev/s  %5.2f key moves/event, high-water %d",
+			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d events=%-9d  %7.0f B/proc  %6.2f Mev/s  %5.2f key moves/event, high-water %d, %.4f closures/grant",
 				p.N, p.Clusters, p.Levels, p.Grants, p.Events,
-				p.Mem.BytesPerProc, p.Mem.EventsPerSec/1e6, p.Queue.MovesPerEvent(), p.Queue.HighWater))
+				p.Mem.BytesPerProc, p.Mem.EventsPerSec/1e6, p.Queue.MovesPerEvent(), p.Queue.HighWater,
+				float64(p.Queue.Closures)/float64(max(p.Grants, 1))))
 		}
 	}
 	return res, nil

@@ -9,12 +9,12 @@ import (
 const goldenGridScale = "../../testdata/golden/gridscale-paper.txt"
 
 // gridScaleBytesPerProcCeiling bounds the settled heap one simulated
-// process may cost at N ≥ 10³. The sweep reads 636 / 622 / 625 B at
-// N = 10³ / 10⁴ / 10⁵; a per-process field of a few hundred bytes, or any
-// O(N) or O(C²) term in per-process state, crosses 1,000 at one of them.
-// N = 10² is exempt: fixed costs (simulator, network, monitor) dominate
-// 102 processes.
-const gridScaleBytesPerProcCeiling = 1000
+// process may cost at N ≥ 10³. The sweep reads 440 / 422 / 413 B at
+// N = 10³ / 10⁴ / 10⁵; a per-process field of a couple of hundred bytes,
+// or any O(N) or O(C²) term in per-process state, crosses 600 at one of
+// them. N = 10² is exempt: fixed costs (simulator, network, monitor)
+// dominate 102 processes.
+const gridScaleBytesPerProcCeiling = 600
 
 // TestGridScalePaper runs the paper-scale grid-scale sweep once and holds
 // its two properties: the deterministic table equals the committed golden
@@ -61,5 +61,27 @@ func TestGridScaleQueueWork(t *testing.T) {
 	}
 	if m := q.MovesPerEvent(); m > 1.3 {
 		t.Errorf("%.2f key moves per event, want <= 1.3", m)
+	}
+}
+
+// TestGridScaleClosureEvents pins how many events are closures (des.At and
+// After) rather than typed events, exactly, at N = 10³ with three critical
+// sections per process. The workload's request and exit timers are typed
+// events, so what remains is 2,700 OnAcquire upcalls (one per grant, an
+// Env.Local each), 5,825 coordinator Locals (their acquire and pending
+// upcalls at every level) and 6 liveness watchdog ticks: 8,531 of 32,120
+// events, 3.1596 per grant. Two more per grant mean the runner's timers
+// are closures again.
+func TestGridScaleClosureEvents(t *testing.T) {
+	res, err := RunGridScale([]int{1000}, 3, 10*time.Millisecond, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Points[0]
+	if p.Grants != 2700 || p.Events != 32120 {
+		t.Fatalf("%d grants and %d events, want 2,700 and 32,120", p.Grants, p.Events)
+	}
+	if c := p.Queue.Closures; c != 8531 {
+		t.Errorf("%d closure events (%.4f per grant), want 8,531", c, float64(c)/float64(p.Grants))
 	}
 }

@@ -121,6 +121,7 @@ func (p *recPartial) add(o *recPartial) {
 	p.queue.Pushes += o.queue.Pushes
 	p.queue.Moves += o.queue.Moves
 	p.queue.Scatters += o.queue.Scatters
+	p.queue.Closures += o.queue.Closures
 	p.queue.HighWater = max(p.queue.HighWater, o.queue.HighWater)
 	p.wall += o.wall
 }
@@ -210,9 +211,10 @@ func RunRecovery(params RecoveryParams, scale Scale, progress func(string)) (*Re
 		res.Points = append(res.Points, p)
 		if progress != nil {
 			// Mev/s is machine-dependent, so it stays out of the point.
-			progress(fmt.Sprintf("period=%6s rho=%6.0f  recover=%8.2fms  detector=%7.1f msg/s  events=%-9d %6.2f Mev/s  %5.2f key moves/event, high-water %d",
+			progress(fmt.Sprintf("period=%6s rho=%6.0f  recover=%8.2fms  detector=%7.1f msg/s  events=%-9d %6.2f Mev/s  %5.2f key moves/event, high-water %d, %.4f closures/grant",
 				period, rho, p.RecoveryLatency.Mean, p.DetectorMsgsPerSec,
-				p.Events, float64(p.Events)/1e6/max(sum.wall.Seconds(), 1e-9), p.Queue.MovesPerEvent(), p.Queue.HighWater))
+				p.Events, float64(p.Events)/1e6/max(sum.wall.Seconds(), 1e-9), p.Queue.MovesPerEvent(), p.Queue.HighWater,
+				float64(p.Queue.Closures)/float64(max(p.Grants, 1))))
 		}
 	})
 	if err != nil {

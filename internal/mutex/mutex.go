@@ -15,7 +15,10 @@
 // within one of its own handlers.
 package mutex
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ID identifies a participant of one algorithm instance. IDs are unique per
 // instance (the composition layer maps them onto processes).
@@ -114,13 +117,19 @@ func (c Config) Validate() error {
 	if len(c.Members) == 0 {
 		return fmt.Errorf("mutex: no members")
 	}
-	selfOK, holderOK := false, false
-	seen := make(map[ID]bool, len(c.Members))
-	for _, m := range c.Members {
-		if seen[m] {
-			return fmt.Errorf("mutex: duplicate member %d", m)
+	// Duplicates are found on a sorted copy: every instance validates its
+	// whole member list, so a map per instance made a flat deployment
+	// O(N²) in allocation. Only a rejected list pays for the scan that
+	// names the first repeat in list order.
+	sorted := slices.Clone(c.Members)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return fmt.Errorf("mutex: duplicate member %d", firstRepeat(c.Members))
 		}
-		seen[m] = true
+	}
+	selfOK, holderOK := false, false
+	for _, m := range c.Members {
 		if m == c.Self {
 			selfOK = true
 		}
@@ -135,6 +144,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mutex: holder %d not in members", c.Holder)
 	}
 	return nil
+}
+
+// firstRepeat returns the first member of ids that an earlier one equals.
+func firstRepeat(ids []ID) ID {
+	for j, m := range ids {
+		if slices.Contains(ids[:j], m) {
+			return m
+		}
+	}
+	return None
 }
 
 // Index returns the position of id in Members, or -1.

@@ -1,6 +1,7 @@
 package mutex
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -182,5 +183,34 @@ func TestSingleMemberNoSelfSend(t *testing.T) {
 	}
 	if len(env.sent) != 0 {
 		t.Fatalf("single-member cycle sent %d messages (to %v), want none", len(env.sent), env.sent)
+	}
+}
+
+// TestConfigValidateAllocs: Validate checks a member list without a set, so
+// a flat deployment of N instances costs O(N log N) each and one
+// allocation, not a map of N entries per instance. A duplicate in last
+// position is still found, and with several duplicates the error names
+// the first repeat in list order, as the set-based scan did.
+func TestConfigValidateAllocs(t *testing.T) {
+	members := make([]ID, 180)
+	for i := range members {
+		members[i] = ID(179 - i)
+	}
+	cfg := Config{Self: 7, Members: members, Holder: 0, Env: nopEnv{}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("Validate of 180 members allocates %.0f times, want <= 1", allocs)
+	}
+	last := append(slices.Clone(members[:179]), 42)
+	if err := (Config{Self: 7, Members: last, Holder: 0, Env: nopEnv{}}).Validate(); err == nil ||
+		err.Error() != "mutex: duplicate member 42" {
+		t.Errorf("duplicate in last position: Validate() = %v", err)
+	}
+	if err := (Config{Self: 5, Members: []ID{5, 9, 2, 9, 5}, Holder: 2, Env: nopEnv{}}).Validate(); err == nil ||
+		err.Error() != "mutex: duplicate member 9" {
+		t.Errorf("two duplicates: Validate() = %v, want the first repeat in list order (9)", err)
 	}
 }

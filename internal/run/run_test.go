@@ -318,6 +318,7 @@ func TestSpecValidate(t *testing.T) {
 		{"loss above one", System{Flat: "naimi"}, func(s *Spec) { s.Loss = 1.5 }, "loss 1.5 outside [0, 1)"},
 		{"negative horizon", System{Flat: "naimi"}, func(s *Spec) { s.Horizon = -time.Second }, "horizon -1s"},
 		{"workload", System{Flat: "naimi"}, func(s *Spec) { s.Workload.Alpha = 0 }, "workload: alpha"},
+		{"critical sections past int32", System{Flat: "naimi"}, func(s *Spec) { s.Workload.CSPerProcess = 1 << 31 }, "CSPerProcess 2147483648 exceeds 2147483647"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -102,6 +102,9 @@ func (p Params) Validate() error {
 	if p.CSPerProcess <= 0 {
 		return fmt.Errorf("workload: CSPerProcess %d must be positive", p.CSPerProcess)
 	}
+	if p.CSPerProcess > math.MaxInt32 {
+		return fmt.Errorf("workload: CSPerProcess %d exceeds %d", p.CSPerProcess, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -141,8 +144,11 @@ type Runner struct {
 	params  Params
 	rng     *rand.Rand
 	monitor *check.Monitor
-	procs   []*appProc // indexed by mutex.ID; nil for non-application ids
-	order   []mutex.ID
+	// procs holds one record per mutex.ID up to the largest application
+	// ID, sized once by Bind; ids that are no application (coordinators,
+	// standbys) hold a zero record whose app flag is false.
+	procs   []appProc
+	apps    int
 	records []Record
 	bound   bool
 	started bool
@@ -157,19 +163,52 @@ type Runner struct {
 	onDone      func()
 }
 
+// appProc is one application's workload state, held by value in
+// Runner.procs. Its two timers are typed des events (see timers), so it
+// carries no closure.
 type appProc struct {
-	app       core.App
-	remaining int
-	lostCS    int  // critical sections forfeited by a crash, restored on Revive
-	waiting   bool // a request is outstanding and not yet granted
-	dead      bool // crashed: all scheduled activity becomes a no-op
+	inst      mutex.Instance
 	reqAt     des.Time
-	// request and exitCS are the process's two timer callbacks, bound
-	// once at Bind time: every critical section schedules both, so
-	// building fresh closures per CS was the harness's largest
-	// allocation site.
-	request func()
-	exitCS  func()
+	cluster   int32
+	remaining int32 // Params.Validate bounds CSPerProcess to an int32
+	lostCS    int32 // critical sections forfeited by a crash, restored on Revive
+	waiting   bool  // a request is outstanding and not yet granted
+	dead      bool  // crashed: all scheduled activity becomes a no-op
+	app       bool  // the record belongs to an application process
+}
+
+// timer is the one-byte message of the runner's timer events: which of a
+// process's two timers fired.
+type timer uint8
+
+const (
+	requestTimer timer = iota // the idle period is over: request the CS
+	exitTimer                 // the CS duration is over: release
+)
+
+// Kind implements mutex.Message.
+func (timer) Kind() string { return "workload.timer" }
+
+// Size implements mutex.Message: a timer never crosses a network.
+func (timer) Size() int { return 0 }
+
+// timers is the runner seen as the handler of its timer events: the event
+// names the process as its sender and the timer as its message, so
+// scheduling one binds nothing per process.
+type timers Runner
+
+func (h *timers) Deliver(id mutex.ID, m mutex.Message) {
+	r := (*Runner)(h)
+	if m.(timer) == requestTimer {
+		r.request(&r.procs[id])
+	} else {
+		r.exitCS(id, &r.procs[id])
+	}
+}
+
+// after schedules timer k of process id d from now.
+func (r *Runner) after(d time.Duration, id mutex.ID, k timer) {
+	r.sim.AtDeliver(r.sim.Now()+d, (*timers)(r), id, k)
 }
 
 // NewRunner creates a runner; monitor may be nil to skip safety checking.
@@ -190,36 +229,41 @@ func (r *Runner) Callbacks(id mutex.ID) mutex.Callbacks {
 	return mutex.Callbacks{OnAcquire: func() { r.onAcquire(id) }}
 }
 
-// Bind attaches the built application processes to the runner.
+// Bind attaches the built application processes to the runner. The apps
+// must be in ascending ID order, as every deployment lists them: Start
+// schedules their first requests in that order.
 func (r *Runner) Bind(apps []core.App) {
 	if r.bound {
 		panic("workload: Bind called twice")
 	}
 	r.bound = true
-	r.records = make([]Record, 0, len(apps)*r.params.CSPerProcess)
-	for _, a := range apps {
+	for i, a := range apps {
 		if a.Instance == nil {
 			panic(fmt.Sprintf("workload: app %d has no instance", a.ID))
 		}
-		p := &appProc{app: a}
-		p.request = func() { r.request(p) }
-		p.exitCS = func() { r.exitCS(p) }
-		r.setRemaining(p, r.params.CSPerProcess)
-		if n := int(a.ID) + 1; n > len(r.procs) {
-			r.procs = append(r.procs, make([]*appProc, n-len(r.procs))...)
+		if a.ID < 0 || i > 0 && a.ID <= apps[i-1].ID {
+			panic(fmt.Sprintf("workload: app %d out of ascending ID order", a.ID))
 		}
-		r.procs[a.ID] = p
-		r.order = append(r.order, a.ID)
 	}
+	r.records = make([]Record, 0, len(apps)*r.params.CSPerProcess)
+	if len(apps) > 0 {
+		r.procs = make([]appProc, apps[len(apps)-1].ID+1)
+	}
+	for _, a := range apps {
+		p := &r.procs[a.ID]
+		*p = appProc{inst: a.Instance, cluster: int32(a.Cluster), app: true}
+		r.setRemaining(p, r.params.CSPerProcess)
+	}
+	r.apps = len(apps)
 }
 
 // proc returns the application process with the given id, or nil when the
 // id belongs to no application (a coordinator, a standby, out of range).
 func (r *Runner) proc(id mutex.ID) *appProc {
-	if id < 0 || int(id) >= len(r.procs) {
+	if id < 0 || int(id) >= len(r.procs) || !r.procs[id].app {
 		return nil
 	}
-	return r.procs[id]
+	return &r.procs[id]
 }
 
 // setWaiting and setRemaining are the only writers of the two appProc
@@ -236,9 +280,9 @@ func (r *Runner) setWaiting(p *appProc, w bool) {
 }
 
 func (r *Runner) setRemaining(p *appProc, n int) {
-	was := p.remaining
+	was := int(p.remaining)
 	r.outstanding += n - was
-	p.remaining = n
+	p.remaining = int32(n)
 	switch {
 	case was <= 0 && n > 0:
 		r.unfinished++
@@ -267,9 +311,10 @@ func (r *Runner) Start() {
 		panic("workload: Start called twice")
 	}
 	r.started = true
-	for _, id := range r.order {
-		p := r.procs[id]
-		r.sim.After(r.idle(p.app.Cluster), p.request)
+	for i := range r.procs {
+		if p := &r.procs[i]; p.app {
+			r.after(r.idle(p.cluster), mutex.ID(i), requestTimer)
+		}
 	}
 }
 
@@ -289,9 +334,9 @@ func (r *Runner) currentRho() float64 {
 
 // idle draws one idle period from the configured distribution for a
 // process in the given cluster.
-func (r *Runner) idle(cluster int) time.Duration {
+func (r *Runner) idle(cluster int32) time.Duration {
 	beta := r.currentRho() * float64(r.params.Alpha)
-	if r.params.HotSkew > 1 && cluster == r.params.HotCluster {
+	if r.params.HotSkew > 1 && int(cluster) == r.params.HotCluster {
 		beta /= r.params.HotSkew
 	}
 	if beta <= 0 {
@@ -321,7 +366,7 @@ func clampDur(v float64) time.Duration {
 }
 
 // Crash marks the process dead: it abandons any outstanding request, runs
-// no further critical sections, and its already-scheduled closures become
+// no further critical sections, and its already-scheduled timers become
 // no-ops. Unknown ids (coordinators, standbys, fresh hierarchy processes)
 // are ignored so fault injection can target any node. Call Monitor.Crashed
 // separately — the runner does not know whether the process was inside its
@@ -351,10 +396,10 @@ func (r *Runner) Revive(id mutex.ID) {
 		return
 	}
 	p.dead = false
-	r.setRemaining(p, p.lostCS)
+	r.setRemaining(p, int(p.lostCS))
 	p.lostCS = 0
 	if p.remaining > 0 {
-		r.sim.After(r.idle(p.app.Cluster), p.request)
+		r.after(r.idle(p.cluster), id, requestTimer)
 	}
 }
 
@@ -364,7 +409,7 @@ func (r *Runner) request(p *appProc) {
 	}
 	p.reqAt = r.sim.Now()
 	r.setWaiting(p, true)
-	p.app.Instance.Request()
+	p.inst.Request()
 }
 
 func (r *Runner) onAcquire(id mutex.ID) {
@@ -380,25 +425,25 @@ func (r *Runner) onAcquire(id mutex.ID) {
 		r.monitor.Enter(id)
 	}
 	r.records = append(r.records, Record{
-		ID: id, Cluster: p.app.Cluster,
+		ID: id, Cluster: int(p.cluster),
 		RequestedAt: p.reqAt, AcquiredAt: r.sim.Now(),
 	})
-	r.sim.After(r.params.Alpha, p.exitCS)
+	r.after(r.params.Alpha, id, exitTimer)
 }
 
-// exitCS ends p's critical section: exit the monitor, release the lock,
-// and schedule the next request after an idle period.
-func (r *Runner) exitCS(p *appProc) {
+// exitCS ends process id's critical section: exit the monitor, release the
+// lock, and schedule the next request after an idle period.
+func (r *Runner) exitCS(id mutex.ID, p *appProc) {
 	if p.dead {
 		return // crashed inside the CS: no exit, no release
 	}
 	if r.monitor != nil {
-		r.monitor.Exit(p.app.ID)
+		r.monitor.Exit(id)
 	}
-	p.app.Instance.Release()
-	r.setRemaining(p, p.remaining-1)
+	p.inst.Release()
+	r.setRemaining(p, int(p.remaining)-1)
 	if p.remaining > 0 {
-		r.sim.After(r.idle(p.app.Cluster), p.request)
+		r.after(r.idle(p.cluster), id, requestTimer)
 	}
 }
 
@@ -419,5 +464,5 @@ func (r *Runner) Waiting() int { return r.waiting }
 
 // ExpectedTotal returns the number of grants a complete run produces.
 func (r *Runner) ExpectedTotal() int {
-	return len(r.order) * r.params.CSPerProcess
+	return r.apps * r.params.CSPerProcess
 }

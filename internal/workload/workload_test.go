@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gridmutex/internal/check"
 	"gridmutex/internal/core"
@@ -24,6 +25,7 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: 0, Rho: 5, CSPerProcess: 10},
 		{Alpha: time.Millisecond, Rho: -1, CSPerProcess: 10},
 		{Alpha: time.Millisecond, Rho: 5, CSPerProcess: 0},
+		{Alpha: time.Millisecond, Rho: 5, CSPerProcess: 1 << 31}, // would wrap the int32 counters
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -290,13 +292,13 @@ func TestPhaseValidation(t *testing.T) {
 func recount(r *Runner) (waiting, outstanding int, done bool) {
 	done = true
 	for _, p := range r.procs {
-		if p == nil {
+		if !p.app {
 			continue
 		}
 		if p.waiting {
 			waiting++
 		}
-		outstanding += p.remaining
+		outstanding += int(p.remaining)
 		if p.remaining > 0 {
 			done = false
 		}
@@ -588,5 +590,62 @@ func TestIdleClampsOverflow(t *testing.T) {
 	}
 	if b := (Params{Alpha: time.Hour, Rho: 1e18}).Beta(); b != time.Duration(math.MaxInt64) {
 		t.Errorf("Beta() = %v, want saturation", b)
+	}
+}
+
+// TestAppProcLayout pins the runner's per-application record: one value in
+// one dense slice, at most 48 bytes, with no closure or pointer table
+// beside it.
+func TestAppProcLayout(t *testing.T) {
+	if size := unsafe.Sizeof(appProc{}); size > 48 {
+		t.Fatalf("appProc is %d bytes, want <= 48", size)
+	}
+}
+
+// TestBindAllocsFlat: Bind allocates the record slice and the record
+// buffer once, so binding 1,000 applications costs as many objects as
+// binding 10.
+func TestBindAllocsFlat(t *testing.T) {
+	bind := func(n int) float64 {
+		lock := &stubLock{holder: mutex.None}
+		apps := make([]core.App, n)
+		for i := range apps {
+			apps[i] = core.App{ID: mutex.ID(2 * i), Cluster: i % 3, Instance: stubInst{lock, mutex.ID(2 * i)}}
+		}
+		return testing.AllocsPerRun(20, func() {
+			r, err := NewRunner(des.New(), Params{Alpha: time.Millisecond, Rho: 1, CSPerProcess: 3}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Bind(apps)
+		})
+	}
+	if small, large := bind(10), bind(1000); small != large {
+		t.Errorf("NewRunner+Bind allocates %.0f objects for 10 apps and %.0f for 1,000, want the same", small, large)
+	}
+}
+
+// TestBindRejectsUnorderedApps: Start schedules first requests in record
+// order, which is the apps' order only when their IDs ascend, as every
+// deployment lists them.
+func TestBindRejectsUnorderedApps(t *testing.T) {
+	lock := &stubLock{holder: mutex.None}
+	for _, ids := range [][]mutex.ID{{3, 1}, {1, 1}, {-1}} {
+		r, err := NewRunner(des.New(), Params{Alpha: time.Millisecond, Rho: 1, CSPerProcess: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apps []core.App
+		for _, id := range ids {
+			apps = append(apps, core.App{ID: id, Instance: stubInst{lock, id}})
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Bind(%v) did not panic", ids)
+				}
+			}()
+			r.Bind(apps)
+		}()
 	}
 }

@@ -105,13 +105,27 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> one record per application: the runner's timers are typed events, a Naimi node keeps no config"
+# workload.Runner holds every application's state as one value in one dense
+# slice, and its request and exit timers are des typed events whose handler
+# is the runner (DESIGN.md §10, §14): no pointer table, no closure bound per
+# process. A Naimi-Trehel node reads Members and Holder only in New, so it
+# keeps no copy of the config.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    '\[\]\*appProc|func\(\) \{ r\.(request|exitCS)\(' internal/workload ||
+    grep -rnE --include='*.go' --exclude='*_test.go' \
+    '^[[:space:]]+cfg[[:space:]]+mutex\.Config' internal/algorithms/naimitrehel; then
+    echo "ci: a per-process closure, pointer table or config copy reappeared (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
-echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild"
+echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild, <= 1 per member-list check, Runner.Bind flat in N"
 # The line above ran these in a race-instrumented build; the pins are
 # claims about the plain build the benchmark and the commands run.
-go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/ ./internal/algorithms/suzukikasami/
+go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/ ./internal/algorithms/suzukikasami/ ./internal/mutex/ ./internal/workload/
 
 echo "==> event-queue order against a reference sort, 800 random schedules over both drivers"
 go test -run 'TestPropertyTiersMatchReferenceSort' ./internal/des/ -quickchecks 2000
