@@ -210,6 +210,9 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 			CSPerProcess: csPerProcess,
 		},
 		System: run.System{Levels: algs, Groups: groups},
+		// The sweep reads only the grant count: a sink keeps the runner
+		// from buffering apps × CS records the heap sample would count.
+		OnGrant: func(workload.Record) {},
 	})
 	if err != nil {
 		return GridScalePoint{}, err
@@ -231,7 +234,7 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 		Clusters: g.NumClusters(),
 		Levels:   levels,
 		Apps:     apps,
-		Grants:   int64(len(out.Records)),
+		Grants:   int64(out.Grants),
 		Events:   int64(out.Events),
 		Queue:    out.Queue,
 	}

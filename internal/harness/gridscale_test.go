@@ -9,12 +9,13 @@ import (
 const goldenGridScale = "../../testdata/golden/gridscale-paper.txt"
 
 // gridScaleBytesPerProcCeiling bounds the settled heap one simulated
-// process may cost at N ≥ 10³. The sweep reads 440 / 422 / 413 B at
-// N = 10³ / 10⁴ / 10⁵; a per-process field of a couple of hundred bytes,
-// or any O(N) or O(C²) term in per-process state, crosses 600 at one of
-// them. N = 10² is exempt: fixed costs (simulator, network, monitor)
-// dominate 102 processes.
-const gridScaleBytesPerProcCeiling = 600
+// process may cost at N ≥ 10³. The sweep reads 408 / 393 / 384 B at
+// N = 10³ / 10⁴ / 10⁵ (440 / 422 / 413 while the runner still buffered a
+// record per grant); a per-process field of 64 bytes, or any O(N) or O(C²)
+// term in per-process state, crosses 450 at one of them. N = 10² is
+// exempt: fixed costs (simulator, network, monitor) dominate 102
+// processes.
+const gridScaleBytesPerProcCeiling = 450
 
 // TestGridScalePaper runs the paper-scale grid-scale sweep once and holds
 // its two properties: the deterministic table equals the committed golden

@@ -317,11 +317,13 @@ type cell struct {
 }
 
 // repPartial is the digest one repetition contributes to its cell:
-// accumulators and counters, never raw records, so a parallel run buffers
-// bounded state per repetition. Only obtain carries a percentile backend —
-// a t-digest sketch, so even million-CS repetitions stay O(compression);
-// every other accumulator stays compact.
+// accumulators and counters, never raw records. Each grant is folded in as
+// it happens (digest), so a repetition holds bounded state however many
+// grants it makes. Only obtain carries a percentile backend — a t-digest
+// sketch, so even million-CS repetitions stay O(compression); every other
+// accumulator stays compact.
 type repPartial struct {
+	phases     []workload.Phase // the scale's schedule, which bins grants into phase
 	obtain     stats.Accumulator
 	phase      []stats.Accumulator
 	perProc    []stats.Accumulator // indexed by process ID (dense)
@@ -334,37 +336,62 @@ type repPartial struct {
 	biasRounds int64
 }
 
-// digest folds one run's records into a repPartial. It walks records in
-// grant order, which the single-threaded simulation makes deterministic.
-func digest(scale Scale, out run.Outcome) repPartial {
-	p := repPartial{
-		counters: out.Counters,
-		grants:   int64(len(out.Records)),
-		events:   int64(out.Events),
-		switches: out.Switches,
+// newRepPartial is the empty digest of one repetition under the phase
+// schedule phases.
+func newRepPartial(phases []workload.Phase) repPartial {
+	return repPartial{
+		phases: phases,
+		obtain: stats.Accumulator{Sketch: true},
+		phase:  make([]stats.Accumulator, len(phases)),
 	}
+}
+
+// digest folds one grant into p. It is the run's sink (run.Spec.OnGrant),
+// so grants arrive in grant order, which the single-threaded simulation
+// makes deterministic.
+func (p *repPartial) digest(r workload.Record) {
+	ms := float64(r.Obtaining()) / float64(time.Millisecond)
+	p.obtain.Push(ms)
+	if len(p.phases) > 0 {
+		p.phase[phaseOf(p.phases, r.AcquiredAt)].Push(ms)
+	}
+	for int(r.ID) >= len(p.perProc) {
+		p.perProc = append(p.perProc, stats.Accumulator{})
+	}
+	p.perProc[r.ID].Push(ms)
+	for r.Cluster >= len(p.perCluster) {
+		p.perCluster = append(p.perCluster, stats.Accumulator{})
+	}
+	p.perCluster[r.Cluster].Push(ms)
+}
+
+// finish takes the run-wide counts from the repetition's outcome.
+func (p *repPartial) finish(out run.Outcome) {
+	p.counters = out.Counters
+	p.grants = int64(out.Grants)
+	p.events = int64(out.Events)
+	p.switches = out.Switches
 	for _, c := range out.Core.Coordinators {
 		p.handoffs += c.Stats().InterHandoffs
 		p.biasRounds += c.Stats().BiasRounds
 	}
-	p.obtain.Sketch = true
-	p.phase = make([]stats.Accumulator, len(scale.Phases))
-	for _, r := range out.Records {
-		ms := float64(r.Obtaining()) / float64(time.Millisecond)
-		p.obtain.Push(ms)
-		if len(scale.Phases) > 0 {
-			p.phase[phaseOf(scale.Phases, r.AcquiredAt)].Push(ms)
-		}
-		for int(r.ID) >= len(p.perProc) {
-			p.perProc = append(p.perProc, stats.Accumulator{})
-		}
-		p.perProc[r.ID].Push(ms)
-		for r.Cluster >= len(p.perCluster) {
-			p.perCluster = append(p.perCluster, stats.Accumulator{})
-		}
-		p.perCluster[r.Cluster].Push(ms)
+}
+
+// runRep drives one repetition of cell c, digesting its grants as they
+// happen.
+func runRep(c cell, rep int) (repPartial, error) {
+	spec, err := c.scale.spec(c.sys.RunSystem(), c.rho, deriveSeed(c.scale.BaseSeed, c.rho, rep))
+	if err != nil {
+		return repPartial{}, err
 	}
-	return p
+	p := newRepPartial(c.scale.Phases)
+	spec.OnGrant = p.digest
+	out, err := drive(spec)
+	if err != nil {
+		return repPartial{}, err
+	}
+	p.finish(out)
+	return p, nil
 }
 
 // mergeCell folds one cell's per-repetition partials into its Point,
@@ -484,13 +511,12 @@ func runCells(cells []cell, workers int, emit func(i int, p *Point)) error {
 	}
 	reps := func(ci int) int { return cells[ci].scale.Repetitions }
 	return runShards(len(cells), reps, workers, func(ci, rep int) (repPartial, error) {
-		c := cells[ci]
-		out, err := runOnce(c.sys, c.scale, c.rho, deriveSeed(c.scale.BaseSeed, c.rho, rep))
+		p, err := runRep(cells[ci], rep)
 		if err != nil {
 			return repPartial{}, fmt.Errorf("harness: %s at rho=%g: repetition %d: %w",
-				c.sys.Name, c.rho, rep, err)
+				cells[ci].sys.Name, cells[ci].rho, rep, err)
 		}
-		return digest(c.scale, out), nil
+		return p, nil
 	}, func(ci int, partials []repPartial) error {
 		p, err := mergeCell(cells[ci], partials)
 		if err != nil {
@@ -548,15 +574,6 @@ func (scale Scale) spec(sys run.System, rho float64, seed int64) (run.Spec, erro
 		spec.Reliable = &reliable.Options{}
 	}
 	return spec, nil
-}
-
-// runOnce executes one seeded (system, ρ) simulation on the run kernel.
-func runOnce(sys System, scale Scale, rho float64, seed int64) (run.Outcome, error) {
-	spec, err := scale.spec(sys.RunSystem(), rho, seed)
-	if err != nil {
-		return run.Outcome{}, err
-	}
-	return drive(spec)
 }
 
 // drive builds and drives one run and applies the harness's pass rule: an

@@ -98,8 +98,8 @@ func RunPartition(params PartitionParams, scale Scale, progress func(string)) (*
 	}
 	res := &PartitionResult{Params: params, Scale: scale}
 
-	err = sweepRecovery("partition duration", params.Durations, scale, func(d time.Duration, rho float64, seed int64) (run.Outcome, error) {
-		return runPartitionOnce(params, scale, d, rho, seed)
+	err = sweepRecovery("partition duration", params.Durations, scale, func(d time.Duration, rho float64, seed int64) (run.Spec, error) {
+		return partitionSpec(params, scale, d, rho, seed)
 	}, func(d time.Duration, rho float64, sum *recPartial) {
 		p := PartitionPoint{
 			Duration: d, Rho: rho,
@@ -152,14 +152,14 @@ func interTimeout(period time.Duration, scale Scale) (time.Duration, error) {
 	return inter.Timeout, nil
 }
 
-// runPartitionOnce executes one seeded run: the crash-tolerant
-// deployment, one seeded cluster cut off for the window and healed, the
-// full workload driven to completion under the recovery-aware monitor.
-func runPartitionOnce(params PartitionParams, scale Scale, duration time.Duration, rho float64, seed int64) (run.Outcome, error) {
+// partitionSpec describes one seeded run: the crash-tolerant deployment,
+// one seeded cluster cut off for the window and healed, the full workload
+// driven to completion under the recovery-aware monitor.
+func partitionSpec(params PartitionParams, scale Scale, duration time.Duration, rho float64, seed int64) (run.Spec, error) {
 	sys := run.System{Intra: params.Spec.Intra, Inter: params.Spec.Inter, Heartbeat: params.Period}
 	spec, err := scale.spec(sys, rho, seed)
 	if err != nil {
-		return run.Outcome{}, err
+		return run.Spec{}, err
 	}
 	// One seeded window: a seeded cluster is cut off at a seeded instant
 	// within the run's opening stretch and healed after the duration.
@@ -172,7 +172,7 @@ func runPartitionOnce(params PartitionParams, scale Scale, duration time.Duratio
 		horizon = 4 * params.Period
 	}
 	spec.Faults.Schedule = faults.PartitionPulse(seed, sides, horizon, duration)
-	return drive(spec)
+	return spec, nil
 }
 
 // Table renders the partition experiment: obtaining-time inflation and

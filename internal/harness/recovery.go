@@ -11,6 +11,7 @@ import (
 	"gridmutex/internal/recovery"
 	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
+	"gridmutex/internal/workload"
 )
 
 // RecoveryParams tunes the crash-recovery experiment on top of a Scale.
@@ -66,8 +67,8 @@ type RecoveryResult struct {
 
 // recPartial is what one repetition of a recovery-deployment experiment
 // (crash recovery or partition) contributes to its cell: accumulators and
-// scalar counts, never raw records, so the parallel sweep buffers bounded
-// state per repetition.
+// scalar counts, never raw records: each grant is folded in as it happens,
+// so a repetition holds bounded state however many grants it makes.
 type recPartial struct {
 	latency, obtain          stats.Accumulator
 	epochs, grants           int64
@@ -79,30 +80,46 @@ type recPartial struct {
 	wall                     time.Duration
 }
 
-// digestRecovery folds one run's outcome into a recPartial.
-func digestRecovery(out run.Outcome) recPartial {
+// newRecPartial is the empty digest of one repetition, or of a cell's sum.
+func newRecPartial() recPartial {
+	return recPartial{latency: stats.Accumulator{Sketch: true}, obtain: stats.Accumulator{Sketch: true}}
+}
+
+// grant folds one grant's obtaining time into p: the run's sink
+// (run.Spec.OnGrant).
+func (p *recPartial) grant(r workload.Record) {
+	p.obtain.Push(float64(r.Obtaining()) / float64(time.Millisecond))
+}
+
+// finish folds the rest of the repetition's outcome into p.
+func (p *recPartial) finish(out run.Outcome) {
 	members := out.Recovery.Stats()
-	p := recPartial{
-		latency:      stats.Accumulator{Sketch: true},
-		obtain:       stats.Accumulator{Sketch: true},
-		epochs:       out.Monitor.Epochs(),
-		grants:       int64(len(out.Records)),
-		detectorMsgs: recovery.DetectorMessages(out.Counters.ByKind),
-		totalMsgs:    out.Counters.Messages,
-		dropped:      out.Counters.DroppedPartition,
-		freezes:      members.MinorityFreezes,
-		regens:       members.Regenerations,
-		virtual:      out.Elapsed,
-		events:       int64(out.Events),
-		queue:        out.Queue,
-	}
+	p.epochs = out.Monitor.Epochs()
+	p.grants = int64(out.Grants)
+	p.detectorMsgs = recovery.DetectorMessages(out.Counters.ByKind)
+	p.totalMsgs = out.Counters.Messages
+	p.dropped = out.Counters.DroppedPartition
+	p.freezes = members.MinorityFreezes
+	p.regens = members.Regenerations
+	p.virtual = out.Elapsed
+	p.events = int64(out.Events)
+	p.queue = out.Queue
 	for _, d := range out.Monitor.RecoveryLatencies() {
 		p.latency.Push(float64(d) / float64(time.Millisecond))
 	}
-	for _, r := range out.Records {
-		p.obtain.Push(float64(r.Obtaining()) / float64(time.Millisecond))
+}
+
+// runRecoveryRep drives one repetition, digesting its grants as they
+// happen.
+func runRecoveryRep(spec run.Spec) (recPartial, error) {
+	p := newRecPartial()
+	spec.OnGrant = p.grant
+	out, err := drive(spec)
+	if err != nil {
+		return recPartial{}, err
 	}
-	return p
+	p.finish(out)
+	return p, nil
 }
 
 // add folds another repetition of the same cell into p.
@@ -135,14 +152,32 @@ func (p *recPartial) detectorMsgsPerSec() float64 {
 	return 0
 }
 
+// recoveryPoint renders the summed repetitions of the (period, ρ) cell.
+func (p *recPartial) recoveryPoint(period time.Duration, rho float64) RecoveryPoint {
+	pt := RecoveryPoint{
+		Period: period, Rho: rho,
+		RecoveryLatency:    p.latency.Summarize(),
+		Epochs:             p.epochs,
+		Obtaining:          p.obtain.Summarize(),
+		DetectorMsgsPerSec: p.detectorMsgsPerSec(),
+		Grants:             p.grants,
+		Events:             p.events,
+		Queue:              p.queue,
+	}
+	if p.totalMsgs > 0 {
+		pt.DetectorShare = float64(p.detectorMsgs) / float64(p.totalMsgs)
+	}
+	return pt
+}
+
 // sweepRecovery runs a recovery-deployment experiment: one cell per (axis
-// value, ρ), Repetitions seeded runs per cell through once, and each
-// cell's repetitions summed in repetition order and handed to emit in cell
-// order. The unit of fan-out is one (axis value, ρ, repetition) shard:
+// value, ρ), Repetitions seeded runs per cell of the Spec specOf describes,
+// and each cell's repetitions summed in repetition order and handed to emit
+// in cell order. The unit of fan-out is one (axis value, ρ, repetition) shard:
 // Scale.Workers bounds how many run concurrently, exactly like Run, and
 // the aggregate is byte-identical for every Workers setting.
 func sweepRecovery(axisName string, axis []time.Duration, scale Scale,
-	once func(v time.Duration, rho float64, seed int64) (run.Outcome, error),
+	specOf func(v time.Duration, rho float64, seed int64) (run.Spec, error),
 	emit func(v time.Duration, rho float64, sum *recPartial)) error {
 	type key struct {
 		v   time.Duration
@@ -157,15 +192,18 @@ func sweepRecovery(axisName string, axis []time.Duration, scale Scale,
 	return runShards(len(cells), func(int) int { return scale.Repetitions }, scale.Workers, func(ci, rep int) (recPartial, error) {
 		c := cells[ci]
 		start := wallNow()
-		out, err := once(c.v, c.rho, deriveSeed(scale.BaseSeed^int64(c.v), c.rho, rep))
+		spec, err := specOf(c.v, c.rho, deriveSeed(scale.BaseSeed^int64(c.v), c.rho, rep))
+		var p recPartial
+		if err == nil {
+			p, err = runRecoveryRep(spec)
+		}
 		if err != nil {
 			return recPartial{}, fmt.Errorf("harness: %s=%v rho=%g rep=%d: %w", axisName, c.v, c.rho, rep, err)
 		}
-		p := digestRecovery(out)
 		p.wall = wallNow().Sub(start)
 		return p, nil
 	}, func(ci int, partials []recPartial) error {
-		sum := recPartial{latency: stats.Accumulator{Sketch: true}, obtain: stats.Accumulator{Sketch: true}}
+		sum := newRecPartial()
 		for i := range partials {
 			sum.add(&partials[i])
 		}
@@ -192,22 +230,10 @@ func RunRecovery(params RecoveryParams, scale Scale, progress func(string)) (*Re
 	}
 	res := &RecoveryResult{Params: params, Scale: scale}
 
-	err := sweepRecovery("recovery period", params.Periods, scale, func(period time.Duration, rho float64, seed int64) (run.Outcome, error) {
-		return runRecoveryOnce(params, scale, period, rho, seed)
+	err := sweepRecovery("recovery period", params.Periods, scale, func(period time.Duration, rho float64, seed int64) (run.Spec, error) {
+		return recoverySpec(params, scale, period, rho, seed)
 	}, func(period time.Duration, rho float64, sum *recPartial) {
-		p := RecoveryPoint{
-			Period: period, Rho: rho,
-			RecoveryLatency:    sum.latency.Summarize(),
-			Epochs:             sum.epochs,
-			Obtaining:          sum.obtain.Summarize(),
-			DetectorMsgsPerSec: sum.detectorMsgsPerSec(),
-			Grants:             sum.grants,
-			Events:             sum.events,
-			Queue:              sum.queue,
-		}
-		if sum.totalMsgs > 0 {
-			p.DetectorShare = float64(sum.detectorMsgs) / float64(sum.totalMsgs)
-		}
+		p := sum.recoveryPoint(period, rho)
 		res.Points = append(res.Points, p)
 		if progress != nil {
 			// Mev/s is machine-dependent, so it stays out of the point.
@@ -232,14 +258,14 @@ func RecoverySweep(scale Scale) (RecoveryParams, Scale) {
 	return RecoveryParams{Periods: []time.Duration{scale.Alpha / 2, 2 * scale.Alpha, 8 * scale.Alpha}}, scale
 }
 
-// runRecoveryOnce executes one seeded run: the crash-tolerant deployment,
-// one crash-on-CS-entry fault, the workload driven to completion of every
+// recoverySpec describes one seeded run: the crash-tolerant deployment, one
+// crash-on-CS-entry fault, the workload driven to completion of every
 // survivor under the recovery-aware monitor.
-func runRecoveryOnce(params RecoveryParams, scale Scale, period time.Duration, rho float64, seed int64) (run.Outcome, error) {
+func recoverySpec(params RecoveryParams, scale Scale, period time.Duration, rho float64, seed int64) (run.Spec, error) {
 	sys := run.System{Intra: params.Spec.Intra, Inter: params.Spec.Inter, Heartbeat: period}
 	spec, err := scale.spec(sys, rho, seed)
 	if err != nil {
-		return run.Outcome{}, err
+		return run.Spec{}, err
 	}
 	// Draw the victim and the trigger ordinal from the run seed. Candidate
 	// victims are the application nodes; under CrashCoordinator the crash
@@ -249,7 +275,7 @@ func runRecoveryOnce(params RecoveryParams, scale Scale, period time.Duration, r
 	spec.Faults.HolderKills = []run.HolderKill{{
 		Victim: trig.Victim, Entry: trig.Entry, Coordinator: params.CrashCoordinator,
 	}}
-	return drive(spec)
+	return spec, nil
 }
 
 // Table renders the crash-recovery experiment: recovery latency and

@@ -96,7 +96,11 @@ func TestRecoveryDetectorsOnGrid5000(t *testing.T) {
 	params.CrashCoordinator = true
 	params.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
 	period, rho := params.Periods[0], scale.Rhos[0] // α/2 and N/2 = 18: the recovery figure's first cell
-	out, err := runRecoveryOnce(params, scale, period, rho, deriveSeed(scale.BaseSeed^int64(period), rho, 0))
+	spec, err := recoverySpec(params, scale, period, rho, deriveSeed(scale.BaseSeed^int64(period), rho, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := drive(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,10 @@ type Spec struct {
 	// that many have run since the last stretch of that length that granted
 	// anything. 0 derives the default from the workload size.
 	EventLimit uint64
+	// OnGrant, when non-nil, receives every grant the instant it happens,
+	// in grant order, and Outcome.Records stays nil: a caller that folds
+	// grants as they come keeps no list (workload.Runner.OnGrant).
+	OnGrant func(workload.Record)
 }
 
 // Validate reports whether s describes a legal run, by every rule that
@@ -250,6 +254,9 @@ func Build(spec Spec) (*Run, error) {
 	if r.runner, err = workload.NewRunner(sim, w, r.mon); err != nil {
 		return nil, err
 	}
+	if spec.OnGrant != nil {
+		r.runner.OnGrant(spec.OnGrant)
+	}
 
 	appCB := r.wireHolderKills()
 	// Scheduled faults enter the event queue before the deployment's own
@@ -417,7 +424,10 @@ func (s *Stall) Error() string {
 
 // Outcome is the raw material of a finished run.
 type Outcome struct {
+	// Records lists every grant in grant order, nil under Spec.OnGrant;
+	// Grants counts them either way.
 	Records  []workload.Record
+	Grants   int
 	Counters simnet.Counters
 	// Events is the number of DES events processed; Elapsed the virtual
 	// time the run ended at.
@@ -452,6 +462,7 @@ func (r *Run) Drive() Outcome {
 	stall := r.drive()
 	out := Outcome{
 		Records:  r.runner.Records(),
+		Grants:   r.runner.Grants(),
 		Counters: r.net.Counters(),
 		Events:   r.sim.Processed(),
 		Elapsed:  r.sim.Now(),
@@ -502,15 +513,17 @@ func (r *Run) drive() *Stall {
 	// The cap counts events since the last window that granted anything,
 	// not since the start: detector heartbeats alone would exhaust a
 	// whole-run budget on a long sparse run that is making steady progress.
+	// Progress is the grant counter, which a sink (Spec.OnGrant) leaves
+	// running where it leaves the record list empty.
 	for {
-		grants := len(runner.Records())
+		grants := runner.Grants()
 		err := sim.RunCapped(limit)
 		switch {
 		case err == nil && r.spec.Horizon == 0 && !runner.Done():
 			return r.stalled(Unsatisfied, nil)
 		case err == nil:
 			return nil
-		case len(runner.Records()) == grants:
+		case runner.Grants() == grants:
 			return r.stalled(NoDrain, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,35 @@ func mustDrive(t *testing.T, spec Spec) Outcome {
 	return r.Drive()
 }
 
+// driveBoth drives spec twice, once with the record buffer and once with a
+// grant sink (Spec.OnGrant), and holds the two to one outcome: the same
+// stall, grant count and event count, and the sink seeing exactly the
+// buffered records. It returns the buffered outcome.
+func driveBoth(t *testing.T, spec Spec) Outcome {
+	t.Helper()
+	out := mustDrive(t, spec)
+	if out.Grants != len(out.Records) {
+		t.Fatalf("buffered: Grants %d, %d records", out.Grants, len(out.Records))
+	}
+	var sunk []workload.Record
+	spec.OnGrant = func(r workload.Record) { sunk = append(sunk, r) }
+	streamed := mustDrive(t, spec)
+	if streamed.Records != nil {
+		t.Fatalf("with a sink: %d records buffered", len(streamed.Records))
+	}
+	if !reflect.DeepEqual(streamed.Stall, out.Stall) {
+		t.Fatalf("stall with a sink %+v, without %+v", streamed.Stall, out.Stall)
+	}
+	if streamed.Grants != out.Grants || streamed.Events != out.Events {
+		t.Fatalf("with a sink: %d grants and %d events, without: %d and %d",
+			streamed.Grants, streamed.Events, out.Grants, out.Events)
+	}
+	if !slices.Equal(sunk, out.Records) {
+		t.Fatal("the sink saw other grants than the buffer holds")
+	}
+	return out
+}
+
 // firstDiff renders the first trace line where two dumps diverge.
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
@@ -187,7 +217,7 @@ func sparseRecovery(clusters int) Spec {
 // unsatisfied after N events", which is why paper-scale recovery and
 // partition sweeps never completed.
 func TestRecoveryCapCountsSinceLastGrant(t *testing.T) {
-	out := mustDrive(t, sparseRecovery(2))
+	out := driveBoth(t, sparseRecovery(2))
 	if out.Stall != nil {
 		t.Fatalf("stalled after %d events: %v", out.Events, out.Stall)
 	}
@@ -214,7 +244,7 @@ func TestRecoveryCapStillCatchesStall(t *testing.T) {
 		{At: 0, Node: nodes[0], Kind: faults.Crash},
 		{At: 0, Node: nodes[1], Kind: faults.Crash},
 	}
-	out := mustDrive(t, spec)
+	out := driveBoth(t, spec)
 	var exceeded des.MaxEventsExceeded
 	if out.Stall == nil || out.Stall.Kind != NoDrain || !errors.As(out.Stall.Err, &exceeded) {
 		t.Fatalf("stall %+v, want NoDrain on the event cap", out.Stall)
@@ -235,6 +265,41 @@ func TestRecoveryCapStillCatchesStall(t *testing.T) {
 	twin.sim.RunUntil(out.Records[len(out.Records)-1].AcquiredAt)
 	if since := out.Events - twin.sim.Processed(); since < spec.EventLimit || since > 2*spec.EventLimit {
 		t.Errorf("gave up %d events after the last grant, want within [1, 2] windows of %d", since, spec.EventLimit)
+	}
+}
+
+// TestUnsatisfiedStall: a queue that drains with requests outstanding is an
+// Unsatisfied stall, after the liveness watchdog has named the instant.
+// Flat Naimi-Trehel's initial token holder crashes before anyone asks: every
+// request path ends at it, and nothing else keeps the queue alive.
+func TestUnsatisfiedStall(t *testing.T) {
+	spec := quickSpec(3, System{Flat: "naimi"})
+	spec.TraceCapacity = 0
+	spec.Faults.Schedule = faults.Schedule{{At: 0, Node: 0, Kind: faults.Crash}}
+	out := driveBoth(t, spec)
+	if out.Stall == nil || out.Stall.Kind != Unsatisfied || out.Stall.Outstanding == 0 {
+		t.Fatalf("stall %+v, want Unsatisfied with requests outstanding", out.Stall)
+	}
+	if out.Monitor.Ok() {
+		t.Error("the liveness watchdog reported nothing")
+	}
+}
+
+// TestHorizonStall: a horizon run's drain is held to the same event limit,
+// counted from the last window that granted anything, and reports the
+// horizon wording.
+func TestHorizonStall(t *testing.T) {
+	spec := quickSpec(3, System{Intra: "naimi", Inter: "naimi"})
+	spec.TraceCapacity = 0
+	spec.Horizon = 100 * time.Millisecond
+	spec.EventLimit = 4
+	out := driveBoth(t, spec)
+	var exceeded des.MaxEventsExceeded
+	if out.Stall == nil || !out.Stall.Horizon || out.Stall.Kind != NoDrain || !errors.As(out.Stall.Err, &exceeded) {
+		t.Fatalf("stall %+v, want a horizon NoDrain on the event cap", out.Stall)
+	}
+	if exceeded.Now <= spec.Horizon {
+		t.Errorf("gave up at %v, inside the %v horizon", exceeded.Now, spec.Horizon)
 	}
 }
 

@@ -139,6 +139,9 @@ func (r Record) Obtaining() time.Duration {
 //	r.Start()
 //	sim.Run()  // or RunCapped
 //	records := r.Records()
+//
+// A caller that folds each grant as it happens sets a sink with OnGrant
+// before Bind; the runner then keeps no record list.
 type Runner struct {
 	sim     *des.Simulator
 	params  Params
@@ -150,6 +153,9 @@ type Runner struct {
 	procs   []appProc
 	apps    int
 	records []Record
+	grants  int
+	// onGrant, when set, receives every grant in place of records.
+	onGrant func(Record)
 	bound   bool
 	started bool
 	// Run progress, kept current by setWaiting and setRemaining — the only
@@ -245,7 +251,9 @@ func (r *Runner) Bind(apps []core.App) {
 			panic(fmt.Sprintf("workload: app %d out of ascending ID order", a.ID))
 		}
 	}
-	r.records = make([]Record, 0, len(apps)*r.params.CSPerProcess)
+	if r.onGrant == nil {
+		r.records = make([]Record, 0, len(apps)*r.params.CSPerProcess)
+	}
 	if len(apps) > 0 {
 		r.procs = make([]appProc, apps[len(apps)-1].ID+1)
 	}
@@ -292,6 +300,16 @@ func (r *Runner) setRemaining(p *appProc, n int) {
 			r.onDone()
 		}
 	}
+}
+
+// OnGrant hands every grant to f the instant it happens, in grant order,
+// instead of buffering it: Bind then sizes no record buffer and Records
+// stays nil. f runs inside the grant's event. Call it before Bind.
+func (r *Runner) OnGrant(f func(Record)) {
+	if r.bound {
+		panic("workload: OnGrant after Bind")
+	}
+	r.onGrant = f
 }
 
 // OnDone registers f to run the instant the last unfinished process exits
@@ -424,10 +442,16 @@ func (r *Runner) onAcquire(id mutex.ID) {
 	if r.monitor != nil {
 		r.monitor.Enter(id)
 	}
-	r.records = append(r.records, Record{
+	rec := Record{
 		ID: id, Cluster: int(p.cluster),
 		RequestedAt: p.reqAt, AcquiredAt: r.sim.Now(),
-	})
+	}
+	r.grants++
+	if r.onGrant != nil {
+		r.onGrant(rec)
+	} else {
+		r.records = append(r.records, rec)
+	}
 	r.after(r.params.Alpha, id, exitTimer)
 }
 
@@ -447,8 +471,13 @@ func (r *Runner) exitCS(id mutex.ID, p *appProc) {
 	}
 }
 
-// Records returns every satisfied request so far, in grant order.
+// Records returns every satisfied request so far, in grant order; nil when
+// a sink (OnGrant) receives them instead.
 func (r *Runner) Records() []Record { return r.records }
+
+// Grants returns how many requests have been satisfied so far, with or
+// without a sink.
+func (r *Runner) Grants() int { return r.grants }
 
 // Done reports whether every process has finished its critical sections.
 func (r *Runner) Done() bool { return r.unfinished == 0 }

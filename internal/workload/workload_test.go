@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -622,6 +623,69 @@ func TestBindAllocsFlat(t *testing.T) {
 	}
 	if small, large := bind(10), bind(1000); small != large {
 		t.Errorf("NewRunner+Bind allocates %.0f objects for 10 apps and %.0f for 1,000, want the same", small, large)
+	}
+}
+
+// TestGrantSink: with a sink set before Bind, every grant reaches it in
+// grant order and nothing is buffered — Records stays nil, Grants counts the
+// full run, and Bind allocates strictly fewer objects than with the apps ×
+// CS record buffer, still flat in N. Without a sink the buffer holds the
+// same grants.
+func TestGrantSink(t *testing.T) {
+	params := Params{Alpha: 2 * time.Millisecond, Rho: 10, CSPerProcess: 12, Seed: 3}
+	want := runFlat(t, params, Exponential).Records()
+
+	params.Dist = Exponential
+	sim := des.New()
+	grid := topology.Single(4, time.Millisecond)
+	net := simnet.New(sim, grid, simnet.Options{})
+	r, err := NewRunner(sim, params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	r.OnGrant(func(rec Record) { got = append(got, rec) })
+	d, err := core.BuildFlat(net, grid, "central", r.Callbacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Bind(d.Apps)
+	r.Start()
+	if err := sim.RunCapped(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if r.Records() != nil {
+		t.Fatalf("%d records buffered beside the sink", len(r.Records()))
+	}
+	if r.Grants() != r.ExpectedTotal() || len(want) != r.ExpectedTotal() {
+		t.Fatalf("Grants %d, %d buffered records, want %d", r.Grants(), len(want), r.ExpectedTotal())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the sink saw other grants than the buffer holds")
+	}
+
+	bind := func(n int, sink bool) float64 {
+		lock := &stubLock{holder: mutex.None}
+		apps := make([]core.App, n)
+		for i := range apps {
+			apps[i] = core.App{ID: mutex.ID(i), Instance: stubInst{lock, mutex.ID(i)}}
+		}
+		discard := func(Record) {}
+		return testing.AllocsPerRun(20, func() {
+			r, err := NewRunner(des.New(), Params{Alpha: time.Millisecond, Rho: 1, CSPerProcess: 3}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sink {
+				r.OnGrant(discard)
+			}
+			r.Bind(apps)
+		})
+	}
+	small, large, buffering := bind(10, true), bind(1000, true), bind(1000, false)
+	if small != large || large >= buffering {
+		t.Errorf("NewRunner+OnGrant+Bind allocates %.0f objects for 10 apps and %.0f for 1,000, and %.0f without the sink: want flat and fewer",
+			small, large, buffering)
 	}
 }
 

@@ -119,6 +119,16 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> the harness keeps no records: grants stream into their digest"
+# Harness runs fold each grant into their digest the instant it happens
+# (run.Spec.OnGrant) and read the grant count from Outcome.Grants, so no run
+# buffers an apps x CS record list (DESIGN.md "Run kernel", §14). The list
+# stays for the scenario engine, gridsim -trace, bench/ and tests.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\.Records\b' internal/harness; then
+    echo "ci: the harness reads a buffered record list again (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
