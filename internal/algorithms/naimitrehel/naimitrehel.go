@@ -99,7 +99,7 @@ func (n *node) Release() {
 func (n *node) Deliver(from mutex.ID, m mutex.Message) {
 	switch msg := m.(type) {
 	case Request:
-		n.onRequest(msg.Origin)
+		n.onRequest(msg.Origin, m)
 	case Token:
 		n.onToken()
 	default:
@@ -107,7 +107,10 @@ func (n *node) Deliver(from mutex.ID, m mutex.Message) {
 	}
 }
 
-func (n *node) onRequest(origin mutex.ID) {
+// onRequest handles origin's request, which arrived as m. A node that is
+// not the root forwards m itself: boxing Request{origin} again would
+// allocate the value m already holds.
+func (n *node) onRequest(origin mutex.ID, m mutex.Message) {
 	if n.father == mutex.None {
 		// This node is the root: it either grants directly or queues
 		// the requester behind itself.
@@ -126,7 +129,7 @@ func (n *node) onRequest(origin mutex.ID) {
 			}
 		}
 	} else {
-		n.env.Send(n.father, Request{Origin: origin})
+		n.env.Send(n.father, m)
 	}
 	// Path reversal: the requester is the new probable owner.
 	n.father = origin

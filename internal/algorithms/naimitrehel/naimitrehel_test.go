@@ -364,3 +364,36 @@ func TestNodeLayout(t *testing.T) {
 		t.Fatalf("node is %d bytes, want <= 48", size)
 	}
 }
+
+// lastEnv keeps the last message sent and nothing else, so that sending
+// through it allocates nothing of its own.
+type lastEnv struct {
+	to  mutex.ID
+	msg mutex.Message
+}
+
+func (e *lastEnv) Send(to mutex.ID, m mutex.Message) { e.to, e.msg = to, m }
+func (e *lastEnv) Local(f func())                    { f() }
+
+// TestForwardRequestAllocs: a node that is not the root forwards the
+// request it was handed, so forwarding allocates nothing. Boxing
+// Request{Origin} again allocates once per hop for every origin of 256 and
+// above, the ids of all but the first few processes of a large hierarchy.
+func TestForwardRequestAllocs(t *testing.T) {
+	env := &lastEnv{}
+	inst, err := New(mutex.Config{Self: 5, Members: ids(0, 5, 300), Holder: 0, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := inst.(*node)
+	var req mutex.Message = Request{Origin: 300}
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.father = 0
+		n.Deliver(300, req)
+	}); allocs != 0 {
+		t.Errorf("forwarding a request allocates %.0f times, want 0", allocs)
+	}
+	if env.to != 0 || env.msg != req || n.father != 300 {
+		t.Errorf("forwarded %v to %d and left father %d, want %v to 0 and father 300", env.msg, env.to, n.father, req)
+	}
+}

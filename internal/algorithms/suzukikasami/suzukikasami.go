@@ -149,7 +149,9 @@ func (n *node) Request() {
 	}
 	seq := n.rn.get(n.self) + 1
 	n.rn.set(n.self, seq)
-	req := Request{Seq: seq}
+	// One box for the broadcast: a Request passed by value would be boxed
+	// again for every recipient.
+	var req mutex.Message = Request{Seq: seq}
 	for _, m := range n.cfg.Members {
 		if m != n.cfg.Self {
 			n.cfg.Env.Send(m, req)

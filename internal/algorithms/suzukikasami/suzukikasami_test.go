@@ -489,3 +489,36 @@ func TestPropertyTokenStateInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countEnv counts the messages sent through it and keeps nothing else.
+type countEnv struct{ sent int }
+
+func (e *countEnv) Send(mutex.ID, mutex.Message) { e.sent++ }
+func (e *countEnv) Local(f func())               { f() }
+
+// TestRequestBroadcastAllocs: Request() boxes its Request once for the
+// whole broadcast, not once per recipient: among 9 members it allocates
+// once where a value passed to every Send allocated 8 times. Sequence
+// numbers start above 255, where boxing an int64 stops being free.
+func TestRequestBroadcastAllocs(t *testing.T) {
+	members := make([]mutex.ID, 9)
+	for i := range members {
+		members[i] = mutex.ID(i)
+	}
+	env := &countEnv{}
+	inst, err := New(mutex.Config{Self: 3, Members: members, Holder: 0, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := inst.(*node)
+	n.rn.set(n.self, 1000)
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.state = mutex.NoReq
+		n.Request()
+	}); allocs != 1 {
+		t.Errorf("a Request() among 9 members allocates %.0f times, want 1", allocs)
+	}
+	if env.sent != 8*101 {
+		t.Errorf("sent %d requests in 101 broadcasts, want %d", env.sent, 8*101)
+	}
+}

@@ -38,6 +38,39 @@ func TestArenaReservedExactly(t *testing.T) {
 	}
 }
 
+// TestBuildersSizeAppsAndProcsOnce: every builder makes Apps and Procs at
+// their final length, so neither leaves a chain of outgrown arrays behind.
+func TestBuildersSizeAppsAndProcsOnce(t *testing.T) {
+	grid := topology.Uniform(8, 3, time.Millisecond, 16*time.Millisecond)
+	for _, c := range []struct {
+		name  string
+		build func(net *simnet.Network) (*Deployment, error)
+		procs int
+	}{
+		{"BuildFlat", func(net *simnet.Network) (*Deployment, error) {
+			return BuildFlat(net, grid, "naimi", nil)
+		}, 24},
+		{"BuildComposed", func(net *simnet.Network) (*Deployment, error) {
+			return BuildComposed(net, grid, Spec{"naimi", "suzuki"}, nil)
+		}, 24},
+		// 8 clusters grouped 2 by 2 into 4 regions, and those into 2.
+		{"BuildMultiLevel", func(net *simnet.Network) (*Deployment, error) {
+			return BuildMultiLevel(net, grid, []string{"naimi", "martin", "suzuki", "naimi"}, []int{2, 2}, nil)
+		}, 30},
+	} {
+		d, err := c.build(simnet.New(des.New(), grid, simnet.Options{}))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(d.Procs) != c.procs || cap(d.Procs) != len(d.Procs) {
+			t.Errorf("%s: Procs len %d cap %d, want both %d", c.name, len(d.Procs), cap(d.Procs), c.procs)
+		}
+		if cap(d.Apps) != len(d.Apps) {
+			t.Errorf("%s: Apps len %d cap %d, want the same", c.name, len(d.Apps), cap(d.Apps))
+		}
+	}
+}
+
 func TestArenaExhaustionPanics(t *testing.T) {
 	net := simnet.New(des.New(), topology.Single(2, time.Millisecond), simnet.Options{})
 	d := &Deployment{}

@@ -53,8 +53,13 @@ type Deployment struct {
 	boxes *[]*pooledEnvelope
 }
 
-// reserve sizes the arena for n processes; must run before newProcess.
-func (d *Deployment) reserve(n int) { d.arena, d.boxes = make([]Process, 0, n), new([]*pooledEnvelope) }
+// reserve sizes the arena and Procs for n processes; must run before
+// newProcess. Procs is made at its final capacity: grown by append, one id
+// at a time, it would leave a chain of dead arrays behind the live one.
+func (d *Deployment) reserve(n int) {
+	d.arena, d.boxes = make([]Process, 0, n), new([]*pooledEnvelope)
+	d.Procs = make([]*Process, 0, n)
+}
 
 // newProcess carves a process out of the arena and records it in the dense
 // Procs table. An exhausted arena panics: the builder reserved fewer
@@ -103,7 +108,7 @@ func BuildFlat(net mutex.Fabric, grid *topology.Grid, alg string, appCB Callback
 	for i := range members {
 		members[i] = mutex.ID(i)
 	}
-	d := &Deployment{}
+	d := &Deployment{Apps: make([]App, 0, len(members))}
 	d.reserve(len(members))
 	for _, id := range members {
 		proc := d.newProcess(id, net.Endpoint(id))

@@ -65,7 +65,8 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 		n = (n + groupSizes[i] - 1) / groupSizes[i]
 		total += n
 	}
-	d := &Deployment{}
+	// Every node but each cluster's first is an application process.
+	d := &Deployment{Apps: make([]App, 0, grid.NumNodes()-grid.NumClusters())}
 	d.reserve(total)
 	nextID := mutex.ID(grid.NumNodes()) // fresh IDs for intermediate coordinators
 

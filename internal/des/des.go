@@ -42,6 +42,9 @@ type payload struct {
 	h    mutex.Handler
 	msg  mutex.Message
 	from mutex.ID
+	// next links a freed slot to the one freed before it, plus one (0 ends
+	// the list). It fills the pad after from, so a payload stays 48 bytes.
+	next int32
 }
 
 // eventKey is a queue element: the event's instant and the index of its
@@ -78,9 +81,9 @@ func (q QueueStats) MovesPerEvent() float64 {
 // those whose instant first differs from last at bit b-1, so where a key
 // sits is a function of its instant and the clock, with no boundary to
 // tune and no comparison on push. Payloads stay put in their slot until
-// popped and freed slots recycle through a stack, so scheduling allocates
-// nothing once the arrays have grown. Pop order is (instant, scheduling
-// order) by three invariants:
+// popped, and freed slots recycle through a LIFO list threaded through the
+// slots themselves, so scheduling allocates nothing once the arrays have
+// grown. Pop order is (instant, scheduling order) by three invariants:
 //
 //  1. Placement: a key in bucket j agrees with last on every bit >= j, and
 //     a new last from a lower bucket b agrees with the old one on every
@@ -98,7 +101,7 @@ type eventQueue struct {
 	last    Time
 	pending int
 	slots   []payload
-	free    []int32 // stack of reusable indices into slots
+	free    int32 // the last freed slot plus one, 0 if none: the free list's head
 	stats   QueueStats
 }
 
@@ -107,19 +110,36 @@ type eventQueue struct {
 // write every field of: the payload is written once, in place, and never
 // moved.
 func (q *eventQueue) push(at Time) *payload {
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
+	slot := q.free - 1
+	if slot >= 0 {
+		q.free = q.slots[slot].next
 	} else {
-		slot = int32(len(q.slots))
-		q.slots = append(q.slots, payload{})
+		slot = q.grow()
 	}
 	q.place(eventKey{at: at, slot: slot})
 	q.pending++
 	q.stats.Pushes++
 	q.stats.HighWater = max(q.stats.HighWater, q.pending)
 	return &q.slots[slot]
+}
+
+// grow extends the slot array by one slot and returns its index. From 256
+// slots on, a full array doubles to the next power of two: append grows a
+// large slice by 1.25×, and under the commands' GOGC 400 the chain of
+// arrays it leaves behind, about four times the live one at 10⁵ pending
+// events, is never collected before the run ends. The dead arrays doubling
+// leaves sum to less than the live one. Below 256, append doubles
+// already, and rounds up to the allocator's size classes: a queue of 78
+// events fits in 85 slots, not 128.
+func (q *eventQueue) grow() int32 {
+	n := len(q.slots)
+	if n == cap(q.slots) && n >= 256 {
+		slots := make([]payload, n, 1<<bits.Len(uint(n)))
+		copy(slots, q.slots)
+		q.slots = slots
+	}
+	q.slots = append(q.slots, payload{})
+	return int32(n)
 }
 
 // place appends k to its bucket under the current last.
@@ -131,8 +151,8 @@ func (q *eventQueue) place(k eventKey) {
 
 // pop removes the earliest pending event and returns its instant and
 // payload slot, provided that instant is <= deadline; otherwise it reports
-// false and leaves the queue, last included, as it was. The slot goes on
-// the free stack before the event runs, so the next push reuses it.
+// false and leaves the queue, last included, as it was. The slot heads the
+// free list before the event runs, so the next push reuses it.
 func (q *eventQueue) pop(deadline Time) (Time, int32, bool) {
 	var k eventKey
 	if q.mask&1 == 0 {
@@ -176,9 +196,10 @@ func (q *eventQueue) pop(deadline Time) (Time, int32, bool) {
 	// The slot is NOT zeroed here: the next push into it overwrites every
 	// field, and skipping the clear saves a bulk write barrier per event.
 	// A stale slot pins one popped closure/message until the slot is
-	// reused, and the slot array never exceeds the pending high-water
-	// mark, so that is the most a queue of any lifetime retains.
-	q.free = append(q.free, k.slot)
+	// reused, and the slot array's length never exceeds the pending
+	// high-water mark, so that is the most a queue of any lifetime retains.
+	q.slots[k.slot].next = q.free
+	q.free = k.slot + 1
 	q.pending--
 	return k.at, k.slot, true
 }

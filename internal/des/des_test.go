@@ -333,6 +333,47 @@ func TestSteadyStateSchedulingAllocs(t *testing.T) {
 	}
 }
 
+// TestSlotGrowthAllocs pins how the slot array grows: while the queue fills
+// to 10⁵ pending events, the capacities the array passes through, each an
+// allocation, sum to at most 2.1 × the final one. Doubling sums to about 2×;
+// append's 1.25× growth above 256 elements sums to 4.82×, a chain of
+// dead arrays that GOGC 400 never collects before a run ends. Once grown,
+// a second fill and drain allocates nothing. Every event is due at the
+// current instant, so each fill meets the buckets as the first one left
+// them: keys due later sit in buckets chosen by their instant's XOR with
+// the clock, which moves between fills.
+func TestSlotGrowthAllocs(t *testing.T) {
+	const n = 100_000
+	s := New()
+	fn := func() {}
+	sum, last := 0, -1
+	for j := 0; j < n; j++ {
+		s.At(s.Now(), fn)
+		if c := cap(s.queue.slots); c != last {
+			sum, last = sum+c, c
+		}
+	}
+	if s.Pending() != n {
+		t.Fatalf("%d events pending, want %d", s.Pending(), n)
+	}
+	if float64(sum) > 2.1*float64(last) {
+		t.Errorf("the slot array passed through %d slots of capacity to reach %d: %.2f × the final array, want <= 2.1",
+			sum, last, float64(sum)/float64(last))
+	}
+	s.Run()
+	if allocs := testing.AllocsPerRun(1, func() {
+		for j := 0; j < n; j++ {
+			s.At(s.Now(), fn)
+		}
+		s.Run()
+	}); allocs != 0 {
+		t.Errorf("a second fill to %d pending events allocates %.0f times, want 0", n, allocs)
+	}
+	if c := cap(s.queue.slots); c != last {
+		t.Errorf("the slot array grew from %d to %d on a second fill", last, c)
+	}
+}
+
 // TestHeapOrderAfterInterleavedPops stresses the hand-rolled sift
 // routines: interleaved pushes and pops must still drain in (at, seq)
 // order.
@@ -667,7 +708,7 @@ func TestHandlerSchedulesIntoItsOwnSlot(t *testing.T) {
 		if len(got) > 1 {
 			return
 		}
-		slot := s.queue.free[len(s.queue.free)-1] // the one being dispatched
+		slot := s.queue.free - 1 // the one being dispatched
 		c := cap(s.queue.slots)
 		for id := 1; id <= c+1; id++ {
 			at := s.Now() + Time(id%3)*time.Millisecond

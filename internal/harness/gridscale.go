@@ -51,6 +51,11 @@ type GridScaleMem struct {
 	// by Procs: (live after build − live before build) / Procs, both ends
 	// measured after a forced collection.
 	BytesPerProc float64
+	// BuildAllocPerProc and DriveAllocPerProc are the bytes allocated
+	// (MemStats.TotalAlloc) while run.Build and Drive ran, divided by
+	// Procs: what a run leaves for the collector, live or not. Under GOGC
+	// 400 little of it is collected before a run ends.
+	BuildAllocPerProc, DriveAllocPerProc float64
 	// WallMS and EventsPerSec time the simulation pass alone (build
 	// excluded).
 	WallMS       float64
@@ -161,9 +166,9 @@ func RunGridScale(ns []int, csPerProcess int, alpha time.Duration, seed int64, p
 		}
 		res.Points = append(res.Points, p)
 		if progress != nil {
-			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d events=%-9d  %7.0f B/proc  %6.2f Mev/s  %5.2f key moves/event, high-water %d, %.4f closures/grant",
+			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d events=%-9d  %7.0f B/proc (allocated %.1f build, %.1f drive)  %6.2f Mev/s  %5.2f key moves/event, high-water %d, %.4f closures/grant",
 				p.N, p.Clusters, p.Levels, p.Grants, p.Events,
-				p.Mem.BytesPerProc, p.Mem.EventsPerSec/1e6, p.Queue.MovesPerEvent(), p.Queue.HighWater,
+				p.Mem.BytesPerProc, p.Mem.BuildAllocPerProc, p.Mem.DriveAllocPerProc, p.Mem.EventsPerSec/1e6, p.Queue.MovesPerEvent(), p.Queue.HighWater,
 				float64(p.Queue.Closures)/float64(max(p.Grants, 1))))
 		}
 	}
@@ -225,6 +230,8 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 	start := wallNow()
 	out := r.Drive()
 	wall := wallNow().Sub(start)
+	var driven runtime.MemStats
+	runtime.ReadMemStats(&driven)
 	if err := verify(out); err != nil {
 		return GridScalePoint{}, err
 	}
@@ -248,8 +255,12 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 		Procs:  procs,
 		WallMS: float64(wall) / float64(time.Millisecond),
 	}
-	if procs > 0 && built.HeapAlloc > before.HeapAlloc {
-		p.Mem.BytesPerProc = float64(built.HeapAlloc-before.HeapAlloc) / float64(procs)
+	if procs > 0 {
+		if built.HeapAlloc > before.HeapAlloc {
+			p.Mem.BytesPerProc = float64(built.HeapAlloc-before.HeapAlloc) / float64(procs)
+		}
+		p.Mem.BuildAllocPerProc = float64(built.TotalAlloc-before.TotalAlloc) / float64(procs)
+		p.Mem.DriveAllocPerProc = float64(driven.TotalAlloc-built.TotalAlloc) / float64(procs)
 	}
 	if wall > 0 {
 		p.Mem.EventsPerSec = float64(p.Events) / wall.Seconds()

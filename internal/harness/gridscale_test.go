@@ -17,9 +17,26 @@ const goldenGridScale = "../../testdata/golden/gridscale-paper.txt"
 // processes.
 const gridScaleBytesPerProcCeiling = 450
 
+// gridScaleDriveAllocCeiling bounds the bytes a drive allocates per process
+// at N ≥ 10³, and gridScaleBuildAllocRatio the bytes a build allocates per
+// byte it keeps. Under GOGC 400 a 10⁵ run collects almost none of it, so
+// it is what the process's peak heap climbs by. The sweep allocates
+// 165 / 225 / 218 B driving and 1.09 / 1.11 / 1.13 × what it keeps
+// building, at N = 10³ / 10⁴ / 10⁵; it allocated 196 / 329 / 391 B and
+// 1.33 / 1.57 / 1.67 × while the event queue's slot array grew by
+// append's 1.25× and the builders grew Apps and Procs the same way, each
+// chain leaving about four dead arrays behind the live one. Under -race
+// the drive reads 267 / 273 B at 10⁴ / 10⁵: the race build's allocator
+// gives every 4-byte message box 16 bytes of its own.
+const (
+	gridScaleDriveAllocCeiling = 300
+	gridScaleBuildAllocRatio   = 1.2
+)
+
 // TestGridScalePaper runs the paper-scale grid-scale sweep once and holds
 // its two properties: the deterministic table equals the committed golden
-// byte for byte, and memory per process stays flat across three decades.
+// byte for byte, and memory per process, kept and allocated, stays flat
+// across three decades.
 func TestGridScalePaper(t *testing.T) {
 	res, err := RunGridScale(GridScaleNs(true), 1, 10*time.Millisecond, 1, nil)
 	if err != nil {
@@ -33,12 +50,20 @@ func TestGridScalePaper(t *testing.T) {
 		t.Errorf("grid-scale table differs from %s; fresh render:\n%s", goldenGridScale, got)
 	}
 	for _, p := range res.Points {
-		t.Logf("N=%d: %d procs, %.0f B/proc", p.N, p.Mem.Procs, p.Mem.BytesPerProc)
+		t.Logf("N=%d: %d procs, %.0f B/proc, allocated %.1f B/proc building and %.1f driving",
+			p.N, p.Mem.Procs, p.Mem.BytesPerProc, p.Mem.BuildAllocPerProc, p.Mem.DriveAllocPerProc)
 		if p.N < 1000 {
 			continue
 		}
 		if p.Mem.BytesPerProc <= 0 || p.Mem.BytesPerProc > gridScaleBytesPerProcCeiling {
 			t.Errorf("N=%d: %.0f bytes per process, want (0, %d]", p.N, p.Mem.BytesPerProc, gridScaleBytesPerProcCeiling)
+		}
+		if a := p.Mem.DriveAllocPerProc; a <= 0 || a > gridScaleDriveAllocCeiling {
+			t.Errorf("N=%d: the drive allocates %.1f bytes per process, want (0, %d]", p.N, a, gridScaleDriveAllocCeiling)
+		}
+		if r := p.Mem.BuildAllocPerProc / p.Mem.BytesPerProc; r > gridScaleBuildAllocRatio {
+			t.Errorf("N=%d: the build allocates %.1f bytes per process for %.0f kept, %.2f ×, want <= %.1f",
+				p.N, p.Mem.BuildAllocPerProc, p.Mem.BytesPerProc, r, gridScaleBuildAllocRatio)
 		}
 	}
 }

@@ -119,9 +119,12 @@ func (c Config) Validate() error {
 	}
 	// Duplicates are found on a sorted copy: every instance validates its
 	// whole member list, so a map per instance made a flat deployment
-	// O(N²) in allocation. Only a rejected list pays for the scan that
-	// names the first repeat in list order.
-	sorted := slices.Clone(c.Members)
+	// O(N²) in allocation. The copy lives on the stack up to 16 members,
+	// so the small groups of a deep hierarchy allocate nothing. Only a
+	// rejected list pays for the scan that names the first repeat in list
+	// order.
+	var buf [16]ID
+	sorted := append(buf[:0], c.Members...)
 	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {

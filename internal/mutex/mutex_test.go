@@ -188,7 +188,9 @@ func TestSingleMemberNoSelfSend(t *testing.T) {
 
 // TestConfigValidateAllocs: Validate checks a member list without a set, so
 // a flat deployment of N instances costs O(N log N) each and one
-// allocation, not a map of N entries per instance. A duplicate in last
+// allocation, not a map of N entries per instance, and a group of up to 16
+// members (a leaf cluster or a coordinator group of the grid-scale trees)
+// none: its sorted copy lives on the stack. A duplicate in last
 // position is still found, and with several duplicates the error names
 // the first repeat in list order, as the set-based scan did.
 func TestConfigValidateAllocs(t *testing.T) {
@@ -203,6 +205,14 @@ func TestConfigValidateAllocs(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Errorf("Validate of 180 members allocates %.0f times, want <= 1", allocs)
+	}
+	small := Config{Self: 7, Members: members[170:], Holder: 0, Env: nopEnv{}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := small.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate of 10 members allocates %.0f times, want 0", allocs)
 	}
 	last := append(slices.Clone(members[:179]), 42)
 	if err := (Config{Self: 7, Members: last, Holder: 0, Env: nopEnv{}}).Validate(); err == nil ||

@@ -288,7 +288,12 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 	sort.Slice(interIDs, func(i, j int) bool { return interIDs[i] < interIDs[j] })
 	interHolder := mutex.ID(grid.NodesIn(0)[0])
 
-	d := &Deployment{Procs: make(map[mutex.ID]*core.Process)}
+	// Every node but each cluster's primary and standby is an application
+	// process.
+	d := &Deployment{
+		Apps:  make([]core.App, 0, grid.NumNodes()-2*grid.NumClusters()),
+		Procs: make(map[mutex.ID]*core.Process),
+	}
 	for c := 0; c < grid.NumClusters(); c++ {
 		nodes := grid.NodesIn(c)
 		members := make([]mutex.ID, len(nodes))

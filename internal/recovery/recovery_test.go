@@ -171,6 +171,16 @@ func TestFaultFreeComplete(t *testing.T) {
 	}
 }
 
+// TestBuildSizesAppsOnce: Build makes Apps at its final length, every node
+// but each cluster's primary and standby, so it leaves no outgrown array
+// behind.
+func TestBuildSizesAppsOnce(t *testing.T) {
+	r := buildRig(t, 1, nil)
+	if apps := r.dep.Apps; len(apps) != 9 || cap(apps) != len(apps) {
+		t.Errorf("Apps len %d cap %d, want both 9", len(apps), cap(apps))
+	}
+}
+
 // TestAppTokenHolderCrash is acceptance case (a): a non-coordinator token
 // holder crashes inside its critical section; the token is regenerated,
 // every surviving requester completes, and no safety violation occurs.

@@ -132,10 +132,10 @@ fi
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
-echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild, <= 1 per member-list check, Runner.Bind flat in N"
+echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild and 1 per request broadcast, 0 per forwarded Naimi-Trehel request, <= 1 per member-list check (0 up to 16 members), Runner.Bind flat in N, the event queue's slot array doubling"
 # The line above ran these in a race-instrumented build; the pins are
 # claims about the plain build the benchmark and the commands run.
-go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/ ./internal/algorithms/suzukikasami/ ./internal/mutex/ ./internal/workload/
+go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/ ./internal/algorithms/naimitrehel/ ./internal/algorithms/suzukikasami/ ./internal/mutex/ ./internal/workload/
 
 echo "==> event-queue order against a reference sort, 800 random schedules over both drivers"
 go test -run 'TestPropertyTiersMatchReferenceSort' ./internal/des/ -quickchecks 2000
