@@ -35,10 +35,11 @@ type RunOptions struct {
 	Workers int
 }
 
-// figureSpec wires one figure name to the experiment producing it.
+// figureSpec wires one figure name to the experiment producing it; paper
+// tells run the scale is ScalePaper, for the sweeps whose axis depends on it.
 type figureSpec struct {
 	describe string
-	run      func(scale harness.Scale, progress func(string), runs runCache) (string, error)
+	run      func(scale harness.Scale, paper bool, progress func(string), runs runCache) (string, error)
 }
 
 // runCache holds one call's harness.Run results by system set, so figures
@@ -62,7 +63,7 @@ func (c runCache) run(systems []harness.System, scale harness.Scale, progress fu
 var figureSpecs = map[string]figureSpec{
 	"fig3": {
 		describe: "Grid5000 RTT latency matrix (input data, encoded verbatim)",
-		run: func(harness.Scale, func(string), runCache) (string, error) {
+		run: func(harness.Scale, bool, func(string), runCache) (string, error) {
 			return harness.Figure3Table(), nil
 		},
 	},
@@ -79,9 +80,9 @@ var figureSpecs = map[string]figureSpec{
 	"fig6b": {describe: "intra algorithm choice: standard deviation vs rho",
 		run: sharedFigure(harness.IntraSystems, harness.ObtainingStd, "Figure 6(b)")},
 	"scale": {describe: "section 4.7 scalability: messages per CS vs cluster count",
-		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+		run: func(scale harness.Scale, paper bool, progress func(string), _ runCache) (string, error) {
 			clusters := []int{2, 3, 6, 9, 12}
-			if scale.CSPerProcess >= 100 { // paper scale: keep runtime sane
+			if paper { // keep runtime sane
 				clusters = []int{3, 6, 9, 12, 15}
 			}
 			res, err := harness.RunScalability(harness.ScalabilitySystems(), scale, clusters, progress)
@@ -91,7 +92,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Section 4.7"), nil
 		}},
 	"locality": {describe: "locality analysis: per-cluster obtaining time under a hotspot workload",
-		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+		run: func(scale harness.Scale, _ bool, progress func(string), _ runCache) (string, error) {
 			n := float64(scale.N())
 			res, err := harness.RunLocality(harness.LocalitySystems(), scale, 8*n, 0, 8, progress)
 			if err != nil {
@@ -100,7 +101,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.LocalityTable("Locality under an 8x hot cluster 0", 0), nil
 		}},
 	"bias": {describe: "related-work extension (Bertier et al.): serve local requests before inter handoffs",
-		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+		run: func(scale harness.Scale, _ bool, progress func(string), _ runCache) (string, error) {
 			// Two rhos spanning saturated and sparse regimes.
 			n := float64(scale.N())
 			scale.Rhos = []float64{n / 2, 4 * n}
@@ -111,7 +112,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.BiasTable("Local bias ablation"), nil
 		}},
 	"recovery": {describe: "robustness extension: token regeneration latency and detector overhead vs heartbeat period",
-		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+		run: func(scale harness.Scale, _ bool, progress func(string), _ runCache) (string, error) {
 			params, scale := harness.RecoverySweep(scale)
 			res, err := harness.RunRecovery(params, scale, progress)
 			if err != nil {
@@ -120,7 +121,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Crash recovery"), nil
 		}},
 	"partition": {describe: "robustness extension: graceful minority degradation and rejoin under partition windows",
-		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+		run: func(scale harness.Scale, _ bool, progress func(string), _ runCache) (string, error) {
 			params, scale, err := harness.PartitionSweep(scale)
 			if err != nil {
 				return "", err
@@ -132,12 +133,12 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Partition tolerance"), nil
 		}},
 	"gridscale": {describe: "grid-scale memory axis: k-level trees, N swept over decades, memory per process recorded",
-		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+		run: func(scale harness.Scale, paper bool, progress func(string), _ runCache) (string, error) {
 			// Paper scale reaches the 10⁵-node acceptance point; quick
 			// stays at two decades. One repetition per point: the sweep
 			// measures scaling shape and machine footprint, not
 			// statistical aggregates.
-			ns := harness.GridScaleNs(scale.CSPerProcess >= 100)
+			ns := harness.GridScaleNs(paper)
 			res, err := harness.RunGridScale(ns, 1, scale.Alpha, scale.BaseSeed, progress)
 			if err != nil {
 				return "", err
@@ -145,7 +146,7 @@ var figureSpecs = map[string]figureSpec{
 			return res.Table("Grid-scale sweep"), nil
 		}},
 	"adaptive": {describe: "section 6 extension: adaptive inter algorithm on a phased workload",
-		run: func(scale harness.Scale, progress func(string), _ runCache) (string, error) {
+		run: func(scale harness.Scale, _ bool, progress func(string), _ runCache) (string, error) {
 			scale.Phases = harness.AdaptivePhases(scale)
 			res, err := harness.RunPhased(harness.AdaptiveSystems(), scale, progress)
 			if err != nil {
@@ -157,8 +158,8 @@ var figureSpecs = map[string]figureSpec{
 
 // sharedFigure plots one metric of an experiment several figures draw on;
 // its runs come from, and go to, the call's cache.
-func sharedFigure(systems func() []harness.System, m harness.Metric, title string) func(harness.Scale, func(string), runCache) (string, error) {
-	return func(scale harness.Scale, progress func(string), runs runCache) (string, error) {
+func sharedFigure(systems func() []harness.System, m harness.Metric, title string) func(harness.Scale, bool, func(string), runCache) (string, error) {
+	return func(scale harness.Scale, _ bool, progress func(string), runs runCache) (string, error) {
 		res, err := runs.run(systems(), scale, progress)
 		if err != nil {
 			return "", err
@@ -200,7 +201,7 @@ func ReproduceFigureWith(name string, scale ExperimentScale, opt RunOptions, pro
 	}
 	s := scale.scale()
 	s.Workers = opt.Workers
-	return spec.run(s, progress, runCache{})
+	return spec.run(s, scale == ScalePaper, progress, runCache{})
 }
 
 // ReproduceAll regenerates every figure, sharing the underlying experiment
@@ -216,7 +217,7 @@ func ReproduceAllWith(scale ExperimentScale, opt RunOptions, progress func(strin
 	s.Workers = opt.Workers
 	out, runs := make(map[string]string), runCache{}
 	for _, name := range Figures() {
-		tab, err := figureSpecs[name].run(s, progress, runs)
+		tab, err := figureSpecs[name].run(s, scale == ScalePaper, progress, runs)
 		if err != nil {
 			return nil, fmt.Errorf("gridmutex: %s experiment: %w", name, err)
 		}

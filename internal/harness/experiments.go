@@ -125,25 +125,15 @@ func (r *Result) Table(m Metric, title string) string {
 	return b.String()
 }
 
-// ScalePoint is one cell of the scalability experiment (section 4.7):
-// total messages per CS as the number of clusters grows.
-type ScalePoint struct {
-	System         string
-	Clusters       int
-	TotalMsgsPerCS float64
-	InterMsgsPerCS float64
-	BytesPerCS     float64
-}
-
-// ScalabilityResult aggregates the section 4.7 experiment.
+// ScalabilityResult aggregates the section 4.7 experiment: one point per
+// (system, cluster count), with Clusters set.
 type ScalabilityResult struct {
-	Systems  []System
 	Clusters []int
-	Points   []ScalePoint
+	*Result
 }
 
 // Point returns the cell for (system, clusters), or nil.
-func (r *ScalabilityResult) Point(system string, clusters int) *ScalePoint {
+func (r *ScalabilityResult) Point(system string, clusters int) *Point {
 	for i := range r.Points {
 		if r.Points[i].System == system && r.Points[i].Clusters == clusters {
 			return &r.Points[i]
@@ -168,34 +158,23 @@ func ScalabilitySystems() []System {
 // the x axis. Synthetic uniform topologies keep latency constant so only
 // the node count varies.
 func RunScalability(systems []System, scale Scale, clusters []int, progress func(string)) (*ScalabilityResult, error) {
-	res := &ScalabilityResult{Systems: systems, Clusters: clusters}
 	cells := make([]cell, 0, len(systems)*len(clusters))
 	for _, sys := range systems {
 		for _, k := range clusters {
 			s := scale
-			s.Clusters = k
-			s.UseGrid5000 = false
+			s.Clusters, s.UseGrid5000 = k, false
 			rho := 2 * float64(s.N()) // intermediate parallelism for every size
-			cells = append(cells, cell{sys: sys, scale: s, rho: rho})
+			cells = append(cells, cell{sys: sys.RunSystem(), scale: s, at: Point{System: sys.Name, Rho: rho, Clusters: k}})
 		}
 	}
-	emit := func(ci int, p *Point) {
-		k := clusters[ci%len(clusters)]
-		res.Points = append(res.Points, ScalePoint{
-			System: p.System, Clusters: k,
-			TotalMsgsPerCS: p.TotalMsgsPerCS,
-			InterMsgsPerCS: p.InterMsgsPerCS,
-			BytesPerCS:     p.InterBytesPerCS,
-		})
-		if progress != nil {
-			progress(fmt.Sprintf("%-22s clusters=%2d  msgs/CS=%7.2f  inter/CS=%6.2f",
-				p.System, k, p.TotalMsgsPerCS, p.InterMsgsPerCS))
-		}
-	}
-	if err := runCells(cells, scale.Workers, emit); err != nil {
+	res, err := sweep(systems, scale, cells, progress, func(p *Point) string {
+		return fmt.Sprintf("%-22s clusters=%2d  msgs/CS=%7.2f  inter/CS=%6.2f",
+			p.System, p.Clusters, p.TotalMsgsPerCS, p.InterMsgsPerCS)
+	})
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &ScalabilityResult{Clusters: clusters, Result: res}, nil
 }
 
 // Table renders the scalability experiment.
@@ -289,22 +268,14 @@ func RunPhased(systems []System, scale Scale, progress func(string)) (*Result, e
 	if len(scale.Phases) == 0 {
 		return nil, fmt.Errorf("harness: RunPhased needs scale.Phases")
 	}
-	res := &Result{Systems: systems, Scale: scale}
 	cells := make([]cell, len(systems))
 	for i, sys := range systems {
-		cells[i] = cell{sys: sys, scale: scale, rho: 0}
+		cells[i] = cell{sys: sys.RunSystem(), scale: scale, at: Point{System: sys.Name}}
 	}
-	err := runCells(cells, scale.Workers, func(_ int, p *Point) {
-		res.Points = append(res.Points, *p)
-		if progress != nil {
-			progress(fmt.Sprintf("%-22s obtain=%8.2fms  inter/CS=%6.2f  switches=%d",
-				p.System, p.Obtaining.Mean, p.InterMsgsPerCS, p.Switches))
-		}
+	return sweep(systems, scale, cells, progress, func(p *Point) string {
+		return fmt.Sprintf("%-22s obtain=%8.2fms  inter/CS=%6.2f  switches=%d",
+			p.System, p.Obtaining.Mean, p.InterMsgsPerCS, p.Switches)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // PhasedTable renders a phased experiment: one row per system, with the

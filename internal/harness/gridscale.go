@@ -166,18 +166,17 @@ func RunGridScale(ns []int, csPerProcess int, alpha time.Duration, seed int64, p
 		}
 		res.Points = append(res.Points, p)
 		if progress != nil {
-			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d events=%-9d  %7.0f B/proc (allocated %.1f build, %.1f drive)  %6.2f Mev/s  %5.2f key moves/event, high-water %d, %.4f closures/grant",
-				p.N, p.Clusters, p.Levels, p.Grants, p.Events,
-				p.Mem.BytesPerProc, p.Mem.BuildAllocPerProc, p.Mem.DriveAllocPerProc, p.Mem.EventsPerSec/1e6, p.Queue.MovesPerEvent(), p.Queue.HighWater,
-				float64(p.Queue.Closures)/float64(max(p.Grants, 1))))
+			progress(fmt.Sprintf("gridscale N=%-7d clusters=%-6d levels=%d  grants=%-7d  %7.0f B/proc (allocated %.1f build, %.1f drive)  %6.2f Mev/s  %s",
+				p.N, p.Clusters, p.Levels, p.Grants, p.Mem.BytesPerProc, p.Mem.BuildAllocPerProc, p.Mem.DriveAllocPerProc,
+				p.Mem.EventsPerSec/1e6, costs(p.Events, p.Grants, p.Queue)))
 		}
 	}
 	return res, nil
 }
 
 // wallNow is the harness's one wall-clock read. Differences of its readings
-// are simulation throughput — GridScaleMem and the recovery sweep's progress
-// lines — and never figure text.
+// are the grid-scale sweep's simulation throughput (GridScaleMem) and never
+// figure text.
 func wallNow() time.Time {
 	//lint:allow dettaint wall-clock throughput is what is measured; it never enters figure text (Table renders deterministic columns only)
 	return time.Now()

@@ -14,6 +14,7 @@ import (
 	"gridmutex/internal/core"
 	"gridmutex/internal/des"
 	"gridmutex/internal/fleet"
+	"gridmutex/internal/recovery"
 	"gridmutex/internal/reliable"
 	"gridmutex/internal/rng"
 	"gridmutex/internal/run"
@@ -216,10 +217,17 @@ func QuickScale() Scale {
 	}
 }
 
-// Point is the aggregate of all repetitions of one (system, ρ) cell.
+// Point is the aggregate of all repetitions of one experiment cell: a
+// (system, ρ) pair, plus the cell's own axis value in the scalability,
+// crash-recovery and partition sweeps.
 type Point struct {
 	System string
 	Rho    float64
+	// Clusters is a scalability cell's cluster count; Period is the failure
+	// detector's heartbeat period and Cut the partition window of a
+	// crash-recovery or partition cell. Each is zero elsewhere.
+	Clusters    int
+	Period, Cut time.Duration
 	// Obtaining aggregates the obtaining time in milliseconds across
 	// all repetitions' grants.
 	Obtaining stats.Summary
@@ -250,9 +258,24 @@ type Point struct {
 	// mean obtaining time, computed over the per-repetition means (0
 	// with fewer than 2 repetitions).
 	CIHalf float64
-	// Events counts DES events processed across the cell's repetitions —
-	// the simulator-throughput denominator benchmark records report.
+	// Events counts DES events processed across the cell's repetitions and
+	// Queue sums the event queue's counted work (HighWater is the deepest
+	// repetition's): what the cell costs to simulate. Neither enters a table.
 	Events int64
+	Queue  des.QueueStats
+	// The fault fields stay zero unless the cell runs the crash-tolerant
+	// deployment. RecoveryLatency aggregates crash-to-first-regeneration
+	// delays in milliseconds. Epochs counts membership epochs,
+	// Regenerations those announced with a regenerated token, and
+	// MinorityFreezes entries into the minority-frozen state.
+	// DroppedPartition counts messages discarded because their link crossed
+	// an active cut. All of them count across repetitions.
+	RecoveryLatency                                          stats.Summary
+	Epochs, Regenerations, MinorityFreezes, DroppedPartition int64
+	// DetectorMsgsPerSec is the failure detector's message rate
+	// (heartbeats, probes, acks and epoch announcements) per second of
+	// virtual time, and DetectorShare its fraction of all sent messages.
+	DetectorMsgsPerSec, DetectorShare float64
 }
 
 // Result is a full experiment: one Point per (system, ρ).
@@ -277,24 +300,16 @@ func (r *Result) Point(system string, rho float64) *Point {
 // its own Simulator). Progress, when non-nil, receives a line per
 // completed cell. Results are independent of Workers.
 func Run(systems []System, scale Scale, progress func(string)) (*Result, error) {
-	res := &Result{Systems: systems, Scale: scale}
 	cells := make([]cell, 0, len(systems)*len(scale.Rhos))
 	for _, sys := range systems {
 		for _, rho := range scale.Rhos {
-			cells = append(cells, cell{sys: sys, scale: scale, rho: rho})
+			cells = append(cells, cell{sys: sys.RunSystem(), scale: scale, at: Point{System: sys.Name, Rho: rho}})
 		}
 	}
-	err := runCells(cells, scale.Workers, func(_ int, p *Point) {
-		res.Points = append(res.Points, *p)
-		if progress != nil {
-			progress(fmt.Sprintf("%-22s rho=%6.0f  obtain=%8.2fms  inter/CS=%6.2f",
-				p.System, p.Rho, p.Obtaining.Mean, p.InterMsgsPerCS))
-		}
+	return sweep(systems, scale, cells, progress, func(p *Point) string {
+		return fmt.Sprintf("%-22s rho=%6.0f  obtain=%8.2fms  inter/CS=%6.2f",
+			p.System, p.Rho, p.Obtaining.Mean, p.InterMsgsPerCS)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // deriveSeed mixes (BaseSeed, ρ, rep) into one run seed (rng.Mix). ρ enters
@@ -307,13 +322,38 @@ func deriveSeed(base int64, rho float64, rep int) int64 {
 	return rng.Mix(base, math.Float64bits(rho), uint64(rep))
 }
 
-// cell is one (system, scale, ρ) experiment cell; Repetitions seeded runs
-// aggregate into one Point. Each cell carries its own Scale because some
-// experiments (scalability) vary dimensions per cell.
+// cell is one experiment cell; Repetitions seeded runs of sys aggregate into
+// one Point. Each cell carries its own Scale because some experiments
+// (scalability) vary dimensions per cell. at is the Point's template: the
+// system name, ρ and the cell's axis value. A fault sweep's cell also names
+// its axis value in axis, which perturbs the seed, and sets its fault on
+// every repetition's Spec.
 type cell struct {
-	sys   System
+	sys   run.System
 	scale Scale
-	rho   float64
+	at    Point
+	axis  time.Duration
+	fault func(spec *run.Spec, seed int64)
+}
+
+// spec describes repetition rep of c, seeded with deriveSeed(BaseSeed^axis,
+// ρ, rep): every system at a figure's ρ (axis 0) shares its streams, and a
+// fault sweep's axis value gives each of its rows streams of their own.
+func (c *cell) spec(rep int) (run.Spec, error) {
+	seed := deriveSeed(c.scale.BaseSeed^int64(c.axis), c.at.Rho, rep)
+	spec, err := c.scale.spec(c.sys, c.at.Rho, seed)
+	if err == nil && c.fault != nil {
+		c.fault(&spec, seed)
+	}
+	return spec, err
+}
+
+// where names c in an error: its system, ρ and fault axis value.
+func (c *cell) where() string {
+	if c.axis == 0 {
+		return fmt.Sprintf("%s at rho=%g", c.at.System, c.at.Rho)
+	}
+	return fmt.Sprintf("%s at rho=%g, %v", c.at.System, c.at.Rho, c.axis)
 }
 
 // repPartial is the digest one repetition contributes to its cell:
@@ -321,7 +361,8 @@ type cell struct {
 // it happens (digest), so a repetition holds bounded state however many
 // grants it makes. Only obtain carries a percentile backend — a t-digest
 // sketch, so even million-CS repetitions stay O(compression); every other
-// accumulator stays compact.
+// accumulator stays compact. The fault counts stay zero outside the
+// crash-tolerant deployment.
 type repPartial struct {
 	phases     []workload.Phase // the scale's schedule, which bins grants into phase
 	obtain     stats.Accumulator
@@ -329,11 +370,16 @@ type repPartial struct {
 	perProc    []stats.Accumulator // indexed by process ID (dense)
 	perCluster []stats.Accumulator
 	counters   simnet.Counters
+	queue      des.QueueStats
 	grants     int64
 	events     int64
 	switches   int64
 	handoffs   int64
 	biasRounds int64
+
+	latency                 stats.Accumulator // crash-to-regeneration delays (ms)
+	epochs, regens, freezes int64
+	virtual                 time.Duration
 }
 
 // newRepPartial is the empty digest of one repetition under the phase
@@ -365,22 +411,33 @@ func (p *repPartial) digest(r workload.Record) {
 	p.perCluster[r.Cluster].Push(ms)
 }
 
-// finish takes the run-wide counts from the repetition's outcome.
+// finish takes the run-wide counts from the repetition's outcome: the
+// coordinators' of a composition, the recovery members' of the
+// crash-tolerant deployment.
 func (p *repPartial) finish(out run.Outcome) {
-	p.counters = out.Counters
-	p.grants = int64(out.Grants)
-	p.events = int64(out.Events)
+	p.counters, p.queue = out.Counters, out.Queue
+	p.grants, p.events = int64(out.Grants), int64(out.Events)
 	p.switches = out.Switches
-	for _, c := range out.Core.Coordinators {
-		p.handoffs += c.Stats().InterHandoffs
-		p.biasRounds += c.Stats().BiasRounds
+	if out.Core != nil {
+		for _, c := range out.Core.Coordinators {
+			p.handoffs += c.Stats().InterHandoffs
+			p.biasRounds += c.Stats().BiasRounds
+		}
+	}
+	if out.Recovery != nil {
+		members := out.Recovery.Stats()
+		p.epochs, p.regens, p.freezes = out.Monitor.Epochs(), members.Regenerations, members.MinorityFreezes
+		p.virtual = out.Elapsed
+		for _, d := range out.Monitor.RecoveryLatencies() {
+			p.latency.Push(float64(d) / float64(time.Millisecond))
+		}
 	}
 }
 
 // runRep drives one repetition of cell c, digesting its grants as they
 // happen.
-func runRep(c cell, rep int) (repPartial, error) {
-	spec, err := c.scale.spec(c.sys.RunSystem(), c.rho, deriveSeed(c.scale.BaseSeed, c.rho, rep))
+func runRep(c *cell, rep int) (repPartial, error) {
+	spec, err := c.spec(rep)
 	if err != nil {
 		return repPartial{}, err
 	}
@@ -397,19 +454,22 @@ func runRep(c cell, rep int) (repPartial, error) {
 // mergeCell folds one cell's per-repetition partials into its Point,
 // always in repetition order — never completion order — which is what
 // makes serial and parallel runs byte-identical.
-func mergeCell(c cell, partials []repPartial) (*Point, error) {
+func mergeCell(c *cell, partials []repPartial) (Point, error) {
 	obtain := stats.Accumulator{Sketch: true}
 	phase := make([]stats.Accumulator, len(c.scale.Phases))
+	var latency stats.Accumulator
 	var perProc, perCluster []stats.Accumulator
 	repMeans := make([]float64, 0, len(partials))
-	var interMsgs, intraMsgs, totalMsgs, interBytes, grants, events, switches int64
-	var handoffs, biasRounds int64
+	var interMsgs, intraMsgs, totalMsgs, interBytes, detectorMsgs int64
+	var virtual time.Duration
+	p := c.at
 	for rep := range partials {
 		part := &partials[rep]
 		if part.grants == 0 {
-			return nil, fmt.Errorf("repetition %d produced no grants", rep)
+			return Point{}, fmt.Errorf("repetition %d produced no grants", rep)
 		}
 		obtain.Merge(&part.obtain)
+		latency.Merge(&part.latency)
 		for i := range part.phase {
 			phase[i].Merge(&part.phase[i])
 		}
@@ -426,18 +486,28 @@ func mergeCell(c cell, partials []repPartial) (*Point, error) {
 			perCluster[i].Merge(&part.perCluster[i])
 		}
 		repMeans = append(repMeans, part.obtain.Mean())
-		grants += part.grants
-		events += part.events
 		interMsgs += part.counters.InterMessages
 		intraMsgs += part.counters.IntraMessages
 		totalMsgs += part.counters.Messages
 		interBytes += part.counters.InterBytes
-		switches += part.switches
-		handoffs += part.handoffs
-		biasRounds += part.biasRounds
+		detectorMsgs += recovery.DetectorMessages(part.counters.ByKind)
+		virtual += part.virtual
+		p.Grants += part.grants
+		p.Events += part.events
+		p.Switches += part.switches
+		p.Handoffs += part.handoffs
+		p.BiasRounds += part.biasRounds
+		p.Epochs += part.epochs
+		p.Regenerations += part.regens
+		p.MinorityFreezes += part.freezes
+		p.DroppedPartition += part.counters.DroppedPartition
+		p.Queue.Pushes += part.queue.Pushes
+		p.Queue.Moves += part.queue.Moves
+		p.Queue.Scatters += part.queue.Scatters
+		p.Queue.Closures += part.queue.Closures
+		p.Queue.HighWater = max(p.Queue.HighWater, part.queue.HighWater)
 	}
-	p := &Point{System: c.sys.Name, Rho: c.rho, Obtaining: obtain.Summarize(),
-		Grants: grants, Switches: switches, Events: events}
+	p.Obtaining, p.RecoveryLatency = obtain.Summarize(), latency.Summarize()
 	for i := range phase {
 		p.PhaseObtaining = append(p.PhaseObtaining, phase[i].Summarize())
 	}
@@ -451,20 +521,68 @@ func mergeCell(c cell, partials []repPartial) (*Point, error) {
 		}
 	}
 	p.Fairness = stats.JainIndex(means)
-	p.Handoffs = handoffs
-	p.BiasRounds = biasRounds
 	p.CIHalf = stats.CI95Half(repMeans)
 	for i := range perCluster {
 		p.PerCluster = append(p.PerCluster, perCluster[i].Summarize())
 	}
-	if grants > 0 {
-		g := float64(grants)
+	if p.Grants > 0 {
+		g := float64(p.Grants)
 		p.InterMsgsPerCS = float64(interMsgs) / g
 		p.IntraMsgsPerCS = float64(intraMsgs) / g
 		p.TotalMsgsPerCS = float64(totalMsgs) / g
 		p.InterBytesPerCS = float64(interBytes) / g
 	}
+	if sec := virtual.Seconds(); sec > 0 {
+		p.DetectorMsgsPerSec = float64(detectorMsgs) / sec
+	}
+	if totalMsgs > 0 {
+		p.DetectorShare = float64(detectorMsgs) / float64(totalMsgs)
+	}
 	return p, nil
+}
+
+// costs renders what a cell cost to simulate, in counts exact per seed:
+// its events, the event queue's key moves per event and pending high-water,
+// and the closure events per grant.
+func costs(events, grants int64, q des.QueueStats) string {
+	return fmt.Sprintf("events=%-9d  %5.2f key moves/event, high-water %d, %.4f closures/grant",
+		events, q.MovesPerEvent(), q.HighWater, float64(q.Closures)/float64(max(grants, 1)))
+}
+
+// sweep is the harness's one experiment driver. It runs every cell
+// Repetitions times through runShards, digests each repetition as it runs,
+// merges each cell's partials into its Point and, in cell order, hands
+// progress line(p) followed by the cell's costs. Points and progress lines
+// are byte-identical for every Scale.Workers setting.
+func sweep(systems []System, scale Scale, cells []cell, progress func(string), line func(p *Point) string) (*Result, error) {
+	for i := range cells {
+		if err := cells[i].scale.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	res := &Result{Systems: systems, Scale: scale}
+	reps := func(ci int) int { return cells[ci].scale.Repetitions }
+	err := runShards(len(cells), reps, scale.Workers, func(ci, rep int) (repPartial, error) {
+		p, err := runRep(&cells[ci], rep)
+		if err != nil {
+			return repPartial{}, fmt.Errorf("harness: %s: repetition %d: %w", cells[ci].where(), rep, err)
+		}
+		return p, nil
+	}, func(ci int, partials []repPartial) error {
+		p, err := mergeCell(&cells[ci], partials)
+		if err != nil {
+			return fmt.Errorf("harness: %s: %w", cells[ci].where(), err)
+		}
+		res.Points = append(res.Points, p)
+		if progress != nil {
+			progress(line(&p) + "  " + costs(p.Events, p.Grants, p.Queue))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // runShards executes size(g) seeded runs for each of groups experiment
@@ -497,33 +615,6 @@ func runShards[T any](groups int, size func(group int) int, workers int, exec fu
 		cell := parts
 		parts = nil
 		return merge(g, cell)
-	})
-}
-
-// runCells executes every (cell, repetition) simulation, merges the
-// partials by (cell, rep) index and hands each merged Point to emit, in
-// cell order.
-func runCells(cells []cell, workers int, emit func(i int, p *Point)) error {
-	for i := range cells {
-		if err := cells[i].scale.Validate(); err != nil {
-			return err
-		}
-	}
-	reps := func(ci int) int { return cells[ci].scale.Repetitions }
-	return runShards(len(cells), reps, workers, func(ci, rep int) (repPartial, error) {
-		p, err := runRep(cells[ci], rep)
-		if err != nil {
-			return repPartial{}, fmt.Errorf("harness: %s at rho=%g: repetition %d: %w",
-				cells[ci].sys.Name, cells[ci].rho, rep, err)
-		}
-		return p, nil
-	}, func(ci int, partials []repPartial) error {
-		p, err := mergeCell(cells[ci], partials)
-		if err != nil {
-			return fmt.Errorf("harness: %s at rho=%g: %w", cells[ci].sys.Name, cells[ci].rho, err)
-		}
-		emit(ci, p)
-		return nil
 	})
 }
 

@@ -279,12 +279,18 @@ func TestRunProgressCallback(t *testing.T) {
 	scale := testScale()
 	scale.Rhos = scale.Rhos[:1]
 	scale.Repetitions = 1
-	n := 0
-	if _, err := Run([]System{Flat("central")}, scale, func(string) { n++ }); err != nil {
+	var lines []string
+	if _, err := Run([]System{Flat("central")}, scale, func(l string) { lines = append(lines, l) }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("progress fired %d times, want 1", n)
+	if len(lines) != 1 {
+		t.Fatalf("progress fired %d times, want 1", len(lines))
+	}
+	// Every line ends in the cell's deterministic costs.
+	for _, want := range []string{"  events=", " key moves/event, high-water ", " closures/grant"} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("progress line %q lacks %q", lines[0], want)
+		}
 	}
 }
 

@@ -178,36 +178,45 @@ func TestParallelSingleCellMatchesSerial(t *testing.T) {
 
 // TestParallelRecoveryMatchesSerial: the crash-recovery sweep fans out by
 // (period, ρ, repetition) shard; every Workers setting must render the
-// same table.
+// same table and the same progress lines, costs included.
 func TestParallelRecoveryMatchesSerial(t *testing.T) {
-	runWith := func(workers int) *RecoveryResult {
+	runWith := func(workers int) (*RecoveryResult, []string) {
 		s := recoveryTestScale()
 		s.Workers = workers
 		params := RecoveryParams{Periods: []time.Duration{10 * time.Millisecond, 40 * time.Millisecond}}
-		res, err := RunRecovery(params, s, nil)
+		var lines []string
+		res, err := RunRecovery(params, s, func(l string) { lines = append(lines, l) })
 		if err != nil {
 			t.Fatalf("RunRecovery with %d workers failed: %v", workers, err)
 		}
-		return res
+		return res, lines
 	}
-	serial := runWith(1)
+	serial, serialLines := runWith(1)
 	for _, workers := range []int{4, -1} {
-		par := runWith(workers)
+		par, parLines := runWith(workers)
 		if !reflect.DeepEqual(serial.Points, par.Points) {
 			t.Errorf("workers=%d: recovery points differ from serial", workers)
 		}
 		if serial.Table("t") != par.Table("t") {
 			t.Errorf("workers=%d: recovery table differs from serial", workers)
 		}
+		if !reflect.DeepEqual(serialLines, parLines) {
+			t.Errorf("workers=%d: progress lines differ:\nserial:   %q\nparallel: %q",
+				workers, serialLines, parLines)
+		}
+	}
+	if len(serialLines) != 2 || !strings.Contains(serialLines[0], " closures/grant") {
+		t.Errorf("progress lines %q, want two ending in the cell's costs", serialLines)
 	}
 }
 
 // TestParallelProgressStreams: with two workers the first cell is merged —
 // which is when Run delivers its progress line — before any run of the last
 // cell starts, and every cell is merged in order with its repetitions in
-// order. The fan-out is driven through runShards, the function Run,
-// RunRecovery and RunPartition all hand their cells to, because only there
-// can a test see a run start. At d1e79f2 every merge of a Workers > 1 sweep
+// order. The fan-out is driven through runShards, the function sweep — the
+// one driver of Run, RunScalability, RunPhased, RunRecovery and
+// RunPartition — hands its cells to, because only there can a test see a
+// run start. At d1e79f2 every merge of a Workers > 1 sweep
 // waited for the last run to finish: a 24.7 s figure printed all 30
 // progress lines in its last 60 ms.
 func TestParallelProgressStreams(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"gridmutex/internal/core"
 	"gridmutex/internal/faults"
 	"gridmutex/internal/run"
-	"gridmutex/internal/stats"
 )
 
 // PartitionParams tunes the network-partition experiment on top of a
@@ -24,43 +23,13 @@ type PartitionParams struct {
 	Period time.Duration
 }
 
-// PartitionPoint is the aggregate of one (duration, ρ) cell: what a
-// partition window of that length costs the grid — obtaining-time
-// inflation, messages killed on the cut, minority freezes entered, and
-// the token regenerations the majority performed while the cut-off side
-// stayed frozen.
-type PartitionPoint struct {
-	Duration time.Duration
-	Rho      float64
-	// Obtaining aggregates the obtaining time (ms) of all grants,
-	// including the post-heal drain of requests frozen during the cut.
-	Obtaining stats.Summary
-	// DroppedPartition counts messages discarded at delivery time because
-	// their link crossed the active cut, across repetitions.
-	DroppedPartition int64
-	// MinorityFreezes counts entries into the minority-frozen state
-	// across all recovery members and repetitions.
-	MinorityFreezes int64
-	// Regenerations counts epochs announced with a regenerated token —
-	// the majority reclaiming a token the cut carried away.
-	Regenerations int64
-	// Epochs counts membership epochs across repetitions.
-	Epochs int64
-	// Grants counts critical sections entered across repetitions; the
-	// workload completes in full, so this doubles as the completion
-	// check's denominator.
-	Grants int64
-	// DetectorMsgsPerSec is the failure-detector message rate per second
-	// of virtual time.
-	DetectorMsgsPerSec float64
-}
-
 // PartitionResult is the partition-tolerance experiment: one point per
-// (cut duration, ρ).
+// (cut duration, ρ), each with its Cut, DroppedPartition, MinorityFreezes,
+// Regenerations and Epochs set. Every repetition runs the workload to
+// completion, so Grants doubles as the completion check's denominator.
 type PartitionResult struct {
 	Params PartitionParams
-	Scale  Scale
-	Points []PartitionPoint
+	*Result
 }
 
 // RunPartition sweeps the cut-window duration across the scale's ρ axis.
@@ -96,31 +65,14 @@ func RunPartition(params PartitionParams, scale Scale, progress func(string)) (*
 			return nil, fmt.Errorf("harness: cut duration %v is below twice the inter detector timeout (%v): an undetected cut loses messages without triggering recovery", d, timeout)
 		}
 	}
-	res := &PartitionResult{Params: params, Scale: scale}
-
-	err = sweepRecovery("partition duration", params.Durations, scale, func(d time.Duration, rho float64, seed int64) (run.Spec, error) {
-		return partitionSpec(params, scale, d, rho, seed)
-	}, func(d time.Duration, rho float64, sum *recPartial) {
-		p := PartitionPoint{
-			Duration: d, Rho: rho,
-			Obtaining:          sum.obtain.Summarize(),
-			DroppedPartition:   sum.dropped,
-			MinorityFreezes:    sum.freezes,
-			Regenerations:      sum.regens,
-			Epochs:             sum.epochs,
-			Grants:             sum.grants,
-			DetectorMsgsPerSec: sum.detectorMsgsPerSec(),
-		}
-		res.Points = append(res.Points, p)
-		if progress != nil {
-			progress(fmt.Sprintf("cut=%6s rho=%6.0f  obtain=%8.2fms  dropped=%6d  freezes=%4d",
-				d, rho, p.Obtaining.Mean, p.DroppedPartition, p.MinorityFreezes))
-		}
+	res, err := sweep(nil, scale, partitionCells(params, scale), progress, func(p *Point) string {
+		return fmt.Sprintf("cut=%6s rho=%6.0f  obtain=%8.2fms  dropped=%6d  freezes=%4d",
+			p.Cut, p.Rho, p.Obtaining.Mean, p.DroppedPartition, p.MinorityFreezes)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &PartitionResult{Params: params, Result: res}, nil
 }
 
 // PartitionSweep derives the default partition experiment from a figure
@@ -152,27 +104,22 @@ func interTimeout(period time.Duration, scale Scale) (time.Duration, error) {
 	return inter.Timeout, nil
 }
 
-// partitionSpec describes one seeded run: the crash-tolerant deployment,
-// one seeded cluster cut off for the window and healed, the full workload
-// driven to completion under the recovery-aware monitor.
-func partitionSpec(params PartitionParams, scale Scale, duration time.Duration, rho float64, seed int64) (run.Spec, error) {
-	sys := run.System{Intra: params.Spec.Intra, Inter: params.Spec.Inter, Heartbeat: params.Period}
-	spec, err := scale.spec(sys, rho, seed)
-	if err != nil {
-		return run.Spec{}, err
-	}
-	// One seeded window: a seeded cluster is cut off at a seeded instant
-	// within the run's opening stretch and healed after the duration.
-	sides := make([][]int, spec.Grid.NumClusters())
-	for c := range sides {
-		sides[c] = spec.Grid.NodesIn(c)
-	}
-	horizon := scale.Alpha * time.Duration(scale.CSPerProcess)
-	if horizon < 4*params.Period {
-		horizon = 4 * params.Period
-	}
-	spec.Faults.Schedule = faults.PartitionPulse(seed, sides, horizon, duration)
-	return spec, nil
+// partitionCells lists the partition cells, one per (cut duration, ρ): the
+// crash-tolerant deployment at the params' heartbeat, and one seeded
+// cluster cut off at a seeded instant within the run's opening stretch and
+// healed after the duration.
+func partitionCells(params PartitionParams, scale Scale) []cell {
+	horizon := max(scale.Alpha*time.Duration(scale.CSPerProcess), 4*params.Period)
+	return faultCells(params.Spec, scale, params.Durations, func(d time.Duration, c *cell) {
+		c.sys.Heartbeat, c.at.Period, c.at.Cut = params.Period, params.Period, d
+		c.fault = func(spec *run.Spec, seed int64) {
+			sides := make([][]int, spec.Grid.NumClusters())
+			for i := range sides {
+				sides[i] = spec.Grid.NodesIn(i)
+			}
+			spec.Faults.Schedule = faults.PartitionPulse(seed, sides, horizon, d)
+		}
+	})
 }
 
 // Table renders the partition experiment: obtaining-time inflation and
@@ -186,7 +133,7 @@ func (r *PartitionResult) Table(title string) string {
 		"cut", "rho", "obtain(ms)", "obtain-max", "dropped", "freezes", "regens", "epochs", "grants")
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%10s %8.0f %12.3f %12.3f %10d %10d %8d %8d %10d\n",
-			p.Duration, p.Rho, p.Obtaining.Mean, p.Obtaining.Max,
+			p.Cut, p.Rho, p.Obtaining.Mean, p.Obtaining.Max,
 			p.DroppedPartition, p.MinorityFreezes, p.Regenerations, p.Epochs, p.Grants)
 	}
 	return b.String()

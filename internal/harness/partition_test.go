@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -70,22 +71,28 @@ func TestRunPartitionDeterministic(t *testing.T) {
 }
 
 // TestParallelPartitionEquivalence: worker fan-out must not change a
-// single byte of the aggregate.
+// single byte of the aggregate or of the progress lines, costs included.
 func TestParallelPartitionEquivalence(t *testing.T) {
 	params := PartitionParams{Durations: []time.Duration{400 * time.Millisecond}}
-	serial := partitionTestScale()
-	serial.Workers = 1
-	parallel := partitionTestScale()
-	parallel.Workers = 4
-	a, err := RunPartition(params, serial, nil)
-	if err != nil {
-		t.Fatal(err)
+	runWith := func(workers int) (*PartitionResult, []string) {
+		s := partitionTestScale()
+		s.Workers = workers
+		var lines []string
+		res, err := RunPartition(params, s, func(l string) { lines = append(lines, l) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, lines
 	}
-	b, err := RunPartition(params, parallel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, aLines := runWith(1)
+	b, bLines := runWith(4)
 	if a.Table("x") != b.Table("x") {
 		t.Fatal("workers=1 and workers=4 produced different partition tables")
+	}
+	if !reflect.DeepEqual(aLines, bLines) {
+		t.Fatalf("workers=1 and workers=4 produced different progress lines:\n%q\n%q", aLines, bLines)
+	}
+	if len(aLines) != 1 || !strings.Contains(aLines[0], " closures/grant") {
+		t.Fatalf("progress lines %q, want one ending in the cell's costs", aLines)
 	}
 }

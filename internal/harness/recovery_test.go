@@ -95,8 +95,8 @@ func TestRecoveryDetectorsOnGrid5000(t *testing.T) {
 	params, scale := RecoverySweep(scale)
 	params.CrashCoordinator = true
 	params.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
-	period, rho := params.Periods[0], scale.Rhos[0] // α/2 and N/2 = 18: the recovery figure's first cell
-	spec, err := recoverySpec(params, scale, period, rho, deriveSeed(scale.BaseSeed^int64(period), rho, 0))
+	c := recoveryCells(params, scale)[0] // α/2 and N/2 = 18: the recovery figure's first cell
+	spec, err := c.spec(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,16 +44,6 @@ func digestRecords(scale Scale, out run.Outcome) repPartial {
 	return p
 }
 
-// digestRecoveryRecords is the reference digest of a buffered recovery run.
-func digestRecoveryRecords(out run.Outcome) recPartial {
-	p := newRecPartial()
-	p.finish(out)
-	for _, r := range out.Records {
-		p.obtain.Push(float64(r.Obtaining()) / float64(time.Millisecond))
-	}
-	return p
-}
-
 // buffered drives spec with the record buffer on and checks the outcome's
 // two views of the grants agree.
 func buffered(t *testing.T, spec run.Spec) run.Outcome {
@@ -78,20 +68,35 @@ func TestStreamedDigestEqualsBuffered(t *testing.T) {
 	scale := QuickScale()
 	phased := scale
 	phased.Phases = AdaptivePhases(phased)
-	cells := []cell{
-		{sys: Composed("naimi", "martin"), scale: scale, rho: 24},
-		{sys: Flat("naimi"), scale: scale, rho: 6},
-		{sys: Adaptive("naimi", "naimi"), scale: phased},
+	recParams, recScale := RecoverySweep(QuickScale())
+	partParams, partScale, err := PartitionSweep(QuickScale())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cells {
-		t.Run(c.sys.Name, func(t *testing.T) {
+	recParams.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
+	partParams.Spec = recParams.Spec
+	figure := func(sys System, scale Scale, rho float64) cell {
+		return cell{sys: sys.RunSystem(), scale: scale, at: Point{System: sys.Name, Rho: rho}}
+	}
+	for _, tc := range []struct {
+		name string
+		c    cell
+	}{
+		{"Naimi-Martin", figure(Composed("naimi", "martin"), scale, 24)},
+		{"Naimi (original)", figure(Flat("naimi"), scale, 6)},
+		{"Naimi-Adaptive", figure(Adaptive("naimi", "naimi"), phased, 0)},
+		{"recovery", recoveryCells(recParams, recScale)[0]},
+		{"partition", partitionCells(partParams, partScale)[0]},
+	} {
+		c := tc.c
+		t.Run(tc.name, func(t *testing.T) {
 			var streamed, reference []repPartial
 			for rep := 0; rep < c.scale.Repetitions; rep++ {
-				got, err := runRep(c, rep)
+				got, err := runRep(&c, rep)
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec, err := c.scale.spec(c.sys.RunSystem(), c.rho, deriveSeed(c.scale.BaseSeed, c.rho, rep))
+				spec, err := c.spec(rep)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,59 +109,14 @@ func TestStreamedDigestEqualsBuffered(t *testing.T) {
 				}
 				streamed, reference = append(streamed, got), append(reference, want)
 			}
-			got, err := mergeCell(c, streamed)
+			got, err := mergeCell(&c, streamed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := mergeCell(c, reference)
+			want, err := mergeCell(&c, reference)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("merged point differs:\n streamed %+v\n buffered %+v", got, want)
-			}
-		})
-	}
-
-	recParams, recScale := RecoverySweep(QuickScale())
-	partParams, partScale, err := PartitionSweep(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recParams.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
-	partParams.Spec = recParams.Spec
-	recCells := []struct {
-		name   string
-		scale  Scale
-		specOf func(seed int64) (run.Spec, error)
-	}{
-		{"recovery", recScale, func(seed int64) (run.Spec, error) {
-			return recoverySpec(recParams, recScale, recParams.Periods[0], recScale.Rhos[0], seed)
-		}},
-		{"partition", partScale, func(seed int64) (run.Spec, error) {
-			return partitionSpec(partParams, partScale, partParams.Durations[0], partScale.Rhos[0], seed)
-		}},
-	}
-	for _, c := range recCells {
-		t.Run(c.name, func(t *testing.T) {
-			streamed, reference := newRecPartial(), newRecPartial()
-			for rep := 0; rep < c.scale.Repetitions; rep++ {
-				spec, err := c.specOf(deriveSeed(c.scale.BaseSeed, c.scale.Rhos[0], rep))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := runRecoveryRep(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := digestRecoveryRecords(buffered(t, spec))
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("repetition %d: streamed partial differs from the buffered digest", rep)
-				}
-				streamed.add(&got)
-				reference.add(&want)
-			}
-			got, want := streamed.recoveryPoint(time.Second, 1), reference.recoveryPoint(time.Second, 1)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("merged point differs:\n streamed %+v\n buffered %+v", got, want)
 			}

@@ -129,6 +129,20 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '\.Records\b' internal/harne
     exit 1
 fi
 
+echo "==> one sweep driver: the harness's experiments are cells through one digest, one merge and one point type"
+# Run, RunScalability, RunPhased, RunLocality, RunRecovery and RunPartition
+# hand their cells to sweep, the one caller of runShards; repPartial and
+# mergeCell are the only digest and merge, and harness.Point is every
+# experiment's point (DESIGN.md §8). The recovery digest, the second driver
+# and the per-experiment point types they replaced stay deleted. (bench/
+# keeps its own runCells.)
+if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    'recPartial|sweepRecovery|runCells|RecoveryPoint|PartitionPoint|ScalePoint' . ||
+    [ "$(grep -rn --include='*.go' --exclude='*_test.go' 'runShards(' internal/harness | wc -l)" -gt 1 ]; then
+    echo "ci: a second harness digest, driver, point type or runShards caller reappeared (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
