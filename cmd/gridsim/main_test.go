@@ -2,8 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"gridmutex/internal/harness"
+	"gridmutex/internal/rng"
+	"gridmutex/internal/run"
+	"gridmutex/internal/stats"
+	"gridmutex/internal/topology"
+	"gridmutex/internal/workload"
 )
 
 // TestTraceFollowsSelectedSystem: -trace must trace the system the metrics
@@ -60,6 +70,60 @@ func TestIllegalRunsAreOneLineErrors(t *testing.T) {
 		}
 		if strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
 			t.Errorf("%v: stderr carries a crash dump:\n%s", c.args, msg)
+		}
+	}
+}
+
+// TestPercentilesAreExact: gridsim's p50/p95/p99 are exact order statistics
+// over the obtaining times of every grant its repetitions made, bit for
+// bit. The reference replays each repetition through the run kernel with
+// the seed the harness derives for it (rng.Mix of the base seed, ρ's bits
+// and the repetition) and keeps every record.
+func TestPercentilesAreExact(t *testing.T) {
+	const (
+		rho  = 24.0
+		reps = 4
+		cs   = 50
+	)
+	var stdout, stderr bytes.Buffer
+	args := []string{"-inter", "martin", "-clusters", "3", "-apps", "4", "-local-rtt", "1", "-alpha", "5",
+		"-cs", "50", "-reps", "4", "-rho", "24", "-json"}
+	if code := gridsim(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	var p harness.Point
+	if err := json.Unmarshal(stdout.Bytes(), &p); err != nil {
+		t.Fatal(err)
+	}
+
+	sys := harness.Composed("naimi", "martin").RunSystem()
+	exact := stats.Accumulator{Retain: true}
+	for rep := 0; rep < reps; rep++ {
+		r, err := run.Build(run.Spec{
+			Grid: topology.Uniform(3, 4+sys.Reserved(), time.Millisecond, 20*time.Millisecond),
+			Seed: rng.Mix(1, math.Float64bits(rho), uint64(rep)), Jitter: 0.05,
+			Workload: workload.Params{
+				Alpha: 5 * time.Millisecond, Rho: rho, Dist: workload.Exponential, CSPerProcess: cs,
+			},
+			System: sys,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range r.Drive().Records {
+			exact.Push(float64(rec.Obtaining()) / float64(time.Millisecond))
+		}
+	}
+	if exact.N() != p.Obtaining.N {
+		t.Fatalf("the replay made %d grants, gridsim reports %d", exact.N(), p.Obtaining.N)
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		q    float64
+	}{{"P50", p.Obtaining.P50, 0.50}, {"P95", p.Obtaining.P95, 0.95}, {"P99", p.Obtaining.P99, 0.99}} {
+		if want := exact.Percentile(c.q); c.got != want || want == 0 {
+			t.Errorf("%s: gridsim reports %v, exact order statistic over the replayed grants %v", c.name, c.got, want)
 		}
 	}
 }

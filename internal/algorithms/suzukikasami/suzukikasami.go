@@ -105,6 +105,35 @@ func (v *seqVec) set(i int32, x int64) {
 	v.e[k].x = x
 }
 
+// raise stores x at member index i if it exceeds the value there, and
+// returns the value there afterwards, in one search where get and set
+// take two.
+func (v *seqVec) raise(i int32, x int64) int64 {
+	k, ok := v.find(i)
+	if !ok {
+		if x <= 0 {
+			return 0
+		}
+		v.e = slices.Insert(v.e, k, seqEntry{i: i})
+	}
+	v.e[k].x = max(v.e[k].x, x)
+	return v.e[k].x
+}
+
+// seek returns the value at member index i like get, but searches forward
+// from entry *k and leaves *k there: a caller visiting member indices in
+// increasing order, as a walk of another run does, passes over v once,
+// where a get per index costs a binary search each.
+func (v *seqVec) seek(k *int, i int32) int64 {
+	for *k < len(v.e) && v.e[*k].i < i {
+		*k++
+	}
+	if *k < len(v.e) && v.e[*k].i == i {
+		return v.e[*k].x
+	}
+	return 0
+}
+
 // materialized returns the number of sparse entries (tests assert the
 // bound: never more than the members that ever requested, plus self).
 func (v *seqVec) materialized() int { return len(v.e) }
@@ -170,9 +199,10 @@ func (n *node) Release() {
 	// rn == ln+1 needs rn > 0, since LN holds copies of RN values and is
 	// never negative, so only members with a materialized RN entry are
 	// candidates, and RN's run visits them in the member order the dense
-	// scan used.
+	// scan used, walking LN's run alongside.
+	k := 0
 	for _, r := range n.rn.e {
-		if m := n.cfg.Members[r.i]; r.x == n.ln.get(r.i)+1 && !n.queued(m) {
+		if m := n.cfg.Members[r.i]; r.x == n.ln.seek(&k, r.i)+1 && !n.queued(m) {
 			n.queue = append(n.queue, m)
 		}
 	}
@@ -228,18 +258,15 @@ func (n *node) onRequest(from mutex.ID, seq int64) {
 	if fi < 0 {
 		panic(fmt.Sprintf("suzukikasami: request from non-member %d", from))
 	}
-	if seq > n.rn.get(fi) {
-		n.rn.set(fi, seq)
-	}
-	if !n.token {
+	rn := n.rn.raise(fi, seq)
+	if !n.token || rn != n.ln.get(fi)+1 {
 		return
 	}
-	if n.state == mutex.NoReq && n.rn.get(fi) == n.ln.get(fi)+1 {
+	switch n.state {
+	case mutex.NoReq:
 		// Idle holder with a fresh outstanding request: grant now.
 		n.sendToken(from)
-		return
-	}
-	if n.state == mutex.InCS && n.rn.get(fi) == n.ln.get(fi)+1 {
+	case mutex.InCS:
 		n.firePending()
 	}
 }
@@ -249,10 +276,12 @@ func (n *node) onToken(t Token) {
 		panic(fmt.Sprintf("suzukikasami: token received in state %v", n.state))
 	}
 	n.token = true
+	// The dense array is in member order, so its nonzero entries append
+	// as a sorted run.
 	n.ln.reset()
 	for i, x := range t.LN {
 		if x != 0 {
-			n.ln.set(int32(i), x)
+			n.ln.e = append(n.ln.e, seqEntry{i: int32(i), x: x})
 		}
 	}
 	n.queue = append([]mutex.ID(nil), t.Q...)
@@ -281,8 +310,9 @@ func (n *node) HasPending() bool {
 	}
 	// rn > ln needs rn > 0, so only members with a materialized RN entry
 	// can have an outstanding request.
+	k := 0
 	for _, r := range n.rn.e {
-		if r.i != n.self && r.x > n.ln.get(r.i) {
+		if r.i != n.self && r.x > n.ln.seek(&k, r.i) {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package suzukikasami
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,122 @@ func TestSeqVecSteadyStateAllocs(t *testing.T) {
 	fill()
 	if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
 		t.Errorf("reset + 9 sets allocates %.1f times, want 0", allocs)
+	}
+}
+
+// tokenEnv keeps the last token sent through it and drops requests.
+type tokenEnv struct {
+	to    mutex.ID
+	token *Token
+}
+
+func (e *tokenEnv) Send(to mutex.ID, m mutex.Message) {
+	if t, ok := m.(Token); ok {
+		e.to, e.token = to, &t
+	}
+}
+func (e *tokenEnv) Local(f func()) { f() }
+
+// TestHolderMatchesDenseScan holds one node's walks of its sorted RN and LN
+// runs to the dense scan of the 1985 algorithm, over random request
+// arrivals (stale, fresh and ahead), critical sections and token arrivals
+// on 2 to 20 members listed in shuffled ID order: the queue a release
+// builds, the member it hands the token to, the grant or OnPending a
+// request triggers, the LN a token leaves with and every HasPending answer
+// equal what dense rn and ln arrays give.
+func TestHolderMatchesDenseScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(19)
+		members := make([]mutex.ID, n)
+		for i, p := range rng.Perm(n) {
+			members[i] = mutex.ID(10 * p)
+		}
+		self := rng.Intn(n)
+		env := &tokenEnv{}
+		pendings := 0
+		inst, err := New(mutex.Config{Self: members[self], Members: members, Holder: members[self], Env: env,
+			Callbacks: mutex.Callbacks{OnPending: func() { pendings++ }}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := inst.(*node)
+		rn, ln := make([]int64, n), make([]int64, n) // ln is the token's while nd holds it
+		var queue []mutex.ID
+		// sent checks the token nd just sent against the reference and
+		// drops the reference's token state.
+		sent := func(op int, to mutex.ID) {
+			t.Helper()
+			if env.token == nil || env.to != to {
+				t.Fatalf("trial %d op %d: token sent %v (to %d), want it sent to %d", trial, op, env.token != nil, env.to, to)
+			}
+			if !slices.Equal(env.token.LN, ln) || !slices.Equal(env.token.Q, queue) {
+				t.Fatalf("trial %d op %d: token LN %v Q %v, dense LN %v Q %v", trial, op, env.token.LN, env.token.Q, ln, queue)
+			}
+			clear(ln)
+			queue = nil
+		}
+		for op := 0; op < 200; op++ {
+			env.token, pendings = nil, 0
+			switch r := rng.Intn(10); {
+			case r < 5: // a request arrives
+				i := rng.Intn(n - 1)
+				if i >= self {
+					i++
+				}
+				seq := rn[i] + rng.Int63n(4) - 1
+				held, state := nd.token, nd.state
+				nd.Deliver(members[i], Request{Seq: seq})
+				rn[i] = max(rn[i], seq)
+				fresh := held && rn[i] == ln[i]+1
+				if fresh && state == mutex.NoReq {
+					sent(op, members[i])
+				} else if env.token != nil {
+					t.Fatalf("trial %d op %d: a request sent the token away", trial, op)
+				}
+				if want := fresh && state == mutex.InCS; (pendings == 1) != want {
+					t.Fatalf("trial %d op %d: OnPending fired %d times, dense scan says %v", trial, op, pendings, want)
+				}
+			case !nd.token: // the token comes back to a requester
+				if nd.state == mutex.NoReq {
+					nd.Request()
+					rn[self]++
+				}
+				for i := range ln {
+					ln[i] = max(rn[i]-rng.Int63n(3), 0)
+				}
+				for _, p := range rng.Perm(n) {
+					if p != self && rng.Intn(4) == 0 {
+						queue = append(queue, members[p])
+					}
+				}
+				nd.Deliver(members[(self+1)%n], Token{LN: slices.Clone(ln), Q: slices.Clone(queue)})
+			case nd.state == mutex.NoReq:
+				nd.Request()
+			default: // the holder leaves its critical section
+				nd.Release()
+				ln[self] = rn[self]
+				for i := range members {
+					if rn[i] == ln[i]+1 && !slices.Contains(queue, members[i]) {
+						queue = append(queue, members[i])
+					}
+				}
+				if len(queue) > 0 {
+					head := queue[0]
+					queue = queue[1:]
+					sent(op, head)
+				} else if env.token != nil {
+					t.Fatalf("trial %d op %d: released the token with nothing queued", trial, op)
+				}
+			}
+			want := nd.token && len(queue) > 0
+			for i := range members {
+				want = want || nd.token && i != self && rn[i] > ln[i]
+			}
+			if got := nd.HasPending(); got != want {
+				t.Fatalf("trial %d op %d: HasPending %v, dense scan %v (rn %v ln %v queue %v)", trial, op, got, want, rn, ln, queue)
+			}
+		}
 	}
 }
 

@@ -116,6 +116,9 @@ func (q *eventQueue) push(at Time) *payload {
 	} else {
 		slot = q.grow()
 	}
+	if b := bits.Len64(uint64(at) ^ uint64(q.last)); len(q.buckets[b]) == cap(q.buckets[b]) && len(q.buckets[b]) >= 256 {
+		q.growBucket(b)
+	}
 	q.place(eventKey{at: at, slot: slot})
 	q.pending++
 	q.stats.Pushes++
@@ -140,6 +143,34 @@ func (q *eventQueue) grow() int32 {
 	}
 	q.slots = append(q.slots, payload{})
 	return int32(n)
+}
+
+// growBucket doubles full bucket b, which holds 256 keys or more, before a
+// push appends to it: its keys are copied in order (invariant 2) into the
+// smallest drained bucket's array that holds twice as many, and that
+// bucket takes the outgrown array in exchange; only when no drained array
+// is large enough is a new one allocated. append's 1.25× would leave a
+// chain of dead arrays that GOGC 400 never collects before a run ends.
+// Below 256 keys append doubles already. This is push's cold branch and
+// not place's: place is inlined into push and pop's scatter loop, and
+// doubling there costs it its inlining.
+func (q *eventQueue) growBucket(b int) {
+	keys := q.buckets[b]
+	take := -1
+	for d := range q.buckets {
+		if c := cap(q.buckets[d]); q.mask>>d&1 == 0 && c >= 2*len(keys) && (take < 0 || c < cap(q.buckets[take])) {
+			take = d
+		}
+	}
+	var grown []eventKey
+	if take >= 0 {
+		grown = q.buckets[take][:len(keys)]
+		q.buckets[take] = keys[:0]
+	} else {
+		grown = make([]eventKey, len(keys), 2*cap(keys))
+	}
+	copy(grown, keys)
+	q.buckets[b] = grown
 }
 
 // place appends k to its bucket under the current last.
@@ -230,6 +261,22 @@ func (s *Simulator) Pending() int { return s.queue.pending }
 
 // QueueStats returns the event queue's exact work counts so far.
 func (s *Simulator) QueueStats() QueueStats { return s.queue.stats }
+
+// Reserve makes room for n more pending events, so that scheduling them
+// grows the slot array at most once: straight to the power of two its
+// doubling would end at. A caller about to schedule many events at once,
+// like one timer per process, calls it first. Below 256 slots it does
+// nothing: append grows a small array.
+func (s *Simulator) Reserve(n int) {
+	q := &s.queue
+	need := q.pending + n
+	if need <= cap(q.slots) || need <= 256 {
+		return
+	}
+	slots := make([]payload, len(q.slots), 1<<bits.Len(uint(need-1)))
+	copy(slots, q.slots)
+	q.slots = slots
+}
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
 // it would silently corrupt causality, which is never recoverable.

@@ -3,6 +3,7 @@ package des
 import (
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -371,6 +372,85 @@ func TestSlotGrowthAllocs(t *testing.T) {
 	}
 	if c := cap(s.queue.slots); c != last {
 		t.Errorf("the slot array grew from %d to %d on a second fill", last, c)
+	}
+}
+
+// mallocs counts the heap allocations one call of f makes.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestBucketGrowthAllocs pins how a bucket grows: while one fills to 10⁵
+// keys, the capacities it passes through sum to at most 2.1 × the final
+// one, where append's 1.25× growth above 256 keys sums to about 4.8 ×.
+// Once that bucket has drained, a second bucket fills from 256 keys, where
+// append's doubling ends, to 10⁵ without allocating: it takes the drained
+// bucket's array.
+func TestBucketGrowthAllocs(t *testing.T) {
+	const n = 100_000
+	s := New()
+	fn := func() {}
+	sum, last := 0, -1
+	for j := 0; j < n; j++ {
+		s.At(0, fn)
+		if c := cap(s.queue.buckets[0]); c != last {
+			sum, last = sum+c, c
+		}
+	}
+	if float64(sum) > 2.1*float64(last) {
+		t.Errorf("bucket 0 passed through %d keys of capacity to reach %d: %.2f × the final array, want <= 2.1",
+			sum, last, float64(sum)/float64(last))
+	}
+	s.Run()
+	// The clock stands at 0, so instant 1 selects bucket 1.
+	for j := 0; j < 256; j++ {
+		s.At(1, fn)
+	}
+	if allocs := mallocs(func() {
+		for j := 256; j < n; j++ {
+			s.At(1, fn)
+		}
+	}); allocs != 0 {
+		t.Errorf("filling bucket 1 from 256 to %d keys after bucket 0 drained allocates %d times, want 0", n, allocs)
+	}
+	if got := len(s.queue.buckets[1]); got != n {
+		t.Fatalf("bucket 1 holds %d keys, want %d", got, n)
+	}
+}
+
+// TestReserveAllocs pins Simulator.Reserve: with the buckets already
+// large enough, reserving room for 10⁵ events and scheduling them allocates
+// once, the slot array, at the capacity its doubling reaches without
+// Reserve. Below 256 slots Reserve leaves the array to append.
+func TestReserveAllocs(t *testing.T) {
+	const n = 100_000
+	fn := func() {}
+	doubled := New()
+	for j := 0; j < n; j++ {
+		doubled.At(0, fn)
+	}
+	s := New()
+	s.queue.buckets[0] = make([]eventKey, 0, n)
+	if allocs := mallocs(func() {
+		s.Reserve(n)
+		for j := 0; j < n; j++ {
+			s.At(0, fn)
+		}
+	}); allocs != 1 {
+		t.Errorf("Reserve(%d) and %d events allocate %d times, want 1", n, n, allocs)
+	}
+	if got, want := cap(s.queue.slots), cap(doubled.queue.slots); got != want {
+		t.Errorf("the reserved slot array holds %d slots, doubling reaches %d", got, want)
+	}
+	small := New()
+	small.Reserve(200)
+	if c := cap(small.queue.slots); c != 0 {
+		t.Errorf("Reserve(200) allocated %d slots, want none", c)
 	}
 }
 

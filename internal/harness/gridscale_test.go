@@ -21,15 +21,18 @@ const gridScaleBytesPerProcCeiling = 450
 // at N ≥ 10³, and gridScaleBuildAllocRatio the bytes a build allocates per
 // byte it keeps. Under GOGC 400 a 10⁵ run collects almost none of it, so
 // it is what the process's peak heap climbs by. The sweep allocates
-// 165 / 225 / 218 B driving and 1.09 / 1.11 / 1.13 × what it keeps
-// building, at N = 10³ / 10⁴ / 10⁵; it allocated 196 / 329 / 391 B and
-// 1.33 / 1.57 / 1.67 × while the event queue's slot array grew by
-// append's 1.25× and the builders grew Apps and Procs the same way, each
-// chain leaving about four dead arrays behind the live one. Under -race
-// the drive reads 267 / 273 B at 10⁴ / 10⁵: the race build's allocator
-// gives every 4-byte message box 16 bytes of its own.
+// 122 / 159 / 149 B driving and 1.09 / 1.11 / 1.12 × what it keeps
+// building, at N = 10³ / 10⁴ / 10⁵. Under -race the drive reads
+// 147 / 201 / 204 B: the race build's allocator gives every 4-byte message
+// box 16 bytes of its own. The drive allocated 165 / 225 / 218 B (267 / 273
+// at 10⁴ / 10⁵ under -race) while the event queue's buckets grew by
+// append's 1.25× and the runner's start walked the slot array through
+// every doubling, and 196 / 329 / 391 B, with the build at 1.33 / 1.57 /
+// 1.67 ×, while the slot array grew by append too and the builders grew
+// Apps and Procs the same way, each chain leaving about four dead arrays
+// behind the live one.
 const (
-	gridScaleDriveAllocCeiling = 300
+	gridScaleDriveAllocCeiling = 210
 	gridScaleBuildAllocRatio   = 1.2
 )
 

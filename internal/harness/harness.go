@@ -312,6 +312,19 @@ func Run(systems []System, scale Scale, progress func(string)) (*Result, error) 
 	})
 }
 
+// RunCell runs the one cell of sys at rho, Repetitions times, as Run does,
+// and returns its Point. Where Run's cells keep moments only, RunCell's
+// Obtaining also carries P50, P95 and P99: exact order statistics over the
+// cell's grants, whose obtaining times it retains while it runs.
+func RunCell(sys System, scale Scale, rho float64) (Point, error) {
+	c := cell{sys: sys.RunSystem(), scale: scale, at: Point{System: sys.Name, Rho: rho}, exact: true}
+	res, err := sweep([]System{sys}, scale, []cell{c}, nil, nil)
+	if err != nil {
+		return Point{}, err
+	}
+	return res.Points[0], nil
+}
+
 // deriveSeed mixes (BaseSeed, ρ, rep) into one run seed (rng.Mix). ρ enters
 // through its IEEE-754 bit pattern, so arbitrarily close fractional sweep
 // values draw distinct streams. The seed deliberately ignores the system
@@ -327,13 +340,15 @@ func deriveSeed(base int64, rho float64, rep int) int64 {
 // (scalability) vary dimensions per cell. at is the Point's template: the
 // system name, ρ and the cell's axis value. A fault sweep's cell also names
 // its axis value in axis, which perturbs the seed, and sets its fault on
-// every repetition's Spec.
+// every repetition's Spec. An exact cell summarizes its obtaining times
+// with exact percentiles (RunCell).
 type cell struct {
 	sys   run.System
 	scale Scale
 	at    Point
 	axis  time.Duration
 	fault func(spec *run.Spec, seed int64)
+	exact bool
 }
 
 // spec describes repetition rep of c, seeded with deriveSeed(BaseSeed^axis,
@@ -359,10 +374,9 @@ func (c *cell) where() string {
 // repPartial is the digest one repetition contributes to its cell:
 // accumulators and counters, never raw records. Each grant is folded in as
 // it happens (digest), so a repetition holds bounded state however many
-// grants it makes. Only obtain carries a percentile backend — a t-digest
-// sketch, so even million-CS repetitions stay O(compression); every other
-// accumulator stays compact. The fault counts stay zero outside the
-// crash-tolerant deployment.
+// grants it makes: every accumulator is compact, except obtain in a cell
+// RunCell runs, which retains its samples for exact percentiles. The fault
+// counts stay zero outside the crash-tolerant deployment.
 type repPartial struct {
 	phases     []workload.Phase // the scale's schedule, which bins grants into phase
 	obtain     stats.Accumulator
@@ -383,11 +397,11 @@ type repPartial struct {
 }
 
 // newRepPartial is the empty digest of one repetition under the phase
-// schedule phases.
-func newRepPartial(phases []workload.Phase) repPartial {
+// schedule phases; with retain set, its obtaining times keep their samples.
+func newRepPartial(phases []workload.Phase, retain bool) repPartial {
 	return repPartial{
 		phases: phases,
-		obtain: stats.Accumulator{Sketch: true},
+		obtain: stats.Accumulator{Retain: retain},
 		phase:  make([]stats.Accumulator, len(phases)),
 	}
 }
@@ -441,7 +455,7 @@ func runRep(c *cell, rep int) (repPartial, error) {
 	if err != nil {
 		return repPartial{}, err
 	}
-	p := newRepPartial(c.scale.Phases)
+	p := newRepPartial(c.scale.Phases, c.exact)
 	spec.OnGrant = p.digest
 	out, err := drive(spec)
 	if err != nil {
@@ -455,7 +469,7 @@ func runRep(c *cell, rep int) (repPartial, error) {
 // always in repetition order — never completion order — which is what
 // makes serial and parallel runs byte-identical.
 func mergeCell(c *cell, partials []repPartial) (Point, error) {
-	obtain := stats.Accumulator{Sketch: true}
+	obtain := stats.Accumulator{Retain: c.exact}
 	phase := make([]stats.Accumulator, len(c.scale.Phases))
 	var latency stats.Accumulator
 	var perProc, perCluster []stats.Accumulator

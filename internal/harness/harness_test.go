@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"gridmutex/internal/core"
-	"gridmutex/internal/stats"
 	"gridmutex/internal/topology"
 )
 
@@ -706,54 +704,3 @@ func TestLocalityExperiment(t *testing.T) {
 	}
 }
 
-// TestSketchPercentilesMatchExact pins the accuracy trade-off of the
-// sketch-backed percentile path the figures run on (fig4/fig5 share the
-// same Points): P50/P95/P99 of the obtaining time must stay within 1%
-// relative error of exact order statistics over the raw records.
-func TestSketchPercentilesMatchExact(t *testing.T) {
-	scale := QuickScale()
-	scale.Rhos = []float64{24}
-	// Enough grants (12 procs × 50 CS × 4 reps = 2400 samples) that exact
-	// order statistics are themselves stable at P99: with only a couple
-	// hundred samples the gap between adjacent tail order statistics
-	// exceeds the 1% budget regardless of the estimator.
-	scale.CSPerProcess = 50
-	scale.Repetitions = 4
-	sys := Composed("naimi", "martin")
-	res, err := Run([]System{sys}, scale, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Points[0]
-	if !p.Obtaining.PercentilesComputed {
-		t.Fatal("cell summary has no percentiles")
-	}
-
-	// Recompute exactly: replay each repetition's run and retain every
-	// obtaining sample in repetition order.
-	exact := stats.Accumulator{Retain: true}
-	for rep := 0; rep < scale.Repetitions; rep++ {
-		out, err := runOnce(sys, scale, 24, deriveSeed(scale.BaseSeed, 24, rep))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range out.Records {
-			exact.Push(float64(r.Obtaining()) / float64(time.Millisecond))
-		}
-	}
-	if exact.N() != p.Obtaining.N {
-		t.Fatalf("replay produced %d samples, cell has %d", exact.N(), p.Obtaining.N)
-	}
-	check := func(name string, got, want float64) {
-		t.Helper()
-		if want == 0 {
-			t.Fatalf("%s: exact percentile is 0", name)
-		}
-		if rel := math.Abs(got-want) / want; rel > 0.01 {
-			t.Errorf("%s: sketch %v vs exact %v (rel err %.4f, budget 0.01)", name, got, want, rel)
-		}
-	}
-	check("P50", p.Obtaining.P50, exact.Percentile(0.50))
-	check("P95", p.Obtaining.P95, exact.Percentile(0.95))
-	check("P99", p.Obtaining.P99, exact.Percentile(0.99))
-}

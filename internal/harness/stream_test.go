@@ -24,7 +24,7 @@ func runOnce(sys System, scale Scale, rho float64, seed int64) (run.Outcome, err
 // after the fact, in grant order, pushing each sample where repPartial.digest
 // pushes it as the grant happens.
 func digestRecords(scale Scale, out run.Outcome) repPartial {
-	p := newRepPartial(scale.Phases)
+	p := newRepPartial(scale.Phases, false)
 	p.finish(out)
 	for _, r := range out.Records {
 		ms := float64(r.Obtaining()) / float64(time.Millisecond)

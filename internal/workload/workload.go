@@ -329,6 +329,9 @@ func (r *Runner) Start() {
 		panic("workload: Start called twice")
 	}
 	r.started = true
+	// One timer per application: the slot array grows once, not through
+	// every doubling on the way.
+	r.sim.Reserve(r.apps)
 	for i := range r.procs {
 		if p := &r.procs[i]; p.app {
 			r.after(r.idle(p.cluster), mutex.ID(i), requestTimer)

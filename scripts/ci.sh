@@ -143,10 +143,20 @@ if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
     exit 1
 fi
 
+echo "==> percentiles stay out of the harness: its cells keep moments only"
+# No committed table prints a percentile of a harness cell, so the cells'
+# accumulators are compact (DESIGN.md §10); gridsim's one cell retains its
+# samples through RunCell for exact percentiles. No t-digest sketch comes
+# back into the harness.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'Sketch: true' internal/harness; then
+    echo "ci: a harness accumulator sketches percentiles again (see above)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
-echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild and 1 per request broadcast, 0 per forwarded Naimi-Trehel request, <= 1 per member-list check (0 up to 16 members), Runner.Bind flat in N, the event queue's slot array doubling"
+echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild and 1 per request broadcast, 0 per forwarded Naimi-Trehel request, <= 1 per member-list check (0 up to 16 members), Runner.Bind flat in N, the event queue's slot array doubling, its buckets doubling into drained arrays (TestBucketGrowthAllocs), Reserve's one slot allocation (TestReserveAllocs)"
 # The line above ran these in a race-instrumented build; the pins are
 # claims about the plain build the benchmark and the commands run.
 go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/ ./internal/algorithms/naimitrehel/ ./internal/algorithms/suzukikasami/ ./internal/mutex/ ./internal/workload/
