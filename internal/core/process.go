@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"gridmutex/internal/mutex"
@@ -63,32 +62,29 @@ type deliversOnce interface {
 // Process hosts the algorithm instances of one grid process and routes
 // incoming envelopes to the right one (the mutex.Handler contract). It
 // takes part in at most two hierarchy levels (its unit's and, for a
-// coordinator, the one above), so its instances live in two inline slots,
-// each with its level and the Env its instance sends through; a third
-// level panics. Deliver and Send read only the first cache line.
+// coordinator, the one above), so it has two inline slots; a third level
+// panics. It is one 64-byte cache line, and a slot's Env is the Process
+// itself seen as env0 or env1.
 //
 // Attach and Deliver may run on different goroutines on live transports
-// (a socket reader is live while the builder attaches), so an attached
-// slot is published by its bit in an atomic mask, set under mu after the
-// instance is written: Deliver reads published slots only, with one
-// atomic load. Instances are only ever entered from the serial context.
+// (a socket reader is live while the builder attaches), so a slot changes
+// only by compare-and-swap on state: a claim writes its level and claimed
+// bit; Attach takes the attaching bit, writes the instance, then sets the
+// attached bit, which Deliver reads with one atomic load. Instances are
+// only ever entered from the serial context.
 type Process struct {
 	id    mutex.ID
-	mask  atomic.Uint32 // bit i: slots[i] holds an attached instance
+	state atomic.Uint32 // slot levels and flags, see claimed
 	raw   mutex.Env
 	boxes *[]*pooledEnvelope // envelope freelist; nil unless raw advertises deliversOnce
-	slots [2]slot
-
-	mu sync.Mutex // serializes Env and Attach, which claim slots
-	_  [24]byte   // two whole cache lines: arena entries stay line-aligned
+	insts [2]mutex.Instance
 }
 
-// slot is one hosted level: its Env (p nil while unclaimed) carries the
-// level, and its instance is valid once the slot's mask bit is set.
-type slot struct {
-	inst mutex.Instance
-	env  levelEnv
-}
+// The state word keeps slot i's level in byte i and its flags above it:
+// slot 0's are these three, slot 1's each the bit above.
+const claimed, attaching, attached = 1 << 16, 1 << 18, 1 << 20
+
+func slotLevel(s uint32, i int) Level { return Level(s >> (8 * i)) }
 
 // NewProcess creates a process with the given raw network endpoint.
 func NewProcess(id mutex.ID, raw mutex.Env) *Process {
@@ -109,40 +105,39 @@ func (p *Process) init(id mutex.ID, raw mutex.Env, boxes *[]*pooledEnvelope) {
 // ID returns the process identifier.
 func (p *Process) ID() mutex.ID { return p.id }
 
-// slotFor returns the slot serving level, claiming the first free one on
-// first use. The caller holds mu.
-func (p *Process) slotFor(level Level) int {
-	for i := range p.slots {
-		if s := &p.slots[i]; s.env.p == nil {
-			s.env = levelEnv{p: p, level: level}
+// slotFor returns level's slot, claiming the next free one for good on
+// first use, and turns its flag on in the same swap; a flag on panics.
+func (p *Process) slotFor(level Level, flag uint32) int {
+	for {
+		s, i := p.state.Load(), 0
+		for i < len(p.insts) && s&(claimed<<i) != 0 && slotLevel(s, i) != level {
+			i++
 		}
-		if p.slots[i].env.level == level {
+		if i == len(p.insts) {
+			panic(fmt.Sprintf("core: process %d hosts levels %d and %d and cannot host level %d too", p.id, slotLevel(s, 0), slotLevel(s, 1), level))
+		}
+		if s&(flag<<i) != 0 {
+			panic(fmt.Sprintf("core: process %d already has an instance at level %d", p.id, level))
+		}
+		if p.state.CompareAndSwap(s, s|(claimed|flag)<<i|uint32(level)<<(8*i)) {
 			return i
 		}
 	}
-	panic(fmt.Sprintf("core: process %d hosts levels %d and %d and cannot host level %d too",
-		p.id, p.slots[0].env.level, p.slots[1].env.level, level))
 }
 
 // Attach registers the instance serving the given level.
 func (p *Process) Attach(level Level, inst mutex.Instance) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i := p.slotFor(level)
-	mask := p.mask.Load()
-	if mask&(1<<i) != 0 {
-		panic(fmt.Sprintf("core: process %d already has an instance at level %d", p.id, level))
-	}
-	p.slots[i].inst = inst
-	p.mask.Store(mask | 1<<i)
+	i := p.slotFor(level, attaching)
+	p.insts[i] = inst
+	p.state.Add(attached << i) // only the Attach holding the attaching flag sets it
 }
 
 // Instance returns the instance at the level, or nil.
 func (p *Process) Instance(level Level) mutex.Instance {
-	mask := p.mask.Load()
-	for i := range p.slots {
-		if mask&(1<<i) != 0 && p.slots[i].env.level == level {
-			return p.slots[i].inst
+	s := p.state.Load()
+	for i := range p.insts {
+		if s&(attached<<i) != 0 && slotLevel(s, i) == level {
+			return p.insts[i]
 		}
 	}
 	return nil
@@ -152,9 +147,10 @@ func (p *Process) Instance(level Level) mutex.Instance {
 // constructed with: sends are wrapped in envelopes carrying the level.
 // It claims the level's slot.
 func (p *Process) Env(level Level) mutex.Env {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return &p.slots[p.slotFor(level)].env
+	if p.slotFor(level, 0) == 0 {
+		return (*env0)(p)
+	}
+	return (*env1)(p)
 }
 
 // Local runs f on the process's serial context without claiming a slot.
@@ -182,13 +178,19 @@ func (p *Process) Deliver(from mutex.ID, m mutex.Message) {
 	inst.Deliver(from, env.Inner)
 }
 
-type levelEnv struct {
-	p     *Process
-	level Level
-}
+// env0 and env1 are a Process seen as the Env of its first and second
+// slot: a pointer conversion, so an Env costs no memory of its own.
+type env0 Process
+type env1 Process
 
-func (e *levelEnv) Send(to mutex.ID, m mutex.Message) {
-	p := e.p
+func (e *env0) Send(to mutex.ID, m mutex.Message) { (*Process)(e).send(0, to, m) }
+func (e *env1) Send(to mutex.ID, m mutex.Message) { (*Process)(e).send(1, to, m) }
+func (e *env0) Local(f func())                    { e.raw.Local(f) }
+func (e *env1) Local(f func())                    { e.raw.Local(f) }
+
+// send wraps m in an envelope carrying slot i's level.
+func (p *Process) send(i int, to mutex.ID, m mutex.Message) {
+	level := slotLevel(p.state.Load(), i)
 	if boxes := p.boxes; boxes != nil {
 		var pe *pooledEnvelope
 		if n := len(*boxes); n > 0 {
@@ -198,12 +200,10 @@ func (e *levelEnv) Send(to mutex.ID, m mutex.Message) {
 			//lint:allow allochygiene freelist growth: allocates only until the box population reaches the in-flight high-water mark, then steady state pops recycled boxes
 			pe = new(pooledEnvelope)
 		}
-		pe.Level, pe.Inner = e.level, m
+		pe.Level, pe.Inner = level, m
 		p.raw.Send(to, pe)
 		return
 	}
 	//lint:allow allochygiene boxing fallback for transports without deliversOnce (duplicating fabrics, serializing wires); the pooled branch above keeps the DES hot path allocation-free
-	p.raw.Send(to, Envelope{Level: e.level, Inner: m})
+	p.raw.Send(to, Envelope{Level: level, Inner: m})
 }
-
-func (e *levelEnv) Local(f func()) { e.p.raw.Local(f) }

@@ -60,26 +60,11 @@ func TestEnvelopePoolAllocs(t *testing.T) {
 	}
 }
 
-// TestProcessLayout pins what one delivery reads of a Process to its first
-// cache line: every field Deliver or levelEnv.Send reads, and the whole
-// first slot, which holds the only instance of an application process. A
-// whole number of lines per Process keeps every arena entry line-aligned.
+// TestProcessLayout pins a Process to exactly one cache line: a delivery
+// and a send read only it, and every arena entry stays line-aligned.
 func TestProcessLayout(t *testing.T) {
-	var p Process
-	hot := map[string]uintptr{
-		"id": unsafe.Offsetof(p.id), "mask": unsafe.Offsetof(p.mask), "raw": unsafe.Offsetof(p.raw),
-		"boxes": unsafe.Offsetof(p.boxes), "slots": unsafe.Offsetof(p.slots),
-	}
-	for name, off := range hot {
-		if off >= 64 {
-			t.Errorf("Process.%s at offset %d, want < 64: Deliver and Send read it", name, off)
-		}
-	}
-	if end := unsafe.Offsetof(p.slots) + unsafe.Sizeof(p.slots[0]); end > 64 {
-		t.Errorf("Process.slots[0] ends at byte %d, want <= 64", end)
-	}
-	if size := unsafe.Sizeof(p); size%64 != 0 {
-		t.Errorf("Process is %d bytes, want a multiple of 64", size)
+	if size := unsafe.Sizeof(Process{}); size != 64 {
+		t.Errorf("Process is %d bytes, want 64", size)
 	}
 }
 
@@ -91,6 +76,28 @@ type countingInstance struct {
 
 func (c *countingInstance) Deliver(mutex.ID, mutex.Message) { c.delivered++ }
 
+// recordingEnv is a raw endpoint that records the envelopes sent through
+// it and whether each came in a pooled box.
+type recordingEnv struct {
+	sent   []Envelope
+	pooled []bool
+}
+
+func (r *recordingEnv) Send(_ mutex.ID, m mutex.Message) {
+	switch v := m.(type) {
+	case Envelope:
+		r.sent, r.pooled = append(r.sent, v), append(r.pooled, false)
+	case *pooledEnvelope:
+		r.sent, r.pooled = append(r.sent, v.Envelope), append(r.pooled, true)
+	}
+}
+func (r *recordingEnv) Local(f func()) { f() }
+
+// recordingOnceEnv advertises the recycling capability.
+type recordingOnceEnv struct{ *recordingEnv }
+
+func (*recordingOnceEnv) DeliversOnce() {}
+
 // nopEnv is a raw endpoint without the recycling capability, as a live
 // transport's.
 type nopEnv struct{}
@@ -100,9 +107,12 @@ func (nopEnv) Local(func())                 {}
 
 // TestProcessSlots pins the two-slot contract: a third distinct level
 // panics naming the two hosted ones, an instance is visible only once
-// attached, and — the live-transport case the slot mask is published for —
+// attached, and — the live-transport case the state word is published for —
 // attaching a level while another goroutine delivers at the first is
 // race-free (under -race) and the new level is delivered to afterwards.
+// The slots are claimed and attached by compare-and-swap on one state
+// word: two levels claimed at once get a slot each, two Attaches at one
+// level leave exactly one panicking, and each Env sends at its own level.
 func TestProcessSlots(t *testing.T) {
 	t.Run("third level", func(t *testing.T) {
 		p := NewProcess(0, nopEnv{})
@@ -146,6 +156,90 @@ func TestProcessSlots(t *testing.T) {
 		p.Deliver(1, Envelope{Level: 1, Inner: poolMsg{}})
 		if low.delivered != n || high.delivered != 1 {
 			t.Errorf("delivered %d at level 0 and %d at level 1, want %d and 1", low.delivered, high.delivered, n)
+		}
+	})
+	t.Run("two levels racing", func(t *testing.T) {
+		for round := 0; round < 1000; round++ {
+			p := NewProcess(0, nopEnv{})
+			insts := [2]*countingInstance{{}, {}}
+			envs := [2]mutex.Env{}
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for l := range insts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					envs[l] = p.Env(Level(l))
+					p.Attach(Level(l), insts[l])
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if envs[0] == envs[1] {
+				t.Fatalf("round %d: levels 0 and 1 share one slot's Env", round)
+			}
+			for l, inst := range insts {
+				if p.Instance(Level(l)) != mutex.Instance(inst) || p.Env(Level(l)) != envs[l] {
+					t.Fatalf("round %d: level %d's instance or Env is not the one attached", round, l)
+				}
+			}
+		}
+	})
+	t.Run("attaches racing at one level", func(t *testing.T) {
+		for round := 0; round < 1000; round++ {
+			p := NewProcess(0, nopEnv{})
+			var wg sync.WaitGroup
+			var panics [2]string
+			start := make(chan struct{})
+			for g := range panics {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { panics[g], _ = recover().(string) }()
+					<-start
+					p.Attach(1, &countingInstance{})
+				}()
+			}
+			close(start)
+			wg.Wait()
+			n := 0
+			for _, msg := range panics {
+				if strings.Contains(msg, "already has an instance at level 1") {
+					n++
+				} else if msg != "" {
+					t.Fatalf("round %d: unexpected panic %q", round, msg)
+				}
+			}
+			if n != 1 || p.Instance(1) == nil {
+				t.Fatalf("round %d: %d of two racing Attaches panicked, want exactly 1", round, n)
+			}
+		}
+	})
+	t.Run("each Env sends at its level", func(t *testing.T) {
+		for _, pooled := range []bool{true, false} {
+			r := &recordingEnv{}
+			var raw mutex.Env = r
+			if pooled {
+				raw = &recordingOnceEnv{r}
+			}
+			// A coordinator's shape: its parent level claimed first, then its
+			// unit's, so neither level equals its slot's index.
+			p := NewProcess(0, raw)
+			upper, unit := p.Env(3), p.Env(2)
+			p.Attach(3, &countingInstance{})
+			p.Attach(2, &countingInstance{})
+			if p.Env(3) != upper || p.Env(2) != unit || upper == unit {
+				t.Fatalf("Env(3), Env(2) = %v, %v then %v, %v: want one distinct value per level", upper, unit, p.Env(3), p.Env(2))
+			}
+			unit.Send(1, poolMsg{})
+			upper.Send(1, poolMsg{})
+			unit.Send(1, poolMsg{})
+			for i, want := range []Level{2, 3, 2} {
+				if i >= len(r.sent) || r.sent[i].Level != want || r.pooled[i] != pooled {
+					t.Fatalf("pooled=%v: sends carried %v (pooled %v), want levels 2, 3, 2", pooled, r.sent, r.pooled)
+				}
+			}
 		}
 	})
 }

@@ -9,21 +9,22 @@ import (
 const goldenGridScale = "../../testdata/golden/gridscale-paper.txt"
 
 // gridScaleBytesPerProcCeiling bounds the settled heap one simulated
-// process may cost at N ≥ 10³. The sweep reads 408 / 393 / 384 B at
-// N = 10³ / 10⁴ / 10⁵ (440 / 422 / 413 while the runner still buffered a
-// record per grant); a per-process field of 64 bytes, or any O(N) or O(C²)
-// term in per-process state, crosses 450 at one of them. N = 10² is
-// exempt: fixed costs (simulator, network, monitor) dominate 102
-// processes.
-const gridScaleBytesPerProcCeiling = 450
+// process may cost at N ≥ 10³. The sweep reads 343 / 326 / 321 B at
+// N = 10³ / 10⁴ / 10⁵, the same under -race (408 / 390 / 385 while a
+// core.Process took two cache lines, 440 / 422 / 413 while the runner
+// still buffered a record per grant); a per-process field of 8 bytes at
+// 10³, or any O(N) or O(C²) term in per-process state, crosses 350.
+// N = 10² is exempt: fixed costs (simulator, network, monitor) dominate
+// 102 processes.
+const gridScaleBytesPerProcCeiling = 350
 
 // gridScaleDriveAllocCeiling bounds the bytes a drive allocates per process
 // at N ≥ 10³, and gridScaleBuildAllocRatio the bytes a build allocates per
 // byte it keeps. Under GOGC 400 a 10⁵ run collects almost none of it, so
 // it is what the process's peak heap climbs by. The sweep allocates
-// 122 / 159 / 149 B driving and 1.09 / 1.11 / 1.12 × what it keeps
-// building, at N = 10³ / 10⁴ / 10⁵. Under -race the drive reads
-// 147 / 201 / 204 B: the race build's allocator gives every 4-byte message
+// 122 / 159 / 149 B driving and 1.10 / 1.14 / 1.15 × what it keeps
+// building (1.09 / 1.11 / 1.12 with a two-line core.Process), at
+// N = 10³ / 10⁴ / 10⁵. Under -race the drive reads 147 / 201 / 204 B: the race build's allocator gives every 4-byte message
 // box 16 bytes of its own. The drive allocated 165 / 225 / 218 B (267 / 273
 // at 10⁴ / 10⁵ under -race) while the event queue's buckets grew by
 // append's 1.25× and the runner's start walked the slot array through

@@ -92,16 +92,19 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '"container/heap"' . ||
     exit 1
 fi
 
-echo "==> one record per process: simnet's side tables and core's copy-on-write instance table stay gone"
+echo "==> one record per process: simnet's side tables stay gone, and a core.Process is one line with no Env copies or mutex"
 # A send and its delivery read one simnet record and one core.Process cache
 # line on each side (DESIGN.md §10, §14). The record replaced the handler,
 # node, sink and in-flight-list tables and the sink and endpoint types; two
-# inline slots replaced the instance table. None may come back beside them.
+# inline slots replaced the instance table, and a slot's Env is the Process
+# itself, its claims compare-and-swaps on one state word, so no levelEnv
+# copy, slot type or mutex is kept per process. None may come back.
 # (livenet and reliable keep their own endpoint types and node maps.)
 if grep -rnE --include='*.go' --exclude='*_test.go' \
-    '\b(sinks|nodeOf|lastTo)\b|type (sink|endpoint) struct|atomic\.Pointer\[\[\]mutex\.Instance\]' \
-    internal/simnet internal/core; then
-    echo "ci: a per-process side table or type the records replaced reappeared (see above)" >&2
+    '\b(sinks|nodeOf|lastTo)\b|type (sink|endpoint|levelEnv|slot) struct|atomic\.Pointer\[\[\]mutex\.Instance\]' \
+    internal/simnet internal/core ||
+    grep -nE '^[[:space:]]+([[:alnum:]_]+[[:space:]]+)?sync\.(RW)?Mutex\b' internal/core/process.go; then
+    echo "ci: a per-process side table, Env copy, slot type or mutex the records replaced reappeared (see above)" >&2
     exit 1
 fi
 
