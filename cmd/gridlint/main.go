@@ -1,5 +1,5 @@
-// Command gridlint runs the repo's determinism and concurrency analyzers
-// (internal/lint) over module packages and exits non-zero on findings.
+// Command gridlint runs the repo's determinism, concurrency and
+// confinement analyzers (internal/lint) and exits non-zero on findings.
 //
 // Usage:
 //

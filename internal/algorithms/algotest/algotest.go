@@ -180,10 +180,6 @@ func Run(factory mutex.Factory, w Workload, fail func(format string, args ...any
 	return res
 }
 
-// FailFunc adapts a testing.TB-style fatal function; it exists so non-test
-// callers (fuzzers, examples) can collect violations instead of aborting.
-type FailFunc func(format string, args ...any)
-
 // Collector accumulates failures as strings.
 type Collector struct{ Failures []string }
 

@@ -227,13 +227,6 @@ func (s *System) AddApp(id mutex.ID, inst mutex.Instance) {
 	s.byID[id] = a
 }
 
-// AddHandler registers a message sink in the world that is routed
-// deliveries but never driven — composition processes that multiplex
-// instances behind one endpoint.
-func (s *System) AddHandler(id mutex.ID, h mutex.Handler) {
-	s.World.Add(id, h)
-}
-
 // SetRebuild registers the resync-epoch rebuild hook for a drivable
 // endpoint: a deterministic constructor of a fresh instance seeded with
 // the designated epoch holder. OpRestart rebuilds EVERY live member

@@ -703,4 +703,3 @@ func TestLocalityExperiment(t *testing.T) {
 		t.Fatalf("locality table malformed:\n%s", tab)
 	}
 }
-

@@ -1,6 +1,6 @@
-// Package lint implements gridlint: a suite of static analysis passes
-// enforcing the determinism and concurrency invariants the simulation's
-// reproducibility claims rest on.
+// Package lint implements gridlint: static analysis passes enforcing the
+// determinism and concurrency invariants the simulation's reproducibility
+// rests on, and the structural rules of one confinement table.
 //
 // The repo's core claim — bit-identical reruns of the paper's Grid'5000
 // experiments in virtual time — holds only if every DES-driven state
@@ -158,6 +158,7 @@ func Run(prog *Program, analyzers []*Analyzer) Result {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AllocHygiene,
+		Confine,
 		DetTaint,
 		LockDiscipline,
 		MsgPurity,
@@ -172,10 +173,9 @@ func PathUnder(path, prefix string) bool {
 }
 
 // anyUnder builds a package-scope predicate matching any of the given
-// prefixes, compared against the path with everything before an
-// "internal/" or "cmd/" path segment stripped — so scopes work both on
-// real module paths (gridmutex/internal/des) and on the synthetic paths
-// the test corpus loads packages under (dettaint/internal/util).
+// prefixes against stripModulePrefix(path), so scopes work both on real
+// module paths (gridmutex/internal/des) and on the synthetic paths the
+// test corpus loads packages under (dettaint/internal/util).
 func anyUnder(prefixes ...string) func(string) bool {
 	return func(pkgPath string) bool {
 		rel := stripModulePrefix(pkgPath)
@@ -188,14 +188,14 @@ func anyUnder(prefixes ...string) func(string) bool {
 	}
 }
 
-// stripModulePrefix cuts everything before the first "internal/" or
-// "cmd/" segment at a path boundary.
+// stripModulePrefix cuts everything before the first "internal", "cmd",
+// "bench" or "examples" segment: gridmutex/bench is bench, os is os.
 func stripModulePrefix(pkgPath string) string {
-	for _, seg := range []string{"internal/", "cmd/"} {
-		if strings.HasPrefix(pkgPath, seg) {
+	for _, seg := range []string{"internal/", "cmd/", "bench/", "examples/"} {
+		if strings.HasPrefix(pkgPath+"/", seg) {
 			return pkgPath
 		}
-		if i := strings.Index(pkgPath, "/"+seg); i >= 0 {
+		if i := strings.Index(pkgPath+"/", "/"+seg); i >= 0 {
 			return pkgPath[i+1:]
 		}
 	}

@@ -1,6 +1,13 @@
 package lint_test
 
 import (
+	"cmp"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gridmutex/internal/lint"
@@ -33,5 +40,34 @@ func TestGridlintSelfCheck(t *testing.T) {
 
 	for _, d := range lint.Run(prog, lint.All()).Diagnostics {
 		t.Errorf("gridlint is not clean over the repo: %s", d)
+	}
+}
+
+// TestTestFilesReadNoEnvironment holds the test files, which the loader
+// skips, to confine's environment rows: outside bench/, whose re-exec
+// marker is its own, no test reads or sets an environment variable.
+func TestTestFilesReadNoEnvironment(t *testing.T) {
+	root, fset := filepath.Join("..", ".."), token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && (path == filepath.Join(root, "bench") || d.Name() == "testdata") {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv" || sel.Sel.Name == "Setenv") {
+				t.Errorf("%s: %s reads or sets the environment", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

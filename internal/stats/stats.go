@@ -12,11 +12,11 @@ import (
 // Accumulator aggregates samples with Welford's online algorithm, so
 // million-sample runs need no buffering. By default individual samples
 // are discarded (compact mode). Two percentile backends are available:
-// Sketch (the default choice of the experiment harness) feeds a
-// bounded-memory t-digest, and Retain keeps every raw sample for exact
-// order statistics — only accumulators that actually serve percentiles
-// should pay either cost. When both are set, Percentile answers from the
-// exact retained samples.
+// Sketch feeds a bounded-memory t-digest (no harness cell sets it: cells
+// keep moments only, and gridsim's one cell retains), and Retain keeps
+// every raw sample for exact order statistics — only accumulators that
+// actually serve percentiles should pay either cost. When both are set,
+// Percentile answers from the exact retained samples.
 type Accumulator struct {
 	// Retain keeps every pushed sample so Percentile is exact. The zero
 	// value is compact: constant memory, no percentiles.

@@ -389,7 +389,7 @@ func TestMergeSortedFlagInvalidation(t *testing.T) {
 	for _, x := range []float64{2, 3} {
 		b.Push(x)
 	}
-	a.Merge(&b) // appends [2 3] after the sorted run
+	a.Merge(&b)                             // appends [2 3] after the sorted run
 	if got := a.Percentile(0.5); got != 3 { // must re-sort [1 2 3 5 9]
 		t.Fatalf("median after merge = %v, want 3", got)
 	}
