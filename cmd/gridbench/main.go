@@ -9,10 +9,11 @@
 //	gridbench -experiment fig4a -scale quick -parallel 8
 //	gridbench -experiment fig4a -scale quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// With -parallel N the harness fans repetitions out over N goroutines (0 =
-// GOMAXPROCS); results and progress lines are byte-identical to a serial
-// run, and progress streams cell by cell either way. Timings and memory are
-// measured by the benchmark, `go run ./bench`, not here.
+// With -parallel N the harness fans repetitions out over N goroutines (the
+// default 0 = GOMAXPROCS, 1 = serial); results and progress lines are
+// byte-identical for every N, and progress streams cell by cell either way.
+// Timings and memory are measured by the benchmark, `go run ./bench`, not
+// here.
 package main
 
 import (
@@ -27,19 +28,10 @@ import (
 	"gridmutex"
 )
 
-// workers translates -parallel into RunOptions.Workers: the flag's 0 asks
-// for GOMAXPROCS, where the option's zero value is serial.
-func workers(parallel int) int {
-	if parallel == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return parallel
-}
-
 func main() {
 	experiment := flag.String("experiment", "all", "figure to regenerate, or 'all' (one of: all "+strings.Join(gridmutex.Figures(), " ")+")")
 	scaleName := flag.String("scale", "paper", "experiment scale: 'paper' (9 Grid5000 clusters, N=180, 100 CS, 10 reps) or 'quick'")
-	parallel := flag.Int("parallel", 1, "worker goroutines for repetitions (0 = GOMAXPROCS); results are identical for every value")
+	parallel := flag.Int("parallel", 0, "worker goroutines for repetitions (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 	quiet := flag.Bool("q", false, "suppress per-cell progress output")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment pass to this path")
@@ -87,7 +79,7 @@ func main() {
 		}
 	}
 
-	opt := gridmutex.RunOptions{Workers: workers(*parallel)}
+	opt := gridmutex.RunOptions{Workers: *parallel}
 	var figs map[string]string
 	var err error
 	if *experiment == "all" {

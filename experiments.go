@@ -30,8 +30,8 @@ func (s ExperimentScale) scale() harness.Scale {
 // they compute.
 type RunOptions struct {
 	// Workers is harness.Scale.Workers: each experiment's repetitions fan
-	// out across this many goroutines (0 or 1 = serial on the calling
-	// goroutine, negative = GOMAXPROCS), with byte-identical results.
+	// out across this many goroutines (<= 0 = GOMAXPROCS, 1 = serial on the
+	// calling goroutine), with byte-identical results.
 	Workers int
 }
 

@@ -6,22 +6,23 @@ import (
 	"testing"
 	"time"
 
+	"gridmutex/internal/algorithms"
 	"gridmutex/internal/core"
 	"gridmutex/internal/explore"
 	"gridmutex/internal/topology"
 )
 
-// compositionBuilder wires a two-cluster composed deployment onto the
-// explorer's hand-stepped world: 2 clusters of 2 nodes each, so nodes 0
-// and 2 host coordinators and nodes 1 and 3 are the drivable application
-// processes. Coordinator automaton state and the per-level instances
-// hidden behind each process dispatcher are exposed to the fingerprint
-// cache through probes, so pruning cannot conflate states that differ
-// only inside the hierarchy.
-func compositionBuilder(spec core.Spec) explore.Builder {
+// compositionBuilder wires a composed deployment onto the explorer's
+// hand-stepped world: clusters of per nodes each, the first node of a
+// cluster hosting its coordinator and the rest being the drivable
+// application processes. Coordinator automaton state and the per-level
+// instances hidden behind each process dispatcher are exposed to the
+// fingerprint cache through probes, so pruning cannot conflate states that
+// differ only inside the hierarchy.
+func compositionBuilder(spec core.Spec, clusters, per int) explore.Builder {
 	return func() (*explore.System, error) {
 		sys := explore.NewSystem()
-		grid := topology.Uniform(2, 2, time.Millisecond, 10*time.Millisecond)
+		grid := topology.Uniform(clusters, per, time.Millisecond, 10*time.Millisecond)
 		d, err := core.BuildComposed(sys.World, grid, spec, sys.Callbacks)
 		if err != nil {
 			return nil, err
@@ -54,39 +55,49 @@ func compositionBuilder(spec core.Spec) explore.Builder {
 	}
 }
 
-// TestExploreComposition explores every bounded interleaving of a
-// two-level Naimi-Martin composition: application requests funnel through
-// the coordinators' intra/inter bridging, and no ordering of the
-// envelope deliveries may violate mutual exclusion or leave a request
-// stuck. The space is explored to exhaustion (479 schedules, 560 states),
-// with no schedule cut at MaxSteps.
+// TestExploreComposition explores every bounded interleaving of every
+// ordered (intra, inter) pair of the registry on 2 clusters of 2 nodes:
+// application requests funnel through the coordinators' intra/inter
+// bridging, and no ordering of the envelope deliveries may violate mutual
+// exclusion or leave a request stuck — the paper's claim that any two
+// algorithms compose unmodified. Each space is explored to exhaustion,
+// with no schedule cut at MaxSteps. Naimi-Martin keeps 4 requests per
+// application (479 schedules, 560 states); every other pair takes 2. Two
+// coordinators give the inter level little to reorder, so 2 x 2 barely
+// tells inter algorithms apart; a 3-cluster world would.
 func TestExploreComposition(t *testing.T) {
-	b := compositionBuilder(core.Spec{Intra: "naimi", Inter: "martin"})
-	opts := explore.Options{
-		RequestsPerApp: 4,
-		MaxSteps:       160,
+	for _, intra := range algorithms.Names() {
+		for _, inter := range algorithms.Names() {
+			t.Run(intra+"/"+inter, func(t *testing.T) {
+				opts := explore.Options{RequestsPerApp: 2, MaxSteps: 160}
+				if intra == "naimi" && inter == "martin" {
+					opts.RequestsPerApp = 4
+				}
+				b := compositionBuilder(core.Spec{Intra: intra, Inter: inter}, 2, 2)
+				res, err := explore.ExploreDFS(b, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Counterexample != nil {
+					t.Fatalf("violation in %d schedules: %v\nschedule: %s\n%s",
+						res.Schedules, res.Counterexample.Violations,
+						res.Counterexample.Schedule, res.Counterexample.JSON())
+				}
+				if !res.Exhausted || res.Truncated != 0 {
+					t.Fatalf("space not exhausted: %d schedules, %d truncated, exhausted=%v",
+						res.Schedules, res.Truncated, res.Exhausted)
+				}
+				t.Logf("%d schedules, %d states, %d steps, %d pruned, %d truncated, exhausted=%v",
+					res.Schedules, res.States, res.Steps, res.Pruned, res.Truncated, res.Exhausted)
+			})
+		}
 	}
-	res, err := explore.ExploreDFS(b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counterexample != nil {
-		t.Fatalf("violation in %d schedules: %v\nschedule: %s\n%s",
-			res.Schedules, res.Counterexample.Violations,
-			res.Counterexample.Schedule, res.Counterexample.JSON())
-	}
-	if !res.Exhausted || res.Truncated != 0 {
-		t.Fatalf("space not exhausted: %d schedules, %d truncated, exhausted=%v",
-			res.Schedules, res.Truncated, res.Exhausted)
-	}
-	t.Logf("%d schedules, %d states, %d steps, %d pruned, %d truncated, exhausted=%v",
-		res.Schedules, res.States, res.Steps, res.Pruned, res.Truncated, res.Exhausted)
 }
 
 // TestExploreCompositionRandom PCT-samples a second composition (different
 // intra and inter algorithms) as a cheap diversity complement to the DFS.
 func TestExploreCompositionRandom(t *testing.T) {
-	b := compositionBuilder(core.Spec{Intra: "suzuki", Inter: "naimi"})
+	b := compositionBuilder(core.Spec{Intra: "suzuki", Inter: "naimi"}, 2, 2)
 	res, err := explore.ExploreRandom(b, explore.Options{
 		RequestsPerApp: 2,
 		MaxSteps:       128,

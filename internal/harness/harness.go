@@ -146,11 +146,11 @@ type Scale struct {
 	// Workers bounds how many repetitions run concurrently, each on its
 	// own private Simulator (the goroutine fan-out lives in
 	// internal/fleet; this package stays goroutine-free). It is fleet's
-	// count — 1 keeps every run on the calling goroutine, negative means
-	// GOMAXPROCS — except that the zero value means 1 too, so a Scale that
-	// does not mention Workers stays serial. Aggregates and progress lines
-	// are byte-identical for every setting: per-repetition partials are
-	// merged by (system, ρ, rep) index, never by completion order.
+	// count: <= 0 means GOMAXPROCS, so a Scale that does not mention
+	// Workers uses every core, and 1 keeps every run on the calling
+	// goroutine. Aggregates and progress lines are byte-identical for every
+	// setting: per-repetition partials are merged by (system, ρ, rep)
+	// index, never by completion order.
 	Workers int
 }
 
@@ -613,9 +613,6 @@ func runShards[T any](groups int, size func(group int) int, workers int, exec fu
 		for rep := 0; rep < size(g); rep++ {
 			shards = append(shards, shard{g, rep})
 		}
-	}
-	if workers == 0 {
-		workers = 1
 	}
 	var parts []T
 	return fleet.Each(len(shards), workers, func(i int) (T, error) {

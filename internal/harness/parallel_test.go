@@ -25,7 +25,8 @@ func parallelSystems() []System {
 // run must be byte-identical to a serial one — same Points (every float,
 // bit for bit), same rendered tables, same progress lines in the same
 // order. More jobs than workers (12 runs on 3 workers) exercises the
-// queue/claim path.
+// queue/claim path; 0, the zero value every Scale starts from, is
+// GOMAXPROCS.
 func TestParallelMatchesSerial(t *testing.T) {
 	runWith := func(workers int) (*Result, []string) {
 		s := parallelScale()
@@ -38,7 +39,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		return res, lines
 	}
 	serial, serialLines := runWith(1)
-	for _, workers := range []int{3, -1} {
+	for _, workers := range []int{0, 3, -1} {
 		par, parLines := runWith(workers)
 		if !reflect.DeepEqual(serial.Points, par.Points) {
 			t.Errorf("workers=%d: Points differ from serial", workers)
@@ -192,7 +193,7 @@ func TestParallelRecoveryMatchesSerial(t *testing.T) {
 		return res, lines
 	}
 	serial, serialLines := runWith(1)
-	for _, workers := range []int{4, -1} {
+	for _, workers := range []int{0, 4, -1} {
 		par, parLines := runWith(workers)
 		if !reflect.DeepEqual(serial.Points, par.Points) {
 			t.Errorf("workers=%d: recovery points differ from serial", workers)

@@ -85,12 +85,14 @@ func TestParallelPartitionEquivalence(t *testing.T) {
 		return res, lines
 	}
 	a, aLines := runWith(1)
-	b, bLines := runWith(4)
-	if a.Table("x") != b.Table("x") {
-		t.Fatal("workers=1 and workers=4 produced different partition tables")
-	}
-	if !reflect.DeepEqual(aLines, bLines) {
-		t.Fatalf("workers=1 and workers=4 produced different progress lines:\n%q\n%q", aLines, bLines)
+	for _, workers := range []int{0, 4} {
+		b, bLines := runWith(workers)
+		if a.Table("x") != b.Table("x") {
+			t.Fatalf("workers=1 and workers=%d produced different partition tables", workers)
+		}
+		if !reflect.DeepEqual(aLines, bLines) {
+			t.Fatalf("workers=1 and workers=%d produced different progress lines:\n%q\n%q", workers, aLines, bLines)
+		}
 	}
 	if len(aLines) != 1 || !strings.Contains(aLines[0], " closures/grant") {
 		t.Fatalf("progress lines %q, want one ending in the cell's costs", aLines)

@@ -39,7 +39,7 @@ var (
 		{"internal/simnet", "Options.KindCounts", []string{"internal/run", "bench"}, "internal/run switches per-kind counters on for recovery runs (DESIGN.md §12)"},
 		{"os", "Getenv", nil, "no run or test depends on an environment variable (DESIGN.md §12)"},
 		{"os", "LookupEnv", nil, "no run or test depends on an environment variable (DESIGN.md §12)"},
-		{"runtime", "GOMAXPROCS", []string{"internal/fleet", "cmd/gridbench", "bench"}, "internal/fleet decides what a worker count means: <= 0 GOMAXPROCS, 1 inline (DESIGN.md §8)"},
+		{"runtime", "GOMAXPROCS", []string{"internal/fleet", "bench"}, "internal/fleet decides what a worker count means: <= 0 GOMAXPROCS, 1 inline (DESIGN.md §8)"},
 		{"container/heap", "", nil, "des's radix heap is the one event queue (DESIGN.md §10)"},
 		{"internal/run", "Outcome.Records", []string{"internal/scenario"}, "harness runs stream grants into their digest and keep no record list (DESIGN.md §14)"},
 		{"internal/workload", "Runner.Records", []string{"internal/run", "examples", "bench"}, "harness runs stream grants into their digest and keep no record list (DESIGN.md §14)"},

@@ -15,10 +15,10 @@
 // mutex.Env and the handler of the typed des events that deliver to it
 // (DESIGN.md §10). Latency has one path at every grid size: the paper gives
 // it as a cluster-to-cluster RTT matrix, so send reads the receiver's
-// cluster from an O(N) index and asks the grid for RTT(ca, cb)/2. Only the
-// FIFO watermark has two stores, each kept because a benchmark workload
-// measurably needs it — a process×process table on small grids, per-sender
-// in-flight lists above fifoTableLimit (see Network.lastAt and DESIGN.md §14).
+// cluster from an O(N) index and asks the grid for RTT(ca, cb)/2. The FIFO
+// watermark has one store too: each sender's record lists the watermarks of
+// its links with a message in flight (proc.fl), so a network's build is O(N)
+// at every grid size (DESIGN.md §14).
 package simnet
 
 import (
@@ -70,7 +70,7 @@ type Network struct {
 	sim  *des.Simulator
 	grid gridModel
 	opts Options
-	rng  *rand.Rand // jitter/loss stream
+	rng  *rand.Rand // jitter/loss stream; nil on a fixed, lossless network
 
 	// The records, by mutex.ID. A record's address is its process's Env and
 	// the handler of its delivery events, so records never move: base holds
@@ -78,23 +78,6 @@ type Network struct {
 	base []proc
 	more []*proc
 	clOf []int32 // process -> its node's cluster; -1 = unregistered
-	// FIFO watermarks: the latest delivery instant scheduled on each
-	// ordered link, in one of two stores chosen once in New (listFIFO).
-	//
-	// lastAt, on grids of at most fifoTableLimit nodes, is the flat table
-	// lastAt[from*len(clOf)+to], -1 while the link has carried nothing:
-	// one load and one store per send however wide the sender's fan-out —
-	// what keeps heartbeat fan-out (recovery-6x8) and flat Suzuki-Kasami's
-	// N-way broadcasts (fig4a-paper, scale) O(1) per send.
-	//
-	// Above the limit, a sender's record keeps only the watermarks of its
-	// links with a message in flight (proc.fl): O(messages in flight) where
-	// the table would be O(processes²). Dropping a watermark below Now() is
-	// exact, since send only bumps an instant at' >= Now() past it; one equal
-	// to Now() (a zero-latency link) is kept. Send scans and prunes the list
-	// in one pass: O(in-flight links) per send, O(k²) per k-way broadcast.
-	listFIFO bool
-	lastAt   []des.Time
 
 	jittery bool // opts.Jitter > 0
 	lossy   bool // opts.Loss > 0
@@ -123,15 +106,20 @@ type Network struct {
 type proc struct {
 	net  *Network
 	h    Handler  // nil until registered
-	fl   []flight // list FIFO only: watermarks of this sender's links in flight
+	fl   []flight // FIFO watermarks of this sender's links in flight
 	id   mutex.ID
 	node int32 // physical node
 	cl   int32 // the node's cluster
 }
 
-// flight is one in-flight FIFO watermark of a list-FIFO network: the latest
-// delivery instant scheduled on the ordered link from the owning sender to
-// process to.
+// flight is one in-flight FIFO watermark: the latest delivery instant
+// scheduled on the ordered link from the owning sender to process to. A
+// sender keeps only the watermarks of its links with a message in flight —
+// O(messages in flight) where a process×process table would be
+// O(processes²). Dropping a watermark below Now() is exact, since send only
+// bumps an instant at' >= Now() past it; one equal to Now() (a zero-latency
+// link) is kept. Send scans and prunes the list in one pass: O(in-flight
+// links) per send, O(k²) per k-way broadcast.
 type flight struct {
 	to mutex.ID
 	at des.Time
@@ -146,14 +134,6 @@ type gridModel interface {
 	RTT(a, b int) time.Duration
 }
 
-// fifoTableLimit is FIFO memory policy and nothing else: grids of at most
-// this many nodes keep the process×process lastAt table (8 bytes per
-// ordered pair, 2 MB at the limit, every committed figure far below it),
-// larger grids the in-flight lists. Latency and classification do
-// not depend on it. A var only so that tests can lower it and run the same
-// traffic through both stores.
-var fifoTableLimit = 512
-
 // New builds a network over sim using grid latencies.
 func New(sim *des.Simulator, grid gridModel, opts Options) *Network {
 	if opts.Jitter < 0 {
@@ -164,13 +144,14 @@ func New(sim *des.Simulator, grid gridModel, opts Options) *Network {
 	}
 	nodes := grid.NumNodes()
 	n := &Network{
-		sim:      sim,
-		grid:     grid,
-		opts:     opts,
-		rng:      rng.New(opts.Seed),
-		listFIFO: nodes > fifoTableLimit,
-		jittery:  opts.Jitter > 0,
-		lossy:    opts.Loss > 0,
+		sim:     sim,
+		grid:    grid,
+		opts:    opts,
+		jittery: opts.Jitter > 0,
+		lossy:   opts.Loss > 0,
+	}
+	if n.jittery || n.lossy {
+		n.rng = rng.New(opts.Seed)
 	}
 	if opts.KindCounts {
 		n.counters.ByKind = make(map[string]int64)
@@ -188,9 +169,9 @@ func (n *Network) rec(id mutex.ID) *proc {
 	return n.more[int(id)-len(n.base)]
 }
 
-// growProcs makes records for at least size IDs, never moving one, and
-// re-strides the FIFO watermark table. Endpoints and registrations are made
-// during deployment wiring, so this never runs on the message hot path.
+// growProcs makes records for at least size IDs, never moving one.
+// Endpoints and registrations are made during deployment wiring, so this
+// never runs on the message hot path.
 func (n *Network) growProcs(size int) {
 	old := len(n.clOf)
 	if size <= old {
@@ -204,17 +185,6 @@ func (n *Network) growProcs(size int) {
 		}
 		n.clOf = append(n.clOf, -1)
 	}
-	if n.listFIFO {
-		return
-	}
-	last := make([]des.Time, size*size)
-	for i := range last {
-		last[i] = -1
-	}
-	for f := 0; f < old; f++ {
-		copy(last[f*size:f*size+old], n.lastAt[f*old:(f+1)*old])
-	}
-	n.lastAt = last
 }
 
 // Register installs the handler for process id, hosted on the physical node
@@ -433,38 +403,29 @@ func (r *proc) Send(to mutex.ID, m mutex.Message) {
 	now := n.sim.Now()
 	at := now + delay
 	// FIFO per ordered pair: never deliver before an earlier message on
-	// the same link. Table watermarks are -1 on untouched links, below
-	// any schedulable instant; the lists keep an entry only while it can
-	// still bump (see Network.lastAt) — both stores bump identically.
-	if n.listFIFO {
-		fl, w, hit := r.fl, 0, false
-		for _, f := range fl {
-			switch {
-			case f.to == to:
-				if at <= f.at {
-					at = f.at + time.Nanosecond
-				}
-				f.at, hit = at, true
-			case f.at < now:
-				continue // landed: can never bump again
+	// the same link. The sender's list keeps a watermark only while it can
+	// still bump (see flight).
+	fl, w, hit := r.fl, 0, false
+	for _, f := range fl {
+		switch {
+		case f.to == to:
+			if at <= f.at {
+				at = f.at + time.Nanosecond
 			}
-			fl[w] = f
-			w++
+			f.at, hit = at, true
+		case f.at < now:
+			continue // landed: can never bump again
 		}
-		fl = fl[:w]
-		if !hit {
-			// Grows to the sender's in-flight high-water mark, then reuses
-			// the backing array: steady-state sends allocate nothing.
-			fl = append(fl, flight{to, at})
-		}
-		r.fl = fl
-	} else {
-		link := int(r.id)*len(n.clOf) + int(to)
-		if last := n.lastAt[link]; at <= last {
-			at = last + time.Nanosecond
-		}
-		n.lastAt[link] = at
+		fl[w] = f
+		w++
 	}
+	fl = fl[:w]
+	if !hit {
+		// Grows to the sender's in-flight high-water mark, then reuses
+		// the backing array: steady-state sends allocate nothing.
+		fl = append(fl, flight{to, at})
+	}
+	r.fl = fl
 	n.sim.AtDeliver(at, n.rec(to), r.id, m)
 }
 

@@ -2,6 +2,10 @@ package simnet
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -348,28 +352,24 @@ func TestSendDeliverAllocs(t *testing.T) {
 
 // BenchmarkSendDeliver measures the raw transport hot path: one send and
 // its delivery through the simulator, jitter enabled (the realistic
-// configuration used by every experiment), once per FIFO store. The
-// broadcast case is the list store's worst one: a sender with k messages in
-// flight scans k watermarks per send, so one 1,000-way broadcast costs O(k²)
-// where the table costs O(k). No committed experiment broadcasts above
-// fifoTableLimit; the number is here so that one that does knows the price.
+// configuration used by every experiment). The broadcast case is the FIFO
+// lists' worst one: a sender with k messages in flight scans k watermarks
+// per send, so one 1,000-way broadcast costs O(k²) where a process×process
+// table would cost O(k). No committed experiment broadcasts that wide; the
+// number is here so that one that does knows the price.
 func BenchmarkSendDeliver(b *testing.B) {
 	for _, c := range []struct {
 		name          string
 		clusters, per int
 		fanout, drain int
-		listFIFO      bool
 	}{
-		{"table-fifo", 2, 2, 4, 256, false},
-		{"list-fifo-broadcast-1000", 11, 91, 1000, 1000, true},
+		{"2x2", 2, 2, 4, 256},
+		{"broadcast-1000", 11, 91, 1000, 1000},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sim := des.New()
 			g := topology.Uniform(c.clusters, c.per, 2*time.Millisecond, 20*time.Millisecond)
 			n := New(sim, g, Options{Jitter: 0.2, Seed: 3})
-			if n.listFIFO != c.listFIFO {
-				b.Fatalf("listFIFO = %v, want %v", n.listFIFO, c.listFIFO)
-			}
 			for id := 0; id < g.NumNodes(); id++ {
 				n.Register(mutex.ID(id), HandlerFunc(func(mutex.ID, mutex.Message) {}))
 			}
@@ -464,24 +464,7 @@ func (g stubGrid) NumNodes() int            { return g.n }
 func (stubGrid) ClusterOf(n int) int        { return n / 3 }
 func (stubGrid) RTT(_, _ int) time.Duration { return 0 }
 
-// newWithFIFO builds a network with the FIFO store forced: the unexported
-// limit is the one test seam, lowered for the duration of New so that small
-// grids reach the in-flight lists.
-func newWithFIFO(t testing.TB, sim *des.Simulator, g gridModel, opts Options, lists bool) *Network {
-	t.Helper()
-	old := fifoTableLimit
-	defer func() { fifoTableLimit = old }()
-	if lists {
-		fifoTableLimit = 0
-	}
-	n := New(sim, g, opts)
-	if n.listFIFO != lists {
-		t.Fatalf("listFIFO = %v, want %v", n.listFIFO, lists)
-	}
-	return n
-}
-
-// stormGrids are the 9-node grids both FIFO stores must agree on.
+// stormGrids are the 9-node grids of the recorded storms.
 var stormGrids = []struct {
 	name string
 	grid gridModel
@@ -491,22 +474,22 @@ var stormGrids = []struct {
 }
 
 // runStorm drives a deterministic jittered, lossy bounce storm with a
-// mid-run crash and partition window over the given FIFO store, returning
-// per-node delivery logs and counters. On top of the bounces, six rounds
-// 35 ms apart each put a same-instant burst on one link and a 10-way
-// broadcast from one sender: watermarks of earlier rounds have landed by the
-// next, and some broadcasts are in flight across the crash and the restart.
-func runStorm(t *testing.T, g gridModel, lists bool) ([][]string, Counters) {
+// mid-run crash and partition window, returning per-node delivery logs and
+// counters. On top of the bounces, six rounds 35 ms apart each put a
+// same-instant burst on one link and a 10-way broadcast from one sender:
+// watermarks of earlier rounds have landed by the next, and some broadcasts
+// are in flight across the crash and the restart.
+func runStorm(t *testing.T, g gridModel) ([][]string, Counters) {
 	t.Helper()
 	sim := des.New()
-	n := newWithFIFO(t, sim, g, Options{Jitter: 0.5, Seed: 17, Loss: 0.05}, lists)
+	n := New(sim, g, Options{Jitter: 0.5, Seed: 17, Loss: 0.05})
 	bs := make([]*bouncer, 9)
 	for id := 0; id < 9; id++ {
 		bs[id] = &bouncer{ep: n.Endpoint(mutex.ID(id)), self: mutex.ID(id), now: sim.Now}
 		n.Register(mutex.ID(id), bs[id])
 	}
 	// A co-located coordinator process beyond the topology node count, so
-	// both stores cover hierarchical registration too.
+	// the storm covers hierarchical registration too.
 	coord := &bouncer{ep: n.Endpoint(100), self: 100, now: sim.Now}
 	n.RegisterAt(100, 4, coord)
 	bs[0].ep.Send(1, ping{"a", 30})
@@ -537,31 +520,33 @@ func runStorm(t *testing.T, g gridModel, lists bool) ([][]string, Counters) {
 	return append(logs, coord.log), n.Counters()
 }
 
-// TestFactoredMatchesDense holds the two FIFO stores to one behaviour: the
-// in-flight lists, whose watermarks live only while their message is in
-// flight, must reproduce the table's run event for event — same delivery
-// instants, same loss draws, same crash/partition classification, same
-// counters. The zero-latency grid is what catches a list pruned one instant
-// too early (at == now == last must still bump).
+// stormText renders a storm's counters and delivery logs, one line each.
+func stormText(logs [][]string, c Counters) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "counters %+v\n", c)
+	for i, l := range logs {
+		fmt.Fprintf(&b, "log %d: %s\n", i, strings.Join(l, " "))
+	}
+	return b.String()
+}
+
+// TestFactoredMatchesDense holds the in-flight FIFO lists, whose watermarks
+// live only while their message is in flight, to the process×process
+// watermark table simnet used to keep on small grids: testdata/storm-*.golden
+// are that table's storms, recorded before it was deleted, and the lists must
+// reproduce them event for event — same delivery instants, same loss draws,
+// same crash/partition classification, same counters. The zero-latency grid
+// is what catches a list pruned one instant too early (at == now == last must
+// still bump).
 func TestFactoredMatchesDense(t *testing.T) {
 	for _, g := range stormGrids {
 		t.Run(g.name, func(t *testing.T) {
-			tableLogs, tableC := runStorm(t, g.grid, false)
-			total := 0
-			for _, l := range tableLogs {
-				total += len(l)
+			want, err := os.ReadFile(filepath.Join("testdata", "storm-"+g.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if total == 0 {
-				t.Fatal("storm delivered nothing")
-			}
-			listLogs, listC := runStorm(t, g.grid, true)
-			if got, want := fmt.Sprintf("%+v", listC), fmt.Sprintf("%+v", tableC); got != want {
-				t.Fatalf("counters diverge:\nlists %s\ntable %s", got, want)
-			}
-			for node := range tableLogs {
-				if got, want := fmt.Sprint(listLogs[node]), fmt.Sprint(tableLogs[node]); got != want {
-					t.Fatalf("node %d deliveries diverge:\nlists %s\ntable %s", node, got, want)
-				}
+			if got := stormText(runStorm(t, g.grid)); got != string(want) {
+				t.Fatalf("storm diverges from the table's:\nlists:\n%s\ntable:\n%s", got, want)
 			}
 		})
 	}
@@ -572,8 +557,8 @@ func TestFactoredMatchesDense(t *testing.T) {
 // topology.Grid.OneWay(fromNode, toNode) after it was sent and be counted
 // intra-cluster exactly when topology.Grid.SameCluster says so — on a
 // matrix grid with asymmetric RTTs, on a tree grid, for a co-located
-// coordinator process, and over both FIFO stores. Every ordered pair sends
-// once, at its own instant, so no FIFO bump can move a delivery.
+// coordinator process. Every ordered pair sends once, at its own instant, so
+// no FIFO bump can move a delivery.
 func TestLatencyMatchesGridOneWay(t *testing.T) {
 	tree, err := topology.NewTree(topology.TreeSpec{
 		Fanouts:  []int{2, 3},
@@ -591,91 +576,56 @@ func TestLatencyMatchesGridOneWay(t *testing.T) {
 		{"grid5000", topology.Grid5000(2)},
 		{"tree", tree},
 	} {
-		for _, lists := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/lists=%v", g.name, lists), func(t *testing.T) {
-				sim := des.New()
-				n := newWithFIFO(t, sim, g.grid, Options{}, lists)
-				nodes := g.grid.NumNodes()
-				coord, coordNode := mutex.ID(nodes+5), nodes-1
-				hostOf := func(id mutex.ID) int {
-					if id == coord {
-						return coordNode
+		t.Run(g.name, func(t *testing.T) {
+			sim := des.New()
+			n := New(sim, g.grid, Options{})
+			nodes := g.grid.NumNodes()
+			coord, coordNode := mutex.ID(nodes+5), nodes-1
+			hostOf := func(id mutex.ID) int {
+				if id == coord {
+					return coordNode
+				}
+				return int(id)
+			}
+			ids := []mutex.ID{coord}
+			for id := 0; id < nodes; id++ {
+				ids = append(ids, mutex.ID(id))
+			}
+			sent := make(map[[2]mutex.ID]des.Time)
+			delivered := 0
+			for _, id := range ids {
+				id := id
+				n.RegisterAt(id, hostOf(id), HandlerFunc(func(from mutex.ID, _ mutex.Message) {
+					delivered++
+					want := sent[[2]mutex.ID{from, id}] + g.grid.OneWay(hostOf(from), hostOf(id))
+					if sim.Now() != want {
+						t.Errorf("%d->%d landed at %v, want %v", from, id, sim.Now(), want)
 					}
-					return int(id)
-				}
-				ids := []mutex.ID{coord}
-				for id := 0; id < nodes; id++ {
-					ids = append(ids, mutex.ID(id))
-				}
-				sent := make(map[[2]mutex.ID]des.Time)
-				delivered := 0
-				for _, id := range ids {
-					id := id
-					n.RegisterAt(id, hostOf(id), HandlerFunc(func(from mutex.ID, _ mutex.Message) {
-						delivered++
-						want := sent[[2]mutex.ID{from, id}] + g.grid.OneWay(hostOf(from), hostOf(id))
-						if sim.Now() != want {
-							t.Errorf("%d->%d landed at %v, want %v", from, id, sim.Now(), want)
-						}
-					}))
-				}
-				var at des.Time
-				var intra int64
-				for _, from := range ids {
-					for _, to := range ids {
-						from, to := from, to
-						at += 3 * time.Microsecond
-						if g.grid.SameCluster(hostOf(from), hostOf(to)) {
-							intra++
-						}
-						sim.At(at, func() {
-							sent[[2]mutex.ID{from, to}] = sim.Now()
-							n.Endpoint(from).Send(to, ping{"p", 1})
-						})
+				}))
+			}
+			var at des.Time
+			var intra int64
+			for _, from := range ids {
+				for _, to := range ids {
+					from, to := from, to
+					at += 3 * time.Microsecond
+					if g.grid.SameCluster(hostOf(from), hostOf(to)) {
+						intra++
 					}
+					sim.At(at, func() {
+						sent[[2]mutex.ID{from, to}] = sim.Now()
+						n.Endpoint(from).Send(to, ping{"p", 1})
+					})
 				}
-				sim.Run()
-				if want := len(ids) * len(ids); delivered != want {
-					t.Fatalf("delivered %d, want %d", delivered, want)
-				}
-				if c := n.Counters(); c.IntraMessages != intra || c.Messages != int64(delivered) {
-					t.Errorf("intra = %d of %d, want %d of %d", c.IntraMessages, c.Messages, intra, delivered)
-				}
-			})
-		}
-	}
-}
-
-// TestTablesAutoThreshold pins the one size threshold: up to fifoTableLimit
-// nodes the FIFO watermarks are the process×process table, above it the
-// in-flight lists — for synthetic grid models exactly as for topology.Grid.
-func TestTablesAutoThreshold(t *testing.T) {
-	for _, c := range []struct {
-		grid  gridModel
-		lists bool
-	}{
-		{topology.Uniform(2, 2, time.Millisecond, 10*time.Millisecond), false},
-		{topology.Uniform(32, 16, time.Millisecond, 10*time.Millisecond), false}, // at the limit
-		{topology.Uniform(27, 19, time.Millisecond, 10*time.Millisecond), true},  // one above
-		{stubGrid{fifoTableLimit}, false},
-		{stubGrid{fifoTableLimit + 1}, true},
-	} {
-		n := New(des.New(), c.grid, Options{})
-		nodes := c.grid.NumNodes()
-		if n.listFIFO != c.lists {
-			t.Errorf("%d nodes: listFIFO = %v, want %v", nodes, n.listFIFO, c.lists)
-		}
-		wantTable := nodes * nodes
-		if c.lists {
-			wantTable = 0
-		}
-		n.Register(0, HandlerFunc(func(mutex.ID, mutex.Message) {}))
-		n.Register(1, HandlerFunc(func(mutex.ID, mutex.Message) {}))
-		n.Endpoint(0).Send(1, ping{"p", 1})
-		if listed := len(n.rec(0).fl); len(n.lastAt) != wantTable || (listed != 0) != c.lists {
-			t.Errorf("%d nodes: %d table entries and %d listed watermarks after one send, want %d table entries, lists=%v",
-				nodes, len(n.lastAt), listed, wantTable, c.lists)
-		}
+			}
+			sim.Run()
+			if want := len(ids) * len(ids); delivered != want {
+				t.Fatalf("delivered %d, want %d", delivered, want)
+			}
+			if c := n.Counters(); c.IntraMessages != intra || c.Messages != int64(delivered) {
+				t.Errorf("intra = %d of %d, want %d of %d", c.IntraMessages, c.Messages, intra, delivered)
+			}
+		})
 	}
 }
 
@@ -699,7 +649,7 @@ func TestPartitionRejectedLeavesCut(t *testing.T) {
 	}
 }
 
-// TestFactoredSendDeliverAllocs pins the list-FIFO hot path. A sender's
+// TestFactoredSendDeliverAllocs pins the FIFO lists' hot path. A sender's
 // in-flight watermark list grows by doubling to the number of links it
 // keeps in flight at once — at most one allocation per send while it does —
 // and from then on send→deliver allocates nothing: the list is pruned and
@@ -707,7 +657,7 @@ func TestPartitionRejectedLeavesCut(t *testing.T) {
 func TestFactoredSendDeliverAllocs(t *testing.T) {
 	sim := des.New()
 	g := topology.Uniform(2, 4, 2*time.Millisecond, 20*time.Millisecond)
-	n := newWithFIFO(t, sim, g, Options{Jitter: 0.2, Seed: 3}, true)
+	n := New(sim, g, Options{Jitter: 0.2, Seed: 3})
 	for id := mutex.ID(0); id < 8; id++ {
 		n.Register(id, HandlerFunc(func(mutex.ID, mutex.Message) {}))
 	}
@@ -725,7 +675,7 @@ func TestFactoredSendDeliverAllocs(t *testing.T) {
 		}
 		sim.Run()
 	}); allocs != 0 {
-		t.Errorf("steady-state list-FIFO send→deliver allocates %.2f objects per %d messages, want 0", allocs, batch)
+		t.Errorf("steady-state send→deliver allocates %.2f objects per %d messages, want 0", allocs, batch)
 	}
 	// Growing: every call takes a sender that has sent nothing yet.
 	const fanout = 4
@@ -757,39 +707,62 @@ func TestProcFitsCacheLine(t *testing.T) {
 // the topology's nodes while messages are in flight — as BuildMultiLevel
 // does for coordinators — must leave every record where it was.
 func TestRecordsNeverMove(t *testing.T) {
-	for _, lists := range []bool{false, true} {
-		t.Run(fmt.Sprintf("lists=%v", lists), func(t *testing.T) {
-			sim := des.New()
-			g := topology.Uniform(2, 2, 2*time.Millisecond, 20*time.Millisecond)
-			n := newWithFIFO(t, sim, g, Options{}, lists)
-			got := map[mutex.ID]int{}
-			register := func(id mutex.ID, node int) mutex.Env {
-				ep := n.Endpoint(id)
-				n.RegisterAt(id, node, HandlerFunc(func(mutex.ID, mutex.Message) { got[id]++ }))
-				return ep
-			}
-			eps := map[mutex.ID]mutex.Env{}
-			for id := mutex.ID(0); id < 4; id++ {
-				eps[id] = register(id, int(id))
-			}
-			eps[4] = register(4, 0)
-			eps[0].Send(1, ping{"p", 1})
-			eps[1].Send(4, ping{"p", 1})
-			for id := mutex.ID(5); id < 100; id++ {
-				register(id, int(id)%4)
-			}
-			eps[99] = n.Endpoint(99)
-			eps[4].Send(99, ping{"p", 1})
-			eps[0].Send(1, ping{"p", 1})
-			for id, ep := range eps {
-				if n.Endpoint(id) != ep {
-					t.Errorf("process %d's record moved while messages were in flight", id)
-				}
-			}
-			sim.Run()
-			if got[1] != 2 || got[4] != 1 || got[99] != 1 || len(got) != 3 {
-				t.Errorf("deliveries %v, want 1:2 4:1 99:1", got)
-			}
-		})
+	sim := des.New()
+	g := topology.Uniform(2, 2, 2*time.Millisecond, 20*time.Millisecond)
+	n := New(sim, g, Options{})
+	got := map[mutex.ID]int{}
+	register := func(id mutex.ID, node int) mutex.Env {
+		ep := n.Endpoint(id)
+		n.RegisterAt(id, node, HandlerFunc(func(mutex.ID, mutex.Message) { got[id]++ }))
+		return ep
+	}
+	eps := map[mutex.ID]mutex.Env{}
+	for id := mutex.ID(0); id < 4; id++ {
+		eps[id] = register(id, int(id))
+	}
+	eps[4] = register(4, 0)
+	eps[0].Send(1, ping{"p", 1})
+	eps[1].Send(4, ping{"p", 1})
+	for id := mutex.ID(5); id < 100; id++ {
+		register(id, int(id)%4)
+	}
+	eps[99] = n.Endpoint(99)
+	eps[4].Send(99, ping{"p", 1})
+	eps[0].Send(1, ping{"p", 1})
+	for id, ep := range eps {
+		if n.Endpoint(id) != ep {
+			t.Errorf("process %d's record moved while messages were in flight", id)
+		}
+	}
+	sim.Run()
+	if got[1] != 2 || got[4] != 1 || got[99] != 1 || len(got) != 3 {
+		t.Errorf("deliveries %v, want 1:2 4:1 99:1", got)
+	}
+}
+
+// TestBuildBytesPerNode pins a network's build to O(N): New plus registering
+// every node of a Grid'5000-shaped grid allocates at most 100 bytes per node
+// — a process's record and its cluster index.
+// A process×process FIFO table alone would be 8·N bytes per node: 1,512 at
+// 189 nodes, 15,120 at 1,890.
+func TestBuildBytesPerNode(t *testing.T) {
+	h := HandlerFunc(func(mutex.ID, mutex.Message) {})
+	for _, per := range []int{21, 210} {
+		g := topology.Grid5000(per)
+		nodes := g.NumNodes()
+		sim := des.New()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := New(sim, g, Options{})
+		for id := 0; id < nodes; id++ {
+			n.Register(mutex.ID(id), h)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(n)
+		if perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(nodes); perNode > 100 {
+			t.Errorf("%d nodes: New and Register allocate %.0f bytes per node, want <= 100", nodes, perNode)
+		} else {
+			t.Logf("%d nodes: %.0f bytes per node", nodes, perNode)
+		}
 	}
 }

@@ -6,9 +6,9 @@
 # confine, whose table holds the structural rules (one assembly site, one
 # workers convention, one event queue, no environment switch; DESIGN.md
 # §6). It also includes the schedule exploration, to exhaustion: every one
-# of the seven algorithms flat on three processes, and one composition,
-# Naimi-Martin on a 2 x 2 grid (about 20 s of the race pass). Everything
-# must pass with no findings for a change to land.
+# of the seven algorithms flat on three processes, and every ordered
+# (intra, inter) pair of them composed on a 2 x 2 grid (49 pairs).
+# Everything must pass with no findings for a change to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +29,7 @@ fi
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
-echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: on both FIFO stores), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild and 1 per request broadcast, 0 per forwarded Naimi-Trehel request, <= 1 per member-list check (0 up to 16 members), Runner.Bind flat in N, the event queue's slot array doubling, its buckets doubling into drained arrays (TestBucketGrowthAllocs), Reserve's one slot allocation (TestReserveAllocs)"
+echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: through its in-flight FIFO lists), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild and 1 per request broadcast, 0 per forwarded Naimi-Trehel request, <= 1 per member-list check (0 up to 16 members), Runner.Bind flat in N, the event queue's slot array doubling, its buckets doubling into drained arrays (TestBucketGrowthAllocs), Reserve's one slot allocation (TestReserveAllocs)"
 # The line above ran these in a race-instrumented build; the pins are
 # claims about the plain build the benchmark and the commands run.
 go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/ ./internal/algorithms/naimitrehel/ ./internal/algorithms/suzukikasami/ ./internal/mutex/ ./internal/workload/
