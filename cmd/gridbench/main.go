@@ -6,12 +6,12 @@
 //
 //	gridbench -experiment all -scale paper
 //	gridbench -experiment fig4a -scale quick
-//	gridbench -experiment fig4a -scale quick -parallel 8
+//	GOMAXPROCS=1 gridbench -experiment fig4a -scale quick
 //	gridbench -experiment fig4a -scale quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// With -parallel N the harness fans repetitions out over N goroutines (the
-// default 0 = GOMAXPROCS, 1 = serial); results and progress lines are
-// byte-identical for every N, and progress streams cell by cell either way.
+// The harness fans repetitions out over GOMAXPROCS goroutines (1 runs them
+// serially); results and progress lines are byte-identical for every
+// count, and progress streams cell by cell either way.
 // Timings and memory are measured by the benchmark, `go run ./bench`, not
 // here.
 package main
@@ -31,7 +31,6 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "figure to regenerate, or 'all' (one of: all "+strings.Join(gridmutex.Figures(), " ")+")")
 	scaleName := flag.String("scale", "paper", "experiment scale: 'paper' (9 Grid5000 clusters, N=180, 100 CS, 10 reps) or 'quick'")
-	parallel := flag.Int("parallel", 0, "worker goroutines for repetitions (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 	quiet := flag.Bool("q", false, "suppress per-cell progress output")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment pass to this path")
@@ -79,14 +78,13 @@ func main() {
 		}
 	}
 
-	opt := gridmutex.RunOptions{Workers: *parallel}
 	var figs map[string]string
 	var err error
 	if *experiment == "all" {
-		figs, err = gridmutex.ReproduceAllWith(scale, opt, progress)
+		figs, err = gridmutex.ReproduceAll(scale, progress)
 	} else {
 		var tab string
-		tab, err = gridmutex.ReproduceFigureWith(*experiment, scale, opt, progress)
+		tab, err = gridmutex.ReproduceFigure(*experiment, scale, progress)
 		figs = map[string]string{*experiment: tab}
 	}
 

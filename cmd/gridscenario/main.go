@@ -8,11 +8,11 @@
 //	gridscenario testdata/scenarios            # sweep a corpus directory
 //	gridscenario testdata/scenarios/foo.yaml   # run one file
 //	gridscenario -json testdata/scenarios      # machine-readable verdicts
-//	gridscenario -workers 1 -v path...         # serial, verbose
+//	GOMAXPROCS=1 gridscenario -v path...       # serial, verbose
 //
 // Directories are swept non-recursively over their *.yaml files in name
-// order; results print in input order regardless of -workers, so output
-// is byte-identical for every worker count.
+// order. Scenarios run on GOMAXPROCS goroutines; results print in input
+// order, so output is byte-identical for every worker count.
 //
 // Exit status: 0 all verdicts pass, 1 any verdict fails, 2 load or usage
 // errors.
@@ -32,10 +32,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 func run(args []string, stdout *os.File) int {
 	fs := flag.NewFlagSet("gridscenario", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit verdicts as a JSON array")
-	workers := fs.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS, 1 = serial on the calling goroutine)")
 	verbose := fs.Bool("v", false, "print every check, not only failures")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gridscenario [-json] [-workers N] [-v] <file-or-dir>...")
+		fmt.Fprintln(os.Stderr, "usage: gridscenario [-json] [-v] <file-or-dir>...")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +69,7 @@ func run(args []string, stdout *os.File) int {
 		}
 	}
 
-	results, err := scenario.RunAll(scenarios, *workers, scenario.Options{})
+	results, err := scenario.RunAll(scenarios, 0, scenario.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridscenario: %v\n", err)
 		return 2

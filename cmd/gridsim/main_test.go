@@ -43,6 +43,23 @@ func TestTraceFollowsSelectedSystem(t *testing.T) {
 	}
 }
 
+// TestZeroRTTIsInstant: -local-rtt 0 -remote-rtt 0 is an instant grid, not
+// the 1 ms / 20 ms one. The harness used to swap a zero RTT for those
+// defaults, so both invocations printed the same numbers.
+func TestZeroRTTIsInstant(t *testing.T) {
+	out := func(local, remote string) string {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-clusters", "3", "-apps", "2", "-cs", "3", "-local-rtt", local, "-remote-rtt", remote}
+		if code := gridsim(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		return stdout.String()
+	}
+	if zero, slow := out("0", "0"), out("1", "20"); zero == slow {
+		t.Fatalf("zero RTTs ran the 1 ms / 20 ms grid:\n%s", zero)
+	}
+}
+
 // TestIllegalRunsAreOneLineErrors: a flag combination the run kernel
 // rejects (run.Spec.Validate) exits 1 with one "gridsim:" line. At d1e79f2
 // the first two died in simnet.New with a goroutine dump, the third ran

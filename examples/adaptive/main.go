@@ -36,7 +36,9 @@ func main() {
 	}
 	fmt.Println()
 
-	res, err := harness.RunPhased(harness.AdaptiveSystems(), scale, nil)
+	// With Phases set, Run runs each system once under the schedule: one
+	// point per system.
+	res, err := harness.Run(harness.AdaptiveSystems(), scale, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

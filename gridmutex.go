@@ -19,7 +19,10 @@
 //     sockets) and hands out blocking Lock/Unlock handles — the library a
 //     grid application would link against.
 //   - ReproduceFigure / ReproduceAll regenerate the paper's evaluation
-//     figures on the deterministic discrete-event simulator.
+//     figures on the deterministic discrete-event simulator. Each figure
+//     is one row of the experiment catalogue in internal/harness; runs
+//     fan out over GOMAXPROCS goroutines, and the output is byte-identical
+//     for every count.
 package gridmutex
 
 import (

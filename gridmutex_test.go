@@ -189,3 +189,37 @@ func TestReproduceAllQuick(t *testing.T) {
 		t.Error("fig3 table missing latency data")
 	}
 }
+
+// TestReproduceAllRunsSharedExperimentsOnce: figures plotting metrics of one
+// experiment share its runs, so a quick ReproduceAll reports each cell once:
+// adaptive 4, bias 6, fig4a-5b 28, fig6a/6b 21, gridscale 2, locality 2,
+// partition 6, recovery 6 and scale 20 progress lines. Without the sharing
+// 4b, 5a, 5b and 6b each rerun theirs: 200 lines. Naimi-Naimi cells recur
+// across fig4a, fig6a and bias on the same seeds, so only the systems the
+// shared experiments alone run must not repeat a line.
+func TestReproduceAllRunsSharedExperimentsOnce(t *testing.T) {
+	var lines []string
+	if _, err := ReproduceAll(ScaleQuick, func(l string) { lines = append(lines, l) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 95 {
+		t.Errorf("%d progress lines, want 95", len(lines))
+	}
+	seen := map[string]bool{}
+	for _, l := range lines {
+		cell, _, _ := strings.Cut(l, "  events=")
+		if !strings.Contains(cell, " rho=") {
+			continue
+		}
+		switch strings.Fields(cell)[0] {
+		case "Naimi-Martin", "Naimi-Suzuki", "Martin-Naimi", "Suzuki-Naimi":
+			if seen[cell] {
+				t.Errorf("progress line %q repeats: a shared experiment ran twice", cell)
+			}
+			seen[cell] = true
+		}
+	}
+	if len(seen) != 28 {
+		t.Errorf("%d distinct cells of the shared experiments' own systems, want 28", len(seen))
+	}
+}

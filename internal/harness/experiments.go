@@ -2,13 +2,186 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"gridmutex/internal/topology"
 	"gridmutex/internal/workload"
 )
+
+// figure is one row of the catalogue: a table's name, its one-line
+// description, and render, which runs everything the table shows at scale
+// and renders it. paper is set at paper scale, for the sweeps whose axis
+// depends on it; runs several tables plot come from, and go to, shared.
+type figure struct {
+	name, describe string
+	render         func(scale Scale, paper bool, shared sharedRuns, progress func(string)) (string, error)
+}
+
+// intraSystems are the three curves of figure 6: the inter algorithm fixed
+// to Naimi's, the intra algorithm varying.
+var intraSystems = []System{Composed("naimi", "naimi"), Composed("martin", "naimi"), Composed("suzuki", "naimi")}
+
+// figures is the catalogue, sorted by name: every table of the paper's
+// evaluation and of its extensions, each stating its systems, axis, scale
+// overrides and renderer.
+var figures = []figure{
+	{"adaptive", "section 6 extension: adaptive inter algorithm on a phased workload",
+		func(scale Scale, _ bool, _ sharedRuns, progress func(string)) (string, error) {
+			scale.Phases = AdaptivePhases(scale)
+			res, err := Run(AdaptiveSystems(), scale, progress)
+			if err != nil {
+				return "", err
+			}
+			return res.PhasedTable("Adaptive composition"), nil
+		}},
+	{"bias", "related-work extension (Bertier et al.): serve local requests before inter handoffs",
+		func(scale Scale, _ bool, _ sharedRuns, progress func(string)) (string, error) {
+			// The plain composition against growing Bertier-style bias
+			// budgets, at two rhos spanning saturated and sparse regimes.
+			n := float64(scale.N())
+			scale.Rhos = []float64{n / 2, 4 * n}
+			res, err := Run([]System{Composed("naimi", "naimi"), Biased("naimi", "naimi", 2), Biased("naimi", "naimi", 8)}, scale, progress)
+			if err != nil {
+				return "", err
+			}
+			return res.biasTable("Local bias ablation"), nil
+		}},
+	{"fig3", "Grid5000 RTT latency matrix (input data, encoded verbatim)",
+		func(Scale, bool, sharedRuns, func(string)) (string, error) { return figure3Table(), nil }},
+	{"fig4a", "obtaining time vs rho: original Naimi vs compositions", plot(CompositionSystems(), ObtainingMean, "Figure 4(a)")},
+	{"fig4b", "inter-cluster messages per CS vs rho", plot(CompositionSystems(), InterMsgs, "Figure 4(b)")},
+	{"fig5a", "obtaining time standard deviation vs rho", plot(CompositionSystems(), ObtainingStd, "Figure 5(a)")},
+	{"fig5b", "obtaining time relative deviation vs rho", plot(CompositionSystems(), ObtainingRelStd, "Figure 5(b)")},
+	{"fig6a", "intra algorithm choice: obtaining time vs rho", plot(intraSystems, ObtainingMean, "Figure 6(a)")},
+	{"fig6b", "intra algorithm choice: standard deviation vs rho", plot(intraSystems, ObtainingStd, "Figure 6(b)")},
+	{"gridscale", "grid-scale memory axis: k-level trees, N swept over decades, memory per process recorded",
+		func(scale Scale, paper bool, _ sharedRuns, progress func(string)) (string, error) {
+			// One repetition per point: the sweep measures scaling shape
+			// and machine footprint, not statistical aggregates.
+			res, err := RunGridScale(gridScaleNs(paper), 1, scale.Alpha, scale.BaseSeed, progress)
+			if err != nil {
+				return "", err
+			}
+			return res.Table("Grid-scale sweep"), nil
+		}},
+	{"locality", "locality analysis: per-cluster obtaining time under a hotspot workload",
+		func(scale Scale, _ bool, _ sharedRuns, progress func(string)) (string, error) {
+			// The original algorithm against the composition at one rho,
+			// the workload skewed 8x toward cluster 0.
+			scale.Rhos, scale.HotCluster, scale.HotSkew = []float64{8 * float64(scale.N())}, 0, 8
+			res, err := Run([]System{Flat("naimi"), Composed("naimi", "naimi")}, scale, progress)
+			if err != nil {
+				return "", err
+			}
+			return res.localityTable("Locality under an 8x hot cluster 0"), nil
+		}},
+	{"partition", "robustness extension: graceful minority degradation and rejoin under partition windows",
+		func(scale Scale, _ bool, _ sharedRuns, progress func(string)) (string, error) {
+			params, scale, err := partitionSweep(scale)
+			if err != nil {
+				return "", err
+			}
+			res, err := runPartition(params, scale, progress)
+			if err != nil {
+				return "", err
+			}
+			return res.partitionTable("Partition tolerance"), nil
+		}},
+	{"recovery", "robustness extension: token regeneration latency and detector overhead vs heartbeat period",
+		func(scale Scale, _ bool, _ sharedRuns, progress func(string)) (string, error) {
+			params, scale := recoverySweep(scale)
+			res, err := RunRecovery(params, scale, progress)
+			if err != nil {
+				return "", err
+			}
+			return res.Table("Crash recovery"), nil
+		}},
+	{"scale", "section 4.7 scalability: messages per CS vs cluster count",
+		func(scale Scale, paper bool, _ sharedRuns, progress func(string)) (string, error) {
+			clusters := []int{2, 3, 6, 9, 12}
+			if paper { // keep runtime sane
+				clusters = []int{3, 6, 9, 12, 15}
+			}
+			// Original Suzuki and Naimi against their self-compositions.
+			systems := []System{Flat("suzuki"), Composed("suzuki", "suzuki"), Flat("naimi"), Composed("naimi", "naimi")}
+			res, err := runScalability(systems, scale, clusters, progress)
+			if err != nil {
+				return "", err
+			}
+			return res.table("Section 4.7"), nil
+		}},
+}
+
+// sharedRuns holds one Reproduce call's Run results by system set, so
+// figures that plot different metrics of the same experiment (4a/4b/5a/5b;
+// 6a/6b) share its runs.
+type sharedRuns map[string]*Result
+
+// plot renders one metric, as table and chart, of the run of systems that
+// several figures draw on: the first of them runs it into shared.
+func plot(systems []System, m Metric, title string) func(Scale, bool, sharedRuns, func(string)) (string, error) {
+	return func(scale Scale, _ bool, shared sharedRuns, progress func(string)) (string, error) {
+		key := fmt.Sprint(systems)
+		if shared[key] == nil {
+			res, err := Run(systems, scale, progress)
+			if err != nil {
+				return "", err
+			}
+			shared[key] = res
+		}
+		return shared[key].Table(m, title) + "\n" + shared[key].Chart(m, title), nil
+	}
+}
+
+// Figures lists the catalogue's figure names, sorted.
+func Figures() []string {
+	names := make([]string, len(figures))
+	for i := range figures {
+		names[i] = figures[i].name
+	}
+	return names
+}
+
+func lookup(name string) (*figure, error) {
+	for i := range figures {
+		if figures[i].name == name {
+			return &figures[i], nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown figure %q (have %v)", name, Figures())
+}
+
+// Describe returns a one-line description of a figure name.
+func Describe(name string) (string, error) {
+	f, err := lookup(name)
+	if err != nil {
+		return "", err
+	}
+	return f.describe, nil
+}
+
+// Reproduce runs and renders the named figures at PaperScale, or with
+// paper unset at QuickScale, keyed by name. progress, when non-nil,
+// receives a line per completed experiment cell. Figures that plot
+// different metrics of one experiment share its runs.
+func Reproduce(names []string, paper bool, progress func(string)) (map[string]string, error) {
+	scale := QuickScale()
+	if paper {
+		scale = PaperScale()
+	}
+	out, shared := make(map[string]string, len(names)), sharedRuns{}
+	for _, name := range names {
+		f, err := lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		if out[name], err = f.render(scale, paper, shared, progress); err != nil {
+			return nil, fmt.Errorf("harness: %s experiment: %w", name, err)
+		}
+	}
+	return out, nil
+}
 
 // CompositionSystems returns the four curves of figures 4 and 5: the
 // original Naimi-Trehel baseline and the three compositions with Naimi as
@@ -20,16 +193,6 @@ func CompositionSystems() []System {
 		Composed("naimi", "naimi"),
 		Composed("naimi", "martin"),
 		Composed("naimi", "suzuki"),
-	}
-}
-
-// IntraSystems returns the three curves of figure 6: the inter algorithm
-// fixed to Naimi's, the intra algorithm varying.
-func IntraSystems() []System {
-	return []System{
-		Composed("naimi", "naimi"),
-		Composed("martin", "naimi"),
-		Composed("suzuki", "naimi"),
 	}
 }
 
@@ -125,15 +288,15 @@ func (r *Result) Table(m Metric, title string) string {
 	return b.String()
 }
 
-// ScalabilityResult aggregates the section 4.7 experiment: one point per
+// scalabilityResult aggregates the section 4.7 experiment: one point per
 // (system, cluster count), with Clusters set.
-type ScalabilityResult struct {
-	Clusters []int
+type scalabilityResult struct {
+	clusters []int
 	*Result
 }
 
-// Point returns the cell for (system, clusters), or nil.
-func (r *ScalabilityResult) Point(system string, clusters int) *Point {
+// point returns the cell for (system, clusters), or nil.
+func (r *scalabilityResult) point(system string, clusters int) *Point {
 	for i := range r.Points {
 		if r.Points[i].System == system && r.Points[i].Clusters == clusters {
 			return &r.Points[i]
@@ -142,22 +305,11 @@ func (r *ScalabilityResult) Point(system string, clusters int) *Point {
 	return nil
 }
 
-// ScalabilitySystems returns the curves of the section 4.7 discussion:
-// original Suzuki and Naimi against their self-compositions.
-func ScalabilitySystems() []System {
-	return []System{
-		Flat("suzuki"),
-		Composed("suzuki", "suzuki"),
-		Flat("naimi"),
-		Composed("naimi", "naimi"),
-	}
-}
-
-// RunScalability sweeps the cluster count at a fixed intermediate ρ and
+// runScalability sweeps the cluster count at a fixed intermediate ρ and
 // reports per-CS message costs. scale.Clusters is ignored; clusters lists
 // the x axis. Synthetic uniform topologies keep latency constant so only
 // the node count varies.
-func RunScalability(systems []System, scale Scale, clusters []int, progress func(string)) (*ScalabilityResult, error) {
+func runScalability(systems []System, scale Scale, clusters []int, progress func(string)) (*scalabilityResult, error) {
 	cells := make([]cell, 0, len(systems)*len(clusters))
 	for _, sys := range systems {
 		for _, k := range clusters {
@@ -174,11 +326,11 @@ func RunScalability(systems []System, scale Scale, clusters []int, progress func
 	if err != nil {
 		return nil, err
 	}
-	return &ScalabilityResult{Clusters: clusters, Result: res}, nil
+	return &scalabilityResult{clusters: clusters, Result: res}, nil
 }
 
-// Table renders the scalability experiment.
-func (r *ScalabilityResult) Table(title string) string {
+// table renders the scalability experiment.
+func (r *scalabilityResult) table(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — total messages per CS vs cluster count\n", title)
 	fmt.Fprintf(&b, "%10s", "clusters")
@@ -186,10 +338,10 @@ func (r *ScalabilityResult) Table(title string) string {
 		fmt.Fprintf(&b, "  %20s", s.Name)
 	}
 	b.WriteByte('\n')
-	for _, k := range r.Clusters {
+	for _, k := range r.clusters {
 		fmt.Fprintf(&b, "%10d", k)
 		for _, s := range r.Systems {
-			p := r.Point(s.Name, k)
+			p := r.point(s.Name, k)
 			if p == nil {
 				fmt.Fprintf(&b, "  %20s", "-")
 				continue
@@ -201,9 +353,9 @@ func (r *ScalabilityResult) Table(title string) string {
 	return b.String()
 }
 
-// Figure3Table renders the encoded Grid'5000 latency matrix for comparison
+// figure3Table renders the encoded Grid'5000 latency matrix for comparison
 // against the paper's figure 3.
-func Figure3Table() string {
+func figure3Table() string {
 	g := topology.Grid5000(1)
 	var b strings.Builder
 	b.WriteString("Figure 3 — Grid5000 RTT latencies (ms), measured matrix encoded verbatim\n")
@@ -220,17 +372,6 @@ func Figure3Table() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedSystemNames returns the experiment's system names sorted, mostly
-// for stable test assertions.
-func (r *Result) SortedSystemNames() []string {
-	names := make([]string, len(r.Systems))
-	for i, s := range r.Systems {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // AdaptiveSystems returns the curves of the adaptive-composition ablation:
@@ -261,23 +402,6 @@ func AdaptivePhases(scale Scale) []workload.Phase {
 	}
 }
 
-// RunPhased executes every system once per repetition under the scale's
-// phase schedule, producing one aggregated Point per system (Rho is 0 in
-// phased results).
-func RunPhased(systems []System, scale Scale, progress func(string)) (*Result, error) {
-	if len(scale.Phases) == 0 {
-		return nil, fmt.Errorf("harness: RunPhased needs scale.Phases")
-	}
-	cells := make([]cell, len(systems))
-	for i, sys := range systems {
-		cells[i] = cell{sys: sys.RunSystem(), scale: scale, at: Point{System: sys.Name}}
-	}
-	return sweep(systems, scale, cells, progress, func(p *Point) string {
-		return fmt.Sprintf("%-22s obtain=%8.2fms  inter/CS=%6.2f  switches=%d",
-			p.System, p.Obtaining.Mean, p.InterMsgsPerCS, p.Switches)
-	})
-}
-
 // PhasedTable renders a phased experiment: one row per system, with the
 // obtaining time broken down per workload phase.
 func (r *Result) PhasedTable(title string) string {
@@ -298,18 +422,8 @@ func (r *Result) PhasedTable(title string) string {
 	return b.String()
 }
 
-// BiasSystems returns the curves of the local-bias ablation: the plain
-// composition against increasing Bertier-style bias budgets.
-func BiasSystems() []System {
-	return []System{
-		Composed("naimi", "naimi"),
-		Biased("naimi", "naimi", 2),
-		Biased("naimi", "naimi", 8),
-	}
-}
-
-// BiasTable renders the local-bias ablation with its dedicated columns.
-func (r *Result) BiasTable(title string) string {
+// biasTable renders the local-bias ablation with its dedicated columns.
+func (r *Result) biasTable(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — local-first bias (Bertier-style) at each rho\n", title)
 	fmt.Fprintf(&b, "%-22s %8s %12s %12s %12s %12s\n",
@@ -321,29 +435,11 @@ func (r *Result) BiasTable(title string) string {
 	return b.String()
 }
 
-// LocalitySystems returns the curves of the locality analysis: the
-// original algorithm against the composition under a cluster-skewed
-// workload.
-func LocalitySystems() []System {
-	return []System{
-		Flat("naimi"),
-		Composed("naimi", "naimi"),
-	}
-}
-
-// RunLocality executes the locality experiment: one rho, the workload
-// skewed toward cluster hot, obtaining time reported per cluster. The
-// composition should serve the hot cluster far faster (the inter token
-// parks there) while the original algorithm cannot exploit locality.
-func RunLocality(systems []System, scale Scale, rho float64, hot int, skew float64, progress func(string)) (*Result, error) {
-	scale.HotCluster, scale.HotSkew = hot, skew
-	scale.Rhos = []float64{rho}
-	return Run(systems, scale, progress)
-}
-
-// LocalityTable renders per-cluster obtaining times: one row per cluster,
-// one column per system, the hot cluster marked.
-func (r *Result) LocalityTable(title string, hot int) string {
+// localityTable renders per-cluster obtaining times: one row per cluster,
+// one column per system, the scale's hot cluster marked. The composition
+// should serve the hot cluster far faster (the inter token parks there)
+// while the original algorithm cannot exploit locality.
+func (r *Result) localityTable(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — obtaining time (ms) by requester cluster (hot cluster marked *)\n", title)
 	fmt.Fprintf(&b, "%10s", "cluster")
@@ -359,7 +455,7 @@ func (r *Result) LocalityTable(title string, hot int) string {
 	}
 	for c := 0; c < clusters; c++ {
 		mark := " "
-		if c == hot {
+		if c == r.Scale.HotCluster {
 			mark = "*"
 		}
 		fmt.Fprintf(&b, "%9d%s", c, mark)

@@ -88,9 +88,9 @@ type GridScaleResult struct {
 	Points []GridScalePoint
 }
 
-// GridScaleNs returns the swept N axis: two decades at quick scale, four
+// gridScaleNs returns the swept N axis: two decades at quick scale, four
 // at paper scale (the 10⁵ point is the grid-scale acceptance bar).
-func GridScaleNs(paper bool) []int {
+func gridScaleNs(paper bool) []int {
 	if paper {
 		return []int{100, 1_000, 10_000, 100_000}
 	}

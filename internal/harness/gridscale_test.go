@@ -42,7 +42,7 @@ const (
 // byte for byte, and memory per process, kept and allocated, stays flat
 // across three decades.
 func TestGridScalePaper(t *testing.T) {
-	res, err := RunGridScale(GridScaleNs(true), 1, 10*time.Millisecond, 1, nil)
+	res, err := RunGridScale(gridScaleNs(true), 1, 10*time.Millisecond, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

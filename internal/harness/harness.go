@@ -113,7 +113,7 @@ type Scale struct {
 	// overrides UseGrid5000 and Clusters.
 	CustomMatrix *topology.Matrix
 	// LocalRTT/RemoteRTT configure the synthetic grid when UseGrid5000
-	// is false.
+	// is false; zero is instant.
 	LocalRTT, RemoteRTT time.Duration
 	// CSPerProcess is the number of critical sections per process (100
 	// in the paper).
@@ -150,7 +150,8 @@ type Scale struct {
 	// Workers uses every core, and 1 keeps every run on the calling
 	// goroutine. Aggregates and progress lines are byte-identical for every
 	// setting: per-repetition partials are merged by (system, ρ, rep)
-	// index, never by completion order.
+	// index, never by completion order. Only this package's tests and the
+	// benchmark set it; commands leave the count to GOMAXPROCS.
 	Workers int
 }
 
@@ -184,12 +185,15 @@ func (s Scale) N() int {
 // PaperScale reproduces the evaluation dimensions of section 4.1: 9
 // Grid'5000 clusters, 20 application processes each (N = 180), 100 critical
 // sections of 10 ms per process, 10 repetitions per point, ρ swept over the
-// three parallelism regimes.
+// three parallelism regimes. Its RTTs are the synthetic grids' of the
+// scalability sweep; the Grid'5000 matrix ignores them.
 func PaperScale() Scale {
 	return Scale{
 		Clusters:       9,
 		AppsPerCluster: 20,
 		UseGrid5000:    true,
+		LocalRTT:       time.Millisecond,
+		RemoteRTT:      20 * time.Millisecond,
 		CSPerProcess:   100,
 		Repetitions:    10,
 		Alpha:          10 * time.Millisecond,
@@ -295,18 +299,27 @@ func (r *Result) Point(system string, rho float64) *Point {
 	return nil
 }
 
-// Run executes the experiment: every system at every ρ, Repetitions times
-// each, fanning repetitions out across Scale.Workers goroutines (each on
-// its own Simulator). Progress, when non-nil, receives a line per
-// completed cell. Results are independent of Workers.
+// Run executes the experiment: every system at every ρ, or once under the
+// scale's Phases (one Point per system, at Rho 0), Repetitions times each,
+// fanning repetitions out across Scale.Workers goroutines (each on its own
+// Simulator). Progress, when non-nil, receives a line per completed cell.
+// Results are independent of Workers.
 func Run(systems []System, scale Scale, progress func(string)) (*Result, error) {
-	cells := make([]cell, 0, len(systems)*len(scale.Rhos))
+	rhos, phased := scale.Rhos, len(scale.Phases) > 0
+	if phased {
+		rhos = []float64{0}
+	}
+	cells := make([]cell, 0, len(systems)*len(rhos))
 	for _, sys := range systems {
-		for _, rho := range scale.Rhos {
+		for _, rho := range rhos {
 			cells = append(cells, cell{sys: sys.RunSystem(), scale: scale, at: Point{System: sys.Name, Rho: rho}})
 		}
 	}
 	return sweep(systems, scale, cells, progress, func(p *Point) string {
+		if phased {
+			return fmt.Sprintf("%-22s obtain=%8.2fms  inter/CS=%6.2f  switches=%d",
+				p.System, p.Obtaining.Mean, p.InterMsgsPerCS, p.Switches)
+		}
 		return fmt.Sprintf("%-22s rho=%6.0f  obtain=%8.2fms  inter/CS=%6.2f",
 			p.System, p.Rho, p.Obtaining.Mean, p.InterMsgsPerCS)
 	})
@@ -643,17 +656,10 @@ func grid(sys run.System, scale Scale) (*topology.Grid, error) {
 		}
 		return topology.Grid5000(per), nil
 	}
-	local, remote := scale.LocalRTT, scale.RemoteRTT
-	if local < 0 || remote < 0 {
-		return nil, fmt.Errorf("negative RTT (local %v, remote %v)", local, remote)
+	if scale.LocalRTT < 0 || scale.RemoteRTT < 0 {
+		return nil, fmt.Errorf("negative RTT (local %v, remote %v)", scale.LocalRTT, scale.RemoteRTT)
 	}
-	if local == 0 {
-		local = time.Millisecond
-	}
-	if remote == 0 {
-		remote = 20 * time.Millisecond
-	}
-	return topology.Uniform(scale.Clusters, per, local, remote), nil
+	return topology.Uniform(scale.Clusters, per, scale.LocalRTT, scale.RemoteRTT), nil
 }
 
 // spec is the harness's one translation of a Scale into a run description:

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -157,7 +158,7 @@ func TestShapeLowParallelismMartinCheapest(t *testing.T) {
 // TestShapeIntraChoiceMinor: figure 6(a) — the intra algorithm barely
 // moves the obtaining time (the inter algorithm dominates).
 func TestShapeIntraChoiceMinor(t *testing.T) {
-	res, err := Run(IntraSystems(), testScale(), nil)
+	res, err := Run(intraSystems, testScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +186,14 @@ func TestScalabilityCompositionScalesBetter(t *testing.T) {
 	scale := testScale()
 	scale.Repetitions = 2
 	clusters := []int{2, 6}
-	res, err := RunScalability(ScalabilitySystems(), scale, clusters, nil)
+	systems := []System{Flat("suzuki"), Composed("suzuki", "suzuki"), Flat("naimi"), Composed("naimi", "naimi")}
+	res, err := runScalability(systems, scale, clusters, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	growth := func(system string) float64 {
-		lo := res.Point(system, clusters[0]).TotalMsgsPerCS
-		hi := res.Point(system, clusters[1]).TotalMsgsPerCS
+		lo := res.point(system, clusters[0]).TotalMsgsPerCS
+		hi := res.point(system, clusters[1]).TotalMsgsPerCS
 		return hi / lo
 	}
 	if g, f := growth("Suzuki-Suzuki"), growth("Suzuki (original)"); g >= f {
@@ -230,7 +232,7 @@ func TestMetricString(t *testing.T) {
 }
 
 func TestFigure3Table(t *testing.T) {
-	tab := Figure3Table()
+	tab := figure3Table()
 	for _, want := range []string{"orsay", "bordeaux", "95.282", "98.398", "0.001"} {
 		if !strings.Contains(tab, want) {
 			t.Errorf("figure 3 table missing %q", want)
@@ -333,7 +335,8 @@ func TestAdaptivePhasedExperiment(t *testing.T) {
 	scale := testScale()
 	scale.CSPerProcess = 25
 	scale.Phases = AdaptivePhases(scale)
-	res, err := RunPhased(AdaptiveSystems(), scale, nil)
+	var lines []string
+	res, err := Run(AdaptiveSystems(), scale, func(l string) { lines = append(lines, l) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,6 +361,10 @@ func TestAdaptivePhasedExperiment(t *testing.T) {
 	if adaptivePt.Switches == 0 {
 		t.Error("adaptive composition never switched during the phased workload")
 	}
+	// The progress line shows the switch count.
+	if want := fmt.Sprintf("switches=%d ", adaptivePt.Switches); len(lines) != 4 || !strings.Contains(lines[3], want) {
+		t.Errorf("progress lines %q, want the adaptive one (last of 4) to show %q", lines, want)
+	}
 	if adaptivePt.Obtaining.Mean > 1.5*worst {
 		t.Errorf("adaptive obtaining %.2fms far above worst static %.2fms",
 			adaptivePt.Obtaining.Mean, worst)
@@ -368,9 +375,24 @@ func TestAdaptivePhasedExperiment(t *testing.T) {
 	}
 }
 
-func TestRunPhasedRequiresPhases(t *testing.T) {
-	if _, err := RunPhased(AdaptiveSystems(), testScale(), nil); err == nil {
-		t.Fatal("RunPhased without phases accepted")
+// TestRunObeysPhases: under a phase schedule the schedule sets ρ, so Run
+// yields one Point per system, at Rho 0, however many Rhos the scale lists.
+func TestRunObeysPhases(t *testing.T) {
+	scale := testScale()
+	scale.Rhos = scale.Rhos[:3]
+	scale.CSPerProcess, scale.Repetitions = 5, 1
+	scale.Phases = AdaptivePhases(scale)
+	res, err := Run([]System{Composed("naimi", "naimi"), Adaptive("naimi", "naimi")}, scale, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 2 {
+		t.Fatalf("%d points for 2 systems under a phase schedule, want 2", len(res.Points))
+	}
+	for i, p := range res.Points {
+		if p.System != res.Systems[i].Name || p.Rho != 0 {
+			t.Errorf("point %d is %s at rho=%g, want %s at 0", i, p.System, p.Rho, res.Systems[i].Name)
+		}
 	}
 }
 
@@ -378,18 +400,18 @@ func TestScalabilityTableRendering(t *testing.T) {
 	scale := testScale()
 	scale.Repetitions = 1
 	clusters := []int{2, 3}
-	res, err := RunScalability([]System{Flat("central"), Composed("central", "central")}, scale, clusters, func(string) {})
+	res, err := runScalability([]System{Flat("central"), Composed("central", "central")}, scale, clusters, func(string) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := res.Table("Scalability")
+	tab := res.table("Scalability")
 	if !strings.Contains(tab, "clusters") || !strings.Contains(tab, "Central (original)") {
 		t.Fatalf("table malformed:\n%s", tab)
 	}
-	if res.Point("Central (original)", 2) == nil {
+	if res.point("Central (original)", 2) == nil {
 		t.Fatal("missing point")
 	}
-	if res.Point("Central (original)", 99) != nil || res.Point("nope", 2) != nil {
+	if res.point("Central (original)", 99) != nil || res.point("nope", 2) != nil {
 		t.Fatal("phantom point")
 	}
 }
@@ -407,19 +429,6 @@ func TestResultPointMisses(t *testing.T) {
 	tab := partial.Table(ObtainingMean, "empty")
 	if !strings.Contains(tab, "-") {
 		t.Fatal("missing cells not rendered")
-	}
-}
-
-func TestSortedSystemNames(t *testing.T) {
-	res := composition(t)
-	names := res.SortedSystemNames()
-	if len(names) != len(res.Systems) {
-		t.Fatalf("%d names", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatalf("names unsorted: %v", names)
-		}
 	}
 }
 
@@ -678,7 +687,8 @@ func TestLocalityExperiment(t *testing.T) {
 	scale.Repetitions = 2
 	// High parallelism plus an 8x hot cluster: remote requests are rare,
 	// so the composition parks the inter token in the busy cluster.
-	res, err := RunLocality(LocalitySystems(), scale, 100, 0, 8, nil)
+	scale.Rhos, scale.HotCluster, scale.HotSkew = []float64{100}, 0, 8
+	res, err := Run([]System{Flat("naimi"), Composed("naimi", "naimi")}, scale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +708,7 @@ func TestLocalityExperiment(t *testing.T) {
 		t.Errorf("composition does not serve the hot cluster faster: %.2f vs %.2f ms",
 			comp.PerCluster[0].Mean, flat.PerCluster[0].Mean)
 	}
-	tab := res.LocalityTable("Locality", 0)
+	tab := res.localityTable("Locality")
 	if !strings.Contains(tab, "0*") || !strings.Contains(tab, "Naimi-Naimi") {
 		t.Fatalf("locality table malformed:\n%s", tab)
 	}

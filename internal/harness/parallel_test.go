@@ -61,12 +61,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 // scalability cells vary the Scale per cell, so the index→cluster mapping
 // must survive the fan-out.
 func TestParallelScalabilityMatchesSerial(t *testing.T) {
-	runWith := func(workers int) *ScalabilityResult {
+	runWith := func(workers int) *scalabilityResult {
 		s := parallelScale()
 		s.Workers = workers
-		res, err := RunScalability([]System{Flat("naimi"), Composed("naimi", "naimi")}, s, []int{2, 3}, nil)
+		res, err := runScalability([]System{Flat("naimi"), Composed("naimi", "naimi")}, s, []int{2, 3}, nil)
 		if err != nil {
-			t.Fatalf("RunScalability with %d workers failed: %v", workers, err)
+			t.Fatalf("runScalability with %d workers failed: %v", workers, err)
 		}
 		return res
 	}
@@ -74,7 +74,7 @@ func TestParallelScalabilityMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial.Points, par.Points) {
 		t.Fatal("parallel scalability points differ from serial")
 	}
-	if serial.Table("t") != par.Table("t") {
+	if serial.table("t") != par.table("t") {
 		t.Fatal("parallel scalability table differs from serial")
 	}
 }
@@ -215,8 +215,8 @@ func TestParallelRecoveryMatchesSerial(t *testing.T) {
 // which is when Run delivers its progress line — before any run of the last
 // cell starts, and every cell is merged in order with its repetitions in
 // order. The fan-out is driven through runShards, the function sweep — the
-// one driver of Run, RunScalability, RunPhased, RunRecovery and
-// RunPartition — hands its cells to, because only there can a test see a
+// one driver of Run, runScalability, RunRecovery and runPartition — hands
+// its cells to, because only there can a test see a
 // run start. At d1e79f2 every merge of a Workers > 1 sweep
 // waited for the last run to finish: a 24.7 s figure printed all 30
 // progress lines in its last 60 ms.

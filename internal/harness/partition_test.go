@@ -17,8 +17,8 @@ func partitionTestScale() Scale {
 }
 
 func TestRunPartitionWindow(t *testing.T) {
-	params := PartitionParams{Durations: []time.Duration{400 * time.Millisecond}}
-	res, err := RunPartition(params, partitionTestScale(), nil)
+	params := partitionParams{Durations: []time.Duration{400 * time.Millisecond}}
+	res, err := runPartition(params, partitionTestScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,25 +47,31 @@ func TestRunPartitionWindow(t *testing.T) {
 	if p.MinorityFreezes == 0 {
 		t.Error("no minority freezes despite a detectable cut per repetition")
 	}
-	tab := res.Table("test")
+	tab := res.partitionTable("test")
 	if !strings.Contains(tab, "obtain(ms)") || !strings.Contains(tab, "partition window") {
 		t.Errorf("table misses headers:\n%s", tab)
+	}
+	// No ρ means no point for the table to read its heartbeat from.
+	empty := partitionTestScale()
+	empty.Rhos = nil
+	if _, err := runPartition(params, empty, nil); err == nil {
+		t.Error("a partition sweep with no rho accepted")
 	}
 }
 
 // TestRunPartitionDeterministic: the whole sweep is a pure function of
 // the base seed, for serial and parallel workers alike.
 func TestRunPartitionDeterministic(t *testing.T) {
-	params := PartitionParams{Durations: []time.Duration{400 * time.Millisecond}}
-	a, err := RunPartition(params, partitionTestScale(), nil)
+	params := partitionParams{Durations: []time.Duration{400 * time.Millisecond}}
+	a, err := runPartition(params, partitionTestScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPartition(params, partitionTestScale(), nil)
+	b, err := runPartition(params, partitionTestScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Table("x") != b.Table("x") {
+	if a.partitionTable("x") != b.partitionTable("x") {
 		t.Fatal("same base seed produced different partition tables")
 	}
 }
@@ -73,12 +79,12 @@ func TestRunPartitionDeterministic(t *testing.T) {
 // TestParallelPartitionEquivalence: worker fan-out must not change a
 // single byte of the aggregate or of the progress lines, costs included.
 func TestParallelPartitionEquivalence(t *testing.T) {
-	params := PartitionParams{Durations: []time.Duration{400 * time.Millisecond}}
-	runWith := func(workers int) (*PartitionResult, []string) {
+	params := partitionParams{Durations: []time.Duration{400 * time.Millisecond}}
+	runWith := func(workers int) (*Result, []string) {
 		s := partitionTestScale()
 		s.Workers = workers
 		var lines []string
-		res, err := RunPartition(params, s, func(l string) { lines = append(lines, l) })
+		res, err := runPartition(params, s, func(l string) { lines = append(lines, l) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +93,7 @@ func TestParallelPartitionEquivalence(t *testing.T) {
 	a, aLines := runWith(1)
 	for _, workers := range []int{0, 4} {
 		b, bLines := runWith(workers)
-		if a.Table("x") != b.Table("x") {
+		if a.partitionTable("x") != b.partitionTable("x") {
 			t.Fatalf("workers=1 and workers=%d produced different partition tables", workers)
 		}
 		if !reflect.DeepEqual(aLines, bLines) {

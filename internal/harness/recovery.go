@@ -55,10 +55,10 @@ func RunRecovery(params RecoveryParams, scale Scale, progress func(string)) (*Re
 	return &RecoveryResult{Params: params, Result: res}, nil
 }
 
-// RecoverySweep derives the default crash-recovery experiment from a
+// recoverySweep derives the default crash-recovery experiment from a
 // figure scale: a heartbeat-period axis bracketing the critical-section
 // duration and two ρ values spanning the saturated and sparse regimes.
-func RecoverySweep(scale Scale) (RecoveryParams, Scale) {
+func recoverySweep(scale Scale) (RecoveryParams, Scale) {
 	n := float64(scale.N())
 	scale.Rhos = []float64{n / 2, 4 * n}
 	return RecoveryParams{Periods: []time.Duration{scale.Alpha / 2, 2 * scale.Alpha, 8 * scale.Alpha}}, scale

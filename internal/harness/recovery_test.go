@@ -92,7 +92,7 @@ func TestRecoveryDetectorsOnGrid5000(t *testing.T) {
 	scale.AppsPerCluster = 4
 	scale.CSPerProcess = 5
 	scale.Repetitions = 1
-	params, scale := RecoverySweep(scale)
+	params, scale := recoverySweep(scale)
 	params.CrashCoordinator = true
 	params.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
 	c := recoveryCells(params, scale)[0] // α/2 and N/2 = 18: the recovery figure's first cell

@@ -68,13 +68,12 @@ func TestStreamedDigestEqualsBuffered(t *testing.T) {
 	scale := QuickScale()
 	phased := scale
 	phased.Phases = AdaptivePhases(phased)
-	recParams, recScale := RecoverySweep(QuickScale())
-	partParams, partScale, err := PartitionSweep(QuickScale())
+	recParams, recScale := recoverySweep(QuickScale())
+	partParams, partScale, err := partitionSweep(QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	recParams.Spec = core.Spec{Intra: "naimi", Inter: "naimi"}
-	partParams.Spec = recParams.Spec
 	figure := func(sys System, scale Scale, rho float64) cell {
 		return cell{sys: sys.RunSystem(), scale: scale, at: Point{System: sys.Name, Rho: rho}}
 	}

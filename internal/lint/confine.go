@@ -44,6 +44,7 @@ var (
 		{"internal/run", "Outcome.Records", []string{"internal/scenario"}, "harness runs stream grants into their digest and keep no record list (DESIGN.md §14)"},
 		{"internal/workload", "Runner.Records", []string{"internal/run", "examples", "bench"}, "harness runs stream grants into their digest and keep no record list (DESIGN.md §14)"},
 		{"internal/harness", "runShards", []string{"internal/harness.sweep"}, "sweep is the harness's one sweep driver (DESIGN.md §8)"},
+		{"internal/harness", "Scale.Workers", []string{"internal/harness", "bench"}, "commands and facades leave the worker count to GOMAXPROCS; only tests and the benchmark set it (DESIGN.md §8)"},
 		{"internal/stats", "Accumulator.Sketch", []string{"bench"}, "harness cells keep moments only: no committed table prints a cell's percentile (DESIGN.md §10)"},
 	}
 )

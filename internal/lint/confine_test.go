@@ -11,9 +11,12 @@ import (
 // The harness corpus reaches confined symbols through an import alias, a
 // method value, an explicit instantiation, a composite-literal key, a
 // field assignment and a method call; run, where the table allows them,
-// and simnet, which declares two, use them without a finding.
+// and simnet, which declares two, use them without a finding, and so does
+// harness with its own Scale.Workers. The gridbench command sets
+// Scale.Workers, which only harness and bench may.
 func TestConfine(t *testing.T) {
 	linttest.Run(t, linttest.TestDataDir(t), lint.Confine,
+		"confine/cmd/gridbench",
 		"confine/internal/harness",
 		"confine/internal/run",
 		"confine/internal/simnet",

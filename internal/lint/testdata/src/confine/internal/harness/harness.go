@@ -15,6 +15,13 @@ var mkNet = sn.New // want `internal/simnet.New used outside`
 
 var push = h.Push
 
+type Scale struct{ Workers int }
+
+func serial(s Scale) Scale {
+	s.Workers = 1
+	return s
+}
+
 func runShards[T any](groups int, exec func(group int) T) {
 	for g := 0; g < groups; g++ {
 		exec(g)
