@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"gridmutex/internal/algorithms"
 	"gridmutex/internal/core"
 	"gridmutex/internal/explore"
+	"gridmutex/internal/mutex"
 	"gridmutex/internal/topology"
 )
 
@@ -94,21 +96,69 @@ func TestExploreComposition(t *testing.T) {
 	}
 }
 
-// TestExploreCompositionRandom PCT-samples a second composition (different
-// intra and inter algorithms) as a cheap diversity complement to the DFS.
+// randomWalk draws one schedule of b at random through the public Replay:
+// each step extends the schedule with a delivery on a link with a message
+// in flight, or a request or release at one of nodes — the first of them,
+// in rng's order, that replays. The walk ends at the first violation, at
+// opts.MaxSteps, or where no extension replays: a terminal state, on which
+// Replay has run the terminal assertions.
+func randomWalk(b explore.Builder, nodes []mutex.ID, opts explore.Options, rng *rand.Rand) (explore.Schedule, []string, error) {
+	var last *explore.System
+	tap := func() (*explore.System, error) {
+		s, err := b()
+		last = s
+		return s, err
+	}
+	var sched explore.Schedule
+	v, err := explore.Replay(tap, sched, opts)
+	for err == nil && len(v) == 0 && len(sched) < opts.MaxSteps {
+		var cands []explore.Choice
+		for _, m := range last.World.Inflight() {
+			cands = append(cands, explore.Choice{Op: explore.OpDeliver, From: m.From, To: m.To})
+		}
+		for _, id := range nodes {
+			cands = append(cands, explore.Choice{Op: explore.OpRequest, Node: id}, explore.Choice{Op: explore.OpRelease, Node: id})
+		}
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		extended := false
+		for _, c := range cands {
+			next := append(sched[:len(sched):len(sched)], c)
+			if cv, cerr := explore.Replay(tap, next, opts); cerr == nil {
+				sched, v, extended = next, cv, true
+				break
+			}
+		}
+		if !extended {
+			break
+		}
+	}
+	return sched, v, err
+}
+
+// TestExploreCompositionRandom complements the exhaustive 2 x 2 DFS of the
+// Suzuki-Naimi composition with random walks on 3 clusters of 3 nodes, a
+// grid TestExploreComposition does not explore: three coordinators give
+// the inter level orderings that two cannot produce.
 func TestExploreCompositionRandom(t *testing.T) {
-	b := compositionBuilder(core.Spec{Intra: "suzuki", Inter: "naimi"}, 2, 2)
-	res, err := explore.ExploreRandom(b, explore.Options{
-		RequestsPerApp: 2,
-		MaxSteps:       128,
-		MaxSchedules:   100,
-		Seed:           1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	b := compositionBuilder(core.Spec{Intra: "suzuki", Inter: "naimi"}, 3, 3)
+	nodes := []mutex.ID{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	opts := explore.Options{RequestsPerApp: 2, MaxSteps: 256}
+	rng := rand.New(rand.NewSource(1))
+	terminal := 0
+	for walk := 0; walk < 50; walk++ {
+		sched, v, err := randomWalk(b, nodes, opts, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v) > 0 {
+			t.Fatalf("violation: %v\nschedule: %s\n%s", v, sched, sched.JSON())
+		}
+		if len(sched) < opts.MaxSteps {
+			terminal++
+		}
 	}
-	if res.Counterexample != nil {
-		t.Fatalf("violation: %v\nschedule: %s",
-			res.Counterexample.Violations, res.Counterexample.Schedule)
+	if terminal == 0 {
+		t.Fatal("no walk reached a terminal state within MaxSteps")
 	}
+	t.Logf("50 walks, %d terminal", terminal)
 }

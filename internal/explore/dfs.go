@@ -9,8 +9,7 @@ type Result struct {
 	// Steps is the total number of choice applications across all
 	// schedules (replayed prefixes included).
 	Steps int64
-	// Exhausted reports that the bounded choice tree was fully explored
-	// (DFS only).
+	// Exhausted reports that the bounded choice tree was fully explored.
 	Exhausted bool
 	// Truncated counts schedules cut at MaxSteps before reaching a
 	// terminal state.
@@ -47,9 +46,6 @@ type frame struct {
 // fingerprint does and does not capture.
 func ExploreDFS(b Builder, opts Options) (*Result, error) {
 	o := opts.fill()
-	if o.MaxSchedules <= 0 {
-		o.MaxSchedules = 100000
-	}
 	var stack []frame
 	cache := make(map[string]int) // fingerprint -> max remaining depth explored
 	res := &Result{}
@@ -86,7 +82,7 @@ func ExploreDFS(b Builder, opts Options) (*Result, error) {
 
 		// The state behind the one new replayed edge gets the same
 		// cache treatment extension states do.
-		if !violated && len(stack) > 0 && !o.NoPrune {
+		if !violated && len(stack) > 0 {
 			key, remaining := fpKey(), o.MaxSteps-len(sched)
 			if seen, ok := cache[key]; ok && seen >= remaining {
 				res.Pruned++
@@ -103,7 +99,7 @@ func ExploreDFS(b Builder, opts Options) (*Result, error) {
 				res.Truncated++
 				break
 			}
-			en := sys.enabled(o, bud)
+			en := sys.enabled(bud)
 			if len(en) == 0 {
 				sys.checkTerminal(o)
 				violated = !sys.mon.Ok()
@@ -121,14 +117,12 @@ func ExploreDFS(b Builder, opts Options) (*Result, error) {
 				violated = true
 				break
 			}
-			if !o.NoPrune {
-				key, remaining := fpKey(), o.MaxSteps-len(sched)
-				if seen, ok := cache[key]; ok && seen >= remaining {
-					res.Pruned++
-					break
-				}
-				cache[key] = remaining
+			key, remaining := fpKey(), o.MaxSteps-len(sched)
+			if seen, ok := cache[key]; ok && seen >= remaining {
+				res.Pruned++
+				break
 			}
+			cache[key] = remaining
 		}
 
 		if violated {

@@ -12,16 +12,16 @@
 // release the critical section); executions are deterministic, so a
 // serialized schedule replays byte-for-byte.
 //
-// Two schedulers are provided: ExploreDFS enumerates the choice tree
-// depth-first with a state-fingerprint cache pruning revisits, and
-// ExploreRandom samples it with seeded PCT-style randomized priorities for
-// configurations too large to exhaust. Violations come back as a
-// Counterexample — a JSON-serializable schedule that Replay re-executes
-// and Minimize shrinks.
+// One scheduler is provided: ExploreDFS enumerates the choice tree
+// depth-first, with a state-fingerprint cache pruning revisits, and every
+// space the tests explore is exhausted rather than sampled. Violations
+// come back as a Counterexample — a JSON-serializable schedule that Replay
+// re-executes and Minimize shrinks.
 package explore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,9 +39,8 @@ type Options struct {
 	// MaxSteps bounds the length of one schedule (default 256).
 	// Schedules cut at the bound count as truncated, not violating.
 	MaxSteps int
-	// MaxSchedules bounds how many schedules ExploreDFS executes and how
-	// many ExploreRandom samples (default 100000 for DFS, 200 for
-	// random).
+	// MaxSchedules bounds how many schedules ExploreDFS executes
+	// (default 100000).
 	MaxSchedules int
 	// MaxDuplicates and MaxDrops budget fault actions per schedule
 	// (default 0: reliable exactly-once channels, only reordered).
@@ -77,18 +76,6 @@ type Options struct {
 	// Like crashes, partitions make the exploration safety-only — the
 	// token may die on the wire across the cut.
 	MaxPartitions int
-	// ReorderWithinLink also explores non-FIFO delivery inside one
-	// (sender, receiver) link. The mutex.Env contract promises per-link
-	// FIFO, so this is off by default; it exists to stress transports
-	// and deliberately broken fixtures.
-	ReorderWithinLink bool
-	// NoPrune disables the state-fingerprint cache (see DESIGN.md
-	// "Schedule exploration" for the soundness trade-off it documents).
-	NoPrune bool
-	// LivenessBound is K of check.StepLiveness: with no message in
-	// flight, a waiting request must be granted within K further steps
-	// (default 32).
-	LivenessBound int
 	// CheckTokenHolders enables the terminal quiescence check that
 	// exactly WantTokenHolders application endpoints report
 	// HoldsToken() — 1 for a flat token algorithm, 0 for a
@@ -96,12 +83,11 @@ type Options struct {
 	// legitimately rest at coordinators.
 	CheckTokenHolders bool
 	WantTokenHolders  int
-	// Seed drives ExploreRandom's priorities (deterministic per seed).
-	Seed int64
-	// PriorityChangePoints is the number of PCT priority-change points
-	// per random schedule (default 3).
-	PriorityChangePoints int
 }
+
+// livenessBound is K of check.StepLiveness: with no message in flight, a
+// waiting request must be granted within K further steps.
+const livenessBound = 32
 
 func (o Options) fill() Options {
 	if o.RequestsPerApp <= 0 {
@@ -110,11 +96,8 @@ func (o Options) fill() Options {
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 256
 	}
-	if o.LivenessBound <= 0 {
-		o.LivenessBound = 32
-	}
-	if o.PriorityChangePoints <= 0 {
-		o.PriorityChangePoints = 3
+	if o.MaxSchedules <= 0 {
+		o.MaxSchedules = 100000
 	}
 	return o
 }
@@ -194,9 +177,6 @@ func NewSystem() *System {
 // Now implements check.Clock: the schedule step counter, so violation
 // messages name the step they occurred at.
 func (s *System) Now() des.Time { return des.Time(s.steps) }
-
-// Monitor exposes the property monitor (violations accumulate there).
-func (s *System) Monitor() *check.Monitor { return s.mon }
 
 // Callbacks returns the mutex.Callbacks the application instance for id
 // must be constructed with, so the explorer observes its critical section
@@ -327,8 +307,8 @@ func (s *System) waiting() int {
 type Op string
 
 const (
-	// OpDeliver delivers the Idx-th in-flight message of link From→To
-	// (Idx is 0 unless ReorderWithinLink).
+	// OpDeliver delivers the head of link From→To (links are FIFO, as
+	// the mutex.Env contract promises).
 	OpDeliver Op = "deliver"
 	// OpDuplicate re-enqueues a copy of the head of link From→To.
 	OpDuplicate Op = "dup"
@@ -350,14 +330,18 @@ const (
 	OpHeal Op = "heal"
 )
 
-// Choice is one schedule step. Delivery choices address messages by link
-// and position rather than by raw queue index, so a serialized schedule
-// stays meaningful under minimization.
+// known reports whether o is one of the ops above.
+func (o Op) known() bool {
+	return slices.Contains([]Op{OpDeliver, OpDuplicate, OpDrop, OpRequest, OpRelease, OpCrash, OpRestart, OpPartition, OpHeal}, o)
+}
+
+// Choice is one schedule step. Message choices address the head of a
+// link rather than a raw queue index, so a serialized schedule stays
+// meaningful under minimization.
 type Choice struct {
 	Op   Op       `json:"op"`
 	From mutex.ID `json:"from,omitempty"`
 	To   mutex.ID `json:"to,omitempty"`
-	Idx  int      `json:"idx,omitempty"`
 	Node mutex.ID `json:"node,omitempty"`
 }
 
@@ -368,11 +352,6 @@ func (c Choice) String() string {
 		return string(c.Op)
 	case OpRequest, OpRelease, OpCrash, OpRestart, OpPartition:
 		return fmt.Sprintf("%s(%d)", c.Op, c.Node)
-	case OpDeliver:
-		if c.Idx != 0 {
-			return fmt.Sprintf("%s(%d->%d #%d)", c.Op, c.From, c.To, c.Idx)
-		}
-		fallthrough
 	default:
 		return fmt.Sprintf("%s(%d->%d)", c.Op, c.From, c.To)
 	}
@@ -393,35 +372,27 @@ func (s Schedule) String() string {
 // link identifies an ordered sender/receiver pair.
 type link struct{ from, to mutex.ID }
 
-// links returns the links with in-flight messages, each with its queued
-// message count, in order of each link's oldest message (deterministic and
-// independent of how the queue happens to interleave links).
-func (s *System) links() ([]link, map[link]int) {
-	counts := make(map[link]int)
+// links returns the links with in-flight messages in order of each link's
+// oldest message (deterministic and independent of how the queue happens
+// to interleave links).
+func (s *System) links() []link {
 	var order []link
 	for _, m := range s.World.Inflight() {
-		l := link{m.From, m.To}
-		if counts[l] == 0 {
+		if l := (link{m.From, m.To}); !slices.Contains(order, l) {
 			order = append(order, l)
 		}
-		counts[l]++
 	}
-	return order, counts
+	return order
 }
 
 // enabled enumerates the choices available in the current state, in a
 // fixed deterministic order: deliveries, duplications, drops, crashes,
 // restarts, partition cuts, heal, releases, requests.
-func (s *System) enabled(o Options, bud budget) []Choice {
+func (s *System) enabled(bud budget) []Choice {
 	var out []Choice
-	order, counts := s.links()
+	order := s.links()
 	for _, l := range order {
 		out = append(out, Choice{Op: OpDeliver, From: l.from, To: l.to})
-		if o.ReorderWithinLink {
-			for i := 1; i < counts[l]; i++ {
-				out = append(out, Choice{Op: OpDeliver, From: l.from, To: l.to, Idx: i})
-			}
-		}
 	}
 	if bud.dups > 0 {
 		for _, l := range order {
@@ -471,16 +442,12 @@ func (s *System) enabled(o Options, bud budget) []Choice {
 	return out
 }
 
-// linkIndex locates the global inflight index of the idx-th message on
-// link from→to, or -1.
-func (s *System) linkIndex(from, to mutex.ID, idx int) int {
-	seen := 0
+// linkIndex locates the global inflight index of the head of link
+// from→to, or -1.
+func (s *System) linkIndex(from, to mutex.ID) int {
 	for i, m := range s.World.Inflight() {
 		if m.From == from && m.To == to {
-			if seen == idx {
-				return i
-			}
-			seen++
+			return i
 		}
 	}
 	return -1
@@ -499,13 +466,9 @@ func (s *System) apply(c Choice) (err error) {
 	s.steps++
 	switch c.Op {
 	case OpDeliver, OpDuplicate, OpDrop:
-		idx := 0
-		if c.Op == OpDeliver {
-			idx = c.Idx
-		}
-		g := s.linkIndex(c.From, c.To, idx)
+		g := s.linkIndex(c.From, c.To)
 		if g < 0 {
-			return fmt.Errorf("explore: step %d: no message #%d in flight on %d->%d", s.steps, idx, c.From, c.To)
+			return fmt.Errorf("explore: step %d: no message in flight on %d->%d", s.steps, c.From, c.To)
 		}
 		switch c.Op {
 		case OpDeliver:
@@ -631,7 +594,7 @@ func (s *System) fingerprint() string {
 		fmt.Fprintf(&b, "cut:%d;", iso)
 	}
 	b.WriteByte('|')
-	order, _ := s.links()
+	order := s.links()
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].from != order[j].from {
 			return order[i].from < order[j].from
@@ -701,7 +664,7 @@ func (s *System) start(o Options) error {
 	if !o.faulty() {
 		// Safety-only under crashes and partitions: a stalled survivor is
 		// expected, not a liveness bug (see Options.MaxCrashes).
-		s.live = check.NewStepLiveness(s.mon, o.LivenessBound)
+		s.live = check.NewStepLiveness(s.mon, livenessBound)
 	}
 	s.World.Settle()
 	return nil

@@ -2,6 +2,7 @@ package explore_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -154,8 +155,9 @@ func TestDFSExhaustsCleanSystem(t *testing.T) {
 	if res.Counterexample != nil {
 		t.Fatalf("unexpected violation: %v\nschedule: %s", res.Counterexample.Violations, res.Counterexample.Schedule)
 	}
-	if !res.Exhausted {
-		t.Fatalf("space not exhausted after %d schedules", res.Schedules)
+	if !res.Exhausted || res.Truncated != 0 {
+		t.Fatalf("space not exhausted: %d schedules, %d truncated, exhausted=%v",
+			res.Schedules, res.Truncated, res.Exhausted)
 	}
 	if res.Schedules < 10 || res.States < 10 {
 		t.Fatalf("implausibly small exploration: %d schedules, %d states", res.Schedules, res.States)
@@ -280,37 +282,92 @@ func TestDFSDeterministic(t *testing.T) {
 	}
 }
 
-// TestExploreRandomFindsBug: the PCT sampler finds the duplication bug
-// too, deterministically for a fixed seed.
+// randomWalk draws one schedule of b at random through the public Replay:
+// each step extends the schedule with a delivery (or, within
+// opts.MaxDuplicates, a duplication) on a link with a message in flight,
+// or a request or release at one of nodes — the first of them, in rng's
+// order, that replays. The walk ends at the first violation, at
+// opts.MaxSteps, or where no extension replays: a terminal state, on which
+// Replay has run the terminal assertions.
+func randomWalk(b explore.Builder, nodes []mutex.ID, opts explore.Options, rng *rand.Rand) (explore.Schedule, []string, error) {
+	var last *explore.System
+	tap := func() (*explore.System, error) {
+		s, err := b()
+		last = s
+		return s, err
+	}
+	var sched explore.Schedule
+	v, err := explore.Replay(tap, sched, opts)
+	for dups := 0; err == nil && len(v) == 0 && len(sched) < opts.MaxSteps; {
+		var cands []explore.Choice
+		for _, m := range last.World.Inflight() {
+			cands = append(cands, explore.Choice{Op: explore.OpDeliver, From: m.From, To: m.To})
+			if dups < opts.MaxDuplicates {
+				cands = append(cands, explore.Choice{Op: explore.OpDuplicate, From: m.From, To: m.To})
+			}
+		}
+		for _, id := range nodes {
+			cands = append(cands, explore.Choice{Op: explore.OpRequest, Node: id}, explore.Choice{Op: explore.OpRelease, Node: id})
+		}
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		extended := false
+		for _, c := range cands {
+			next := append(sched[:len(sched):len(sched)], c)
+			if cv, cerr := explore.Replay(tap, next, opts); cerr == nil {
+				sched, v, extended = next, cv, true
+				if c.Op == explore.OpDuplicate {
+					dups++
+				}
+				break
+			}
+		}
+		if !extended {
+			break
+		}
+	}
+	return sched, v, err
+}
+
+// TestExploreRandomFindsBug: random walks through Replay find the
+// duplication bug too, deterministically for a fixed seed, and the
+// violating schedule replays to the same violations.
 func TestExploreRandomFindsBug(t *testing.T) {
 	b := fragileBuilder(3)
 	opts := dupOpts()
-	opts.Seed = 42
-	opts.MaxSchedules = 2000
-	r1, err := explore.ExploreRandom(b, opts)
+	find := func(seed int64) (explore.Schedule, []string) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(seed))
+		for walk := 1; walk <= 2000; walk++ {
+			sched, v, err := randomWalk(b, []mutex.ID{0, 1, 2}, opts, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(v) > 0 {
+				t.Logf("seed %d: violation on walk %d, %d steps", seed, walk, len(sched))
+				return sched, v
+			}
+		}
+		t.Fatalf("seed %d: 2000 random walks missed the bug", seed)
+		return nil, nil
+	}
+	s1, v1 := find(42)
+	if !strings.HasPrefix(strings.Join(v1, "\n"), "safety:") {
+		t.Fatalf("expected a safety violation, got %v", v1)
+	}
+	s2, v2 := find(42)
+	if !bytes.Equal(s1.JSON(), s2.JSON()) || strings.Join(v1, "\n") != strings.Join(v2, "\n") {
+		t.Fatalf("random walks not deterministic for a fixed seed:\n%s\nvs\n%s", s1.JSON(), s2.JSON())
+	}
+	replayed, err := explore.Replay(b, s1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Counterexample == nil {
-		t.Fatalf("PCT sampler missed the bug in %d schedules", r1.Schedules)
-	}
-	r2, err := explore.ExploreRandom(b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Counterexample == nil || !bytes.Equal(r1.Counterexample.JSON(), r2.Counterexample.JSON()) {
-		t.Fatal("PCT sampler not deterministic for a fixed seed")
+	if got, want := strings.Join(replayed, "\n"), strings.Join(v1, "\n"); got != want {
+		t.Fatalf("replay diverged from the walk:\n got: %s\nwant: %s", got, want)
 	}
 	// A different seed still finds it (the bug is not seed-dependent),
-	// though possibly after a different number of samples.
-	opts.Seed = 7
-	r3, err := explore.ExploreRandom(b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Counterexample == nil {
-		t.Fatalf("PCT sampler with seed 7 missed the bug in %d schedules", r3.Schedules)
-	}
+	// though possibly after a different number of walks.
+	find(7)
 }
 
 // TestReplayInapplicable: a schedule that references a message that is
@@ -328,7 +385,10 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 		{Op: explore.OpRequest, Node: 2},
 		{Op: explore.OpDeliver, From: 2, To: 0},
 		{Op: explore.OpDuplicate, From: 0, To: 1},
-		{Op: explore.OpDeliver, From: 0, To: 1, Idx: 1},
+		{Op: explore.OpCrash, Node: 1},
+		{Op: explore.OpRestart, Node: 1},
+		{Op: explore.OpPartition, Node: 0},
+		{Op: explore.OpHeal},
 		{Op: explore.OpDrop, From: 0, To: 1},
 		{Op: explore.OpRelease, Node: 1},
 	}
@@ -346,6 +406,27 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseScheduleRejects: a step with a field Choice does not have, or
+// an op the explorer does not know, is a parse error that names the step,
+// not a schedule that parses and then diverges (or fails only in Replay).
+func TestParseScheduleRejects(t *testing.T) {
+	for _, tc := range []struct{ name, in, want string }{
+		{"misspelt field", `[{"op":"deliver","form":2,"to":1}]`, `step 1: json: unknown field "form"`},
+		{"stale idx", `[{"op":"request","node":1},{"op":"deliver","from":1,"to":0,"idx":1}]`, `step 2: json: unknown field "idx"`},
+		{"unknown op", `[{"op":"teleport","node":1}]`, `step 1: unknown op "teleport"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := explore.ParseSchedule([]byte(tc.in))
+			if err == nil {
+				t.Fatalf("parsed without error as %s", s)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // crashBuilder explores a real registered algorithm under crash faults.
 func crashBuilder(t *testing.T, name string, n int) explore.Builder {
 	t.Helper()
@@ -356,52 +437,50 @@ func crashBuilder(t *testing.T, name string, n int) explore.Builder {
 	return explore.FlatBuilder(f, n)
 }
 
-// TestCrashExploreSafeDFS: under a budget of one fail-stop crash at any
-// schedule point, no delivery ordering of the token algorithms produces a
-// safety violation — survivors may stall (the token died), but two
-// processes never overlap in the critical section. Safety-only mode: the
-// liveness assertions are off (see Options.MaxCrashes).
-func TestCrashExploreSafeDFS(t *testing.T) {
-	for _, alg := range []string{"naimi", "suzuki"} {
-		alg := alg
-		t.Run(alg, func(t *testing.T) {
-			res, err := explore.ExploreDFS(crashBuilder(t, alg, 3), explore.Options{
-				RequestsPerApp: 1,
-				MaxSteps:       40,
-				MaxCrashes:     1,
-				MaxSchedules:   4000,
-			})
+// faultRow is one fault space of a flat 3-process algorithm.
+type faultRow struct {
+	name, alg string
+	opts      explore.Options
+}
+
+// exhaustSafe explores each row to exhaustion and fails on a safety
+// violation, on a schedule cut at MaxSteps, or on a space left unfinished.
+// Fault budgets make the exploration safety-only (see Options.MaxCrashes).
+func exhaustSafe(t *testing.T, rows []faultRow) {
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			// A runaway guard only: every row must exhaust below it.
+			r.opts.MaxSchedules = 1 << 20
+			res, err := explore.ExploreDFS(crashBuilder(t, r.alg, 3), r.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Counterexample != nil {
-				t.Fatalf("safety violation under a crash:\n%s\n%v",
+				t.Fatalf("safety violation:\n%s\n%v",
 					res.Counterexample.Schedule, res.Counterexample.Violations)
 			}
-			if res.Schedules < 50 {
-				t.Fatalf("implausibly small crash exploration: %d schedules", res.Schedules)
+			if !res.Exhausted || res.Truncated != 0 {
+				t.Fatalf("space not exhausted: %d schedules, %d truncated, exhausted=%v",
+					res.Schedules, res.Truncated, res.Exhausted)
 			}
-			t.Logf("%s: %d schedules, %d states, %d pruned", alg, res.Schedules, res.States, res.Pruned)
+			t.Logf("%d schedules, %d states, %d pruned, exhausted=%v",
+				res.Schedules, res.States, res.Pruned, res.Exhausted)
 		})
 	}
 }
 
-// TestCrashExploreRandom: the PCT sampler drives crash steps too.
-func TestCrashExploreRandom(t *testing.T) {
-	res, err := explore.ExploreRandom(crashBuilder(t, "naimi", 3), explore.Options{
-		RequestsPerApp: 2,
-		MaxSteps:       64,
-		MaxCrashes:     1,
-		MaxSchedules:   80,
-		Seed:           7,
+// TestCrashExploreSafeDFS: under a budget of one fail-stop crash at any
+// schedule point, no delivery ordering of the token algorithms produces a
+// safety violation — survivors may stall (the token died), but two
+// processes never overlap in the critical section.
+func TestCrashExploreSafeDFS(t *testing.T) {
+	one := explore.Options{RequestsPerApp: 1, MaxSteps: 40, MaxCrashes: 1}
+	two := explore.Options{RequestsPerApp: 2, MaxSteps: 64, MaxCrashes: 1}
+	exhaustSafe(t, []faultRow{
+		{"naimi", "naimi", one},            // 813 schedules
+		{"suzuki", "suzuki", one},          // 6,824
+		{"naimi-2-requests", "naimi", two}, // 7,979
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counterexample != nil {
-		t.Fatalf("safety violation under a crash:\n%s\n%v",
-			res.Counterexample.Schedule, res.Counterexample.Violations)
-	}
 }
 
 // TestCrashScheduleReplay: a hand-written schedule containing a crash step
@@ -448,31 +527,18 @@ func TestCrashScheduleReplay(t *testing.T) {
 // holds the token (FlatBuilder points its Holder at another member), so a
 // claim that died with the crash is never resurrected — the restarted
 // process may stall waiting on a dead token, but two processes never
-// overlap in the critical section. Safety-only mode, as with crashes.
+// overlap in the critical section. The all-faults rows add a partition
+// cut and its heal to the same budget.
 func TestRestartExploreSafeDFS(t *testing.T) {
-	for _, alg := range []string{"naimi", "suzuki"} {
-		alg := alg
-		t.Run(alg, func(t *testing.T) {
-			res, err := explore.ExploreDFS(crashBuilder(t, alg, 3), explore.Options{
-				RequestsPerApp: 1,
-				MaxSteps:       32,
-				MaxCrashes:     1,
-				MaxRestarts:    1,
-				MaxSchedules:   4000,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Counterexample != nil {
-				t.Fatalf("safety violation under crash+restart:\n%s\n%v",
-					res.Counterexample.Schedule, res.Counterexample.Violations)
-			}
-			if res.Schedules < 50 {
-				t.Fatalf("implausibly small restart exploration: %d schedules", res.Schedules)
-			}
-			t.Logf("%s: %d schedules, %d states, %d pruned", alg, res.Schedules, res.States, res.Pruned)
-		})
-	}
+	one := explore.Options{RequestsPerApp: 1, MaxSteps: 32, MaxCrashes: 1, MaxRestarts: 1}
+	all := explore.Options{RequestsPerApp: 1, MaxSteps: 32, MaxCrashes: 1, MaxRestarts: 1, MaxPartitions: 1}
+	allTwo := explore.Options{RequestsPerApp: 2, MaxSteps: 64, MaxCrashes: 1, MaxRestarts: 1, MaxPartitions: 1}
+	exhaustSafe(t, []faultRow{
+		{"naimi", "naimi", one},                          // 1,540 schedules
+		{"suzuki", "suzuki", one},                        // 12,084
+		{"suzuki-all-faults", "suzuki", all},             // 112,454
+		{"naimi-all-faults-2-requests", "naimi", allTwo}, // 264,378
+	})
 }
 
 // TestPartitionExploreSafeDFS: isolating any single node behind a cut —
@@ -481,49 +547,11 @@ func TestRestartExploreSafeDFS(t *testing.T) {
 // majority side may stall while the token holder is cut off; the heal
 // step lets in-flight traffic resume.
 func TestPartitionExploreSafeDFS(t *testing.T) {
-	for _, alg := range []string{"naimi", "suzuki"} {
-		alg := alg
-		t.Run(alg, func(t *testing.T) {
-			res, err := explore.ExploreDFS(crashBuilder(t, alg, 3), explore.Options{
-				RequestsPerApp: 1,
-				MaxSteps:       32,
-				MaxPartitions:  1,
-				MaxSchedules:   4000,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Counterexample != nil {
-				t.Fatalf("safety violation under a partition:\n%s\n%v",
-					res.Counterexample.Schedule, res.Counterexample.Violations)
-			}
-			if res.Schedules < 50 {
-				t.Fatalf("implausibly small partition exploration: %d schedules", res.Schedules)
-			}
-			t.Logf("%s: %d schedules, %d states, %d pruned", alg, res.Schedules, res.States, res.Pruned)
-		})
-	}
-}
-
-// TestFaultExploreRandom: the PCT sampler drives restart, partition, and
-// heal steps alongside crashes, deterministically for a fixed seed.
-func TestFaultExploreRandom(t *testing.T) {
-	res, err := explore.ExploreRandom(crashBuilder(t, "suzuki", 3), explore.Options{
-		RequestsPerApp: 2,
-		MaxSteps:       64,
-		MaxCrashes:     1,
-		MaxRestarts:    1,
-		MaxPartitions:  1,
-		MaxSchedules:   60,
-		Seed:           11,
+	one := explore.Options{RequestsPerApp: 1, MaxSteps: 32, MaxPartitions: 1}
+	exhaustSafe(t, []faultRow{
+		{"naimi", "naimi", one},   // 1,780 schedules
+		{"suzuki", "suzuki", one}, // 10,793
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counterexample != nil {
-		t.Fatalf("safety violation under crash/restart/partition:\n%s\n%v",
-			res.Counterexample.Schedule, res.Counterexample.Violations)
-	}
 }
 
 // TestRestartScheduleReplay: a hand-written schedule exercising every new

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -16,11 +17,25 @@ func (s Schedule) JSON() []byte {
 	return b
 }
 
-// ParseSchedule parses the JSON list produced by Schedule.JSON.
+// ParseSchedule parses the JSON list produced by Schedule.JSON. It is
+// strict: a field Choice does not have, or an op the explorer does not
+// know, is an error that names the step (counted from 1, as Replay's
+// errors count).
 func ParseSchedule(data []byte) (Schedule, error) {
-	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
+	var steps []json.RawMessage
+	if err := json.Unmarshal(data, &steps); err != nil {
 		return nil, fmt.Errorf("explore: parsing schedule: %w", err)
+	}
+	s := make(Schedule, len(steps))
+	for i, step := range steps {
+		dec := json.NewDecoder(bytes.NewReader(step))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&s[i]); err != nil {
+			return nil, fmt.Errorf("explore: parsing schedule: step %d: %w", i+1, err)
+		}
+		if !s[i].Op.known() {
+			return nil, fmt.Errorf("explore: parsing schedule: step %d: unknown op %q", i+1, s[i].Op)
+		}
 	}
 	return s, nil
 }
@@ -61,7 +76,7 @@ func Replay(b Builder, sched Schedule, opts Options) ([]string, error) {
 			return sys.mon.Violations(), nil
 		}
 	}
-	if len(sys.enabled(o, bud)) == 0 {
+	if len(sys.enabled(bud)) == 0 {
 		sys.checkTerminal(o)
 	}
 	return sys.mon.Violations(), nil

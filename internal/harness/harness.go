@@ -100,7 +100,7 @@ func title(s string) string {
 // paper's size or at a fast test size.
 type Scale struct {
 	// Clusters is the number of clusters; when UseGrid5000 is set it
-	// must be at most 9 and the Figure 3 latencies are used.
+	// must be exactly 9 and the Figure 3 latencies are used.
 	Clusters int
 	// AppsPerCluster is the number of application processes per cluster
 	// (composed deployments add one coordinator node per cluster).

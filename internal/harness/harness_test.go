@@ -470,14 +470,14 @@ func TestRunOnceErrorPaths(t *testing.T) {
 
 func TestGridDefaultsForZeroLatencies(t *testing.T) {
 	scale := testScale()
-	scale.LocalRTT, scale.RemoteRTT = 0, 0 // grid() fills defaults
+	scale.LocalRTT, scale.RemoteRTT = 0, 0 // zero is instant, not an error
 	scale.Rhos = []float64{5}
 	scale.Repetitions = 1
 	if _, err := Run([]System{Flat("central")}, scale, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Zero means "the default"; a negative RTT means nothing and must not
-	// quietly become the default too.
+	// Zero means "instant"; a negative RTT means nothing and must not
+	// quietly become instant too.
 	scale.LocalRTT = -5 * time.Millisecond
 	if _, err := Run([]System{Flat("central")}, scale, nil); err == nil || !strings.Contains(err.Error(), "negative RTT") {
 		t.Fatalf("negative LocalRTT: %v, want a negative-RTT error", err)
