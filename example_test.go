@@ -76,7 +76,6 @@ func ExampleAlgorithms() {
 	}
 	// Output:
 	// central
-	// lamport
 	// martin
 	// naimi
 	// raymond

@@ -9,8 +9,8 @@
 // one classical mutual exclusion algorithm inside every cluster and a
 // second one among per-cluster coordinators, so any two of Martin's ring,
 // Naimi-Trehel's tree, Suzuki-Kasami's broadcast, Raymond's tree, a
-// centralized server, or the permission-based Lamport and Ricart-Agrawala
-// can be combined freely — plus a runtime-adaptive inter algorithm and
+// centralized server, or the permission-based Ricart-Agrawala can be
+// combined freely — plus a runtime-adaptive inter algorithm and
 // hierarchies deeper than two levels.
 //
 // The package offers two entry points:
@@ -68,13 +68,13 @@ type Config struct {
 	// Clusters == 9 or 0).
 	LocalRTT, RemoteRTT time.Duration
 	Grid5000            bool
-	// LatencyScale divides modeled latencies (InProcess transport only),
-	// letting examples run the Grid'5000 delays faster than real time.
+	// LatencyScale (≥ 0) divides modeled latencies (InProcess transport
+	// only), letting examples run the Grid'5000 delays faster than real time.
 	LatencyScale int
 	// Transport selects the runtime.
 	Transport Transport
-	// UDPBasePort fixes the UDP port scheme (base+processID); zero binds
-	// ephemeral ports.
+	// UDPBasePort fixes the UDP port scheme (base+processID, every port ≤
+	// 65535); zero binds ephemeral ports.
 	UDPBasePort int
 }
 
@@ -96,6 +96,15 @@ func (c *Config) fill() error {
 	}
 	if c.Clusters < 1 || c.AppsPerCluster < 1 {
 		return fmt.Errorf("gridmutex: need at least 1 cluster and 1 app per cluster")
+	}
+	if c.LatencyScale < 0 {
+		return fmt.Errorf("gridmutex: LatencyScale %d is negative, want >= 0", c.LatencyScale)
+	}
+	if c.UDPBasePort < 0 {
+		return fmt.Errorf("gridmutex: UDPBasePort %d is negative, want >= 0", c.UDPBasePort)
+	}
+	if last := c.UDPBasePort + c.Clusters*(c.AppsPerCluster+1) - 1; c.UDPBasePort > 0 && last > 65535 {
+		return fmt.Errorf("gridmutex: UDPBasePort %d puts the last process at port %d, above 65535", c.UDPBasePort, last)
 	}
 	return nil
 }

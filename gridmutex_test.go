@@ -116,6 +116,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsOutOfRange: a port or scale outside its range is an
+// error naming the field and the bound, not a panic from a socket bind
+// or a silent fallback.
+func TestConfigRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"last port past 65535", Config{Clusters: 3, AppsPerCluster: 4, Transport: UDP, UDPBasePort: 65530}, "UDPBasePort 65530 puts the last process at port 65544, above 65535"},
+		{"negative base port", Config{Transport: UDP, UDPBasePort: -5}, "UDPBasePort -5 is negative"},
+		{"negative latency scale", Config{LatencyScale: -3}, "LatencyScale -3 is negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(tc.cfg)
+			if err == nil {
+				g.Close()
+				t.Fatalf("New(%+v) returned no error", tc.cfg)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestMutexIndexPanics(t *testing.T) {
 	g, err := New(Config{Clusters: 2, AppsPerCluster: 1})
 	if err != nil {
@@ -132,7 +158,7 @@ func TestMutexIndexPanics(t *testing.T) {
 
 func TestAlgorithmsList(t *testing.T) {
 	algs := Algorithms()
-	if len(algs) != 7 {
+	if len(algs) != 6 {
 		t.Fatalf("Algorithms = %v", algs)
 	}
 }

@@ -2,7 +2,7 @@
 // available to the composition layer, keyed by the short names used
 // throughout the paper ("martin", "naimi", "suzuki") plus the extra
 // plug-ins this repository adds ("raymond", "central", and the
-// permission-based "ricart-agrawala" and "lamport").
+// permission-based "ricart-agrawala").
 package algorithms
 
 import (
@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"gridmutex/internal/algorithms/central"
-	"gridmutex/internal/algorithms/lamport"
 	"gridmutex/internal/algorithms/naimitrehel"
 	"gridmutex/internal/algorithms/raymond"
 	"gridmutex/internal/algorithms/ricartagrawala"
@@ -32,17 +31,15 @@ var factories = map[string]mutex.Factory{
 	"central":         central.New,
 	"ricart-agrawala": ricartagrawala.New,
 	"ra":              ricartagrawala.New,
-	"lamport":         lamport.New,
 }
 
 // canonical lists one name per distinct algorithm, in a stable order.
-var canonical = []string{"martin", "naimi", "suzuki", "raymond", "central", "ricart-agrawala", "lamport"}
+var canonical = []string{"martin", "naimi", "suzuki", "raymond", "central", "ricart-agrawala"}
 
 // permissionBased marks the algorithms with no circulating token.
 var permissionBased = map[string]bool{
 	"ricart-agrawala": true,
 	"ra":              true,
-	"lamport":         true,
 }
 
 // TokenBased reports whether the named algorithm circulates a token (as

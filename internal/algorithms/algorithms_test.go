@@ -12,8 +12,8 @@ import (
 
 func TestNames(t *testing.T) {
 	names := Names()
-	if len(names) != 7 {
-		t.Fatalf("Names() = %v, want 7 algorithms", names)
+	if len(names) != 6 {
+		t.Fatalf("Names() = %v, want 6 algorithms", names)
 	}
 	for _, n := range names {
 		if _, err := Factory(n); err != nil {

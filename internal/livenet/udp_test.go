@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gridmutex/internal/algorithms"
+	"gridmutex/internal/algorithms/naimitrehel"
 	"gridmutex/internal/algorithms/ring"
 	"gridmutex/internal/core"
 	"gridmutex/internal/mutex"
@@ -34,11 +35,11 @@ func TestUDPMutualExclusion(t *testing.T) {
 	testUDPMutex(t, net, hs)
 }
 
-// TestUDPPermissionBasedComposition runs the permission-based algorithms
-// over real sockets, exercising their wire encodings end to end.
+// TestUDPPermissionBasedComposition runs the permission-based algorithm at
+// both levels over real sockets, exercising its wire encodings end to end.
 func TestUDPPermissionBasedComposition(t *testing.T) {
 	grid := topology.Uniform(2, 3, 0, 0)
-	net, hs := udpHandles(t, grid, core.Spec{Intra: "lamport", Inter: "ricart-agrawala"})
+	net, hs := udpHandles(t, grid, core.Spec{Intra: "ricart-agrawala", Inter: "ricart-agrawala"})
 	testUDPMutex(t, net, hs)
 }
 
@@ -128,6 +129,41 @@ func TestUDPCorruptFrameIgnored(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("valid message lost after garbage")
 	}
+}
+
+// TestUDPPerLinkOrder holds the UDP transport to the mutex.Env contract of
+// FIFO delivery per (sender, receiver) pair: 1,000 sequenced messages from
+// process 0 to process 1 must arrive in strictly increasing order. Loss is
+// within the transport's contract, so a short count is logged, not failed.
+func TestUDPPerLinkOrder(t *testing.T) {
+	const k = 1000
+	net := NewUDP("", 0)
+	defer net.Close()
+	got := make(chan mutex.ID, k)
+	net.RegisterAt(0, 0, handlerFunc(func(mutex.ID, mutex.Message) {}))
+	net.RegisterAt(1, 0, handlerFunc(func(from mutex.ID, m mutex.Message) {
+		got <- m.(naimitrehel.Request).Origin
+	}))
+	ep := net.Endpoint(0)
+	for i := 0; i < k; i++ {
+		ep.Send(1, naimitrehel.Request{Origin: mutex.ID(i)})
+	}
+	// Stop at the last message, or once the link has been quiet for a
+	// second (the rest was lost).
+	received, last := 0, mutex.ID(-1)
+	for last != k-1 {
+		select {
+		case seq := <-got:
+			if seq <= last {
+				t.Fatalf("link reordered: seq %d arrived after %d", seq, last)
+			}
+			received, last = received+1, seq
+		case <-time.After(time.Second):
+			t.Logf("%d of %d messages arrived, in order; the link went quiet after seq %d", received, k, last)
+			return
+		}
+	}
+	t.Logf("%d of %d messages arrived, in order", received, k)
 }
 
 func TestUDPCloseIdempotent(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 
 	"gridmutex/internal/adaptive"
 	"gridmutex/internal/algorithms/central"
-	"gridmutex/internal/algorithms/lamport"
 	"gridmutex/internal/algorithms/naimitrehel"
 	"gridmutex/internal/algorithms/raymond"
 	"gridmutex/internal/algorithms/ricartagrawala"
@@ -44,9 +43,6 @@ const (
 	tagAdaptiveInner
 	tagRARequest
 	tagRAReply
-	tagLamportRequest
-	tagLamportReply
-	tagLamportRelease
 )
 
 // MaxNameLen bounds algorithm-name strings on the wire.
@@ -126,15 +122,6 @@ func Encode(dst []byte, m mutex.Message) ([]byte, error) {
 		return appendI64(dst, v.Clock), nil
 	case ricartagrawala.Reply:
 		return append(dst, tagRAReply), nil
-	case lamport.Request:
-		dst = append(dst, tagLamportRequest)
-		return appendI64(dst, v.Clock), nil
-	case lamport.Reply:
-		dst = append(dst, tagLamportReply)
-		return appendI64(dst, v.Clock), nil
-	case lamport.Release:
-		dst = append(dst, tagLamportRelease)
-		return appendI64(dst, v.Clock), nil
 	default:
 		return nil, fmt.Errorf("wire: unencodable message type %T", m)
 	}
@@ -288,24 +275,6 @@ func Decode(b []byte) (mutex.Message, int, error) {
 		return ricartagrawala.Request{Clock: c}, n + k, nil
 	case tagRAReply:
 		return ricartagrawala.Reply{}, n, nil
-	case tagLamportRequest:
-		c, k, err := readI64(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return lamport.Request{Clock: c}, n + k, nil
-	case tagLamportReply:
-		c, k, err := readI64(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return lamport.Reply{Clock: c}, n + k, nil
-	case tagLamportRelease:
-		c, k, err := readI64(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return lamport.Release{Clock: c}, n + k, nil
 	default:
 		return nil, 0, fmt.Errorf("wire: unknown message tag %d", tag)
 	}

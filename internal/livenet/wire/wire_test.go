@@ -7,7 +7,6 @@ import (
 
 	"gridmutex/internal/adaptive"
 	"gridmutex/internal/algorithms/central"
-	"gridmutex/internal/algorithms/lamport"
 	"gridmutex/internal/algorithms/naimitrehel"
 	"gridmutex/internal/algorithms/raymond"
 	"gridmutex/internal/algorithms/ricartagrawala"
@@ -56,9 +55,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		adaptive.Inner{Gen: 3, M: ring.Token{}},
 		ricartagrawala.Request{Clock: 12},
 		ricartagrawala.Reply{},
-		lamport.Request{Clock: 3},
-		lamport.Reply{Clock: 4},
-		lamport.Release{Clock: 5},
 		// Nested: an envelope around an adaptive inner around a token.
 		core.Envelope{Level: 1, Inner: adaptive.Inner{Gen: 1, M: suzukikasami.Token{LN: []int64{5}}}},
 	}

@@ -6,8 +6,8 @@
 # confine, whose table holds the structural rules (one assembly site, one
 # workers convention, one event queue, no environment switch; DESIGN.md
 # §6). It also includes the schedule exploration, to exhaustion: every one
-# of the seven algorithms flat on three processes, every ordered
-# (intra, inter) pair of them composed on a 2 x 2 grid (49 pairs), and
+# of the six algorithms flat on three processes, every ordered
+# (intra, inter) pair of them composed on a 2 x 2 grid (36 pairs), and
 # every fault row (crash, restart, partition; naimi and suzuki).
 # Everything must pass with no findings for a change to land.
 set -euo pipefail
