@@ -140,9 +140,9 @@ func (n *node) onToken() {
 	// A request and the token crossed on a link: the request went the
 	// long way around the ring and a pass-on chain delivered the token
 	// to the end of that chain. The token parks here idle; the next
-	// request travelling the ring stops at it. (Safety and liveness are
-	// unaffected: every passOn chain is consumed by exactly one token
-	// traversal, so no node is left waiting on a promise.)
+	// request travelling the ring stops at it. The crossed request leaves
+	// passOn flags that the token follows a lap later, and at zero jitter
+	// that chase never ends: ROADMAP item 1 has a 3-node input and the fix.
 }
 
 func (n *node) sendTokenBack() {

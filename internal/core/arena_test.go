@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gridmutex/internal/des"
+	"gridmutex/internal/mutex"
 	"gridmutex/internal/simnet"
 	"gridmutex/internal/topology"
 )
@@ -68,6 +69,34 @@ func TestBuildersSizeAppsAndProcsOnce(t *testing.T) {
 		if cap(d.Apps) != len(d.Apps) {
 			t.Errorf("%s: Apps len %d cap %d, want the same", c.name, len(d.Apps), cap(d.Apps))
 		}
+	}
+}
+
+// nopFabric wires nothing, so a build's allocations are the builder's and
+// the instances' own.
+type nopFabric struct{}
+
+func (nopFabric) Endpoint(mutex.ID) mutex.Env             { return nopEnv{} }
+func (nopFabric) RegisterAt(mutex.ID, int, mutex.Handler) {}
+
+// TestBuildFlatAllocsPerProcess: every instance of a flat deployment
+// validates the whole member list, and BuildFlat's list is ascending, so
+// the check allocates nothing and each process past the first costs as
+// many allocations at N = 180 as at N = 10. A sorted copy per instance,
+// which leaves the stack past 16 members, would add one per process.
+func TestBuildFlatAllocsPerProcess(t *testing.T) {
+	allocs := func(n int) float64 {
+		grid := topology.Single(n, time.Millisecond)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := BuildFlat(nopFabric{}, grid, "naimi", nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(1)
+	perProcess := func(n int) float64 { return (allocs(n) - one) / float64(n-1) }
+	if small, large := perProcess(10), perProcess(180); large > small {
+		t.Errorf("BuildFlat allocates %.3f times per process at N = 180, %.3f at N = 10; want no growth", large, small)
 	}
 }
 

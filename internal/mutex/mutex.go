@@ -117,36 +117,39 @@ func (c Config) Validate() error {
 	if len(c.Members) == 0 {
 		return fmt.Errorf("mutex: no members")
 	}
-	// Duplicates are found on a sorted copy: every instance validates its
-	// whole member list, so a map per instance made a flat deployment
-	// O(N²) in allocation. The copy lives on the stack up to 16 members,
-	// so the small groups of a deep hierarchy allocate nothing. Only a
-	// rejected list pays for the scan that names the first repeat in list
-	// order.
-	var buf [16]ID
-	sorted := append(buf[:0], c.Members...)
-	slices.Sort(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
+	// Every instance validates its whole member list, and the builders
+	// hand out ascending lists: such a list holds no duplicate, so one pass
+	// checks it without allocating. Any other list is checked on a sorted
+	// copy, on the stack up to 16 members (a map per instance made a flat
+	// deployment O(N²) in allocation). Only a rejected list pays for the
+	// scan that names the first repeat in list order.
+	sorted := c.Members
+	if !ascending(sorted) {
+		var buf [16]ID
+		sorted = append(buf[:0], c.Members...)
+		slices.Sort(sorted)
+		if !ascending(sorted) {
 			return fmt.Errorf("mutex: duplicate member %d", firstRepeat(c.Members))
 		}
 	}
-	selfOK, holderOK := false, false
-	for _, m := range c.Members {
-		if m == c.Self {
-			selfOK = true
-		}
-		if m == c.Holder {
-			holderOK = true
-		}
-	}
-	if !selfOK {
+	if _, ok := slices.BinarySearch(sorted, c.Self); !ok {
 		return fmt.Errorf("mutex: self %d not in members", c.Self)
 	}
-	if !holderOK {
+	if _, ok := slices.BinarySearch(sorted, c.Holder); !ok {
 		return fmt.Errorf("mutex: holder %d not in members", c.Holder)
 	}
 	return nil
+}
+
+// ascending reports whether ids is strictly ascending: for a sorted list,
+// whether it is free of duplicates.
+func ascending(ids []ID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // firstRepeat returns the first member of ids that an earlier one equals.

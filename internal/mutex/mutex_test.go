@@ -1,6 +1,8 @@
 package mutex
 
 import (
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -186,33 +188,35 @@ func TestSingleMemberNoSelfSend(t *testing.T) {
 	}
 }
 
-// TestConfigValidateAllocs: Validate checks a member list without a set, so
-// a flat deployment of N instances costs O(N log N) each and one
-// allocation, not a map of N entries per instance, and a group of up to 16
-// members (a leaf cluster or a coordinator group of the grid-scale trees)
-// none: its sorted copy lives on the stack. A duplicate in last
-// position is still found, and with several duplicates the error names
-// the first repeat in list order, as the set-based scan did.
+// TestConfigValidateAllocs: Validate checks a member list without a set.
+// An ascending list, which is what every builder hands out, is checked in
+// one pass that allocates nothing at any length. Any other list is searched
+// on a sorted copy: O(N log N) and one allocation, not a map of N entries
+// per instance, and none up to 16 members (a leaf cluster or a coordinator
+// group of the grid-scale trees), whose copy lives on the stack. A
+// duplicate in last position is still found, and with several duplicates
+// the error names the first repeat in list order, as the set-based scan
+// did.
 func TestConfigValidateAllocs(t *testing.T) {
-	members := make([]ID, 180)
-	for i := range members {
-		members[i] = ID(179 - i)
-	}
-	cfg := Config{Self: 7, Members: members, Holder: 0, Env: nopEnv{}}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
+	ascending, members := upTo(180), upTo(180)
+	slices.Reverse(members)
+	for _, c := range []struct {
+		name    string
+		members []ID
+		want    float64 // most allocations allowed
+	}{
+		{"ascending 180 members", ascending, 0},
+		{"descending 180 members", members, 1},
+		{"descending 10 members", members[170:], 0},
+	} {
+		cfg := Config{Self: 7, Members: c.members, Holder: 0, Env: nopEnv{}}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > c.want {
+			t.Errorf("Validate of %s allocates %.0f times, want <= %.0f", c.name, allocs, c.want)
 		}
-	}); allocs > 1 {
-		t.Errorf("Validate of 180 members allocates %.0f times, want <= 1", allocs)
-	}
-	small := Config{Self: 7, Members: members[170:], Holder: 0, Env: nopEnv{}}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := small.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("Validate of 10 members allocates %.0f times, want 0", allocs)
 	}
 	last := append(slices.Clone(members[:179]), 42)
 	if err := (Config{Self: 7, Members: last, Holder: 0, Env: nopEnv{}}).Validate(); err == nil ||
@@ -223,4 +227,93 @@ func TestConfigValidateAllocs(t *testing.T) {
 		err.Error() != "mutex: duplicate member 9" {
 		t.Errorf("two duplicates: Validate() = %v, want the first repeat in list order (9)", err)
 	}
+}
+
+// upTo returns the IDs 0 to n-1 in ascending order.
+func upTo(n int) []ID {
+	ids := make([]ID, n)
+	for i := range ids {
+		ids[i] = ID(i)
+	}
+	return ids
+}
+
+// referenceValidate is Validate as it was before ascending lists took a
+// pass of their own: every list searched on a sorted copy. The fuzz target
+// holds the one-pass check to it.
+func referenceValidate(c Config) error {
+	if c.Env == nil {
+		return fmt.Errorf("mutex: nil Env")
+	}
+	if len(c.Members) == 0 {
+		return fmt.Errorf("mutex: no members")
+	}
+	var buf [16]ID
+	sorted := append(buf[:0], c.Members...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return fmt.Errorf("mutex: duplicate member %d", firstRepeat(c.Members))
+		}
+	}
+	selfOK, holderOK := false, false
+	for _, m := range c.Members {
+		if m == c.Self {
+			selfOK = true
+		}
+		if m == c.Holder {
+			holderOK = true
+		}
+	}
+	if !selfOK {
+		return fmt.Errorf("mutex: self %d not in members", c.Self)
+	}
+	if !holderOK {
+		return fmt.Errorf("mutex: holder %d not in members", c.Holder)
+	}
+	return nil
+}
+
+// encodeMembers is the fuzz input format of a member list: two bytes per
+// member, little-endian, as a signed 16-bit ID.
+func encodeMembers(ids ...ID) []byte {
+	out := make([]byte, 0, 2*len(ids))
+	for _, id := range ids {
+		out = binary.LittleEndian.AppendUint16(out, uint16(int16(id)))
+	}
+	return out
+}
+
+// FuzzConfigValidate holds Validate to referenceValidate on any member
+// list, Self, Holder and nil or non-nil Env: both accept, or both return
+// the same error text.
+func FuzzConfigValidate(f *testing.F) {
+	ascending, descending := upTo(180), upTo(180)
+	slices.Reverse(descending)
+	f.Add(encodeMembers(ascending...), int16(7), int16(0), false)
+	f.Add(encodeMembers(descending...), int16(7), int16(0), false)
+	f.Add(encodeMembers(5, 9, 2, 9, 5), int16(5), int16(2), false)
+	f.Add(encodeMembers(append(slices.Clone(descending[:179]), 42)...), int16(7), int16(0), false)
+	f.Add(encodeMembers(0, 1, 2, 3, 3, 4, 5), int16(1), int16(0), false)
+	f.Add(encodeMembers(3), int16(3), int16(3), false)
+	f.Add([]byte{}, int16(0), int16(0), false)
+	f.Add(encodeMembers(0, 1, 2), int16(1), int16(0), true)
+	f.Fuzz(func(t *testing.T, data []byte, self, holder int16, nilEnv bool) {
+		// Naming the first repeat is quadratic in a rejected list's length:
+		// 1,024 members keep every input fast and reach well past the 16
+		// that fit on the stack.
+		data = data[:min(len(data), 2048)]
+		members := make([]ID, len(data)/2)
+		for i := range members {
+			members[i] = ID(int16(binary.LittleEndian.Uint16(data[2*i:])))
+		}
+		c := Config{Self: ID(self), Members: members, Holder: ID(holder), Env: nopEnv{}}
+		if nilEnv {
+			c.Env = nil
+		}
+		got, want := c.Validate(), referenceValidate(c)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Validate(%+v) = %v, reference %v", c, got, want)
+		}
+	})
 }

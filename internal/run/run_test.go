@@ -3,12 +3,14 @@ package run
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"gridmutex/internal/algorithms"
 	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
 	"gridmutex/internal/topology"
@@ -419,4 +421,56 @@ func TestBuildValidatesFirst(t *testing.T) {
 	if r, err := Build(spec); err == nil || !strings.Contains(err.Error(), "loss 1.5") {
 		t.Fatalf("Build(Loss: 1.5) = %v, %v; want a loss error", r, err)
 	}
+}
+
+// FuzzBuild: Build returns an error or a Run, and never panics, whatever
+// the Spec: a uniform grid of 1–4 clusters of 1–5 applications, a flat
+// algorithm or a hierarchy of 2–4 registry algorithms with any group sizes,
+// any jitter, loss and horizon, and any workload parameters. A legal
+// critical-section count is folded into 1–64, because Bind reserves the
+// whole record buffer up front; out-of-range counts pass through as they
+// are.
+func FuzzBuild(f *testing.F) {
+	ms := int64(time.Millisecond)
+	f.Add(uint8(2), uint8(3), uint8(0), uint32(2), uint8(0), 0.05, 0.0, int64(0), 5*ms, 6.0, uint8(0), int64(10), uint8(0), 0.0)
+	f.Add(uint8(3), uint8(4), uint8(3), uint32(0x321), uint8(3), 0.05, 0.1, int64(time.Second), 5*ms, 0.5, uint8(1), int64(3), uint8(1), 4.0)
+	f.Add(uint8(1), uint8(1), uint8(5), uint32(0x5432), uint8(0), 0.0, 0.0, int64(0), ms, 1.0, uint8(0), int64(1), uint8(0), 0.0)
+	f.Add(uint8(2), uint8(2), uint8(0), uint32(1), uint8(0), -1.0, 0.0, int64(0), 5*ms, 6.0, uint8(0), int64(10), uint8(0), 0.0)
+	f.Add(uint8(2), uint8(2), uint8(0), uint32(1), uint8(0), 0.0, 1.5, int64(0), 5*ms, 6.0, uint8(0), int64(10), uint8(0), 0.0)
+	f.Add(uint8(2), uint8(2), uint8(0), uint32(1), uint8(0), math.NaN(), math.Inf(1), -ms, 5*ms, math.NaN(), uint8(9), int64(10), uint8(7), math.Inf(1))
+	f.Add(uint8(2), uint8(2), uint8(0), uint32(1), uint8(0), 0.0, 0.0, int64(0), int64(0), -1.0, uint8(0), int64(1)<<31, uint8(0), -2.0)
+	f.Add(uint8(0), uint8(0), uint8(1), uint32(0), uint8(0), 0.0, 0.0, int64(0), 5*ms, 6.0, uint8(0), int64(-1), uint8(0), 0.0)
+	names := algorithms.Names()
+	f.Fuzz(func(t *testing.T, clusters, apps, shape uint8, algs uint32, groups uint8,
+		jitter, loss float64, horizon, alpha int64, rho float64, dist uint8, cs int64, hot uint8, skew float64) {
+		var sys System
+		if levels := int(shape % 4); levels == 0 {
+			sys.Flat = names[algs%uint32(len(names))]
+		} else {
+			for i := range levels + 1 {
+				sys.Levels = append(sys.Levels, names[(algs>>(4*i)&15)%uint32(len(names))])
+			}
+			for i := range levels - 1 {
+				sys.Groups = append(sys.Groups, int(groups>>(2*i)&3)-1) // -1 to 2
+			}
+		}
+		if cs > 0 && cs <= math.MaxInt32 {
+			cs = 1 + cs%64
+		}
+		spec := Spec{
+			Grid: topology.Uniform(1+int(clusters%4), 1+int(apps%5)+sys.Reserved(),
+				time.Millisecond, 20*time.Millisecond),
+			Seed:   1,
+			Jitter: jitter, Loss: loss, Horizon: time.Duration(horizon),
+			Workload: workload.Params{
+				Alpha: time.Duration(alpha), Rho: rho, Dist: workload.Distribution(dist),
+				CSPerProcess: int(cs), HotCluster: int(hot%8) - 2, HotSkew: skew,
+			},
+			System: sys,
+		}
+		r, err := Build(spec)
+		if (r == nil) == (err == nil) {
+			t.Fatalf("Build(%+v) = %v, %v: want exactly one of a run and an error", spec, r, err)
+		}
+	})
 }
