@@ -74,6 +74,13 @@ func TestIllegalRunsAreOneLineErrors(t *testing.T) {
 		{[]string{"-flat", "naimi", "-adaptive"}, "flat excludes adaptive"},
 		{[]string{"-local-rtt", "-5"}, "negative RTT"},
 		{[]string{"-cs", "2147483648"}, "CSPerProcess 2147483648 exceeds 2147483647"},
+		// At f612bf1 the first three panicked in the drive ("des: scheduling
+		// into the past") and the last two ran as if the value were 0.
+		{[]string{"-rho", "NaN"}, "rho NaN must be finite"},
+		{[]string{"-jitter", "+Inf"}, "jitter +Inf must be finite"},
+		{[]string{"-jitter", "1e300"}, "jitter 1e+300 stretches"},
+		{[]string{"-jitter", "NaN"}, "jitter NaN must be finite"},
+		{[]string{"-loss", "NaN"}, "loss NaN outside [0, 1)"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-cs", "2", "-apps", "2", "-clusters", "2"}, c.args...)

@@ -5,6 +5,9 @@
 // every simulation a pure function of its inputs: same events in, same
 // trajectory out. All times are virtual and expressed as time.Duration
 // offsets from the start of the simulation; no wall-clock time is consulted.
+// The clock saturates: a delay that would carry an event past the largest
+// Time (292 years) schedules it at that instant, behind the events already
+// there, where adding the delay would wrap into the past.
 package des
 
 import (
@@ -294,10 +297,20 @@ func (s *Simulator) At(t Time, fn func()) {
 	s.queue.stats.Closures++
 }
 
-// After schedules fn to run d after the current virtual time. A negative d
-// panics.
+// After schedules fn to run d after the current virtual time (In). A
+// negative d panics.
 func (s *Simulator) After(d time.Duration, fn func()) {
-	s.At(s.now+d, fn)
+	s.At(s.In(d), fn)
+}
+
+// In returns the instant d after the current virtual time, saturating at
+// the largest Time. A negative d gives an instant in the past, which At and
+// AtDeliver reject.
+func (s *Simulator) In(d time.Duration) Time {
+	if t := s.now + d; d <= 0 || t > s.now {
+		return t
+	}
+	return math.MaxInt64
 }
 
 // AtDeliver schedules a typed event at virtual time t: when it fires,
@@ -362,9 +375,10 @@ func (s *Simulator) RunUntil(deadline Time) {
 	}
 }
 
-// RunFor executes events for d of virtual time from the current instant.
+// RunFor executes events for d of virtual time from the current instant
+// (In).
 func (s *Simulator) RunFor(d time.Duration) {
-	s.RunUntil(s.now + d)
+	s.RunUntil(s.In(d))
 }
 
 // MaxEventsExceeded is the error RunCapped returns when the event budget

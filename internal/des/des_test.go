@@ -1,9 +1,11 @@
 package des
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -163,6 +165,37 @@ func TestRunForIsRelative(t *testing.T) {
 		t.Fatal("event did not fire at its instant")
 	}
 }
+
+// TestClockSaturates: a delay past the largest Time schedules at that
+// instant, behind what is already there, instead of wrapping into the past
+// (where At panicked), and RunFor stops there too.
+func TestClockSaturates(t *testing.T) {
+	const end = Time(math.MaxInt64)
+	s := New()
+	var order []int
+	s.At(end-5, func() {
+		s.After(end, func() { order = append(order, 2) })
+		s.At(end, func() { order = append(order, 1) })
+		s.After(10, func() { order = append(order, 3) })
+		s.AtDeliver(s.In(end), recorder{&order}, 4, nil)
+	})
+	s.RunFor(end)
+	if s.Now() != end || !slices.Equal(order, []int{2, 1, 3, 4}) {
+		t.Fatalf("clock %v, order %v; want %v and [2 1 3 4]", s.Now(), order, end)
+	}
+	s.RunFor(time.Hour)
+	if s.Now() != end {
+		t.Fatalf("RunFor past the end moved the clock to %v", s.Now())
+	}
+	if got := New().In(-time.Second); got != -time.Second {
+		t.Fatalf("In(-1s) = %v, want -1s: a negative delay is the caller's error", got)
+	}
+}
+
+// recorder is a handler that appends its sender to a list.
+type recorder struct{ order *[]int }
+
+func (r recorder) Deliver(from mutex.ID, _ mutex.Message) { *r.order = append(*r.order, int(from)) }
 
 func TestRunCappedDetectsLivelock(t *testing.T) {
 	s := New()

@@ -215,7 +215,8 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 		},
 		System: run.System{Levels: algs, Groups: groups},
 		// The sweep reads only the grant count: a sink keeps the runner
-		// from buffering apps × CS records the heap sample would count.
+		// from listing every grant, which the drive's allocation count
+		// would include.
 		OnGrant: func(workload.Record) {},
 	})
 	if err != nil {

@@ -44,7 +44,7 @@ func digestRecords(scale Scale, out run.Outcome) repPartial {
 	return p
 }
 
-// buffered drives spec with the record buffer on and checks the outcome's
+// buffered drives spec with the record list on and checks the outcome's
 // two views of the grants agree.
 func buffered(t *testing.T, spec run.Spec) run.Outcome {
 	t.Helper()

@@ -11,6 +11,7 @@ package run
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"gridmutex/internal/adaptive"
@@ -62,18 +63,25 @@ type Spec struct {
 	OnGrant func(workload.Record)
 }
 
-// Validate reports whether s describes a legal run, by every rule that
-// does not need the grid. Build calls it first and the scenario loader
-// calls it on the Spec its engine would run, so a flag, a file and a
-// hand-built Spec are held to one statement of the rules.
+// Validate reports whether s describes a legal run. Build calls it first
+// and the scenario loader calls it on the Spec its engine would run, so a
+// flag, a file and a hand-built Spec are held to one statement of the
+// rules. One rule needs the grid and is checked only when Grid is set: the
+// jitter must not stretch the grid's largest one-way delay past the longest
+// time.Duration, where simnet's delay would wrap negative.
 func (s Spec) Validate() error {
 	if err := s.System.Validate(); err != nil {
 		return err
 	}
-	if s.Jitter < 0 {
-		return fmt.Errorf("run: jitter %v must be non-negative", s.Jitter)
+	// NaN fails every comparison, so each range is stated as what holds.
+	if !(s.Jitter >= 0) || math.IsInf(s.Jitter, 1) {
+		return fmt.Errorf("run: jitter %v must be finite and non-negative", s.Jitter)
 	}
-	if s.Loss < 0 || s.Loss >= 1 {
+	if g := s.Grid; g != nil && float64(g.MaxRTT()/2)*(1+s.Jitter) >= math.MaxInt64 {
+		return fmt.Errorf("run: jitter %v stretches the grid's largest one-way delay, %v, past %v",
+			s.Jitter, g.MaxRTT()/2, time.Duration(math.MaxInt64))
+	}
+	if !(s.Loss >= 0 && s.Loss < 1) {
 		return fmt.Errorf("run: loss %v outside [0, 1)", s.Loss)
 	}
 	if s.Horizon < 0 {
@@ -504,7 +512,12 @@ func (r *Run) drive() *Stall {
 	case dep != nil:
 		runner.OnDone(dep.Stop)
 	default:
-		r.mon.WatchLiveness(runner.Waiting, runner.Done, 2000*r.spec.Workload.Alpha)
+		// 2,000 α, saturating as the clock does.
+		interval := time.Duration(math.MaxInt64)
+		if alpha := r.spec.Workload.Alpha; alpha <= interval/2000 {
+			interval = 2000 * alpha
+		}
+		r.mon.WatchLiveness(runner.Waiting, runner.Done, interval)
 	}
 	limit := r.spec.EventLimit
 	if limit == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -120,7 +121,7 @@ func mustDrive(t *testing.T, spec Spec) Outcome {
 	return r.Drive()
 }
 
-// driveBoth drives spec twice, once with the record buffer and once with a
+// driveBoth drives spec twice, once with the record list and once with a
 // grant sink (Spec.OnGrant), and holds the two to one outcome: the same
 // stall, grant count and event count, and the sink seeing exactly the
 // buffered records. It returns the buffered outcome.
@@ -380,6 +381,15 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown level", System{Levels: []string{"naimi", "nope"}}, nil, `unknown algorithm "nope"`},
 
 		{"negative jitter", System{Flat: "naimi"}, func(s *Spec) { s.Jitter = -1 }, "jitter -1"},
+		{"NaN jitter", System{Flat: "naimi"}, func(s *Spec) { s.Jitter = math.NaN() }, "jitter NaN must be finite"},
+		{"infinite jitter", System{Flat: "naimi"}, func(s *Spec) { s.Jitter = math.Inf(1) }, "jitter +Inf must be finite"},
+		{"NaN loss", System{Flat: "naimi"}, func(s *Spec) { s.Loss = math.NaN() }, "loss NaN outside [0, 1)"},
+		{"NaN rho", System{Flat: "naimi"}, func(s *Spec) { s.Workload.Rho = math.NaN() }, "rho NaN must be finite"},
+		{"infinite rho", System{Flat: "naimi"}, func(s *Spec) { s.Workload.Rho = math.Inf(1) }, "rho +Inf must be finite"},
+		{"NaN hot skew", System{Flat: "naimi"}, func(s *Spec) { s.Workload.HotSkew = math.NaN() }, "hot skew NaN must be finite"},
+		{"NaN phase rho", System{Flat: "naimi"}, func(s *Spec) {
+			s.Workload.Phases = []workload.Phase{{Rho: 1, Until: time.Second}, {Rho: math.NaN()}}
+		}, "phase 1 rho NaN must be finite"},
 		{"negative loss", System{Flat: "naimi"}, func(s *Spec) { s.Loss = -0.1 }, "loss -0.1 outside [0, 1)"},
 		{"loss one", System{Flat: "naimi"}, func(s *Spec) { s.Loss = 1 }, "loss 1 outside [0, 1)"},
 		{"loss above one", System{Flat: "naimi"}, func(s *Spec) { s.Loss = 1.5 }, "loss 1.5 outside [0, 1)"},
@@ -423,14 +433,99 @@ func TestBuildValidatesFirst(t *testing.T) {
 	}
 }
 
+// TestJitterFitsTheGrid: the one rule that needs the grid. quickSpec's
+// largest one-way delay is 10 ms, so a jitter of 1e12 would stretch it past
+// the longest time.Duration (simnet's delay wrapped negative and the drive
+// scheduled into the past), and 9e11 still fits. Without a grid the rule is
+// not checked.
+func TestJitterFitsTheGrid(t *testing.T) {
+	spec := quickSpec(2, System{Flat: "naimi"})
+	spec.Jitter = 1e12
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "jitter 1e+12 stretches") {
+		t.Errorf("Validate(Jitter: 1e12) = %v, want a jitter error", err)
+	}
+	spec.Grid = nil
+	if err := spec.Validate(); err != nil {
+		t.Errorf("Validate(Jitter: 1e12, no grid) = %v, want nil", err)
+	}
+	spec = quickSpec(2, System{Flat: "naimi"})
+	spec.Jitter = 9e11
+	if err := spec.Validate(); err != nil {
+		t.Errorf("Validate(Jitter: 9e11) = %v, want nil", err)
+	}
+}
+
+// TestBuildIndependentOfCS: Build reserves nothing per critical section, so
+// a 2 × 2 Spec at the largest legal count builds in under 1 MB. At f612bf1
+// Bind sized an apps × CS record buffer up front: 320 GiB here.
+func TestBuildIndependentOfCS(t *testing.T) {
+	spec := quickSpec(2, System{Flat: "naimi"})
+	spec.Grid = topology.Uniform(2, 2, time.Millisecond, 20*time.Millisecond)
+	spec.TraceCapacity = 0
+	spec.Workload.CSPerProcess = math.MaxInt32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Build(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Build at CSPerProcess %d allocated %d bytes, want under 1 MB", spec.Workload.CSPerProcess, got)
+	}
+	runtime.KeepAlive(r)
+}
+
 // FuzzBuild: Build returns an error or a Run, and never panics, whatever
-// the Spec: a uniform grid of 1–4 clusters of 1–5 applications, a flat
-// algorithm or a hierarchy of 2–4 registry algorithms with any group sizes,
-// any jitter, loss and horizon, and any workload parameters. A legal
-// critical-section count is folded into 1–64, because Bind reserves the
-// whole record buffer up front; out-of-range counts pass through as they
-// are.
+// the Spec (fuzzSpec): a uniform grid of 1–4 clusters of 1–5 applications,
+// a flat algorithm or a hierarchy of 2–4 registry algorithms with any group
+// sizes, any jitter, loss and horizon, and any workload parameters, every
+// critical-section count included: Build reserves nothing per critical
+// section.
 func FuzzBuild(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, clusters, apps, shape uint8, algs uint32, groups uint8,
+		jitter, loss float64, horizon, alpha int64, rho float64, dist uint8, cs int64, hot uint8, skew float64) {
+		spec := fuzzSpec(clusters, apps, shape, algs, groups, jitter, loss, horizon, alpha, rho, dist, cs, hot, skew)
+		r, err := Build(spec)
+		if (r == nil) == (err == nil) {
+			t.Fatalf("Build(%+v) = %v, %v: want exactly one of a run and an error", spec, r, err)
+		}
+	})
+}
+
+// FuzzDrive: whatever Spec Build accepts drives to an Outcome — a stall or
+// a monitor violation is an answer — and never panics. It takes FuzzBuild's
+// inputs, with a legal critical-section count folded into 1–8 and a
+// positive α floored at 1 ms, which bound how long the drive runs: the
+// event limit grows with the count, and the liveness watchdog ticks every
+// 2,000 α.
+func FuzzDrive(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, clusters, apps, shape uint8, algs uint32, groups uint8,
+		jitter, loss float64, horizon, alpha int64, rho float64, dist uint8, cs int64, hot uint8, skew float64) {
+		if cs > 0 && cs <= math.MaxInt32 {
+			cs = 1 + cs%8
+		}
+		if alpha > 0 {
+			alpha = max(alpha, int64(time.Millisecond))
+		}
+		spec := fuzzSpec(clusters, apps, shape, algs, groups, jitter, loss, horizon, alpha, rho, dist, cs, hot, skew)
+		r, err := Build(spec)
+		if err != nil {
+			return
+		}
+		out := r.Drive()
+		if out.Stall == nil && spec.Horizon == 0 && out.Grants != r.runner.ExpectedTotal() {
+			t.Fatalf("Drive(%+v) completed with %d grants, want %d", spec, out.Grants, r.runner.ExpectedTotal())
+		}
+	})
+}
+
+// addFuzzSeeds adds the seed corpus FuzzBuild and FuzzDrive share: legal
+// runs of each shape, each out-of-range float and count, and the
+// non-finite floats Validate rejects.
+func addFuzzSeeds(f *testing.F) {
 	ms := int64(time.Millisecond)
 	f.Add(uint8(2), uint8(3), uint8(0), uint32(2), uint8(0), 0.05, 0.0, int64(0), 5*ms, 6.0, uint8(0), int64(10), uint8(0), 0.0)
 	f.Add(uint8(3), uint8(4), uint8(3), uint32(0x321), uint8(3), 0.05, 0.1, int64(time.Second), 5*ms, 0.5, uint8(1), int64(3), uint8(1), 4.0)
@@ -440,37 +535,50 @@ func FuzzBuild(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(0), uint32(1), uint8(0), math.NaN(), math.Inf(1), -ms, 5*ms, math.NaN(), uint8(9), int64(10), uint8(7), math.Inf(1))
 	f.Add(uint8(2), uint8(2), uint8(0), uint32(1), uint8(0), 0.0, 0.0, int64(0), int64(0), -1.0, uint8(0), int64(1)<<31, uint8(0), -2.0)
 	f.Add(uint8(0), uint8(0), uint8(1), uint32(0), uint8(0), 0.0, 0.0, int64(0), 5*ms, 6.0, uint8(0), int64(-1), uint8(0), 0.0)
+	// Each non-finite float alone, and a jitter that stretches the 10 ms
+	// one-way delay past the longest duration: at f612bf1 Validate passed
+	// all six, and the drive panicked on the NaN rho and the two jitters.
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), 0.05, 0.0, int64(0), 10*ms, math.NaN(), uint8(0), int64(2), uint8(0), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), math.Inf(1), 0.0, int64(0), 10*ms, 180.0, uint8(0), int64(2), uint8(0), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), 1e300, 0.0, int64(0), 10*ms, 180.0, uint8(0), int64(2), uint8(0), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), math.NaN(), 0.0, int64(0), 10*ms, 180.0, uint8(0), int64(2), uint8(0), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), 0.05, math.NaN(), int64(0), 10*ms, 180.0, uint8(0), int64(2), uint8(0), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), 0.05, 0.0, int64(0), 10*ms, 180.0, uint8(0), int64(2), uint8(1), math.NaN())
+	// Legal runs whose virtual time passes the largest Time: a β of 10^18
+	// hours (with and without a horizon), and a jitter of 4·10^11 on the
+	// 10 ms delay. At f612bf1 each drive panicked, "des: scheduling into
+	// the past"; the clock now saturates.
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), 0.0, 0.0, int64(time.Second), int64(time.Hour), 1e18, uint8(0), int64(2), uint8(0), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), 0.0, 0.0, int64(0), int64(time.Hour), 1e18, uint8(1), int64(2), uint8(0), 0.0)
+	f.Add(uint8(1), uint8(2), uint8(0), uint32(1), uint8(0), 4e11, 0.0, int64(0), ms, 0.0, uint8(0), int64(3), uint8(0), 0.0)
+	// An α whose watchdog interval, 2,000 α, overflows.
+	f.Add(uint8(1), uint8(1), uint8(0), uint32(2), uint8(0), 0.0, 0.0, int64(0), int64(1)<<62, 0.0, uint8(0), int64(2), uint8(0), 0.0)
+}
+
+// fuzzSpec turns the fuzzers' inputs into a Spec.
+func fuzzSpec(clusters, apps, shape uint8, algs uint32, groups uint8,
+	jitter, loss float64, horizon, alpha int64, rho float64, dist uint8, cs int64, hot uint8, skew float64) Spec {
 	names := algorithms.Names()
-	f.Fuzz(func(t *testing.T, clusters, apps, shape uint8, algs uint32, groups uint8,
-		jitter, loss float64, horizon, alpha int64, rho float64, dist uint8, cs int64, hot uint8, skew float64) {
-		var sys System
-		if levels := int(shape % 4); levels == 0 {
-			sys.Flat = names[algs%uint32(len(names))]
-		} else {
-			for i := range levels + 1 {
-				sys.Levels = append(sys.Levels, names[(algs>>(4*i)&15)%uint32(len(names))])
-			}
-			for i := range levels - 1 {
-				sys.Groups = append(sys.Groups, int(groups>>(2*i)&3)-1) // -1 to 2
-			}
+	var sys System
+	if levels := int(shape % 4); levels == 0 {
+		sys.Flat = names[algs%uint32(len(names))]
+	} else {
+		for i := range levels + 1 {
+			sys.Levels = append(sys.Levels, names[(algs>>(4*i)&15)%uint32(len(names))])
 		}
-		if cs > 0 && cs <= math.MaxInt32 {
-			cs = 1 + cs%64
+		for i := range levels - 1 {
+			sys.Groups = append(sys.Groups, int(groups>>(2*i)&3)-1) // -1 to 2
 		}
-		spec := Spec{
-			Grid: topology.Uniform(1+int(clusters%4), 1+int(apps%5)+sys.Reserved(),
-				time.Millisecond, 20*time.Millisecond),
-			Seed:   1,
-			Jitter: jitter, Loss: loss, Horizon: time.Duration(horizon),
-			Workload: workload.Params{
-				Alpha: time.Duration(alpha), Rho: rho, Dist: workload.Distribution(dist),
-				CSPerProcess: int(cs), HotCluster: int(hot%8) - 2, HotSkew: skew,
-			},
-			System: sys,
-		}
-		r, err := Build(spec)
-		if (r == nil) == (err == nil) {
-			t.Fatalf("Build(%+v) = %v, %v: want exactly one of a run and an error", spec, r, err)
-		}
-	})
+	}
+	return Spec{
+		Grid: topology.Uniform(1+int(clusters%4), 1+int(apps%5)+sys.Reserved(),
+			time.Millisecond, 20*time.Millisecond),
+		Seed:   1,
+		Jitter: jitter, Loss: loss, Horizon: time.Duration(horizon),
+		Workload: workload.Params{
+			Alpha: time.Duration(alpha), Rho: rho, Dist: workload.Distribution(dist),
+			CSPerProcess: int(cs), HotCluster: int(hot%8) - 2, HotSkew: skew,
+		},
+		System: sys,
+	}
 }

@@ -32,8 +32,9 @@ func (sc *Scenario) treeSpec() topology.TreeSpec {
 }
 
 // spec is the scenario as the run kernel takes it, on grid g: the one
-// translation both the loader (g nil: no rule of run.Spec.Validate needs
-// it) and the engine (which adds the faults resolved on g) use.
+// translation both the loader (g nil: run.Spec.Validate then skips its one
+// grid rule, the jitter's, which a scenario's jitter of at most 1 never
+// breaks) and the engine (which adds the faults resolved on g) use.
 func (sc *Scenario) spec(g *topology.Grid) run.Spec {
 	spec := run.Spec{
 		Grid: g, Seed: sc.Seed, Jitter: sc.Network.Jitter, Loss: sc.Network.Loss,

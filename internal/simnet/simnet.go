@@ -401,7 +401,7 @@ func (r *proc) Send(to mutex.ID, m mutex.Message) {
 		delay = time.Duration(float64(delay) * (1 + n.opts.Jitter*n.rng.Float64()))
 	}
 	now := n.sim.Now()
-	at := now + delay
+	at := n.sim.In(delay)
 	// FIFO per ordered pair: never deliver before an earlier message on
 	// the same link. The sender's list keeps a watermark only while it can
 	// still bump (see flight).
@@ -410,7 +410,10 @@ func (r *proc) Send(to mutex.ID, m mutex.Message) {
 		switch {
 		case f.to == to:
 			if at <= f.at {
-				at = f.at + time.Nanosecond
+				// At the end of virtual time the bump saturates and
+				// the link's order is the event queue's: ties fire in
+				// send order.
+				at = max(f.at, f.at+time.Nanosecond)
 			}
 			f.at, hit = at, true
 		case f.at < now:

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -155,6 +156,30 @@ func TestFIFOPerLinkUnderJitter(t *testing.T) {
 		}
 		if i > 0 && d.at <= r2.got[i-1].at {
 			t.Fatalf("non-increasing delivery times at %d: %v then %v", i, r2.got[i-1].at, d.at)
+		}
+	}
+}
+
+// TestFIFOAtTheEndOfTime: messages sent so close to the largest Time that
+// their delay would wrap all arrive at that instant, in send order, where
+// the FIFO bump on a wrapped arrival scheduled into the past and panicked.
+func TestFIFOAtTheEndOfTime(t *testing.T) {
+	const end = des.Time(math.MaxInt64)
+	sim, n, _, r2 := twoClusterNet(t, Options{Jitter: 0.9, Seed: 42})
+	ep0 := n.Endpoint(0)
+	const k = 5
+	sim.At(end-time.Millisecond, func() {
+		for i := range k {
+			ep0.Send(2, ping{"seq", i})
+		}
+	})
+	sim.Run()
+	if len(r2.got) != k {
+		t.Fatalf("delivered %d, want %d", len(r2.got), k)
+	}
+	for i, d := range r2.got {
+		if d.m.(ping).size != i || d.at != end {
+			t.Fatalf("delivery %d is message %d at %v, want message %d at %v", i, d.m.(ping).size, d.at, i, end)
 		}
 	}
 }

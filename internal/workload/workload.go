@@ -85,15 +85,15 @@ func (p Params) Validate() error {
 	if p.Alpha <= 0 {
 		return fmt.Errorf("workload: alpha %v must be positive", p.Alpha)
 	}
-	if p.Rho < 0 {
-		return fmt.Errorf("workload: rho %v must be non-negative", p.Rho)
+	if !finiteNonNeg(p.Rho) {
+		return fmt.Errorf("workload: rho %v must be finite and non-negative", p.Rho)
 	}
-	if p.HotSkew < 0 {
-		return fmt.Errorf("workload: hot skew %v must be non-negative", p.HotSkew)
+	if !finiteNonNeg(p.HotSkew) {
+		return fmt.Errorf("workload: hot skew %v must be finite and non-negative", p.HotSkew)
 	}
 	for i, ph := range p.Phases {
-		if ph.Rho < 0 {
-			return fmt.Errorf("workload: phase %d rho %v must be non-negative", i, ph.Rho)
+		if !finiteNonNeg(ph.Rho) {
+			return fmt.Errorf("workload: phase %d rho %v must be finite and non-negative", i, ph.Rho)
 		}
 		if i > 0 && ph.Until <= p.Phases[i-1].Until && i != len(p.Phases)-1 {
 			return fmt.Errorf("workload: phase %d boundary %v not after previous", i, ph.Until)
@@ -107,6 +107,10 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether v is finite and non-negative: false for NaN,
+// which every comparison fails, and for +Inf.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Beta returns the mean idle time β = ρ·α, saturating at the maximum
 // representable duration.
@@ -214,7 +218,7 @@ func (h *timers) Deliver(id mutex.ID, m mutex.Message) {
 
 // after schedules timer k of process id d from now.
 func (r *Runner) after(d time.Duration, id mutex.ID, k timer) {
-	r.sim.AtDeliver(r.sim.Now()+d, (*timers)(r), id, k)
+	r.sim.AtDeliver(r.sim.In(d), (*timers)(r), id, k)
 }
 
 // NewRunner creates a runner; monitor may be nil to skip safety checking.
@@ -237,7 +241,9 @@ func (r *Runner) Callbacks(id mutex.ID) mutex.Callbacks {
 
 // Bind attaches the built application processes to the runner. The apps
 // must be in ascending ID order, as every deployment lists them: Start
-// schedules their first requests in that order.
+// schedules their first requests in that order. Bind allocates the per-id
+// procs slice and nothing else: no Record is reserved for a grant not yet
+// made, so its cost does not depend on CSPerProcess.
 func (r *Runner) Bind(apps []core.App) {
 	if r.bound {
 		panic("workload: Bind called twice")
@@ -250,9 +256,6 @@ func (r *Runner) Bind(apps []core.App) {
 		if a.ID < 0 || i > 0 && a.ID <= apps[i-1].ID {
 			panic(fmt.Sprintf("workload: app %d out of ascending ID order", a.ID))
 		}
-	}
-	if r.onGrant == nil {
-		r.records = make([]Record, 0, len(apps)*r.params.CSPerProcess)
 	}
 	if len(apps) > 0 {
 		r.procs = make([]appProc, apps[len(apps)-1].ID+1)
@@ -303,8 +306,8 @@ func (r *Runner) setRemaining(p *appProc, n int) {
 }
 
 // OnGrant hands every grant to f the instant it happens, in grant order,
-// instead of buffering it: Bind then sizes no record buffer and Records
-// stays nil. f runs inside the grant's event. Call it before Bind.
+// instead of buffering it: Records then stays nil. f runs inside the
+// grant's event. Call it before Bind.
 func (r *Runner) OnGrant(f func(Record)) {
 	if r.bound {
 		panic("workload: OnGrant after Bind")
@@ -474,8 +477,9 @@ func (r *Runner) exitCS(id mutex.ID, p *appProc) {
 	}
 }
 
-// Records returns every satisfied request so far, in grant order; nil when
-// a sink (OnGrant) receives them instead.
+// Records returns every satisfied request so far, in grant order: nil
+// before the first grant, and always nil when a sink (OnGrant) receives
+// them instead. Without a sink the list grows by append as grants happen.
 func (r *Runner) Records() []Record { return r.records }
 
 // Grants returns how many requests have been satisfied so far, with or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -27,6 +28,14 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: time.Millisecond, Rho: -1, CSPerProcess: 10},
 		{Alpha: time.Millisecond, Rho: 5, CSPerProcess: 0},
 		{Alpha: time.Millisecond, Rho: 5, CSPerProcess: 1 << 31}, // would wrap the int32 counters
+		// Non-finite floats: NaN fails every comparison, so a plain
+		// negative check passed it and the drive scheduled into the past.
+		{Alpha: time.Millisecond, Rho: math.NaN(), CSPerProcess: 10},
+		{Alpha: time.Millisecond, Rho: math.Inf(1), CSPerProcess: 10},
+		{Alpha: time.Millisecond, Rho: 5, CSPerProcess: 10, HotSkew: math.NaN()},
+		{Alpha: time.Millisecond, Rho: 5, CSPerProcess: 10, HotSkew: math.Inf(1)},
+		{Alpha: time.Millisecond, CSPerProcess: 10, Phases: []Phase{{Rho: 1, Until: time.Second}, {Rho: math.NaN()}}},
+		{Alpha: time.Millisecond, CSPerProcess: 10, Phases: []Phase{{Rho: math.Inf(1)}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -603,34 +612,73 @@ func TestAppProcLayout(t *testing.T) {
 	}
 }
 
-// TestBindAllocsFlat: Bind allocates the record slice and the record
-// buffer once, so binding 1,000 applications costs as many objects as
-// binding 10.
+// bindApps returns n applications on even IDs over one stub lock.
+func bindApps(n int) []core.App {
+	lock := &stubLock{holder: mutex.None}
+	apps := make([]core.App, n)
+	for i := range apps {
+		apps[i] = core.App{ID: mutex.ID(2 * i), Cluster: i % 3, Instance: stubInst{lock, mutex.ID(2 * i)}}
+	}
+	return apps
+}
+
+// newBound is NewRunner+Bind over apps, with a discarding sink when sink
+// is set.
+func newBound(t testing.TB, apps []core.App, cs int, sink bool) *Runner {
+	r, err := NewRunner(des.New(), Params{Alpha: time.Millisecond, Rho: 1, CSPerProcess: cs}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink {
+		r.OnGrant(func(Record) {})
+	}
+	r.Bind(apps)
+	return r
+}
+
+// TestBindAllocsFlat: Bind allocates the per-id procs slice once, so
+// binding 1,000 applications costs as many objects as binding 10.
 func TestBindAllocsFlat(t *testing.T) {
 	bind := func(n int) float64 {
-		lock := &stubLock{holder: mutex.None}
-		apps := make([]core.App, n)
-		for i := range apps {
-			apps[i] = core.App{ID: mutex.ID(2 * i), Cluster: i % 3, Instance: stubInst{lock, mutex.ID(2 * i)}}
-		}
-		return testing.AllocsPerRun(20, func() {
-			r, err := NewRunner(des.New(), Params{Alpha: time.Millisecond, Rho: 1, CSPerProcess: 3}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Bind(apps)
-		})
+		apps := bindApps(n)
+		return testing.AllocsPerRun(20, func() { newBound(t, apps, 3, false) })
 	}
 	if small, large := bind(10), bind(1000); small != large {
 		t.Errorf("NewRunner+Bind allocates %.0f objects for 10 apps and %.0f for 1,000, want the same", small, large)
 	}
 }
 
+// TestBindAllocsIndependentOfCS: Bind reserves nothing for grants that have
+// not happened, so binding for 3 critical sections per process and for
+// 2^30 takes the same bytes, with a sink and without. At f612bf1, which
+// sized an apps × CS record buffer without a sink, the second asked for
+// 40 GiB per application.
+func TestBindAllocsIndependentOfCS(t *testing.T) {
+	apps := bindApps(10)
+	bytes := func(cs int, sink bool) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			newBound(t, apps, cs, sink)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for _, sink := range []bool{false, true} {
+		if few, many := bytes(3, sink), bytes(1<<30, sink); few != many {
+			t.Errorf("sink %v: NewRunner+Bind allocates %d bytes at 3 critical sections per process and %d at 2^30, want the same",
+				sink, few, many)
+		}
+	}
+}
+
 // TestGrantSink: with a sink set before Bind, every grant reaches it in
-// grant order and nothing is buffered — Records stays nil, Grants counts the
-// full run, and Bind allocates strictly fewer objects than with the apps ×
-// CS record buffer, still flat in N. Without a sink the buffer holds the
-// same grants.
+// grant order and nothing is buffered — Records stays nil and Grants counts
+// the full run. Without a sink the list holds the same grants. Bind
+// allocates the same objects either way, flat in N, and leaves Records
+// without capacity: the list grows only as grants happen.
 func TestGrantSink(t *testing.T) {
 	params := Params{Alpha: 2 * time.Millisecond, Rho: 10, CSPerProcess: 12, Seed: 3}
 	want := runFlat(t, params, Exponential).Records()
@@ -665,27 +713,16 @@ func TestGrantSink(t *testing.T) {
 	}
 
 	bind := func(n int, sink bool) float64 {
-		lock := &stubLock{holder: mutex.None}
-		apps := make([]core.App, n)
-		for i := range apps {
-			apps[i] = core.App{ID: mutex.ID(i), Instance: stubInst{lock, mutex.ID(i)}}
-		}
-		discard := func(Record) {}
-		return testing.AllocsPerRun(20, func() {
-			r, err := NewRunner(des.New(), Params{Alpha: time.Millisecond, Rho: 1, CSPerProcess: 3}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sink {
-				r.OnGrant(discard)
-			}
-			r.Bind(apps)
-		})
+		apps := bindApps(n)
+		return testing.AllocsPerRun(20, func() { newBound(t, apps, 3, sink) })
 	}
 	small, large, buffering := bind(10, true), bind(1000, true), bind(1000, false)
-	if small != large || large >= buffering {
-		t.Errorf("NewRunner+OnGrant+Bind allocates %.0f objects for 10 apps and %.0f for 1,000, and %.0f without the sink: want flat and fewer",
+	if small != large || large != buffering {
+		t.Errorf("NewRunner+OnGrant+Bind allocates %.0f objects for 10 apps and %.0f for 1,000, and %.0f without the sink: want the same",
 			small, large, buffering)
+	}
+	if c := cap(newBound(t, bindApps(1000), 3, false).Records()); c != 0 {
+		t.Errorf("Bind reserved %d records before any grant, want 0", c)
 	}
 }
 
