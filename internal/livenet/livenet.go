@@ -48,10 +48,10 @@ type Network struct {
 type linkKey struct{ from, to mutex.ID }
 
 type transfer struct {
-	from  mutex.ID
-	to    mutex.ID
-	m     mutex.Message
-	delay time.Duration
+	from mutex.ID
+	to   mutex.ID
+	m    mutex.Message
+	due  time.Time // send time plus the link latency; zero for no latency
 }
 
 // proc is one registered process: a handler plus its serial mailbox.
@@ -156,12 +156,13 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 		n.mu.Unlock()
 		panic(fmt.Sprintf("livenet: message %s from %d to unregistered process %d", m.Kind(), from, to))
 	}
-	var delay time.Duration
+	var due time.Time
 	if n.opts.Latency != nil {
-		delay = n.opts.Latency(n.nodeOf[from], n.nodeOf[to])
+		delay := n.opts.Latency(n.nodeOf[from], n.nodeOf[to])
 		if n.opts.Scale > 1 {
 			delay /= time.Duration(n.opts.Scale)
 		}
+		due = time.Now().Add(delay)
 	}
 	key := linkKey{from, to}
 	ch, ok := n.links[key]
@@ -177,15 +178,16 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message) {
 	n.senders.Add(1)
 	n.mu.Unlock()
 	defer n.senders.Done()
-	ch <- transfer{from: from, to: to, m: m, delay: delay}
+	ch <- transfer{from: from, to: to, m: m, due: due}
 }
 
-// runLink delivers one link's messages in order, sleeping each message's
-// latency. Because a link is serial, sleeping preserves FIFO exactly.
+// runLink delivers one link's messages in order, each no earlier than its
+// due time: messages queued together are in flight together, and a link is
+// serial, so it stays FIFO.
 func (n *Network) runLink(ch chan transfer) {
 	for t := range ch {
-		if t.delay > 0 {
-			time.Sleep(t.delay)
+		if wait := time.Until(t.due); wait > 0 {
+			time.Sleep(wait)
 		}
 		n.mu.Lock()
 		p, ok := n.nodes[t.to]

@@ -299,3 +299,32 @@ func TestLatencyScale(t *testing.T) {
 		t.Fatal("no delivery")
 	}
 }
+
+// TestQueuedMessagesShareTheLatency: messages sent back to back on one link
+// are in flight together, so each arrives one latency after its own send,
+// not after the one before it, and the link stays FIFO.
+func TestQueuedMessagesShareTheLatency(t *testing.T) {
+	const n, latency = 10, 20 * time.Millisecond
+	net := New(Options{Latency: func(a, b int) time.Duration { return latency }})
+	defer net.Close()
+	got := make(chan int, n)
+	net.RegisterAt(0, 0, handlerFunc(func(mutex.ID, mutex.Message) {}))
+	net.RegisterAt(1, 0, handlerFunc(func(_ mutex.ID, m mutex.Message) { got <- m.(testMsg).seq }))
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		net.Endpoint(0).Send(1, testMsg{i})
+	}
+	for want := 0; want < n; want++ {
+		select {
+		case i := <-got:
+			if i != want {
+				t.Fatalf("message %d arrived in place %d", i, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never arrived", want)
+		}
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("%d messages at %v latency took %v to arrive, want within 100ms", n, latency, d)
+	}
+}

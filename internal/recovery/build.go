@@ -237,8 +237,6 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 	if err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	intraOpts, interOpts := bopts.Intra.withDefaults(), bopts.Inter.withDefaults()
-
 	down := func(id mutex.ID) func() bool {
 		if bopts.NodeDown == nil {
 			return nil
@@ -286,7 +284,13 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 		interIDs = append(interIDs, mutex.ID(nodes[0]), mutex.ID(nodes[1]))
 	}
 	sort.Slice(interIDs, func(i, j int) bool { return interIDs[i] < interIDs[j] })
-	interHolder := mutex.ID(grid.NodesIn(0)[0])
+	inter, err := NewGroup(GroupConfig{
+		Name: "inter", Members: interIDs, Holder: mutex.ID(grid.NodesIn(0)[0]),
+		Factory: interF, Clock: clock, Opts: bopts.Inter,
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Every node but each cluster's primary and standby is an application
 	// process.
@@ -304,6 +308,13 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 		coord := core.NewCoordinator(primary)
 		sb := &Standby{id: standbyID, primary: primary, cluster: c, d: d}
 		group := fmt.Sprintf("intra%d", c)
+		g, err := NewGroup(GroupConfig{
+			Name: group, Members: members, Holder: primary, Factory: intraF, Clock: clock,
+			HolderPrefs: []mutex.ID{primary, standbyID}, Opts: bopts.Intra,
+		})
+		if err != nil {
+			return nil, err
+		}
 		for _, id := range members {
 			proc := core.NewProcess(id, fab.Endpoint(id))
 			d.Procs[id] = proc
@@ -324,15 +335,11 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 					cbs = appCB(id)
 				}
 			}
-			m, err := NewMember(Config{
-				Group: group, Self: id, Members: members, Holder: primary,
-				Factory: intraF, Env: proc.Env(0), Clock: clock,
-				Callbacks:   cbs,
-				HolderPrefs: []mutex.ID{primary, standbyID},
+			m, err := g.NewMember(MemberConfig{
+				Self: id, Env: proc.Env(0), Callbacks: cbs,
 				CrashedSelf: down(id),
 				OnEpoch:     chain(observe(group, id), onRole),
 				OnRejoin:    chain(onRejoin, observeRejoin(group, id)),
-				Opts:        intraOpts,
 			})
 			if err != nil {
 				return nil, err
@@ -364,15 +371,12 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 			if !standbySide {
 				cbs = d.Coordinators[c].InterCallbacks()
 			}
-			m, err := NewMember(Config{
-				Group: "inter", Self: id, Members: interIDs, Holder: interHolder,
-				Factory: interF, Env: d.Procs[id].Env(1), Clock: clock,
-				Callbacks:   cbs,
+			m, err := inter.NewMember(MemberConfig{
+				Self: id, Env: d.Procs[id].Env(1), Callbacks: cbs,
 				CrashedSelf: down(id),
 				OnEpoch:     observe("inter", id),
 				OnRejoin:    observeRejoin("inter", id),
 				OnMinority:  func(entered bool) { sb.onMinority(standbySide, entered) },
-				Opts:        interOpts,
 			})
 			if err != nil {
 				return nil, err
@@ -385,8 +389,7 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 				sb.priInter = m
 				// Start the primary's automaton on its serial context,
 				// exactly like core's builder.
-				coord, intraM := d.Coordinators[c], d.memberOf(id, 0)
-				interM := m
+				coord, intraM, interM := d.Coordinators[c], sb.priIntra, m
 				d.Procs[id].Env(0).Local(func() { coord.Start(intraM, interM) })
 			}
 		}
@@ -396,17 +399,6 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 		m.Start()
 	}
 	return d, nil
-}
-
-// memberOf finds the already-built member hosted by proc id at the given
-// level (its Attach slot).
-func (d *Deployment) memberOf(id mutex.ID, level core.Level) *Member {
-	inst := d.Procs[id].Instance(level)
-	m, ok := inst.(*Member)
-	if !ok {
-		panic(fmt.Sprintf("recovery: process %d level %d is %T", id, level, inst))
-	}
-	return m
 }
 
 // StaggeredTimeouts returns detector options for a heartbeat period and a

@@ -62,7 +62,7 @@
 // rebuilds the joiner's algorithm instance from the shared configuration
 // (the resync — sparse request arrays and parent pointers are
 // reconstructed consistently everywhere because every member rebuilds
-// from the same membership and holder), fires Config.OnRejoin so the
+// from the same membership and holder), fires MemberConfig.OnRejoin so the
 // composition layer can re-couple the bridge automaton, and ends the
 // rejoining state. A joiner is always admitted state-less: amnesia
 // cleared its claims, so its zero-valued census answer is truthful.
@@ -80,7 +80,7 @@
 // minority-frozen member discards its instance (stopping local grants —
 // new owner requests are recorded in owner state, a queue bounded by one
 // request per member), forfeits a critical-section claim through
-// Config.OnMinority so the composition bridge can park, and beacons
+// MemberConfig.OnMinority so the composition bridge can park, and beacons
 // Rejoin like a restarted node. On heal the majority leader re-admits
 // the strays through the join path; the resync epoch re-issues recorded
 // requests, so the frozen queue drains in membership order, and
@@ -249,25 +249,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Config wires one Member.
-type Config struct {
-	// Group names the group, for observers and tracing.
-	Group string
-	// Self, Members, Holder describe the initial epoch exactly like a
+// GroupConfig describes one recovery group: what every member shares.
+type GroupConfig struct {
+	// Name names the group, for observers and tracing.
+	Name string
+	// Members and Holder describe the initial epoch exactly like a
 	// mutex.Config.
-	Self    mutex.ID
 	Members []mutex.ID
 	Holder  mutex.ID
 	// Factory builds the underlying algorithm instance, once per epoch.
 	Factory mutex.Factory
-	// Env is the group's network endpoint (for a composed process, the
-	// per-level env of its core.Process).
-	Env mutex.Env
 	// Clock drives heartbeats and timeouts.
 	Clock Clock
-	// Callbacks are the owner's callbacks; SetCallbacks can replace them
-	// later (standby takeover).
-	Callbacks mutex.Callbacks
 	// HolderPrefs, when non-empty, restricts token regeneration to these
 	// members in preference order; if none survives, the group freezes.
 	// Empty means "lowest-id live member" — safe only when any member may
@@ -275,6 +268,62 @@ type Config struct {
 	// groups, whose token must stay with a coordinator when no
 	// application holds it).
 	HolderPrefs []mutex.ID
+	// Opts tunes the failure detector.
+	Opts Options
+}
+
+// Group is what the members of one recovery group share, built once by
+// NewGroup and only read afterwards: every Member of the group points at it.
+type Group struct {
+	name    string
+	members []mutex.ID // the configured membership, sorted
+	// pos[id-members[0]] is id's index in members, or -1 for an id in the
+	// span that is not a member.
+	pos     []int32
+	holder  mutex.ID // of the initial epoch
+	factory mutex.Factory
+	clock   Clock
+	prefs   []mutex.ID // HolderPrefs
+	opts    Options    // with defaults applied
+}
+
+// NewGroup checks a group's configuration and builds its shared state.
+func NewGroup(cfg GroupConfig) (*Group, error) {
+	if cfg.Factory == nil {
+		return nil, fmt.Errorf("recovery: nil factory")
+	}
+	if cfg.Clock == nil {
+		return nil, fmt.Errorf("recovery: nil clock")
+	}
+	if len(cfg.Members) == 0 {
+		return nil, fmt.Errorf("recovery: empty membership")
+	}
+	members := slices.Clone(cfg.Members)
+	slices.Sort(members)
+	g := &Group{
+		name: cfg.Name, members: members, holder: cfg.Holder, factory: cfg.Factory,
+		clock: cfg.Clock, prefs: cfg.HolderPrefs, opts: cfg.Opts.withDefaults(),
+		pos: make([]int32, members[len(members)-1]-members[0]+1),
+	}
+	for i := range g.pos {
+		g.pos[i] = -1
+	}
+	for i, id := range members {
+		g.pos[id-members[0]] = int32(i)
+	}
+	return g, nil
+}
+
+// MemberConfig wires one member of a group: what it owns alone.
+type MemberConfig struct {
+	// Self is the member's participant id, one of the group's Members.
+	Self mutex.ID
+	// Env is the group's network endpoint (for a composed process, the
+	// per-level env of its core.Process).
+	Env mutex.Env
+	// Callbacks are the owner's callbacks; SetCallbacks can replace them
+	// later (standby takeover).
+	Callbacks mutex.Callbacks
 	// CrashedSelf, when non-nil, reports whether this member's own node is
 	// currently crashed — the oracle that keeps a dead node's virtual
 	// timers from doing protocol work (simnet already suppresses its
@@ -299,8 +348,6 @@ type Config struct {
 	// application-owned members: they keep their claim, which is safe
 	// because a group without a majority anywhere never regenerates.
 	OnMinority func(entered bool)
-	// Opts tunes the failure detector.
-	Opts Options
 }
 
 // Stats counts recovery activity of one member.
@@ -369,28 +416,23 @@ type peer struct {
 // epoch and the failure detector that advances epochs. All entry points
 // run on the owner's serial context (DES event handlers).
 type Member struct {
-	cfg  Config
-	opts Options
+	g   *Group
+	cfg MemberConfig // Callbacks replaced by SetCallbacks
 
 	epoch  Epoch
 	live   []mutex.ID // sorted membership of the current epoch
 	holder mutex.ID   // initial holder of the current epoch
 	inner  mutex.Instance
-	cbs    mutex.Callbacks
 
 	owner            ownerState
 	suppressAcquire  bool
 	releaseOnAcquire bool
 
 	// Detector state, dense — a delivered heartbeat costs two loads, not
-	// three hashed lookups: members is the configured membership, sorted
-	// and never written again, peers[i] the state of members[i], and
-	// pos[id-members[0]] is i, or -1 for an id in the span that is not a
-	// member.
-	members []mutex.ID
-	peers   []peer
-	pos     []int32
-	tickFn  func() // m.tick, bound once: re-arming allocates no method value
+	// three hashed lookups: peers[i] is the state of the group's members[i],
+	// found through its pos table.
+	peers  []peer
+	tickFn func() // m.tick, bound once: re-arming allocates no method value
 
 	probing bool
 	round   uint32
@@ -414,39 +456,20 @@ type Member struct {
 	stats Stats
 }
 
-// NewMember builds a member and its initial-epoch algorithm instance.
+// NewMember builds a member of g and its initial-epoch algorithm instance.
 // Call Start to begin heartbeating.
-func NewMember(cfg Config) (*Member, error) {
-	if cfg.Factory == nil {
-		return nil, fmt.Errorf("recovery: nil factory")
-	}
+func (g *Group) NewMember(cfg MemberConfig) (*Member, error) {
 	if cfg.Env == nil {
 		return nil, fmt.Errorf("recovery: nil env")
 	}
-	if cfg.Clock == nil {
-		return nil, fmt.Errorf("recovery: nil clock")
-	}
-	if len(cfg.Members) == 0 {
-		return nil, fmt.Errorf("recovery: empty membership")
-	}
 	m := &Member{
-		cfg:     cfg,
-		opts:    cfg.Opts.withDefaults(),
-		epoch:   Epoch{Seq: 0, Leader: mutex.None},
-		holder:  cfg.Holder,
-		cbs:     cfg.Callbacks,
-		members: slices.Clone(cfg.Members),
-		peers:   make([]peer, len(cfg.Members)),
+		g:      g,
+		cfg:    cfg,
+		epoch:  Epoch{Seq: 0, Leader: mutex.None},
+		holder: g.holder,
+		peers:  make([]peer, len(g.members)),
 	}
-	slices.Sort(m.members)
-	m.pos = make([]int32, m.members[len(m.members)-1]-m.members[0]+1)
-	for i := range m.pos {
-		m.pos[i] = -1
-	}
-	for i, id := range m.members {
-		m.pos[id-m.members[0]] = int32(i)
-	}
-	m.setLive(m.members)
+	m.setLive(g.members)
 	if err := m.buildInner(); err != nil {
 		return nil, err
 	}
@@ -457,7 +480,7 @@ func NewMember(cfg Config) (*Member, error) {
 func (m *Member) ID() mutex.ID { return m.cfg.Self }
 
 // Group returns the configured group name.
-func (m *Member) Group() string { return m.cfg.Group }
+func (m *Member) Group() string { return m.g.name }
 
 // Epoch returns the current epoch.
 func (m *Member) Epoch() Epoch { return m.epoch }
@@ -473,16 +496,16 @@ func (m *Member) Stats() Stats {
 
 // SetCallbacks replaces the owner callbacks — the hook a standby
 // coordinator uses when it takes over a crashed primary's groups.
-func (m *Member) SetCallbacks(cbs mutex.Callbacks) { m.cbs = cbs }
+func (m *Member) SetCallbacks(cbs mutex.Callbacks) { m.cfg.Callbacks = cbs }
 
 // Start begins heartbeating and failure detection.
 func (m *Member) Start() {
 	if m.started {
-		panic(fmt.Sprintf("recovery: member %d of %s started twice", m.cfg.Self, m.cfg.Group))
+		panic(fmt.Sprintf("recovery: member %d of %s started twice", m.cfg.Self, m.g.name))
 	}
 	m.started = true
 	m.tickFn = m.tick
-	m.cfg.Clock.After(m.opts.Period, m.tickFn)
+	m.g.clock.After(m.g.opts.Period, m.tickFn)
 }
 
 // Stop halts the detector: the current tick chain ends and no further
@@ -494,7 +517,7 @@ func (m *Member) Stop() { m.stopped = true }
 // local upcalls are ignored and its late sends dropped by receivers.
 func (m *Member) buildInner() error {
 	e := m.epoch
-	inst, err := m.cfg.Factory(mutex.Config{
+	inst, err := m.g.factory(mutex.Config{
 		Self:    m.cfg.Self,
 		Members: m.live,
 		Holder:  m.holder,
@@ -506,14 +529,14 @@ func (m *Member) buildInner() error {
 				}
 			},
 			OnPending: func() {
-				if m.epoch == e && m.cbs.OnPending != nil {
-					m.cbs.OnPending()
+				if m.epoch == e && m.cfg.Callbacks.OnPending != nil {
+					m.cfg.Callbacks.OnPending()
 				}
 			},
 		},
 	})
 	if err != nil {
-		return fmt.Errorf("recovery: %s instance for %d in %v: %w", m.cfg.Group, m.cfg.Self, e, err)
+		return fmt.Errorf("recovery: %s instance for %d in %v: %w", m.g.name, m.cfg.Self, e, err)
 	}
 	m.inner = inst
 	return nil
@@ -548,18 +571,18 @@ func (m *Member) onInnerAcquire() {
 		return
 	}
 	if m.owner != ownerRequested {
-		panic(fmt.Sprintf("recovery: member %d of %s granted with owner state %d", m.cfg.Self, m.cfg.Group, m.owner))
+		panic(fmt.Sprintf("recovery: member %d of %s granted with owner state %d", m.cfg.Self, m.g.name, m.owner))
 	}
 	m.owner = ownerInCS
-	if m.cbs.OnAcquire != nil {
-		m.cbs.OnAcquire()
+	if m.cfg.Callbacks.OnAcquire != nil {
+		m.cfg.Callbacks.OnAcquire()
 	}
 }
 
 // Request implements mutex.Instance.
 func (m *Member) Request() {
 	if m.owner != ownerIdle {
-		panic(fmt.Sprintf("recovery: member %d of %s requested in owner state %d", m.cfg.Self, m.cfg.Group, m.owner))
+		panic(fmt.Sprintf("recovery: member %d of %s requested in owner state %d", m.cfg.Self, m.g.name, m.owner))
 	}
 	m.owner = ownerRequested
 	if m.inner != nil {
@@ -572,7 +595,7 @@ func (m *Member) Request() {
 // Release implements mutex.Instance.
 func (m *Member) Release() {
 	if m.owner != ownerInCS {
-		panic(fmt.Sprintf("recovery: member %d of %s released in owner state %d", m.cfg.Self, m.cfg.Group, m.owner))
+		panic(fmt.Sprintf("recovery: member %d of %s released in owner state %d", m.cfg.Self, m.g.name, m.owner))
 	}
 	m.owner = ownerIdle
 	if m.inner == nil {
@@ -595,7 +618,7 @@ func (m *Member) Release() {
 // serving an application.
 func (m *Member) AdoptCS() {
 	if m.owner != ownerIdle {
-		panic(fmt.Sprintf("recovery: member %d of %s adopted CS in owner state %d", m.cfg.Self, m.cfg.Group, m.owner))
+		panic(fmt.Sprintf("recovery: member %d of %s adopted CS in owner state %d", m.cfg.Self, m.g.name, m.owner))
 	}
 	m.owner = ownerInCS
 	if m.inner != nil && m.inner.State() == mutex.NoReq {
@@ -633,7 +656,7 @@ func (m *Member) tick() {
 	}
 	if m.down() {
 		m.wasDown = true
-		m.cfg.Clock.After(m.opts.Period, m.tickFn)
+		m.g.clock.After(m.g.opts.Period, m.tickFn)
 		return
 	}
 	if m.wasDown {
@@ -650,13 +673,13 @@ func (m *Member) tick() {
 		m.stats.HeartbeatsSent++
 	}
 	if !m.frozen && !m.rejoining {
-		now := m.cfg.Clock.Now()
+		now := m.g.clock.Now()
 		for _, id := range m.live {
 			p := m.peerOf(id)
 			if id == m.cfg.Self || p.suspect {
 				continue
 			}
-			if time.Duration(now-p.heardAt) > m.opts.Timeout {
+			if time.Duration(now-p.heardAt) > m.g.opts.Timeout {
 				p.suspect = true
 				m.stats.Suspicions++
 			}
@@ -667,7 +690,7 @@ func (m *Member) tick() {
 		// minority-frozen member, and any member left without an
 		// instance (false-suspicion exclusion, even-split thaw) all
 		// need an epoch to fold them back in.
-		for _, id := range m.cfg.Members {
+		for _, id := range m.g.members {
 			if id != m.cfg.Self {
 				m.cfg.Env.Send(id, Rejoin{})
 			}
@@ -702,7 +725,7 @@ func (m *Member) tick() {
 			m.startRound()
 		}
 	}
-	m.cfg.Clock.After(m.opts.Period, m.tickFn)
+	m.g.clock.After(m.g.opts.Period, m.tickFn)
 }
 
 // amnesia resets the member on the down→up edge: every piece of protocol
@@ -726,14 +749,15 @@ func (m *Member) amnesia() {
 	m.acks = nil
 	m.targets = m.targets[:0]
 	m.pendingJoin = nil
-	m.setLive(m.members)
+	m.setLive(m.g.members)
 }
 
 // peerOf returns the detector state of a configured member, nil for any
 // other id.
 func (m *Member) peerOf(id mutex.ID) *peer {
-	if i := int(id - m.members[0]); i >= 0 && i < len(m.pos) && m.pos[i] >= 0 {
-		return &m.peers[m.pos[i]]
+	g := m.g
+	if i := int(id - g.members[0]); i >= 0 && i < len(g.pos) && g.pos[i] >= 0 {
+		return &m.peers[g.pos[i]]
 	}
 	return nil
 }
@@ -744,7 +768,7 @@ func (m *Member) peerOf(id mutex.ID) *peer {
 func (m *Member) setLive(ids []mutex.ID) {
 	m.live = ids
 	clear(m.peers)
-	now := m.cfg.Clock.Now()
+	now := m.g.clock.Now()
 	for _, id := range ids {
 		// Never nil: epochs are censused from live members and Rejoin
 		// senders of this group, all configured with the same membership.
@@ -802,7 +826,7 @@ func (m *Member) exitMinority() {
 
 // joinFresh reports whether a pending joiner is still beaconing.
 func (m *Member) joinFresh(b joinBid) bool {
-	return time.Duration(m.cfg.Clock.Now()-b.last) <= m.opts.Timeout
+	return time.Duration(m.g.clock.Now()-b.last) <= m.g.opts.Timeout
 }
 
 // joinReady reports whether a pending joiner's cooldown has elapsed: one
@@ -810,7 +834,7 @@ func (m *Member) joinFresh(b joinBid) bool {
 // in particular the staggered intra-before-inter reconstruction of
 // critical-section claims — finishes before the joiner is folded in.
 func (m *Member) joinReady(b joinBid) bool {
-	return time.Duration(m.cfg.Clock.Now()-b.first) >= m.opts.Timeout
+	return time.Duration(m.g.clock.Now()-b.first) >= m.g.opts.Timeout
 }
 
 func (m *Member) anyJoinReady() bool {
@@ -863,7 +887,7 @@ func (m *Member) heard(from mutex.ID) {
 		// group, and only the Rejoin beacon path admits anyone.
 		return
 	}
-	p.heardAt = m.cfg.Clock.Now()
+	p.heardAt = m.g.clock.Now()
 	if p.suspect && !m.probing {
 		// A false suspicion cleared before any round acted on it.
 		p.suspect = false
@@ -879,7 +903,7 @@ func (m *Member) fence() {
 	m.fenced = true
 	m.fenceGen++
 	gen := m.fenceGen
-	m.cfg.Clock.After(m.opts.ProbeTimeout+m.opts.Timeout, func() {
+	m.g.clock.After(m.g.opts.ProbeTimeout+m.g.opts.Timeout, func() {
 		if m.stopped || !m.fenced || gen != m.fenceGen {
 			return
 		}
@@ -926,7 +950,7 @@ func (m *Member) startRound() {
 		m.cfg.Env.Send(id, Probe{Round: m.round, E: m.epoch})
 	}
 	round := m.round
-	m.cfg.Clock.After(m.opts.ProbeTimeout, func() { m.roundTimeout(round) })
+	m.g.clock.After(m.g.opts.ProbeTimeout, func() { m.roundTimeout(round) })
 }
 
 func (m *Member) roundTimeout(round uint32) {
@@ -1020,9 +1044,9 @@ func (m *Member) finishRound() {
 	// application still holds the token, or the applications would keep
 	// circulating the intra token with nothing coupling them to the inter
 	// level.
-	if len(m.cfg.HolderPrefs) > 0 {
+	if len(m.g.prefs) > 0 {
 		prefAlive := false
-		for _, p := range m.cfg.HolderPrefs {
+		for _, p := range m.g.prefs {
 			if containsID(newLive, p) {
 				prefAlive = true
 				break
@@ -1057,8 +1081,8 @@ func (m *Member) finishRound() {
 	}
 	if holder == mutex.None {
 		// The token died with a crashed node: regenerate deterministically.
-		if len(m.cfg.HolderPrefs) > 0 {
-			for _, p := range m.cfg.HolderPrefs {
+		if len(m.g.prefs) > 0 {
+			for _, p := range m.g.prefs {
 				if containsID(newLive, p) {
 					holder = p
 					break
@@ -1188,7 +1212,7 @@ func (m *Member) Deliver(from mutex.ID, msg mutex.Message) {
 			// This member needs re-admission itself; it can't grant any.
 			return
 		}
-		now := m.cfg.Clock.Now()
+		now := m.g.clock.Now()
 		b, ok := m.pendingJoin[from]
 		if !ok || !m.joinFresh(b) {
 			// First beacon (or beacons lapsed — the joiner died again):
@@ -1246,7 +1270,7 @@ func (m *Member) Deliver(from mutex.ID, msg mutex.Message) {
 			m.stats.StaleDropped++
 		}
 	default:
-		panic(fmt.Sprintf("recovery: member %d of %s received %T", m.cfg.Self, m.cfg.Group, msg))
+		panic(fmt.Sprintf("recovery: member %d of %s received %T", m.cfg.Self, m.g.name, msg))
 	}
 }
 

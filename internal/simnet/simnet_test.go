@@ -770,21 +770,27 @@ func TestRecordsNeverMove(t *testing.T) {
 // — a process's record and its cluster index.
 // A process×process FIFO table alone would be 8·N bytes per node: 1,512 at
 // 189 nodes, 15,120 at 1,890.
+// TotalAlloc is process-wide, so another goroutine's allocations can land
+// in a build's window: the least of five fresh builds is the build's own.
 func TestBuildBytesPerNode(t *testing.T) {
 	h := HandlerFunc(func(mutex.ID, mutex.Message) {})
 	for _, per := range []int{21, 210} {
 		g := topology.Grid5000(per)
 		nodes := g.NumNodes()
-		sim := des.New()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		n := New(sim, g, Options{})
-		for id := 0; id < nodes; id++ {
-			n.Register(mutex.ID(id), h)
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			sim := des.New()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n := New(sim, g, Options{})
+			for id := 0; id < nodes; id++ {
+				n.Register(mutex.ID(id), h)
+			}
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(n)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(n)
-		if perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(nodes); perNode > 100 {
+		if perNode := float64(least) / float64(nodes); perNode > 100 {
 			t.Errorf("%d nodes: New and Register allocate %.0f bytes per node, want <= 100", nodes, perNode)
 		} else {
 			t.Logf("%d nodes: %.0f bytes per node", nodes, perNode)
