@@ -103,12 +103,12 @@ func TestBuildFlatAllocsPerProcess(t *testing.T) {
 func TestArenaExhaustionPanics(t *testing.T) {
 	net := simnet.New(des.New(), topology.Single(2, time.Millisecond), simnet.Options{})
 	d := &Deployment{}
-	d.reserve(1)
-	d.newProcess(0, net.Endpoint(0))
+	d.Reserve(1)
+	d.Register(net, 0, 0)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "process 1 exceeds the 1 reserved") {
 			t.Errorf("second process in a one-slot arena: recovered %q, want the under-count panic", msg)
 		}
 	}()
-	d.newProcess(1, net.Endpoint(1))
+	d.Register(net, 1, 1)
 }

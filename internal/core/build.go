@@ -46,35 +46,37 @@ type Deployment struct {
 	// arena backs the Process values contiguously: one slab sized up front
 	// instead of N heap objects (DESIGN.md §14). Pointers into it are
 	// stable because the builders reserve the exact process count, and
-	// running out is a wiring bug newProcess panics on.
+	// running out is a wiring bug Register panics on.
 	arena []Process
 	// boxes is the envelope freelist all its processes share, an object of
 	// its own so that they do not keep the Deployment alive.
 	boxes *[]*pooledEnvelope
 }
 
-// reserve sizes the arena and Procs for n processes; must run before
-// newProcess. Procs is made at its final capacity: grown by append, one id
+// Reserve sizes the arena and Procs for n processes; must run before
+// Register. Procs is made at its final capacity: grown by append, one id
 // at a time, it would leave a chain of dead arrays behind the live one.
-func (d *Deployment) reserve(n int) {
+func (d *Deployment) Reserve(n int) {
 	d.arena, d.boxes = make([]Process, 0, n), new([]*pooledEnvelope)
 	d.Procs = make([]*Process, 0, n)
 }
 
-// newProcess carves a process out of the arena and records it in the dense
-// Procs table. An exhausted arena panics: the builder reserved fewer
-// processes than it creates, a wiring bug like registering an ID twice.
-func (d *Deployment) newProcess(id mutex.ID, raw mutex.Env) *Process {
+// Register carves process id out of the arena, records it in the dense
+// Procs table and registers it on fab at topology node. An exhausted arena
+// panics: the builder reserved fewer processes than it creates, a wiring
+// bug like registering an ID twice.
+func (d *Deployment) Register(fab mutex.Fabric, id mutex.ID, node int) *Process {
 	if len(d.arena) == cap(d.arena) {
 		panic(fmt.Sprintf("core: process %d exceeds the %d reserved: the builder under-counted its processes", id, cap(d.arena)))
 	}
 	d.arena = d.arena[:len(d.arena)+1]
 	p := &d.arena[len(d.arena)-1]
-	p.init(id, raw, d.boxes)
+	p.init(id, fab.Endpoint(id), d.boxes)
 	for int(id) >= len(d.Procs) {
 		d.Procs = append(d.Procs, nil)
 	}
 	d.Procs[id] = p
+	fab.RegisterAt(id, node, p)
 	return p
 }
 
@@ -109,10 +111,9 @@ func BuildFlat(net mutex.Fabric, grid *topology.Grid, alg string, appCB Callback
 		members[i] = mutex.ID(i)
 	}
 	d := &Deployment{Apps: make([]App, 0, len(members))}
-	d.reserve(len(members))
+	d.Reserve(len(members))
 	for _, id := range members {
-		proc := d.newProcess(id, net.Endpoint(id))
-		net.RegisterAt(id, int(id), proc)
+		proc := d.Register(net, id, int(id))
 		var cbs mutex.Callbacks
 		if appCB != nil {
 			cbs = appCB(id)

@@ -67,7 +67,7 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 	}
 	// Every node but each cluster's first is an application process.
 	d := &Deployment{Apps: make([]App, 0, grid.NumNodes()-grid.NumClusters())}
-	d.reserve(total)
+	d.Reserve(total)
 	nextID := mutex.ID(grid.NumNodes()) // fresh IDs for intermediate coordinators
 
 	// bridge describes one unit's coordinator: the process that holds
@@ -94,8 +94,7 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 		coordID := members[0]
 		br := &bridge{coord: NewCoordinator(coordID), node: nodes[0]}
 		for _, id := range members {
-			proc := d.newProcess(id, net.Endpoint(id))
-			net.RegisterAt(id, int(id), proc)
+			proc := d.Register(net, id, int(id))
 			var cbs mutex.Callbacks
 			if id == coordID {
 				cbs = br.coord.IntraCallbacks()
@@ -134,8 +133,7 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 
 			parentID := nextID
 			nextID++
-			proc := d.newProcess(parentID, net.Endpoint(parentID))
-			net.RegisterAt(parentID, children[0].node, proc)
+			proc := d.Register(net, parentID, children[0].node)
 			parent := &bridge{coord: NewCoordinator(parentID), proc: proc, node: children[0].node}
 
 			members := make([]mutex.ID, 0, len(children)+1)

@@ -86,7 +86,10 @@ const claimed, attaching, attached = 1 << 16, 1 << 18, 1 << 20
 
 func slotLevel(s uint32, i int) Level { return Level(s >> (8 * i)) }
 
-// NewProcess creates a process with the given raw network endpoint.
+// NewProcess creates a process with the given raw network endpoint and an
+// envelope freelist of its own. Builders register theirs through
+// Deployment.Register instead; NewProcess serves callers that drive a
+// process outside any Deployment, such as layer benchmarks and tests.
 func NewProcess(id mutex.ID, raw mutex.Env) *Process {
 	p := new(Process)
 	p.init(id, raw, new([]*pooledEnvelope))

@@ -30,12 +30,11 @@ func TestEnvelopePoolAllocs(t *testing.T) {
 	net := simnet.New(sim, topology.Uniform(2, 2, 2*time.Millisecond, 20*time.Millisecond), simnet.Options{Jitter: 0.2, Seed: 3})
 	const procs = 4
 	d := &Deployment{}
-	d.reserve(procs)
+	d.Reserve(procs)
 	var envs [procs]mutex.Env
 	for i := range envs {
-		p := d.newProcess(mutex.ID(i), net.Endpoint(mutex.ID(i)))
+		p := d.Register(net, mutex.ID(i), i)
 		p.Attach(0, &stubInstance{})
-		net.Register(mutex.ID(i), p)
 		envs[i] = p.Env(0)
 		if p.boxes != d.boxes {
 			t.Fatalf("process %d recycles through its own list, want the deployment's", i)

@@ -439,17 +439,15 @@ func (p *repPartial) digest(r workload.Record) {
 }
 
 // finish takes the run-wide counts from the repetition's outcome: the
-// coordinators' of a composition, the recovery members' of the
-// crash-tolerant deployment.
+// coordinators' of every deployment, and the recovery members' of a
+// crash-tolerant one.
 func (p *repPartial) finish(out run.Outcome) {
 	p.counters, p.queue = out.Counters, out.Queue
 	p.grants, p.events = int64(out.Grants), int64(out.Events)
 	p.switches = out.Switches
-	if out.Core != nil {
-		for _, c := range out.Core.Coordinators {
-			p.handoffs += c.Stats().InterHandoffs
-			p.biasRounds += c.Stats().BiasRounds
-		}
+	for _, c := range out.Core.Coordinators {
+		p.handoffs += c.Stats().InterHandoffs
+		p.biasRounds += c.Stats().BiasRounds
 	}
 	if out.Recovery != nil {
 		members := out.Recovery.Stats()

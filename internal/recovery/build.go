@@ -64,7 +64,8 @@ func (s *Standby) Activated() bool { return s.coord != nil }
 // onIntraEpoch is the takeover trigger, installed as the OnEpoch hook of
 // the standby's intra member: it fires inside the epoch application,
 // before any buffered traffic is flushed, so the new coordinator's
-// callbacks are in place ahead of queued requests.
+// callbacks are in place ahead of queued requests. An epoch that froze
+// boots the automaton too: its boot request stays recorded.
 func (s *Standby) onIntraEpoch(e Epoch, members []mutex.ID, holder mutex.ID) {
 	if s.Activated() || !containsID(members, s.id) {
 		return
@@ -72,24 +73,7 @@ func (s *Standby) onIntraEpoch(e Epoch, members []mutex.ID, holder mutex.ID) {
 	if containsID(members, s.primary) && !s.priPassive {
 		return
 	}
-	c := core.NewCoordinator(s.id)
-	s.coord = c
-	s.intraM.SetCallbacks(c.IntraCallbacks())
-	s.interM.SetCallbacks(c.InterCallbacks())
-	if holder != s.id && holder != mutex.None && holder != s.primary {
-		// The intra token is out with an application process, so the dead
-		// primary was IN: the cluster still owns the global CS right.
-		// Inherit the primary's inter possession as a claim — the inter
-		// census will regenerate the inter token here — and resume the
-		// automaton from IN.
-		s.interM.AdoptCS()
-		c.Adopt(s.intraM, s.interM, core.In)
-		return
-	}
-	// The token was regenerated at the standby (or the epoch froze, in
-	// which case Adopt's request simply stays recorded): the cluster does
-	// not own the CS right, boot normally.
-	c.Adopt(s.intraM, s.interM, core.Booting)
+	s.coord = seat(s.id, s.intraM, s.interM, holder != s.id && holder != mutex.None && holder != s.primary)
 }
 
 // onPrimaryRejoin re-couples the bridge when the restarted primary is
@@ -107,11 +91,27 @@ func (s *Standby) onPrimaryRejoin(e Epoch, members []mutex.ID, holder mutex.ID) 
 		return
 	}
 	s.priPassive = false
-	c := core.NewCoordinator(s.primary)
-	s.d.Coordinators[s.cluster] = c
-	s.priIntra.SetCallbacks(c.IntraCallbacks())
-	s.priInter.SetCallbacks(c.InterCallbacks())
-	c.Adopt(s.priIntra, s.priInter, core.Booting)
+	s.d.Coordinators[s.cluster] = seat(s.primary, s.priIntra, s.priInter, false)
+}
+
+// seat makes the automaton that drives the cluster from process id and
+// adopts id's two members. out says the intra token is out with an
+// application process: the cluster still owns the global CS right, so the
+// inter member claims it (the inter census regenerates the token here) and
+// the automaton resumes from IN; otherwise it boots. Callers record the
+// automaton after Adopt: onMinority, the record's only reader, runs from
+// an inter member's detector events, never inside Adopt.
+func seat(id mutex.ID, intraM, interM *Member, out bool) *core.Coordinator {
+	c := core.NewCoordinator(id)
+	intraM.SetCallbacks(c.IntraCallbacks())
+	interM.SetCallbacks(c.InterCallbacks())
+	if out {
+		interM.AdoptCS()
+		c.Adopt(intraM, interM, core.In)
+	} else {
+		c.Adopt(intraM, interM, core.Booting)
+	}
+	return c
 }
 
 // onStandbyRejoin re-couples the bridge when the restarted standby is
@@ -134,16 +134,7 @@ func (s *Standby) onPrimaryEpoch(e Epoch, members []mutex.ID, holder mutex.ID) {
 	}
 	s.priPassive = false
 	s.coord = nil
-	c := core.NewCoordinator(s.primary)
-	s.d.Coordinators[s.cluster] = c
-	s.priIntra.SetCallbacks(c.IntraCallbacks())
-	s.priInter.SetCallbacks(c.InterCallbacks())
-	if holder != s.primary && holder != mutex.None && holder != s.id {
-		s.priInter.AdoptCS()
-		c.Adopt(s.priIntra, s.priInter, core.In)
-		return
-	}
-	c.Adopt(s.priIntra, s.priInter, core.Booting)
+	s.d.Coordinators[s.cluster] = seat(s.primary, s.priIntra, s.priInter, holder != s.primary && holder != mutex.None && holder != s.id)
 }
 
 // onMinority parks or resumes whichever automaton currently drives the
@@ -169,17 +160,14 @@ func (s *Standby) onMinority(standbySide bool, entered bool) {
 	}
 }
 
-// Deployment is a wired crash-tolerant grid.
+// Deployment is a wired crash-tolerant grid: a core.Deployment whose
+// Apps' instances are recovery Members and whose Coordinators are, in
+// cluster order, the automata of the primaries (replaced when a primary
+// re-coordinates), plus the standbys and the members.
 type Deployment struct {
-	// Apps lists the application processes in ascending ID order; each
-	// Instance is a recovery Member.
-	Apps []core.App
-	// Coordinators lists the primary coordinators, in cluster order.
-	Coordinators []*core.Coordinator
+	core.Deployment
 	// Standbys lists the backup coordinators, in cluster order.
 	Standbys []*Standby
-	// Procs maps process IDs to their dispatchers.
-	Procs map[mutex.ID]*core.Process
 	// Members lists every recovery member in deterministic order (intra
 	// groups by cluster then id, then inter members by id).
 	Members []*Member
@@ -294,10 +282,9 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 
 	// Every node but each cluster's primary and standby is an application
 	// process.
-	d := &Deployment{
-		Apps:  make([]core.App, 0, grid.NumNodes()-2*grid.NumClusters()),
-		Procs: make(map[mutex.ID]*core.Process),
-	}
+	d := &Deployment{}
+	d.Apps = make([]core.App, 0, grid.NumNodes()-2*grid.NumClusters())
+	d.Reserve(grid.NumNodes())
 	for c := 0; c < grid.NumClusters(); c++ {
 		nodes := grid.NodesIn(c)
 		members := make([]mutex.ID, len(nodes))
@@ -316,9 +303,7 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 			return nil, err
 		}
 		for _, id := range members {
-			proc := core.NewProcess(id, fab.Endpoint(id))
-			d.Procs[id] = proc
-			fab.RegisterAt(id, int(id), proc)
+			proc := d.Register(fab, id, int(id))
 			var cbs mutex.Callbacks
 			var onRole, onRejoin func(Epoch, []mutex.ID, mutex.ID)
 			switch id {
@@ -361,11 +346,8 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 
 	// Inter members: one per primary and standby, attached at level 1.
 	var interMembers []*Member
-	for c := 0; c < grid.NumClusters(); c++ {
-		nodes := grid.NodesIn(c)
-		sb := d.Standbys[c]
-		for i, role := range []mutex.ID{mutex.ID(nodes[0]), mutex.ID(nodes[1])} {
-			id := role
+	for c, sb := range d.Standbys {
+		for i, id := range []mutex.ID{sb.primary, sb.id} {
 			standbySide := i == 1
 			var cbs mutex.Callbacks
 			if !standbySide {

@@ -194,12 +194,14 @@ func TestMemberLayout(t *testing.T) {
 }
 
 // TestBuildAllocsPerProcess: Build makes one Group per cluster and one for
-// the inter level, every member points at its group's, and a build of 6
-// clusters of a primary, a standby and 8 applications allocates at most
-// 1,600 bytes per process. It reads 1,471 (1,472 under -race), and 1,902
-// when every member kept its own copy of its group's configuration,
-// membership and id table. TotalAlloc is process-wide, so the least of five
-// builds is the build's own.
+// the inter level, every member points at its group's, every process comes
+// out of the deployment's one arena into a dense Procs table, and a build of
+// 6 clusters of a primary, a standby and 8 applications allocates at most
+// 1,430 bytes per process. It reads 1,383 (1,388 under -race); 1,471 when
+// every process was a heap object of its own in a map beside the arena, and
+// 1,902 when every member also kept its own copy of its group's
+// configuration, membership and id table. TotalAlloc is process-wide, so the
+// least of five builds is the build's own.
 func TestBuildAllocsPerProcess(t *testing.T) {
 	grid := topology.Uniform(6, 10, time.Millisecond, 20*time.Millisecond)
 	intra, inter := StaggeredTimeouts(20*time.Millisecond, 10*time.Millisecond)
@@ -229,8 +231,16 @@ func TestBuildAllocsPerProcess(t *testing.T) {
 	if len(groups) != 7 {
 		t.Errorf("%d groups, want 6 intra and 1 inter", len(groups))
 	}
-	if per := float64(least) / float64(len(d.Procs)); per > 1600 {
-		t.Errorf("Build allocates %.1f bytes per process, want <= 1,600", per)
+	if len(d.Procs) != grid.NumNodes() {
+		t.Errorf("%d processes, want one per node, %d", len(d.Procs), grid.NumNodes())
+	}
+	for i, p := range d.Procs {
+		if p == nil || p.ID() != mutex.ID(i) {
+			t.Fatalf("Procs[%d] is %v, want process %d", i, p, i)
+		}
+	}
+	if per := float64(least) / float64(len(d.Procs)); per > 1430 {
+		t.Errorf("Build allocates %.1f bytes per process, want <= 1,430", per)
 	} else {
 		t.Logf("Build allocates %.1f bytes per process", per)
 	}

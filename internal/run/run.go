@@ -211,8 +211,8 @@ type HolderKill struct {
 // Run is a built simulation, ready to Drive. Between Build and Drive
 // callers may attach observers to the deployment or sample the heap.
 type Run struct {
-	// Core is the deployment of non-recovery systems, Recovery that of
-	// recovery systems; exactly one is set.
+	// Core is the run's deployment. Recovery is set for recovery systems
+	// only, and then Core is its embedded core.Deployment.
 	Core     *core.Deployment
 	Recovery *recovery.Deployment
 	// Tracer is nil unless Spec.TraceCapacity is positive.
@@ -224,7 +224,6 @@ type Run struct {
 	rel     *reliable.Network
 	mon     *check.Monitor
 	runner  *workload.Runner
-	apps    []core.App
 	crashed map[int]bool
 }
 
@@ -310,11 +309,9 @@ func Build(spec Spec) (*Run, error) {
 		return nil, err
 	}
 	if r.Recovery != nil {
-		r.apps = r.Recovery.Apps
-	} else {
-		r.apps = r.Core.Apps
+		r.Core = &r.Recovery.Deployment
 	}
-	r.runner.Bind(r.apps)
+	r.runner.Bind(r.Core.Apps)
 	return r, nil
 }
 
@@ -447,13 +444,12 @@ type Outcome struct {
 	// Trace is the rendered trace ring (empty without TraceCapacity).
 	Trace   string
 	Monitor *check.Monitor
-	// Core, Recovery and Reliable are the run's deployment and reliable
-	// layer, nil when the Spec did not ask for them; Apps lists the
-	// application processes of whichever deployment ran.
+	// Core is the run's deployment; Recovery and Reliable are its
+	// crash-tolerant deployment and reliable layer, nil when the Spec did
+	// not ask for them.
 	Core     *core.Deployment
 	Recovery *recovery.Deployment
 	Reliable *reliable.Network
-	Apps     []core.App
 	// Crashed is the set of nodes down at the end of the run.
 	Crashed map[int]bool
 	// Switches counts committed adaptive algorithm switches.
@@ -480,11 +476,10 @@ func (r *Run) Drive() Outcome {
 		Core:     r.Core,
 		Recovery: r.Recovery,
 		Reliable: r.rel,
-		Apps:     r.apps,
 		Crashed:  r.crashed,
 		Stall:    stall,
 	}
-	if r.spec.System.AdaptiveInter && r.Core != nil && len(r.Core.Coordinators) > 0 {
+	if r.spec.System.AdaptiveInter && len(r.Core.Coordinators) > 0 {
 		proc := r.Core.Procs[r.Core.Coordinators[0].ID()]
 		if inst, ok := proc.Instance(1).(*adaptive.Instance); ok {
 			out.Switches = inst.Generation()

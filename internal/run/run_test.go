@@ -83,8 +83,12 @@ func TestSystemsAndModes(t *testing.T) {
 				if !first.Monitor.Ok() {
 					t.Fatalf("violations: %v", first.Monitor.Violations())
 				}
-				if (first.Recovery != nil) != recovery || (first.Core == nil) != recovery {
-					t.Fatalf("wrong deployment kind: core %v recovery %v", first.Core != nil, first.Recovery != nil)
+				// Core is always set, so readers of an outcome need no
+				// branch on the deployment kind; a recovery run's Core is
+				// the one embedded in its crash-tolerant deployment.
+				if first.Core == nil || (first.Recovery != nil) != recovery ||
+					(recovery && first.Core != &first.Recovery.Deployment) {
+					t.Fatalf("wrong deployment: core %p recovery %p, want core set and recovery=%v embedding it", first.Core, first.Recovery, recovery)
 				}
 				// Per-kind counters are on exactly when there are detectors
 				// whose traffic to report.

@@ -113,7 +113,7 @@ func summarize(msgs []string) string {
 // completion list against the grant records.
 func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 	e := &o.sc.Expect
-	per := make(map[mutex.ID]int, len(o.Apps))
+	per := make(map[mutex.ID]int, len(o.Core.Apps))
 	for _, r := range o.Records {
 		per[r.ID]++
 	}
@@ -122,7 +122,7 @@ func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 	// deterministic.
 	incomplete := func(include func(cluster int, node int) bool) []string {
 		var out []string
-		for _, a := range o.Apps {
+		for _, a := range o.Core.Apps {
 			if !include(a.Cluster, int(a.ID)) {
 				continue
 			}
