@@ -22,7 +22,8 @@ type BuildOptions struct {
 	// nil means nodes never crash.
 	NodeDown func(node int) bool
 	// OnEpoch, when non-nil, observes every epoch application of every
-	// member — the hook monitors and tracers attach to.
+	// member — the hook monitors and tracers attach to. Build passes it
+	// and OnRejoin to every group as they are (GroupConfig).
 	OnEpoch func(group string, self mutex.ID, e Epoch, members []mutex.ID, holder mutex.ID)
 	// OnRejoin, when non-nil, observes every re-admission of a restarted
 	// member — run harnesses use it to revive workloads and sample
@@ -225,41 +226,9 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 	if err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	down := func(id mutex.ID) func() bool {
-		if bopts.NodeDown == nil {
-			return nil
-		}
-		node := int(id)
-		return func() bool { return bopts.NodeDown(node) }
-	}
-	observe := func(group string, self mutex.ID) func(Epoch, []mutex.ID, mutex.ID) {
-		if bopts.OnEpoch == nil {
-			return nil
-		}
-		return func(e Epoch, members []mutex.ID, holder mutex.ID) {
-			bopts.OnEpoch(group, self, e, members, holder)
-		}
-	}
-	observeRejoin := func(group string, self mutex.ID) func(Epoch, []mutex.ID, mutex.ID) {
-		if bopts.OnRejoin == nil {
-			return nil
-		}
-		return func(e Epoch, _ []mutex.ID, _ mutex.ID) {
-			bopts.OnRejoin(group, self, e)
-		}
-	}
-	// chain composes two epoch hooks in order; nil links collapse away.
-	chain := func(first, second func(Epoch, []mutex.ID, mutex.ID)) func(Epoch, []mutex.ID, mutex.ID) {
-		if first == nil {
-			return second
-		}
-		if second == nil {
-			return first
-		}
-		return func(e Epoch, members []mutex.ID, holder mutex.ID) {
-			first(e, members, holder)
-			second(e, members, holder)
-		}
+	var down func(mutex.ID) bool
+	if nd := bopts.NodeDown; nd != nil {
+		down = func(id mutex.ID) bool { return nd(int(id)) }
 	}
 
 	// The inter group spans every primary and standby.
@@ -275,6 +244,7 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 	inter, err := NewGroup(GroupConfig{
 		Name: "inter", Members: interIDs, Holder: mutex.ID(grid.NodesIn(0)[0]),
 		Factory: interF, Clock: clock, Opts: bopts.Inter,
+		Down: down, OnEpoch: bopts.OnEpoch, OnRejoin: bopts.OnRejoin,
 	})
 	if err != nil {
 		return nil, err
@@ -294,10 +264,10 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 		primary, standbyID := members[0], members[1]
 		coord := core.NewCoordinator(primary)
 		sb := &Standby{id: standbyID, primary: primary, cluster: c, d: d}
-		group := fmt.Sprintf("intra%d", c)
 		g, err := NewGroup(GroupConfig{
-			Name: group, Members: members, Holder: primary, Factory: intraF, Clock: clock,
+			Name: fmt.Sprintf("intra%d", c), Members: members, Holder: primary, Factory: intraF, Clock: clock,
 			HolderPrefs: []mutex.ID{primary, standbyID}, Opts: bopts.Intra,
+			Down: down, OnEpoch: bopts.OnEpoch, OnRejoin: bopts.OnRejoin,
 		})
 		if err != nil {
 			return nil, err
@@ -321,10 +291,7 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 				}
 			}
 			m, err := g.NewMember(MemberConfig{
-				Self: id, Env: proc.Env(0), Callbacks: cbs,
-				CrashedSelf: down(id),
-				OnEpoch:     chain(observe(group, id), onRole),
-				OnRejoin:    chain(onRejoin, observeRejoin(group, id)),
+				Self: id, Env: proc.Env(0), Callbacks: cbs, OnEpoch: onRole, OnRejoin: onRejoin,
 			})
 			if err != nil {
 				return nil, err
@@ -355,10 +322,7 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 			}
 			m, err := inter.NewMember(MemberConfig{
 				Self: id, Env: d.Procs[id].Env(1), Callbacks: cbs,
-				CrashedSelf: down(id),
-				OnEpoch:     observe("inter", id),
-				OnRejoin:    observeRejoin("inter", id),
-				OnMinority:  func(entered bool) { sb.onMinority(standbySide, entered) },
+				OnMinority: func(entered bool) { sb.onMinority(standbySide, entered) },
 			})
 			if err != nil {
 				return nil, err

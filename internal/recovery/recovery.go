@@ -62,7 +62,7 @@
 // rebuilds the joiner's algorithm instance from the shared configuration
 // (the resync — sparse request arrays and parent pointers are
 // reconstructed consistently everywhere because every member rebuilds
-// from the same membership and holder), fires MemberConfig.OnRejoin so the
+// from the same membership and holder), fires the OnRejoin hooks so the
 // composition layer can re-couple the bridge automaton, and ends the
 // rejoining state. A joiner is always admitted state-less: amnesia
 // cleared its claims, so its zero-valued census answer is truthful.
@@ -270,6 +270,18 @@ type GroupConfig struct {
 	HolderPrefs []mutex.ID
 	// Opts tunes the failure detector.
 	Opts Options
+	// Down, when non-nil, reports whether member id's node is currently
+	// crashed — the oracle that keeps a dead node's virtual timers from
+	// doing protocol work (simnet already suppresses its messages).
+	// Typically simnet's ProcessDown.
+	Down func(id mutex.ID) bool
+	// OnEpoch, when non-nil, observes every epoch application of every
+	// member, before the member's own MemberConfig.OnEpoch — the hook
+	// monitors and tracers attach to.
+	OnEpoch func(group string, self mutex.ID, e Epoch, members []mutex.ID, holder mutex.ID)
+	// OnRejoin, when non-nil, observes every re-admission of a restarted
+	// member, after the member's own MemberConfig.OnRejoin.
+	OnRejoin func(group string, self mutex.ID, e Epoch)
 }
 
 // Group is what the members of one recovery group share, built once by
@@ -285,6 +297,10 @@ type Group struct {
 	clock   Clock
 	prefs   []mutex.ID // HolderPrefs
 	opts    Options    // with defaults applied
+	// The group's hooks, called by each member with its own id.
+	down     func(mutex.ID) bool
+	onEpoch  func(group string, self mutex.ID, e Epoch, members []mutex.ID, holder mutex.ID)
+	onRejoin func(group string, self mutex.ID, e Epoch)
 }
 
 // NewGroup checks a group's configuration and builds its shared state.
@@ -303,6 +319,7 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	g := &Group{
 		name: cfg.Name, members: members, holder: cfg.Holder, factory: cfg.Factory,
 		clock: cfg.Clock, prefs: cfg.HolderPrefs, opts: cfg.Opts.withDefaults(),
+		down: cfg.Down, onEpoch: cfg.OnEpoch, onRejoin: cfg.OnRejoin,
 		pos: make([]int32, members[len(members)-1]-members[0]+1),
 	}
 	for i := range g.pos {
@@ -324,21 +341,18 @@ type MemberConfig struct {
 	// Callbacks are the owner's callbacks; SetCallbacks can replace them
 	// later (standby takeover).
 	Callbacks mutex.Callbacks
-	// CrashedSelf, when non-nil, reports whether this member's own node is
-	// currently crashed — the oracle that keeps a dead node's virtual
-	// timers from doing protocol work (simnet already suppresses its
-	// messages). Typically a closure over simnet's ProcessDown.
-	CrashedSelf func() bool
-	// OnEpoch, when non-nil, fires after this member applies an epoch —
+	// OnEpoch, when non-nil, is this member's role hook: it fires after
+	// this member applies an epoch, after the group's OnEpoch observer and
 	// before buffered future-epoch messages are flushed, so a standby
 	// taking over installs its callbacks ahead of any queued request.
 	OnEpoch func(e Epoch, members []mutex.ID, holder mutex.ID)
-	// OnRejoin, when non-nil, fires when this member is re-admitted after
-	// a restart: the admitting epoch has been applied and the fresh
-	// instance built, but neither OnEpoch nor the future-message flush
-	// has run yet. The composition layer uses it to re-couple the bridge
-	// (a restarted primary rebuilds its coordinator, or rejoins passively
-	// when its standby already took over).
+	// OnRejoin, when non-nil, is this member's role hook for a
+	// re-admission after a restart: the admitting epoch has been applied
+	// and the fresh instance built, but neither the group's OnRejoin
+	// observer, OnEpoch nor the future-message flush has run yet. The
+	// composition layer uses it to re-couple the bridge (a restarted
+	// primary rebuilds its coordinator, or rejoins passively when its
+	// standby already took over).
 	OnRejoin func(e Epoch, members []mutex.ID, holder mutex.ID)
 	// OnMinority, when non-nil, marks this member as a composition-bridge
 	// endpoint. Entering the minority-frozen state then forfeits an in-CS
@@ -647,7 +661,7 @@ func (m *Member) State() mutex.State {
 }
 
 // down reports whether this member's own node is crashed.
-func (m *Member) down() bool { return m.cfg.CrashedSelf != nil && m.cfg.CrashedSelf() }
+func (m *Member) down() bool { return m.g.down != nil && m.g.down(m.cfg.Self) }
 
 // tick is the heartbeat-period heartbeat/suspect/lead step.
 func (m *Member) tick() {
@@ -1171,12 +1185,22 @@ func (m *Member) applyNewEpoch(ne NewEpoch) {
 			if m.cfg.OnRejoin != nil {
 				m.cfg.OnRejoin(ne.E, append([]mutex.ID(nil), m.live...), m.holder)
 			}
+			if m.g.onRejoin != nil {
+				m.g.onRejoin(m.g.name, m.cfg.Self, ne.E)
+			}
 		}
 	}
-	// Owner hook before the flush: a standby taking over installs its
-	// callbacks (and possibly an AdoptCS claim) ahead of queued traffic.
-	if m.cfg.OnEpoch != nil {
-		m.cfg.OnEpoch(ne.E, append([]mutex.ID(nil), m.live...), m.holder)
+	// Hooks before the flush: a standby taking over installs its callbacks
+	// (and possibly an AdoptCS claim) ahead of queued traffic. The observer
+	// and the role hook share one copy of the membership.
+	if m.g.onEpoch != nil || m.cfg.OnEpoch != nil {
+		members := append([]mutex.ID(nil), m.live...)
+		if m.g.onEpoch != nil {
+			m.g.onEpoch(m.g.name, m.cfg.Self, ne.E, members, m.holder)
+		}
+		if m.cfg.OnEpoch != nil {
+			m.cfg.OnEpoch(ne.E, members, m.holder)
+		}
 	}
 	buf := m.future
 	m.future = nil
