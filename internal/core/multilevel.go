@@ -56,6 +56,9 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 			return nil, fmt.Errorf("core: group size %d at level %d", gs, i+1)
 		}
 	}
+	if grid.ClusterSize() < 2 {
+		return nil, fmt.Errorf("core: clusters have %d nodes; need a coordinator plus at least one application process", grid.ClusterSize())
+	}
 
 	// The process count is known up front — every topology node plus one
 	// fresh coordinator per intermediate group — so the Deployment can
@@ -83,9 +86,6 @@ func BuildMultiLevelWith(net mutex.Fabric, grid *topology.Grid, factories []mute
 	// Level 0: one unit per cluster, exactly as in the two-level build.
 	var units, bridges []*bridge
 	for c := 0; c < grid.NumClusters(); c++ {
-		if grid.ClusterSize(c) < 2 {
-			return nil, fmt.Errorf("core: cluster %d has %d nodes; need a coordinator plus at least one application process", c, grid.ClusterSize(c))
-		}
 		nodes := grid.NodesIn(c)
 		members := make([]mutex.ID, len(nodes))
 		for i, n := range nodes {

@@ -231,12 +231,13 @@ func Build(fab mutex.Fabric, grid *topology.Grid, spec core.Spec, appCB core.Cal
 		down = func(id mutex.ID) bool { return nd(int(id)) }
 	}
 
+	if grid.ClusterSize() < 3 {
+		return nil, fmt.Errorf("recovery: clusters have %d nodes; need a primary, a standby and at least one application process", grid.ClusterSize())
+	}
+
 	// The inter group spans every primary and standby.
 	var interIDs []mutex.ID
 	for c := 0; c < grid.NumClusters(); c++ {
-		if grid.ClusterSize(c) < 3 {
-			return nil, fmt.Errorf("recovery: cluster %d has %d nodes; need a primary, a standby and at least one application process", c, grid.ClusterSize(c))
-		}
 		nodes := grid.NodesIn(c)
 		interIDs = append(interIDs, mutex.ID(nodes[0]), mutex.ID(nodes[1]))
 	}

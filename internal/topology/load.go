@@ -19,14 +19,7 @@ type Matrix struct {
 
 // Grid instantiates the matrix with nodesPerCluster nodes per cluster.
 func (m *Matrix) Grid(nodesPerCluster int) (*Grid, error) {
-	if nodesPerCluster <= 0 {
-		return nil, fmt.Errorf("topology: nodesPerCluster %d must be positive", nodesPerCluster)
-	}
-	sizes := make([]int, len(m.Names))
-	for i := range sizes {
-		sizes[i] = nodesPerCluster
-	}
-	return New(m.Names, sizes, m.RTT)
+	return New(m.Names, nodesPerCluster, m.RTT)
 }
 
 // ParseMatrixSpec reads a cluster RTT matrix in the textual format of the

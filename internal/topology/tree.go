@@ -83,21 +83,18 @@ func (s TreeSpec) Validate() error {
 }
 
 // treeModel is the factored latency model a tree grid dispatches to
-// instead of materialized name/cluster/RTT tables.
+// instead of materialized name and RTT tables.
 type treeModel struct {
 	spec TreeSpec
 	// strides[i] is the number of leaf clusters under one subtree rooted
 	// at depth i+1 — the divisor extracting the level-i digit of a cluster
 	// index. strides[len-1] is always 1.
-	strides  []int
-	clusters int
+	strides []int
 }
 
 // NewTree builds a grid from a hierarchical spec. The grid behaves exactly
 // like one built from the equivalent explicit matrix — same node indexing,
-// same accessors — but stores O(levels) latency state instead of O(C²),
-// and O(1) node→cluster state instead of O(N): cluster membership is pure
-// arithmetic on the balanced layout.
+// same accessors — but stores O(levels) latency state instead of O(C²).
 func NewTree(spec TreeSpec) (*Grid, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -113,15 +110,14 @@ func NewTree(spec TreeSpec) (*Grid, error) {
 			LeafRTT:  spec.LeafRTT,
 			LevelRTT: append([]time.Duration(nil), spec.LevelRTT...),
 		},
-		strides:  make([]int, len(spec.Fanouts)),
-		clusters: clusters,
+		strides: make([]int, len(spec.Fanouts)),
 	}
 	stride := 1
 	for i := len(spec.Fanouts) - 1; i >= 0; i-- {
 		t.strides[i] = stride
 		stride *= spec.Fanouts[i]
 	}
-	return &Grid{tree: t, total: clusters * spec.LeafSize}, nil
+	return &Grid{size: spec.LeafSize, clusters: clusters, tree: t}, nil
 }
 
 // rtt returns the round trip between leaf clusters a and b: the RTT of

@@ -26,17 +26,15 @@ func materialize(t *testing.T, spec TreeSpec) *Grid {
 	}
 	c := tree.NumClusters()
 	names := make([]string, c)
-	sizes := make([]int, c)
 	rtt := make([][]time.Duration, c)
 	for i := 0; i < c; i++ {
 		names[i] = tree.ClusterName(i)
-		sizes[i] = spec.LeafSize
 		rtt[i] = make([]time.Duration, c)
 		for j := 0; j < c; j++ {
 			rtt[i][j] = tree.RTT(i, j)
 		}
 	}
-	g, err := New(names, sizes, rtt)
+	g, err := New(names, spec.LeafSize, rtt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +57,10 @@ func TestTreeMatchesMaterialized(t *testing.T) {
 	if tree.NumNodes() != dense.NumNodes() || tree.NumClusters() != dense.NumClusters() {
 		t.Fatal("dimension mismatch")
 	}
+	if tree.ClusterSize() != dense.ClusterSize() {
+		t.Fatalf("cluster size %d vs %d", tree.ClusterSize(), dense.ClusterSize())
+	}
 	for c := 0; c < tree.NumClusters(); c++ {
-		if tree.ClusterSize(c) != dense.ClusterSize(c) {
-			t.Fatalf("cluster %d size %d vs %d", c, tree.ClusterSize(c), dense.ClusterSize(c))
-		}
 		a, b := tree.NodesIn(c), dense.NodesIn(c)
 		for i := range a {
 			if a[i] != b[i] {
@@ -77,9 +75,6 @@ func TestTreeMatchesMaterialized(t *testing.T) {
 		for b := 0; b < tree.NumNodes(); b++ {
 			if tree.OneWay(a, b) != dense.OneWay(a, b) {
 				t.Fatalf("OneWay(%d,%d) %v vs %v", a, b, tree.OneWay(a, b), dense.OneWay(a, b))
-			}
-			if tree.SameCluster(a, b) != dense.SameCluster(a, b) {
-				t.Fatalf("SameCluster(%d,%d) differs", a, b)
 			}
 		}
 	}
