@@ -130,13 +130,14 @@ func TestPercentilesAreExact(t *testing.T) {
 				Alpha: 5 * time.Millisecond, Rho: rho, Dist: workload.Exponential, CSPerProcess: cs,
 			},
 			System: sys,
+			OnGrant: func(rec workload.Record) {
+				exact.Push(float64(rec.Obtaining()) / float64(time.Millisecond))
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range r.Drive().Records {
-			exact.Push(float64(rec.Obtaining()) / float64(time.Millisecond))
-		}
+		r.Drive()
 	}
 	if exact.N() != p.Obtaining.N {
 		t.Fatalf("the replay made %d grants, gridsim reports %d", exact.N(), p.Obtaining.N)

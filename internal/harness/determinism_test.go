@@ -22,7 +22,7 @@ func TestRunSeedSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a.Records, b.Records) {
+	if reflect.DeepEqual(a, b) {
 		t.Error("seeds 1 and 2 produced identical grant records; seed is not reaching the run")
 	}
 }

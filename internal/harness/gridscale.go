@@ -214,10 +214,6 @@ func runGridScaleOnce(n, csPerProcess int, alpha time.Duration, seed int64) (Gri
 			CSPerProcess: csPerProcess,
 		},
 		System: run.System{Levels: algs, Groups: groups},
-		// The sweep reads only the grant count: a sink keeps the runner
-		// from listing every grant, which the drive's allocation count
-		// would include.
-		OnGrant: func(workload.Record) {},
 	})
 	if err != nil {
 		return GridScalePoint{}, err

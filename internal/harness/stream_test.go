@@ -8,25 +8,29 @@ import (
 	"gridmutex/internal/core"
 	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
+	"gridmutex/internal/workload"
 )
 
-// runOnce drives one seeded (system, ρ) repetition with the runner's record
-// buffer on, for tests that read the grants after the run.
-func runOnce(sys System, scale Scale, rho float64, seed int64) (run.Outcome, error) {
+// runOnce drives one seeded (system, ρ) repetition and returns its grants
+// in grant order, for tests that read them after the run.
+func runOnce(sys System, scale Scale, rho float64, seed int64) ([]workload.Record, error) {
 	spec, err := scale.spec(sys.RunSystem(), rho, seed)
 	if err != nil {
-		return run.Outcome{}, err
+		return nil, err
 	}
-	return drive(spec)
+	var grants []workload.Record
+	spec.OnGrant = func(r workload.Record) { grants = append(grants, r) }
+	_, err = drive(spec)
+	return grants, err
 }
 
-// digestRecords is the reference digest: it walks a buffered run's records
+// digestRecords is the reference digest: it walks a run's collected grants
 // after the fact, in grant order, pushing each sample where repPartial.digest
 // pushes it as the grant happens.
-func digestRecords(scale Scale, out run.Outcome) repPartial {
+func digestRecords(scale Scale, out run.Outcome, records []workload.Record) repPartial {
 	p := newRepPartial(scale.Phases, false)
 	p.finish(out)
-	for _, r := range out.Records {
+	for _, r := range records {
 		ms := float64(r.Obtaining()) / float64(time.Millisecond)
 		p.obtain.Push(ms)
 		if len(scale.Phases) > 0 {
@@ -44,18 +48,20 @@ func digestRecords(scale Scale, out run.Outcome) repPartial {
 	return p
 }
 
-// buffered drives spec with the record list on and checks the outcome's
-// two views of the grants agree.
-func buffered(t *testing.T, spec run.Spec) run.Outcome {
+// buffered drives spec with a sink that collects every grant into a list,
+// and checks the list against the outcome's grant count.
+func buffered(t *testing.T, spec run.Spec) (run.Outcome, []workload.Record) {
 	t.Helper()
+	var records []workload.Record
+	spec.OnGrant = func(r workload.Record) { records = append(records, r) }
 	out, err := drive(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Records) == 0 || len(out.Records) != out.Grants {
-		t.Fatalf("%d records for %d grants", len(out.Records), out.Grants)
+	if len(records) == 0 || len(records) != out.Grants {
+		t.Fatalf("%d records for %d grants", len(records), out.Grants)
 	}
-	return out
+	return out, records
 }
 
 // TestStreamedDigestEqualsBuffered: folding each grant into the digest as
@@ -99,7 +105,8 @@ func TestStreamedDigestEqualsBuffered(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := digestRecords(c.scale, buffered(t, spec))
+				out, records := buffered(t, spec)
+				want := digestRecords(c.scale, out, records)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("repetition %d: streamed partial differs from the buffered digest", rep)
 				}

@@ -41,8 +41,7 @@ var (
 		{"os", "LookupEnv", nil, "no run or test depends on an environment variable (DESIGN.md §12)"},
 		{"runtime", "GOMAXPROCS", []string{"internal/fleet", "bench"}, "internal/fleet decides what a worker count means: <= 0 GOMAXPROCS, 1 inline (DESIGN.md §8)"},
 		{"container/heap", "", nil, "des's radix heap is the one event queue (DESIGN.md §10)"},
-		{"internal/run", "Outcome.Records", []string{"internal/scenario"}, "harness runs stream grants into their digest and keep no record list (DESIGN.md §14)"},
-		{"internal/workload", "Runner.Records", []string{"internal/run", "examples", "bench"}, "harness runs stream grants into their digest and keep no record list (DESIGN.md §14)"},
+		{"internal/workload", "Runner.Records", []string{"examples", "bench"}, "every run of the kernel streams its grants into a sink and keeps no record list (DESIGN.md §12)"},
 		{"internal/harness", "runShards", []string{"internal/harness.sweep"}, "sweep is the harness's one sweep driver (DESIGN.md §8)"},
 		{"internal/harness", "Scale.Workers", []string{"internal/harness", "bench"}, "commands and facades leave the worker count to GOMAXPROCS; only tests and the benchmark set it (DESIGN.md §8)"},
 		{"internal/stats", "Accumulator.Sketch", []string{"bench"}, "harness cells keep moments only: no committed table prints a cell's percentile (DESIGN.md §10)"},

@@ -10,8 +10,9 @@ import (
 
 // The harness corpus reaches confined symbols through an import alias, a
 // method value, an explicit instantiation, a composite-literal key, a
-// field assignment and a method call; run, where the table allows them,
-// and simnet, which declares two, use them without a finding, and so does
+// field assignment and a method call; run, where the table allows the
+// assembly symbols, uses them without a finding but not the grant list,
+// simnet, which declares two, uses them without a finding, and so does
 // harness with its own Scale.Workers. The gridbench command sets
 // Scale.Workers, which only harness and bench may.
 func TestConfine(t *testing.T) {

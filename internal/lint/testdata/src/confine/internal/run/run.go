@@ -1,5 +1,5 @@
 // Package run (corpus) is where the table allows the assembly symbols:
-// none of its uses is a finding.
+// none of those uses is a finding. The grant list is not among them.
 package run
 
 import (
@@ -7,11 +7,11 @@ import (
 	"confine/internal/workload"
 )
 
-type Outcome struct{ Records []workload.Record }
+type Outcome struct{ Grants int }
 
 func Build() Outcome {
 	net := simnet.New(simnet.Options{KindCounts: true})
 	_ = net
 	r := workload.NewRunner()
-	return Outcome{Records: r.Records()}
+	return Outcome{Grants: len(r.Records())} // want `internal/workload.Runner.Records used outside \[examples bench\]`
 }

@@ -58,8 +58,9 @@ type Spec struct {
 	// anything. 0 derives the default from the workload size.
 	EventLimit uint64
 	// OnGrant, when non-nil, receives every grant the instant it happens,
-	// in grant order, and Outcome.Records stays nil: a caller that folds
-	// grants as they come keeps no list (workload.Runner.OnGrant).
+	// in grant order (workload.Runner.OnGrant). The run keeps no grant
+	// list: a caller folds what it needs as grants come, and
+	// Outcome.Grants counts them.
 	OnGrant func(workload.Record)
 }
 
@@ -261,9 +262,11 @@ func Build(spec Spec) (*Run, error) {
 	if r.runner, err = workload.NewRunner(sim, w, r.mon); err != nil {
 		return nil, err
 	}
-	if spec.OnGrant != nil {
-		r.runner.OnGrant(spec.OnGrant)
+	sink := spec.OnGrant
+	if sink == nil {
+		sink = func(workload.Record) {}
 	}
+	r.runner.OnGrant(sink)
 
 	appCB := r.wireHolderKills()
 	// Scheduled faults enter the event queue before the deployment's own
@@ -429,9 +432,7 @@ func (s *Stall) Error() string {
 
 // Outcome is the raw material of a finished run.
 type Outcome struct {
-	// Records lists every grant in grant order, nil under Spec.OnGrant;
-	// Grants counts them either way.
-	Records  []workload.Record
+	// Grants counts the grants the run made (Spec.OnGrant saw each).
 	Grants   int
 	Counters simnet.Counters
 	// Events is the number of DES events processed; Elapsed the virtual
@@ -465,7 +466,6 @@ func (r *Run) Drive() Outcome {
 	r.runner.Start()
 	stall := r.drive()
 	out := Outcome{
-		Records:  r.runner.Records(),
 		Grants:   r.runner.Grants(),
 		Counters: r.net.Counters(),
 		Events:   r.sim.Processed(),
@@ -521,8 +521,7 @@ func (r *Run) drive() *Stall {
 	// The cap counts events since the last window that granted anything,
 	// not since the start: detector heartbeats alone would exhaust a
 	// whole-run budget on a long sparse run that is making steady progress.
-	// Progress is the grant counter, which a sink (Spec.OnGrant) leaves
-	// running where it leaves the record list empty.
+	// Progress is the grant counter.
 	for {
 		grants := runner.Grants()
 		err := sim.RunCapped(limit)

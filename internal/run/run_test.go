@@ -68,14 +68,14 @@ func TestSystemsAndModes(t *testing.T) {
 				spec := quickSpec(s.clusters, s.sys)
 				spec.Horizon = m.horizon
 				recovery := s.sys.Heartbeat > 0
-				first := mustDrive(t, spec)
+				first, firstGrants := driveGrants(t, spec)
 				if first.Stall != nil {
 					t.Fatalf("stalled: %v", first.Stall)
 				}
 				// Stopping the detectors at the horizon stops a recovery
 				// deployment's members too, so its drain grants nothing
 				// more; every other combination runs to completion.
-				want, got := s.clusters*4*10, len(first.Records)
+				want, got := s.clusters*4*10, first.Grants
 				if partial := recovery && m.horizon > 0; got > want || got == 0 || (got < want && !partial) {
 					t.Fatalf("%d grants, want %d", got, want)
 				}
@@ -98,12 +98,12 @@ func TestSystemsAndModes(t *testing.T) {
 				if first.Trace == "" {
 					t.Fatal("empty trace; TraceCapacity not wired through")
 				}
-				second := mustDrive(t, spec)
+				second, secondGrants := driveGrants(t, spec)
 				if first.Trace != second.Trace {
 					t.Errorf("same seed produced different traces:\n%s", firstDiff(first.Trace, second.Trace))
 				}
-				if !reflect.DeepEqual(first.Records, second.Records) {
-					t.Error("same seed produced different workload records")
+				if !slices.Equal(firstGrants, secondGrants) {
+					t.Error("same seed produced different grants")
 				}
 				if !reflect.DeepEqual(first.Counters, second.Counters) {
 					t.Errorf("same seed produced different message counters:\n  %+v\n  %+v", first.Counters, second.Counters)
@@ -125,22 +125,27 @@ func mustDrive(t *testing.T, spec Spec) Outcome {
 	return r.Drive()
 }
 
-// driveBoth drives spec twice, once with the record list and once with a
-// grant sink (Spec.OnGrant), and holds the two to one outcome: the same
-// stall, grant count and event count, and the sink seeing exactly the
-// buffered records. It returns the buffered outcome.
-func driveBoth(t *testing.T, spec Spec) Outcome {
+// driveGrants drives spec with a sink (Spec.OnGrant) that collects every
+// grant, and holds the outcome's grant count to what the sink saw.
+func driveGrants(t *testing.T, spec Spec) (Outcome, []workload.Record) {
 	t.Helper()
-	out := mustDrive(t, spec)
-	if out.Grants != len(out.Records) {
-		t.Fatalf("buffered: Grants %d, %d records", out.Grants, len(out.Records))
-	}
 	var sunk []workload.Record
 	spec.OnGrant = func(r workload.Record) { sunk = append(sunk, r) }
-	streamed := mustDrive(t, spec)
-	if streamed.Records != nil {
-		t.Fatalf("with a sink: %d records buffered", len(streamed.Records))
+	out := mustDrive(t, spec)
+	if out.Grants != len(sunk) {
+		t.Fatalf("Grants %d, the sink saw %d grants", out.Grants, len(sunk))
 	}
+	return out, sunk
+}
+
+// driveBoth drives spec twice, once with the run's own discarding sink and
+// once collecting the grants (driveGrants), and holds the two to one
+// outcome: the same stall, grant count and event count. It returns the
+// collecting drive's outcome and grants.
+func driveBoth(t *testing.T, spec Spec) (Outcome, []workload.Record) {
+	t.Helper()
+	out := mustDrive(t, spec)
+	streamed, grants := driveGrants(t, spec)
 	if !reflect.DeepEqual(streamed.Stall, out.Stall) {
 		t.Fatalf("stall with a sink %+v, without %+v", streamed.Stall, out.Stall)
 	}
@@ -148,10 +153,7 @@ func driveBoth(t *testing.T, spec Spec) Outcome {
 		t.Fatalf("with a sink: %d grants and %d events, without: %d and %d",
 			streamed.Grants, streamed.Events, out.Grants, out.Events)
 	}
-	if !slices.Equal(sunk, out.Records) {
-		t.Fatal("the sink saw other grants than the buffer holds")
-	}
-	return out
+	return streamed, grants
 }
 
 // firstDiff renders the first trace line where two dumps diverge.
@@ -195,8 +197,8 @@ func TestHolderKill(t *testing.T) {
 		if !coordinator {
 			want -= 10 - 2 // the victim dies inside its second critical section
 		}
-		if len(out.Records) != want {
-			t.Errorf("coordinator=%v: %d grants, want %d", coordinator, len(out.Records), want)
+		if out.Grants != want {
+			t.Errorf("coordinator=%v: %d grants, want %d", coordinator, out.Grants, want)
 		}
 	}
 }
@@ -224,12 +226,12 @@ func sparseRecovery(clusters int) Spec {
 // unsatisfied after N events", which is why paper-scale recovery and
 // partition sweeps never completed.
 func TestRecoveryCapCountsSinceLastGrant(t *testing.T) {
-	out := driveBoth(t, sparseRecovery(2))
+	out, _ := driveBoth(t, sparseRecovery(2))
 	if out.Stall != nil {
 		t.Fatalf("stalled after %d events: %v", out.Events, out.Stall)
 	}
-	if len(out.Records) != 8 {
-		t.Fatalf("%d grants, want 8", len(out.Records))
+	if out.Grants != 8 {
+		t.Fatalf("%d grants, want 8", out.Grants)
 	}
 	if limit := uint64(8*10_000 + 1_000_000); out.Events <= limit {
 		t.Fatalf("run took %d events, not more than the default cap %d: the test no longer exercises the cap", out.Events, limit)
@@ -251,7 +253,7 @@ func TestRecoveryCapStillCatchesStall(t *testing.T) {
 		{At: 0, Node: nodes[0], Kind: faults.Crash},
 		{At: 0, Node: nodes[1], Kind: faults.Crash},
 	}
-	out := driveBoth(t, spec)
+	out, grants := driveBoth(t, spec)
 	var exceeded des.MaxEventsExceeded
 	if out.Stall == nil || out.Stall.Kind != NoDrain || !errors.As(out.Stall.Err, &exceeded) {
 		t.Fatalf("stall %+v, want NoDrain on the event cap", out.Stall)
@@ -259,7 +261,7 @@ func TestRecoveryCapStillCatchesStall(t *testing.T) {
 	if out.Stall.Outstanding == 0 {
 		t.Error("stalled with nothing outstanding")
 	}
-	if len(out.Records) == 0 {
+	if len(grants) == 0 {
 		t.Fatal("the healthy clusters never granted")
 	}
 	// A twin run stopped at the last grant's instant counts the events up
@@ -269,7 +271,7 @@ func TestRecoveryCapStillCatchesStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	twin.runner.Start()
-	twin.sim.RunUntil(out.Records[len(out.Records)-1].AcquiredAt)
+	twin.sim.RunUntil(grants[len(grants)-1].AcquiredAt)
 	if since := out.Events - twin.sim.Processed(); since < spec.EventLimit || since > 2*spec.EventLimit {
 		t.Errorf("gave up %d events after the last grant, want within [1, 2] windows of %d", since, spec.EventLimit)
 	}
@@ -283,7 +285,7 @@ func TestUnsatisfiedStall(t *testing.T) {
 	spec := quickSpec(3, System{Flat: "naimi"})
 	spec.TraceCapacity = 0
 	spec.Faults.Schedule = faults.Schedule{{At: 0, Node: 0, Kind: faults.Crash}}
-	out := driveBoth(t, spec)
+	out, _ := driveBoth(t, spec)
 	if out.Stall == nil || out.Stall.Kind != Unsatisfied || out.Stall.Outstanding == 0 {
 		t.Fatalf("stall %+v, want Unsatisfied with requests outstanding", out.Stall)
 	}
@@ -300,7 +302,7 @@ func TestHorizonStall(t *testing.T) {
 	spec.TraceCapacity = 0
 	spec.Horizon = 100 * time.Millisecond
 	spec.EventLimit = 4
-	out := driveBoth(t, spec)
+	out, _ := driveBoth(t, spec)
 	var exceeded des.MaxEventsExceeded
 	if out.Stall == nil || !out.Stall.Horizon || out.Stall.Kind != NoDrain || !errors.As(out.Stall.Err, &exceeded) {
 		t.Fatalf("stall %+v, want a horizon NoDrain on the event cap", out.Stall)

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"gridmutex/internal/mutex"
 )
 
 // evaluate is the checker library: it judges a run outcome against the
@@ -110,13 +108,9 @@ func summarize(msgs []string) string {
 }
 
 // checkCompletion evaluates the completion mode and the per-cluster
-// completion list against the grant records.
+// completion list against the grant counts.
 func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 	e := &o.sc.Expect
-	per := make(map[mutex.ID]int, len(o.Core.Apps))
-	for _, r := range o.Records {
-		per[r.ID]++
-	}
 	want := o.sc.Workload.CSPerProcess
 	// Walk apps in slice order (ascending ID) so failure details are
 	// deterministic.
@@ -126,7 +120,7 @@ func checkCompletion(o *runOutcome, add func(string, bool, string)) {
 			if !include(a.Cluster, int(a.ID)) {
 				continue
 			}
-			if got := per[a.ID]; got < want {
+			if got := o.granted[a.ID]; got < want {
 				out = append(out, fmt.Sprintf("process %d (cluster %d) completed %d/%d", a.ID, a.Cluster, got, want))
 			}
 		}

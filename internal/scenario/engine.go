@@ -3,13 +3,16 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"gridmutex/internal/des"
 	"gridmutex/internal/faults"
+	"gridmutex/internal/mutex"
 	"gridmutex/internal/rng"
 	"gridmutex/internal/run"
 	"gridmutex/internal/stats"
 	"gridmutex/internal/topology"
+	"gridmutex/internal/workload"
 )
 
 // Options tune a run beyond what the scenario file declares.
@@ -33,7 +36,16 @@ type runOutcome struct {
 	run.Outcome
 	sc *Scenario
 
-	obtainSummary *stats.Summary // lazily built by obtaining()
+	// obtain holds every grant's obtaining time in ms and granted every
+	// app's grant count, folded as grants come (grant is the run's sink).
+	obtain  stats.Accumulator
+	granted map[mutex.ID]int
+}
+
+// grant folds one grant into the outcome.
+func (o *runOutcome) grant(r workload.Record) {
+	o.obtain.Push(float64(r.Obtaining()) / float64(time.Millisecond))
+	o.granted[r.ID]++
 }
 
 // Run compiles the scenario onto the run kernel, executes it
@@ -49,6 +61,8 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	}
 	spec := sc.spec(g)
 	spec.TraceCapacity = opts.TraceCapacity
+	o := &runOutcome{sc: sc, obtain: stats.Accumulator{Retain: true}, granted: make(map[mutex.ID]int)}
+	spec.OnGrant = o.grant
 	spec.Faults = run.Faults{
 		Schedule:    buildSchedule(sc, g),
 		HolderKills: holderKills(sc, g),
@@ -57,7 +71,7 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %v", sc.Name, err)
 	}
-	o := &runOutcome{Outcome: r.Drive(), sc: sc}
+	o.Outcome = r.Drive()
 	if sc.Expect.Quiescent {
 		o.Monitor.AssertQuiescent()
 	}

@@ -26,7 +26,7 @@ type metricDef struct {
 // verdicts, part of the byte-determinism contract.
 var metricRegistry = []metricDef{
 	{"grants", func(o *runOutcome) (float64, bool) {
-		return float64(len(o.Records)), true
+		return float64(o.Grants), true
 	}},
 	{"events", func(o *runOutcome) (float64, bool) {
 		return float64(o.Events), true
@@ -35,22 +35,22 @@ var metricRegistry = []metricDef{
 		return float64(o.Elapsed) / float64(time.Millisecond), true
 	}},
 	{"mean_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().Mean, len(o.Records) > 0
+		return o.obtain.Summarize().Mean, o.Grants > 0
 	}},
 	{"std_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().Std, len(o.Records) > 0
+		return o.obtain.Summarize().Std, o.Grants > 0
 	}},
 	{"p50_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().P50, len(o.Records) > 0
+		return o.obtain.Summarize().P50, o.Grants > 0
 	}},
 	{"p95_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().P95, len(o.Records) > 0
+		return o.obtain.Summarize().P95, o.Grants > 0
 	}},
 	{"p99_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().P99, len(o.Records) > 0
+		return o.obtain.Summarize().P99, o.Grants > 0
 	}},
 	{"max_obtaining_ms", func(o *runOutcome) (float64, bool) {
-		return o.obtaining().Max, len(o.Records) > 0
+		return o.obtain.Summarize().Max, o.Grants > 0
 	}},
 	{"inter_msgs_per_cs", func(o *runOutcome) (float64, bool) {
 		return perCS(float64(o.Counters.InterMessages), o), true
@@ -143,10 +143,10 @@ var metricRegistry = []metricDef{
 
 // perCS normalizes a counter by the number of critical sections entered.
 func perCS(v float64, o *runOutcome) float64 {
-	if len(o.Records) == 0 {
+	if o.Grants == 0 {
 		return 0
 	}
-	return v / float64(len(o.Records))
+	return v / float64(o.Grants)
 }
 
 // KnownMetric reports whether name is in the registry — validation
@@ -188,21 +188,6 @@ func metricValue(o *runOutcome, name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// obtaining lazily summarizes the obtaining-time distribution in
-// milliseconds with exact percentiles (Retain sorts once; sample counts
-// per scenario are small by design).
-func (o *runOutcome) obtaining() stats.Summary {
-	if o.obtainSummary == nil {
-		acc := stats.Accumulator{Retain: true}
-		for _, r := range o.Records {
-			acc.Push(float64(r.Obtaining()) / float64(time.Millisecond))
-		}
-		s := acc.Summarize()
-		o.obtainSummary = &s
-	}
-	return *o.obtainSummary
 }
 
 // msSummary summarizes the monitor's latency samples (crash to
