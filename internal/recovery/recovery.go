@@ -273,7 +273,7 @@ type GroupConfig struct {
 	// Down, when non-nil, reports whether member id's node is currently
 	// crashed — the oracle that keeps a dead node's virtual timers from
 	// doing protocol work (simnet already suppresses its messages).
-	// Typically simnet's ProcessDown.
+	// Build reads a member's id as its node in BuildOptions.NodeDown.
 	Down func(id mutex.ID) bool
 	// OnEpoch, when non-nil, observes every epoch application of every
 	// member, before the member's own MemberConfig.OnEpoch — the hook

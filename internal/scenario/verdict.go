@@ -29,17 +29,6 @@ type Verdict struct {
 	Metrics  []Metric `json:"metrics"`
 }
 
-// Failing returns the checks that failed, in evaluation order.
-func (v *Verdict) Failing() []Check {
-	var out []Check
-	for _, c := range v.Checks {
-		if !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // JSON renders the verdict as indented JSON with a trailing newline.
 func (v *Verdict) JSON() []byte {
 	b, err := json.MarshalIndent(v, "", "  ")

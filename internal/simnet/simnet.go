@@ -234,13 +234,6 @@ func (n *Network) Counters() Counters {
 	return c
 }
 
-// ResetCounters zeroes the accounting (used to exclude warm-up phases).
-func (n *Network) ResetCounters() {
-	clear(n.counters.ByKind) // snapshots are copies, so in place; a no-op on nil
-	n.counters = Counters{ByKind: n.counters.ByKind}
-	n.runLen = 0
-}
-
 // flushKinds adds the current run of one kind to ByKind.
 func (n *Network) flushKinds() {
 	if n.runLen > 0 {
@@ -289,16 +282,6 @@ func (n *Network) Down(node int) bool {
 	return n.anyDown && n.down[node]
 }
 
-// ProcessDown reports whether the physical node hosting logical process id
-// is currently crashed. Unregistered processes panic: asking about them is
-// a wiring bug.
-func (n *Network) ProcessDown(id mutex.ID) bool {
-	if id < 0 || int(id) >= len(n.clOf) || n.clOf[id] < 0 {
-		panic(fmt.Sprintf("simnet: ProcessDown for unregistered process %d", id))
-	}
-	return n.anyDown && n.down[n.rec(id).node]
-}
-
 // Partition cuts the network into two sides: the given node set and the
 // rest. A message whose sender-side node and receiver-side node fall on
 // opposite sides of the cut when the message would *arrive* is discarded
@@ -338,14 +321,6 @@ func (n *Network) Partition(nodes []int) {
 // delivery time. Healing an unpartitioned network is a no-op.
 func (n *Network) Heal() {
 	n.anyPart = false
-}
-
-// Partitioned reports whether the two physical nodes are currently on
-// opposite sides of an active cut.
-func (n *Network) Partitioned(a, b int) bool {
-	n.checkNode(a)
-	n.checkNode(b)
-	return n.anyPart && n.side[a] != n.side[b]
 }
 
 func (n *Network) checkNode(node int) {

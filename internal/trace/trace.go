@@ -113,22 +113,6 @@ func (t *Tracer) Record(kind Kind, from, to mutex.ID, detail string) {
 	t.dropped++
 }
 
-// Len returns how many events are retained.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
-// Dropped returns how many events were evicted by the ring.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -154,15 +138,4 @@ func (t *Tracer) Dump() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Filter returns the retained events matching kind, in order.
-func (t *Tracer) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
 }

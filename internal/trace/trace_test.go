@@ -13,7 +13,7 @@ func fixedClock(t time.Duration) func() time.Duration {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(Send, 1, 2, "x") // must not panic
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Dump() != "" {
+	if tr.Events() != nil || tr.Dump() != "" {
 		t.Fatal("nil tracer not inert")
 	}
 }
@@ -27,8 +27,8 @@ func TestRecordAndDump(t *testing.T) {
 	tr.Record(Acquire, 2, -1, "cs")
 	tr.Record(CoordState, 0, -1, "OUT->WAIT_FOR_IN")
 
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d", tr.Len())
+	if n := len(tr.Events()); n != 4 {
+		t.Fatalf("%d events retained, want 4", n)
 	}
 	dump := tr.Dump()
 	for _, want := range []string{"send", "deliver", "acquire", "coord", "naimi.request", "OUT->WAIT_FOR_IN", "5ms"} {
@@ -47,34 +47,42 @@ func TestRingEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Record(Custom, 0, -1, strings.Repeat("x", i+1))
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
-	}
-	if tr.Dropped() != 7 {
-		t.Fatalf("Dropped = %d, want 7", tr.Dropped())
-	}
 	events := tr.Events()
+	if len(events) != 3 {
+		t.Fatalf("%d events retained, want 3", len(events))
+	}
 	// The last three recorded have detail lengths 8, 9, 10.
 	for i, wantLen := range []int{8, 9, 10} {
 		if len(events[i].Detail) != wantLen {
 			t.Fatalf("event %d detail %q", i, events[i].Detail)
 		}
 	}
-	if !strings.Contains(tr.Dump(), "7 earlier events dropped") {
-		t.Error("dump does not mention eviction")
+	if !strings.HasPrefix(tr.Dump(), "(7 earlier events dropped)\n") {
+		t.Error("dump does not open with the count of 7 evicted events")
 	}
 }
 
+// TestFilter: picking one kind out of Events keeps its events in record
+// order and finds none of a kind never recorded.
 func TestFilter(t *testing.T) {
 	tr := New(fixedClock(0), 16)
 	tr.Record(Send, 0, 1, "a")
 	tr.Record(Acquire, 1, -1, "b")
 	tr.Record(Send, 1, 0, "c")
-	sends := tr.Filter(Send)
-	if len(sends) != 2 || sends[0].Detail != "a" || sends[1].Detail != "c" {
-		t.Fatalf("Filter(Send) = %+v", sends)
+	of := func(kind Kind) []Event {
+		var out []Event
+		for _, e := range tr.Events() {
+			if e.Kind == kind {
+				out = append(out, e)
+			}
+		}
+		return out
 	}
-	if len(tr.Filter(Release)) != 0 {
+	sends := of(Send)
+	if len(sends) != 2 || sends[0].Detail != "a" || sends[1].Detail != "c" {
+		t.Fatalf("sends = %+v", sends)
+	}
+	if len(of(Release)) != 0 {
 		t.Fatal("phantom releases")
 	}
 }
