@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -27,18 +28,34 @@ import (
 	"gridmutex"
 )
 
-func main() {
+func main() { os.Exit(gridnode(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func gridnode(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gridnode", flag.ExitOnError)
 	var (
-		clusters = flag.Int("clusters", 3, "number of clusters")
-		apps     = flag.Int("apps", 4, "application processes per cluster")
-		intra    = flag.String("intra", "naimi", "intra-cluster algorithm")
-		inter    = flag.String("inter", "naimi", "inter-cluster algorithm")
-		cs       = flag.Int("cs", 25, "critical sections per process")
-		holdUS   = flag.Int("hold", 200, "critical section hold time in microseconds")
-		basePort = flag.Int("port", 0, "UDP base port (0 = ephemeral)")
-		timeout  = flag.Duration("timeout", 2*time.Minute, "per-lock timeout")
+		clusters = fs.Int("clusters", 3, "number of clusters")
+		apps     = fs.Int("apps", 4, "application processes per cluster")
+		intra    = fs.String("intra", "naimi", "intra-cluster algorithm")
+		inter    = fs.String("inter", "naimi", "inter-cluster algorithm")
+		cs       = fs.Int("cs", 25, "critical sections per process")
+		holdUS   = fs.Int("hold", 200, "critical section hold time in microseconds")
+		basePort = fs.Int("port", 0, "UDP base port (0 = ephemeral)")
+		timeout  = fs.Duration("timeout", 2*time.Minute, "per-lock timeout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// gridmutex.Config reads a zero size as "use the default": a size
+	// below 1 is refused here, before any socket opens, not replaced.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"clusters", *clusters}, {"apps", *apps}, {"cs", *cs}} {
+		if f.v < 1 {
+			fmt.Fprintf(stderr, "gridnode: -%s %d: want at least 1\n", f.name, f.v)
+			return 2
+		}
+	}
 
 	g, err := gridmutex.New(gridmutex.Config{
 		Clusters:       *clusters,
@@ -49,11 +66,11 @@ func main() {
 		UDPBasePort:    *basePort,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gridnode:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "gridnode:", err)
+		return 1
 	}
 
-	fmt.Printf("gridnode: %d clusters x %d apps over UDP, %s-%s, %d CS each\n",
+	fmt.Fprintf(stdout, "gridnode: %d clusters x %d apps over UDP, %s-%s, %d CS each\n",
 		*clusters, *apps, *intra, *inter, *cs)
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops workers from
@@ -65,10 +82,10 @@ func main() {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sigc
-		fmt.Fprintf(os.Stderr, "\ngridnode: %v: draining in-flight critical sections (signal again to force quit)\n", s)
+		fmt.Fprintf(stderr, "\ngridnode: %v: draining in-flight critical sections (signal again to force quit)\n", s)
 		close(stop)
 		s = <-sigc
-		fmt.Fprintf(os.Stderr, "gridnode: %v: forced exit\n", s)
+		fmt.Fprintf(stderr, "gridnode: %v: forced exit\n", s)
 		os.Exit(130)
 	}()
 
@@ -127,8 +144,8 @@ func main() {
 
 	for _, r := range results {
 		if r.err != nil {
-			fmt.Fprintf(os.Stderr, "gridnode: app %d %v\n", r.app, r.err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gridnode: app %d %v\n", r.app, r.err)
+			return 1
 		}
 	}
 
@@ -138,21 +155,21 @@ func main() {
 		completed += len(r.latencies)
 	}
 	if shared != completed {
-		fmt.Fprintf(os.Stderr, "gridnode: MUTUAL EXCLUSION VIOLATED: counter %d, want %d\n", shared, completed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "gridnode: MUTUAL EXCLUSION VIOLATED: counter %d, want %d\n", shared, completed)
+		return 1
 	}
 
 	if completed < total {
-		fmt.Printf("interrupted: completed %d of %d critical sections in %v; counter verified = %d\n",
+		fmt.Fprintf(stdout, "interrupted: completed %d of %d critical sections in %v; counter verified = %d\n",
 			completed, total, elapsed.Round(time.Millisecond), shared)
 	} else {
-		fmt.Printf("completed %d critical sections in %v (%.0f CS/s); counter verified = %d\n",
+		fmt.Fprintf(stdout, "completed %d critical sections in %v (%.0f CS/s); counter verified = %d\n",
 			total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(), shared)
 	}
-	fmt.Printf("%6s %8s %12s %12s %12s\n", "app", "cluster", "p50", "p95", "max")
+	fmt.Fprintf(stdout, "%6s %8s %12s %12s %12s\n", "app", "cluster", "p50", "p95", "max")
 	for _, r := range results {
 		if len(r.latencies) == 0 {
-			fmt.Printf("%6d %8d %12s %12s %12s\n", r.app, g.ClusterOf(r.app), "-", "-", "-")
+			fmt.Fprintf(stdout, "%6d %8d %12s %12s %12s\n", r.app, g.ClusterOf(r.app), "-", "-", "-")
 			continue
 		}
 		sort.Slice(r.latencies, func(a, b int) bool { return r.latencies[a] < r.latencies[b] })
@@ -160,6 +177,7 @@ func main() {
 			idx := int(q * float64(len(r.latencies)-1))
 			return r.latencies[idx].Round(time.Microsecond)
 		}
-		fmt.Printf("%6d %8d %12v %12v %12v\n", r.app, g.ClusterOf(r.app), p(0.5), p(0.95), p(1))
+		fmt.Fprintf(stdout, "%6d %8d %12v %12v %12v\n", r.app, g.ClusterOf(r.app), p(0.5), p(0.95), p(1))
 	}
+	return 0
 }
