@@ -27,6 +27,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "==> non-test product lines outside bench/, examples/ and testdata/ (ROADMAP's Lines bullet; printed, not a gate)"
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' ! -path '*/testdata/*' | xargs cat | wc -l
+
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
