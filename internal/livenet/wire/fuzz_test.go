@@ -1,10 +1,11 @@
 package wire
 
 import (
+	"reflect"
 	"testing"
 
-	"gridmutex/internal/adaptive"
 	"gridmutex/internal/algorithms/naimitrehel"
+	"gridmutex/internal/algorithms/ricartagrawala"
 	"gridmutex/internal/algorithms/suzukikasami"
 	"gridmutex/internal/core"
 	"gridmutex/internal/mutex"
@@ -18,8 +19,8 @@ func FuzzDecode(f *testing.F) {
 	seed := []mutex.Message{
 		naimitrehel.Request{Origin: 5},
 		suzukikasami.Token{LN: []int64{1, 2, 3}, Q: []mutex.ID{7}},
-		core.Envelope{Level: 1, Inner: adaptive.Inner{Gen: 2, M: naimitrehel.Token{}}},
-		adaptive.Commit{Attempt: adaptive.Attempt{Proposer: 1, Seq: 9}, Gen: 4, Alg: "martin"},
+		core.Envelope{Level: 1, Inner: naimitrehel.Token{}},
+		core.Envelope{Level: 0, Inner: ricartagrawala.Request{Clock: 3}},
 	}
 	for _, m := range seed {
 		b, err := Encode(nil, m)
@@ -48,8 +49,8 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded bytes do not decode: %v", err)
 		}
-		if m.Kind() != m2.Kind() || m.Size() != m2.Size() {
-			t.Fatalf("fixed point broken: %s/%d vs %s/%d", m.Kind(), m.Size(), m2.Kind(), m2.Size())
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("fixed point broken: %#v vs %#v", m, m2)
 		}
 	})
 }

@@ -1,8 +1,9 @@
-// Package wire implements the binary encoding of every message type in the
-// repository, used by the UDP transport (the paper's implementation is C
-// over UDP sockets). The format is a one-byte type tag followed by
-// fixed-width big-endian fields; variable-length payloads (Suzuki-Kasami's
-// LN array and queue, algorithm names, nested messages) carry explicit
+// Package wire encodes what a live deployment sends: the registry
+// algorithms' messages and the core.Envelope that carries them between
+// levels, which is all gridmutex.New builds. The UDP transport uses it
+// (the paper's implementation is C over UDP). The format is a one-byte type
+// tag followed by fixed-width big-endian fields; variable-length payloads
+// (Suzuki-Kasami's LN array and queue, nested messages) carry explicit
 // length prefixes.
 package wire
 
@@ -10,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"gridmutex/internal/adaptive"
 	"gridmutex/internal/algorithms/central"
 	"gridmutex/internal/algorithms/naimitrehel"
 	"gridmutex/internal/algorithms/raymond"
@@ -36,17 +36,15 @@ const (
 	tagCentralRelease
 	tagCentralNudge
 	tagEnvelope
-	tagAdaptivePrepare
-	tagAdaptiveVote
-	tagAdaptiveCommit
-	tagAdaptiveAbort
-	tagAdaptiveInner
+	// 14-18 carried the simulator-only adaptive protocol: retired, never reused.
+	_
+	_
+	_
+	_
+	_
 	tagRARequest
 	tagRAReply
 )
-
-// MaxNameLen bounds algorithm-name strings on the wire.
-const MaxNameLen = 255
 
 // MaxSliceLen bounds array payloads (a Suzuki token for 100k members is
 // far beyond anything this repository deploys; the bound exists to fail
@@ -94,29 +92,6 @@ func Encode(dst []byte, m mutex.Message) ([]byte, error) {
 	case core.Envelope:
 		dst = append(dst, tagEnvelope, byte(v.Level))
 		return Encode(dst, v.Inner)
-	case adaptive.Prepare:
-		dst = append(dst, tagAdaptivePrepare)
-		dst = appendAttempt(dst, v.Attempt)
-		return appendName(dst, v.Alg)
-	case adaptive.Vote:
-		dst = append(dst, tagAdaptiveVote)
-		dst = appendAttempt(dst, v.Attempt)
-		if v.Ok {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
-	case adaptive.Commit:
-		dst = append(dst, tagAdaptiveCommit)
-		dst = appendAttempt(dst, v.Attempt)
-		dst = appendI64(dst, v.Gen)
-		return appendName(dst, v.Alg)
-	case adaptive.Abort:
-		dst = append(dst, tagAdaptiveAbort)
-		return appendAttempt(dst, v.Attempt), nil
-	case adaptive.Inner:
-		dst = append(dst, tagAdaptiveInner)
-		dst = appendI64(dst, v.Gen)
-		return Encode(dst, v.M)
 	case ricartagrawala.Request:
 		dst = append(dst, tagRARequest)
 		return appendI64(dst, v.Clock), nil
@@ -213,60 +188,6 @@ func Decode(b []byte) (mutex.Message, int, error) {
 			return nil, 0, err
 		}
 		return core.Envelope{Level: level, Inner: inner}, n + 1 + k, nil
-	case tagAdaptivePrepare:
-		at, k, err := readAttempt(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		rest, n = rest[k:], n+k
-		name, k, err := readName(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return adaptive.Prepare{Attempt: at, Alg: name}, n + k, nil
-	case tagAdaptiveVote:
-		at, k, err := readAttempt(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		rest, n = rest[k:], n+k
-		if len(rest) < 1 {
-			return nil, 0, fmt.Errorf("wire: truncated vote")
-		}
-		return adaptive.Vote{Attempt: at, Ok: rest[0] == 1}, n + 1, nil
-	case tagAdaptiveCommit:
-		at, k, err := readAttempt(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		rest, n = rest[k:], n+k
-		gen, k, err := readI64(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		rest, n = rest[k:], n+k
-		name, k, err := readName(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return adaptive.Commit{Attempt: at, Gen: gen, Alg: name}, n + k, nil
-	case tagAdaptiveAbort:
-		at, k, err := readAttempt(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return adaptive.Abort{Attempt: at}, n + k, nil
-	case tagAdaptiveInner:
-		gen, k, err := readI64(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		rest, n = rest[k:], n+k
-		inner, k, err := Decode(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return adaptive.Inner{Gen: gen, M: inner}, n + k, nil
 	case tagRARequest:
 		c, k, err := readI64(rest)
 		if err != nil {
@@ -301,19 +222,6 @@ func appendI64(dst []byte, v int64) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(v))
 }
 
-func appendAttempt(dst []byte, a adaptive.Attempt) []byte {
-	dst = appendID(dst, a.Proposer)
-	return appendI64(dst, a.Seq)
-}
-
-func appendName(dst []byte, s string) ([]byte, error) {
-	if len(s) > MaxNameLen {
-		return nil, fmt.Errorf("wire: name %q too long", s)
-	}
-	dst = append(dst, byte(len(s)))
-	return append(dst, s...), nil
-}
-
 func readID(b []byte) (mutex.ID, int, error) {
 	v, n, err := readU32(b)
 	return mutex.ID(int32(v)), n, err
@@ -332,27 +240,4 @@ func readI64(b []byte) (int64, int, error) {
 	}
 	// Negative values round-trip through two's complement.
 	return int64(binary.BigEndian.Uint64(b)), 8, nil
-}
-
-func readAttempt(b []byte) (adaptive.Attempt, int, error) {
-	id, k1, err := readID(b)
-	if err != nil {
-		return adaptive.Attempt{}, 0, err
-	}
-	seq, k2, err := readI64(b[k1:])
-	if err != nil {
-		return adaptive.Attempt{}, 0, err
-	}
-	return adaptive.Attempt{Proposer: id, Seq: seq}, k1 + k2, nil
-}
-
-func readName(b []byte) (string, int, error) {
-	if len(b) < 1 {
-		return "", 0, fmt.Errorf("wire: truncated name")
-	}
-	l := int(b[0])
-	if len(b) < 1+l {
-		return "", 0, fmt.Errorf("wire: truncated name body")
-	}
-	return string(b[1 : 1+l]), 1 + l, nil
 }

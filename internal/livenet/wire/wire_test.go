@@ -2,10 +2,12 @@ package wire
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"gridmutex/internal/adaptive"
+	"gridmutex/internal/algorithms"
+	"gridmutex/internal/algorithms/algotest"
 	"gridmutex/internal/algorithms/central"
 	"gridmutex/internal/algorithms/naimitrehel"
 	"gridmutex/internal/algorithms/raymond"
@@ -14,6 +16,7 @@ import (
 	"gridmutex/internal/algorithms/suzukikasami"
 	"gridmutex/internal/core"
 	"gridmutex/internal/mutex"
+	"gridmutex/internal/topology"
 )
 
 // roundTrip encodes and fully decodes a message.
@@ -31,7 +34,6 @@ func roundTrip(t *testing.T, m mutex.Message) mutex.Message {
 }
 
 func TestRoundTripAllTypes(t *testing.T) {
-	at := adaptive.Attempt{Proposer: 3, Seq: 42}
 	msgs := []mutex.Message{
 		naimitrehel.Request{Origin: 17},
 		naimitrehel.Token{},
@@ -47,16 +49,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 		central.ReleaseMsg{},
 		central.Nudge{},
 		core.Envelope{Level: 2, Inner: naimitrehel.Request{Origin: 9}},
-		adaptive.Prepare{Attempt: at, Alg: "martin"},
-		adaptive.Vote{Attempt: at, Ok: true},
-		adaptive.Vote{Attempt: at, Ok: false},
-		adaptive.Commit{Attempt: at, Gen: 7, Alg: "suzuki"},
-		adaptive.Abort{Attempt: at},
-		adaptive.Inner{Gen: 3, M: ring.Token{}},
 		ricartagrawala.Request{Clock: 12},
 		ricartagrawala.Reply{},
-		// Nested: an envelope around an adaptive inner around a token.
-		core.Envelope{Level: 1, Inner: adaptive.Inner{Gen: 1, M: suzukikasami.Token{LN: []int64{5}}}},
+		core.Envelope{Level: 1, Inner: suzukikasami.Token{LN: []int64{5}}},
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)
@@ -67,6 +62,90 @@ func TestRoundTripAllTypes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip of %T: got %#v, want %#v", m, got, want)
+		}
+	}
+}
+
+// TestRegistryTrafficRoundTrips takes the codec's scope from real runs:
+// every message a two-level composition of registry algorithms sends, at
+// either level, is a core.Envelope a UDP deployment puts on the wire, and
+// each must decode to exactly the value that was sent.
+func TestRegistryTrafficRoundTrips(t *testing.T) {
+	var specs []core.Spec
+	for _, name := range algorithms.Names() {
+		specs = append(specs, core.Spec{Intra: name, Inter: "naimi"})
+		if name != "naimi" {
+			specs = append(specs, core.Spec{Intra: "naimi", Inter: name})
+		}
+	}
+	for _, spec := range specs {
+		t.Run(spec.String(), func(t *testing.T) {
+			w := algotest.NewWorld()
+			insts := make(map[mutex.ID]mutex.Instance)
+			d, err := core.BuildComposed(w, topology.Uniform(2, 3, 0, 0), spec, func(id mutex.ID) mutex.Callbacks {
+				return mutex.Callbacks{OnAcquire: func() { w.Env(id).Local(insts[id].Release) }}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Settle()
+			for _, a := range d.Apps {
+				insts[a.ID] = a.Instance
+				a.Instance.Request()
+			}
+			if err := w.Drain(100_000); err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range d.Apps {
+				if st := a.Instance.State(); st != mutex.NoReq {
+					t.Fatalf("app %d ends in state %v, want every request served", a.ID, st)
+				}
+			}
+			for _, s := range w.Log() {
+				if got := roundTrip(t, s.Msg); !reflect.DeepEqual(got, s.Msg) {
+					t.Errorf("%d->%d: sent %#v, decoded %#v", s.From, s.To, s.Msg, got)
+				}
+			}
+		})
+	}
+}
+
+// TestTagsPinned pins each type's tag byte, and keeps the retired adaptive
+// tags 14-18 unknown so no later type reuses them.
+func TestTagsPinned(t *testing.T) {
+	tags := []struct {
+		m   mutex.Message
+		tag byte
+	}{
+		{naimitrehel.Request{}, 1},
+		{naimitrehel.Token{}, 2},
+		{ring.Request{}, 3},
+		{ring.Token{}, 4},
+		{suzukikasami.Request{}, 5},
+		{suzukikasami.Token{}, 6},
+		{raymond.Request{}, 7},
+		{raymond.Privilege{}, 8},
+		{central.Request{}, 9},
+		{central.Grant{}, 10},
+		{central.ReleaseMsg{}, 11},
+		{central.Nudge{}, 12},
+		{core.Envelope{Inner: ring.Token{}}, 13},
+		{ricartagrawala.Request{}, 19},
+		{ricartagrawala.Reply{}, 20},
+	}
+	for _, c := range tags {
+		b, err := Encode(nil, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[0] != c.tag {
+			t.Errorf("%T encodes with tag %d, want %d", c.m, b[0], c.tag)
+		}
+	}
+	for tag := byte(14); tag <= 18; tag++ {
+		b := append([]byte{tag}, make([]byte, 64)...)
+		if _, _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+			t.Errorf("retired tag %d: err = %v, want unknown message tag", tag, err)
 		}
 	}
 }
@@ -94,8 +173,6 @@ func TestDecodeErrors(t *testing.T) {
 		"truncated suzuki seq":   {5, 1},
 		"truncated suzuki token": {6, 0, 0, 0, 2, 0},
 		"truncated envelope":     {13},
-		"truncated vote":         {15, 0, 0, 0, 1},
-		"truncated name":         {14, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 5, 'a'},
 	}
 	for name, b := range cases {
 		if _, _, err := Decode(b); err == nil {
@@ -111,16 +188,6 @@ func TestDecodeFullRejectsTrailing(t *testing.T) {
 	}
 	if _, err := DecodeFull(append(b, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
-	}
-}
-
-func TestOversizeNameRejected(t *testing.T) {
-	long := make([]byte, MaxNameLen+1)
-	for i := range long {
-		long[i] = 'x'
-	}
-	if _, err := Encode(nil, adaptive.Prepare{Alg: string(long)}); err == nil {
-		t.Fatal("oversize name encoded")
 	}
 }
 
