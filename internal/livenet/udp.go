@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
 	"gridmutex/internal/livenet/wire"
@@ -35,10 +36,12 @@ type udpProc struct {
 	mbox *mailbox
 }
 
-// NewUDP creates a UDP fabric on host (empty means 127.0.0.1). With
-// basePort > 0, process id binds port basePort+id — a fixed scheme other
-// OS processes can predict; with basePort 0 every process binds an
-// ephemeral port (single-process deployments).
+// NewUDP creates a UDP fabric on host (empty means 127.0.0.1), which names
+// one address, not a wildcard: a frame is accepted only from the address
+// recorded for its sender. With basePort > 0, process id binds port
+// basePort+id — a fixed scheme other OS processes can predict; with
+// basePort 0 every process binds an ephemeral port (single-process
+// deployments).
 func NewUDP(host string, basePort int) *UDPNetwork {
 	if host == "" {
 		host = "127.0.0.1"
@@ -89,10 +92,12 @@ func (n *UDPNetwork) RegisterAt(id mutex.ID, node int, h mutex.Handler) {
 }
 
 // readLoop decodes datagrams and posts deliveries to the process mailbox.
+// A frame is accepted only from the address recorded for its sender id, so
+// a datagram from any other socket cannot speak for a process.
 func (n *UDPNetwork) readLoop(p *udpProc, h mutex.Handler) {
 	buf := make([]byte, 64*1024)
 	for {
-		k, _, err := p.conn.ReadFromUDP(buf)
+		k, src, err := p.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
@@ -103,12 +108,21 @@ func (n *UDPNetwork) readLoop(p *udpProc, h mutex.Handler) {
 			continue // runt frame
 		}
 		from := mutex.ID(int32(uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3])))
+		if addr := n.Addr(from); addr == nil || unmapped(addr.AddrPort()) != unmapped(src) {
+			continue // forged or unknown sender: drop
+		}
 		m, err := wire.DecodeFull(buf[4:k])
 		if err != nil {
 			continue // corrupt frame: drop, like a checksum failure would
 		}
 		p.mbox.put(func() { h.Deliver(from, m) })
 	}
+}
+
+// unmapped strips an IPv4-in-IPv6 prefix, so an address recorded in
+// net.IP's 16-byte form equals the same address read off the socket.
+func unmapped(a netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
 }
 
 // Endpoint implements mutex.Fabric.
