@@ -45,6 +45,7 @@ var (
 		{"internal/harness", "runShards", []string{"internal/harness.sweep"}, "sweep is the harness's one sweep driver (DESIGN.md §8)"},
 		{"internal/harness", "Scale.Workers", []string{"internal/harness", "bench"}, "commands and facades leave the worker count to GOMAXPROCS; only tests and the benchmark set it (DESIGN.md §8)"},
 		{"internal/stats", "Accumulator.Sketch", []string{"bench"}, "harness cells keep moments only: no committed table prints a cell's percentile (DESIGN.md §10)"},
+		{"internal/adaptive", "", []string{"internal/run"}, "the adaptive protocol is simulator-only: no live stack builds it, so the wire has no codec for it (DESIGN.md §3)"},
 	}
 )
 
@@ -59,7 +60,7 @@ func runConfine(p *Pass) {
 	for i, c := range confinements {
 		name, member, _ := strings.Cut(c.name, ".")
 		if t := pkgs[c.pkg]; c.name == "" {
-			rows[strconv.Quote(c.pkg)] = &confinements[i]
+			rows[c.pkg] = &confinements[i]
 		} else if t != nil {
 			obj := t.Scope().Lookup(name)
 			if obj != nil && member != "" {
@@ -84,7 +85,8 @@ func runConfine(p *Pass) {
 					var key any
 					switch n := n.(type) {
 					case *ast.ImportSpec:
-						key = n.Path.Value
+						path, _ := strconv.Unquote(n.Path.Value)
+						key = stripModulePrefix(path)
 					case *ast.Ident:
 						key = pkg.Info.Uses[n]
 					}

@@ -11,14 +11,16 @@ import (
 // The harness corpus reaches confined symbols through an import alias, a
 // method value, an explicit instantiation, a composite-literal key, a
 // field assignment and a method call; run, where the table allows the
-// assembly symbols, uses them without a finding but not the grant list,
-// simnet, which declares two, uses them without a finding, and so does
-// harness with its own Scale.Workers. The gridbench command sets
-// Scale.Workers, which only harness and bench may.
+// assembly symbols and the adaptive import, uses them without a finding
+// but not the grant list, simnet, which declares two, uses them without a
+// finding, and so does harness with its own Scale.Workers. The gridbench
+// command sets Scale.Workers, which only harness and bench may, and wire
+// imports the adaptive protocol, which only run may.
 func TestConfine(t *testing.T) {
 	linttest.Run(t, linttest.TestDataDir(t), lint.Confine,
 		"confine/cmd/gridbench",
 		"confine/internal/harness",
+		"confine/internal/livenet/wire",
 		"confine/internal/run",
 		"confine/internal/simnet",
 	)
