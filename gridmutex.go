@@ -7,11 +7,12 @@
 // A grid is a federation of clusters: links inside a cluster are fast,
 // links between clusters are slow and heterogeneous. The composition runs
 // one classical mutual exclusion algorithm inside every cluster and a
-// second one among per-cluster coordinators, so any two of Martin's ring,
-// Naimi-Trehel's tree, Suzuki-Kasami's broadcast, Raymond's tree, a
-// centralized server, or the permission-based Ricart-Agrawala can be
-// combined freely — plus a runtime-adaptive inter algorithm and
-// hierarchies deeper than two levels.
+// second one among per-cluster coordinators. New builds any two of
+// Martin's ring, Naimi-Trehel's tree, Suzuki-Kasami's broadcast, Raymond's
+// tree, a centralized server or the permission-based Ricart-Agrawala at two
+// levels. The runtime-adaptive inter algorithm and hierarchies deeper than
+// two levels run on the simulator (gridsim -adaptive, the adaptive and
+// gridscale figures).
 //
 // The package offers two entry points:
 //
