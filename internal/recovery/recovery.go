@@ -364,8 +364,22 @@ type MemberConfig struct {
 	OnMinority func(entered bool)
 }
 
-// Stats counts recovery activity of one member.
+// Stats counts recovery activity of one member: its counters, and three
+// state flags read when the snapshot is taken.
 type Stats struct {
+	counters
+	// Frozen reports whether the member's group froze (no preferred
+	// holder survived).
+	Frozen bool
+	// Minority reports whether the member is currently minority-frozen.
+	Minority bool
+	// Rejoining reports whether the member is awaiting re-admission
+	// after a restart.
+	Rejoining bool
+}
+
+// counters are the Stats a member keeps; their fields are promoted to Stats.
+type counters struct {
 	// Epochs is how many announcements this member applied.
 	Epochs int64
 	// Regenerations is how many epochs this member announced with a
@@ -389,14 +403,6 @@ type Stats struct {
 	Rejoins int64
 	// MinorityFreezes counts entries into the minority-frozen state.
 	MinorityFreezes int64
-	// Frozen reports whether the member's group froze (no preferred
-	// holder survived).
-	Frozen bool
-	// Minority reports whether the member is currently minority-frozen.
-	Minority bool
-	// Rejoining reports whether the member is awaiting re-admission
-	// after a restart.
-	Rejoining bool
 }
 
 type ownerState uint8
@@ -419,10 +425,47 @@ type joinBid struct {
 	last  des.Time
 }
 
-// peer is the failure detector's state for one configured member.
-type peer struct {
-	heardAt des.Time
-	suspect bool
+// peer is the failure detector's state for one configured member: the
+// instant it was last heard, complemented (^heardAt, so negative) while it
+// is suspected. Virtual time is never negative, so the sign is free.
+type peer des.Time
+
+func newPeer(heardAt des.Time, suspect bool) peer {
+	if suspect {
+		return ^peer(heardAt)
+	}
+	return peer(heardAt)
+}
+
+func (p peer) suspect() bool { return p < 0 }
+
+// heardAt is whichever of p and ^p is not negative.
+func (p peer) heardAt() des.Time { return des.Time(max(p, ^p)) }
+
+// census is a member's fault-handling state: its probe rounds, the fence,
+// buffered future-epoch traffic and pending joiners. A member allocates it
+// on its first probe round, fence, future-epoch message or Rejoin beacon,
+// so a member of a fault-free group never does; every read takes a nil
+// census as empty.
+type census struct {
+	round     uint32
+	fenceGen  uint64
+	acks      map[mutex.ID]ProbeAck
+	targets   []mutex.ID
+	fencedBuf []bufferedMsg
+	future    []bufferedMsg
+	// pendingJoin holds the Rejoin beacons of joiners not yet admitted.
+	pendingJoin map[mutex.ID]joinBid
+}
+
+// takeFenced empties the fence buffer and returns what it held.
+func (c *census) takeFenced() []bufferedMsg {
+	if c == nil {
+		return nil
+	}
+	buf := c.fencedBuf
+	c.fencedBuf = nil
+	return buf
 }
 
 // Member is one process's endpoint of a crash-tolerant group: a
@@ -430,17 +473,10 @@ type peer struct {
 // epoch and the failure detector that advances epochs. All entry points
 // run on the owner's serial context (DES event handlers).
 type Member struct {
-	g   *Group
-	cfg MemberConfig // Callbacks replaced by SetCallbacks
-
-	epoch  Epoch
-	live   []mutex.ID // sorted membership of the current epoch
-	holder mutex.ID   // initial holder of the current epoch
-	inner  mutex.Instance
-
-	owner            ownerState
-	suppressAcquire  bool
-	releaseOnAcquire bool
+	g     *Group
+	cfg   MemberConfig // Callbacks replaced by SetCallbacks
+	inner mutex.Instance
+	live  []mutex.ID // sorted membership of the current epoch
 
 	// Detector state, dense — a delivered heartbeat costs two loads, not
 	// three hashed lookups: peers[i] is the state of the group's members[i],
@@ -448,26 +484,34 @@ type Member struct {
 	peers  []peer
 	tickFn func() // m.tick, bound once: re-arming allocates no method value
 
-	probing bool
-	round   uint32
-	acks    map[mutex.ID]ProbeAck
-	targets []mutex.ID
+	cs    *census // nil until a fault needs it
+	stats counters
 
+	epoch  Epoch
+	holder mutex.ID // initial holder of the current epoch
+	owner  ownerState
+
+	suppressAcquire  bool
+	releaseOnAcquire bool
+	// probing and fenced stay out of the census: the delivery path reads
+	// them on every message.
+	probing   bool
 	fenced    bool
-	fenceGen  uint64
-	fencedBuf []bufferedMsg
-	future    []bufferedMsg
-
 	frozen    bool
 	started   bool
 	stopped   bool
 	wasDown   bool
 	rejoining bool
 	minority  bool
+}
 
-	pendingJoin map[mutex.ID]joinBid
-
-	stats Stats
+// census returns the member's fault-handling state, allocating it on
+// first use.
+func (m *Member) census() *census {
+	if m.cs == nil {
+		m.cs = new(census)
+	}
+	return m.cs
 }
 
 // NewMember builds a member of g and its initial-epoch algorithm instance.
@@ -501,11 +545,7 @@ func (m *Member) Epoch() Epoch { return m.epoch }
 
 // Stats returns a snapshot of recovery activity.
 func (m *Member) Stats() Stats {
-	s := m.stats
-	s.Frozen = m.frozen
-	s.Minority = m.minority
-	s.Rejoining = m.rejoining
-	return s
+	return Stats{counters: m.stats, Frozen: m.frozen, Minority: m.minority, Rejoining: m.rejoining}
 }
 
 // SetCallbacks replaces the owner callbacks — the hook a standby
@@ -530,34 +570,24 @@ func (m *Member) Stop() { m.stopped = true }
 // Callbacks and the env are epoch-stamped: a superseded instance's late
 // local upcalls are ignored and its late sends dropped by receivers.
 func (m *Member) buildInner() error {
-	e := m.epoch
+	env := &epochEnv{m: m, e: m.epoch}
 	inst, err := m.g.factory(mutex.Config{
-		Self:    m.cfg.Self,
-		Members: m.live,
-		Holder:  m.holder,
-		Env:     &epochEnv{m: m, e: e},
-		Callbacks: mutex.Callbacks{
-			OnAcquire: func() {
-				if m.epoch == e {
-					m.onInnerAcquire()
-				}
-			},
-			OnPending: func() {
-				if m.epoch == e && m.cfg.Callbacks.OnPending != nil {
-					m.cfg.Callbacks.OnPending()
-				}
-			},
-		},
+		Self:      m.cfg.Self,
+		Members:   m.live,
+		Holder:    m.holder,
+		Env:       env,
+		Callbacks: mutex.Callbacks{OnAcquire: env.onAcquire, OnPending: env.onPending},
 	})
 	if err != nil {
-		return fmt.Errorf("recovery: %s instance for %d in %v: %w", m.g.name, m.cfg.Self, e, err)
+		return fmt.Errorf("recovery: %s instance for %d in %v: %w", m.g.name, m.cfg.Self, env.e, err)
 	}
 	m.inner = inst
 	return nil
 }
 
-// epochEnv tags every send of one epoch's instance with that epoch, so
-// receivers can tell live traffic from a dead instance's stragglers.
+// epochEnv is one epoch's instance's env and callbacks: it tags every send
+// with the epoch, so receivers can tell live traffic from a dead instance's
+// stragglers, and passes an upcall on only while its epoch is current.
 type epochEnv struct {
 	m *Member
 	e Epoch
@@ -568,6 +598,18 @@ func (e *epochEnv) Send(to mutex.ID, msg mutex.Message) {
 }
 
 func (e *epochEnv) Local(f func()) { e.m.cfg.Env.Local(f) }
+
+func (e *epochEnv) onAcquire() {
+	if e.m.epoch == e.e {
+		e.m.onInnerAcquire()
+	}
+}
+
+func (e *epochEnv) onPending() {
+	if e.m.epoch == e.e && e.m.cfg.Callbacks.OnPending != nil {
+		e.m.cfg.Callbacks.OnPending()
+	}
+}
 
 func (m *Member) onInnerAcquire() {
 	if m.releaseOnAcquire {
@@ -690,11 +732,11 @@ func (m *Member) tick() {
 		now := m.g.clock.Now()
 		for _, id := range m.live {
 			p := m.peerOf(id)
-			if id == m.cfg.Self || p.suspect {
+			if id == m.cfg.Self || p.suspect() {
 				continue
 			}
-			if time.Duration(now-p.heardAt) > m.g.opts.Timeout {
-				p.suspect = true
+			if now-p.heardAt() > m.g.opts.Timeout {
+				*p = newPeer(p.heardAt(), true)
 				m.stats.Suspicions++
 			}
 		}
@@ -758,11 +800,11 @@ func (m *Member) amnesia() {
 	m.releaseOnAcquire = false
 	m.probing = false
 	m.fenced = false
-	m.fencedBuf = nil
-	m.future = nil
-	m.acks = nil
-	m.targets = m.targets[:0]
-	m.pendingJoin = nil
+	if c := m.cs; c != nil {
+		// The round and fence counters stay: a timer armed before the
+		// crash must not match a round or fence started after it.
+		*c = census{round: c.round, fenceGen: c.fenceGen}
+	}
 	m.setLive(m.g.members)
 }
 
@@ -786,7 +828,7 @@ func (m *Member) setLive(ids []mutex.ID) {
 	for _, id := range ids {
 		// Never nil: epochs are censused from live members and Rejoin
 		// senders of this group, all configured with the same membership.
-		m.peerOf(id).heardAt = now
+		*m.peerOf(id) = newPeer(now, false)
 	}
 }
 
@@ -795,7 +837,7 @@ func (m *Member) setLive(ids []mutex.ID) {
 func (m *Member) reachable() int {
 	n := 0
 	for _, id := range m.live {
-		if id == m.cfg.Self || !m.peerOf(id).suspect {
+		if id == m.cfg.Self || !m.peerOf(id).suspect() {
 			n++
 		}
 	}
@@ -816,8 +858,7 @@ func (m *Member) enterMinority() {
 	// may have censused out. Owner requests stay recorded in owner state
 	// — the bounded frozen queue — and the resync epoch re-issues them.
 	m.inner = nil
-	m.stats.FencedDropped += int64(len(m.fencedBuf))
-	m.fencedBuf = nil
+	m.stats.FencedDropped += int64(len(m.cs.takeFenced()))
 	m.fenced = false
 	if m.cfg.OnMinority != nil {
 		// A composition bridge forfeits its critical-section claim: the
@@ -852,8 +893,11 @@ func (m *Member) joinReady(b joinBid) bool {
 }
 
 func (m *Member) anyJoinReady() bool {
+	if m.cs == nil {
+		return false
+	}
 	//lint:allow dettaint order-independent: a pure OR over the entries, no state or sends
-	for _, b := range m.pendingJoin {
+	for _, b := range m.cs.pendingJoin {
 		if m.joinFresh(b) && m.joinReady(b) {
 			return true
 		}
@@ -870,14 +914,16 @@ func (m *Member) anyJoinReady() bool {
 func (m *Member) isLeader() bool {
 	fallback := mutex.None
 	for _, id := range m.live {
-		if m.peerOf(id).suspect {
+		if m.peerOf(id).suspect() {
 			continue
 		}
 		if fallback == mutex.None {
 			fallback = id
 		}
-		if b, ok := m.pendingJoin[id]; ok && m.joinFresh(b) {
-			continue
+		if m.cs != nil {
+			if b, ok := m.cs.pendingJoin[id]; ok && m.joinFresh(b) {
+				continue
+			}
 		}
 		return id == m.cfg.Self
 	}
@@ -886,7 +932,7 @@ func (m *Member) isLeader() bool {
 
 func (m *Member) anySuspectLive() bool {
 	for _, id := range m.live {
-		if m.peerOf(id).suspect {
+		if m.peerOf(id).suspect() {
 			return true
 		}
 	}
@@ -901,11 +947,8 @@ func (m *Member) heard(from mutex.ID) {
 		// group, and only the Rejoin beacon path admits anyone.
 		return
 	}
-	p.heardAt = m.g.clock.Now()
-	if p.suspect && !m.probing {
-		// A false suspicion cleared before any round acted on it.
-		p.suspect = false
-	}
+	// A false suspicion clears unless a round is acting on it.
+	*p = newPeer(m.g.clock.Now(), p.suspect() && m.probing)
 }
 
 // fence starts (or re-arms) the probe fence: current-epoch algorithm
@@ -915,16 +958,14 @@ func (m *Member) heard(from mutex.ID) {
 // the token.
 func (m *Member) fence() {
 	m.fenced = true
-	m.fenceGen++
-	gen := m.fenceGen
+	m.census().fenceGen++
+	gen := m.cs.fenceGen
 	m.g.clock.After(m.g.opts.ProbeTimeout+m.g.opts.Timeout, func() {
-		if m.stopped || !m.fenced || gen != m.fenceGen {
+		if m.stopped || !m.fenced || gen != m.cs.fenceGen {
 			return
 		}
 		m.fenced = false
-		buf := m.fencedBuf
-		m.fencedBuf = nil
-		for _, b := range buf {
+		for _, b := range m.cs.takeFenced() {
 			if b.msg.E == m.epoch && m.inner != nil {
 				m.inner.Deliver(b.from, b.msg.Inner)
 			} else {
@@ -936,48 +977,50 @@ func (m *Member) fence() {
 
 // startRound begins a probe round: census every unsuspected live peer.
 func (m *Member) startRound() {
+	c := m.census()
 	m.probing = true
-	m.round++
+	c.round++
 	m.stats.Rounds++
 	m.fence()
-	m.acks = map[mutex.ID]ProbeAck{
-		m.cfg.Self: {Round: m.round, Holds: m.HoldsToken(), InCS: m.owner == ownerInCS},
+	c.acks = map[mutex.ID]ProbeAck{
+		m.cfg.Self: {Round: c.round, Holds: m.HoldsToken(), InCS: m.owner == ownerInCS},
 	}
-	m.targets = m.targets[:0]
+	c.targets = c.targets[:0]
 	for _, id := range m.live {
-		if id == m.cfg.Self || m.peerOf(id).suspect {
+		if id == m.cfg.Self || m.peerOf(id).suspect() {
 			continue
 		}
-		if b, ok := m.pendingJoin[id]; ok && m.joinFresh(b) {
+		if b, ok := c.pendingJoin[id]; ok && m.joinFresh(b) {
 			// A pending joiner answers no probes, and its state-less
 			// census answer is implied — skip it so the round need not
 			// time out on it.
 			continue
 		}
-		m.targets = append(m.targets, id)
+		c.targets = append(c.targets, id)
 	}
-	if len(m.targets) == 0 {
+	if len(c.targets) == 0 {
 		m.finishRound()
 		return
 	}
-	for _, id := range m.targets {
-		m.cfg.Env.Send(id, Probe{Round: m.round, E: m.epoch})
+	for _, id := range c.targets {
+		m.cfg.Env.Send(id, Probe{Round: c.round, E: m.epoch})
 	}
-	round := m.round
+	round := c.round
 	m.g.clock.After(m.g.opts.ProbeTimeout, func() { m.roundTimeout(round) })
 }
 
 func (m *Member) roundTimeout(round uint32) {
-	if m.stopped || m.down() || !m.probing || round != m.round {
+	// A member probes only once it has a census.
+	if m.stopped || m.down() || !m.probing || round != m.cs.round {
 		return
 	}
 	// Unanswered members are suspected; retry with the smaller target set
 	// (the round count is bounded by the membership size).
 	missing := false
-	for _, id := range m.targets {
-		if _, ok := m.acks[id]; !ok {
-			if p := m.peerOf(id); !p.suspect {
-				p.suspect = true
+	for _, id := range m.cs.targets {
+		if _, ok := m.cs.acks[id]; !ok {
+			if p := m.peerOf(id); !p.suspect() {
+				*p = newPeer(p.heardAt(), true)
 				m.stats.Suspicions++
 			}
 			missing = true
@@ -998,8 +1041,8 @@ func (m *Member) roundTimeout(round uint32) {
 }
 
 func (m *Member) allAcked() bool {
-	for _, id := range m.targets {
-		if _, ok := m.acks[id]; !ok {
+	for _, id := range m.cs.targets {
+		if _, ok := m.cs.acks[id]; !ok {
 			return false
 		}
 	}
@@ -1008,13 +1051,14 @@ func (m *Member) allAcked() bool {
 
 // finishRound turns the census into an epoch announcement.
 func (m *Member) finishRound() {
+	c := m.cs
 	m.probing = false
 	var newLive []mutex.ID
 	for _, id := range m.live {
-		if m.peerOf(id).suspect {
+		if m.peerOf(id).suspect() {
 			continue
 		}
-		if b, ok := m.pendingJoin[id]; ok && m.joinFresh(b) && !m.joinReady(b) {
+		if b, ok := c.pendingJoin[id]; ok && m.joinFresh(b) && !m.joinReady(b) {
 			// Mid-cooldown joiner: keep it out of this epoch; the join
 			// round after its cooldown admits it.
 			continue
@@ -1025,15 +1069,15 @@ func (m *Member) finishRound() {
 	// admitted state-less — amnesia (or the minority forfeit) cleared its
 	// claims — so skipping its census answer is sound. Iterate sorted for
 	// determinism; prune entries whose beacons lapsed (died again).
-	joiners := make([]mutex.ID, 0, len(m.pendingJoin))
-	for id := range m.pendingJoin {
+	joiners := make([]mutex.ID, 0, len(c.pendingJoin))
+	for id := range c.pendingJoin {
 		joiners = append(joiners, id)
 	}
 	sort.Slice(joiners, func(i, j int) bool { return joiners[i] < joiners[j] })
 	for _, id := range joiners {
-		b := m.pendingJoin[id]
+		b := c.pendingJoin[id]
 		if !m.joinFresh(b) {
-			delete(m.pendingJoin, id)
+			delete(c.pendingJoin, id)
 			continue
 		}
 		if !m.joinReady(b) {
@@ -1042,7 +1086,7 @@ func (m *Member) finishRound() {
 		if !containsID(newLive, id) {
 			newLive = append(newLive, id)
 		}
-		delete(m.pendingJoin, id)
+		delete(c.pendingJoin, id)
 	}
 	sort.Slice(newLive, func(i, j int) bool { return newLive[i] < newLive[j] })
 	// Quorum gate: announcing an epoch from a sub-majority survivor set
@@ -1052,27 +1096,16 @@ func (m *Member) finishRound() {
 		m.enterMinority()
 		return
 	}
-	// With holder preferences configured, every preferred member dead
-	// means the group can no longer be coordinated (for an intra group:
-	// both the primary and the standby are gone) — freeze it even if an
-	// application still holds the token, or the applications would keep
-	// circulating the intra token with nothing coupling them to the inter
-	// level.
+	// The regeneration holder: the first preferred member alive, or with no
+	// preferences the lowest-id survivor (the gate leaves at least one).
+	regen := newLive[0]
 	if len(m.g.prefs) > 0 {
-		prefAlive := false
+		regen = mutex.None
 		for _, p := range m.g.prefs {
 			if containsID(newLive, p) {
-				prefAlive = true
+				regen = p
 				break
 			}
-		}
-		if !prefAlive {
-			m.announce(NewEpoch{
-				E:       Epoch{Seq: m.epoch.Seq + 1, Leader: m.cfg.Self},
-				Members: newLive,
-				Holder:  mutex.None,
-			})
-			return
 		}
 	}
 	// Token position: a member inside (or claiming) the critical section
@@ -1080,34 +1113,32 @@ func (m *Member) finishRound() {
 	// unanswered members were suspected out by roundTimeout.
 	holder := mutex.None
 	for _, id := range newLive {
-		if m.acks[id].InCS {
+		if c.acks[id].InCS {
 			holder = id
 			break
 		}
 	}
 	if holder == mutex.None {
 		for _, id := range newLive {
-			if m.acks[id].Holds {
+			if c.acks[id].Holds {
 				holder = id
 				break
 			}
 		}
 	}
-	if holder == mutex.None {
+	switch {
+	case regen == mutex.None:
+		// With holder preferences configured, every preferred member dead
+		// means the group can no longer be coordinated (for an intra group:
+		// both the primary and the standby are gone) — freeze it even if an
+		// application still holds the token, or the applications would keep
+		// circulating the intra token with nothing coupling them to the
+		// inter level.
+		holder = mutex.None
+	case holder == mutex.None:
 		// The token died with a crashed node: regenerate deterministically.
-		if len(m.g.prefs) > 0 {
-			for _, p := range m.g.prefs {
-				if containsID(newLive, p) {
-					holder = p
-					break
-				}
-			}
-		} else if len(newLive) > 0 {
-			holder = newLive[0]
-		}
-		if holder != mutex.None {
-			m.stats.Regenerations++
-		}
+		holder = regen
+		m.stats.Regenerations++
 	}
 	m.announce(NewEpoch{
 		E:       Epoch{Seq: m.epoch.Seq + 1, Leader: m.cfg.Self},
@@ -1141,12 +1172,13 @@ func (m *Member) applyNewEpoch(ne NewEpoch) {
 	m.suppressAcquire = false
 	m.releaseOnAcquire = false
 	// The fence dies with its epoch: everything it buffered is stale.
-	m.stats.FencedDropped += int64(len(m.fencedBuf))
-	m.fencedBuf = nil
+	m.stats.FencedDropped += int64(len(m.cs.takeFenced()))
 	m.fenced = false
-	// An admitted joiner is folded back in by this epoch.
-	for _, id := range m.live {
-		delete(m.pendingJoin, id)
+	if m.cs != nil {
+		// An admitted joiner is folded back in by this epoch.
+		for _, id := range m.live {
+			delete(m.cs.pendingJoin, id)
+		}
 	}
 	m.frozen = ne.Holder == mutex.None
 	switch {
@@ -1202,8 +1234,11 @@ func (m *Member) applyNewEpoch(ne NewEpoch) {
 			m.cfg.OnEpoch(ne.E, members, m.holder)
 		}
 	}
-	buf := m.future
-	m.future = nil
+	if m.cs == nil {
+		return
+	}
+	buf := m.cs.future
+	m.cs.future = nil
 	for _, b := range buf {
 		switch {
 		case b.msg.E == m.epoch:
@@ -1213,7 +1248,7 @@ func (m *Member) applyNewEpoch(ne NewEpoch) {
 				m.stats.StaleDropped++
 			}
 		case m.epoch.Less(b.msg.E):
-			m.future = append(m.future, b)
+			m.cs.future = append(m.cs.future, b)
 		default:
 			m.stats.StaleDropped++
 		}
@@ -1237,17 +1272,18 @@ func (m *Member) Deliver(from mutex.ID, msg mutex.Message) {
 			return
 		}
 		now := m.g.clock.Now()
-		b, ok := m.pendingJoin[from]
+		c := m.census()
+		b, ok := c.pendingJoin[from]
 		if !ok || !m.joinFresh(b) {
 			// First beacon (or beacons lapsed — the joiner died again):
 			// the cooldown starts here.
 			b.first = now
 		}
 		b.last = now
-		if m.pendingJoin == nil {
-			m.pendingJoin = make(map[mutex.ID]joinBid)
+		if c.pendingJoin == nil {
+			c.pendingJoin = make(map[mutex.ID]joinBid)
 		}
-		m.pendingJoin[from] = b
+		c.pendingJoin[from] = b
 	case Probe:
 		m.heard(from)
 		if m.rejoining || m.minority {
@@ -1265,10 +1301,10 @@ func (m *Member) Deliver(from mutex.ID, msg mutex.Message) {
 		m.cfg.Env.Send(from, ProbeAck{Round: t.Round, Holds: m.HoldsToken(), InCS: m.owner == ownerInCS})
 	case ProbeAck:
 		m.heard(from)
-		if !m.probing || t.Round != m.round {
+		if !m.probing || t.Round != m.cs.round {
 			return
 		}
-		m.acks[from] = t
+		m.cs.acks[from] = t
 		if m.allAcked() {
 			m.finishRound()
 		}
@@ -1280,7 +1316,7 @@ func (m *Member) Deliver(from mutex.ID, msg mutex.Message) {
 		switch {
 		case t.E == m.epoch:
 			if m.fenced {
-				m.fencedBuf = append(m.fencedBuf, bufferedMsg{from: from, msg: t})
+				m.cs.fencedBuf = append(m.cs.fencedBuf, bufferedMsg{from: from, msg: t})
 				return
 			}
 			if m.inner == nil {
@@ -1289,7 +1325,8 @@ func (m *Member) Deliver(from mutex.ID, msg mutex.Message) {
 			}
 			m.inner.Deliver(from, t.Inner)
 		case m.epoch.Less(t.E):
-			m.future = append(m.future, bufferedMsg{from: from, msg: t})
+			c := m.census()
+			c.future = append(c.future, bufferedMsg{from: from, msg: t})
 		default:
 			m.stats.StaleDropped++
 		}
