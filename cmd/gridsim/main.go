@@ -131,7 +131,6 @@ func gridsim(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "inter-cluster msgs/CS:  %.3f\n", p.InterMsgsPerCS)
 	fmt.Fprintf(stdout, "intra-cluster msgs/CS:  %.3f\n", p.IntraMsgsPerCS)
 	fmt.Fprintf(stdout, "total msgs/CS:          %.3f\n", p.TotalMsgsPerCS)
-	fmt.Fprintf(stdout, "inter-cluster bytes/CS: %.1f\n", p.InterBytesPerCS)
 	if sys.AdaptiveInter {
 		fmt.Fprintf(stdout, "adaptive switches:      %d\n", p.Switches)
 	}

@@ -111,9 +111,6 @@ type Prepare struct {
 // Kind implements mutex.Message.
 func (Prepare) Kind() string { return "adaptive.prepare" }
 
-// Size implements mutex.Message.
-func (Prepare) Size() int { return 32 }
-
 // Vote answers a Prepare.
 type Vote struct {
 	Attempt Attempt
@@ -122,9 +119,6 @@ type Vote struct {
 
 // Kind implements mutex.Message.
 func (Vote) Kind() string { return "adaptive.vote" }
-
-// Size implements mutex.Message.
-func (Vote) Size() int { return 28 }
 
 // Commit installs generation Gen of algorithm Alg with the proposer as
 // holder.
@@ -137,9 +131,6 @@ type Commit struct {
 // Kind implements mutex.Message.
 func (Commit) Kind() string { return "adaptive.commit" }
 
-// Size implements mutex.Message.
-func (Commit) Size() int { return 36 }
-
 // Abort cancels a proposal.
 type Abort struct {
 	Attempt Attempt
@@ -147,9 +138,6 @@ type Abort struct {
 
 // Kind implements mutex.Message.
 func (Abort) Kind() string { return "adaptive.abort" }
-
-// Size implements mutex.Message.
-func (Abort) Size() int { return 24 }
 
 // Inner carries a wrapped inner-algorithm message of generation Gen.
 type Inner struct {
@@ -159,9 +147,6 @@ type Inner struct {
 
 // Kind implements mutex.Message.
 func (i Inner) Kind() string { return i.M.Kind() }
-
-// Size implements mutex.Message: inner size plus the generation tag.
-func (i Inner) Size() int { return i.M.Size() + 8 }
 
 // bufferedInner is a future-generation message awaiting its Commit.
 type bufferedInner struct {

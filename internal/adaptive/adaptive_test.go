@@ -394,9 +394,6 @@ func TestMessageMetadata(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, m := range msgs {
-		if m.Size() <= 0 {
-			t.Errorf("%T has non-positive size", m)
-		}
 		if seen[m.Kind()] {
 			t.Errorf("duplicate kind %q", m.Kind())
 		}
@@ -405,9 +402,6 @@ func TestMessageMetadata(t *testing.T) {
 	in := Inner{Gen: 3, M: Prepare{}}
 	if in.Kind() != "adaptive.prepare" {
 		t.Errorf("Inner.Kind = %q", in.Kind())
-	}
-	if in.Size() != (Prepare{}).Size()+8 {
-		t.Errorf("Inner.Size = %d", in.Size())
 	}
 }
 
@@ -591,7 +585,6 @@ func TestSingleMemberNeverProposes(t *testing.T) {
 type badMsg struct{}
 
 func (badMsg) Kind() string { return "bad" }
-func (badMsg) Size() int    { return 0 }
 
 // TestAdaptiveInsideMultiLevel places the adaptive wrapper at the middle
 // level of a three-level hierarchy: regions switch their algorithm while

@@ -193,21 +193,3 @@ func TestMessageComplexity(t *testing.T) {
 		t.Errorf("central: %.2f messages/CS, want <= 4", got)
 	}
 }
-
-// TestSuzukiTokenDominatesBytes: Suzuki's token is O(N) bytes, so its byte
-// traffic per CS must grow faster with N than Naimi's.
-func TestByteAccountingGrowsWithN(t *testing.T) {
-	bytesPerCS := func(name string, nodes int) float64 {
-		w := algotest.Workload{
-			Nodes: nodes, RequestsPerNode: 5, CS: time.Millisecond,
-			MaxThink: 100 * time.Millisecond, Seed: 21, LocalRTT: 2 * time.Millisecond,
-		}
-		res := algotest.Run(factoryFor(t, name), w, t.Fatalf)
-		return float64(res.Counters.Bytes) / float64(res.Grants)
-	}
-	suzukiGrowth := bytesPerCS("suzuki", 40) / bytesPerCS("suzuki", 10)
-	naimiGrowth := bytesPerCS("naimi", 40) / bytesPerCS("naimi", 10)
-	if suzukiGrowth <= naimiGrowth {
-		t.Errorf("suzuki byte growth %.2fx not above naimi %.2fx", suzukiGrowth, naimiGrowth)
-	}
-}

@@ -39,7 +39,6 @@ func BenchmarkAlgorithm(b *testing.B) {
 				}
 			}
 			b.ReportMetric(res.MessagesPerCS(), "msgs/CS")
-			b.ReportMetric(float64(res.Counters.Bytes)/float64(res.Grants), "bytes/CS")
 		})
 	}
 }

@@ -22,26 +22,17 @@ type Request struct{}
 // Kind implements mutex.Message.
 func (Request) Kind() string { return "central.request" }
 
-// Size implements mutex.Message.
-func (Request) Size() int { return 16 }
-
 // Grant gives the requester the critical section.
 type Grant struct{}
 
 // Kind implements mutex.Message.
 func (Grant) Kind() string { return "central.grant" }
 
-// Size implements mutex.Message.
-func (Grant) Size() int { return 16 }
-
 // ReleaseMsg tells the server the critical section is free again.
 type ReleaseMsg struct{}
 
 // Kind implements mutex.Message.
 func (ReleaseMsg) Kind() string { return "central.release" }
-
-// Size implements mutex.Message.
-func (ReleaseMsg) Size() int { return 16 }
 
 // Nudge tells the current grantee that other requests are queued at the
 // server. Classical centralized mutual exclusion does not need it, but the
@@ -51,9 +42,6 @@ type Nudge struct{}
 
 // Kind implements mutex.Message.
 func (Nudge) Kind() string { return "central.nudge" }
-
-// Size implements mutex.Message.
-func (Nudge) Size() int { return 16 }
 
 type node struct {
 	cfg     mutex.Config

@@ -262,7 +262,6 @@ func TestProtocolPanics(t *testing.T) {
 type bogus struct{}
 
 func (bogus) Kind() string { return "bogus" }
-func (bogus) Size() int    { return 0 }
 
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	if _, err := New(mutex.Config{}); err == nil {

@@ -31,17 +31,11 @@ type Request struct {
 // Kind implements mutex.Message.
 func (Request) Kind() string { return "naimi.request" }
 
-// Size implements mutex.Message: header plus one node identifier.
-func (Request) Size() int { return 20 }
-
 // Token is the token-granting message.
 type Token struct{}
 
 // Kind implements mutex.Message.
 func (Token) Kind() string { return "naimi.token" }
-
-// Size implements mutex.Message.
-func (Token) Size() int { return 16 }
 
 // node keeps only what the algorithm reads after New: the member list and
 // the initial holder are consulted once, to set father and token.

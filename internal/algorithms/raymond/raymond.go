@@ -26,17 +26,11 @@ type Request struct{}
 // Kind implements mutex.Message.
 func (Request) Kind() string { return "raymond.request" }
 
-// Size implements mutex.Message.
-func (Request) Size() int { return 16 }
-
 // Privilege transfers the token to a tree neighbour.
 type Privilege struct{}
 
 // Kind implements mutex.Message.
 func (Privilege) Kind() string { return "raymond.privilege" }
-
-// Size implements mutex.Message.
-func (Privilege) Size() int { return 16 }
 
 type node struct {
 	cfg    mutex.Config

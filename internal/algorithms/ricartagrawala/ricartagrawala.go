@@ -39,17 +39,11 @@ type Request struct {
 // Kind implements mutex.Message.
 func (Request) Kind() string { return "ra.request" }
 
-// Size implements mutex.Message.
-func (Request) Size() int { return 24 }
-
 // Reply grants permission to the requester.
 type Reply struct{}
 
 // Kind implements mutex.Message.
 func (Reply) Kind() string { return "ra.reply" }
-
-// Size implements mutex.Message.
-func (Reply) Size() int { return 16 }
 
 type node struct {
 	cfg      mutex.Config

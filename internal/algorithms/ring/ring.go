@@ -27,18 +27,12 @@ type Request struct{}
 // Kind implements mutex.Message.
 func (Request) Kind() string { return "martin.request" }
 
-// Size implements mutex.Message.
-func (Request) Size() int { return 16 }
-
 // Token grants the right to enter the critical section; it travels from
 // successor to predecessor.
 type Token struct{}
 
 // Kind implements mutex.Message.
 func (Token) Kind() string { return "martin.token" }
-
-// Size implements mutex.Message.
-func (Token) Size() int { return 16 }
 
 type node struct {
 	cfg    mutex.Config

@@ -18,7 +18,7 @@
 // heard from) instead of O(N) — at grid scale the dense vectors are the
 // token-state memory wall (N processes × N entries). The token on the
 // wire still carries the dense LN array the 1985 algorithm defines, with
-// identical contents and the same modeled O(N) Size; only the resident
+// identical contents and the same O(N) encoding; only the resident
 // representation is factored. The sparse entries are one run sorted by
 // member index, so iterating them walks member order by construction.
 package suzukikasami
@@ -38,9 +38,6 @@ type Request struct {
 // Kind implements mutex.Message.
 func (Request) Kind() string { return "suzuki.request" }
 
-// Size implements mutex.Message: header, node id and sequence number.
-func (Request) Size() int { return 24 }
-
 // Token carries the satisfied-request array LN (indexed like
 // Config.Members) and the queue Q of pending grantees.
 type Token struct {
@@ -50,11 +47,6 @@ type Token struct {
 
 // Kind implements mutex.Message.
 func (Token) Kind() string { return "suzuki.token" }
-
-// Size implements mutex.Message: header plus 8 bytes per LN entry plus 4
-// per queued node — the O(N) payload the paper's scalability discussion
-// refers to.
-func (t Token) Size() int { return 16 + 8*len(t.LN) + 4*len(t.Q) }
 
 // seqVec is a sparse member-indexed sequence vector: one run of entries,
 // sorted by member index, materialized only for members whose value has
@@ -224,8 +216,8 @@ func (n *node) queued(id mutex.ID) bool {
 
 func (n *node) sendToken(to mutex.ID) {
 	// The wire token carries the dense LN array — the algorithm's
-	// intrinsic O(N) payload, which Size() models and the live codec
-	// encodes — materialized here from the sparse state. Its contents are
+	// intrinsic O(N) payload, which the live codec encodes at 8 bytes an
+	// entry — materialized here from the sparse state. Its contents are
 	// identical to what a dense implementation would send: zeros for
 	// members that never requested.
 	ln := make([]int64, len(n.cfg.Members))

@@ -354,15 +354,11 @@ func TestEnvelopeMetadata(t *testing.T) {
 	if e.Kind() != "fake" {
 		t.Errorf("Kind = %q", e.Kind())
 	}
-	if e.Size() != (fakeMsg{}).Size()+1 {
-		t.Errorf("Size = %d", e.Size())
-	}
 }
 
 type fakeMsg struct{}
 
 func (fakeMsg) Kind() string { return "fake" }
-func (fakeMsg) Size() int    { return 10 }
 
 // TestCompositionWithPermissionBasedAlgorithm: the Housni-Trehel flavour
 // from the paper's related work — a token algorithm inside clusters,

@@ -30,9 +30,6 @@ type Envelope struct {
 // Kind implements mutex.Message; envelopes are transparent for tracing.
 func (e Envelope) Kind() string { return e.Inner.Kind() }
 
-// Size implements mutex.Message: inner size plus a one-byte level tag.
-func (e Envelope) Size() int { return e.Inner.Size() + 1 }
-
 // pooledEnvelope is an Envelope in a recycled heap box. Sending an
 // Envelope by value boxes it into the mutex.Message interface — one heap
 // allocation per message, once the simulator's largest allocation site.

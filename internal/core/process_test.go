@@ -16,7 +16,6 @@ import (
 type poolMsg struct{}
 
 func (poolMsg) Kind() string { return "pool" }
-func (poolMsg) Size() int    { return 1 }
 
 // TestEnvelopePoolAllocs pins the envelope freelist: in steady state a
 // composed send→deliver through core.Process on simnet allocates nothing,

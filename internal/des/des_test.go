@@ -596,7 +596,6 @@ func (d *deliverRec) Deliver(from mutex.ID, m mutex.Message) {
 type testMsg struct{ n int }
 
 func (testMsg) Kind() string { return "test" }
-func (testMsg) Size() int    { return 8 }
 
 // TestAtDeliverOrderingWithClosures interleaves typed delivery events with
 // closure events at mixed instants: both variants must drain in (at, seq)

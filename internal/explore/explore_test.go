@@ -19,17 +19,14 @@ import (
 type fcReq struct{}
 
 func (fcReq) Kind() string { return "fc.req" }
-func (fcReq) Size() int    { return 8 }
 
 type fcGrant struct{}
 
 func (fcGrant) Kind() string { return "fc.grant" }
-func (fcGrant) Size() int    { return 8 }
 
 type fcRet struct{}
 
 func (fcRet) Kind() string { return "fc.ret" }
-func (fcRet) Size() int    { return 8 }
 
 type fragileCentral struct {
 	cfg    mutex.Config

@@ -212,8 +212,6 @@ const (
 	InterMsgs
 	// TotalMsgs is all sent messages per CS.
 	TotalMsgs
-	// InterBytes is inter-cluster bytes per CS.
-	InterBytes
 	// Fairness is Jain's index over per-process mean obtaining times.
 	Fairness
 )
@@ -231,8 +229,6 @@ func (m Metric) String() string {
 		return "inter-cluster messages per CS"
 	case TotalMsgs:
 		return "total messages per CS"
-	case InterBytes:
-		return "inter-cluster bytes per CS"
 	case Fairness:
 		return "Jain fairness index of per-process mean obtaining time"
 	default:
@@ -252,8 +248,6 @@ func (p *Point) metric(m Metric) float64 {
 		return p.InterMsgsPerCS
 	case TotalMsgs:
 		return p.TotalMsgsPerCS
-	case InterBytes:
-		return p.InterBytesPerCS
 	case Fairness:
 		return p.Fairness
 	default:

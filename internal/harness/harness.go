@@ -238,9 +238,6 @@ type Point struct {
 	// InterMsgsPerCS / IntraMsgsPerCS / TotalMsgsPerCS are sent-message
 	// counts normalized per critical section.
 	InterMsgsPerCS, IntraMsgsPerCS, TotalMsgsPerCS float64
-	// InterBytesPerCS normalizes modeled wire bytes crossing cluster
-	// boundaries per critical section.
-	InterBytesPerCS float64
 	// Grants counts critical sections entered across repetitions.
 	Grants int64
 	// Switches counts committed adaptive algorithm switches across
@@ -485,7 +482,7 @@ func mergeCell(c *cell, partials []repPartial) (Point, error) {
 	var latency stats.Accumulator
 	var perProc, perCluster []stats.Accumulator
 	repMeans := make([]float64, 0, len(partials))
-	var interMsgs, intraMsgs, totalMsgs, interBytes, detectorMsgs int64
+	var interMsgs, intraMsgs, totalMsgs, detectorMsgs int64
 	var virtual time.Duration
 	p := c.at
 	for rep := range partials {
@@ -514,7 +511,6 @@ func mergeCell(c *cell, partials []repPartial) (Point, error) {
 		interMsgs += part.counters.InterMessages
 		intraMsgs += part.counters.IntraMessages
 		totalMsgs += part.counters.Messages
-		interBytes += part.counters.InterBytes
 		detectorMsgs += recovery.DetectorMessages(part.counters.ByKind)
 		virtual += part.virtual
 		p.Grants += part.grants
@@ -555,7 +551,6 @@ func mergeCell(c *cell, partials []repPartial) (Point, error) {
 		p.InterMsgsPerCS = float64(interMsgs) / g
 		p.IntraMsgsPerCS = float64(intraMsgs) / g
 		p.TotalMsgsPerCS = float64(totalMsgs) / g
-		p.InterBytesPerCS = float64(interBytes) / g
 	}
 	if sec := virtual.Seconds(); sec > 0 {
 		p.DetectorMsgsPerSec = float64(detectorMsgs) / sec

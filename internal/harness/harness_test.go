@@ -203,7 +203,7 @@ func TestScalabilityCompositionScalesBetter(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	res := composition(t)
-	for _, m := range []Metric{ObtainingMean, ObtainingStd, ObtainingRelStd, InterMsgs, TotalMsgs, InterBytes} {
+	for _, m := range []Metric{ObtainingMean, ObtainingStd, ObtainingRelStd, InterMsgs, TotalMsgs} {
 		tab := res.Table(m, "Figure test")
 		if !strings.Contains(tab, "Figure test") || !strings.Contains(tab, "rho") {
 			t.Errorf("table for %v lacks header:\n%s", m, tab)
@@ -222,7 +222,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestMetricString(t *testing.T) {
 	seen := map[string]bool{}
-	for _, m := range []Metric{ObtainingMean, ObtainingStd, ObtainingRelStd, InterMsgs, TotalMsgs, InterBytes, Metric(99)} {
+	for _, m := range []Metric{ObtainingMean, ObtainingStd, ObtainingRelStd, InterMsgs, TotalMsgs, Metric(99)} {
 		s := m.String()
 		if s == "" || seen[s] {
 			t.Errorf("metric %d has bad or duplicate name %q", m, s)

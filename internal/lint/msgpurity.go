@@ -22,8 +22,8 @@ import (
 // to nest payloads.
 //
 // A message struct is recognized structurally: any named struct type
-// whose method set (value or pointer) contains both Kind() string and
-// Size() int — the mutex.Message contract.
+// whose method set (value or pointer) contains Kind() string — the
+// mutex.Message contract.
 var MsgPurity = &Analyzer{
 	Name: "msgpurity",
 	Doc: "message structs exchanged through the network must not carry " +
@@ -73,10 +73,9 @@ func runMsgPurity(p *Pass) {
 }
 
 // isMessageType reports whether T's pointer method set carries
-// Kind() string and Size() int.
+// Kind() string.
 func isMessageType(t types.Type) bool {
-	ms := types.NewMethodSet(types.NewPointer(t))
-	return hasMethodSig(ms, "Kind", "string") && hasMethodSig(ms, "Size", "int")
+	return hasMethodSig(types.NewMethodSet(types.NewPointer(t)), "Kind", "string")
 }
 
 func hasMethodSig(ms *types.MethodSet, name, result string) bool {

@@ -12,7 +12,6 @@ type Token struct {
 }
 
 func (Token) Kind() string { return "bad.token" }
-func (Token) Size() int    { return 1 }
 
 // meta is impure one level down; Request reaches it through a nested
 // struct field.
@@ -24,4 +23,3 @@ type Request struct {
 }
 
 func (Request) Kind() string { return "bad.request" }
-func (Request) Size() int    { return 16 }

@@ -11,7 +11,6 @@ type Token struct {
 }
 
 func (Token) Kind() string { return "good.token" }
-func (t Token) Size() int  { return 16 + 8*len(t.LN) }
 
 // node is ordinary process state, not a message: impure fields are fine.
 type node struct {
@@ -23,7 +22,6 @@ type node struct {
 // Message mirrors the mutex.Message contract.
 type Message interface {
 	Kind() string
-	Size() int
 }
 
 // Inner wraps a payload behind an interface, the sanctioned way to nest
@@ -34,4 +32,3 @@ type Inner struct {
 }
 
 func (i Inner) Kind() string { return i.M.Kind() }
-func (i Inner) Size() int    { return i.M.Size() + 8 }

@@ -193,7 +193,6 @@ func (f handlerFunc) Deliver(from mutex.ID, m mutex.Message) { f(from, m) }
 type testMsg struct{ seq int }
 
 func (testMsg) Kind() string { return "test" }
-func (testMsg) Size() int    { return 8 }
 
 func TestPerLinkFIFO(t *testing.T) {
 	net := New(Options{Latency: func(a, b int) time.Duration { return 200 * time.Microsecond }})

@@ -110,6 +110,87 @@ func TestRegistryTrafficRoundTrips(t *testing.T) {
 	}
 }
 
+// encodedBytesPerCS runs the named algorithm flat on n members of a
+// hand-stepped world for five rounds in which every member requests, and
+// returns the bytes Encode writes for all its traffic, per grant.
+func encodedBytesPerCS(t *testing.T, name string, n int) float64 {
+	t.Helper()
+	f, err := algorithms.Factory(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]mutex.ID, n)
+	for i := range members {
+		members[i] = mutex.ID(i)
+	}
+	w := algotest.NewWorld()
+	var insts []mutex.Instance
+	grants := 0
+	insts, err = w.Build(f, members, 0, func(self mutex.ID) mutex.Callbacks {
+		return mutex.Callbacks{OnAcquire: func() {
+			grants++
+			w.Env(self).Local(insts[self].Release)
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		for _, in := range insts {
+			in.Request()
+		}
+		if err := w.Drain(100_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grants != 5*n {
+		t.Fatalf("%s on %d members: %d grants, want %d", name, n, grants, 5*n)
+	}
+	sum := 0
+	for _, s := range w.Log() {
+		b, err := Encode(nil, s.Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += len(b)
+	}
+	return float64(sum) / float64(grants)
+}
+
+// TestEncodedBytesGrowWithN: Suzuki-Kasami's token carries the O(N) LN
+// array (the paper's §2.3), so the bytes it puts on the wire per critical
+// section must grow faster with N than Naimi-Tréhel's.
+func TestEncodedBytesGrowWithN(t *testing.T) {
+	growth := func(name string) float64 {
+		lo, hi := encodedBytesPerCS(t, name, 10), encodedBytesPerCS(t, name, 40)
+		t.Logf("%s: %.1f -> %.1f B/CS", name, lo, hi)
+		return hi / lo
+	}
+	if s, n := growth("suzuki"), growth("naimi"); s <= n {
+		t.Errorf("suzuki encoded bytes grew %.2fx, not above naimi's %.2fx", s, n)
+	}
+}
+
+// TestSuzukiTokenBytes pins the token's encoding to 8 bytes per LN entry
+// and 4 per queued id on top of a fixed header.
+func TestSuzukiTokenBytes(t *testing.T) {
+	size := func(ln, q int) int {
+		b, err := Encode(nil, suzukikasami.Token{LN: make([]int64, ln), Q: make([]mutex.ID, q)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	base := size(0, 0)
+	for _, ln := range []int{1, 4, 64} {
+		for _, q := range []int{0, 1, 3} {
+			if got, want := size(ln, q), base+8*ln+4*q; got != want {
+				t.Errorf("token with %d LN entries and %d queued: %d bytes, want %d", ln, q, got, want)
+			}
+		}
+	}
+}
+
 // TestTagsPinned pins each type's tag byte, and keeps the retired adaptive
 // tags 14-18 unknown so no later type reuses them.
 func TestTagsPinned(t *testing.T) {
@@ -163,7 +244,6 @@ func TestEncodeUnknownType(t *testing.T) {
 type bogus struct{}
 
 func (bogus) Kind() string { return "bogus" }
-func (bogus) Size() int    { return 0 }
 
 func TestDecodeErrors(t *testing.T) {
 	cases := map[string][]byte{

@@ -34,9 +34,6 @@ type Message interface {
 	// Kind returns a short stable name used for tracing and counters,
 	// e.g. "ring.request".
 	Kind() string
-	// Size returns the modeled wire size in bytes, used by the message
-	// accounting the paper reports (Suzuki-Kasami's token is O(N)).
-	Size() int
 }
 
 // Env is what an instance sees of the outside world.

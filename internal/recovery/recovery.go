@@ -143,9 +143,6 @@ type Heartbeat struct{}
 // Kind implements mutex.Message.
 func (Heartbeat) Kind() string { return "rec.hb" }
 
-// Size implements mutex.Message: a one-byte tag.
-func (Heartbeat) Size() int { return 1 }
-
 // Rejoin is the re-admission beacon: sent by an amnesiac restarted
 // member, a minority-frozen member, and any member left without an
 // algorithm instance (excluded by a false suspicion, or thawed from an
@@ -155,9 +152,6 @@ type Rejoin struct{}
 // Kind implements mutex.Message.
 func (Rejoin) Kind() string { return "rec.join" }
 
-// Size implements mutex.Message: a one-byte tag.
-func (Rejoin) Size() int { return 1 }
-
 // Probe asks a member for its token census answer during round Round.
 type Probe struct {
 	Round uint32
@@ -166,9 +160,6 @@ type Probe struct {
 
 // Kind implements mutex.Message.
 func (Probe) Kind() string { return "rec.probe" }
-
-// Size implements mutex.Message: tag + round + epoch.
-func (Probe) Size() int { return 1 + 4 + 8 }
 
 // ProbeAck answers a Probe: does the member hold the token, and is its
 // owner inside the critical section (or claiming it, see Member.AdoptCS)?
@@ -181,9 +172,6 @@ type ProbeAck struct {
 // Kind implements mutex.Message.
 func (ProbeAck) Kind() string { return "rec.ack" }
 
-// Size implements mutex.Message: tag + round + two flags.
-func (ProbeAck) Size() int { return 1 + 4 + 2 }
-
 // NewEpoch announces an epoch: the surviving membership and the token
 // position. Holder == None announces a frozen epoch (see package doc).
 type NewEpoch struct {
@@ -195,11 +183,8 @@ type NewEpoch struct {
 // Kind implements mutex.Message.
 func (NewEpoch) Kind() string { return "rec.epoch" }
 
-// Size implements mutex.Message: tag + epoch + holder + member list.
-func (m NewEpoch) Size() int { return 1 + 8 + 4 + 4*len(m.Members) }
-
 // Wrapped carries an algorithm message tagged with its epoch. It is
-// transparent for tracing and counters (inner kind, inner size plus tag).
+// transparent for tracing and counters: its kind is the inner kind.
 type Wrapped struct {
 	E     Epoch
 	Inner mutex.Message
@@ -207,9 +192,6 @@ type Wrapped struct {
 
 // Kind implements mutex.Message.
 func (w Wrapped) Kind() string { return w.Inner.Kind() }
-
-// Size implements mutex.Message.
-func (w Wrapped) Size() int { return w.Inner.Size() + 8 }
 
 // DetectorMessages totals, from a per-kind message count such as simnet's
 // Counters.ByKind, the traffic the recovery layer adds on its own: the

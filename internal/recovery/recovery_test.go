@@ -43,9 +43,6 @@ func TestWrappedTransparency(t *testing.T) {
 	if w.Kind() != inner.Kind() {
 		t.Errorf("wrapped kind %q, want inner kind %q", w.Kind(), inner.Kind())
 	}
-	if w.Size() != inner.Size()+8 {
-		t.Errorf("wrapped size %d, want inner+8 = %d", w.Size(), inner.Size()+8)
-	}
 }
 
 // rig is one simulated crash-tolerant deployment under workload.

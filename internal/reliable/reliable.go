@@ -75,9 +75,6 @@ type Packet struct {
 // Kind implements mutex.Message; packets are transparent for tracing.
 func (p Packet) Kind() string { return p.M.Kind() }
 
-// Size implements mutex.Message: payload plus the sequence header.
-func (p Packet) Size() int { return p.M.Size() + 8 }
-
 // Ack acknowledges every sequence number up to and including Cum.
 type Ack struct {
 	Cum uint64
@@ -85,9 +82,6 @@ type Ack struct {
 
 // Kind implements mutex.Message.
 func (Ack) Kind() string { return "reliable.ack" }
-
-// Size implements mutex.Message.
-func (Ack) Size() int { return 24 }
 
 type link struct{ from, to mutex.ID }
 

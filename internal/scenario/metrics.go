@@ -61,9 +61,6 @@ var metricRegistry = []metricDef{
 	{"total_msgs_per_cs", func(o *runOutcome) (float64, bool) {
 		return perCS(float64(o.Counters.Messages), o), true
 	}},
-	{"inter_bytes_per_cs", func(o *runOutcome) (float64, bool) {
-		return perCS(float64(o.Counters.InterBytes), o), true
-	}},
 	{"crashes", func(o *runOutcome) (float64, bool) {
 		return float64(o.Monitor.Crashes()), true
 	}},

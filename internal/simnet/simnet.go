@@ -357,7 +357,7 @@ func (r *proc) Send(to mutex.ID, m mutex.Message) {
 	// between the two processes' clusters.
 	ca, cb := r.cl, n.clOf[to]
 	delay := n.grid.RTT(int(ca), int(cb)) / 2
-	n.counters.note(m, ca == cb)
+	n.counters.note(ca == cb)
 	if n.opts.KindCounts {
 		if kind := m.Kind(); kind != n.runKind {
 			n.flushKinds()
@@ -443,13 +443,14 @@ func (r *proc) Local(f func()) {
 
 // Counters aggregates message traffic, split the way the paper reports it.
 type Counters struct {
-	// Messages and Bytes count every message sent.
-	Messages, Bytes int64
-	// Intra* count messages whose sender and receiver share a cluster.
-	IntraMessages, IntraBytes int64
-	// Inter* count messages crossing a cluster boundary — the quantity
-	// of Figure 4(b).
-	InterMessages, InterBytes int64
+	// Messages counts every message sent.
+	Messages int64
+	// IntraMessages counts messages whose sender and receiver share a
+	// cluster.
+	IntraMessages int64
+	// InterMessages counts messages crossing a cluster boundary — the
+	// quantity of Figure 4(b).
+	InterMessages int64
 	// ByKind counts messages per Message.Kind. It is non-nil only when
 	// Options.KindCounts is set.
 	ByKind map[string]int64
@@ -470,15 +471,11 @@ type Counters struct {
 	DroppedPartition int64
 }
 
-func (c *Counters) note(m mutex.Message, sameCluster bool) {
-	size := int64(m.Size())
+func (c *Counters) note(sameCluster bool) {
 	c.Messages++
-	c.Bytes += size
 	if sameCluster {
 		c.IntraMessages++
-		c.IntraBytes += size
 	} else {
 		c.InterMessages++
-		c.InterBytes += size
 	}
 }

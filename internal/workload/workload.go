@@ -199,9 +199,6 @@ const (
 // Kind implements mutex.Message.
 func (timer) Kind() string { return "workload.timer" }
 
-// Size implements mutex.Message: a timer never crosses a network.
-func (timer) Size() int { return 0 }
-
 // timers is the runner seen as the handler of its timer events: the event
 // names the process as its sender and the timer as its message, so
 // scheduling one binds nothing per process.

@@ -41,13 +41,21 @@ go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./inte
 echo "==> event-queue order against a reference sort, 800 random schedules over both drivers"
 go test -run 'TestPropertyTiersMatchReferenceSort' ./internal/des/ -quickchecks 2000
 
-echo "==> scenario conformance corpus through the CLI (JSON verdicts archived)"
+echo "==> scenario conformance corpus through the CLI (JSON verdicts against scenario-verdicts.json)"
 # The declarative acceptance suite (DESIGN.md §11): every fixture under
 # testdata/scenarios/ must produce a passing verdict. The JSON verdict
-# dump is the CI artifact — byte-identical across runs by the determinism
-# contract, so a diff against a previous run pinpoints exactly which
-# invariant or metric moved.
-go run ./cmd/gridscenario -json testdata/scenarios > scenario-verdicts.json
+# dump is byte-identical across runs by the determinism contract, so it
+# must equal the committed scenario-verdicts.json; a diff pinpoints
+# exactly which invariant or metric moved. A change meant to move it
+# commits the regenerated file.
+verdicts=$(mktemp)
+trap 'rm -f "$verdicts"' EXIT
+go run ./cmd/gridscenario -json testdata/scenarios > "$verdicts"
+if ! cmp -s scenario-verdicts.json "$verdicts"; then
+    echo "ci: scenario verdicts differ from scenario-verdicts.json:" >&2
+    diff -u scenario-verdicts.json "$verdicts" >&2 || true
+    exit 1
+fi
 # The committed broken fixtures must FAIL (exit 1) and name their
 # offending invariant — proving the checker library can reject, not just
 # rubber-stamp. An exit status of 0 here is itself the failure.
