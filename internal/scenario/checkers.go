@@ -33,37 +33,10 @@ func evaluate(o *runOutcome) Verdict {
 	}
 
 	checkCompletion(o, add)
-	e := &sc.Expect
-	if e.CrashExits >= 0 {
-		got := int(o.Monitor.CrashExits())
-		add("crash_exits", got == e.CrashExits,
-			fmt.Sprintf("%d critical sections ended by a crash, want %d", got, e.CrashExits))
-	}
-	if e.MinEpochs >= 0 || e.MaxEpochs >= 0 {
-		got := int(o.Monitor.Epochs())
-		pass := (e.MinEpochs < 0 || got >= e.MinEpochs) && (e.MaxEpochs < 0 || got <= e.MaxEpochs)
-		add("epochs", pass, fmt.Sprintf("%d regeneration epochs, want %s", got,
-			rangeWant(e.MinEpochs, e.MaxEpochs)))
-	}
 	checkStandbys(o, add)
 	checkFrozen(o, add)
-	if e.MinSwitches >= 0 {
-		add("switches", o.Switches >= int64(e.MinSwitches),
-			fmt.Sprintf("%d committed adaptive switches, want at least %d", o.Switches, e.MinSwitches))
-	}
-	if e.MinRetransmits >= 0 || e.MaxGivenUp >= 0 {
-		st := o.Reliable.Stats()
-		var bad []string
-		if e.MinRetransmits >= 0 && st.Retransmits < int64(e.MinRetransmits) {
-			bad = append(bad, fmt.Sprintf("%d retransmits, want at least %d", st.Retransmits, e.MinRetransmits))
-		}
-		if e.MaxGivenUp >= 0 && st.GivenUp > int64(e.MaxGivenUp) {
-			bad = append(bad, fmt.Sprintf("%d abandoned packets, want at most %d", st.GivenUp, e.MaxGivenUp))
-		}
-		add("reliable", len(bad) == 0, strings.Join(bad, "; "))
-	}
-	for _, env := range e.Envelopes {
-		val, ok := metricValue(o, env.Metric)
+	for _, env := range sc.Expect.Envelopes {
+		val, ok := metric(env.Metric).extract(o)
 		name := "envelope:" + env.Metric
 		if !ok {
 			add(name, false, "metric not produced by this run")
@@ -202,19 +175,6 @@ func checkFrozen(o *runOutcome, add func(string, bool, string)) {
 		}
 	}
 	add("frozen", len(bad) == 0, strings.Join(bad, "; "))
-}
-
-// rangeWant renders a [min, max] expectation where either side may be
-// unchecked (-1).
-func rangeWant(min, max int) string {
-	switch {
-	case min >= 0 && max >= 0:
-		return fmt.Sprintf("[%d, %d]", min, max)
-	case min >= 0:
-		return fmt.Sprintf("at least %d", min)
-	default:
-		return fmt.Sprintf("at most %d", max)
-	}
 }
 
 // envelopeWant renders an envelope's bound.

@@ -48,6 +48,9 @@ expect:
 	f.Add("name: t\nworkload:\n  rho: 1e300\nsystem:\n  intra: naimi\n  inter: naimi\n")
 	f.Add("name: t\nworkload:\n  alpha: 9h\n  phases:\n    - rho: 1e17\n      until: 1s\nsystem:\n  intra: naimi\n  inter: naimi\n  adaptive: true\n")
 	f.Add("name: \x00\x01\x02\n") // control bytes
+	// Envelopes gated by the registry's needs column: met, then unmet.
+	f.Add("name: t\nsystem:\n  intra: naimi\n  inter: naimi\n  recovery: true\nexpect:\n  envelopes:\n    - metric: epochs\n      min: 1\n")
+	f.Add("name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: retransmits\n      min: 1\n")
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		sc, err := Load([]byte(doc))

@@ -30,9 +30,6 @@ func TestLoadMinimalDefaults(t *testing.T) {
 	if !sc.Expect.Quiescent || sc.Expect.Complete != CompleteAll {
 		t.Errorf("expect defaults wrong: %+v", sc.Expect)
 	}
-	if sc.Expect.CrashExits != -1 || sc.Expect.MinEpochs != -1 || sc.Expect.MinSwitches != -1 {
-		t.Errorf("counters must default unchecked: %+v", sc.Expect)
-	}
 	if sc.System.Reserved() != 1 || sc.NodesPerCluster() != 4 {
 		t.Errorf("composed deployment reserves 1 node: reserved=%d per=%d",
 			sc.System.Reserved(), sc.NodesPerCluster())
@@ -52,7 +49,6 @@ topology:
   remote_rtt: 30ms
 workload:
   alpha: 10ms
-  dist: constant
   cs_per_process: 7
   hot_cluster: 1
   hot_skew: 3.5
@@ -68,7 +64,6 @@ network:
   loss: 0.05
   reliable: true
   rto: 50ms
-  max_retries: 12
 faults:
   - kind: crash
     node: 3
@@ -226,7 +221,20 @@ func TestLoadRejects(t *testing.T) {
 		{"empty envelope", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: grants\n", "neither min nor max"},
 		{"inverted envelope", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: grants\n      min: 5\n      max: 1\n", "above max"},
 		{"dup envelope", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: grants\n      max: 1\n    - metric: grants\n      min: 0\n", "duplicate envelope"},
-		{"switches no adaptive", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  min_switches: 1\n", "needs adaptive"},
+		{"switches no adaptive", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: switches\n      min: 1\n", "needs adaptive"},
+		{"epochs no recovery", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: epochs\n      min: 1\n", `envelope 0 on "epochs" needs recovery: true`},
+		{"crash exits no recovery", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: grants\n      min: 1\n    - metric: crash_exits\n      max: 0\n", `envelope 1 on "crash_exits" needs recovery: true`},
+		{"given up no reliable", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  envelopes:\n    - metric: given_up\n      max: 0\n", `envelope 0 on "given_up" needs reliable: true`},
+		{"retired crash_exits", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\n  recovery: true\nexpect:\n  crash_exits: 1\n", `line 7: unknown key "crash_exits" in expect`},
+		{"retired min_epochs", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\n  recovery: true\nexpect:\n  complete: all\n  min_epochs: 1\n", `line 8: unknown key "min_epochs" in expect`},
+		{"retired max_epochs", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\n  recovery: true\nexpect:\n  max_epochs: 3\n", `line 7: unknown key "max_epochs" in expect`},
+		{"retired min_switches", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\n  adaptive: true\nexpect:\n  min_switches: 1\n", `line 7: unknown key "min_switches" in expect`},
+		{"retired min_retransmits", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nnetwork:\n  reliable: true\nexpect:\n  min_retransmits: 1\n", `line 8: unknown key "min_retransmits" in expect`},
+		{"retired max_given_up", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nnetwork:\n  reliable: true\nexpect:\n  max_given_up: 0\n", `line 8: unknown key "max_given_up" in expect`},
+		{"retired max_retries", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nnetwork:\n  reliable: true\n  max_retries: 12\n", `line 7: unknown key "max_retries" in network`},
+		{"retired dist", "name: t\nworkload:\n  dist: constant\nsystem:\n  intra: naimi\n  inter: naimi\n", `line 3: unknown key "dist" in workload`},
+		{"standby both ways", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\n  recovery: true\nexpect:\n  standby_activated:\n    - 0\n    - 2\n  standby_quiet:\n    - 1\n    - 2\n", "cluster 2 is in both standby_activated and standby_quiet"},
+		{"frozen group typo", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\n  recovery: true\nexpect:\n  frozen_groups:\n    - intra1\n    - intra3\n", `frozen group "intra3" is neither inter nor intraK with K below 3`},
 		{"standby no recovery", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  standby_activated:\n    - 0\n", "need recovery"},
 		{"cluster out of range", "name: t\nsystem:\n  intra: naimi\n  inter: naimi\nexpect:\n  cluster_complete:\n    - 7\n", "outside the 3-cluster"},
 		{"levels plus intra", "name: t\nsystem:\n  intra: naimi\n  levels:\n    - naimi\n    - naimi\n", "levels excludes"},
@@ -287,11 +295,11 @@ func TestKnownMetricRegistry(t *testing.T) {
 			t.Fatalf("duplicate metric %q", n)
 		}
 		seen[n] = true
-		if !KnownMetric(n) {
-			t.Fatalf("registry name %q not known", n)
+		if d := metric(n); d == nil || d.name != n {
+			t.Fatalf("registry name %q not found by its own lookup", n)
 		}
 	}
-	if KnownMetric("no-such-metric") {
+	if metric("no-such-metric") != nil {
 		t.Fatal("unknown name accepted")
 	}
 }

@@ -84,8 +84,6 @@ type Network struct {
 	Reliable bool
 	// RTO is the retransmission timeout (default 3× the largest RTT).
 	RTO time.Duration
-	// MaxRetries bounds retransmissions per packet (0 = layer default).
-	MaxRetries int
 }
 
 // Fault kinds.
@@ -170,7 +168,7 @@ type Envelope struct {
 	HasMax   bool
 }
 
-// Expect is the expectation block. Counters set to -1 are unchecked.
+// Expect is the expectation block. Counts are bounded by envelopes.
 type Expect struct {
 	// Quiescent asserts the monitor's quiescence invariant after the run
 	// drains (default true; set false for bounded-horizon runs that
@@ -179,44 +177,19 @@ type Expect struct {
 	// Complete is CompleteAll (default), CompleteSurvivors or
 	// CompleteNone.
 	Complete string
-	// CrashExits is the exact number of critical sections that must end
-	// by their holder crashing (-1 unchecked).
-	CrashExits int
-	// MinEpochs / MaxEpochs bound token-regeneration epochs (-1
-	// unchecked).
-	MinEpochs, MaxEpochs int
 	// StandbyActivated lists clusters whose standby must take over;
 	// StandbyQuiet lists clusters whose standby must not.
 	StandbyActivated, StandbyQuiet []int
 	// FrozenGroups lists recovery group names (e.g. "intra1") that must
 	// report frozen after the run.
 	FrozenGroups []string
-	// MinSwitches is the least number of committed adaptive algorithm
-	// switches (-1 unchecked).
-	MinSwitches int
-	// MinRetransmits asserts the reliable layer was exercised (-1
-	// unchecked); MaxGivenUp bounds abandoned packets (-1 unchecked).
-	MinRetransmits, MaxGivenUp int
 	// ClusterComplete lists clusters whose every application must finish
 	// even when Complete is "none" (frozen-cluster scenarios assert the
 	// survivors this way).
 	ClusterComplete []int
-	// Envelopes bound named metrics.
+	// Envelopes bound named metrics; the registry says what system each
+	// metric needs.
 	Envelopes []Envelope
-}
-
-// defaultExpect returns the unchecked expectation block.
-func defaultExpect() Expect {
-	return Expect{
-		Quiescent:      true,
-		Complete:       CompleteAll,
-		CrashExits:     -1,
-		MinEpochs:      -1,
-		MaxEpochs:      -1,
-		MinSwitches:    -1,
-		MinRetransmits: -1,
-		MaxGivenUp:     -1,
-	}
 }
 
 // Load parses, decodes and validates one scenario document.
@@ -239,7 +212,7 @@ func Load(data []byte) (*Scenario, error) {
 // keys — a typo in an expectation must fail the load, not silently pass
 // the run.
 func decode(root *node) (*Scenario, error) {
-	sc := &Scenario{Expect: defaultExpect()}
+	sc := &Scenario{Expect: Expect{Quiescent: true, Complete: CompleteAll}}
 	if err := eachKey(root, "document", map[string]func(*node) error{
 		"name":     func(n *node) error { return str(n, &sc.Name) },
 		"doc":      func(n *node) error { return str(n, &sc.Doc) },
@@ -264,11 +237,11 @@ func decodeTopology(n *node, t *Topology) error {
 		"apps_per_cluster": func(n *node) error { return intval(n, &t.AppsPerCluster) },
 		"local_rtt":        func(n *node) error { return dur(n, &t.LocalRTT) },
 		"remote_rtt":       func(n *node) error { return dur(n, &t.RemoteRTT) },
-		"fanouts":          func(n *node) error { return intList(n, &t.Fanouts) },
-		"level_rtt":        func(n *node) error { return durList(n, &t.LevelRTT) },
+		"fanouts":          func(n *node) error { return list(n, &t.Fanouts, intval) },
+		"level_rtt":        func(n *node) error { return list(n, &t.LevelRTT, dur) },
 		"matrix": func(n *node) error {
 			var rows []string
-			if err := strList(n, &rows); err != nil {
+			if err := list(n, &rows, str); err != nil {
 				return err
 			}
 			m, err := topology.ParseMatrixSpec(strings.NewReader(strings.Join(rows, "\n") + "\n"))
@@ -285,7 +258,6 @@ func decodeWorkload(n *node, w *workload.Params) error {
 	err := eachKey(n, "workload", map[string]func(*node) error{
 		"alpha":          func(n *node) error { return dur(n, &w.Alpha) },
 		"rho":            func(n *node) error { return f64(n, &w.Rho) },
-		"dist":           func(n *node) error { return distVal(n, &w.Dist) },
 		"cs_per_process": func(n *node) error { return intval(n, &w.CSPerProcess) },
 		"hot_cluster":    func(n *node) error { return intval(n, &w.HotCluster) },
 		"hot_skew":       func(n *node) error { return f64(n, &w.HotSkew) },
@@ -331,8 +303,8 @@ func decodeSystem(n *node, s *System) error {
 		"intra":      func(n *node) error { return str(n, &s.Intra) },
 		"inter":      func(n *node) error { return str(n, &s.Inter) },
 		"flat":       func(n *node) error { return str(n, &s.Flat) },
-		"levels":     func(n *node) error { return strList(n, &s.Levels) },
-		"groups":     func(n *node) error { return intList(n, &s.Groups) },
+		"levels":     func(n *node) error { return list(n, &s.Levels, str) },
+		"groups":     func(n *node) error { return list(n, &s.Groups, intval) },
 		"adaptive":   func(n *node) error { return boolean(n, &s.AdaptiveInter) },
 		"local_bias": func(n *node) error { return intval(n, &s.LocalBias) },
 		"recovery":   func(n *node) error { return boolean(n, &s.Recovery) },
@@ -342,11 +314,10 @@ func decodeSystem(n *node, s *System) error {
 
 func decodeNetwork(n *node, nw *Network) error {
 	return eachKey(n, "network", map[string]func(*node) error{
-		"jitter":      func(n *node) error { return f64(n, &nw.Jitter) },
-		"loss":        func(n *node) error { return f64(n, &nw.Loss) },
-		"reliable":    func(n *node) error { return boolean(n, &nw.Reliable) },
-		"rto":         func(n *node) error { return dur(n, &nw.RTO) },
-		"max_retries": func(n *node) error { return intval(n, &nw.MaxRetries) },
+		"jitter":   func(n *node) error { return f64(n, &nw.Jitter) },
+		"loss":     func(n *node) error { return f64(n, &nw.Loss) },
+		"reliable": func(n *node) error { return boolean(n, &nw.Reliable) },
+		"rto":      func(n *node) error { return dur(n, &nw.RTO) },
 	})
 }
 
@@ -365,7 +336,7 @@ func decodeFaults(n *node, out *[]Fault) error {
 			"victim":   func(n *node) error { return intval(n, &f.Victim) },
 			"entry":    func(n *node) error { return intval(n, &f.Entry) },
 			"target":   func(n *node) error { return str(n, &f.Target) },
-			"clusters": func(n *node) error { return intList(n, &f.Clusters) },
+			"clusters": func(n *node) error { return list(n, &f.Clusters, intval) },
 			"heal_at":  func(n *node) error { return dur(n, &f.HealAt) },
 		}); err != nil {
 			return err
@@ -396,16 +367,10 @@ func decodeExpect(n *node, e *Expect) error {
 	return eachKey(n, "expect", map[string]func(*node) error{
 		"quiescent":         func(n *node) error { return boolean(n, &e.Quiescent) },
 		"complete":          func(n *node) error { return str(n, &e.Complete) },
-		"crash_exits":       func(n *node) error { return intval(n, &e.CrashExits) },
-		"min_epochs":        func(n *node) error { return intval(n, &e.MinEpochs) },
-		"max_epochs":        func(n *node) error { return intval(n, &e.MaxEpochs) },
-		"standby_activated": func(n *node) error { return intList(n, &e.StandbyActivated) },
-		"standby_quiet":     func(n *node) error { return intList(n, &e.StandbyQuiet) },
-		"frozen_groups":     func(n *node) error { return strList(n, &e.FrozenGroups) },
-		"min_switches":      func(n *node) error { return intval(n, &e.MinSwitches) },
-		"min_retransmits":   func(n *node) error { return intval(n, &e.MinRetransmits) },
-		"max_given_up":      func(n *node) error { return intval(n, &e.MaxGivenUp) },
-		"cluster_complete":  func(n *node) error { return intList(n, &e.ClusterComplete) },
+		"standby_activated": func(n *node) error { return list(n, &e.StandbyActivated, intval) },
+		"standby_quiet":     func(n *node) error { return list(n, &e.StandbyQuiet, intval) },
+		"frozen_groups":     func(n *node) error { return list(n, &e.FrozenGroups, str) },
+		"cluster_complete":  func(n *node) error { return list(n, &e.ClusterComplete, intval) },
 		"envelopes": func(n *node) error {
 			return eachItem(n, "envelopes", func(item *node) error {
 				env := Envelope{}
@@ -565,49 +530,14 @@ func dur(n *node, out *time.Duration) error {
 	return nil
 }
 
-func distVal(n *node, out *workload.Distribution) error {
-	s, err := scalarOf(n)
-	if err != nil {
-		return err
-	}
-	for _, d := range []workload.Distribution{workload.Exponential, workload.Constant, workload.Uniform} {
-		if s == d.String() {
-			*out = d
-			return nil
-		}
-	}
-	return fmt.Errorf("scenario: %s: unknown distribution %q (exponential/constant/uniform)", line1(n.line), s)
-}
-
-func strList(n *node, out *[]string) error {
+// list decodes a list node, each item with the scalar decoder one.
+func list[T any](n *node, out *[]T, one func(*node, *T) error) error {
 	return eachItem(n, "list", func(item *node) error {
-		var s string
-		if err := str(item, &s); err != nil {
-			return err
-		}
-		*out = append(*out, s)
-		return nil
-	})
-}
-
-func intList(n *node, out *[]int) error {
-	return eachItem(n, "list", func(item *node) error {
-		var v int
-		if err := intval(item, &v); err != nil {
+		var v T
+		if err := one(item, &v); err != nil {
 			return err
 		}
 		*out = append(*out, v)
-		return nil
-	})
-}
-
-func durList(n *node, out *[]time.Duration) error {
-	return eachItem(n, "list", func(item *node) error {
-		var d time.Duration
-		if err := dur(item, &d); err != nil {
-			return err
-		}
-		*out = append(*out, d)
 		return nil
 	})
 }

@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"gridmutex/internal/reliable"
@@ -42,7 +45,7 @@ func (sc *Scenario) spec(g *topology.Grid) run.Spec {
 		Horizon: sc.Run.Horizon, EventLimit: sc.Run.EventLimit,
 	}
 	if sc.Network.Reliable {
-		spec.Reliable = &reliable.Options{RTO: sc.Network.RTO, MaxRetries: sc.Network.MaxRetries}
+		spec.Reliable = &reliable.Options{RTO: sc.Network.RTO}
 	}
 	return spec
 }
@@ -207,11 +210,8 @@ func (sc *Scenario) validateNetwork() error {
 	if n.Loss > 0 && !n.Reliable {
 		return fmt.Errorf("scenario: loss %v needs reliable: true (the algorithms assume reliable channels)", n.Loss)
 	}
-	if !n.Reliable && (n.RTO != 0 || n.MaxRetries != 0) {
-		return fmt.Errorf("scenario: rto/max_retries need reliable: true")
-	}
-	if n.MaxRetries < 0 {
-		return fmt.Errorf("scenario: max_retries must be non-negative")
+	if !n.Reliable && n.RTO != 0 {
+		return fmt.Errorf("scenario: rto needs reliable: true")
 	}
 	return nil
 }
@@ -329,20 +329,6 @@ func (sc *Scenario) validateExpect() error {
 	default:
 		return fmt.Errorf("scenario: unknown completion mode %q (all/survivors/none)", e.Complete)
 	}
-	for _, v := range []struct {
-		name string
-		v    int
-	}{
-		{"crash_exits", e.CrashExits}, {"min_epochs", e.MinEpochs}, {"max_epochs", e.MaxEpochs},
-		{"min_switches", e.MinSwitches}, {"min_retransmits", e.MinRetransmits}, {"max_given_up", e.MaxGivenUp},
-	} {
-		if v.v < -1 {
-			return fmt.Errorf("scenario: expect.%s must be -1 (unchecked) or non-negative", v.name)
-		}
-	}
-	if e.MinEpochs >= 0 && e.MaxEpochs >= 0 && e.MinEpochs > e.MaxEpochs {
-		return fmt.Errorf("scenario: min_epochs %d above max_epochs %d", e.MinEpochs, e.MaxEpochs)
-	}
 	clusters := sc.Topology.Clusters
 	for _, set := range [][]int{e.StandbyActivated, e.StandbyQuiet, e.ClusterComplete} {
 		for _, c := range set {
@@ -354,20 +340,25 @@ func (sc *Scenario) validateExpect() error {
 	if !sc.System.Recovery && (len(e.StandbyActivated) > 0 || len(e.StandbyQuiet) > 0 || len(e.FrozenGroups) > 0) {
 		return fmt.Errorf("scenario: standby/frozen expectations need recovery: true")
 	}
-	if !sc.System.Recovery && (e.CrashExits > 0 || e.MinEpochs > 0) {
-		return fmt.Errorf("scenario: crash_exits/min_epochs expectations need recovery: true")
+	for _, c := range e.StandbyActivated {
+		if slices.Contains(e.StandbyQuiet, c) {
+			return fmt.Errorf("scenario: cluster %d is in both standby_activated and standby_quiet", c)
+		}
 	}
-	if e.MinSwitches >= 0 && !sc.System.AdaptiveInter {
-		return fmt.Errorf("scenario: min_switches needs adaptive: true")
-	}
-	if (e.MinRetransmits >= 0 || e.MaxGivenUp >= 0) && !sc.Network.Reliable {
-		return fmt.Errorf("scenario: retransmit expectations need reliable: true")
+	for _, g := range e.FrozenGroups {
+		if !validGroup(g, clusters) {
+			return fmt.Errorf("scenario: frozen group %q is neither inter nor intraK with K below %d", g, clusters)
+		}
 	}
 	seen := make(map[string]bool, len(e.Envelopes))
 	for i, env := range e.Envelopes {
-		if !KnownMetric(env.Metric) {
+		d := metric(env.Metric)
+		if d == nil {
 			return fmt.Errorf("scenario: envelope %d bounds unknown metric %q (known: %v)",
 				i, env.Metric, MetricNames())
+		}
+		if !sc.meets(d.needs) {
+			return fmt.Errorf("scenario: envelope %d on %q needs %s: true", i, env.Metric, d.needs)
 		}
 		if !env.HasMin && !env.HasMax {
 			return fmt.Errorf("scenario: envelope %d on %q has neither min nor max", i, env.Metric)
@@ -381,4 +372,14 @@ func (sc *Scenario) validateExpect() error {
 		seen[env.Metric] = true
 	}
 	return nil
+}
+
+// validGroup reports whether name is a recovery group of a clusters-wide
+// deployment: "inter", or "intraK" for a cluster K.
+func validGroup(name string, clusters int) bool {
+	if name == "inter" {
+		return true
+	}
+	k, err := strconv.Atoi(strings.TrimPrefix(name, "intra"))
+	return err == nil && k >= 0 && k < clusters && name == "intra"+strconv.Itoa(k)
 }

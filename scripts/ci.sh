@@ -47,20 +47,32 @@ echo "==> scenario conformance corpus through the CLI (JSON verdicts against sce
 # dump is byte-identical across runs by the determinism contract, so it
 # must equal the committed scenario-verdicts.json; a diff pinpoints
 # exactly which invariant or metric moved. A change meant to move it
-# commits the regenerated file.
-verdicts=$(mktemp)
-trap 'rm -f "$verdicts"' EXIT
-go run ./cmd/gridscenario -json testdata/scenarios > "$verdicts"
-if ! cmp -s scenario-verdicts.json "$verdicts"; then
-    echo "ci: scenario verdicts differ from scenario-verdicts.json:" >&2
-    diff -u scenario-verdicts.json "$verdicts" >&2 || true
+# commits the regenerated file. The command is built once, not run through
+# `go run`, which reports every non-zero exit as 1 and so would hide a load
+# error (exit 2) behind a failing verdict (exit 1).
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/gridscenario" ./cmd/gridscenario
+status=0
+"$tmp/gridscenario" -json testdata/scenarios > "$tmp/verdicts.json" || status=$?
+if [ "$status" -ne 0 ]; then
+    echo "ci: gridscenario exited $status on the corpus, want 0" >&2
     exit 1
 fi
-# The committed broken fixtures must FAIL (exit 1) and name their
-# offending invariant — proving the checker library can reject, not just
-# rubber-stamp. An exit status of 0 here is itself the failure.
-if go run ./cmd/gridscenario testdata/scenarios/broken >/dev/null 2>&1; then
-    echo "ci: broken scenario fixtures unexpectedly passed" >&2
+if ! cmp -s scenario-verdicts.json "$tmp/verdicts.json"; then
+    echo "ci: scenario verdicts differ from scenario-verdicts.json:" >&2
+    diff -u scenario-verdicts.json "$tmp/verdicts.json" >&2 || true
+    exit 1
+fi
+# The committed broken fixtures must load and FAIL (exit exactly 1) and
+# name their offending invariant — proving the checker library can reject,
+# not just rubber-stamp. Exit 0 (a pass) and exit 2 (a fixture that no
+# longer loads) are both failures of this gate.
+status=0
+"$tmp/gridscenario" testdata/scenarios/broken > /dev/null 2> "$tmp/broken.err" || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ci: gridscenario exited $status on the broken fixtures, want 1 (each loads and fails)" >&2
+    cat "$tmp/broken.err" >&2
     exit 1
 fi
 
