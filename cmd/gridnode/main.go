@@ -56,6 +56,16 @@ func gridnode(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	// A timeout of 0 or less fails every Lock at once, after the sockets
+	// are bound; a negative hold would run as none.
+	switch {
+	case *holdUS < 0:
+		fmt.Fprintf(stderr, "gridnode: -hold %d: want at least 0\n", *holdUS)
+		return 2
+	case *timeout <= 0:
+		fmt.Fprintf(stderr, "gridnode: -timeout %v: want more than 0\n", *timeout)
+		return 2
+	}
 
 	g, err := gridmutex.New(gridmutex.Config{
 		Clusters:       *clusters,

@@ -9,10 +9,12 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -53,6 +55,17 @@ func gridsim(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	localRTT, err1 := millis("local-rtt", *localMS)
+	remoteRTT, err2 := millis("remote-rtt", *remoteMS)
+	alpha, err3 := millis("alpha", *alphaMS)
+	if err := cmp.Or(err1, err2, err3); err != nil {
+		fmt.Fprintln(stderr, "gridsim:", err)
+		return 1
+	}
+	if *traceN < 0 {
+		fmt.Fprintf(stderr, "gridsim: -trace %d: want 0 or more events\n", *traceN)
+		return 1
+	}
 
 	var customMatrix *topology.Matrix
 	if *matrix != "" {
@@ -74,11 +87,11 @@ func gridsim(args []string, stdout, stderr io.Writer) int {
 		Clusters:       *clusters,
 		AppsPerCluster: *apps,
 		UseGrid5000:    *grid5000,
-		LocalRTT:       time.Duration(*localMS * float64(time.Millisecond)),
-		RemoteRTT:      time.Duration(*remoteMS * float64(time.Millisecond)),
+		LocalRTT:       localRTT,
+		RemoteRTT:      remoteRTT,
 		CSPerProcess:   *cs,
 		Repetitions:    *reps,
-		Alpha:          time.Duration(*alphaMS * float64(time.Millisecond)),
+		Alpha:          alpha,
 		BaseSeed:       *seed,
 		Jitter:         *jitter,
 		Loss:           *loss,
@@ -135,6 +148,18 @@ func gridsim(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "adaptive switches:      %d\n", p.Switches)
 	}
 	return 0
+}
+
+// millis converts flag name's value ms, in milliseconds, to a Duration. A
+// value that is not finite, or whose nanoseconds overflow int64, is an
+// error: converted unchecked it would become an arbitrary Duration. The
+// sign is left to the run kernel to judge.
+func millis(name string, ms float64) (time.Duration, error) {
+	ns := ms * float64(time.Millisecond)
+	if !(math.Abs(ns) < math.MaxInt64) {
+		return 0, fmt.Errorf("-%s %g: not a duration (want finite milliseconds below 2^63 ns)", name, ms)
+	}
+	return time.Duration(ns), nil
 }
 
 // dumpTrace runs sys on a small traced deployment (2 clusters of 2

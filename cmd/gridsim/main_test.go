@@ -81,6 +81,14 @@ func TestIllegalRunsAreOneLineErrors(t *testing.T) {
 		{[]string{"-jitter", "1e300"}, "jitter 1e+300 stretches"},
 		{[]string{"-jitter", "NaN"}, "jitter NaN must be finite"},
 		{[]string{"-loss", "NaN"}, "loss NaN outside [0, 1)"},
+		// Converted unchecked, the first read "alpha -2562047h47m16.854775808s
+		// must be positive", the second "negative RTT", the last ran with no
+		// trace.
+		{[]string{"-alpha", "1e300"}, "-alpha 1e+300: not a duration"},
+		{[]string{"-local-rtt", "NaN"}, "-local-rtt NaN: not a duration"},
+		{[]string{"-remote-rtt", "-Inf"}, "-remote-rtt -Inf: not a duration"},
+		{[]string{"-remote-rtt", "1e13"}, "-remote-rtt 1e+13: not a duration"},
+		{[]string{"-trace", "-1"}, "-trace -1: want 0 or more events"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-cs", "2", "-apps", "2", "-clusters", "2"}, c.args...)

@@ -13,14 +13,9 @@
 // Requests are appended to Q in member-index order, ignoring arrival times;
 // this is the fairness weakness the paper observes in section 4.6.
 //
-// The in-memory RN/LN vectors are sparse: entries materialize only for
-// members that have ever requested, so a node's state is O(requesters
-// heard from) instead of O(N) — at grid scale the dense vectors are the
-// token-state memory wall (N processes × N entries). The token on the
-// wire still carries the dense LN array the 1985 algorithm defines, with
-// identical contents and the same O(N) encoding; only the resident
-// representation is factored. The sparse entries are one run sorted by
-// member index, so iterating them walks member order by construction.
+// RN and LN are arrays of N integers indexed like Config.Members, as the
+// 1985 algorithm defines them, allocated on a node's first Request or
+// request arrival.
 package suzukikasami
 
 import (
@@ -48,99 +43,13 @@ type Token struct {
 // Kind implements mutex.Message.
 func (Token) Kind() string { return "suzuki.token" }
 
-// seqVec is a sparse member-indexed sequence vector: one run of entries,
-// sorted by member index, materialized only for members whose value has
-// ever been set, so ranging over it walks member-index order by
-// construction. Both RN and LN start as all-zero vectors of which only
-// ever-requesting members deviate, so a node's footprint is O(requesters
-// it has heard from), not O(N): the token-state memory wall at grid scale
-// (DESIGN.md §14).
-type seqVec struct {
-	e []seqEntry
-}
-
-// seqEntry is member index i's value x.
-type seqEntry struct {
-	i int32
-	x int64
-}
-
-// find returns where member index i is, or would be inserted, in e.
-func (v *seqVec) find(i int32) (int, bool) {
-	lo, hi := 0, len(v.e)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.e[mid].i < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(v.e) && v.e[lo].i == i
-}
-
-// get returns the value at member index i (zero when unmaterialized).
-func (v *seqVec) get(i int32) int64 {
-	if k, ok := v.find(i); ok {
-		return v.e[k].x
-	}
-	return 0
-}
-
-// set stores the value at member index i, materializing the entry (an
-// insert shift, once per member that ever requests since the last reset).
-func (v *seqVec) set(i int32, x int64) {
-	k, ok := v.find(i)
-	if !ok {
-		v.e = slices.Insert(v.e, k, seqEntry{i: i})
-	}
-	v.e[k].x = x
-}
-
-// raise stores x at member index i if it exceeds the value there, and
-// returns the value there afterwards, in one search where get and set
-// take two.
-func (v *seqVec) raise(i int32, x int64) int64 {
-	k, ok := v.find(i)
-	if !ok {
-		if x <= 0 {
-			return 0
-		}
-		v.e = slices.Insert(v.e, k, seqEntry{i: i})
-	}
-	v.e[k].x = max(v.e[k].x, x)
-	return v.e[k].x
-}
-
-// seek returns the value at member index i like get, but searches forward
-// from entry *k and leaves *k there: a caller visiting member indices in
-// increasing order, as a walk of another run does, passes over v once,
-// where a get per index costs a binary search each.
-func (v *seqVec) seek(k *int, i int32) int64 {
-	for *k < len(v.e) && v.e[*k].i < i {
-		*k++
-	}
-	if *k < len(v.e) && v.e[*k].i == i {
-		return v.e[*k].x
-	}
-	return 0
-}
-
-// materialized returns the number of sparse entries (tests assert the
-// bound: never more than the members that ever requested, plus self).
-func (v *seqVec) materialized() int { return len(v.e) }
-
-// reset drops all entries, returning the vector to all-zero; the backing
-// array stays for the next token.
-func (v *seqVec) reset() { v.e = v.e[:0] }
-
 type node struct {
 	cfg   mutex.Config
-	self  int32 // index of Self in Members
-	rn    seqVec
+	self  int // index of Self in Members
+	rn    []int64
 	state mutex.State
 	token bool
-	ln    seqVec     // meaningful only while token is true
+	ln    []int64    // meaningful only while token is true
 	queue []mutex.ID // meaningful only while token is true
 }
 
@@ -151,7 +60,7 @@ func New(cfg mutex.Config) (mutex.Instance, error) {
 	}
 	n := &node{
 		cfg:  cfg,
-		self: int32(cfg.Index(cfg.Self)),
+		self: cfg.Index(cfg.Self),
 	}
 	if cfg.Self == cfg.Holder {
 		n.token = true
@@ -164,12 +73,13 @@ func (n *node) Request() {
 		panic(fmt.Sprintf("suzukikasami: Request in state %v", n.state))
 	}
 	n.state = mutex.Req
+	n.alloc()
 	if n.token {
 		n.enterCS()
 		return
 	}
-	seq := n.rn.get(n.self) + 1
-	n.rn.set(n.self, seq)
+	n.rn[n.self]++
+	seq := n.rn[n.self]
 	// One box for the broadcast: a Request passed by value would be boxed
 	// again for every recipient.
 	var req mutex.Message = Request{Seq: seq}
@@ -185,16 +95,11 @@ func (n *node) Release() {
 		panic(fmt.Sprintf("suzukikasami: Release in state %v", n.state))
 	}
 	n.state = mutex.NoReq
-	n.ln.set(n.self, n.rn.get(n.self))
+	n.ln[n.self] = n.rn[n.self]
 	// Append every node with an outstanding request that is not queued
 	// yet, scanning in member-index order (deliberately arrival-blind).
-	// rn == ln+1 needs rn > 0, since LN holds copies of RN values and is
-	// never negative, so only members with a materialized RN entry are
-	// candidates, and RN's run visits them in the member order the dense
-	// scan used, walking LN's run alongside.
-	k := 0
-	for _, r := range n.rn.e {
-		if m := n.cfg.Members[r.i]; r.x == n.ln.seek(&k, r.i)+1 && !n.queued(m) {
+	for i, r := range n.rn {
+		if m := n.cfg.Members[i]; r == n.ln[i]+1 && !n.queued(m) {
 			n.queue = append(n.queue, m)
 		}
 	}
@@ -202,6 +107,15 @@ func (n *node) Release() {
 		head := n.queue[0]
 		n.queue = n.queue[1:]
 		n.sendToken(head)
+	}
+}
+
+// alloc allocates RN and LN together on the node's first use, so that a
+// built deployment holds neither.
+func (n *node) alloc() {
+	if n.rn == nil {
+		v := make([]int64, 2*len(n.cfg.Members))
+		n.rn, n.ln = v[:len(v)/2:len(v)/2], v[len(v)/2:]
 	}
 }
 
@@ -215,21 +129,11 @@ func (n *node) queued(id mutex.ID) bool {
 }
 
 func (n *node) sendToken(to mutex.ID) {
-	// The wire token carries the dense LN array — the algorithm's
-	// intrinsic O(N) payload, which the live codec encodes at 8 bytes an
-	// entry — materialized here from the sparse state. Its contents are
-	// identical to what a dense implementation would send: zeros for
-	// members that never requested.
-	ln := make([]int64, len(n.cfg.Members))
-	for _, e := range n.ln.e {
-		ln[e.i] = e.x
-	}
 	t := Token{
-		LN: ln,
+		LN: slices.Clone(n.ln),
 		Q:  append([]mutex.ID(nil), n.queue...),
 	}
 	n.token = false
-	n.ln.reset()
 	n.queue = nil
 	n.cfg.Env.Send(to, t)
 }
@@ -246,12 +150,13 @@ func (n *node) Deliver(from mutex.ID, m mutex.Message) {
 }
 
 func (n *node) onRequest(from mutex.ID, seq int64) {
-	fi := int32(n.cfg.Index(from))
+	fi := n.cfg.Index(from)
 	if fi < 0 {
 		panic(fmt.Sprintf("suzukikasami: request from non-member %d", from))
 	}
-	rn := n.rn.raise(fi, seq)
-	if !n.token || rn != n.ln.get(fi)+1 {
+	n.alloc()
+	n.rn[fi] = max(n.rn[fi], seq)
+	if !n.token || n.rn[fi] != n.ln[fi]+1 {
 		return
 	}
 	switch n.state {
@@ -267,15 +172,11 @@ func (n *node) onToken(t Token) {
 	if n.state != mutex.Req {
 		panic(fmt.Sprintf("suzukikasami: token received in state %v", n.state))
 	}
-	n.token = true
-	// The dense array is in member order, so its nonzero entries append
-	// as a sorted run.
-	n.ln.reset()
-	for i, x := range t.LN {
-		if x != 0 {
-			n.ln.e = append(n.ln.e, seqEntry{i: int32(i), x: x})
-		}
+	if len(t.LN) != len(n.ln) {
+		panic(fmt.Sprintf("suzukikasami: token with %d LN entries among %d members", len(t.LN), len(n.ln)))
 	}
+	n.token = true
+	copy(n.ln, t.LN)
 	n.queue = append([]mutex.ID(nil), t.Q...)
 	n.enterCS()
 }
@@ -300,11 +201,8 @@ func (n *node) HasPending() bool {
 	if len(n.queue) > 0 {
 		return true
 	}
-	// rn > ln needs rn > 0, so only members with a materialized RN entry
-	// can have an outstanding request.
-	k := 0
-	for _, r := range n.rn.e {
-		if r.i != n.self && r.x > n.ln.seek(&k, r.i) {
+	for i, r := range n.rn {
+		if i != n.self && r > n.ln[i] {
 			return true
 		}
 	}

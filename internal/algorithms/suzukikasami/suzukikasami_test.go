@@ -69,144 +69,22 @@ func TestNMessagesPerCS(t *testing.T) {
 	_ = m
 }
 
-// TestSparseStateMaterialization pins the grid-scale memory bound: RN/LN
-// entries exist only for members that ever requested (plus the releasing
-// holder's own LN entry), never for the full membership — while the token
-// on the wire still carries the dense LN array, O(N) entries.
-func TestSparseStateMaterialization(t *testing.T) {
-	w := algotest.NewWorld()
-	const members = 50
-	m := build(t, w, members, 0)
-	for _, requester := range []int{7, 23, 7} {
-		m[requester].Request()
-		if err := w.Drain(400); err != nil {
-			t.Fatal(err)
-		}
-		if m[requester].State() != mutex.InCS {
-			t.Fatalf("node %d did not enter CS", requester)
-		}
-		m[requester].Release()
-		if err := w.Drain(400); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var lastToken Token
-	found := false
-	for _, s := range w.Log() {
-		if tok, ok := s.Msg.(Token); ok {
-			lastToken, found = tok, true
-		}
-	}
-	if !found {
-		t.Fatal("no token transfer observed")
-	}
-	if len(lastToken.LN) != members {
-		t.Fatalf("wire token LN has %d entries, want the dense %d", len(lastToken.LN), members)
-	}
-	// Requesters were {7, 23}; releases happened at 7 and 23, and the
-	// initial holder 0 granted without releasing. RN can materialize only
-	// for requesters; LN only for requesters and releasing holders.
-	for i := range m {
-		nd := m[i].(*node)
-		if got := nd.rn.materialized(); got > 2 {
-			t.Errorf("node %d materialized %d RN entries, want <= 2 of %d members", i, got, members)
-		}
-		if got := nd.ln.materialized(); got > 3 {
-			t.Errorf("node %d materialized %d LN entries, want <= 3 of %d members", i, got, members)
-		}
-	}
-}
-
-// TestSeqVecMatchesDense holds the sorted run to a dense reference: random
-// get/set/reset sequences, with inserts at the head, in the middle and at
-// the tail of the run, must read back what a dense []int64 holds, with one
-// entry per member set since the last reset, in member order.
-func TestSeqVecMatchesDense(t *testing.T) {
-	const n = 20
-	rng := rand.New(rand.NewSource(1))
-	var v seqVec
-	dense := make([]int64, n)
-	set := make([]bool, n) // materialized since the last reset
-	var head, middle, tail int
-	for op := 0; op < 20_000; op++ {
-		switch r := rng.Intn(100); {
-		case r < 2:
-			v.reset()
-			clear(dense)
-			clear(set)
-		case r < 50:
-			i := int32(rng.Intn(n))
-			x := rng.Int63n(1000)
-			if !set[i] {
-				switch k, _ := v.find(i); {
-				case k == 0:
-					head++
-				case k == len(v.e):
-					tail++
-				default:
-					middle++
-				}
-			}
-			v.set(i, x)
-			dense[i], set[i] = x, true
-		default:
-			i := int32(rng.Intn(n))
-			if got := v.get(i); got != dense[i] {
-				t.Fatalf("op %d: get(%d) = %d, dense holds %d", op, i, got, dense[i])
-			}
-		}
-		want := 0
-		for _, s := range set {
-			if s {
-				want++
-			}
-		}
-		if v.materialized() != want {
-			t.Fatalf("op %d: %d entries materialized, %d members set", op, v.materialized(), want)
-		}
-		for k, e := range v.e {
-			if k > 0 && v.e[k-1].i >= e.i || e.x != dense[e.i] {
-				t.Fatalf("op %d: entry %d is %+v in run %+v", op, k, e, v.e)
-			}
-		}
-	}
-	if head == 0 || middle == 0 || tail == 0 {
-		t.Fatalf("inserts at head/middle/tail: %d/%d/%d, want each > 0", head, middle, tail)
-	}
-}
-
-// TestSeqVecSteadyStateAllocs: a reset keeps the run's backing array, so a
-// token arrival that re-materializes the coordinators' entries allocates
-// nothing once the run has grown.
-func TestSeqVecSteadyStateAllocs(t *testing.T) {
-	var v seqVec
-	fill := func() {
-		v.reset()
-		for _, i := range []int32{4, 0, 8, 2, 6, 1, 7, 3, 5} {
-			v.set(i, int64(i)+1)
-		}
-	}
-	fill()
-	if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
-		t.Errorf("reset + 9 sets allocates %.1f times, want 0", allocs)
-	}
-}
-
-// tokenEnv keeps the last token sent through it and drops requests.
+// tokenEnv keeps the last token sent through it, boxed as it was sent, and
+// drops requests.
 type tokenEnv struct {
 	to    mutex.ID
-	token *Token
+	token mutex.Message
 }
 
 func (e *tokenEnv) Send(to mutex.ID, m mutex.Message) {
-	if t, ok := m.(Token); ok {
-		e.to, e.token = to, &t
+	if _, ok := m.(Token); ok {
+		e.to, e.token = to, m
 	}
 }
 func (e *tokenEnv) Local(f func()) { f() }
 
-// TestHolderMatchesDenseScan holds one node's walks of its sorted RN and LN
-// runs to the dense scan of the 1985 algorithm, over random request
+// TestHolderMatchesDenseScan holds one node to a reference model of the
+// 1985 algorithm's dense RN and LN arrays, over random request
 // arrivals (stale, fresh and ahead), critical sections and token arrivals
 // on 2 to 20 members listed in shuffled ID order: the queue a release
 // builds, the member it hands the token to, the grant or OnPending a
@@ -238,8 +116,8 @@ func TestHolderMatchesDenseScan(t *testing.T) {
 			if env.token == nil || env.to != to {
 				t.Fatalf("trial %d op %d: token sent %v (to %d), want it sent to %d", trial, op, env.token != nil, env.to, to)
 			}
-			if !slices.Equal(env.token.LN, ln) || !slices.Equal(env.token.Q, queue) {
-				t.Fatalf("trial %d op %d: token LN %v Q %v, dense LN %v Q %v", trial, op, env.token.LN, env.token.Q, ln, queue)
+			if tok := env.token.(Token); !slices.Equal(tok.LN, ln) || !slices.Equal(tok.Q, queue) {
+				t.Fatalf("trial %d op %d: token LN %v Q %v, dense LN %v Q %v", trial, op, tok.LN, tok.Q, ln, queue)
 			}
 			clear(ln)
 			queue = nil
@@ -479,6 +357,10 @@ func TestProtocolPanics(t *testing.T) {
 		{"token while not requesting", func(m []mutex.Instance) {
 			m[1].Deliver(0, Token{LN: make([]int64, 3)})
 		}},
+		{"token of the wrong length", func(m []mutex.Instance) {
+			m[1].Request()
+			m[1].Deliver(0, Token{LN: make([]int64, 2)})
+		}},
 		{"request from non-member", func(m []mutex.Instance) { m[0].Deliver(99, Request{Seq: 1}) }},
 		{"unexpected message", func(m []mutex.Instance) { m[1].Deliver(0, bogus{}) }},
 	}
@@ -578,10 +460,10 @@ func TestPropertyTokenStateInvariant(t *testing.T) {
 		// request is remembered as outstanding anywhere.
 		for _, inst := range insts {
 			nd := inst.(*node)
-			for i := range members {
-				if nd.rn.get(int32(i)) != holder.ln.get(int32(i)) {
-					return false
-				}
+			nd.alloc()
+			holder.alloc()
+			if !slices.Equal(nd.rn, holder.ln) {
+				return false
 			}
 		}
 		return true
@@ -612,7 +494,8 @@ func TestRequestBroadcastAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := inst.(*node)
-	n.rn.set(n.self, 1000)
+	n.alloc()
+	n.rn[n.self] = 1000
 	if allocs := testing.AllocsPerRun(100, func() {
 		n.state = mutex.NoReq
 		n.Request()
@@ -621,5 +504,41 @@ func TestRequestBroadcastAllocs(t *testing.T) {
 	}
 	if env.sent != 8*101 {
 		t.Errorf("sent %d requests in 101 broadcasts, want %d", env.sent, 8*101)
+	}
+}
+
+// TestTokenRoundAllocs pins the allocations of one token round at a node
+// among 9 members: its Request, the token's arrival, one request arrival
+// while it is in its critical section, and the Release that passes the
+// token on. The four are the broadcast's box, the queue the release
+// builds, the token's fresh LN and the token's box; RN and LN themselves
+// allocate once, on the node's first use. Warm-up rounds take the node's
+// sequence number past 255, where boxing an int64 stops being free.
+func TestTokenRoundAllocs(t *testing.T) {
+	members := make([]mutex.ID, 9)
+	for i := range members {
+		members[i] = mutex.ID(i)
+	}
+	env := &tokenEnv{token: Token{LN: make([]int64, len(members))}}
+	inst, err := New(mutex.Config{Self: 3, Members: members, Holder: 0, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := mutex.Message(Request{Seq: 1000})
+	round := func() {
+		env.token.(Token).LN[5] = 999 // member 5's request 1000 is fresh
+		inst.Request()
+		inst.Deliver(0, env.token)
+		inst.Deliver(5, req)
+		inst.Release()
+		if env.to != 5 {
+			t.Fatalf("token passed to %d, want 5", env.to)
+		}
+	}
+	for range 300 {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 4 {
+		t.Errorf("a token round among 9 members allocates %.1f times, want 4", allocs)
 	}
 }

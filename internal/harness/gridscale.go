@@ -12,9 +12,9 @@ package harness
 // ceiling and to the benchmark (bench's gridscale-1e5 workload).
 //
 // The point of the experiment is the memory model of DESIGN.md §14: with
-// latencies computed from the cluster model (no O(N²) table), sparse
-// token-state vectors and arena-backed process bookkeeping, bytes per
-// process should stay near-flat while N grows from 10² to 10⁵.
+// Naimi-Trehel at every level, latencies computed from the cluster model
+// (no O(N²) table) and arena-backed process bookkeeping, bytes per process
+// should stay near-flat while N grows from 10² to 10⁵.
 
 import (
 	"fmt"

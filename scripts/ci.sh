@@ -33,7 +33,7 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/
 echo "==> go test -race ./... (gridlint and the exhaustive schedule exploration included)"
 go test -race ./...
 
-echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: through its in-flight FIFO lists), 0 through core.Process's envelope pool, 0 per heartbeat round, 0 per Suzuki-Kasami token arrival's RN/LN rebuild and 1 per request broadcast, 0 per forwarded Naimi-Trehel request, 0 per ascending member-list check at any length and <= 1 per unsorted one (0 up to 16 members), BuildFlat's allocations per process flat from N = 10 to 180, Runner.Bind flat in N and the same bytes at 3 or 2^30 critical sections per process (TestBindAllocsIndependentOfCS), the event queue's slot array doubling, its buckets doubling into drained arrays (TestBucketGrowthAllocs), Reserve's one slot allocation (TestReserveAllocs), recovery.Build within 1,020 bytes per process with every hook set, and the same with none, with its processes in one dense arena-backed table and one shared Group value per group (TestBuildAllocsPerProcess, whose byte pins hold in this plain build only: the race pass above runs its structural checks; the Member <= 256 bytes pin, TestMemberLayout, runs in the race pass above)"
+echo "==> allocation regression without -race: steady-state send/deliver <= 1 alloc/message (simnet: through its in-flight FIFO lists), 0 through core.Process's envelope pool, 0 per heartbeat round, 4 per Suzuki-Kasami token round (TestTokenRoundAllocs) and 1 per request broadcast, 0 per forwarded Naimi-Trehel request, 0 per ascending member-list check at any length and <= 1 per unsorted one (0 up to 16 members), BuildFlat's allocations per process flat from N = 10 to 180, Runner.Bind flat in N and the same bytes at 3 or 2^30 critical sections per process (TestBindAllocsIndependentOfCS), the event queue's slot array doubling, its buckets doubling into drained arrays (TestBucketGrowthAllocs), Reserve's one slot allocation (TestReserveAllocs), recovery.Build within 1,020 bytes per process with every hook set, and the same with none, with its processes in one dense arena-backed table and one shared Group value per group (TestBuildAllocsPerProcess, whose byte pins hold in this plain build only: the race pass above runs its structural checks; the Member <= 256 bytes pin, TestMemberLayout, runs in the race pass above)"
 # The line above ran these in a race-instrumented build; the pins are
 # claims about the plain build the benchmark and the commands run.
 go test -run 'Allocs' ./internal/des/ ./internal/simnet/ ./internal/core/ ./internal/recovery/ ./internal/algorithms/naimitrehel/ ./internal/algorithms/suzukikasami/ ./internal/mutex/ ./internal/workload/
