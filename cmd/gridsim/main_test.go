@@ -60,6 +60,21 @@ func TestZeroRTTIsInstant(t *testing.T) {
 	}
 }
 
+// TestSlowGridsRun: a legal grid far slower than its critical sections
+// runs to completion. At 8c8bdaa both rows exited 1 with "property
+// violation: liveness: 2 requests waiting but no CS entry between 20s and
+// 40s": the run kernel's watchdog waited 2,000 α for a grant whatever the
+// grid's latency.
+func TestSlowGridsRun(t *testing.T) {
+	for _, rtt := range []string{"100000", "1e7"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-cs", "2", "-apps", "2", "-clusters", "2", "-remote-rtt", rtt}
+		if code := gridsim(args, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "grants:                 8\n") {
+			t.Errorf("-remote-rtt %s: exit %d, stderr %q, stdout:\n%s", rtt, code, stderr.String(), stdout.String())
+		}
+	}
+}
+
 // TestIllegalRunsAreOneLineErrors: a flag combination the run kernel
 // rejects (run.Spec.Validate) exits 1 with one "gridsim:" line. At d1e79f2
 // the first two died in simnet.New with a goroutine dump, the third ran

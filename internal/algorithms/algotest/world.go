@@ -1,3 +1,9 @@
+// Package algotest provides World, a hand-stepped fabric for white-box
+// protocol tests: sends queue instead of being delivered, and the test
+// chooses which message or local callback runs next. Algorithm unit tests,
+// schedule exploration (internal/explore) and the wire round-trip tests
+// build on it; every simulated run, the algorithm property tests included,
+// is assembled by internal/run instead.
 package algotest
 
 import (

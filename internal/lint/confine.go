@@ -28,8 +28,8 @@ type confinement struct {
 }
 
 var (
-	assemblers   = []string{"internal/run", "internal/algorithms/algotest", "examples", "bench"}
-	oneAssembly  = "internal/run is the one assembly site; algotest, examples and bench wire their own stacks to test or show the layers (DESIGN.md §12)"
+	assemblers   = []string{"internal/run", "examples", "bench"}
+	oneAssembly  = "internal/run is the one assembly site; examples and bench wire their own stacks to show or time the layers (DESIGN.md §12)"
 	confinements = []confinement{
 		{"internal/simnet", "New", assemblers, oneAssembly},
 		{"internal/workload", "NewRunner", assemblers, oneAssembly},

@@ -507,10 +507,13 @@ func (r *Run) drive() *Stall {
 	case dep != nil:
 		runner.OnDone(dep.Stop)
 	default:
-		// 2,000 α, saturating as the clock does.
+		// 2,000 α, or 50 of the grid's slowest jittered round trips when
+		// that is longer, saturating as the clock does: on a slow grid one
+		// grant can take longer than any multiple of α.
+		window := max(2000*float64(r.spec.Workload.Alpha), 50*float64(r.spec.Grid.MaxRTT())*(1+r.spec.Jitter))
 		interval := time.Duration(math.MaxInt64)
-		if alpha := r.spec.Workload.Alpha; alpha <= interval/2000 {
-			interval = 2000 * alpha
+		if window < float64(interval) {
+			interval = time.Duration(window)
 		}
 		r.mon.WatchLiveness(runner.Waiting, runner.Done, interval)
 	}

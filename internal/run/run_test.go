@@ -294,6 +294,25 @@ func TestUnsatisfiedStall(t *testing.T) {
 	}
 }
 
+// TestLivenessWindowFollowsLatency: the watchdog waits 2,000 α or 50 of
+// the grid's slowest jittered round trips, whichever is longer, for a
+// grant. On a 100 s RTT grid one inter-cluster grant takes longer than
+// quickSpec's 2,000 α of 10 s: at 8c8bdaa the run drained, but the
+// monitor reported "liveness: 4 requests waiting but no CS entry between
+// 10s and 20s".
+func TestLivenessWindowFollowsLatency(t *testing.T) {
+	spec := quickSpec(2, System{Intra: "naimi", Inter: "naimi"})
+	spec.Grid = topology.Uniform(2, 5, time.Millisecond, 100*time.Second)
+	spec.TraceCapacity = 0
+	out, _ := driveBoth(t, spec)
+	if out.Stall != nil {
+		t.Fatalf("stalled: %v", out.Stall)
+	}
+	if !out.Monitor.Ok() {
+		t.Fatalf("monitor: %v", out.Monitor.Violations())
+	}
+}
+
 // TestHorizonStall: a horizon run's drain is held to the same event limit,
 // counted from the last window that granted anything, and reports the
 // horizon wording.
@@ -505,7 +524,7 @@ func FuzzBuild(f *testing.F) {
 // inputs, with a legal critical-section count folded into 1–8 and a
 // positive α floored at 1 ms, which bound how long the drive runs: the
 // event limit grows with the count, and the liveness watchdog ticks every
-// 2,000 α.
+// 2,000 α (or every 50 round trips of a slower grid).
 func FuzzDrive(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, clusters, apps, shape uint8, algs uint32, groups uint8,
